@@ -25,7 +25,7 @@ Correctness is checked two ways after every sweep point: the
 partitioned MV must be bag-identical to the unpartitioned baseline's,
 and both must digest-match a from-scratch evaluation of the view query
 on the **interpreted oracle** over the final base state
-(:func:`repro.exec.group.bag_digest`).
+(:func:`repro.robustness.journal.bag_digest`).
 
 Usage::
 
@@ -45,7 +45,7 @@ from pathlib import Path
 from repro.algebra.evaluation import CostCounter, evaluate
 from repro.core.scenarios import BaseLogScenario
 from repro.exec import COMPILED, VECTORIZED
-from repro.exec.group import bag_digest
+from repro.robustness.journal import bag_digest
 from repro.sqlfront.compiler import sql_to_view
 from repro.storage.database import Database
 from repro.storage.partition import PartitionedDatabase

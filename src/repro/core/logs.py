@@ -84,7 +84,7 @@ class Log:
         changes (the common case when same-shaped views refresh together)
         digest equal, independent of their table names.
         """
-        from repro.exec.group import bag_digest
+        from repro.robustness.journal import bag_digest
 
         return tuple(
             (

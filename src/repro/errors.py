@@ -97,6 +97,23 @@ class RecoveryError(ReproError):
     """
 
 
+class SnapshotError(ReproError):
+    """A snapshot file holds something no checkpoint could have written.
+
+    Raised by :func:`repro.storage.persistence.load_database`, which
+    fails closed instead of building a database from such a file.
+    ``code`` says what is wrong — ``"negative-multiplicity"`` (a row's
+    ``mult`` entries sum below zero), ``"uncatalogued-table"`` (a data
+    table that ``__catalog__`` does not list) or ``"missing-table"`` (a
+    catalog row without its data table) — and ``table`` names the table.
+    """
+
+    def __init__(self, code: str, table: str, message: str) -> None:
+        super().__init__(f"[{code}] table {table!r}: {message}")
+        self.code = code
+        self.table = table
+
+
 class AnalysisError(ReproError):
     """Static analysis rejected an expression or maintenance plan.
 

@@ -48,7 +48,6 @@ from repro.algebra.serialize import expr_to_dict
 from repro.robustness.faults import fault_point
 
 __all__ = [
-    "bag_digest",
     "subplan_fingerprint",
     "view_fingerprints",
     "evaluate_delta_pair",
@@ -61,20 +60,6 @@ __all__ = [
 
 #: Serialized node kinds that carry no operator structure of their own.
 _LEAF_KINDS = frozenset({"table", "literal"})
-
-
-def bag_digest(bag: Bag) -> str:
-    """A content digest of a bag — equal bags digest equal.
-
-    Used to key the delta cache by *log content*: two per-view logs with
-    different table names but identical recorded changes (the common
-    case when structurally identical views refresh together) share one
-    delta evaluation.
-    """
-    hasher = hashlib.sha256()
-    for row, count in sorted(bag.items(), key=lambda item: repr(item[0])):
-        hasher.update(repr((row, count)).encode())
-    return hasher.hexdigest()[:16]
 
 
 def _canonicalize(node: object, rename: Mapping[str, str] | None) -> object:

@@ -5,7 +5,13 @@ bound to a snapshot file and makes every state-changing operation follow
 the write-ahead protocol::
 
     intent journaled (fsync)  →  op runs in memory  →
-    atomic checkpoint (temp file + os.replace)  →  intent committed
+    atomic checkpoint (the op's deltas appended in one SQLite
+    transaction, or temp file + os.replace)  →  intent committed
+
+Both per-operation durability costs track the *delta*, not the base: a
+:class:`~repro.storage.persistence.DeltaQueue` registered on the
+database queues every installed patch, the intent's table digests are
+folded from it, and the checkpoint appends it to the snapshot file.
 
 A crash at *any* instant leaves the disk in one of exactly three
 states, all of which :func:`repro.robustness.recovery.recover` resolves:
@@ -45,6 +51,7 @@ from repro.robustness.journal import (
     serialize_bag,
     table_digests,
 )
+from repro.storage.persistence import track_deltas
 from repro.warehouse.manager import ViewManager
 from repro.warehouse.persistence import load_warehouse, save_warehouse
 
@@ -120,6 +127,7 @@ class DurableWarehouse:
             self.db.enable_governor(**(governor_opts or {}))
         self.db.journaled = True
         self.db.durable_origin = self.path
+        track_deltas(self.db, self.path)
         self.journal = IntentJournal(journal_path(self.path))
         pending = self.journal.pending()
         if pending is not None:
@@ -190,12 +198,10 @@ class DurableWarehouse:
         view: str | None = None,
         token: str | None = None,
         payload: dict[str, Any] | None = None,
-    ) -> bool:
+    ) -> None:
         fault_point("crash-before-journal")
-        if token is not None and self.journal.has_committed(token):
-            return False
         full_payload = dict(payload or {})
-        full_payload.setdefault("pre_digests", table_digests(self.db, intent_payload_tables(self.db)))
+        full_payload["pre_digests"] = table_digests(self.db, intent_payload_tables(self.db))
         with obs.span("journal_op", kind=kind, view=view or "", counter=self.manager.counter):
             op_id = self.journal.begin(kind, view=view, token=token, payload=full_payload)
             fault_point("crash-after-journal")
@@ -213,9 +219,7 @@ class DurableWarehouse:
                     for name in self.db.table_names()
                     if name in stamps and self.db.version_of(name) != stamps[name]
                 }
-                sanitizer.check_journal_payload(
-                    kind, written, frozenset(full_payload.get("pre_digests", {}))
-                )
+                sanitizer.check_journal_payload(kind, written, frozenset(full_payload["pre_digests"]))
             with obs.span("checkpoint", path=str(self.path)):
                 self._checkpoint()
             fault_point("crash-after-checkpoint")
@@ -226,7 +230,6 @@ class DurableWarehouse:
             # cursors; any future replay starts from it, so entries every
             # cursor has passed become prunable exactly now.
             self.manager.commit_log_watermarks()
-        return True
 
     def _watermark(self, names: Iterable[str]) -> int:
         total = 0
@@ -276,9 +279,12 @@ class DurableWarehouse:
         literal transaction — so a recovery replay is bit-identical to
         the original application.
 
-        Returns ``False`` without doing anything when ``token`` was
-        already committed (a client retry of an applied transaction).
+        Returns ``False`` without doing anything — one journal lookup,
+        nothing evaluated — when ``token`` was already committed (a
+        client retry of an applied transaction).
         """
+        if token is not None and self.journal.has_committed(token):
+            return False
         deltas: dict[str, dict[str, list[list[Any]]]] = {}
         literal = UserTransaction(self.db)
         for name in sorted(txn.tables):
@@ -289,12 +295,10 @@ class DurableWarehouse:
                 literal.delete(name, delete)
             if insert:
                 literal.insert(name, insert)
-        return self._run_journaled(
-            "txn",
-            lambda: self.manager.execute(literal),
-            token=token,
-            payload={"deltas": deltas, "pre_digests": table_digests(self.db, intent_payload_tables(self.db))},
+        self._run_journaled(
+            "txn", lambda: self.manager.execute(literal), token=token, payload={"deltas": deltas}
         )
+        return True
 
     def execute_sql(self, script: str, *, token: str | None = None) -> bool:
         from repro.sqlfront.compiler import script_to_transaction
@@ -312,14 +316,14 @@ class DurableWarehouse:
             "refresh",
             lambda: self.manager.refresh(name),
             view=name,
-            payload={"watermark": self._watermark([name]), "pre_digests": table_digests(self.db, intent_payload_tables(self.db))},
+            payload={"watermark": self._watermark([name])},
         )
 
     def refresh_all(self) -> None:
         self._run_journaled(
             "refresh_all",
             self.manager.refresh_all,
-            payload={"watermark": self._watermark(self.views()), "pre_digests": table_digests(self.db, intent_payload_tables(self.db))},
+            payload={"watermark": self._watermark(self.views())},
         )
 
     def refresh_group(
@@ -348,7 +352,6 @@ class DurableWarehouse:
                 "views": members,
                 "compact": compact,
                 "watermark": self._watermark(members),
-                "pre_digests": table_digests(self.db, intent_payload_tables(self.db)),
             },
         )
 
@@ -357,7 +360,7 @@ class DurableWarehouse:
             "propagate",
             lambda: self.manager.propagate(name),
             view=name,
-            payload={"watermark": self._watermark([name]), "pre_digests": table_digests(self.db, intent_payload_tables(self.db))},
+            payload={"watermark": self._watermark([name])},
         )
 
     def partial_refresh(self, name: str) -> None:
@@ -365,7 +368,7 @@ class DurableWarehouse:
             "partial_refresh",
             lambda: self.manager.partial_refresh(name),
             view=name,
-            payload={"watermark": self._watermark([name]), "pre_digests": table_digests(self.db, intent_payload_tables(self.db))},
+            payload={"watermark": self._watermark([name])},
         )
 
     # ------------------------------------------------------------------

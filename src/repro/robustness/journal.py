@@ -1,11 +1,12 @@
 """The write-ahead intent journal.
 
 Crash safety for a deferred-maintenance warehouse rests on two pieces:
-an **atomic checkpoint** (``save_database`` writes a temp file and
-``os.replace``\\ s it, so the snapshot on disk is always entirely pre-op
-or entirely post-op) and this **intent journal**, an fsync'd SQLite file
-sitting next to the snapshot that records what operation was *about* to
-run before any state mutates.
+an **atomic checkpoint** (``save_database`` either appends the
+operation's deltas to the snapshot file in one SQLite transaction or
+stages a full rewrite and ``os.replace``\\ s it, so the snapshot on disk
+is always entirely pre-op or entirely post-op) and this **intent
+journal**, an fsync'd SQLite file sitting next to the snapshot that
+records what operation was *about* to run before any state mutates.
 
 Each journal record carries:
 
@@ -40,10 +41,10 @@ from pathlib import Path
 from typing import Any
 
 from repro import obs
-from repro.algebra.bag import Bag
+from repro.algebra.bag import Bag, Row
 from repro.errors import RecoveryError
 from repro.storage.database import Database
-from repro.storage.persistence import RETRY_POLICY, with_retry
+from repro.storage.persistence import RETRY_POLICY, DeltaQueue, delta_queue, with_retry
 
 __all__ = [
     "IntentJournal",
@@ -74,21 +75,88 @@ def journal_path(snapshot_path: str | Path) -> Path:
 # ----------------------------------------------------------------------
 
 
-def bag_digest(bag: Bag) -> str:
-    """A stable content digest of a bag (rows with multiplicities)."""
-    hasher = hashlib.sha256()
-    for row, count in sorted(bag.items(), key=lambda item: repr(item[0])):
+#: Digests are sums modulo ``2**128`` of 128-bit keyed row hashes.
+_DIGEST_MASK = (1 << 128) - 1
+_ROW_HASHER = hashlib.blake2b(digest_size=16, key=b"repro.bag-digest.v1")
+_INT_EQUAL_TYPES = frozenset((float, bool))
+
+
+def _canonical(row: Row) -> Row:
+    """``row`` with each value that equals an integer replaced by that integer.
+
+    ``1 == 1.0 == True`` name one bag element, whichever spelling the
+    bag happens to hold, so they must hash alike.
+    """
+    return tuple(
+        int(value) if value.__class__ in _INT_EQUAL_TYPES and value % 1 == 0 else value
+        for value in row
+    )
+
+
+def _weighted_hash_sum(items: Iterable[tuple[Row, int]]) -> int:
+    """``Σ multiplicity · H(row)`` over ``(row, multiplicity)`` pairs (unreduced)."""
+    total = rows = 0
+    fresh = _ROW_HASHER.copy
+    for row, count in items:
+        if not _INT_EQUAL_TYPES.isdisjoint(map(type, row)):
+            row = _canonical(row)
+        hasher = fresh()
         hasher.update(repr(row).encode())
-        hasher.update(b"\x00")
-        hasher.update(str(count).encode())
-        hasher.update(b"\x01")
-    return hasher.hexdigest()
+        total += count * int.from_bytes(hasher.digest(), "big")
+        rows += 1
+    obs.metric_inc("digest_rows_hashed", rows)
+    return total
+
+
+def bag_digest(bag: Bag) -> str:
+    """A content digest of a bag — equal bags digest equal.
+
+    The digest is an *additive multiset hash*: ``Σ multiplicity ·
+    H(row) mod 2**128`` over a keyed, process-stable row hash.  It does
+    not depend on the order rows are visited in (no sort), and the
+    digest of ``(T ∸ ∇) ⊎ △`` follows from the digest of ``T`` and the
+    clamped deltas alone — :func:`table_digests` maintains table digests
+    that way.  Two given different bags collide with probability
+    ``2**-128``; an adversary choosing rows can do better (the sum is
+    linear), which a checksum against crashes does not need to resist.
+    """
+    return format(_weighted_hash_sum(bag.items()) & _DIGEST_MASK, "032x")
+
+
+def _tracked_digest(db: Database, queue: DeltaQueue, name: str) -> int:
+    """``name``'s digest, folded from the cached one when the stamps line up."""
+    stamp = db.version_of(name)
+    patches = queue.undigested.pop(name, ())
+    entry = queue.digests.get(name)
+    if entry is not None:
+        at, value = entry
+        for patch in patches:
+            value += _weighted_hash_sum(patch.insert.items()) - _weighted_hash_sum(patch.removed())
+            at = patch.stamp
+    if entry is None or at != stamp:
+        value = _weighted_hash_sum(db[name].items())
+    value &= _DIGEST_MASK
+    queue.digests[name] = (stamp, value)
+    return value
 
 
 def table_digests(db: Database, tables: Iterable[str] | None = None) -> dict[str, str]:
-    """Digest of every (or each named) table in ``db``."""
+    """Digest of every (or each named) table in ``db``.
+
+    On a database with a :class:`~repro.storage.persistence.DeltaQueue`
+    a table's digest is *maintained*: the patches queued since it was
+    last asked for are folded into the cached value, at a cost of the
+    delta's rows.  A cached value is only advanced along an unbroken run
+    of patches that ends at the table's current version stamp; after a
+    wholesale replacement, a drop, or any stamp mismatch the table is
+    digested from scratch — which is also what happens, for every
+    table, on a database without a queue.
+    """
     names = db.table_names() if tables is None else tuple(tables)
-    return {name: bag_digest(db[name]) for name in names}
+    queue = delta_queue(db)
+    if queue is None:
+        return {name: bag_digest(db[name]) for name in names}
+    return {name: format(_tracked_digest(db, queue, name), "032x") for name in names}
 
 
 def serialize_bag(bag: Bag) -> list[list[Any]]:
@@ -185,27 +253,33 @@ class IntentJournal:
         """Durably record the intent to run an operation; returns its id.
 
         Refuses to start a new intent while another is pending — a
-        pending intent means a crash happened and recovery has not run.
+        pending intent means a crash happened and recovery has not run —
+        or under a ``token`` that was already committed.
         """
-        pending = self.pending()
-        if pending is not None:
-            raise RecoveryError(
-                f"journal {self.path} has a pending intent ({pending.describe()}); "
-                "run recovery before issuing new operations"
-            )
-        if token is not None and self.has_committed(token):
-            raise RecoveryError(f"token {token!r} was already committed; refusing duplicate intent")
         encoded = json.dumps(dict(payload or {}), sort_keys=True)
 
-        def insert() -> int:
+        def insert() -> int | None:
+            # Both guards ride on the INSERT itself: one statement, and
+            # nothing can slip in between the check and the write.
             with self._conn:
                 cursor = self._conn.execute(
-                    f"INSERT INTO {_TABLE} (kind, view, token, status, payload) VALUES (?, ?, ?, ?, ?)",
-                    (kind, view, token, INTENT, encoded),
+                    f"INSERT INTO {_TABLE} (kind, view, token, status, payload) "
+                    f"SELECT ?, ?, ?, ?, ? "
+                    f"WHERE NOT EXISTS (SELECT 1 FROM {_TABLE} WHERE status = ?) "
+                    f"AND NOT EXISTS (SELECT 1 FROM {_TABLE} WHERE token = ? AND status = ?)",
+                    (kind, view, token, INTENT, encoded, INTENT, token, COMMITTED),
                 )
-            return int(cursor.lastrowid)
+            return int(cursor.lastrowid) if cursor.rowcount == 1 else None
 
         op_id = with_retry(insert)
+        if op_id is None:
+            pending = self.pending()
+            if pending is not None:
+                raise RecoveryError(
+                    f"journal {self.path} has a pending intent ({pending.describe()}); "
+                    "run recovery before issuing new operations"
+                )
+            raise RecoveryError(f"token {token!r} was already committed; refusing duplicate intent")
         obs.metric_inc("journal_fsyncs")
         return op_id
 

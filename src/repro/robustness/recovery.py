@@ -7,10 +7,11 @@ restart every scenario's invariant — ``INV_IM``, ``INV_BL``,
 
 1. **Classify.**  Load the journal; if an intent is pending, compare the
    snapshot's table digests with the intent's recorded pre-operation
-   digests.  Because checkpoints are atomic (temp file +
-   ``os.replace``), the snapshot is either exactly the pre-op state or
-   exactly the completed post-op state — a torn intermediate is
-   impossible by construction.
+   digests.  Because checkpoints are atomic (one SQLite transaction
+   appending the operation's deltas, or temp file + ``os.replace``),
+   the snapshot is either exactly the pre-op state or exactly the
+   completed post-op state — a torn intermediate is impossible by
+   construction.
 2. **Resolve.**  Pre-op snapshot: replay the operation from the journal
    (user transactions from their recorded delta bags; ``refresh`` /
    ``propagate`` / ``partial_refresh`` / ``refresh_all`` simply re-run
@@ -49,7 +50,7 @@ from repro.robustness.journal import (
     journal_path,
     table_digests,
 )
-from repro.storage.persistence import staging_path
+from repro.storage.persistence import staging_path, track_deltas
 from repro.warehouse.manager import ViewManager
 from repro.warehouse.persistence import load_warehouse, save_warehouse
 
@@ -185,6 +186,10 @@ def recover(path: str | Path) -> RecoveryReport:
         try:
             pending = journal.pending()
             manager = load_warehouse(path)
+            # A queue that has not seen a full write makes the roll-forward
+            # checkpoint below a rewrite with ``reason="recovery"``: the
+            # file leaves recovery consolidated, whatever was appended to it.
+            track_deltas(manager.db, path)
             action = "none"
             if pending is not None:
                 recorded = pending.pre_digests

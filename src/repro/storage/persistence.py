@@ -6,12 +6,30 @@ persists a complete database (schemas, external/internal partition,
 multiplicity-encoded contents) into a single SQLite file and restores it
 bit-for-bit, so maintenance can resume after a restart.
 
-Crash safety (see :mod:`repro.robustness`): a snapshot is written to a
-temporary file in a **single SQLite transaction** and atomically
-installed with :func:`os.replace`, so a crash at any instant leaves
-either the complete old snapshot or the complete new one — never a torn
-file.  Transient ``OperationalError: database is locked`` failures are
-absorbed by :func:`with_retry` (exponential backoff).
+The file is a **differential** one, in the paper's sense of the
+``∇MV``/``△MV`` tables: a data table holds the rows of the last full
+write with positive ``mult`` plus, for every patch checkpointed since,
+its (clamped) delete rows with *negative* ``mult`` and its insert rows
+with positive ``mult``.  A table's contents are the per-row sums, so a
+saved file is read with::
+
+    SELECT c0, …, SUM(mult) FROM "t" GROUP BY c0, … HAVING SUM(mult) > 0
+
+A :class:`Database` that carries a :class:`DeltaQueue` for the file
+(:func:`track_deltas`; :class:`~repro.robustness.DurableWarehouse`
+registers one) is saved by *appending* what the queue holds — a cost
+that tracks the delta, not the base.  Everything else, and a tracked
+save whenever the catalog changed or the rows appended since the last
+full write would exceed the rows written then, rewrites the whole file.
+
+Crash safety (see :mod:`repro.robustness`): either way the snapshot on
+disk is always exactly the old state or exactly the new one.  A rewrite
+stages the file in a temporary sibling in a **single SQLite
+transaction** and installs it with :func:`os.replace`; an append is one
+``synchronous=FULL`` SQLite transaction on the file itself, which
+SQLite's rollback journal makes all-or-nothing across a crash.
+Transient ``OperationalError: database is locked`` failures are absorbed
+by :func:`with_retry` (exponential backoff).
 
 File layout:
 
@@ -20,7 +38,7 @@ File layout:
 * one data table per stored table (mangled name), with columns
   ``c0 … c{n-1}, mult`` — the same encoding as the SQLite evaluation
   backend, so saved files are also directly queryable with the
-  ``sqlite3`` CLI.
+  ``sqlite3`` CLI (summing ``mult`` as above).
 
 Values must be SQLite-storable (int, float, str, bool, None); bools are
 stored as tagged strings so they round-trip exactly.
@@ -28,25 +46,32 @@ stored as tagged strings so they round-trip exactly.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import random
 import sqlite3
 import time
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, TypeVar
+from typing import Any, Callable, NamedTuple, TypeVar
 
 from repro import obs
 from repro.algebra.bag import Bag, Row
 from repro.algebra.schema import Schema
-from repro.errors import ReproError
+from repro.errors import ReproError, SnapshotError
 from repro.robustness.faults import fault_point
 from repro.storage.database import Database
 
 __all__ = [
     "save_database",
     "load_database",
+    "DeltaQueue",
+    "Patch",
+    "StoredTable",
+    "track_deltas",
+    "delta_queue",
     "with_retry",
     "staging_path",
     "RetryPolicy",
@@ -187,8 +212,128 @@ def _decode(value: Any) -> Any:
     return value
 
 
-def _write_snapshot(db: Database, target: Path) -> None:
-    """Write the full state into ``target`` as one SQLite transaction."""
+# ----------------------------------------------------------------------
+# The delta queue: what changed since the last fold / checkpoint
+# ----------------------------------------------------------------------
+
+
+class StoredTable(NamedTuple):
+    """One table as a snapshot file holds it."""
+
+    name: str
+    attrs: tuple[str, ...]
+    internal: bool
+    bag: Bag
+
+
+class Patch(NamedTuple):
+    """One installed ``R := (R ∸ delete) ⊎ insert``, as a write listener saw it."""
+
+    #: The table's version stamp once the patch was installed.
+    stamp: int
+    delete: Bag
+    insert: Bag
+    #: The pre-patch value; only ``multiplicity`` of delta rows is read
+    #: (a partitioned database hands listeners a window, not a bag).
+    before: Any
+
+    def removed(self) -> Iterator[tuple[Row, int]]:
+        """The delete rows clamped to what was there (``∸`` floors at zero)."""
+        multiplicity = self.before.multiplicity
+        for row, count in self.delete.items():
+            count = min(count, multiplicity(row))
+            if count:
+                yield row, count
+
+
+class DeltaQueue:
+    """Write listener that keeps the patches two consumers have yet to see.
+
+    ``Database.apply`` hands every installed patch to its write
+    listeners; this one only *queues* it — no hashing, no I/O, O(1) —
+    so nothing is added to a lock section.  The consumers run later,
+    outside ``apply``:
+
+    * :func:`repro.robustness.journal.table_digests` folds
+      :attr:`undigested` into the per-table digests it caches in
+      :attr:`digests`;
+    * :func:`save_database` appends :attr:`unsaved` (and rewrites the
+      tables in :attr:`replaced`) to the snapshot file at :attr:`path`.
+
+    A wholesale replacement — ``set_table``, an assignment, ``restore``,
+    the rollback of a failed ``apply`` — or a drop discards the table's
+    queued patches: the digest is then recomputed from the table, and
+    the checkpoint writes the table whole.
+    """
+
+    def __init__(self, db: Database, path: Path) -> None:
+        self._db = db
+        #: The snapshot file the ``unsaved`` side is relative to.
+        self.path = path
+        self.undigested: dict[str, list[Patch]] = {}
+        #: ``table -> (version stamp, additive digest)`` as of the last fold.
+        self.digests: dict[str, tuple[int, int]] = {}
+        self.unsaved: dict[str, list[Patch]] = {}
+        self.replaced: set[str] = set()
+        #: What the file holds: its catalog (``None`` until this queue has
+        #: seen a full write: a new file, or one just reopened), the extra
+        #: tables last written, and the row counts behind the rewrite rule.
+        self.saved_catalog: dict[str, tuple[tuple[str, ...], bool]] | None = None
+        self.saved_extras: dict[str, Bag] = {}
+        self.rows_written = 0
+        self.rows_appended = 0
+
+    def on_patch(self, name: str, delete: Bag, insert: Bag, before: Any, after: Any) -> None:
+        patch = Patch(self._db.version_of(name), delete, insert, before)
+        self.undigested.setdefault(name, []).append(patch)
+        if name not in self.replaced:
+            self.unsaved.setdefault(name, []).append(patch)
+
+    def on_replace(self, name: str, bag: Bag) -> None:
+        self.undigested.pop(name, None)
+        self.unsaved.pop(name, None)
+        self.replaced.add(name)
+        # A rollback restores the old stamp along with the old value, so
+        # a digest taken at that stamp is still the table's digest.
+        entry = self.digests.get(name)
+        if entry is not None and entry[0] != self._db.version_of(name):
+            del self.digests[name]
+
+    def on_drop(self, name: str) -> None:
+        self.on_replace(name, Bag())
+
+
+def track_deltas(db: Database, path: str | Path) -> DeltaQueue:
+    """Start queueing ``db``'s writes against the snapshot file at ``path``."""
+    queue = DeltaQueue(db, Path(path))
+    db.add_write_listener(queue)
+    return queue
+
+
+def delta_queue(db: Database) -> DeltaQueue | None:
+    """The queue :func:`track_deltas` registered on ``db``, if any."""
+    for listener in db._listeners:
+        if isinstance(listener, DeltaQueue):
+            return listener
+    return None
+
+
+# ----------------------------------------------------------------------
+# Writing
+# ----------------------------------------------------------------------
+
+
+def _insert_rows(conn: sqlite3.Connection, name: str, arity: int, rows: Iterable[tuple[Row, int]]) -> int:
+    placeholders = ", ".join(["?"] * (arity + 1))
+    cursor = conn.executemany(
+        f"INSERT INTO {_mangle(name)} VALUES ({placeholders})",
+        ((*(_encode(value) for value in row), mult) for row, mult in rows),
+    )
+    return cursor.rowcount
+
+
+def _write_snapshot(tables: list[StoredTable], target: Path) -> int:
+    """Write ``tables`` into ``target`` as one SQLite transaction; rows written."""
     fault_point("flaky-save")
     if target.exists():
         target.unlink()
@@ -201,44 +346,141 @@ def _write_snapshot(db: Database, target: Path) -> None:
         conn.isolation_level = None
         conn.execute("BEGIN")
         conn.execute(f"CREATE TABLE {_CATALOG} (name TEXT PRIMARY KEY, attrs TEXT, internal INTEGER)")
-        for name in db.table_names():
-            schema = db.schema_of(name)
+        rows = 0
+        for name, attrs, internal, bag in tables:
             conn.execute(
-                f"INSERT INTO {_CATALOG} VALUES (?, ?, ?)",
-                (name, json.dumps(list(schema.attributes)), int(db.is_internal(name))),
+                f"INSERT INTO {_CATALOG} VALUES (?, ?, ?)", (name, json.dumps(list(attrs)), int(internal))
             )
-            columns = ", ".join(f"c{index}" for index in range(schema.arity))
-            trailer = f"{columns}, mult INTEGER" if schema.arity else "mult INTEGER"
-            conn.execute(f"CREATE TABLE {_mangle(name)} ({trailer})")
-            placeholders = ", ".join(["?"] * (schema.arity + 1))
-            conn.executemany(
-                f"INSERT INTO {_mangle(name)} VALUES ({placeholders})",
-                (
-                    (*(_encode(value) for value in row), count)
-                    for row, count in db[name].items()
-                ),
-            )
+            columns = "".join(f"c{index}, " for index in range(len(attrs)))
+            conn.execute(f"CREATE TABLE {_mangle(name)} ({columns}mult INTEGER)")
+            rows += _insert_rows(conn, name, len(attrs), bag.items())
         conn.execute("COMMIT")
+        return rows
     finally:
         conn.close()
 
 
-def save_database(db: Database, path: str | Path) -> None:
-    """Atomically write the full database state to ``path`` (overwrites).
+def _rewrite(tables: list[StoredTable], path: Path, reason: str) -> int:
+    """Replace the file at ``path`` with a full write of ``tables``."""
+    staged = staging_path(path)
+    with obs.span("checkpoint_rewrite", reason=reason, path=str(path)):
+        rows = with_retry(lambda: _write_snapshot(tables, staged))
+        fault_point("crash-mid-checkpoint")
+        os.replace(staged, path)
+    obs.metric_inc("checkpoint_rewrites")
+    return rows
 
-    The snapshot is staged in a sibling temp file and installed with
-    ``os.replace`` — readers (and a recovering process) always see a
-    complete snapshot, even if this process dies mid-save.
+
+def _append_snapshot(
+    path: Path,
+    patches: Mapping[str, list[Patch]],
+    replaced: Iterable[StoredTable],
+    catalog: Mapping[str, tuple[tuple[str, ...], bool]],
+) -> int:
+    """Append ``patches`` and swap in ``replaced`` as one transaction; rows written."""
+    fault_point("flaky-save")
+    conn = sqlite3.connect(path)
+    try:
+        conn.execute("PRAGMA synchronous=FULL")
+        conn.isolation_level = None
+        conn.execute("BEGIN IMMEDIATE")
+        rows = 0
+        for name, attrs, _internal, bag in replaced:
+            conn.execute(f"DELETE FROM {_mangle(name)}")
+            rows += _insert_rows(conn, name, len(attrs), bag.items())
+        for name, queued in patches.items():
+            for patch in queued:
+                signed = itertools.chain(
+                    ((row, -count) for row, count in patch.removed()), patch.insert.items()
+                )
+                rows += _insert_rows(conn, name, len(catalog[name][0]), signed)
+        fault_point("crash-mid-checkpoint")
+        conn.execute("COMMIT")
+        return rows
+    finally:
+        # Closing rolls an uncommitted transaction back: a crash or an
+        # error above leaves the file exactly as it was.
+        conn.close()
+
+
+def save_database(db: Database, path: str | Path, *, extra: Iterable[StoredTable] = ()) -> None:
+    """Atomically bring the snapshot at ``path`` to ``db``'s current state.
+
+    ``extra`` tables are stored alongside ``db``'s own (the warehouse's
+    view catalog travels this way, without ever entering the live
+    database).  Readers — and a recovering process — see either the
+    complete old snapshot or the complete new one, even if this process
+    dies mid-save.
+
+    Without a :class:`DeltaQueue` for ``path`` the whole file is staged
+    in a sibling temp file and installed with ``os.replace``
+    (``untracked``).  With one, only what the queue holds is appended,
+    in place, unless the catalog changed or the file is new (``ddl``),
+    the rows appended since the last full write would exceed the rows
+    written then (``ratio``), or this queue has not seen a full write of
+    the file it resumed yet (``recovery``); the ``checkpoint_rewrite``
+    span carries that reason.
     """
     path = Path(path)
-    staged = staging_path(path)
-    with_retry(lambda: _write_snapshot(db, staged))
-    fault_point("crash-mid-checkpoint")
-    os.replace(staged, path)
+    extras = {table.name: table for table in extra}
+    catalog = {
+        name: (tuple(db.schema_of(name).attributes), db.is_internal(name))
+        for name in db.table_names()
+        if name not in extras
+    }
+    catalog.update((name, (table.attrs, table.internal)) for name, table in extras.items())
+
+    def stored(name: str) -> StoredTable:
+        return extras[name] if name in extras else StoredTable(name, *catalog[name], db[name])
+
+    queue = delta_queue(db)
+    if queue is None or queue.path != path:
+        _rewrite([stored(name) for name in catalog], path, "untracked")
+        return
+    replaced = [
+        stored(name)
+        for name in catalog
+        if name in queue.replaced or (name in extras and queue.saved_extras.get(name) != extras[name].bag)
+    ]
+    pending = sum(table.bag.distinct_count() for table in replaced) + sum(
+        patch.delete.distinct_count() + patch.insert.distinct_count()
+        for queued in queue.unsaved.values()
+        for patch in queued
+    )
+    if queue.saved_catalog is None:
+        reason = "recovery" if path.exists() else "ddl"
+    elif queue.saved_catalog != catalog:
+        reason = "ddl"
+    elif queue.rows_appended + pending > queue.rows_written:
+        reason = "ratio"
+    else:
+        reason = None
+    if reason is None:
+        rows = with_retry(lambda: _append_snapshot(path, queue.unsaved, replaced, catalog))
+        queue.rows_appended += rows
+        obs.metric_inc("checkpoint_rows_appended", rows)
+    else:
+        queue.rows_written = _rewrite([stored(name) for name in catalog], path, reason)
+        queue.rows_appended = 0
+    queue.saved_catalog = catalog
+    queue.saved_extras = {name: table.bag for name, table in extras.items()}
+    queue.unsaved.clear()
+    queue.replaced.clear()
+
+
+# ----------------------------------------------------------------------
+# Reading
+# ----------------------------------------------------------------------
 
 
 def load_database(path: str | Path, *, exec_mode: str | None = None) -> Database:
     """Reconstruct a database previously written by :func:`save_database`.
+
+    A table's contents are the per-row sums of ``mult``; rows that net
+    to zero are gone.  The loader fails closed (:class:`SnapshotError`)
+    on a file no checkpoint could have written: a negative net
+    multiplicity, a data table the catalog does not list, or a catalog
+    row without its data table.
 
     ``exec_mode`` selects the execution engine of the reconstructed
     database (the snapshot file stores no engine choice — it is a
@@ -255,12 +497,27 @@ def load_database(path: str | Path, *, exec_mode: str | None = None) -> Database
             catalog = conn.execute(
                 f"SELECT name, attrs, internal FROM {_CATALOG} ORDER BY name"
             ).fetchall()
+            present = {
+                name
+                for (name,) in conn.execute(
+                    "SELECT name FROM sqlite_master WHERE type = 'table' AND name NOT LIKE 'sqlite_%'"
+                )
+            }
+            for name in sorted(present - {_CATALOG} - {name for name, _, _ in catalog}):
+                raise SnapshotError("uncatalogued-table", name, f"not listed in {_CATALOG}")
             for name, attrs_json, internal in catalog:
+                if name not in present:
+                    raise SnapshotError("missing-table", name, f"listed in {_CATALOG} but not in the file")
                 schema = Schema(json.loads(attrs_json))
                 counts: dict[Row, int] = {}
                 for *values, mult in conn.execute(f"SELECT * FROM {_mangle(name)}"):
                     row = tuple(_decode(value) for value in values)
                     counts[row] = counts.get(row, 0) + int(mult)
+                for row, count in counts.items():
+                    if count < 0:
+                        raise SnapshotError(
+                            "negative-multiplicity", name, f"row {row!r} nets to multiplicity {count}"
+                        )
                 db.create_table(name, schema, internal=bool(internal))
                 db.set_table(name, Bag.from_counts(counts))
             return db

@@ -14,7 +14,8 @@ logs, and differential tables all resume mid-deferral:
 
 The catalog is stored inside the same SQLite file as a normal internal
 table (``__viewdefs__``) holding each view's name, scenario, options,
-and JSON-serialized defining query.
+and JSON-serialized defining query.  It exists only in the file:
+:func:`load_warehouse` reads it and drops it from the loaded database.
 """
 
 from __future__ import annotations
@@ -22,13 +23,14 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from repro.algebra.bag import Bag
 from repro.algebra.serialize import expr_from_dict, expr_to_dict
 from repro.core.scenarios import CombinedScenario, DiffTableScenario
 from repro.core.views import ViewDefinition
 from repro.errors import ReproError
 from repro.extensions.aggregates import AggregateScenario, AggregateSpec, AggregateView
 from repro.extensions.sharedlog import SharedLogView
-from repro.storage.persistence import load_database, save_database
+from repro.storage.persistence import StoredTable, load_database, save_database
 from repro.warehouse.manager import SCENARIOS, ViewManager
 
 __all__ = ["save_warehouse", "load_warehouse", "VIEWDEFS_TABLE"]
@@ -74,25 +76,19 @@ def _describe(scenario) -> dict:
 
 
 def save_warehouse(manager: ViewManager, path: str | Path) -> None:
-    """Persist the database and every registered view's definition."""
-    db = manager.db
-    descriptions = [_describe(manager.scenario(name)) for name in manager.views()]
-    created = not db.has_table(VIEWDEFS_TABLE)
-    if created:
-        db.create_table(VIEWDEFS_TABLE, ["name", "definition"], internal=True)
-    from repro.algebra.bag import Bag
+    """Persist the database and every registered view's definition.
 
-    db.set_table(
-        VIEWDEFS_TABLE,
-        Bag((description["name"], json.dumps(description, sort_keys=True)) for description in descriptions),
+    The view catalog is handed to :func:`save_database` as an extra
+    table: it is written into the file without ever entering the live
+    database (whose write listeners would otherwise see it come and go).
+    """
+    viewdefs = Bag(
+        (description["name"], json.dumps(description, sort_keys=True))
+        for description in (_describe(manager.scenario(name)) for name in manager.views())
     )
-    try:
-        save_database(db, path)
-    finally:
-        if created:
-            db.drop_table(VIEWDEFS_TABLE)
-        else:
-            db.set_table(VIEWDEFS_TABLE, Bag())
+    save_database(
+        manager.db, path, extra=[StoredTable(VIEWDEFS_TABLE, ("name", "definition"), True, viewdefs)]
+    )
 
 
 def load_warehouse(

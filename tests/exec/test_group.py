@@ -17,7 +17,6 @@ from repro.exec.group import (
     EpochDeltaCache,
     GroupScheduler,
     GroupTask,
-    bag_digest,
     subplan_fingerprint,
     view_fingerprints,
 )
@@ -76,12 +75,6 @@ class TestFingerprints:
         join = sql_to_view(JOIN_SQL, db, name="join")
         scan = sql_to_view("SELECT a, b FROM R", db, name="scan")
         assert not (view_fingerprints(join.query) & view_fingerprints(scan.query))
-
-    def test_bag_digest_is_content_based(self):
-        assert bag_digest(Bag([(1, 2), (1, 2), (3, 4)])) == bag_digest(
-            Bag([(3, 4), (1, 2), (1, 2)])
-        )
-        assert bag_digest(Bag([(1, 2)])) != bag_digest(Bag([(1, 2), (1, 2)]))
 
 
 class TestEpochDeltaCache:

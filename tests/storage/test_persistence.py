@@ -5,7 +5,7 @@ import sqlite3
 import pytest
 
 from repro.algebra.bag import Bag
-from repro.errors import ReproError
+from repro.errors import ReproError, SnapshotError
 from repro.storage.database import Database
 from repro.storage.persistence import load_database, save_database
 
@@ -92,6 +92,50 @@ class TestFileIsPlainSQLite:
             assert total == 3
         finally:
             conn.close()
+
+
+class TestFailClosedOnForgedFiles:
+    """A file no checkpoint could have written is refused, by table name."""
+
+    @staticmethod
+    def forge(path, *statements):
+        conn = sqlite3.connect(path)
+        try:
+            with conn:
+                for statement in statements:
+                    conn.execute(statement)
+        finally:
+            conn.close()
+
+    def test_negative_net_multiplicity(self, db, tmp_path):
+        path = tmp_path / "state.db"
+        save_database(db, path)
+        self.forge(path, 'INSERT INTO "__mv__V" VALUES (42, -2)')
+        with pytest.raises(SnapshotError, match="__mv__V") as info:
+            load_database(path)
+        assert (info.value.code, info.value.table) == ("negative-multiplicity", "__mv__V")
+
+    def test_zero_net_rows_are_absent(self, db, tmp_path):
+        path = tmp_path / "state.db"
+        save_database(db, path)
+        self.forge(path, 'INSERT INTO "__mv__V" VALUES (42, -1)', 'INSERT INTO "__mv__V" VALUES (7, 2)')
+        assert load_database(path)["__mv__V"] == Bag([(7,), (7,)])
+
+    def test_data_table_missing_from_catalog(self, db, tmp_path):
+        path = tmp_path / "state.db"
+        save_database(db, path)
+        self.forge(path, "DELETE FROM __catalog__ WHERE name = 'mixed'")
+        with pytest.raises(SnapshotError, match="mixed") as info:
+            load_database(path)
+        assert (info.value.code, info.value.table) == ("uncatalogued-table", "mixed")
+
+    def test_catalog_row_without_data_table(self, db, tmp_path):
+        path = tmp_path / "state.db"
+        save_database(db, path)
+        self.forge(path, 'DROP TABLE "mixed"')
+        with pytest.raises(SnapshotError, match="mixed") as info:
+            load_database(path)
+        assert (info.value.code, info.value.table) == ("missing-table", "mixed")
 
 
 class TestResumeMaintenance:
