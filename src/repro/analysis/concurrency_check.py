@@ -39,7 +39,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from repro.analysis.diagnostics import AnalysisReport, Severity
-from repro.analysis.effects import REFRESH_OPS, OpEffects
+from repro.analysis.effects import OpEffects
+from repro.core.ops import OP_KINDS
 from repro.analysis.statebug import check_log_polarity
 
 __all__ = [
@@ -61,16 +62,13 @@ def check_protocol(ops: Iterable[OpEffects]) -> AnalysisReport:
     """Check a maintenance protocol's refresh-family steps for lock coverage."""
     report = AnalysisReport()
     for op in ops:
-        if op.op not in REFRESH_OPS:
-            # makesafe runs inside the user transaction's atomicity and
-            # propagate is lock-free by design (no MV effects) — but a
-            # propagate that *does* touch MV state has lost that excuse.
-            if op.op == "propagate":
-                for step in op.steps:
-                    _check_step_locks(report, op, step)
-            continue
-        for step in op.steps:
-            _check_step_locks(report, op, step)
+        # makesafe runs inside the user transaction's atomicity; every
+        # Figure 3 operation outside it is judged step by step.  That
+        # includes propagate: it is lock-free by design (no MV effects),
+        # and one that *does* touch MV state has lost that excuse.
+        if op.op in OP_KINDS:
+            for step in op.steps:
+                _check_step_locks(report, op, step)
     return report
 
 

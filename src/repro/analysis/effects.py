@@ -17,12 +17,13 @@ compiled plans of the very delta expressions the operation will
 evaluate (:meth:`repro.exec.executor.Executor.footprint`, falling back
 to ``Expr.tables()`` under the interpreted oracle), and write sets from
 the structure of the :class:`~repro.core.plan.MaintenancePlan` the
-operation builds.  Each scenario exposes its protocol through
-``Scenario.maintenance_protocol()``, which builds these objects from
-the same expressions and plan constructors its runtime code uses — so
-the static picture and the executed code share one source of truth,
-and :mod:`repro.analysis.concurrency_check` can hold the picture
-against the Section 5.3 lock discipline.
+operation builds.  Protocols are *derived from* the executed operation,
+not rebuilt beside it: ``Scenario.maintenance_protocol()`` maps each
+:class:`~repro.core.ops.MaintenanceOp` in the scenario's op table — the
+very values ``Scenario.run`` executes — through :func:`op_effects`, so
+the static picture and the executed code are one object, and
+:mod:`repro.analysis.concurrency_check` can hold the picture against
+the Section 5.3 lock discipline.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
     "REFRESH_OPS",
     "read_footprint",
     "plan_effects",
+    "op_effects",
 ]
 
 #: Operations that touch reader-visible ``MV`` state outside a user
@@ -160,3 +162,22 @@ def plan_effects(db, plan: MaintenancePlan) -> EffectSet:
     reads = set(read_footprint(db, *exprs))
     reads.update(plan.patches)
     return EffectSet(reads=frozenset(reads), writes=plan.tables())
+
+
+def op_effects(scenario, op) -> OpEffects:
+    """The effects of one :class:`~repro.core.ops.MaintenanceOp`, step by step:
+    a compute step reads the footprint of the pair it builds, an apply
+    step has the effects of the plan built *from that pair* (symbolic: a
+    superset of any pruned or pre-evaluated run), a ``locked`` step holds
+    what the lock seam (``_refresh_lock_resources``) says the lock covers."""
+    held = scenario._refresh_lock_resources()
+    pair: tuple = ()
+    steps = []
+    for step in op.steps:
+        if step.deltas is not None:
+            pair = step.deltas()
+            effects = EffectSet(reads=read_footprint(scenario.db, *pair))
+        else:
+            effects = plan_effects(scenario.db, step.plan(*pair))
+        steps.append(Step(step.name, effects, locks=held if step.locked else frozenset()))
+    return OpEffects(op=op.kind, view=op.view, scenario=scenario.tag, steps=tuple(steps))

@@ -22,9 +22,8 @@ class RecomputeScenario(Scenario):
 
     tag = "RC"
 
-    def make_safe(self, txn: UserTransaction) -> MaintenancePlan:
+    def _extend(self, plan: MaintenancePlan, txn: UserTransaction) -> None:
         """No auxiliary work: the user transaction runs as-is."""
-        return MaintenancePlan(patches=txn.weakly_minimal().patches())
 
     def refresh(self) -> None:
         """``MV := Q`` under the exclusive lock."""

@@ -105,7 +105,7 @@ def _run_policy(policy, *, smoke: bool, horizon: int, txns_per_tick: int) -> dic
                 "residual_entries_after_run": clock.pending_entries,
                 "max_ticks_served": driver.stats.max_staleness(),
                 "mean_ticks_served": round(driver.stats.mean_staleness(), 3),
-                "ticks_behind_after_run": driver.now - driver.mv_reflects,
+                "ticks_behind_after_run": driver.clock.staleness(driver.now),
             },
             "driver": {
                 "transactions": driver.stats.transactions,

@@ -37,6 +37,7 @@ import time
 from pathlib import Path
 
 from repro import obs
+from repro.core.ops import OP_KINDS
 from repro.robustness.journal import bag_digest
 from repro.serve import ServeConfig, ViewServer
 from repro.storage.database import Database
@@ -125,7 +126,7 @@ def run_serving_comparison(
                 digest_matches += 1
             else:
                 digest_mismatches += 1
-            if any(action == "partial_refresh" for _, action in ran):
+            if any(OP_KINDS[action][1] for _, action in ran):  # an op that applies to MV ran
                 post_refresh_staleness.append(server.staleness_ticks("V"))
         clock = stack.accounting.clock("V")
         metrics = stack.metrics.snapshot()

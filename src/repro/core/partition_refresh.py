@@ -19,18 +19,22 @@ fast path would not be sound or not be profitable:
   not be patched partition-by-partition).
 
 When the probe succeeds, the MV is co-declared into the base tables'
-partition domain, and the scenarios route refresh/propagate/partial
-refresh through:
+partition domain, and the scenario re-declares its operations
+(:mod:`repro.core.ops`) with this object supplying the steps that differ
+on a partitioned database — same ops, same runner, same lock and crash
+points:
 
-* :meth:`refresh_log` — ``refresh_BL``'s shape: evaluate the *pruned*
-  post-update deltas under the view lock, then install the MV patch and
-  the log clears in one :meth:`~repro.storage.partition.PartitionedDatabase.apply_parts`
+* :meth:`epoch_deltas` — the compute step: the post-update deltas
+  rewritten over restrictions to the partitions holding this epoch's
+  affected keys;
+* :meth:`refresh_log` — ``refresh_BL``'s apply step: evaluate the pruned
+  pair, then install the MV patch and the log clears in one
+  :meth:`~repro.storage.partition.PartitionedDatabase.apply_parts`
   epoch (delta-proportional, partition-at-a-time, crash-atomic);
-* :meth:`pruned_deltas` — the propagate-side rewrite for ``INV_C``
-  (fold into the differential tables stays on the generic plan path:
-  the differentials are delta-sized already);
-* :meth:`partial_refresh` — apply the pending differentials to the MV
-  through ``apply_parts`` and clear them in the same epoch.
+* :meth:`apply_differentials` — ``refresh_DT``/``partial_refresh_C``'s
+  apply step through ``apply_parts`` (the fold into the differential
+  tables stays on the generic plan path: the differentials are
+  delta-sized already).
 
 Every pruning decision is recorded on the scenario's
 :class:`~repro.algebra.evaluation.CostCounter` (``partition_prunes``,
@@ -42,13 +46,11 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from repro import obs
 from repro.algebra.bag import Bag
-from repro.algebra.expr import Expr
+from repro.algebra.expr import Expr, Literal
 from repro.analysis.partitioning import analyze_deltas, key_positions, prune_expr
 from repro.core.differential import post_update_delta
 from repro.errors import ReproError
-from repro.robustness.faults import fault_point
 
 __all__ = ["PartitionedMaintenance"]
 
@@ -170,11 +172,13 @@ class PartitionedMaintenance:
         def restrict(table: str, domain: str) -> Bag:
             return self.db.restrict(table, keys.get(domain, ()), counter=counter)
 
-        delete = prune_expr(
-            self.delete_expr, self.specs, self.log_map, restrict, counter=counter
-        )
-        insert = prune_expr(
-            self.insert_expr, self.specs, self.log_map, restrict, counter=counter
+        return self._prune(restrict, counter)
+
+    def _prune(self, restrict, counter, **chunk) -> tuple[Expr, Expr] | None:
+        """Rewrite both delta expressions over ``restrict``; None on a fallback."""
+        delete, insert = (
+            prune_expr(expr, self.specs, self.log_map, restrict, counter=counter, **chunk)
+            for expr in (self.delete_expr, self.insert_expr)
         )
         if delete.fallbacks or insert.fallbacks:
             return None
@@ -187,37 +191,34 @@ class PartitionedMaintenance:
     # Scenario fast paths
     # ------------------------------------------------------------------
 
-    def refresh_log(self, scenario) -> bool:
-        """``refresh_BL`` via pruning + partitioned apply.  True = handled."""
+    def epoch_deltas(self, scenario) -> tuple[Expr, Expr]:
+        """This epoch's post-update deltas over restrictions to the partitions
+        holding the keys the log mentions (whole-table expressions when a
+        reference unexpectedly fails to prune)."""
+        pending = self.pending_deltas()
+        keys = self.affected_keys(pending) if pending else {}
+        pruned = self.pruned_deltas(keys, counter=scenario.counter)
+        return pruned if pruned is not None else (self.delete_expr, self.insert_expr)
+
+    def epoch_deltas_if_pending(self, scenario) -> tuple[Expr, Expr] | None:
+        """:meth:`epoch_deltas`, or ``None`` when the log recorded nothing."""
+        return None if self.log.is_empty() else self.epoch_deltas(scenario)
+
+    def refresh_log(self, scenario, delete: Expr, insert: Expr) -> None:
+        """``refresh_BL``'s apply, partition-at-a-time: evaluate the pair (an
+        epoch-supplied literal already is its bag), then install the MV
+        patch and the log clears in one ``apply_parts`` epoch — the effect
+        of ``_log_refresh_plan`` on the affected partitions' slices only."""
         counter = scenario.counter
-        with obs.span(
-            "refresh",
-            view=self.view.name,
-            scenario=scenario.tag,
-            partitioned=True,
-            log_watermark=self.log.recorded_changes() if obs.telemetry_enabled() else 0,
+        delete_bag, insert_bag = (
+            expr.bag if isinstance(expr, Literal) else self.db.evaluate(expr, counter=counter)
+            for expr in (delete, insert)
+        )
+        self.db.apply_parts(
+            {self.view.mv_table: (delete_bag, insert_bag)},
+            clears=self.log_clears(),
             counter=counter,
-        ):
-            pending = self.pending_deltas()
-            if not pending:
-                scenario._note_fresh(0)
-                return True
-            keys = self.affected_keys(pending)
-            pruned = self.pruned_deltas(keys, counter=counter)
-            if pruned is None:
-                return False
-            delete_expr, insert_expr = pruned
-            with scenario._refresh_lock(f"refresh_{scenario.tag}"):
-                fault_point("crash-mid-refresh")
-                delete_bag = self.db.evaluate(delete_expr, counter=counter)
-                insert_bag = self.db.evaluate(insert_expr, counter=counter)
-                self.db.apply_parts(
-                    {self.view.mv_table: (delete_bag, insert_bag)},
-                    clears=self.log_clears(),
-                    counter=counter,
-                )
-        scenario._note_fresh(0)
-        return True
+        )
 
     def chunked_group_tasks(self, scenario, *, order: int, hot_threshold: int = 64) -> list | None:
         """Per-partition-chunk :class:`~repro.exec.group.GroupTask`\\ s.
@@ -257,23 +258,14 @@ class PartitionedMaintenance:
                 def restrict(table: str, domain: str) -> Bag:
                     return self.db.restrict(table, chunk_keys, counter=counter)
 
-                delete = prune_expr(
-                    self.delete_expr, self.specs, self.log_map, restrict,
-                    chunk_keys=chunk, log_bags=log_bags, counter=counter,
-                )
-                insert = prune_expr(
-                    self.insert_expr, self.specs, self.log_map, restrict,
-                    chunk_keys=chunk, log_bags=log_bags, counter=counter,
-                )
-                if delete.fallbacks or insert.fallbacks:
+                pruned = self._prune(restrict, counter, chunk_keys=chunk, log_bags=log_bags)
+                if pruned is None:
                     raise ReproError(
                         f"chunked refresh of {view.name!r}: runtime rewrite "
                         "fell back although the static plan was prunable"
                     )
-                return (
-                    self.db.evaluate(delete.expr, counter=counter),
-                    self.db.evaluate(insert.expr, counter=counter),
-                )
+                delete, insert = pruned
+                return self.db.evaluate(delete, counter=counter), self.db.evaluate(insert, counter=counter)
 
             return compute
 
@@ -309,9 +301,7 @@ class PartitionedMaintenance:
                     counts = merged[side]
                     for row, count in bag.items():
                         counts[row] = counts.get(row, 0) + count
-            scenario._apply_group_deltas(
-                (Bag.from_counts(merged[0]), Bag.from_counts(merged[1]))
-            )
+            scenario.run("refresh", (Bag.from_counts(merged[0]), Bag.from_counts(merged[1])))
 
         # Differentials already pending from an earlier propagate (a C
         # view) land on partitions this epoch's log never mentioned —
@@ -339,7 +329,7 @@ class PartitionedMaintenance:
         )
         return tasks
 
-    def apply_differentials(self, scenario) -> None:
+    def apply_differentials(self, scenario, *_pair: Expr) -> None:
         """The ``refresh_DT`` apply, partition-at-a-time.
 
         Installs the pending ∇MV/ΔMV patch and the differential clears

@@ -19,15 +19,18 @@ operation counts — the raw material for the downtime experiments.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 
-from repro.core.scenarios import CombinedScenario, Scenario
+from repro.core.ops import OP_KINDS
+from repro.core.scenarios import Scenario
 from repro.core.transactions import UserTransaction
 from repro.errors import PolicyError
 
 __all__ = [
     "MaintenancePolicy",
+    "StalenessClock",
+    "check_policy",
     "LogThresholdPolicy",
     "Policy1",
     "Policy2",
@@ -43,7 +46,10 @@ class MaintenancePolicy(ABC):
     """Decides which maintenance actions run at each simulated tick."""
 
     #: Action names understood by the driver.
-    ACTIONS = ("propagate", "partial_refresh", "refresh")
+    ACTIONS = tuple(OP_KINDS)
+    #: The operation kinds this policy schedules; a scenario whose op
+    #: table lacks one cannot be driven by it (see :func:`check_policy`).
+    requires: frozenset[str] = frozenset({"refresh"})
 
     @abstractmethod
     def actions_at(self, tick: int) -> tuple[str, ...]:
@@ -69,6 +75,7 @@ class Policy1(MaintenancePolicy):
 
     k: int
     m: int
+    requires = frozenset({"propagate", "refresh"})
 
     def __post_init__(self) -> None:
         if not (0 < self.k < self.m):
@@ -92,6 +99,7 @@ class Policy2(MaintenancePolicy):
 
     k: int
     m: int
+    requires = frozenset({"propagate", "partial_refresh"})
 
     def __post_init__(self) -> None:
         if not (0 < self.k < self.m):
@@ -152,6 +160,7 @@ class LogThresholdPolicy(MaintenancePolicy):
 
     threshold: int
     m: int
+    requires = frozenset({"propagate", "partial_refresh"})
 
     def __post_init__(self) -> None:
         if self.threshold <= 0 or self.m <= 0:
@@ -162,8 +171,7 @@ class LogThresholdPolicy(MaintenancePolicy):
 
     def actions_for(self, tick: int, scenario: Scenario) -> tuple[str, ...]:
         actions: list[str] = []
-        log = getattr(scenario, "log", None)
-        if log is not None and log.recorded_changes() >= self.threshold:
+        if scenario.log_watermark() >= self.threshold:
             actions.append("propagate")
         actions.extend(self.actions_at(tick))
         return tuple(actions)
@@ -196,10 +204,20 @@ class DriverStats:
         return sum(self.staleness_samples) / len(self.staleness_samples)
 
 
-class MaintenanceDriver:
-    """Advances simulated time, applying transactions and policy actions.
+def check_policy(policy: MaintenancePolicy, scenario: Scenario) -> None:
+    """Fail closed when ``policy`` schedules an op ``scenario`` does not have."""
+    missing = sorted(policy.requires - scenario.ops.keys())
+    if missing:
+        raise PolicyError(
+            f"policy {type(policy).__name__} schedules {missing}, which view "
+            f"{scenario.view.name!r} under {type(scenario).__name__} does not offer "
+            f"(it has {sorted(scenario.ops)}); Policy 1/2 need the combined (INV_C) scenario"
+        )
 
-    The driver tracks two logical timestamps:
+
+@dataclass
+class StalenessClock:
+    """Section 5.3's two logical timestamps for one view.
 
     * ``mv_reflects`` — the simulated time of the database state the view
       table currently equals (staleness = now − this);
@@ -207,21 +225,41 @@ class MaintenanceDriver:
       been propagated into the differential tables (``INV_C`` only).
     """
 
+    mv_reflects: int = 0
+    dt_reflects: int = 0
+
+    def ran(self, kind: str, now: int) -> None:
+        """An operation of ``kind`` completed at ``now``: absorbing the log
+        stamps the differentials with *run* time; applying brings ``MV``
+        to wherever the differentials are."""
+        absorbs_log, applies = OP_KINDS[kind]
+        if absorbs_log:
+            self.dt_reflects = now
+        if applies:
+            self.mv_reflects = self.dt_reflects
+
+    def staleness(self, now: int) -> int:
+        return now - self.mv_reflects
+
+
+#: Operation kind -> the ``DriverStats`` fields that count and cost it.
+_STAT_FIELDS = {
+    "propagate": ("propagates", "propagate_cost"),
+    "partial_refresh": ("partial_refreshes", "refresh_cost"),
+    "refresh": ("full_refreshes", "refresh_cost"),
+}
+
+
+class MaintenanceDriver:
+    """Advances simulated time, applying transactions and policy actions."""
+
     def __init__(self, scenario: Scenario, policy: MaintenancePolicy) -> None:
+        check_policy(policy, scenario)
         self.scenario = scenario
         self.policy = policy
         self.stats = DriverStats()
         self.now = 0
-        self.mv_reflects = 0
-        self.dt_reflects = 0
-        if self._needs_combined() and not isinstance(scenario, CombinedScenario):
-            raise PolicyError(
-                f"policy {type(policy).__name__} requires the combined (INV_C) scenario, "
-                f"got {type(scenario).__name__}"
-            )
-
-    def _needs_combined(self) -> bool:
-        return isinstance(self.policy, (Policy1, Policy2, LogThresholdPolicy))
+        self.clock = StalenessClock()
 
     # ------------------------------------------------------------------
     # Simulation
@@ -234,51 +272,54 @@ class MaintenanceDriver:
         """Apply one user transaction (with maintenance extensions) now."""
         before = self._cost()
         self.scenario.execute(txn)
-        self.stats.transactions += 1
-        self.stats.transaction_cost += self._cost() - before
-        if self.scenario.tag == "IM":
-            self.mv_reflects = self.now
+        self.note_transactions(1, self._cost() - before)
+
+    def note_transactions(self, count: int, cost: int) -> None:
+        """Record ``count`` transactions executed this tick (by whomever)."""
+        self.stats.transactions += count
+        self.stats.transaction_cost += cost
+        if count and self.scenario.tag == "IM":
+            self.clock.mv_reflects = self.now
+
+    def _on_scenario(self, kind: str) -> None:
+        self.scenario.op(kind)  # PolicyError for a kind this scenario lacks
+        getattr(self.scenario, kind)()
+
+    def account(self, action: str, run: Callable[[str], None]) -> None:
+        """Run one policy action through ``run(kind)`` and account it (the
+        standalone driver runs it on its bare scenario, a
+        :class:`~repro.warehouse.manager.ViewManager` through its ``run``)."""
+        before = self._cost()
+        run(action)
+        try:
+            count_field, cost_field = _STAT_FIELDS[action]
+        except KeyError:
+            raise PolicyError(f"unknown maintenance action {action!r}") from None
+        setattr(self.stats, count_field, getattr(self.stats, count_field) + 1)
+        setattr(self.stats, cost_field, getattr(self.stats, cost_field) + self._cost() - before)
+        self.clock.ran(action, self.now)
 
     def _run_action(self, action: str) -> None:
-        scenario = self.scenario
-        before = self._cost()
-        if action == "propagate":
-            if not isinstance(scenario, CombinedScenario):
-                raise PolicyError("propagate requires the combined (INV_C) scenario")
-            scenario.propagate()
-            self.stats.propagates += 1
-            self.stats.propagate_cost += self._cost() - before
-            self.dt_reflects = self.now
-        elif action == "partial_refresh":
-            if not isinstance(scenario, CombinedScenario):
-                raise PolicyError("partial_refresh requires the combined (INV_C) scenario")
-            scenario.partial_refresh()
-            self.stats.partial_refreshes += 1
-            self.stats.refresh_cost += self._cost() - before
-            self.mv_reflects = self.dt_reflects
-        elif action == "refresh":
-            scenario.refresh()
-            self.stats.full_refreshes += 1
-            self.stats.refresh_cost += self._cost() - before
-            self.mv_reflects = self.now
-            self.dt_reflects = self.now
-        else:
-            raise PolicyError(f"unknown maintenance action {action!r}")
+        self.account(action, self._on_scenario)
+
+    def run_due(self, run: Callable[[str], None]) -> None:
+        """Run the policy's actions due at the current tick through ``run``."""
+        for action in self.policy.actions_for(self.now, self.scenario):
+            self.account(action, run)
 
     def tick(self, txns: Sequence[UserTransaction] = ()) -> None:
         """Advance the clock one unit: apply ``txns``, then policy actions."""
         self.now += 1
         for txn in txns:
             self.submit(txn)
-        for action in self.policy.actions_for(self.now, self.scenario):
-            self._run_action(action)
+        self.run_due(self._on_scenario)
 
     def query(self):
         """Read the view as an application would, recording staleness."""
         if self.policy.refresh_on_query():
             self._run_action("refresh")
         self.stats.queries += 1
-        self.stats.staleness_samples.append(self.now - self.mv_reflects)
+        self.stats.staleness_samples.append(self.clock.staleness(self.now))
         return self.scenario.read_view()
 
     def refresh_now(self) -> None:

@@ -15,12 +15,17 @@ Four scenario classes, one per invariant of Figure 1:
   differential tables under the lock.  This combination achieves both
   low per-transaction overhead and low view downtime (Section 5.3).
 
-Each ``makesafe``/refresh operation is expressed as a
-:class:`~repro.core.plan.MaintenancePlan` whose table updates run as
-*patches* — delta-proportional indexed updates — so the cost accounting
-matches the paper's argument: log extension costs O(|ΔT|), applying
-differential tables costs O(|∇MV| + |ΔMV|), and only the computation of
-incremental queries pays join-shaped costs.
+Each operation is declared **once**, as a
+:class:`~repro.core.ops.MaintenanceOp` (one row of Figure 3), and
+executed by the single runner :meth:`Scenario.run`, which owns the span,
+the lock, the crash point and the freshness bookkeeping.  The same
+values feed the group scheduler, partitioned maintenance and the effect
+analyzer (:meth:`Scenario.maintenance_protocol`).
+
+Table updates run as *patches* — delta-proportional indexed updates — so
+the cost accounting matches the paper's argument: log extension costs
+O(|ΔT|), applying differential tables costs O(|∇MV| + |ΔMV|), and only
+the computation of incremental queries pays join-shaped costs.
 
 All maintenance work is accounted in a
 :class:`~repro.algebra.evaluation.CostCounter` and all view-locking
@@ -32,6 +37,8 @@ from __future__ import annotations
 
 import warnings
 from abc import ABC, abstractmethod
+from contextlib import nullcontext
+from functools import partial
 
 from repro import obs
 from repro.algebra.bag import Bag
@@ -40,10 +47,11 @@ from repro.algebra.expr import Expr, Literal, Monus, min_expr
 from repro.core import invariants
 from repro.core.differential import post_update_delta, pre_update_delta
 from repro.core.logs import Log
+from repro.core.ops import MaintenanceOp, OpStep
 from repro.core.plan import MaintenancePlan
 from repro.core.transactions import UserTransaction
 from repro.core.views import ViewDefinition
-from repro.errors import InvariantViolation
+from repro.errors import InvariantViolation, PolicyError
 from repro.robustness.faults import fault_point
 from repro.storage.database import Database
 from repro.storage.locks import LockLedger
@@ -62,6 +70,10 @@ class Scenario(ABC):
 
     #: Short scenario tag matching the paper's invariant subscripts.
     tag: str = "?"
+    #: Effect-step label of this scenario's ``makesafe`` extension.
+    makesafe_step: str = "makesafe"
+    #: The shared-log group the view belongs to (shared-log views only).
+    group = None
 
     def __init__(
         self,
@@ -80,9 +92,11 @@ class Scenario(ABC):
         self.strict = strict
         self._installed = False
         #: Partition-pruned fast path (see :mod:`repro.core.partition_refresh`);
-        #: set at install time by the deferred scenarios when the database
+        #: set at install time by the log-keeping scenarios when the database
         #: is partitioned and the maintenance plan is prunable.
         self._pmaint = None
+        #: Operation kind -> the one definition of that operation.
+        self.ops: dict[str, MaintenanceOp] = self._declare_ops()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -150,12 +164,129 @@ class Scenario(ABC):
         """Drop scenario-specific auxiliary tables (default: none)."""
 
     # ------------------------------------------------------------------
+    # The operation table (Figure 3, one row per entry)
+    # ------------------------------------------------------------------
+
+    def _op(self, kind: str, *steps: OpStep, **attrs) -> MaintenanceOp:
+        if self._pmaint is not None:
+            attrs = {"partitioned": True, **attrs}
+        return MaintenanceOp(kind, self.view.name, steps, tuple(attrs.items()))
+
+    def _declare_ops(self) -> dict[str, MaintenanceOp]:
+        """This scenario's operations; subclasses add their refresh family.
+
+        ``makesafe`` runs inside the user transaction's own atomicity,
+        so it holds no maintenance lock — and needs none.
+        """
+        makesafe = OpStep(self.makesafe_step, plan=self._makesafe_extension)
+        return {"makesafe": self._op("makesafe", makesafe), "refresh": self._op("refresh")}
+
+    def op(self, kind: str) -> MaintenanceOp:
+        """The definition of operation ``kind`` for this view."""
+        try:
+            return self.ops[kind]
+        except KeyError:
+            raise PolicyError(
+                f"view {self.view.name!r} is maintained under {type(self).__name__}, which has "
+                f"no {kind!r} operation (it offers {sorted(self.ops)})"
+            ) from None
+
+    def run(self, kind: str | MaintenanceOp, deltas: tuple[Bag, Bag] | None = None) -> None:
+        """Execute one maintenance operation — the only place that does.
+
+        A compute step yields the symbolic ``(delete, insert)`` pair; the
+        apply steps' plans evaluate it inside their one simultaneous
+        transaction.  The view's exclusive lock is taken before the first
+        apply step of an op with locked steps and held to the end (a
+        leading compute step only *builds* expressions); the crash point
+        fires right after.  ``deltas`` is the group path: the epoch's
+        delta cache supplies the evaluated pair, compute steps are skipped.
+        """
+        op = kind if isinstance(kind, MaintenanceOp) else self.op(kind)
+        if not op.steps:
+            return  # immediate maintenance: nothing is ever pending
+        telemetry = obs.telemetry_enabled()
+        attrs = dict(op.attrs)
+        pair: tuple = ()
+        if deltas is not None:
+            pair = tuple(Literal(bag, self.view.schema) for bag in deltas)
+            attrs.update(group=True, delta_rows=len(deltas[0]) + len(deltas[1]))
+        elif any(step.deltas is not None for step in op.steps):
+            attrs["log_watermark"] = self.log_watermark() if telemetry else 0
+        else:
+            attrs["delta_rows"] = self._pending_dt_rows() if telemetry else 0
+        steps = op.steps
+        with obs.span(op.kind, view=self.view.name, scenario=self.tag, counter=self.counter, **attrs):
+            if steps[0].deltas is not None:
+                # A leading compute step only builds expressions: outside the lock.
+                if deltas is None:
+                    pair = (steps[0].via or steps[0].deltas)()
+                steps = steps[1:]
+            if pair is not None:  # None: nothing recorded — nothing to apply, no lock
+                lock = self._refresh_lock(f"{op.kind}_{self.tag}") if op.locked else nullcontext()
+                with lock:
+                    fault_point(op.fault)
+                    for step in steps:
+                        if step.deltas is not None:
+                            if deltas is None:
+                                pair = (step.via or step.deltas)()
+                        elif step.via is not None:
+                            step.via(*pair)
+                        else:
+                            self._execute(step.plan(*pair), None if deltas is None else pair)
+        if op.locked:
+            # After a partial refresh the still-unpropagated log stays
+            # behind: the view is a bounded k ticks out of date.
+            self._note_fresh()
+        elif telemetry:
+            obs.metric_inc("propagations")
+
+    def _execute(self, plan: MaintenancePlan, supplied: tuple | None) -> None:
+        counter = self.counter
+        if supplied is not None and plan.patches.get(self.view.mv_table) == supplied:
+            # The supplied bags were evaluated (and counted) by the epoch's
+            # compute; patching MV with them only re-emits literals, which
+            # must not be counted a second time.
+            counter = None
+        plan.execute(self.db, counter=counter)
+
+    def maintenance_protocol(self) -> tuple:
+        """This scenario's operations as inferred effect sets.
+
+        Derived from :attr:`ops` — the very values :meth:`run` executes —
+        for the Section 5.3 lock-discipline checks in
+        :mod:`repro.analysis.concurrency_check`.
+        """
+        from repro.analysis.effects import op_effects
+
+        return tuple(op_effects(self, op) for op in self.ops.values() if op.steps)
+
+    # ------------------------------------------------------------------
     # Transactions
     # ------------------------------------------------------------------
 
-    @abstractmethod
     def make_safe(self, txn: UserTransaction) -> MaintenancePlan:
         """``makesafe[T]``: the plan combining T with auxiliary updates."""
+        txn = txn.weakly_minimal()
+        plan = MaintenancePlan(patches=txn.patches())
+        self._extend(plan, txn)
+        return plan
+
+    @abstractmethod
+    def _extend(self, plan: MaintenancePlan, txn: UserTransaction) -> None:
+        """Add this scenario's auxiliary updates for weakly minimal ``txn``."""
+
+    def _makesafe_extension(self) -> MaintenancePlan:
+        """``makesafe``'s auxiliary half for effect inference: the runtime's
+        own :meth:`_extend` over a stand-in transaction touching every
+        base table (never executed — only its footprint is read)."""
+        stand_in = UserTransaction(self.db)
+        for table in sorted(self.view.base_tables()):
+            ref = self.db.ref(table)
+            stand_in.delete_query(table, ref).insert_query(table, ref)
+        plan = MaintenancePlan()
+        self._extend(plan, stand_in.weakly_minimal())
+        return plan
 
     def execute(self, txn: UserTransaction) -> None:
         """Run ``makesafe[T]`` against the database."""
@@ -171,35 +302,32 @@ class Scenario(ABC):
     # Refresh
     # ------------------------------------------------------------------
 
-    @abstractmethod
     def refresh(self) -> None:
         """Bring ``MV`` up to date: afterwards :math:`Q \\equiv MV`."""
+        self.run("refresh")
+
+    def epoch_tasks(self, *, order: int, compact: bool) -> list | None:
+        """This view's tasks in a group-refresh epoch.
+
+        ``None`` (the default) means the scenario has no group form; the
+        group falls back to its own :meth:`refresh` after the epoch.
+        """
+        return None
 
     def _refresh_lock(self, label: str):
         """The exclusive section guarding reader-visible ``MV`` state.
 
-        Every refresh-family operation takes this lock around its ``MV``
-        reads and writes; :meth:`_refresh_lock_resources` is the static
-        declaration of the same fact, consumed by
-        ``maintenance_protocol()``.  Keeping acquisition and declaration
-        on one seam means the concurrency analyzer and the runtime code
-        cannot silently drift apart.
+        :meth:`run` takes this lock around every locked step;
+        :meth:`_refresh_lock_resources` is the static declaration of the
+        same fact, consumed by ``maintenance_protocol()``.  Keeping
+        acquisition and declaration on one seam means the concurrency
+        analyzer and the runtime code cannot silently drift apart.
         """
         return self.ledger.exclusive(self.view.mv_table, label=label, counter=self.counter)
 
     def _refresh_lock_resources(self) -> frozenset[str]:
         """Resources :meth:`_refresh_lock` holds exclusively."""
         return frozenset((self.view.mv_table,))
-
-    def maintenance_protocol(self) -> tuple:
-        """This scenario's operations as inferred effect sets.
-
-        Returns :class:`~repro.analysis.effects.OpEffects` entries built
-        from the same delta expressions and plan constructors the
-        runtime operations use, for the Section 5.3 lock-discipline
-        checks in :mod:`repro.analysis.concurrency_check`.
-        """
-        return ()
 
     def read_view(self) -> Bag:
         """The current contents of ``MV`` (what a reader sees)."""
@@ -235,6 +363,14 @@ class Scenario(ABC):
         tuples plus pending differential rows, depending on the
         invariant.  Immediate maintenance is never stale.
         """
+        return self.log_watermark() + self._pending_dt_rows()
+
+    def log_watermark(self) -> int:
+        """Recorded log changes not yet absorbed (0 without a log)."""
+        return 0
+
+    def _pending_dt_rows(self) -> int:
+        """Rows waiting in the differential tables (0 without them)."""
         return 0
 
     def _note_stale(self) -> None:
@@ -242,73 +378,11 @@ class Scenario(ABC):
         if obs.telemetry_enabled():
             obs.accountant().mark_stale(self.view.name, pending_entries=self.staleness_entries())
 
-    def _note_fresh(self, residual_entries: int | None = None) -> None:
-        """Record a completed refresh (``residual_entries`` left behind)."""
+    def _note_fresh(self) -> None:
+        """Record a completed refresh and whatever it left behind."""
         if obs.telemetry_enabled():
-            residual = self.staleness_entries() if residual_entries is None else residual_entries
-            obs.accountant().mark_fresh(self.view.name, residual_entries=residual)
+            obs.accountant().mark_fresh(self.view.name, residual_entries=self.staleness_entries())
             obs.metric_inc("refreshes")
-
-    # Shared helpers ----------------------------------------------------
-
-    def _mv_ref(self):
-        return self.db.ref(self.view.mv_table)
-
-
-def _log_delta_task(scenario, *, order: int):
-    """Build a :class:`~repro.exec.group.GroupTask` for a log-driven scenario.
-
-    The shareable *compute* half evaluates the post-update deltas of
-    Figure 2; the cache key renames the per-view log tables to canonical
-    placeholders and digests their contents, so structurally identical
-    views over identical recorded changes share one evaluation per
-    group-refresh epoch.  The *apply* half is scenario-specific
-    (``scenario._apply_group_deltas``).
-    """
-    from repro.analysis.effects import EffectSet, plan_effects, read_footprint
-    from repro.exec.group import GroupTask, evaluate_delta_pair, subplan_fingerprint
-
-    view = scenario.view
-    log = scenario.log
-    view_delete, view_insert = post_update_delta(log, view.query)
-    rename = log.canonical_rename()
-    base = tuple(sorted(view.base_tables()))
-
-    # Independently inferred footprint: the compiled delta plans' read
-    # sets plus the apply plans' structural effects — *not* the declared
-    # reads/writes below, so a drifted declaration is detectable (RVM604).
-    inferred = EffectSet(reads=read_footprint(scenario.db, view_delete, view_insert))
-    for apply_plan in scenario._group_apply_plans(view_delete, view_insert):
-        inferred = inferred | plan_effects(scenario.db, apply_plan)
-
-    def key():
-        stamps = tuple((table, scenario.db.version_of(table)) for table in base)
-        return (
-            "log",
-            subplan_fingerprint(view_delete, rename),
-            subplan_fingerprint(view_insert, rename),
-            stamps,
-            log.content_digests(),
-        )
-
-    def compute(counter):
-        return evaluate_delta_pair(scenario.db, view_delete, view_insert, counter)
-
-    def prime():
-        scenario.db.prime(view_delete, view_insert, counter=scenario.counter)
-
-    return GroupTask(
-        name=view.name,
-        order=order,
-        key=key,
-        compute=compute,
-        apply=scenario._apply_group_deltas,
-        reads=frozenset(base) | frozenset(log.table_names()),
-        writes=scenario._group_writes(),
-        prime=prime,
-        inferred_reads=inferred.reads,
-        inferred_writes=inferred.writes,
-    )
 
 
 class ImmediateScenario(Scenario):
@@ -321,107 +395,77 @@ class ImmediateScenario(Scenario):
     """
 
     tag = "IM"
+    makesafe_step = "mv_patch"
 
-    def make_safe(self, txn: UserTransaction) -> MaintenancePlan:
-        txn = txn.weakly_minimal()
-        plan = MaintenancePlan(patches=txn.patches())
+    def _extend(self, plan: MaintenancePlan, txn: UserTransaction) -> None:
         nabla, delta = pre_update_delta(txn, self.db, self.view.query)
         plan.add_patch(self.view.mv_table, nabla, delta)
-        return plan
 
     def refresh(self) -> None:
         """No-op: the view is consistent after every transaction."""
-
-    def maintenance_protocol(self) -> tuple:
-        from repro.analysis.effects import EffectSet, OpEffects, Step, read_footprint
-
-        mv = self.view.mv_table
-        # makesafe_IM patches MV inside the user transaction's own
-        # atomicity, so it holds no maintenance lock — and needs none.
-        makesafe = OpEffects(
-            op="makesafe",
-            view=self.view.name,
-            scenario=self.tag,
-            steps=(
-                Step(
-                    "mv_patch",
-                    EffectSet(
-                        reads=read_footprint(self.db, self.view.query) | {mv},
-                        writes=frozenset((mv,)),
-                    ),
-                ),
-            ),
-        )
-        return (makesafe,)
 
     def invariant_holds(self) -> bool:
         return invariants.immediate_invariant(self.db, self.view)
 
 
-class BaseLogScenario(Scenario):
-    """Deferred maintenance with base logs: ``INV_BL`` (Section 3.3)."""
+class LoggedScenario(Scenario):
+    """What ``INV_BL`` and ``INV_C`` share: a per-view base-table log.
 
-    tag = "BL"
+    ``makesafe`` only extends the log; the post-update deltas of Figure 2
+    are computed over it later, by ``refresh_BL`` / ``propagate_C`` /
+    ``refresh_C`` — pruned to the affected partitions when the database
+    is partitioned (:mod:`repro.core.partition_refresh`).
+    """
 
-    def __init__(self, db, view, *, counter=None, ledger=None, strict: bool = False) -> None:
-        super().__init__(db, view, counter=counter, ledger=ledger, strict=strict)
+    makesafe_step = "log_extend"
+
+    def __init__(self, db, view, **options) -> None:
+        super().__init__(db, view, **options)
         self.log = Log(db, view.base_tables(), owner=view.name)
 
     def _install_auxiliary(self) -> None:
+        super()._install_auxiliary()
         self.log.install()
-        self._prime_refresh_path()
+        # Compile the refresh deltas and pre-build their indexes *now*:
+        # the log tables are still empty, so the one-time ``index_build``
+        # scans are free; each log index is then maintained incrementally
+        # through the per-transaction log patches, and every refresh
+        # finds a current index to probe.
+        self.db.prime(*self._log_deltas(), counter=self.counter)
         from repro.core.partition_refresh import PartitionedMaintenance
 
         self._pmaint = PartitionedMaintenance.probe(self)
-
-    def _prime_refresh_path(self) -> None:
-        """Compile the refresh deltas and pre-build their indexes *now*.
-
-        The log tables are still empty at install time, so the one-time
-        ``index_build`` scans are free; each log index is then maintained
-        incrementally through the per-transaction log patches, and every
-        refresh finds a current index to probe.
-        """
-        view_delete, view_insert = post_update_delta(self.log, self.view.query)
-        self.db.prime(view_delete, view_insert, counter=self.counter)
+        if self._pmaint is not None:
+            # Same operations, routed: pruned compute, apply_parts apply.
+            self.ops = self._declare_ops()
 
     def _uninstall_auxiliary(self) -> None:
+        super()._uninstall_auxiliary()
         self.log.uninstall()
 
-    def make_safe(self, txn: UserTransaction) -> MaintenancePlan:
-        """``makesafe_BL[T]``: T plus the weakly-minimal log extension."""
-        txn = txn.weakly_minimal()
-        plan = MaintenancePlan(patches=txn.patches())
+    def _extend(self, plan: MaintenancePlan, txn: UserTransaction) -> None:
+        """``makesafe_BL[T]`` = ``makesafe_C[T]``: the weakly-minimal log extension."""
         for table, (delete, insert) in self.log.extend_patches(txn).items():
             plan.add_patch(table, delete, insert)
+
+    def _log_deltas(self) -> tuple[Expr, Expr]:
+        return post_update_delta(self.log, self.view.query)
+
+    def _compute_step(self, *, locked: bool, skip_idle: bool = False) -> OpStep:
+        """Compute the post-update deltas over the log.  ``skip_idle``: on a
+        partitioned database an empty log ends the op before it takes the
+        lock (only sound for an op that just installs this pair)."""
+        via = None
+        if self._pmaint is not None:
+            pruned = self._pmaint.epoch_deltas_if_pending if skip_idle else self._pmaint.epoch_deltas
+            via = partial(pruned, self)
+        return OpStep("delta_compute", locked, deltas=self._log_deltas, via=via)
+
+    def _log_refresh_plan(self, delete: Expr, insert: Expr) -> MaintenancePlan:
+        """``refresh_BL``'s assignments: patch ``MV``, clear the log."""
+        plan = MaintenancePlan(assignments=self.log.clear_assignments())
+        plan.add_patch(self.view.mv_table, delete, insert)
         return plan
-
-    def refresh(self) -> None:
-        """``refresh_BL``: apply post-update deltas to ``MV``, clear the log.
-
-        The incremental queries are computed here, under the view's
-        exclusive lock — this is why refresh time can be high in this
-        scenario (motivating ``INV_C``).
-
-        On a partitioned database with a prunable plan, the whole
-        operation is delegated to the affected-partition fast path.
-        """
-        if self._pmaint is not None and self._pmaint.refresh_log(self):
-            return
-        with obs.span(
-            "refresh",
-            view=self.view.name,
-            scenario=self.tag,
-            log_watermark=self.log.recorded_changes() if obs.telemetry_enabled() else 0,
-            counter=self.counter,
-        ):
-            view_delete, view_insert = post_update_delta(self.log, self.view.query)
-            plan = MaintenancePlan(assignments=self.log.clear_assignments())
-            plan.add_patch(self.view.mv_table, view_delete, view_insert)
-            with self._refresh_lock("refresh_BL"):
-                fault_point("crash-mid-refresh")
-                plan.execute(self.db, counter=self.counter)
-        self._note_fresh(0)
 
     def compact_log(self) -> None:
         """Net-effect log compaction before a (group) refresh.
@@ -433,9 +477,58 @@ class BaseLogScenario(Scenario):
         """
         self.log.compact(counter=self.counter)
 
+    def epoch_tasks(self, *, order: int, compact: bool) -> list:
+        if compact:
+            self.compact_log()
+        # Partitioned database + chunk-safe plan: the view's epoch splits
+        # into per-partition compute tasks that batch at partition
+        # granularity; otherwise one whole-log task.
+        return self.partitioned_group_tasks(order=order) or [self.group_refresh_task(order=order)]
+
     def group_refresh_task(self, *, order: int):
-        """This view's contribution to a group-refresh epoch."""
-        return _log_delta_task(self, order=order)
+        """This view's contribution to a group-refresh epoch.
+
+        The shareable *compute* half evaluates the post-update deltas of
+        Figure 2; the cache key renames the per-view log tables to
+        canonical placeholders and digests their contents, so
+        structurally identical views over identical recorded changes — a
+        BL view and a C view with the same query included — share one
+        evaluation per epoch.  The *apply* half is this scenario's own
+        ``refresh`` op with the computed pair supplied.
+        """
+        from repro.analysis.effects import op_effects
+        from repro.exec.group import GroupTask, evaluate_delta_pair, subplan_fingerprint
+
+        view_delete, view_insert = self._log_deltas()
+        rename = self.log.canonical_rename()
+        base = tuple(sorted(self.view.base_tables()))
+        # Independently inferred footprint, read off the refresh op —
+        # *not* the declared reads/writes below, so a drifted
+        # declaration is detectable (RVM604).
+        inferred = op_effects(self, self.ops["refresh"])
+
+        def key():
+            stamps = tuple((table, self.db.version_of(table)) for table in base)
+            return (
+                "log",
+                subplan_fingerprint(view_delete, rename),
+                subplan_fingerprint(view_insert, rename),
+                stamps,
+                self.log.content_digests(),
+            )
+
+        return GroupTask(
+            name=self.view.name,
+            order=order,
+            key=key,
+            compute=lambda counter: evaluate_delta_pair(self.db, view_delete, view_insert, counter),
+            apply=partial(self.run, "refresh"),
+            reads=frozenset(base) | frozenset(self.log.table_names()),
+            writes=self._group_writes(),
+            prime=lambda: self.db.prime(view_delete, view_insert, counter=self.counter),
+            inferred_reads=inferred.reads,
+            inferred_writes=inferred.writes,
+        )
 
     def partitioned_group_tasks(self, *, order: int, hot_threshold: int = 64):
         """Partition-chunked group tasks, or ``None`` when ineligible.
@@ -448,88 +541,41 @@ class BaseLogScenario(Scenario):
         """
         if self._pmaint is None:
             return None
-        return self._pmaint.chunked_group_tasks(
-            self, order=order, hot_threshold=hot_threshold
-        )
+        return self._pmaint.chunked_group_tasks(self, order=order, hot_threshold=hot_threshold)
 
     def _group_writes(self) -> frozenset[str]:
+        """The write set a group task *declares* (checked against inference)."""
         return frozenset((self.view.mv_table, *self.log.table_names()))
 
-    def _group_apply_plans(self, view_delete: Expr, view_insert: Expr) -> tuple[MaintenancePlan, ...]:
-        """The apply-side plans of a group refresh, for effect inference.
+    def log_watermark(self) -> int:
+        return self.log.recorded_changes()
 
-        Structurally identical to the plan :meth:`_apply_group_deltas`
-        builds (the runtime version substitutes evaluated delta bags as
-        literals, which have empty footprints — the symbolic deltas here
-        are a superset).
-        """
-        plan = MaintenancePlan(assignments=self.log.clear_assignments())
-        plan.add_patch(self.view.mv_table, view_delete, view_insert)
-        return (plan,)
 
-    def maintenance_protocol(self) -> tuple:
-        from repro.analysis.effects import EffectSet, OpEffects, Step, plan_effects, read_footprint
+class BaseLogScenario(LoggedScenario):
+    """Deferred maintenance with base logs: ``INV_BL`` (Section 3.3).
 
-        log_tables = frozenset(self.log.table_names())
-        makesafe = OpEffects(
-            op="makesafe",
-            view=self.view.name,
-            scenario=self.tag,
-            steps=(Step("log_extend", EffectSet(reads=log_tables, writes=log_tables)),),
-        )
-        view_delete, view_insert = post_update_delta(self.log, self.view.query)
-        plan = MaintenancePlan(assignments=self.log.clear_assignments())
-        plan.add_patch(self.view.mv_table, view_delete, view_insert)
-        locked = self._refresh_lock_resources()
-        refresh = OpEffects(
-            op="refresh",
-            view=self.view.name,
-            scenario=self.tag,
-            steps=(
-                Step(
-                    "delta_compute",
-                    EffectSet(reads=read_footprint(self.db, view_delete, view_insert)),
-                    locks=locked,
-                ),
-                Step("apply", plan_effects(self.db, plan), locks=locked),
+    ``refresh_BL`` applies the post-update deltas to ``MV`` and clears
+    the log.  The incremental queries are computed under the view's
+    exclusive lock — this is why refresh time can be high in this
+    scenario (motivating ``INV_C``).
+    """
+
+    tag = "BL"
+
+    def _declare_ops(self) -> dict[str, MaintenanceOp]:
+        ops = super()._declare_ops()
+        parts = self._pmaint
+        ops["refresh"] = self._op(
+            "refresh",
+            self._compute_step(locked=True, skip_idle=True),
+            OpStep(
+                "apply",
+                locked=True,
+                plan=self._log_refresh_plan,
+                via=parts and partial(parts.refresh_log, self),
             ),
         )
-        return (makesafe, refresh)
-
-    def _apply_group_deltas(self, deltas: tuple[Bag, Bag]) -> None:
-        """The ``refresh_BL`` tail for pre-evaluated delta bags."""
-        delete_bag, insert_bag = deltas
-        with obs.span(
-            "refresh",
-            view=self.view.name,
-            scenario=self.tag,
-            group=True,
-            delta_rows=len(delete_bag) + len(insert_bag),
-            counter=self.counter,
-        ):
-            with self._refresh_lock("refresh_BL"):
-                fault_point("crash-mid-refresh")
-                if self._pmaint is not None:
-                    self.db.apply_parts(
-                        {self.view.mv_table: (delete_bag, insert_bag)},
-                        clears=self._pmaint.log_clears(),
-                        counter=self.counter,
-                    )
-                else:
-                    plan = MaintenancePlan(assignments=self.log.clear_assignments())
-                    plan.add_patch(
-                        self.view.mv_table,
-                        Literal(delete_bag, self.view.schema),
-                        Literal(insert_bag, self.view.schema),
-                    )
-                    # The bags were already evaluated (and counted) in the
-                    # task's compute step; this plan only re-emits them as
-                    # literals.
-                    plan.execute(self.db)
-        self._note_fresh(0)
-
-    def staleness_entries(self) -> int:
-        return self.log.recorded_changes()
+        return ops
 
     def invariant_holds(self) -> bool:
         return invariants.base_log_invariant(self.db, self.view, self.log) and self.log.is_weakly_minimal()
@@ -538,19 +584,24 @@ class BaseLogScenario(Scenario):
 class DiffTableScenario(Scenario):
     """Deferred maintenance with view differential tables: ``INV_DT`` (Section 3.4).
 
-    With ``strong_minimality=True``, a normalization step after each
-    fold removes the common part of :math:`\\triangledown MV` and
-    :math:`\\triangle MV` (no tuple both deleted and reinserted),
+    ``refresh_DT`` just applies the precomputed differentials — minimal
+    downtime.  With ``strong_minimality=True``, a normalization step
+    after each fold removes the common part of :math:`\\triangledown MV`
+    and :math:`\\triangle MV` (no tuple both deleted and reinserted),
     shrinking refresh work further (Section 5.3).
     """
 
     tag = "DT"
+    makesafe_step = "dt_fold"
 
-    def __init__(
-        self, db, view, *, counter=None, ledger=None, strong_minimality: bool = False, strict: bool = False
-    ) -> None:
-        super().__init__(db, view, counter=counter, ledger=ledger, strict=strict)
+    def __init__(self, db, view, *, strong_minimality: bool = False, **options) -> None:
         self.strong_minimality = strong_minimality
+        super().__init__(db, view, **options)
+
+    def _declare_ops(self) -> dict[str, MaintenanceOp]:
+        ops = super()._declare_ops()
+        ops["refresh"] = self._op("refresh", self._apply_dt_step())
+        return ops
 
     def _install_auxiliary(self) -> None:
         self.db.create_table(self.view.dt_delete_table, self.view.schema, internal=True)
@@ -576,25 +627,24 @@ class DiffTableScenario(Scenario):
         plan.add_patch(self.view.dt_delete_table, self._empty_literal(), Monus(delete, dt_insert))
         plan.add_patch(self.view.dt_insert_table, delete, insert)
 
-    def post_execute(self) -> None:
+    def _normalize_plan(self, *_pair: Expr) -> MaintenancePlan:
         """Strong-minimality normalization: cancel ∇MV ∩ ΔMV (Section 4.1)."""
-        if not self.strong_minimality:
-            return
         common = min_expr(self.db.ref(self.view.dt_delete_table), self.db.ref(self.view.dt_insert_table))
         plan = MaintenancePlan()
         plan.add_patch(self.view.dt_delete_table, common, self._empty_literal())
         plan.add_patch(self.view.dt_insert_table, common, self._empty_literal())
-        plan.execute(self.db, counter=self.counter)
-
-    def make_safe(self, txn: UserTransaction) -> MaintenancePlan:
-        """``makesafe_DT[T]``: T plus folding of pre-update deltas into ∇MV/ΔMV."""
-        txn = txn.weakly_minimal()
-        plan = MaintenancePlan(patches=txn.patches())
-        nabla, delta = pre_update_delta(txn, self.db, self.view.query)
-        self._fold_into_dt(plan, nabla, delta)
         return plan
 
-    def _apply_dt_plan(self) -> MaintenancePlan:
+    def post_execute(self) -> None:
+        if self.strong_minimality:
+            self._normalize_plan().execute(self.db, counter=self.counter)
+
+    def _extend(self, plan: MaintenancePlan, txn: UserTransaction) -> None:
+        """``makesafe_DT[T]``: fold the pre-update deltas into ∇MV/ΔMV."""
+        nabla, delta = pre_update_delta(txn, self.db, self.view.query)
+        self._fold_into_dt(plan, nabla, delta)
+
+    def _apply_dt_plan(self, *_pair: Expr) -> MaintenancePlan:
         """``refresh_DT``'s plan: apply and clear the differentials."""
         dt_delete = self.db.ref(self.view.dt_delete_table)
         dt_insert = self.db.ref(self.view.dt_insert_table)
@@ -604,71 +654,25 @@ class DiffTableScenario(Scenario):
         plan.add_assignment(self.view.dt_insert_table, self._empty_literal())
         return plan
 
-    def _apply_dt(self) -> None:
-        """Apply-and-clear the differentials, partition-at-a-time when possible."""
-        if self._pmaint is not None:
-            self._pmaint.apply_differentials(self)
-        else:
-            self._apply_dt_plan().execute(self.db, counter=self.counter)
-
-    def refresh(self) -> None:
-        """``refresh_DT``: apply precomputed differentials — minimal downtime."""
-        with obs.span(
-            "refresh",
-            view=self.view.name,
-            scenario=self.tag,
-            delta_rows=self._pending_dt_rows() if obs.telemetry_enabled() else 0,
-            counter=self.counter,
-        ):
-            with self._refresh_lock("refresh_DT"):
-                fault_point("crash-mid-refresh")
-                self._apply_dt()
-        self._note_fresh(0)
+    def _apply_dt_step(self) -> OpStep:
+        """``refresh_DT`` = ``partial_refresh_C``, partition-at-a-time when possible."""
+        parts = self._pmaint
+        return OpStep(
+            "apply",
+            locked=True,
+            plan=self._apply_dt_plan,
+            via=parts and partial(parts.apply_differentials, self),
+        )
 
     def _pending_dt_rows(self) -> int:
         return len(self.db[self.view.dt_delete_table]) + len(self.db[self.view.dt_insert_table])
-
-    def maintenance_protocol(self) -> tuple:
-        from repro.analysis.effects import EffectSet, OpEffects, Step, plan_effects, read_footprint
-
-        dt_tables = frozenset((self.view.dt_delete_table, self.view.dt_insert_table))
-        makesafe = OpEffects(
-            op="makesafe",
-            view=self.view.name,
-            scenario=self.tag,
-            steps=(
-                Step(
-                    "dt_fold",
-                    EffectSet(
-                        reads=read_footprint(self.db, self.view.query) | dt_tables,
-                        writes=dt_tables,
-                    ),
-                ),
-            ),
-        )
-        refresh = OpEffects(
-            op="refresh",
-            view=self.view.name,
-            scenario=self.tag,
-            steps=(
-                Step(
-                    "apply",
-                    plan_effects(self.db, self._apply_dt_plan()),
-                    locks=self._refresh_lock_resources(),
-                ),
-            ),
-        )
-        return (makesafe, refresh)
-
-    def staleness_entries(self) -> int:
-        return self._pending_dt_rows()
 
     def invariant_holds(self) -> bool:
         holds = invariants.diff_table_invariant(self.db, self.view)
         return holds and invariants.dt_minimality_invariant(self.db, self.view)
 
 
-class CombinedScenario(DiffTableScenario):
+class CombinedScenario(LoggedScenario, DiffTableScenario):
     """Deferred maintenance with logs *and* differential tables: ``INV_C`` (Section 3.5).
 
     * ``makesafe_C[T] = makesafe_BL[T]`` — per-transaction overhead is just
@@ -683,237 +687,60 @@ class CombinedScenario(DiffTableScenario):
 
     tag = "C"
 
-    def __init__(
-        self, db, view, *, counter=None, ledger=None, strong_minimality: bool = False, strict: bool = False
-    ) -> None:
-        super().__init__(
-            db, view, counter=counter, ledger=ledger, strong_minimality=strong_minimality, strict=strict
-        )
-        self.log = Log(db, view.base_tables(), owner=view.name)
-
-    def _install_auxiliary(self) -> None:
-        super()._install_auxiliary()
-        self.log.install()
-        # Same rationale as BaseLogScenario: build log-table indexes for
-        # the propagate deltas while the logs are empty.
-        view_delete, view_insert = post_update_delta(self.log, self.view.query)
-        self.db.prime(view_delete, view_insert, counter=self.counter)
-        from repro.core.partition_refresh import PartitionedMaintenance
-
-        self._pmaint = PartitionedMaintenance.probe(self)
-
-    def _uninstall_auxiliary(self) -> None:
-        super()._uninstall_auxiliary()
-        self.log.uninstall()
-
-    def make_safe(self, txn: UserTransaction) -> MaintenancePlan:
-        """``makesafe_C[T]`` — identical to ``makesafe_BL[T]``."""
-        txn = txn.weakly_minimal()
-        plan = MaintenancePlan(patches=txn.patches())
-        for table, (delete, insert) in self.log.extend_patches(txn).items():
-            plan.add_patch(table, delete, insert)
-        return plan
+    def _declare_ops(self) -> dict[str, MaintenanceOp]:
+        ops = super()._declare_ops()
+        del ops["refresh"]  # re-declared below, after the ops it composes
+        fold = partial(OpStep, "dt_fold", plan=self._fold_plan)
+        apply = self._apply_dt_step()
+        # propagate_C holds no lock by design: it reads base/log tables
+        # and writes only maintenance-private differentials — never MV.
+        normalize = (OpStep("dt_normalize", plan=self._normalize_plan),) if self.strong_minimality else ()
+        ops["propagate"] = self._op("propagate", self._compute_step(locked=False), fold(), *normalize)
+        ops["partial_refresh"] = self._op("partial_refresh", apply)
+        # refresh_C, both compositions of Figure 3.  The *entire*
+        # composed refresh runs under the view's exclusive lock — this
+        # is the downtime Policy 1 pays.  Its advantage over refresh_BL
+        # is that periodic (unlocked) propagation already absorbed all
+        # but the last k time units of the log, so the in-lock delta
+        # computation covers a short log only.
+        compute = self._compute_step(locked=True)
+        tail = OpStep("log_apply", locked=True, plan=self._log_refresh_plan)
+        self._refresh_orders = {
+            "propagate_first": self._op(
+                "refresh", compute, fold(locked=True), apply, order="propagate_first"
+            ),
+            "partial_first": self._op("refresh", apply, compute, tail, order="partial_first"),
+        }
+        ops["refresh"] = self._refresh_orders["propagate_first"]
+        return ops
 
     def post_execute(self) -> None:
         """Transactions only touch the log; differentials are untouched."""
 
-    def _propagate_deltas(self) -> tuple[Expr, Expr]:
-        """Post-update deltas over the log, pruned to affected partitions.
-
-        On a partitioned database with a prunable plan, base-table
-        references in the deltas are replaced by restrictions to the
-        partitions holding this epoch's affected keys; otherwise (or when
-        a reference unexpectedly fails to prune) the whole-table
-        expressions are returned unchanged.
-        """
-        if self._pmaint is not None:
-            pending = self._pmaint.pending_deltas()
-            keys = self._pmaint.affected_keys(pending) if pending else {}
-            pruned = self._pmaint.pruned_deltas(keys, counter=self.counter)
-            if pruned is not None:
-                return pruned
-        return post_update_delta(self.log, self.view.query)
+    def _fold_plan(self, delete: Expr, insert: Expr) -> MaintenancePlan:
+        """``propagate_C``'s assignments: fold into ∇MV/ΔMV, clear the log."""
+        plan = MaintenancePlan(assignments=self.log.clear_assignments())
+        self._fold_into_dt(plan, delete, insert)
+        return plan
 
     def propagate(self) -> None:
         """``propagate_C``: log → differential tables, no view lock taken."""
-        with obs.span(
-            "propagate",
-            view=self.view.name,
-            scenario=self.tag,
-            log_watermark=self.log.recorded_changes() if obs.telemetry_enabled() else 0,
-            counter=self.counter,
-        ):
-            view_delete, view_insert = self._propagate_deltas()
-            plan = MaintenancePlan(assignments=self.log.clear_assignments())
-            self._fold_into_dt(plan, view_delete, view_insert)
-            fault_point("crash-mid-propagate")
-            plan.execute(self.db, counter=self.counter)
-            super().post_execute()  # strong-minimality normalization, if enabled
-        if obs.telemetry_enabled():
-            obs.metric_inc("propagations")
+        self.run("propagate")
 
     def partial_refresh(self) -> None:
         """``partial_refresh_C``: apply differentials; ``MV`` becomes ``PAST(L,Q)``."""
-        with obs.span(
-            "partial_refresh",
-            view=self.view.name,
-            scenario=self.tag,
-            delta_rows=self._pending_dt_rows() if obs.telemetry_enabled() else 0,
-            counter=self.counter,
-        ):
-            with self._refresh_lock("partial_refresh_C"):
-                fault_point("crash-mid-refresh")
-                self._apply_dt()
-        # Policy 2 leaves the still-unpropagated log behind: the view is
-        # a bounded k ticks out of date, never fully current.
-        self._note_fresh(self.log.recorded_changes() if obs.telemetry_enabled() else 0)
+        self.run("partial_refresh")
 
     def refresh(self, *, order: str = "propagate_first") -> None:
-        """``refresh_C``: full refresh via either composition of Figure 3.
-
-        The *entire* composed refresh runs under the view's exclusive
-        lock — this is the downtime Policy 1 pays.  Its advantage over
-        ``refresh_BL`` is that periodic (unlocked) propagation already
-        absorbed all but the last ``k`` time units of the log, so the
-        in-lock delta computation covers a short log only.
-        """
-        if order not in ("propagate_first", "partial_first"):
-            raise ValueError(f"unknown refresh order: {order!r}")
-        with obs.span(
-            "refresh",
-            view=self.view.name,
-            scenario=self.tag,
-            order=order,
-            log_watermark=self.log.recorded_changes() if obs.telemetry_enabled() else 0,
-            counter=self.counter,
-        ), self._refresh_lock("refresh_C"):
-            fault_point("crash-mid-refresh")
-            if order == "propagate_first":
-                view_delete, view_insert = self._propagate_deltas()
-                propagate_plan = MaintenancePlan(assignments=self.log.clear_assignments())
-                self._fold_into_dt(propagate_plan, view_delete, view_insert)
-                propagate_plan.execute(self.db, counter=self.counter)
-                self._apply_dt()
-            else:
-                self._apply_dt()
-                # refresh_BL tail: deltas for the remaining log.
-                view_delete, view_insert = self._propagate_deltas()
-                tail = MaintenancePlan(assignments=self.log.clear_assignments())
-                tail.add_patch(self.view.mv_table, view_delete, view_insert)
-                tail.execute(self.db, counter=self.counter)
-        self._note_fresh(0)
-
-    def compact_log(self) -> None:
-        """Net-effect log compaction before a (group) refresh (see BL)."""
-        self.log.compact(counter=self.counter)
-
-    def group_refresh_task(self, *, order: int):
-        """This view's contribution to a group-refresh epoch.
-
-        The compute half is identical to the BL task (post-update deltas
-        over the log), so a C view and a BL view with the same query and
-        the same recorded changes share one cache entry; only the apply
-        differs (fold through the differential tables).
-        """
-        return _log_delta_task(self, order=order)
-
-    def partitioned_group_tasks(self, *, order: int, hot_threshold: int = 64):
-        """Partition-chunked group tasks, or ``None`` when ineligible (see BL)."""
-        if self._pmaint is None:
-            return None
-        return self._pmaint.chunked_group_tasks(
-            self, order=order, hot_threshold=hot_threshold
-        )
+        """``refresh_C``: full refresh via either composition of Figure 3."""
+        try:
+            op = self._refresh_orders[order]
+        except KeyError:
+            raise ValueError(f"unknown refresh order: {order!r}") from None
+        self.run(op)
 
     def _group_writes(self) -> frozenset[str]:
-        return frozenset(
-            (
-                self.view.mv_table,
-                self.view.dt_delete_table,
-                self.view.dt_insert_table,
-                *self.log.table_names(),
-            )
-        )
-
-    def _group_apply_plans(self, view_delete: Expr, view_insert: Expr) -> tuple[MaintenancePlan, ...]:
-        """The apply-side plans of a group refresh, for effect inference.
-
-        Mirrors :meth:`_apply_group_deltas`: the propagate-shaped fold
-        through the differential tables, then the differential apply.
-        """
-        propagate_plan = MaintenancePlan(assignments=self.log.clear_assignments())
-        self._fold_into_dt(propagate_plan, view_delete, view_insert)
-        return (propagate_plan, self._apply_dt_plan())
-
-    def maintenance_protocol(self) -> tuple:
-        from repro.analysis.effects import EffectSet, OpEffects, Step, plan_effects, read_footprint
-
-        log_tables = frozenset(self.log.table_names())
-        makesafe = OpEffects(
-            op="makesafe",
-            view=self.view.name,
-            scenario=self.tag,
-            steps=(Step("log_extend", EffectSet(reads=log_tables, writes=log_tables)),),
-        )
-        view_delete, view_insert = post_update_delta(self.log, self.view.query)
-        delta_reads = EffectSet(reads=read_footprint(self.db, view_delete, view_insert))
-        propagate_plan = MaintenancePlan(assignments=self.log.clear_assignments())
-        self._fold_into_dt(propagate_plan, view_delete, view_insert)
-        propagate_effects = plan_effects(self.db, propagate_plan)
-        apply_effects = plan_effects(self.db, self._apply_dt_plan())
-        locked = self._refresh_lock_resources()
-        # propagate_C holds no lock by design: it reads base/log tables
-        # and writes only maintenance-private differentials — never MV.
-        propagate = OpEffects(
-            op="propagate",
-            view=self.view.name,
-            scenario=self.tag,
-            steps=(
-                Step("delta_compute", delta_reads),
-                Step("dt_fold", propagate_effects),
-            ),
-        )
-        partial_refresh = OpEffects(
-            op="partial_refresh",
-            view=self.view.name,
-            scenario=self.tag,
-            steps=(Step("apply", apply_effects, locks=locked),),
-        )
-        refresh = OpEffects(
-            op="refresh",
-            view=self.view.name,
-            scenario=self.tag,
-            steps=(
-                Step("delta_compute", delta_reads, locks=locked),
-                Step("dt_fold", propagate_effects, locks=locked),
-                Step("apply", apply_effects, locks=locked),
-            ),
-        )
-        return (makesafe, propagate, partial_refresh, refresh)
-
-    def _apply_group_deltas(self, deltas: tuple[Bag, Bag]) -> None:
-        """The ``refresh_C`` (propagate-first) tail for pre-evaluated deltas."""
-        delete_bag, insert_bag = deltas
-        lit_delete = Literal(delete_bag, self.view.schema)
-        lit_insert = Literal(insert_bag, self.view.schema)
-        with obs.span(
-            "refresh",
-            view=self.view.name,
-            scenario=self.tag,
-            group=True,
-            delta_rows=len(delete_bag) + len(insert_bag),
-            counter=self.counter,
-        ):
-            with self._refresh_lock("refresh_C"):
-                fault_point("crash-mid-refresh")
-                propagate_plan = MaintenancePlan(assignments=self.log.clear_assignments())
-                self._fold_into_dt(propagate_plan, lit_delete, lit_insert)
-                propagate_plan.execute(self.db, counter=self.counter)
-                self._apply_dt()
-        self._note_fresh(0)
-
-    def staleness_entries(self) -> int:
-        return self.log.recorded_changes() + self._pending_dt_rows()
+        return super()._group_writes() | {self.view.dt_delete_table, self.view.dt_insert_table}
 
     def invariant_holds(self) -> bool:
         holds = invariants.combined_invariant(self.db, self.view, self.log)

@@ -34,7 +34,11 @@ from dataclasses import dataclass
 
 from repro.algebra.bag import Bag, Row
 from repro.algebra.evaluation import CostCounter
-from repro.core.scenarios import CombinedScenario
+from repro.algebra.expr import Literal
+from repro.algebra.schema import Schema
+from repro.core.ops import MaintenanceOp, OpStep
+from repro.core.plan import MaintenancePlan
+from repro.core.scenarios import CombinedScenario, Scenario
 from repro.core.transactions import UserTransaction
 from repro.core.views import ViewDefinition
 from repro.errors import InvariantViolation, SchemaError
@@ -107,7 +111,7 @@ class AggregateView:
         return self.group_by + tuple(spec.column_name for spec in self.aggregates)
 
 
-class AggregateScenario:
+class AggregateScenario(Scenario):
     """Maintains an aggregate view on top of a combined-scenario base."""
 
     tag = "AGG"
@@ -120,18 +124,46 @@ class AggregateScenario:
         counter: CostCounter | None = None,
         ledger: LockLedger | None = None,
     ) -> None:
-        self.db = db
-        self.view = view
-        self.counter = counter if counter is not None else CostCounter()
-        self.ledger = ledger if ledger is not None else LockLedger()
-        self.base = CombinedScenario(db, view.base, counter=self.counter, ledger=self.ledger)
+        counter = counter if counter is not None else CostCounter()
+        ledger = ledger if ledger is not None else LockLedger()
+        self.base = CombinedScenario(db, view.base, counter=counter, ledger=ledger)
+        super().__init__(db, view, counter=counter, ledger=ledger)
         base_schema = view.base.schema
         self._group_positions = base_schema.positions_of(view.group_by)
         self._agg_positions = tuple(
             base_schema.index_of(spec.attribute) if spec.attribute is not None else None
             for spec in view.aggregates
         )
-        self._installed = False
+
+    def _declare_ops(self) -> dict[str, MaintenanceOp]:
+        """The base view's operations, with the aggregate adjustment
+        riding on every step sequence that applies the differentials.
+
+        A static picture only: the named methods below run the base
+        scenario's ops and adjust the aggregate table in between.
+        """
+        base = self.base.ops
+        adjust = OpStep("agg_patch", locked=True, plan=self._agg_patch_plan)
+        partial_refresh = (*base["partial_refresh"].steps, adjust)
+        return {
+            "makesafe": self._op("makesafe", *base["makesafe"].steps),
+            "propagate": self._op("propagate", *base["propagate"].steps),
+            "partial_refresh": self._op("partial_refresh", *partial_refresh),
+            "refresh": self._op("refresh", *base["propagate"].steps, *partial_refresh),
+        }
+
+    def _agg_patch_plan(self, *_pair) -> MaintenancePlan:
+        """The aggregate table's read-modify-write, as a footprint."""
+        empty = Literal(Bag.empty(), Schema(self.view.output_attributes()))
+        return MaintenancePlan(patches={self.view.agg_table: (empty, empty)})
+
+    def _refresh_lock_resources(self) -> frozenset[str]:
+        """The aggregate lock wraps the base view's own ``MV`` lock."""
+        return frozenset((self.view.agg_table, self.view.base.mv_table))
+
+    def _extend(self, plan: MaintenancePlan, txn: UserTransaction) -> None:
+        """``makesafe`` is the base scenario's log extension only."""
+        self.base._extend(plan, txn)
 
     # ------------------------------------------------------------------
     # Grouping
@@ -206,6 +238,9 @@ class AggregateScenario:
         self.base.uninstall()
         self._installed = False
 
+    def _note_stale(self) -> None:
+        """The base view's staleness clock already accounts for this view."""
+
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
@@ -213,13 +248,6 @@ class AggregateScenario:
     def execute(self, txn: UserTransaction) -> None:
         """Per-transaction work is the base scenario's log extension only."""
         self.base.execute(txn)
-
-    def make_safe(self, txn: UserTransaction):
-        """``makesafe`` delegates to the base scenario (log extension only)."""
-        return self.base.make_safe(txn)
-
-    def post_execute(self) -> None:
-        self.base.post_execute()
 
     def propagate(self) -> None:
         """Move base-table changes into the base view's differentials."""
@@ -263,9 +291,6 @@ class AggregateScenario:
     # Reads and checks
     # ------------------------------------------------------------------
 
-    def read_view(self) -> Bag:
-        return self.db[self.view.agg_table]
-
     def expected(self) -> Bag:
         """The aggregate recomputed from scratch (for checks)."""
         base_value = self.db.evaluate(self.view.base.query)
@@ -279,7 +304,3 @@ class AggregateScenario:
         holds = self.base.invariant_holds()
         mirrored = self._state_to_rows(self._aggregate_bag(self.db[self.view.base.mv_table]))
         return holds and mirrored == self.read_view()
-
-    def check_invariant(self) -> None:
-        if not self.invariant_holds():
-            raise InvariantViolation(f"aggregate view {self.view.name!r}: invariant violated")

@@ -32,6 +32,7 @@ from repro.algebra.evaluation import CostCounter
 from repro.algebra.expr import Expr, Literal, Product, UnionAll
 from repro.algebra.schema import Schema
 from repro.core.differential import differentiate
+from repro.core.ops import MaintenanceOp, OpStep
 from repro.core.plan import MaintenancePlan
 from repro.core.scenarios import Scenario
 from repro.core.substitution import FactoredSubstitution
@@ -111,6 +112,10 @@ class SharedLog:
         number — one insert-only patch per touched tracked table, so the
         recording cost is O(changes), independent of the view count."""
         self._seq += 1
+        return self.tagged_patches(txn, self._seq)
+
+    def tagged_patches(self, txn: UserTransaction, seq: int) -> dict[str, tuple[Expr, Expr]]:
+        """The log-extension patches for ``txn`` under sequence number ``seq``."""
         tag_schema = Schema(("__seq", "__op"))
         patches: dict[str, tuple[Expr, Expr]] = {}
         for table in sorted(txn.tables & self._tables):
@@ -119,10 +124,10 @@ class SharedLog:
             delete = txn.delete_expr(table)
             insert = txn.insert_expr(table)
             if not (isinstance(delete, Literal) and not delete.bag):
-                tag = Literal(Bag.singleton((self._seq, DELETE_OP)), tag_schema)
+                tag = Literal(Bag.singleton((seq, DELETE_OP)), tag_schema)
                 pieces = UnionAll(pieces, Product(tag, delete))
             if not (isinstance(insert, Literal) and not insert.bag):
-                tag = Literal(Bag.singleton((self._seq, INSERT_OP)), tag_schema)
+                tag = Literal(Bag.singleton((seq, INSERT_OP)), tag_schema)
                 pieces = UnionAll(pieces, Product(tag, insert))
             patches[shared_log_name(table)] = (Literal(Bag.empty(), log_schema), pieces)
         return patches
@@ -330,21 +335,40 @@ class SharedLogScenario:
     # Refresh
     # ------------------------------------------------------------------
 
-    def refresh(self, name: str) -> None:
-        """Bring one view up to date and advance its cursor."""
+    def _view(self, name: str) -> ViewDefinition:
         try:
-            view = self._views[name]
+            return self._views[name]
         except KeyError:
             raise PolicyError(f"view {name!r} is not registered") from None
-        cursor = self._cursors[name]
-        eta = self.shared_log.substitution_since(cursor, sorted(view.base_tables()))
-        # Weakly minimal by replay (Lemma 4), so the simplified duality applies:
-        # ▼(L,Q) = Add(L̂,Q), ▲(L,Q) = Del(L̂,Q).
+
+    def view_deltas(self, name: str, eta: FactoredSubstitution | None = None) -> tuple[Expr, Expr]:
+        """The ``(delete, insert)`` MV patch for the slice past the view's cursor.
+
+        Weakly minimal by replay (Lemma 4), so the simplified duality
+        applies: ▼(L,Q) = Add(L̂,Q), ▲(L,Q) = Del(L̂,Q).
+        """
+        view = self._view(name)
+        if eta is None:
+            eta = self.shared_log.substitution_since(self._cursors[name], sorted(view.base_tables()))
         del_hat, add_hat = differentiate(eta, view.query)
-        with self.ledger.exclusive(view.mv_table, label="refresh_SL", counter=self.counter):
+        return add_hat, del_hat
+
+    def mv_patch_plan(self, name: str, delete: Expr, insert: Expr) -> MaintenancePlan:
+        """``refresh_SL``'s assignments: the MV patch (the log is shared, never cleared)."""
+        return MaintenancePlan(patches={self._views[name].mv_table: (delete, insert)})
+
+    def _install(self, name: str, delete: Expr, insert: Expr, epoch: int, counter) -> None:
+        """Patch one view's MV under its lock and move its cursor to ``epoch``."""
+        mv_table = self._views[name].mv_table
+        with self.ledger.exclusive(mv_table, label="refresh_SL", counter=self.counter):
             fault_point("crash-mid-refresh")
-            self.db.apply(patches={view.mv_table: (add_hat, del_hat)}, counter=self.counter)
-        self._cursors[name] = self.shared_log.current_seq
+            self.mv_patch_plan(name, delete, insert).execute(self.db, counter=counter)
+        self._cursors[name] = epoch
+
+    def refresh(self, name: str) -> None:
+        """Bring one view up to date and advance its cursor."""
+        delete, insert = self.view_deltas(name)
+        self._install(name, delete, insert, self.shared_log.current_seq, self.counter)
         self._maybe_prune()
 
     def refresh_all(self) -> None:
@@ -372,31 +396,29 @@ class SharedLogScenario:
         Compacts the shared log first (so replay cost is proportional to
         the net change), then schedules one :class:`GroupTask` per view:
         views whose queries fingerprint equal over the same cursor slice
-        share a single delta evaluation through the epoch's
-        :class:`EpochDeltaCache`, and independent views may evaluate
-        concurrently when ``parallel=True``.  Patch application is always
-        sequential in registration order, so the result is bag-equal to
-        calling :meth:`refresh` on each view in turn.
+        share a single delta evaluation through the epoch's delta cache,
+        and independent views may evaluate concurrently when
+        ``parallel=True``.  Patch application is always sequential in
+        registration order, so the result is bag-equal to calling
+        :meth:`refresh` on each view in turn.
         """
         members = list(names) if names is not None else list(self._views)
         for name in members:
-            if name not in self._views:
-                raise PolicyError(f"view {name!r} is not registered")
-        if compact:
-            self.compact()
-        cache = EpochDeltaCache(self.counter)
-        tasks = self.group_tasks(list(enumerate(members)))
+            self._view(name)
+        tasks = self.epoch_tasks(list(enumerate(members)), compact=compact)
         scheduler = GroupScheduler(counter=self.counter, parallel=parallel, max_workers=max_workers)
-        scheduler.run(tasks, cache)
+        scheduler.run(tasks, EpochDeltaCache(self.counter))
         self._maybe_prune()
 
-    def group_tasks(self, members: Iterable[tuple[int, str]]) -> list[GroupTask]:
+    def epoch_tasks(self, members: Iterable[tuple[int, str]], *, compact: bool) -> list[GroupTask]:
         """Build one refresh task per ``(order, view name)`` for this epoch.
 
         All tasks share the epoch's target sequence number and one
         substitution memo, so several views reading the same base tables
         from the same cursor replay the log once.
         """
+        if compact:
+            self.compact()
         epoch = self.shared_log.current_seq
         eta_memo: dict[object, FactoredSubstitution] = {}
         return [self._group_task(order, name, epoch, eta_memo) for order, name in members]
@@ -413,52 +435,32 @@ class SharedLogScenario:
         base = tuple(sorted(view.base_tables()))
         log_tables = tuple(shared_log_name(table) for table in base)
 
-        def eta() -> FactoredSubstitution:
+        def deltas() -> tuple[Expr, Expr]:
             memo_key = (cursor, base)
             if memo_key not in eta_memo:
                 eta_memo[memo_key] = self.shared_log.substitution_since(cursor, base)
-            return eta_memo[memo_key]
+            return self.view_deltas(name, eta_memo[memo_key])
 
         def key() -> object:
             stamps = tuple((table, self.db.version_of(table)) for table in base + log_tables)
             return ("SL", subplan_fingerprint(view.query), cursor, stamps)
 
-        def compute(counter: CostCounter | None) -> tuple[Bag, Bag]:
-            del_hat, add_hat = differentiate(eta(), view.query)
-            # Same patch orientation as refresh(): MV-delete = Add(L̂,Q),
-            # MV-insert = Del(L̂,Q) under weak minimality (Lemma 4).
-            return evaluate_delta_pair(self.db, add_hat, del_hat, counter)
-
-        def prime() -> None:
-            del_hat, add_hat = differentiate(eta(), view.query)
-            self.db.prime(add_hat, del_hat, counter=self.counter)
-
-        def apply(deltas: tuple[Bag, Bag]) -> None:
-            delete_bag, insert_bag = deltas
-            with self.ledger.exclusive(view.mv_table, label="refresh_SL", counter=self.counter):
-                fault_point("crash-mid-refresh")
-                # The bags were already evaluated (and counted) in
-                # compute(); re-emitting them as literals is free, so no
-                # counter here — keeps cost parity with refresh().
-                self.db.apply(
-                    patches={
-                        view.mv_table: (
-                            Literal(delete_bag, view.schema),
-                            Literal(insert_bag, view.schema),
-                        )
-                    },
-                )
-            self._cursors[name] = epoch
+        def apply(bags: tuple[Bag, Bag]) -> None:
+            # The bags were already evaluated (and counted) in compute();
+            # re-emitting them as literals is free, so no counter here —
+            # keeps cost parity with refresh().
+            delete, insert = (Literal(bag, view.schema) for bag in bags)
+            self._install(name, delete, insert, epoch, None)
 
         return GroupTask(
             name=name,
             order=order,
             key=key,
-            compute=compute,
+            compute=lambda counter: evaluate_delta_pair(self.db, *deltas(), counter),
             apply=apply,
             reads=frozenset(base + log_tables),
             writes=frozenset((view.mv_table,)),
-            prime=prime,
+            prime=lambda: self.db.prime(*deltas(), counter=self.counter),
             # The MV patch is a read-modify-write of the MV table; its
             # read side is covered by the declared write above (RVM604).
             inferred_reads=frozenset(base + log_tables) | {view.mv_table},
@@ -483,6 +485,14 @@ class SharedLogScenario:
         if getattr(self.db, "journaled", False):
             threshold = min(threshold, self._prune_floor or 0)
         return self.shared_log.prune(threshold)
+
+    def prune_footprint(self) -> MaintenancePlan:
+        """What :meth:`_maybe_prune` may rewrite, as a plan (effect inference only)."""
+        plan = MaintenancePlan()
+        for table in self.shared_log.tables:
+            log = self.db.ref(shared_log_name(table))
+            plan.add_patch(log.name, log, Literal(Bag.empty(), log.schema()))
+        return plan
 
     def commit_watermark(self) -> int:
         """Advance the prune floor to the current minimum cursor.
@@ -571,12 +581,35 @@ class SharedLogView(Scenario):
         self.group.remove_view(self.view.name)
         self._installed = False
 
+    def _declare_ops(self) -> dict[str, MaintenanceOp]:
+        """The static picture of what the group does for this view.
+
+        ``makesafe``'s log extension and ``refresh_SL`` are built from
+        the group's own constructors; :meth:`refresh` hands execution to
+        the group, which also moves the view's cursor.
+        """
+        name = self.view.name
+        return {
+            "makesafe": self._op("makesafe", OpStep("shared_log_extend", plan=self._makesafe_extension)),
+            "refresh": self._op(
+                "refresh",
+                OpStep("delta_compute", deltas=lambda: self.group.view_deltas(name)),
+                OpStep("apply", locked=True, plan=lambda *pair: self.group.mv_patch_plan(name, *pair)),
+                OpStep("log_prune", plan=lambda *pair: self.group.prune_footprint()),
+            ),
+        }
+
     def make_safe(self, txn: UserTransaction) -> MaintenancePlan:
         """Per-view contribution is empty — the log extension is per *group*."""
         return MaintenancePlan()
 
     def refresh(self) -> None:
         self.group.refresh(self.view.name)
+
+    def _extend(self, plan: MaintenancePlan, txn: UserTransaction) -> None:
+        """What the *group* appends once per transaction (effect inference)."""
+        for table, (delete, insert) in self.group.shared_log.tagged_patches(txn, 0).items():
+            plan.add_patch(table, delete, insert)
 
     def invariant_holds(self) -> bool:
         return self.group.invariant_holds(self.view.name)

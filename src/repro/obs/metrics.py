@@ -30,9 +30,13 @@ __all__ = [
     "SIZE_BUCKETS",
 ]
 
-#: Default histogram bounds for wall-clock latencies, in seconds.
+#: Default histogram bounds for wall-clock latencies, in seconds:
+#: log-spaced (1 / 2.5 / 5 per decade) from 1 µs, because a snapshot
+#: read is microseconds (E22's p99 is 14 µs) while a refresh section is
+#: milliseconds — one set of bounds has to resolve both.
 LATENCY_BUCKETS_S: tuple[float, ...] = (
-    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5,
+    1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4,
+    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5,
 )
 
 #: Default histogram bounds for tuple counts (delta sizes, ops).

@@ -41,6 +41,7 @@ from typing import Any
 from repro import obs
 from repro.algebra.bag import Bag, Row
 from repro.algebra.expr import Expr
+from repro.core.ops import MaintenanceAction
 from repro.core.transactions import UserTransaction
 from repro.core.views import ViewDefinition
 from repro.errors import RecoveryError
@@ -52,7 +53,7 @@ from repro.robustness.journal import (
     table_digests,
 )
 from repro.storage.persistence import track_deltas
-from repro.warehouse.manager import ViewManager
+from repro.warehouse.manager import ManagedTransaction, ViewManager
 from repro.warehouse.persistence import load_warehouse, save_warehouse
 
 __all__ = ["DurableWarehouse", "DurableTransaction", "intent_payload_tables"]
@@ -72,33 +73,12 @@ def intent_payload_tables(db) -> frozenset[str]:
     return frozenset(db.table_names())
 
 
-class DurableTransaction:
-    """Fluent transaction builder that commits through the journal."""
+#: Manager reads a durable warehouse forwards as they are.
+_UNJOURNALED = frozenset({"query", "sql", "views", "scenario", "is_stale", "check_invariants"})
 
-    def __init__(self, warehouse: DurableWarehouse, token: str | None) -> None:
-        self._warehouse = warehouse
-        self._token = token
-        self._txn = UserTransaction(warehouse.db)
-
-    def insert(self, table: str, rows: Iterable[Row] | Bag) -> DurableTransaction:
-        self._txn.insert(table, rows)
-        return self
-
-    def delete(self, table: str, rows: Iterable[Row] | Bag) -> DurableTransaction:
-        self._txn.delete(table, rows)
-        return self
-
-    def insert_query(self, table: str, expr: Expr) -> DurableTransaction:
-        self._txn.insert_query(table, expr)
-        return self
-
-    def delete_query(self, table: str, expr: Expr) -> DurableTransaction:
-        self._txn.delete_query(table, expr)
-        return self
-
-    def run(self) -> bool:
-        """Execute journaled; False when the token was already committed."""
-        return self._warehouse.execute(self._txn, token=self._token)
+#: The one fluent builder; a durable warehouse binds it with a ``token``
+#: and its ``run()`` returns False when that token was already committed.
+DurableTransaction = ManagedTransaction
 
 
 class DurableWarehouse:
@@ -231,21 +211,6 @@ class DurableWarehouse:
             # cursor has passed become prunable exactly now.
             self.manager.commit_log_watermarks()
 
-    def _watermark(self, names: Iterable[str]) -> int:
-        total = 0
-        groups: dict[int, Any] = {}
-        for name in names:
-            scenario = self.manager.scenario(name)
-            log = getattr(scenario, "log", None)
-            if log is not None:
-                total += log.recorded_changes()
-            group = getattr(scenario, "group", None)
-            if group is not None:
-                groups[id(group)] = group
-        for group in groups.values():
-            total += group.log_size()
-        return total
-
     # ------------------------------------------------------------------
     # Catalog (journaled as non-replayable intents: rolled back on crash)
     # ------------------------------------------------------------------
@@ -268,7 +233,7 @@ class DurableWarehouse:
     # ------------------------------------------------------------------
 
     def transaction(self, *, token: str | None = None) -> DurableTransaction:
-        return DurableTransaction(self, token)
+        return DurableTransaction(self, token=token)
 
     def execute(self, txn: UserTransaction, *, token: str | None = None) -> bool:
         """Run a user transaction under the write-ahead protocol.
@@ -311,20 +276,28 @@ class DurableWarehouse:
     # Maintenance (journaled with watermark: re-run to completion)
     # ------------------------------------------------------------------
 
-    def refresh(self, name: str) -> None:
+    def run(self, action: MaintenanceAction):
+        """Run one reified action under the write-ahead protocol."""
+        return action.run_on(self)
+
+    def _journal(self, action: MaintenanceAction) -> None:
+        """Journal *any* maintenance action, then run it on the manager.
+
+        Kind, view, group options and log watermark are read off the
+        value; recovery rebuilds the same value from the intent and
+        hands it to the same :meth:`ViewManager.run`.
+        """
+        payload = action.journal_payload()
+        payload["watermark"] = self.manager.log_watermark(action.targets(self.views()))
         self._run_journaled(
-            "refresh",
-            lambda: self.manager.refresh(name),
-            view=name,
-            payload={"watermark": self._watermark([name])},
+            action.kind, lambda: self.manager.run(action), view=action.view, payload=payload
         )
 
+    def refresh(self, name: str) -> None:
+        self._journal(MaintenanceAction("refresh", name))
+
     def refresh_all(self) -> None:
-        self._run_journaled(
-            "refresh_all",
-            self.manager.refresh_all,
-            payload={"watermark": self._watermark(self.views())},
-        )
+        self._journal(MaintenanceAction("refresh_all"))
 
     def refresh_group(
         self,
@@ -342,57 +315,31 @@ class DurableWarehouse:
         whose logs and cursors recovery never prunes past (see
         :meth:`~repro.warehouse.manager.ViewManager.commit_log_watermarks`).
         """
-        members = list(names) if names is not None else list(self.views())
-        self._run_journaled(
-            "refresh_group",
-            lambda: self.manager.refresh_group(
-                members, parallel=parallel, max_workers=max_workers, compact=compact
-            ),
-            payload={
-                "views": members,
-                "compact": compact,
-                "watermark": self._watermark(members),
-            },
-        )
+        options = {
+            "names": list(names) if names is not None else list(self.views()),
+            "parallel": parallel,
+            "max_workers": max_workers,
+            "compact": compact,
+        }
+        self._journal(MaintenanceAction("refresh_group", options=options))
 
     def propagate(self, name: str) -> None:
-        self._run_journaled(
-            "propagate",
-            lambda: self.manager.propagate(name),
-            view=name,
-            payload={"watermark": self._watermark([name])},
-        )
+        self._journal(MaintenanceAction("propagate", name))
 
     def partial_refresh(self, name: str) -> None:
-        self._run_journaled(
-            "partial_refresh",
-            lambda: self.manager.partial_refresh(name),
-            view=name,
-            payload={"watermark": self._watermark([name])},
-        )
+        self._journal(MaintenanceAction("partial_refresh", name))
 
     # ------------------------------------------------------------------
     # Reads and introspection (not journaled)
     # ------------------------------------------------------------------
 
-    def query(self, name: str) -> Bag:
-        return self.manager.query(name)
-
     def query_fresh(self, name: str) -> Bag:
         self.refresh(name)
         return self.manager.query(name)
 
-    def sql(self, query: str) -> Bag:
-        return self.manager.sql(query)
-
-    def views(self) -> tuple[str, ...]:
-        return self.manager.views()
-
-    def scenario(self, name: str):
-        return self.manager.scenario(name)
-
-    def is_stale(self, name: str) -> bool:
-        return self.manager.is_stale(name)
-
-    def check_invariants(self) -> None:
-        self.manager.check_invariants()
+    def __getattr__(self, name: str):
+        # query / sql / views / scenario / is_stale / check_invariants:
+        # the manager answers reads directly.
+        if name in _UNJOURNALED:
+            return getattr(self.manager, name)
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.algebra.bag import Bag
+from repro.core.ops import MaintenanceAction
 from repro.robustness.durable import DurableWarehouse
 from repro.robustness.faults import CRASH_POINTS, INJECTOR, InjectedCrash
 from repro.robustness.journal import journal_path
@@ -165,14 +166,10 @@ class RetailCrashHarness:
             if deletes:
                 txn.delete("sales", deletes)
             txn.run()
-        elif kind == "propagate":
-            warehouse.propagate("V")
-        elif kind == "partial_refresh":
-            warehouse.partial_refresh("V")
-        elif kind == "refresh":
-            warehouse.refresh("V")
-        else:  # pragma: no cover
-            raise ValueError(f"unknown workload op {kind!r}")
+        else:
+            # A maintenance step: dispatched as the same reified action
+            # the journal records (unknown kinds raise PolicyError).
+            warehouse.run(MaintenanceAction(kind, "V"))
 
     # ------------------------------------------------------------------
     # Driving with crashes

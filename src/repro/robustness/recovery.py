@@ -12,14 +12,16 @@ restart every scenario's invariant — ``INV_IM``, ``INV_BL``,
    the snapshot is either exactly the pre-op state or exactly the
    completed post-op state — a torn intermediate is impossible by
    construction.
-2. **Resolve.**  Pre-op snapshot: replay the operation from the journal
-   (user transactions from their recorded delta bags; ``refresh`` /
-   ``propagate`` / ``partial_refresh`` / ``refresh_all`` simply re-run
-   against the surviving logs and differential tables — Figure 3's
-   operations are deterministic functions of that state, which is what
-   makes roll-forward sound), checkpoint, and commit the intent.
-   Non-replayable intents (DDL) are rolled back.  Post-op snapshot: the
-   work is already durable; just commit the intent.
+2. **Resolve.**  Pre-op snapshot: rebuild the journaled
+   :class:`~repro.core.ops.MaintenanceAction` from the intent and hand
+   it to the same :meth:`~repro.warehouse.manager.ViewManager.run` seam
+   the live system uses (user transactions from their recorded delta
+   bags; the refresh family simply re-runs against the surviving logs
+   and differential tables — Figure 3's operations are deterministic
+   functions of that state, which is what makes roll-forward sound),
+   checkpoint, and commit the intent.  Intents that name no action
+   (DDL) are rolled back.  Post-op snapshot: the work is already
+   durable; just commit the intent.
 3. **Heal.**  Validate the engine-derived state against the recovered
    tables (:func:`repro.robustness.governor.heal_engine_state`): hash
    indexes are drained and audited bucket-for-bucket, and a pushdown
@@ -36,10 +38,11 @@ when any invariant is violated).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro import obs
+from repro.core.ops import MaintenanceAction
 from repro.core.transactions import UserTransaction
 from repro.errors import RecoveryError
 from repro.robustness.governor import heal_engine_state
@@ -63,9 +66,6 @@ INVARIANT_NAMES = {
     "DT": "INV_DT",
     "C": "INV_C",
 }
-
-#: Journal kinds the runner can roll forward; anything else rolls back.
-REPLAYABLE = {"txn", "refresh", "refresh_all", "refresh_group", "propagate", "partial_refresh"}
 
 
 @dataclass(frozen=True)
@@ -134,37 +134,25 @@ def audit_manager(manager: ViewManager) -> list[ViewAudit]:
     return audits
 
 
-def _replay(manager: ViewManager, intent: OpIntent) -> None:
-    """Re-run a replayable intent against the pre-op snapshot."""
-    kind = intent.kind
-    if kind == "txn":
-        txn = UserTransaction(manager.db)
-        for table, delta in sorted(intent.payload.get("deltas", {}).items()):
-            delete = deserialize_bag(delta["delete"])
-            insert = deserialize_bag(delta["insert"])
-            if delete:
-                txn.delete(table, delete)
-            if insert:
-                txn.insert(table, insert)
-        manager.execute(txn)
-    elif kind == "refresh":
-        manager.refresh(intent.view)
-    elif kind == "refresh_all":
-        manager.refresh_all()
-    elif kind == "refresh_group":
-        # Deterministic sequential re-run: compaction and sequential
-        # scheduling are functions of the snapshot's logs and cursors,
-        # and parallel vs sequential execution is bag-equal by design.
-        manager.refresh_group(
-            intent.payload.get("views") or None,
-            compact=intent.payload.get("compact", True),
-        )
-    elif kind == "propagate":
-        manager.propagate(intent.view)
-    elif kind == "partial_refresh":
-        manager.partial_refresh(intent.view)
-    else:  # pragma: no cover - guarded by REPLAYABLE
-        raise RecoveryError(f"cannot replay journal kind {intent.kind!r}")
+def _journaled_action(manager: ViewManager, intent: OpIntent) -> MaintenanceAction | None:
+    """The action ``intent`` recorded, or ``None`` when it only rolls back.
+
+    A group epoch comes back sequential: compaction and sequential
+    scheduling are functions of the snapshot's logs and cursors, and
+    parallel vs sequential execution is bag-equal by design.
+    """
+    action = MaintenanceAction.from_journal(intent.kind, intent.view, intent.payload)
+    if action is None or "deltas" not in intent.payload:
+        return action
+    txn = UserTransaction(manager.db)
+    for table, delta in sorted(intent.payload["deltas"].items()):
+        delete = deserialize_bag(delta["delete"])
+        insert = deserialize_bag(delta["insert"])
+        if delete:
+            txn.delete(table, delete)
+        if insert:
+            txn.insert(table, insert)
+    return replace(action, options={"txn": txn})
 
 
 def recover(path: str | Path) -> RecoveryReport:
@@ -195,8 +183,9 @@ def recover(path: str | Path) -> RecoveryReport:
                 recorded = pending.pre_digests
                 snapshot_is_pre_op = table_digests(manager.db) == recorded
                 if snapshot_is_pre_op:
-                    if pending.kind in REPLAYABLE:
-                        _replay(manager, pending)
+                    journaled = _journaled_action(manager, pending)
+                    if journaled is not None:
+                        manager.run(journaled)
                         save_warehouse(manager, path)
                         journal.commit_op(pending.op_id)
                         action = "rolled_forward"

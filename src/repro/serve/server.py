@@ -17,11 +17,15 @@ so the exclusive lock every refresh-family operation takes on ``MV``
   drains synchronously (deterministic for tests and benchmarks); with
   :meth:`start_workers` a background pool drains it off the caller's
   thread.
-* **Staleness is bounded, measured, and visible.**  The server tracks
-  ``mv_reflects`` / ``dt_reflects`` exactly like the simulation driver,
-  stamps every published snapshot with them, and samples per-read
-  staleness into the metrics registry; under Policy 2 a view is at most
-  ``k`` ticks stale at each partial refresh.
+* **Staleness is bounded, measured, and visible.**  The server keeps one
+  :class:`~repro.core.policies.StalenessClock` per view — the same
+  class the simulation driver uses — stamps every published snapshot
+  from them, and samples per-read staleness into the metrics registry;
+  under Policy 2 a view is at most ``k`` ticks stale at each partial
+  refresh.
+* **Fails closed.**  A view whose scenario cannot run what the policy
+  schedules is refused at :meth:`ViewServer.define_view`; a queued action
+  that fails deterministically is dropped and raised once.
 * **Durability and degradation compose.**  Pass ``durable_path`` to run
   every mutation through the :class:`~repro.robustness.DurableWarehouse`
   write-ahead journal, and ``governed=True`` to keep the engine
@@ -43,9 +47,10 @@ from dataclasses import dataclass
 
 from repro import obs
 from repro.algebra.bag import Bag, Row
-from repro.core.policies import MaintenancePolicy, Policy2
+from repro.core.ops import MaintenanceAction
+from repro.core.policies import MaintenancePolicy, Policy2, StalenessClock, check_policy
 from repro.core.transactions import UserTransaction
-from repro.errors import PolicyError, UnknownTableError
+from repro.errors import PolicyError, ReproError, UnknownTableError
 from repro.serve.snapshots import SnapshotHandle, SnapshotRegistry
 
 __all__ = ["ServeConfig", "ViewServer"]
@@ -104,11 +109,11 @@ class ViewServer:
         self._write_mutex = threading.RLock()
         self._due: deque[tuple[int, str, str]] = deque()
         self._mv_tables: dict[str, str] = {}
-        self._mv_reflects: dict[str, int] = {}
-        self._dt_reflects: dict[str, int] = {}
+        self._clocks: dict[str, StalenessClock] = {}
         self.now = 0
         self.reads_served = 0
         self.actions_run = 0
+        self.actions_failed = 0
         self._pool = None
         self._current: SnapshotHandle = self.registry.pin(self.db)
 
@@ -127,12 +132,22 @@ class ViewServer:
             self._publish()
 
     def define_view(self, name: str, definition, **options) -> None:
-        """Define a maintained view (scenario options as on the manager)."""
+        """Define a maintained view (scenario options as on the manager).
+
+        Fails closed: a scenario whose op table lacks what the server's
+        policy schedules is dropped again and :class:`PolicyError`
+        raised — rather than queueing actions that can never run.
+        """
         with self._write_mutex:
             self.manager.define_view(name, definition, **options)
-            self._mv_tables[name] = self.manager.scenario(name).view.mv_table
-            self._mv_reflects[name] = self.now
-            self._dt_reflects[name] = self.now
+            scenario = self.manager.scenario(name)
+            try:
+                check_policy(self.policy, scenario)
+            except PolicyError:
+                self.manager.drop_view(name)
+                raise
+            self._mv_tables[name] = scenario.view.mv_table
+            self._clocks[name] = StalenessClock(self.now, self.now)
             self._publish()
 
     def views(self) -> tuple[str, ...]:
@@ -196,10 +211,12 @@ class ViewServer:
 
         Each action commits and republishes individually, so readers see
         propagate and refresh results as distinct snapshot versions and
-        are never gated on the whole epoch.  An
-        :class:`~repro.robustness.faults.InjectedCrash` propagates to the
-        caller (the worker thread) with the queue retaining the
-        remaining actions and the published snapshot unchanged.
+        are never gated on the whole epoch.  Only what a retry can fix
+        is re-queued: an :class:`~repro.robustness.faults.InjectedCrash`
+        propagates with the action back at the front of the queue and
+        the published snapshot unchanged.  A deterministic
+        :class:`~repro.errors.ReproError` is dropped, counted
+        (``maintenance_actions_failed``) and raised once.
         """
         ran: list[tuple[str, str]] = []
         while max_actions is None or len(ran) < max_actions:
@@ -209,10 +226,14 @@ class ViewServer:
                 queued_tick, name, action = self._due.popleft()
                 try:
                     self._run_action(name, action)
+                except ReproError:
+                    self.actions_failed += 1
+                    obs.metric_inc("maintenance_actions_failed")
+                    raise
                 except BaseException:
-                    # Put the failed action back: a restarted worker (or a
-                    # recovery pass) retries it; refresh-family operations
-                    # are idempotent, which is what makes retry safe.
+                    # Put the interrupted action back: a restarted worker
+                    # (or a recovery pass) retries it; refresh-family
+                    # operations are idempotent, which makes retry safe.
                     self._due.appendleft((queued_tick, name, action))
                     raise
                 self._publish()
@@ -226,22 +247,12 @@ class ViewServer:
         """One maintenance action, with driver-equivalent clock tracking.
 
         ``propagate`` absorbs the log as of *run* time (not queue time),
-        so the residual clocks advance to ``self.now`` — Policy 2's
-        residual handling holds across snapshot boundaries because the
-        reflects stamps describe what the operation actually absorbed.
+        so the clocks advance to ``self.now`` — Policy 2's residual
+        handling holds across snapshot boundaries because the reflects
+        stamps describe what the operation actually absorbed.
         """
-        if action == "propagate":
-            self.manager.propagate(name)
-            self._dt_reflects[name] = self.now
-        elif action == "partial_refresh":
-            self.manager.partial_refresh(name)
-            self._mv_reflects[name] = self._dt_reflects[name]
-        elif action == "refresh":
-            self.manager.refresh(name)
-            self._mv_reflects[name] = self.now
-            self._dt_reflects[name] = self.now
-        else:
-            raise PolicyError(f"unknown maintenance action {action!r}")
+        self.manager.run(MaintenanceAction(action, name))
+        self._clocks[name].ran(action, self.now)
         self.actions_run += 1
 
     def start_workers(self, count: int = 1, *, poll_interval_s: float = 0.005):
@@ -280,7 +291,7 @@ class ViewServer:
 
     def _publish(self) -> None:
         """Pin a fresh cut and atomically swap it in as the served state."""
-        reflects = min(self._mv_reflects.values(), default=self.now)
+        reflects = min((clock.mv_reflects for clock in self._clocks.values()), default=self.now)
         handle = self.registry.pin(self.db, tick=self.now, reflects=reflects)
         previous, self._current = self._current, handle
         previous.release()
@@ -313,11 +324,12 @@ class ViewServer:
 
     def read(self, name: str) -> Bag:
         """Read a view from the served snapshot (lock-free, maybe stale)."""
-        started = time.perf_counter()
+        telemetry = obs.telemetry_enabled()
+        started = time.perf_counter() if telemetry else 0.0
         snapshot = self._current
         value = snapshot.table(self._mv_table(name))
         self.reads_served += 1
-        if obs.telemetry_enabled():
+        if telemetry:
             obs.metric_inc("reads_served")
             obs.metric_observe(
                 "read_latency_s", time.perf_counter() - started, buckets=obs.LATENCY_BUCKETS_S
@@ -340,8 +352,7 @@ class ViewServer:
         """
         with self._write_mutex:
             value = self.manager.query_fresh(name)
-            self._mv_reflects[name] = self.now
-            self._dt_reflects[name] = self.now
+            self._clocks[name].ran("refresh", self.now)
             self._publish()
         self.reads_served += 1
         return value
@@ -357,7 +368,7 @@ class ViewServer:
     def staleness_ticks(self, name: str) -> int:
         """How many ticks behind the served snapshot of ``name`` is."""
         self._mv_table(name)
-        return self.now - self._mv_reflects[name]
+        return self._clocks[name].staleness(self.now)
 
     def reader_lock_sections(self, prefix: str = "reader") -> int:
         """Exclusive sections attributed to reader threads (must stay 0)."""
@@ -368,6 +379,7 @@ class ViewServer:
             "now": self.now,
             "reads_served": self.reads_served,
             "actions_run": self.actions_run,
+            "actions_failed": self.actions_failed,
             "pending_maintenance": self.pending_maintenance(),
             "staleness_ticks": {name: self.staleness_ticks(name) for name in self._mv_tables},
             "snapshots": self.registry.stats(),

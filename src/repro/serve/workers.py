@@ -13,13 +13,16 @@ Crash semantics mirror the rest of the robustness layer: an
 worker only.  The storage layer's all-or-nothing install has already
 rolled the in-flight operation back, the action returns to the queue for
 a retry (refresh-family operations are idempotent), and the published
-snapshot — plus every pinned one — is untouched.
+snapshot — plus every pinned one — is untouched.  An action that fails
+deterministically (:class:`~repro.errors.ReproError`) was already
+dropped by the server; the worker records the error and keeps draining.
 """
 
 from __future__ import annotations
 
 import threading
 
+from repro.errors import ReproError
 from repro.robustness.faults import InjectedCrash
 
 __all__ = ["MaintenanceWorker", "WorkerPool"]
@@ -36,6 +39,8 @@ class MaintenanceWorker(threading.Thread):
         self._stopping = threading.Event()
         #: The InjectedCrash that killed this worker, if any.
         self.crashed: InjectedCrash | None = None
+        #: Deterministic failures of dropped actions, in the order seen.
+        self.failures: list[ReproError] = []
         self.actions_run = 0
 
     def run(self) -> None:
@@ -47,6 +52,9 @@ class MaintenanceWorker(threading.Thread):
             except InjectedCrash as crash:
                 self.crashed = crash
                 return
+            except ReproError as error:
+                self.failures.append(error)
+                self._wake.set()  # the rest of the queue is still due
 
     def kick(self) -> None:
         """Wake the worker now instead of at its next poll."""

@@ -12,7 +12,8 @@
   ``makesafe`` transformation);
 * refresh, propagate, and query views, with downtime and cost
   accounting available on :attr:`ViewManager.ledger` and
-  :attr:`ViewManager.counter`.
+  :attr:`ViewManager.counter` — or hand :meth:`ViewManager.run` a
+  reified :class:`~repro.core.ops.MaintenanceAction`.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from repro import obs
 from repro.algebra.bag import Bag, Row
 from repro.algebra.evaluation import CostCounter
 from repro.algebra.expr import Expr
+from repro.core.ops import MaintenanceAction
 from repro.core.plan import MaintenancePlan
 from repro.core.policies import MaintenanceDriver, MaintenancePolicy
 from repro.core.scenarios import (
@@ -55,10 +57,13 @@ SCENARIOS: dict[str, type[Scenario]] = {
 
 
 class ManagedTransaction:
-    """Fluent transaction builder bound to a :class:`ViewManager`."""
+    """Fluent transaction builder bound to a manager-like facade: ``run``
+    calls ``manager.execute(txn, **options)`` (``options``: a durable
+    warehouse's idempotency ``token``) and returns what it returns."""
 
-    def __init__(self, manager: ViewManager) -> None:
+    def __init__(self, manager, **options) -> None:
         self._manager = manager
+        self._options = options
         self._txn = UserTransaction(manager.db)
 
     def insert(self, table: str, rows: Iterable[Row] | Bag) -> ManagedTransaction:
@@ -77,9 +82,9 @@ class ManagedTransaction:
         self._txn.delete_query(table, expr)
         return self
 
-    def run(self) -> None:
+    def run(self):
         """Execute with all views' maintenance extensions."""
-        self._manager.execute(self._txn)
+        return self._manager.execute(self._txn, **self._options)
 
 
 class ViewManager:
@@ -212,10 +217,13 @@ class ViewManager:
         elif strong_minimality:
             raise PolicyError(f"strong_minimality is not applicable to the {scenario!r} scenario")
         instance = scenario_cls(self.db, view, **kwargs)
+        # Built first: a policy the scenario cannot serve fails closed
+        # here, before anything is installed or registered.
+        driver = MaintenanceDriver(instance, policy) if policy is not None else None
         instance.install()
         self._scenarios[name] = instance
-        if policy is not None:
-            self._drivers[name] = MaintenanceDriver(instance, policy)
+        if driver is not None:
+            self._drivers[name] = driver
         return instance
 
     def shared_group(self) -> SharedLogScenario:
@@ -232,12 +240,10 @@ class ViewManager:
             )
         return self._shared_default
 
-    def _shared_log_groups(self) -> list[SharedLogScenario]:
-        seen: dict[int, SharedLogScenario] = {}
-        for scenario in self._scenarios.values():
-            group = getattr(scenario, "group", None)
-            if group is not None:
-                seen[id(group)] = group
+    def _shared_log_groups(self, names: Iterable[str] | None = None) -> list[SharedLogScenario]:
+        """The distinct shared-log groups of ``names`` (default: every view)."""
+        scenarios = self._scenarios.values() if names is None else map(self.scenario, names)
+        seen = {id(scenario.group): scenario.group for scenario in scenarios if scenario.group is not None}
         return list(seen.values())
 
     def _lint_group_overlap(self, view: ViewDefinition, *, strict: bool) -> None:
@@ -323,9 +329,7 @@ class ViewManager:
 
     def drop_view(self, name: str) -> None:
         """Stop maintaining a view and drop its internal tables."""
-        scenario = self.scenario(name)
-        if hasattr(scenario, "uninstall"):
-            scenario.uninstall()
+        self.scenario(name).uninstall()
         del self._scenarios[name]
         self._drivers.pop(name, None)
 
@@ -377,15 +381,23 @@ class ViewManager:
                 scenario.post_execute()
         if obs.telemetry_enabled():
             for scenario in self._scenarios.values():
-                # AggregateScenario wears the Scenario interface without
-                # subclassing it; skip anything without the hook.
-                note = getattr(scenario, "_note_stale", None)
-                if note is not None:
-                    note()
+                scenario._note_stale()
 
     # ------------------------------------------------------------------
     # Maintenance operations
     # ------------------------------------------------------------------
+
+    def run(self, action: MaintenanceAction):
+        """Run one reified maintenance action — the seam for callers that
+        hold the request as a value (recovery, :meth:`tick`, the crash
+        harness, the view server); lands on the method of that kind."""
+        return action.run_on(self)
+
+    def _offering(self, name: str, kind: str) -> Scenario:
+        """The scenario of ``name``; PolicyError unless its op table has ``kind``."""
+        scenario = self.scenario(name)
+        scenario.op(kind)
+        return scenario
 
     def refresh(self, name: str) -> None:
         """Bring one view fully up to date."""
@@ -441,41 +453,24 @@ class ViewManager:
         max_workers: int | None,
         compact: bool,
     ) -> None:
-        cache = EpochDeltaCache(self.counter)
         tasks = []
         fallback: list[str] = []
         shared: dict[int, tuple[SharedLogScenario, list[tuple[int, str]]]] = {}
         for order, name in enumerate(members):
             scenario = self.scenario(name)
-            group = getattr(scenario, "group", None)
-            if group is not None:
-                shared.setdefault(id(group), (group, []))[1].append((order, name))
-            elif hasattr(scenario, "group_refresh_task"):
-                if compact and hasattr(scenario, "compact_log"):
-                    scenario.compact_log()
-                chunked = (
-                    scenario.partitioned_group_tasks(order=order)
-                    if hasattr(scenario, "partitioned_group_tasks")
-                    else None
-                )
-                if chunked is not None:
-                    # Partitioned database + chunk-safe plan: the view's
-                    # epoch splits into per-partition compute tasks that
-                    # batch at partition granularity.
-                    tasks.extend(chunked)
-                else:
-                    tasks.append(scenario.group_refresh_task(order=order))
-            else:
+            if scenario.group is not None:
+                shared.setdefault(id(scenario.group), (scenario.group, []))[1].append((order, name))
+                continue
+            own = scenario.epoch_tasks(order=order, compact=compact)
+            if own is None:
                 fallback.append(name)
+            else:
+                tasks.extend(own)
         for group, group_members in shared.values():
-            if compact:
-                group.compact()
-            tasks.extend(group.group_tasks(group_members))
+            tasks.extend(group.epoch_tasks(group_members, compact=compact))
         self._lint_group_schedule(tasks)
-        scheduler = GroupScheduler(
-            counter=self.counter, parallel=parallel, max_workers=max_workers
-        )
-        scheduler.run(tasks, cache)
+        scheduler = GroupScheduler(counter=self.counter, parallel=parallel, max_workers=max_workers)
+        scheduler.run(tasks, EpochDeltaCache(self.counter))
         for group, _ in shared.values():
             # Consumed entries drop now on plain databases; journaled
             # ones defer to the committed watermark (crash recovery may
@@ -483,6 +478,13 @@ class ViewManager:
             group._maybe_prune()
         for name in fallback:
             self.scenario(name).refresh()
+
+    def log_watermark(self, names: Iterable[str]) -> int:
+        """Recorded-but-unabsorbed log entries behind ``names`` (a shared
+        log counts once per group)."""
+        names = list(names)
+        total = sum(self.scenario(name).log_watermark() for name in names)
+        return total + sum(group.log_size() for group in self._shared_log_groups(names))
 
     def commit_log_watermarks(self) -> None:
         """Advance shared-log prune floors after a durable commit.
@@ -497,23 +499,28 @@ class ViewManager:
 
     def propagate(self, name: str) -> None:
         """Run ``propagate_C`` for a combined-scenario (or aggregate) view."""
-        scenario = self.scenario(name)
-        if not hasattr(scenario, "propagate"):
-            raise PolicyError(f"view {name!r} is not maintained under the combined scenario")
-        scenario.propagate()
+        self._offering(name, "propagate").propagate()
 
     def partial_refresh(self, name: str) -> None:
         """Run ``partial_refresh_C`` for a combined-scenario (or aggregate) view."""
-        scenario = self.scenario(name)
-        if not hasattr(scenario, "partial_refresh"):
-            raise PolicyError(f"view {name!r} is not maintained under the combined scenario")
-        scenario.partial_refresh()
+        self._offering(name, "partial_refresh").partial_refresh()
 
     def tick(self, txns: Iterable[UserTransaction] = ()) -> None:
-        """Advance all attached maintenance drivers by one time unit."""
+        """Advance all attached maintenance drivers by one time unit.
+
+        Each transaction runs **once**, through :meth:`execute` (every
+        view, driven or not, sees it exactly once); then each driver runs
+        its policy's due actions through :meth:`run`.
+        """
         txns = tuple(txns)
-        for driver in self._drivers.values():
-            driver.tick(txns)
+        before = self.counter.tuples_out
+        for txn in txns:
+            self.execute(txn)
+        cost = self.counter.tuples_out - before
+        for name, driver in self._drivers.items():
+            driver.now += 1
+            driver.note_transactions(len(txns), cost)
+            driver.run_due(lambda kind, name=name: self.run(MaintenanceAction(kind, name)))
 
     # ------------------------------------------------------------------
     # Queries

@@ -160,9 +160,11 @@ class TestRuntimeFallbacks:
         assert scenario.log.recorded_changes() == 0
         assert bag_digest(scenario.read_view()) == _oracle_digest()
 
-    def test_refresh_log_handles_empty_epoch(self):
+    def test_refresh_handles_empty_epoch_without_locking(self):
         db, scenario = self._partitioned_scenario()
-        assert scenario._pmaint.refresh_log(scenario) is True  # nothing pending
+        assert scenario._pmaint.epoch_deltas_if_pending(scenario) is None  # nothing pending
+        scenario.refresh()
+        assert scenario.ledger.sections == []
         assert scenario.staleness_entries() == 0
 
     def test_chunked_tasks_refuse_unchunkable_plans(self, monkeypatch):

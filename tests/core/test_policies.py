@@ -174,7 +174,7 @@ class TestDriverBehaviour:
         for __ in range(4):
             driver.tick([insert_txn(scenario.db, driver.now)])
         assert scenario.is_consistent()
-        assert driver.mv_reflects == 4
+        assert driver.clock.mv_reflects == 4
 
     def test_immediate_scenario_never_stale(self):
         scenario = make_scenario(ImmediateScenario)

@@ -34,6 +34,18 @@ def test_histogram_latency_buckets():
     assert sum(buckets.values()) == 2
 
 
+def test_latency_buckets_resolve_microsecond_reads():
+    """E22's read latencies (p50 ~5 µs, p99 ~14 µs, tail ~80 µs) must not share a bucket."""
+    registry = MetricsRegistry()
+    for seconds in (5e-6, 14e-6, 80e-6):
+        registry.observe("read_latency_s", seconds, buckets=LATENCY_BUCKETS_S)
+    buckets = registry.snapshot()["read_latency_s"]["buckets"]
+    assert sorted(count for count in buckets.values() if count) == [1, 1, 1]
+    assert LATENCY_BUCKETS_S[0] == 1e-6
+    ratios = {round(b / a, 6) for a, b in zip(LATENCY_BUCKETS_S, LATENCY_BUCKETS_S[1:])}
+    assert ratios == {2.0, 2.5}  # log-spaced: 1 / 2.5 / 5 per decade
+
+
 def test_ratio_none_before_any_lookup():
     registry = MetricsRegistry()
     assert registry.ratio("plan_cache_hits", "plan_cache_misses") is None

@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro.core.ops import ACTIONS
 from repro.errors import RecoveryError
 from repro.robustness.durable import DurableWarehouse
 from repro.robustness.faults import INJECTOR, InjectedCrash
-from repro.robustness.journal import IntentJournal, journal_path
+from repro.robustness.journal import IntentJournal, bag_digest, journal_path
 from repro.robustness.recovery import main as recover_main
 from repro.robustness.recovery import recover
 from repro.storage.persistence import staging_path
@@ -105,6 +106,62 @@ def test_propagate_crash_rolls_forward(tmp_path):
     report = recover(path)
     assert report.action == "rolled_forward"
     assert report.green, report.format()
+
+
+#: journal kind -> an operation that writes an intent of that kind.
+JOURNALED = {
+    "txn": lambda w: w.transaction(token="t-crash").insert("sales", [(9, 9)]).run(),
+    "propagate": lambda w: w.propagate("V"),
+    "partial_refresh": lambda w: w.partial_refresh("V"),
+    "refresh": lambda w: w.refresh("V"),
+    "refresh_all": lambda w: w.refresh_all(),
+    "refresh_group": lambda w: w.refresh_group(["V"], compact=False),
+    "ddl": lambda w: w.create_table("items", ("itemNo", "price")),
+}
+
+
+def build_mid_deferral(path) -> DurableWarehouse:
+    """``build`` plus pending differentials *and* a pending log."""
+    warehouse = build(path)
+    warehouse.propagate("V")
+    warehouse.transaction(token="second-txn").insert("sales", [(5, 7), (1, 1)]).run()
+    return warehouse
+
+
+def all_digests(warehouse: DurableWarehouse) -> dict[str, str]:
+    return {name: bag_digest(warehouse.db[name]) for name in warehouse.db.table_names()}
+
+
+def test_every_replayable_kind_is_covered():
+    assert set(JOURNALED) == set(ACTIONS) | {"ddl"}
+
+
+@pytest.mark.parametrize("kind", sorted(JOURNALED))
+def test_crash_after_intent_recovers_to_the_uninterrupted_state(tmp_path, kind):
+    """Whatever the journal kind: intent on disk, op never ran, ``recover()``
+    rebuilds the action and runs it — every table digest equals the
+    uninterrupted run's.  DDL names no action and rolls back instead."""
+    operation = JOURNALED[kind]
+    oracle = build_mid_deferral(tmp_path / "oracle.db")
+    if kind != "ddl":
+        operation(oracle)
+    expected = all_digests(oracle)
+    oracle.close()
+
+    path = tmp_path / "wh.db"
+    warehouse = build_mid_deferral(path)
+    crash_during(warehouse, "crash-after-journal", operation)
+    journal = IntentJournal(journal_path(path))
+    assert journal.pending().kind == kind
+    journal.close()
+
+    report = recover(path)
+    assert report.action == ("rolled_back" if kind == "ddl" else "rolled_forward")
+    assert report.green, report.format()
+    reopened = DurableWarehouse.open(path, auto_recover=False)
+    assert all_digests(reopened) == expected
+    reopened.check_invariants()
+    reopened.close()
 
 
 def test_ddl_crash_rolls_back(tmp_path):

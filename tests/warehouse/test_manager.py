@@ -173,6 +173,37 @@ class TestPolicies:
         with pytest.raises(PolicyError):
             manager.driver("V")
 
+    def test_two_driven_views_see_each_transaction_once(self, manager):
+        """tick() used to hand the txns to every driver: (5,) landed twice."""
+        manager.define_view("V1", "SELECT a FROM R", scenario="combined", policy=Policy2(k=1, m=2))
+        manager.define_view("V2", "SELECT a FROM R WHERE a > 1", scenario="combined", policy=Policy2(k=1, m=2))
+        txn = manager.transaction().insert("R", [(5,)])
+        manager.tick([txn._txn])
+        assert manager.db["R"] == Bag([(1,), (2,), (5,)])
+        manager.check_invariants()
+        manager.tick([])
+        assert manager.query("V1") == Bag([(1,), (2,), (5,)])
+        assert manager.query("V2") == Bag([(2,), (5,)])
+        for name in ("V1", "V2"):
+            assert manager.driver(name).stats.transactions == 1
+
+    def test_undriven_view_still_logs_ticked_transactions(self, manager):
+        """A view without a policy must see tick()'s transactions too."""
+        manager.define_view("driven", "SELECT a FROM R", scenario="combined", policy=Policy2(k=1, m=2))
+        manager.define_view("manual", "SELECT a FROM R", scenario="base_log")
+        txn = manager.transaction().insert("R", [(7,)])
+        manager.tick([txn._txn])
+        manager.check_invariants()
+        assert manager.scenario("manual").log.recorded_changes() == 1
+        manager.refresh("manual")
+        assert (7,) in manager.query("manual")
+
+    def test_unservable_policy_fails_before_install(self, manager):
+        with pytest.raises(PolicyError):
+            manager.define_view("V", "SELECT a FROM R", scenario="base_log", policy=Policy2(k=1, m=2))
+        assert "V" not in manager.views()
+        assert not manager.db.has_table("__mv__V")
+
 
 class TestAdHocSQL:
     def test_sql_query(self, manager):
