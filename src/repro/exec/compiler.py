@@ -13,7 +13,9 @@ every call:
 * a chain of ``σ``/``Π``/``map`` over a stored table becomes a fused
   :class:`SourceAccess`, which an equi-join or constant-equality
   selection can serve from a maintained **hash index** (O(|delta| +
-  |output|) probes instead of O(|table|) scans);
+  |output|) probes instead of O(|table|) scans) — and so can the
+  ``chain(R) ∸ D`` operand Figure 2's Product rule joins every delta
+  with: the bucket's chain images, less ``D``'s copies of them;
 * ``E ∸ R`` against a stored table becomes a **monus-probe** node;
 * adjacent projections compose into one.
 
@@ -30,9 +32,10 @@ result is reused exactly as long as none of its inputs changed.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Iterator, Mapping
 from typing import Any
 
+from repro import obs
 from repro.algebra.bag import Bag, Row
 from repro.algebra.evaluation import _conjuncts, _equijoin_keys
 from repro.algebra.expr import (
@@ -48,7 +51,7 @@ from repro.algebra.expr import (
     UnionAll,
 )
 from repro.algebra.predicates import And, Attr, Comparison, Const, Predicate
-from repro.errors import ReproError, UnknownTableError
+from repro.errors import ReproError
 
 __all__ = ["Compiler", "PNode", "SourceAccess"]
 
@@ -63,17 +66,22 @@ class SourceAccess:
 
     ``steps`` transform a base-table row into the chain's output row (or
     drop it); ``out_map`` maps each output position back to the base
-    column it carries, or ``None`` for computed columns.  Join keys and
-    constant-equality selections whose output positions all map to base
-    columns can be served by a hash index on the base table.
+    column it carries, or ``None`` for computed columns.  Join keys whose
+    output positions all map to base columns can be served by a hash
+    index on the base table.  ``const_eq`` collects, while the chain is
+    fused, every base column one of its filters pins to a constant
+    (``attr = const``): each row the chain lets through carries exactly
+    those values, so a hash index on any subset of the columns narrows
+    the chain's input to one bucket.
     """
 
-    __slots__ = ("table", "out_map", "steps")
+    __slots__ = ("table", "out_map", "steps", "const_eq")
 
     def __init__(self, table: str, out_map: tuple[int | None, ...]) -> None:
         self.table = table
         self.out_map = out_map
         self.steps: list[tuple[str, Any]] = []
+        self.const_eq: dict[int, Any] = {}
 
     def base_positions(self, out_positions: tuple[int, ...]) -> tuple[int, ...] | None:
         """Map output positions to base columns (``None`` if any is computed)."""
@@ -95,6 +103,21 @@ class SourceAccess:
         return row
 
 
+def _const_equality(conjunct: Predicate) -> tuple[str, Any] | None:
+    """``(attribute, constant)`` when ``conjunct`` is ``attr = const``.
+
+    ``NULL`` never qualifies: a comparison with it is false for every
+    row, which the chain's own filter already enforces.
+    """
+    if isinstance(conjunct, Comparison) and conjunct.op == "=":
+        left, right = conjunct.left, conjunct.right
+        if isinstance(right, Attr):
+            left, right = right, left
+        if isinstance(left, Attr) and isinstance(right, Const) and right.value is not None:
+            return left.name, right.value
+    return None
+
+
 def source_access(expr: Expr) -> SourceAccess | None:
     """Build a :class:`SourceAccess` for ``expr`` when it is a fusable chain."""
     if isinstance(expr, TableRef):
@@ -103,7 +126,14 @@ def source_access(expr: Expr) -> SourceAccess | None:
         access = source_access(expr.child)
         if access is None:
             return None
-        access.steps.append(("filter", expr.predicate.bind(expr.child.schema())))
+        child_schema = expr.child.schema()
+        for conjunct in _conjuncts(expr.predicate):
+            pinned = _const_equality(conjunct)
+            if pinned is not None:
+                base_column = access.out_map[child_schema.index_of(pinned[0])]
+                if base_column is not None:
+                    access.const_eq.setdefault(base_column, pinned[1])
+        access.steps.append(("filter", expr.predicate.bind(child_schema)))
         return access
     if isinstance(expr, Project):
         access = source_access(expr.child)
@@ -209,10 +239,7 @@ class PScan(PNode):
         return value is not None and not value
 
     def _compute(self, ctx) -> Bag:
-        try:
-            result = ctx.state[self.name]
-        except KeyError:
-            raise UnknownTableError(f"table {self.name!r} is not present in the database state") from None
+        result = ctx.table(self.name)
         if ctx.counter is not None:
             ctx.counter.record("scan", len(result))
         return result
@@ -236,72 +263,65 @@ class PPipeline(PNode):
         return value is not None and not value
 
     def _compute(self, ctx) -> Bag:
-        try:
-            base = ctx.state[self.access.table]
-        except KeyError:
-            raise UnknownTableError(
-                f"table {self.access.table!r} is not present in the database state"
-            ) from None
+        base = ctx.table(self.access.table)
         counts: dict[Row, int] = {}
-        read = 0
         apply = self.access.apply
         for row, count in base.items():
-            read += 1
             image = apply(row)
             if image is None:
                 continue
             counts[image] = counts.get(image, 0) + count
         if ctx.counter is not None:
-            ctx.counter.record("scan", read)
+            ctx.counter.record("scan", base.distinct_count())
         return Bag(counts=counts)
 
 
-class PIndexSelect(PNode):
-    """``σ_{attr=const ∧ …}`` over a fused source, via one index probe."""
+class PIndexSelect(PPipeline):
+    """A fused chain whose filters pin base columns to constants: one index probe.
 
-    __slots__ = ("access", "key_positions", "key_values", "residual")
+    Every keyed ``DELETE``/``UPDATE`` victim set and keyed read the SQL
+    front end emits has this shape, whatever ``σ``/``Π``/map sits on
+    top.  The probe is answered by an already-registered index whose key
+    is a subset of the pinned columns (the widest wins; ``R[a]`` serves
+    ``a = ? AND b = ?``), so no second index is built or kept current;
+    only a table with no such index gets one on the full key.  The
+    chain's own filters run over the bucket as the residual.
+    """
 
-    def __init__(
-        self,
-        access: SourceAccess,
-        key_positions: tuple[int, ...],
-        key_values: tuple,
-        residual: Callable[[Row], bool] | None,
-    ) -> None:
-        super().__init__(frozenset({access.table}))
-        self.access = access
-        self.key_positions = key_positions
-        self.key_values = key_values
-        self.residual = residual
+    __slots__ = ("key_positions",)
 
-    def runtime_empty(self, state) -> bool:
-        value = state.get(self.access.table)
-        return value is not None and not value
+    def __init__(self, access: SourceAccess) -> None:
+        super().__init__(access)
+        self.key_positions = tuple(sorted(access.const_eq))
 
-    def _compute(self, ctx) -> Bag:
-        try:
-            base = ctx.state[self.access.table]
-        except KeyError:
-            raise UnknownTableError(
-                f"table {self.access.table!r} is not present in the database state"
-            ) from None
-        index = ctx.indexes.get(self.access.table, self.key_positions, base, counter=ctx.counter)
-        bucket = index.lookup(self.key_values)
-        counts: dict[Row, int] = {}
-        examined = 0
-        apply = self.access.apply
-        residual = self.residual
+    @property
+    def key_values(self) -> tuple:
+        return tuple(self.access.const_eq[position] for position in self.key_positions)
+
+    def matches(self, ctx) -> Iterator[tuple[Row, int]]:
+        """The chain's ``(image, count)`` pairs over the probed bucket.
+
+        One routine for every engine tier; each collects the pairs into
+        its own container.
+        """
+        access = self.access
+        base = ctx.table(access.table)
+        positions = ctx.indexes.covering(access.table, self.key_positions) or self.key_positions
+        index = ctx.indexes.get(access.table, positions, base, counter=ctx.counter)
+        bucket = index.lookup(tuple(access.const_eq[position] for position in positions))
+        apply = access.apply
         for row, count in bucket.items():
-            examined += 1
             image = apply(row)
-            if image is None:
-                continue
-            if residual is not None and not residual(image):
-                continue
-            counts[image] = counts.get(image, 0) + count
+            if image is not None:
+                yield image, count
         if ctx.counter is not None:
             ctx.counter.record_probes("index_probe", 1)
-            ctx.counter.record("index_select", examined)
+            ctx.counter.record("index_select", len(bucket))
+
+    def _compute(self, ctx) -> Bag:
+        counts: dict[Row, int] = {}
+        for image, count in self.matches(ctx):
+            counts[image] = counts.get(image, 0) + count
         return Bag(counts=counts)
 
 
@@ -436,12 +456,7 @@ class PMonus(PNode):
             return self.left.execute(ctx)
         left = self.left.execute(ctx)
         if self.probe_table is not None:
-            try:
-                right = ctx.state[self.probe_table]
-            except KeyError:
-                raise UnknownTableError(
-                    f"table {self.probe_table!r} is not present in the database state"
-                ) from None
+            right = ctx.table(self.probe_table)
             if ctx.counter is not None:
                 ctx.counter.record_probes("probe", left.distinct_count())
         else:
@@ -474,20 +489,28 @@ class PProduct(PNode):
 
 
 class _JoinSide:
-    """Compile-time description of one equi-join operand."""
+    """Compile-time description of one equi-join operand.
 
-    __slots__ = ("node", "key_positions", "access", "base_key_positions", "side_filter")
+    An operand is *index-servable* when it is a fused chain over a stored
+    table ``R`` whose join keys map to base columns — bare
+    (``chain(R)``), or as the ``chain(R) ∸ D`` "rest" that Figure 2's
+    Product rule joins every delta with; ``minus`` is then ``D``'s node.
+    """
+
+    __slots__ = ("node", "key_positions", "access", "minus", "base_key_positions", "side_filter")
 
     def __init__(
         self,
         node: PNode,
         key_positions: tuple[int, ...],
         access: SourceAccess | None,
+        minus: PNode | None,
         side_filter: Callable[[Row], bool] | None,
     ) -> None:
         self.node = node
         self.key_positions = key_positions
         self.access = access
+        self.minus = minus
         # Base columns behind the join keys; None = not index-servable.
         self.base_key_positions = access.base_positions(key_positions) if access is not None else None
         self.side_filter = side_filter
@@ -496,24 +519,75 @@ class _JoinSide:
     def indexable(self) -> bool:
         return self.base_key_positions is not None
 
+    def scan_reason(self) -> str | None:
+        """Why this operand can only be joined by evaluating it in full.
+
+        ``None`` when it is index-servable or reads nothing stored.
+        """
+        if self.indexable:
+            return None
+        if self.access is not None:
+            return "computed-key"
+        node = self.node
+        while isinstance(node, (PMonus, PFilter, PProject, PMap)):
+            node = node.left if isinstance(node, PMonus) else node.child
+        if isinstance(node, PLiteral):
+            # A partition-restricted slice standing in for its base table.
+            return "literal-base"
+        return "non-chain-operand" if self.node.tables else None
+
+
+def _bucket_rest(bucket: Mapping[Row, int], apply, minus: Bag) -> dict[Row, int]:
+    """``chain(bucket) ∸ D`` for one index bucket.
+
+    The chain images are summed first (a projecting chain merges base
+    rows), then reduced by ``D``'s copies of each image and floored at
+    zero — exactly the rows of ``chain(R) ∸ D`` carrying the bucket's
+    key, since the key columns pass through the chain unchanged.  ``D``
+    is consulted by image only, so it need not be a subbag of
+    ``chain(R)`` and its rows under other keys are never touched.
+    """
+    images: dict[Row, int] = {}
+    for base_row, base_count in bucket.items():
+        image = apply(base_row)
+        if image is not None:
+            images[image] = images.get(image, 0) + base_count
+    multiplicity = minus.multiplicity
+    rest: dict[Row, int] = {}
+    for image, count in images.items():
+        count -= multiplicity(image)
+        if count > 0:
+            rest[image] = count
+    return rest
+
 
 class PEquiJoin(PNode):
     """``σ_p(E × F)`` with equality keys: hash join or index-probe join.
 
-    At execute time the join picks the cheapest strategy available: if
-    one operand is a fused chain over a stored table whose join keys map
-    to base columns, that side is served from a maintained hash index
-    (its scan is skipped entirely) and the other side drives the probes.
-    Otherwise both operands are evaluated and hashed classically.
+    At execute time the join picks the cheapest strategy available from
+    the sizes it observes: if an operand is index-servable (see
+    :class:`_JoinSide`), that side is served from a maintained hash
+    index — its scan is skipped entirely — and the other side drives the
+    probes; with two such operands the larger stored table is the one
+    served.  Otherwise both operands are evaluated and hashed
+    classically.  Both strategies are generators of ``(joined_row,
+    count)`` that each engine tier collects into its own container.
     """
 
-    __slots__ = ("left", "right", "residual")
+    __slots__ = ("left", "right", "residual", "arity")
 
-    def __init__(self, left: _JoinSide, right: _JoinSide, residual: Callable[[Row], bool] | None) -> None:
+    def __init__(
+        self,
+        left: _JoinSide,
+        right: _JoinSide,
+        residual: Callable[[Row], bool] | None,
+        arity: int,
+    ) -> None:
         super().__init__(frozenset(left.node.tables) | frozenset(right.node.tables))
         self.left = left
         self.right = right
         self.residual = residual
+        self.arity = arity
 
     def children(self):
         return (self.left.node, self.right.node)
@@ -523,51 +597,83 @@ class PEquiJoin(PNode):
 
     def _index_side(self, ctx) -> _JoinSide | None:
         """The side to serve from an index (the larger stored table wins)."""
-        candidates = [side for side in (self.left, self.right) if side.indexable]
-        if not candidates:
-            return None
-        if len(candidates) == 1:
-            return candidates[0]
-        sizes = [len(ctx.state.get(side.access.table, ())) for side in candidates]
-        return candidates[0] if sizes[0] >= sizes[1] else candidates[1]
+        left, right = self.left, self.right
+        if not left.indexable:
+            return right if right.indexable else None
+        if not right.indexable:
+            return left
+
+        def distinct_rows(side: _JoinSide) -> int:
+            # Probes and buckets are per distinct row, and distinct_count()
+            # is O(1) where len() walks every multiplicity.
+            table = ctx.state.get(side.access.table)
+            return table.distinct_count() if table is not None else 0
+
+        return left if distinct_rows(left) >= distinct_rows(right) else right
 
     def _compute(self, ctx) -> Bag:
         indexed = self._index_side(ctx)
-        if indexed is not None:
-            return self._probe_join(ctx, indexed)
-        return self._hash_join(ctx)
+        pairs = self.hash_join(ctx) if indexed is None else self.probe_join(ctx, indexed)
+        counts: dict[Row, int] = {}
+        for joined, count in pairs:
+            counts[joined] = counts.get(joined, 0) + count
+        result = Bag(counts=counts)
+        if indexed is None and ctx.counter is not None:
+            ctx.counter.record("hash_join", len(result))
+        return result
 
-    def _probe_join(self, ctx, indexed: _JoinSide) -> Bag:
+    @staticmethod
+    def _note_base_scan(scanned: _JoinSide, size: int, other_size: int) -> None:
+        """Report an operand evaluated in full though the other side is smaller."""
+        if size > other_size and obs.telemetry_enabled():
+            reason = scanned.scan_reason()
+            if reason is not None:
+                obs.metric_inc(f'join_base_scans{{reason="{reason}"}}')
+                span = obs.current().tracer.active()
+                if span is not None:
+                    noted = span.attrs.setdefault("join_base_scans", {})
+                    noted[reason] = noted.get(reason, 0) + 1
+
+    def probe_join(self, ctx, indexed: _JoinSide) -> Iterator[tuple[Row, int]]:
+        """``indexed`` answered from its table's hash index, probed by the other side.
+
+        For a ``chain(R) ∸ D`` operand each bucket is corrected by ``D``
+        (:func:`_bucket_rest`); when ``D`` is empty at run time this is
+        the plain probe.  The index is brought current inside
+        ``IndexManager.get``, under its lock, before the first lookup.
+        """
         probe = self.right if indexed is self.left else self.left
-        probe_bag = probe.node.execute(ctx)
-        try:
-            base = ctx.state[indexed.access.table]
-        except KeyError:
-            raise UnknownTableError(
-                f"table {indexed.access.table!r} is not present in the database state"
-            ) from None
+        base = ctx.table(indexed.access.table)
         index = ctx.indexes.get(
             indexed.access.table, indexed.base_key_positions, base, counter=ctx.counter
         )
+        minus = None
+        if indexed.minus is not None and not indexed.minus.runtime_empty(ctx.state):
+            minus = ctx.bag(indexed.minus)
+        patched = bool(minus)
+        probe_rows, probe_size = ctx.rows(probe.node)
+        self._note_base_scan(probe, probe_size, base.distinct_count())
         probe_positions = probe.key_positions
         probe_filter = probe.side_filter
         indexed_filter = indexed.side_filter
         apply = indexed.access.apply
+        lookup = index.lookup
         residual = self.residual
         left_is_probe = probe is self.left
-        counts: dict[Row, int] = {}
         probes = 0
         examined = 0
-        for probe_row, probe_count in probe_bag.items():
+        for probe_row, probe_count in probe_rows:
             if probe_filter is not None and not probe_filter(probe_row):
                 continue
             probes += 1
-            bucket = index.lookup(tuple(probe_row[position] for position in probe_positions))
+            bucket = lookup(tuple(probe_row[position] for position in probe_positions))
             if not bucket:
                 continue
-            for base_row, base_count in bucket.items():
-                examined += 1
-                image = apply(base_row)
+            examined += len(bucket)
+            if patched:
+                bucket = _bucket_rest(bucket, apply, minus)
+            for row, count in bucket.items():
+                image = row if patched else apply(row)
                 if image is None:
                     continue
                 if indexed_filter is not None and not indexed_filter(image):
@@ -575,56 +681,45 @@ class PEquiJoin(PNode):
                 joined = probe_row + image if left_is_probe else image + probe_row
                 if residual is not None and not residual(joined):
                     continue
-                counts[joined] = counts.get(joined, 0) + probe_count * base_count
+                yield joined, probe_count * count
         if ctx.counter is not None:
             ctx.counter.record_probes("index_probe", probes)
-            ctx.counter.record("index_join", examined)
-        return Bag(counts=counts)
+            ctx.counter.record("index_join_patched" if patched else "index_join", examined)
 
-    def _hash_join(self, ctx) -> Bag:
-        left = self.left.node.execute(ctx)
-        right = self.right.node.execute(ctx)
-        left_filter = self.left.side_filter
-        right_filter = self.right.side_filter
-        # Build on the smaller operand for wall-clock; cost charges are
-        # symmetric (inputs are charged at the child nodes, the join
-        # charges its output — same convention as the interpreted path).
-        swap = len(left) < len(right)
-        build_bag, build_positions, build_filter = (
-            (left, self.left.key_positions, left_filter)
-            if swap
-            else (right, self.right.key_positions, right_filter)
-        )
-        probe_bag, probe_positions, probe_filter = (
-            (right, self.right.key_positions, right_filter)
-            if swap
-            else (left, self.left.key_positions, left_filter)
-        )
+    def hash_join(self, ctx) -> Iterator[tuple[Row, int]]:
+        """Both operands evaluated; the smaller one hashed, the larger probing it.
+
+        Cost charges are symmetric (inputs are charged at the child
+        nodes, the caller charges the join's output — same convention as
+        the interpreted path), so the build side is chosen for wall-clock
+        only.
+        """
+        left_rows, left_size = ctx.rows(self.left.node)
+        right_rows, right_size = ctx.rows(self.right.node)
+        self._note_base_scan(self.left, left_size, right_size)
+        self._note_base_scan(self.right, right_size, left_size)
+        build_left = left_size < right_size
+        build, probe = (self.left, self.right) if build_left else (self.right, self.left)
+        build_rows, probe_rows = (left_rows, right_rows) if build_left else (right_rows, left_rows)
+        build_positions, build_filter = build.key_positions, build.side_filter
+        probe_positions, probe_filter = probe.key_positions, probe.side_filter
         buckets: dict[tuple, list[tuple[Row, int]]] = {}
-        for row, count in build_bag.items():
+        for row, count in build_rows:
             if build_filter is not None and not build_filter(row):
                 continue
             buckets.setdefault(tuple(row[position] for position in build_positions), []).append((row, count))
         residual = self.residual
-        counts: dict[Row, int] = {}
-        for row, count in probe_bag.items():
+        for row, count in probe_rows:
             if probe_filter is not None and not probe_filter(row):
                 continue
             bucket = buckets.get(tuple(row[position] for position in probe_positions))
             if not bucket:
                 continue
             for other_row, other_count in bucket:
-                if swap:
-                    joined = other_row + row if probe_bag is right else row + other_row
-                else:
-                    joined = row + other_row
+                joined = other_row + row if build_left else row + other_row
                 if residual is not None and not residual(joined):
                     continue
-                counts[joined] = counts.get(joined, 0) + count * other_count
-        result = Bag(counts=counts)
-        if ctx.counter is not None:
-            ctx.counter.record("hash_join", len(result))
-        return result
+                yield joined, count * other_count
 
 
 # ----------------------------------------------------------------------
@@ -664,14 +759,22 @@ class Compiler:
             return PScan(expr.name)
         if isinstance(expr, Literal):
             return PLiteral(expr.bag)
+        if isinstance(expr, (Select, Project, MapProject)):
+            if isinstance(expr, Select) and isinstance(expr.child, Product):
+                join = self._build_equijoin(expr, expr.child)
+                if join is not None:
+                    return join
+            access = source_access(expr)
+            if access is not None:
+                # A chain that pins base columns to constants is one
+                # index probe, whichever of σ/Π/map is its root.
+                return PIndexSelect(access) if access.const_eq else PPipeline(access)
         if isinstance(expr, Select):
-            return self._build_select(expr)
+            predicate = expr.predicate.bind(expr.child.schema())
+            return PFilter(self.compile(expr.child), predicate)
         if isinstance(expr, Project):
             return self._build_project(expr)
         if isinstance(expr, MapProject):
-            access = source_access(expr)
-            if access is not None:
-                return PPipeline(access)
             child_schema = expr.child.schema()
             functions = tuple(term.bind(child_schema) for term in expr.terms)
             return PMap(self.compile(expr.child), functions)
@@ -711,56 +814,6 @@ class Compiler:
                 return self.compile(expr.right)
         return None
 
-    # -- selections ----------------------------------------------------
-
-    def _build_select(self, expr: Select) -> PNode:
-        if isinstance(expr.child, Product):
-            join = self._build_equijoin(expr, expr.child)
-            if join is not None:
-                return join
-        index_select = self._build_index_select(expr)
-        if index_select is not None:
-            return index_select
-        access = source_access(expr)
-        if access is not None:
-            return PPipeline(access)
-        predicate = expr.predicate.bind(expr.child.schema())
-        return PFilter(self.compile(expr.child), predicate)
-
-    def _build_index_select(self, expr: Select) -> PNode | None:
-        """``σ_{attr=const ∧ rest}(chain over R)`` as an index lookup."""
-        access = source_access(expr.child)
-        if access is None:
-            return None
-        child_schema = expr.child.schema()
-        key_out_positions: list[int] = []
-        key_values: list = []
-        residual: list[Predicate] = []
-        for conjunct in _conjuncts(expr.predicate):
-            if isinstance(conjunct, Comparison) and conjunct.op == "=":
-                attr_side = const_side = None
-                if isinstance(conjunct.left, Attr) and isinstance(conjunct.right, Const):
-                    attr_side, const_side = conjunct.left, conjunct.right
-                elif isinstance(conjunct.right, Attr) and isinstance(conjunct.left, Const):
-                    attr_side, const_side = conjunct.right, conjunct.left
-                if attr_side is not None and const_side is not None and const_side.value is not None:
-                    key_out_positions.append(child_schema.index_of(attr_side.name))
-                    key_values.append(const_side.value)
-                    continue
-            residual.append(conjunct)
-        if not key_out_positions:
-            return None
-        base_positions = access.base_positions(tuple(key_out_positions))
-        if base_positions is None:
-            return None
-        residual_check = None
-        if residual:
-            predicate = residual[0]
-            for extra in residual[1:]:
-                predicate = And(predicate, extra)
-            residual_check = predicate.bind(child_schema)
-        return PIndexSelect(access, base_positions, tuple(key_values), residual_check)
-
     # -- equi-joins ----------------------------------------------------
 
     def _build_equijoin(self, expr: Select, product: Product) -> PNode | None:
@@ -797,26 +850,23 @@ class Compiler:
             right_filter = lambda row, _fn=right_joint, _pad=pad: _fn(_pad + row)  # noqa: E731
         cross_check = bind_all(cross)
 
-        left_side = _JoinSide(
-            self.compile(product.left),
-            tuple(position for position, __ in keys),
-            source_access(product.left),
-            left_filter,
-        )
-        right_side = _JoinSide(
-            self.compile(product.right),
-            tuple(position for __, position in keys),
-            source_access(product.right),
-            right_filter,
-        )
-        return PEquiJoin(left_side, right_side, cross_check)
+        left_side = self._join_side(product.left, tuple(position for position, __ in keys), left_filter)
+        right_side = self._join_side(product.right, tuple(position for __, position in keys), right_filter)
+        return PEquiJoin(left_side, right_side, cross_check, schema.arity)
+
+    def _join_side(self, operand: Expr, key_positions: tuple[int, ...], side_filter) -> _JoinSide:
+        access = source_access(operand)
+        minus = None
+        if access is None and isinstance(operand, Monus):
+            # ``chain(R) ∸ D``: still answerable from R's index.
+            access = source_access(operand.left)
+            if access is not None:
+                minus = self.compile(operand.right)
+        return _JoinSide(self.compile(operand), key_positions, access, minus, side_filter)
 
     # -- projections ---------------------------------------------------
 
     def _build_project(self, expr: Project) -> PNode:
-        access = source_access(expr)
-        if access is not None:
-            return PPipeline(access)
         # Compose adjacent projections: Π_A(Π_B(E)) = Π_{B∘A}(E).
         positions = expr.positions()
         child: Expr = expr.child

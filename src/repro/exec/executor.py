@@ -20,12 +20,13 @@ the interpreted evaluator's per-call memo is not (see the warning on
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 
 from repro import obs
-from repro.algebra.bag import Bag
+from repro.algebra.bag import Bag, Row
 from repro.algebra.evaluation import CostCounter
 from repro.algebra.expr import Expr
+from repro.errors import UnknownTableError
 from repro.exec.compiler import Compiler, PEquiJoin, PIndexSelect, PNode
 
 __all__ = ["ExecutionContext", "Executor"]
@@ -46,6 +47,25 @@ class ExecutionContext:
         """The current version stamp of a node's input tables."""
         version_of = self._version_of
         return tuple(version_of(name) for name in tables)
+
+    def table(self, name: str) -> Bag:
+        """The stored table ``name`` as of this call."""
+        try:
+            return self.state[name]
+        except KeyError:
+            raise UnknownTableError(f"table {name!r} is not present in the database state") from None
+
+    # How the shared join routines read a child operator's result; the
+    # batch tier overrides both to go through its own kernels and memo.
+
+    def rows(self, node: PNode) -> tuple[Iterable[tuple[Row, int]], int]:
+        """``node``'s result as ``(row, multiplicity)`` pairs, and how many pairs."""
+        bag = node.execute(self)
+        return bag.items(), bag.distinct_count()
+
+    def bag(self, node: PNode) -> Bag:
+        """``node``'s result as a canonical bag."""
+        return node.execute(self)
 
 
 class Executor:
@@ -130,8 +150,11 @@ class Executor:
             seen.add(id(current))
             stack.extend(current.children())
             if isinstance(current, PIndexSelect):
-                self._build_index(ctx, current.access.table, current.key_positions)
+                table = current.access.table
+                positions = ctx.indexes.covering(table, current.key_positions)
+                self._build_index(ctx, table, positions or current.key_positions)
             elif isinstance(current, PEquiJoin):
+                # Bare chains and ``chain(R) ∸ D`` operands alike.
                 for side in (current.left, current.right):
                     if side.indexable:
                         self._build_index(ctx, side.access.table, side.base_key_positions)

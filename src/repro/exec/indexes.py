@@ -132,7 +132,14 @@ class IndexManager:
     is cheaper.  A table that is written by many transactions but
     probed only at refresh time therefore pays index upkeep once per
     refresh instead of once per transaction, and pays nothing at all
-    while it is write-only.
+    while it is write-only.  The queue itself is bounded by the drain's
+    own rule, with slack: once it holds more than twice the table's
+    distinct rows, netting it would already cost more than rebuilding,
+    so the queue is dropped and the table's indexes are marked stale —
+    an index that is registered but never probed does not retain the
+    write history.  (The factor keeps a log that grew from empty, whose
+    queue is about the table plus a few weak-minimality cancellations,
+    on the drain path, which leaves its buckets warm.)
 
     The invariant callers rely on: any index returned by :meth:`get` is
     exactly consistent with the ``bag`` passed in — provided every
@@ -146,6 +153,8 @@ class IndexManager:
         self._by_table: dict[str, dict[tuple[int, ...], HashIndex]] = {}
         #: Per table: patch deltas enqueued since the last drain/rebuild.
         self._pending: dict[str, list[tuple[Bag, Bag]]] = {}
+        #: Per table: distinct delta rows held by that queue.
+        self._queued_rows: dict[str, int] = {}
         #: Per table and key: how much of the pending queue is applied.
         self._synced: dict[str, dict[tuple[int, ...], int]] = {}
         #: Tables whose indexes were invalidated by a wholesale assignment.
@@ -158,9 +167,31 @@ class IndexManager:
             indexes[positions] = HashIndex.build(positions, bag)
             if counter is not None and bag:
                 counter.record("index_build", len(bag))
-        self._pending.pop(table, None)
+        self._forget_queue(table)
         self._synced[table] = {positions: 0 for positions in indexes}
         self._stale.discard(table)
+
+    def _forget_queue(self, table: str) -> None:
+        self._pending.pop(table, None)
+        self._queued_rows.pop(table, None)
+
+    def _mark_stale(self, table: str) -> None:
+        """Keep the table's indexes registered; the next probe rebuilds them."""
+        self._forget_queue(table)
+        self._synced.pop(table, None)
+        self._stale.add(table)
+
+    def covering(self, table: str, columns: tuple[int, ...]) -> tuple[int, ...] | None:
+        """Key of a registered index that can answer equality on ``columns``.
+
+        Any index keyed by a subset of ``columns`` narrows such a lookup
+        to one bucket; the widest (most selective) wins.  ``None`` when
+        the table has no such index.
+        """
+        with self._lock:
+            wanted = set(columns)
+            keys = [key for key in self._by_table.get(table, ()) if wanted.issuperset(key)]
+            return max(keys, key=lambda key: (len(key), key)) if keys else None
 
     def get(
         self,
@@ -225,7 +256,7 @@ class IndexManager:
                                 counter.record("index_maint", net_rows)
                     synced[positions] = len(queue)
             if queue and all(synced.get(pos, 0) == len(queue) for pos in indexes):
-                self._pending[table] = []
+                self._forget_queue(table)
                 for pos in indexes:
                     synced[pos] = 0
             return index
@@ -280,15 +311,26 @@ class IndexManager:
         insert: Bag,
         *,
         counter: CostCounter | None = None,
+        size: int | None = None,
     ) -> None:
         """Record a patch-driven write; maintenance is deferred to the
-        next probe of the table, so write-only phases pay nothing here."""
+        next probe of the table, so write-only phases pay nothing here.
+
+        ``size`` is the table's distinct size after the patch; the
+        storage layer passes it so the queue stays bounded by the table
+        (see the class docstring).
+        """
         with self._lock:
-            if not self._by_table.get(table):
+            if not self._by_table.get(table) or table in self._stale:
                 return
             if not delete and not insert:
                 return
+            queued = self._queued_rows.get(table, 0) + delete.distinct_count() + insert.distinct_count()
+            if size is not None and queued > 2 * size:
+                self._mark_stale(table)
+                return
             self._pending.setdefault(table, []).append((delete, insert))
+            self._queued_rows[table] = queued
 
     def on_replace(
         self,
@@ -310,10 +352,7 @@ class IndexManager:
             if not indexes:
                 return
             if new_value is None:
-                self._by_table.pop(table, None)
-                self._pending.pop(table, None)
-                self._synced.pop(table, None)
-                self._stale.discard(table)
+                self.drop(table)
                 return
             if not new_value:
                 # Assignment of the *empty* bag — how refresh truncates
@@ -323,17 +362,15 @@ class IndexManager:
                 # drain instead of an O(|log|) rebuild.
                 for index in indexes.values():
                     index._buckets.clear()
-                self._pending.pop(table, None)
+                self._forget_queue(table)
                 self._synced[table] = {positions: 0 for positions in indexes}
                 self._stale.discard(table)
                 return
-            self._pending.pop(table, None)
-            self._synced.pop(table, None)
-            self._stale.add(table)
+            self._mark_stale(table)
 
     def drop(self, table: str) -> None:
         with self._lock:
             self._by_table.pop(table, None)
-            self._pending.pop(table, None)
+            self._forget_queue(table)
             self._synced.pop(table, None)
             self._stale.discard(table)

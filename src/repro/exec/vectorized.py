@@ -17,10 +17,12 @@ values instead of calling ``PNode.execute``:
 * selections and maps run over the batch in one pass, carrying signed
   multiplicities through untouched (linear operators distribute over
   the net — see :mod:`repro.algebra.columnar`);
-* equi-joins keep both compiled strategies: the probe side drives
-  lookups into the same maintained hash indexes the tuple engine uses,
-  or both sides hash classically with multiplicities multiplying
-  (bilinear, so signed batches join without consolidation);
+* equi-joins and index selections run the tuple engine's own routines
+  (one probe loop, one hash loop — generators on the plan node) over
+  batch rows read through :class:`_BatchContext`: lookups into the same
+  maintained hash indexes, or both sides hashed classically, with
+  multiplicities multiplying (bilinear, so signed batches join without
+  consolidation; only the ``D`` of a ``chain(R) ∸ D`` operand is netted);
 * the nonlinear operators — ε, ∸, min — consolidate their inputs at
   the kernel boundary, the only places canonicalization is paid;
 * every node keeps a version-stamped batch memo (same stamp discipline
@@ -42,7 +44,7 @@ from repro.algebra.bag import Bag, Row
 from repro.algebra.columnar import ColumnBatch
 from repro.algebra.evaluation import CostCounter
 from repro.algebra.expr import Expr
-from repro.errors import ReproError, UnknownTableError
+from repro.errors import ReproError
 from repro.exec.compiler import (
     Compiler,
     PDedup,
@@ -140,6 +142,23 @@ class TableBatchCache:
         return batch
 
 
+class _BatchContext(ExecutionContext):
+    """Feeds the shared join routines from the batch kernels and their memo."""
+
+    __slots__ = ("_executor",)
+
+    def __init__(self, state, counter, indexes, version_of, executor: VectorizedExecutor) -> None:
+        super().__init__(state, counter, indexes, version_of)
+        self._executor = executor
+
+    def rows(self, node: PNode):
+        batch = self._executor._batch(node, self)
+        return batch.rows(), len(batch)
+
+    def bag(self, node: PNode) -> Bag:
+        return self._executor._bag(node, self)
+
+
 class VectorizedExecutor(Executor):
     """Run compiled plans with columnar kernels (``exec_mode="vectorized"``)."""
 
@@ -164,11 +183,12 @@ class VectorizedExecutor(Executor):
                 self._nodes.clear()
                 self._batch_memo.clear()
             node = Compiler(self._nodes).compile(expr)
-        ctx = self._context(counter)
-        entry = self._run(node, ctx)
-        if entry[2] is None:
-            entry[2] = entry[1].to_bag()
-        return entry[2]
+        # Built here rather than by overriding ``_context``: the governor
+        # runs ``Executor.evaluate`` on this same instance as its compiled
+        # tier, which must keep reading children through ``PNode.execute``.
+        database = self._database
+        ctx = _BatchContext(database.state, counter, database.indexes, database.version_of, self)
+        return self._bag(node, ctx)
 
     # -- the batch interpreter -----------------------------------------
 
@@ -193,6 +213,13 @@ class VectorizedExecutor(Executor):
     def _batch(self, node: PNode, ctx: ExecutionContext) -> ColumnBatch:
         return self._run(node, ctx)[1]
 
+    def _bag(self, node: PNode, ctx: ExecutionContext) -> Bag:
+        """``node``'s result netted to a bag, memoized beside its batch."""
+        entry = self._run(node, ctx)
+        if entry[2] is None:
+            entry[2] = entry[1].to_bag()
+        return entry[2]
+
     def _kernel(self, node: PNode, ctx: ExecutionContext) -> ColumnBatch:
         kernel = _KERNELS.get(type(node))
         if kernel is None:
@@ -202,11 +229,7 @@ class VectorizedExecutor(Executor):
     # -- table access --------------------------------------------------
 
     def _scan_batch(self, name: str, ctx: ExecutionContext) -> ColumnBatch:
-        try:
-            bag = ctx.state[name]
-        except KeyError:
-            raise UnknownTableError(f"table {name!r} is not present in the database state") from None
-        return self._table_cache.get(name, bag, self._database.schema_of(name).arity)
+        return self._table_cache.get(name, ctx.table(name), self._database.schema_of(name).arity)
 
     # -- kernels -------------------------------------------------------
 
@@ -266,30 +289,7 @@ class VectorizedExecutor(Executor):
         return ColumnBatch.from_pairs(pairs, out_arity)
 
     def _k_index_select(self, node: PIndexSelect, ctx) -> ColumnBatch:
-        try:
-            base = ctx.state[node.access.table]
-        except KeyError:
-            raise UnknownTableError(
-                f"table {node.access.table!r} is not present in the database state"
-            ) from None
-        index = ctx.indexes.get(node.access.table, node.key_positions, base, counter=ctx.counter)
-        bucket = index.lookup(node.key_values)
-        apply = node.access.apply
-        residual = node.residual
-        pairs = []
-        examined = 0
-        for row, count in bucket.items():
-            examined += 1
-            image = apply(row)
-            if image is None:
-                continue
-            if residual is not None and not residual(image):
-                continue
-            pairs.append((image, count))
-        if ctx.counter is not None:
-            ctx.counter.record_probes("index_probe", 1)
-            ctx.counter.record("index_select", examined)
-        return ColumnBatch.from_pairs(pairs, len(node.access.out_map))
+        return ColumnBatch.from_pairs(node.matches(ctx), len(node.access.out_map))
 
     def _k_filter(self, node: PFilter, ctx) -> ColumnBatch:
         child = self._batch(node.child, ctx)
@@ -338,13 +338,7 @@ class VectorizedExecutor(Executor):
         counts = left.net_counts()
         left_arity = left.arity
         if node.probe_table is not None:
-            try:
-                probe_bag = ctx.state[node.probe_table]
-            except KeyError:
-                raise UnknownTableError(
-                    f"table {node.probe_table!r} is not present in the database state"
-                ) from None
-            lookup = probe_bag.multiplicity
+            lookup = ctx.table(node.probe_table).multiplicity
             if ctx.counter is not None:
                 ctx.counter.record_probes("probe", len(counts))
         else:
@@ -372,92 +366,16 @@ class VectorizedExecutor(Executor):
         return ColumnBatch.from_pairs(pairs, left.arity + right.arity)
 
     def _k_equijoin(self, node: PEquiJoin, ctx) -> ColumnBatch:
+        # The join routines are the compiled tier's own; ``ctx`` feeds
+        # them this tier's batches (signed multiplicities multiply
+        # through: both strategies are linear in the probing operand).
         indexed = node._index_side(ctx)
         if indexed is not None:
-            return self._probe_join(node, ctx, indexed)
-        return self._hash_join(node, ctx)
-
-    def _probe_join(self, node: PEquiJoin, ctx, indexed) -> ColumnBatch:
-        probe = node.right if indexed is node.left else node.left
-        probe_batch = self._batch(probe.node, ctx)
-        try:
-            base = ctx.state[indexed.access.table]
-        except KeyError:
-            raise UnknownTableError(
-                f"table {indexed.access.table!r} is not present in the database state"
-            ) from None
-        index = ctx.indexes.get(indexed.access.table, indexed.base_key_positions, base, counter=ctx.counter)
-        probe_positions = probe.key_positions
-        probe_filter = probe.side_filter
-        indexed_filter = indexed.side_filter
-        apply = indexed.access.apply
-        residual = node.residual
-        left_is_probe = probe is node.left
-        pairs = []
-        probes = 0
-        examined = 0
-        for probe_row, probe_count in probe_batch.rows():
-            if probe_filter is not None and not probe_filter(probe_row):
-                continue
-            probes += 1
-            bucket = index.lookup(tuple(probe_row[position] for position in probe_positions))
-            if not bucket:
-                continue
-            for base_row, base_count in bucket.items():
-                examined += 1
-                image = apply(base_row)
-                if image is None:
-                    continue
-                if indexed_filter is not None and not indexed_filter(image):
-                    continue
-                joined = probe_row + image if left_is_probe else image + probe_row
-                if residual is not None and not residual(joined):
-                    continue
-                pairs.append((joined, probe_count * base_count))
-        if ctx.counter is not None:
-            ctx.counter.record_probes("index_probe", probes)
-            ctx.counter.record("index_join", examined)
-        arity = probe_batch.arity + len(indexed.access.out_map)
-        return ColumnBatch.from_pairs(pairs, arity)
-
-    def _hash_join(self, node: PEquiJoin, ctx) -> ColumnBatch:
-        left = self._batch(node.left.node, ctx)
-        right = self._batch(node.right.node, ctx)
-        left_filter = node.left.side_filter
-        right_filter = node.right.side_filter
-        swap = len(left) < len(right)
-        build_batch, build_positions, build_filter = (
-            (left, node.left.key_positions, left_filter)
-            if swap
-            else (right, node.right.key_positions, right_filter)
-        )
-        probe_batch, probe_positions, probe_filter = (
-            (right, node.right.key_positions, right_filter)
-            if swap
-            else (left, node.left.key_positions, left_filter)
-        )
-        buckets: dict[tuple, list[tuple[Row, int]]] = {}
-        for row, count in build_batch.rows():
-            if build_filter is not None and not build_filter(row):
-                continue
-            buckets.setdefault(tuple(row[position] for position in build_positions), []).append((row, count))
-        residual = node.residual
-        probe_is_right = probe_batch is right
-        pairs = []
-        for row, count in probe_batch.rows():
-            if probe_filter is not None and not probe_filter(row):
-                continue
-            bucket = buckets.get(tuple(row[position] for position in probe_positions))
-            if not bucket:
-                continue
-            for other_row, other_count in bucket:
-                joined = (other_row + row) if (swap and probe_is_right) else (row + other_row)
-                if residual is not None and not residual(joined):
-                    continue
-                pairs.append((joined, count * other_count))
+            return ColumnBatch.from_pairs(node.probe_join(ctx, indexed), node.arity)
+        pairs = list(node.hash_join(ctx))
         if ctx.counter is not None:
             ctx.counter.record("hash_join", len(pairs))
-        return ColumnBatch.from_pairs(pairs, left.arity + right.arity)
+        return ColumnBatch.from_pairs(pairs, node.arity)
 
 
 _KERNELS = {

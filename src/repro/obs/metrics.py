@@ -200,10 +200,16 @@ class MetricsRegistry:
     def render_text(self) -> str:
         """Prometheus-style plain-text exposition."""
         lines: list[str] = []
+        typed: set[str] = set()
         for name in sorted(self._metrics):
             metric = self._metrics[name]
             if isinstance(metric, Counter):
-                lines.append(f"# TYPE {name} counter")
+                # A reason-coded counter carries its label in the name
+                # (``join_base_scans{reason="…"}``); the family is typed once.
+                family = name.partition("{")[0]
+                if family not in typed:
+                    typed.add(family)
+                    lines.append(f"# TYPE {family} counter")
                 lines.append(f"{name} {metric.value:g}")
             elif isinstance(metric, Gauge):
                 lines.append(f"# TYPE {name} gauge")

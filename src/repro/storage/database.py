@@ -446,7 +446,9 @@ class Database:
                     self._bump(name)
                     delta = patch_deltas.get(name)
                     if delta is not None:
-                        self._indexes.on_patch(name, delta[0], delta[1], counter=counter)
+                        self._indexes.on_patch(
+                            name, delta[0], delta[1], counter=counter, size=bag.distinct_count()
+                        )
                         if self._listeners:
                             self._notify_patch(name, delta[0], delta[1], old_values[name], bag)
                     else:

@@ -566,7 +566,9 @@ class PartitionedDatabase(Database):
                 self._stale.add(name)
                 self._bump(name)
                 delete, insert = patches[name]
-                self._indexes.on_patch(name, delete, insert, counter=counter)
+                self._indexes.on_patch(
+                    name, delete, insert, counter=counter, size=sum(map(len, slices))
+                )
                 before = _DeltaWindow(windows[name], nonempty[name])
                 after = _SliceWindow(self._slices[name])
                 for listener in self._listeners:

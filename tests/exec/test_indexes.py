@@ -250,6 +250,37 @@ class TestComposedDrain:
         assert index.lookup((4,)) == {(4, "d"): 1}
         assert index.lookup((1,)) == {}
 
+    def test_unprobed_index_does_not_retain_the_write_history(self):
+        # A registered index that is never probed (its view was dropped,
+        # or its plan always picks the other side) used to queue every
+        # patch forever and pay for the whole history on its first probe.
+        from repro.algebra.expr import Literal
+        from repro.storage.database import Database
+
+        db = Database(exec_mode="compiled")
+        db.create_table("R", ("k", "v"), rows=[(k, 0) for k in range(50)])
+        schema = db.schema_of("R")
+        db.indexes.get("R", (0,), db["R"])  # primed, as define_view would
+        rng = random.Random(96)
+        high_water = 0
+        for step in range(5000):
+            victim = rng.choice(sorted(db["R"].support))
+            # Two copies go, two come: the table stays at 50 distinct rows.
+            delete = Literal(bag_of(victim, victim), schema)
+            insert = Literal(bag_of((victim[0], step), (victim[0], step)), schema)
+            db.apply(patches={"R": (delete, insert)})
+            high_water = max(high_water, db.indexes.pending_deltas("R"))
+        # Bounded by the table (two distinct rows a patch, twice its
+        # distinct rows at most), not by the 5 000-patch history.
+        assert db["R"].distinct_count() == 50
+        assert high_water <= 50
+        counter = CostCounter()
+        index = db.indexes.get("R", (0,), db["R"], counter=counter)
+        assert index._buckets == HashIndex.build((0,), db["R"])._buckets
+        # Catching up cost one rebuild of the table, not the history.
+        assert counter.tuples_out == len(db["R"])
+        assert db.indexes.pending_deltas("R") == 0
+
 
 class TestE7RefreshCounters:
     """E7-shaped regression: with priming at install time, the composed
