@@ -55,14 +55,17 @@ from repro.sqlfront.parser import (
     NotCond,
     Operand,
     OrCond,
+    Parser,
     Query,
     SelectCore,
     SetOp,
+    Statement,
     UpdateStatement,
     parse_query,
     parse_script,
     parse_statement,
 )
+from repro.sqlfront.prepared import prepare
 
 __all__ = [
     "Catalog",
@@ -313,9 +316,20 @@ def compile_view(statement: CreateView, catalog: Catalog) -> ViewDefinition:
     return ViewDefinition(statement.name, expr)
 
 
+def _emit_query(query: Query, catalog: Catalog, sink) -> None:
+    sink.query(None, compile_query(query, catalog))
+
+
 def sql_to_expr(source: str, catalog: Catalog) -> Expr:
-    """Parse and compile a SQL query in one step."""
-    return compile_query(parse_query(source), catalog)
+    """Parse and compile a SQL query in one step.
+
+    A query whose shape (the text minus its literals) was seen before is
+    bound from its prepared form — see :mod:`repro.sqlfront.prepared`.
+    """
+    steps = prepare(source, catalog, Parser.only_query, _emit_query)
+    if steps is None:
+        return compile_query(parse_query(source), catalog)
+    return steps[0][2]
 
 
 # ----------------------------------------------------------------------
@@ -412,14 +426,8 @@ def compile_update(statement: UpdateStatement, catalog: Catalog, txn: UserTransa
     txn.insert_query(statement.table, MapProject(terms, victims, attrs))
 
 
-def script_to_transaction(source: str, catalog: Catalog, txn: UserTransaction) -> UserTransaction:
-    """Compile a ``;``-separated DML script into one transaction.
-
-    All statements execute with the paper's simultaneous semantics:
-    every delta is evaluated against the pre-transaction state.
-    Queries and ``CREATE VIEW`` are rejected here.
-    """
-    for statement in parse_script(source):
+def _emit_script(statements: list[Statement], catalog: Catalog, txn) -> None:
+    for statement in statements:
         if isinstance(statement, InsertStatement):
             compile_insert(statement, catalog, txn)
         elif isinstance(statement, DeleteStatement):
@@ -430,6 +438,25 @@ def script_to_transaction(source: str, catalog: Catalog, txn: UserTransaction) -
             raise ParseError(
                 f"only INSERT/DELETE/UPDATE allowed in a DML script, found {type(statement).__name__}"
             )
+
+
+def script_to_transaction(source: str, catalog: Catalog, txn: UserTransaction) -> UserTransaction:
+    """Compile a ``;``-separated DML script into one transaction.
+
+    All statements execute with the paper's simultaneous semantics:
+    every delta is evaluated against the pre-transaction state.
+    Queries and ``CREATE VIEW`` are rejected here.
+
+    A script whose shape (the text minus its literals, any ``VALUES``
+    row count) was seen before is bound from its prepared form — see
+    :mod:`repro.sqlfront.prepared`.
+    """
+    steps = prepare(source, catalog, Parser.script, _emit_script)
+    if steps is None:
+        _emit_script(parse_script(source), catalog, txn)
+    else:
+        for method, table, payload in steps:
+            getattr(txn, method)(table, payload)
     return txn
 
 

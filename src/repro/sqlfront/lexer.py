@@ -5,15 +5,23 @@ The dialect covers the paper's Example 1.1 and a little more:
 variables, ``WHERE`` with comparison predicates and ``AND``/``OR``/
 ``NOT``, plus the bag set operations ``UNION ALL``, ``EXCEPT [ALL]``
 and ``INTERSECT [ALL]``.
+
+The two literal rules (NUMBER, STRING) are written once, here:
+:func:`tokenize` applies them at a token boundary and :data:`LITERAL`
+finds the same literals anywhere in a text, which is how
+:mod:`repro.sqlfront.prepared` lifts them out of a statement without
+tokenizing it.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from typing import Any
 
 from repro.errors import ParseError
 
-__all__ = ["Token", "tokenize", "KEYWORDS"]
+__all__ = ["Token", "tokenize", "KEYWORDS", "LITERAL", "literal_value"]
 
 KEYWORDS = frozenset(
     {
@@ -46,9 +54,39 @@ KEYWORDS = frozenset(
     }
 )
 
-_PUNCT = {",", "(", ")", "*", ".", ";"}
-_ARITH = {"+", "/"}
-_COMPARISON_START = {"=", "!", "<", ">"}
+# ASCII digits only: ``str.isdigit`` also admits characters such as "²"
+# that ``int()`` rejects.  A dot belongs to the number only when a digit
+# follows it; otherwise it is the qualifier dot.
+_DIGITS = r"[0-9]+(?:\.[0-9]+)?"
+# '…' doubles an embedded quote; "…" is accepted as a convenience and has
+# no escape.
+_STRING = r"'(?:[^']|'')*'|\"[^\"]*\""
+
+# A minus directly before a digit is lexed into the number.
+_TOKEN = re.compile(
+    rf"(?:(?P<NUMBER>-?{_DIGITS})|(?P<STRING>{_STRING})|(?P<WORD>\w+)"
+    r"|(?P<OP>!=|<>|<=|>=|[=<>+/-])|(?P<PUNCT>[,()*.;]))\s*"
+)
+
+#: The NUMBER / STRING rules of :func:`tokenize`, findable anywhere in a
+#: text (one capture group, for ``split``).  The look-behind keeps the
+#: digits of a word (``x1``, ``t1.c2``) where the lexer leaves them; the
+#: look-ahead only spares the engine both rules at most characters.
+LITERAL = re.compile(rf"((?=[-0-9'\"])(?:-?(?<!\w){_DIGITS}|{_STRING}))")
+
+
+def literal_value(text: str) -> Any:
+    """The Python value of one literal's source text (as :data:`LITERAL` matches it).
+
+    Raises :class:`ValueError` for an integer longer than the
+    interpreter converts (CPython: 4 300 digits).
+    """
+    quote = text[0]
+    if quote == "'":
+        return text[1:-1].replace("''", "'")
+    if quote == '"':
+        return text[1:-1]
+    return float(text) if "." in text else int(text)
 
 
 @dataclass(frozen=True)
@@ -58,86 +96,40 @@ class Token:
     kind: str  # KEYWORD | NAME | NUMBER | STRING | OP | PUNCT | EOF
     text: str
     position: int
+    #: The Python value of a NUMBER / STRING token; ``None`` for the rest.
+    value: Any = None
 
 
 def tokenize(source: str) -> list[Token]:
     """Split ``source`` into tokens, ending with an EOF token."""
     tokens: list[Token] = []
-    index = 0
     length = len(source)
+    index = length - len(source.lstrip())
     while index < length:
-        char = source[index]
-        if char.isspace():
-            index += 1
-            continue
-        start = index
-        if char == "'":
-            index += 1
-            pieces: list[str] = []
-            while True:
-                if index >= length:
-                    raise ParseError("unterminated string literal", start)
-                if source[index] == "'":
-                    if index + 1 < length and source[index + 1] == "'":
-                        pieces.append("'")
-                        index += 2
-                        continue
-                    index += 1
-                    break
-                pieces.append(source[index])
-                index += 1
-            tokens.append(Token("STRING", "".join(pieces), start))
-        elif char == '"':
-            # Double-quoted string literals are accepted as a convenience.
-            index += 1
-            pieces = []
-            while index < length and source[index] != '"':
-                pieces.append(source[index])
-                index += 1
-            if index >= length:
-                raise ParseError("unterminated string literal", start)
-            index += 1
-            tokens.append(Token("STRING", "".join(pieces), start))
-        elif char.isdigit() or (char == "-" and index + 1 < length and source[index + 1].isdigit()):
-            index += 1
-            seen_dot = False
-            while index < length and (source[index].isdigit() or (source[index] == "." and not seen_dot)):
-                if source[index] == ".":
-                    # A dot not followed by a digit is the qualifier dot.
-                    if index + 1 >= length or not source[index + 1].isdigit():
-                        break
-                    seen_dot = True
-                index += 1
-            tokens.append(Token("NUMBER", source[start:index], start))
-        elif char.isalpha() or char == "_":
-            index += 1
-            while index < length and (source[index].isalnum() or source[index] == "_"):
-                index += 1
-            word = source[start:index]
-            if word.upper() in KEYWORDS:
-                tokens.append(Token("KEYWORD", word.upper(), start))
-            else:
-                tokens.append(Token("NAME", word, start))
-        elif char in _ARITH:
-            tokens.append(Token("OP", char, start))
-            index += 1
-        elif char == "-":
-            tokens.append(Token("OP", "-", start))
-            index += 1
-        elif char in _COMPARISON_START:
-            if source.startswith(("!=", "<>", "<=", ">="), index):
-                text = source[index : index + 2]
-                tokens.append(Token("OP", "!=" if text == "<>" else text, start))
-                index += 2
-            elif char in {"=", "<", ">"}:
-                tokens.append(Token("OP", char, start))
-                index += 1
-            else:
-                raise ParseError(f"unexpected character {char!r}", start)
-        elif char in _PUNCT:
-            tokens.append(Token("PUNCT", char, start))
-            index += 1
+        match = _TOKEN.match(source, index)
+        if match is None:
+            if source[index] in "'\"":
+                raise ParseError("unterminated string literal", index)
+            raise ParseError(f"unexpected character {source[index]!r}", index)
+        kind = match.lastgroup
+        text = match.group(kind)
+        if kind == "NUMBER":
+            try:
+                tokens.append(Token(kind, text, index, literal_value(text)))
+            except ValueError:
+                raise ParseError(f"numeric literal of {len(text)} characters is too long", index) from None
+        elif kind == "STRING":
+            value = literal_value(text)
+            tokens.append(Token(kind, value, index, value))
+        elif kind == "WORD":
+            if not (text[0].isalpha() or text[0] == "_"):
+                raise ParseError(f"unexpected character {text[0]!r}", index)
+            keyword = text.upper()
+            tokens.append(Token("KEYWORD", keyword, index) if keyword in KEYWORDS else Token("NAME", text, index))
+        elif kind == "OP":
+            tokens.append(Token(kind, "!=" if text == "<>" else text, index))
         else:
-            raise ParseError(f"unexpected character {char!r}", start)
+            tokens.append(Token(kind, text, index))
+        index = match.end()
     tokens.append(Token("EOF", "", length))
     return tokens

@@ -8,11 +8,13 @@ emits :class:`~repro.algebra.expr.Expr` trees.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Union
 
 from repro.errors import ParseError
-from repro.sqlfront.lexer import Token, tokenize
+from repro.sqlfront.lexer import Token, literal_value, tokenize
 
 __all__ = [
     "ColumnRef",
@@ -34,9 +36,16 @@ __all__ = [
     "SetOp",
     "CreateView",
     "CreateTable",
+    "Parser",
+    "MAX_NESTING",
     "parse_statement",
     "parse_query",
 ]
+
+#: How deep parentheses, ``NOT`` and unary minus may nest.  The parser
+#: recurses on each, so an unbounded text would end in the interpreter's
+#: ``RecursionError``; beyond this it is a :class:`ParseError`.
+MAX_NESTING = 100
 
 
 # ----------------------------------------------------------------------
@@ -221,11 +230,14 @@ Statement = Union[Query, CreateView, CreateTable, InsertStatement, DeleteStateme
 # ----------------------------------------------------------------------
 
 
-class _Parser:
+class Parser:
+    """One pass over a token list; ``script``/``statement``/``only_query`` are the entry points."""
+
     def __init__(self, tokens: list[Token]) -> None:
         self._tokens = tokens
         self._index = 0
         self._last: Token | None = None
+        self._depth = 0
 
     # Token helpers -----------------------------------------------------
 
@@ -261,12 +273,30 @@ class _Parser:
             raise ParseError(f"expected {expected}, found {actual.text or actual.kind!r}", actual.position)
         return token
 
+    @contextmanager
+    def _nested(self) -> Iterator[None]:
+        """One level of a production that recurses on its own input."""
+        self._depth += 1
+        try:
+            if self._depth > MAX_NESTING:
+                raise ParseError(f"nested deeper than {MAX_NESTING} levels", self._peek().position)
+            yield
+        finally:
+            self._depth -= 1
+
     # Grammar -----------------------------------------------------------
 
     def statement(self) -> Statement:
         result = self.single_statement()
         self._accept("PUNCT", ";")
         self._expect("EOF")
+        return result
+
+    def only_query(self) -> Query:
+        """One full statement that must be a query (DDL/DML rejected)."""
+        result = self.statement()
+        if not isinstance(result, (SelectCore, SetOp)):
+            raise ParseError(f"expected a query, found {type(result).__name__}", self.last_position)
         return result
 
     def script(self) -> list[Statement]:
@@ -312,13 +342,13 @@ class _Parser:
 
     def value_row(self) -> tuple[Any, ...]:
         self._expect("PUNCT", "(")
-        values = [self.literal_value()]
+        values = [self.row_value()]
         while self._accept("PUNCT", ","):
-            values.append(self.literal_value())
+            values.append(self.row_value())
         self._expect("PUNCT", ")")
         return tuple(values)
 
-    def literal_value(self) -> Any:
+    def row_value(self) -> Any:
         operand = self.operand()
         if not isinstance(operand, LiteralValue):
             raise ParseError("VALUES rows must contain literals only", self._peek().position)
@@ -393,7 +423,8 @@ class _Parser:
     def select_core(self) -> SelectCore:
         if self._accept("PUNCT", "("):
             # Parenthesized query: restart at the set-operation level.
-            inner = self.query()
+            with self._nested():
+                inner = self.query()
             self._expect("PUNCT", ")")
             if isinstance(inner, SetOp):
                 raise ParseError("nested set operations must appear at the top level", self._peek().position)
@@ -494,7 +525,8 @@ class _Parser:
 
     def not_condition(self) -> Condition:
         if self._accept("KEYWORD", "NOT"):
-            return NotCond(self.not_condition())
+            with self._nested():
+                return NotCond(self.not_condition())
         if self._check("PUNCT", "("):
             # "(" may open a nested condition or a parenthesized
             # arithmetic term: try the condition reading, backtrack to a
@@ -502,7 +534,8 @@ class _Parser:
             mark = self._index
             try:
                 self._advance()
-                inner = self.condition()
+                with self._nested():
+                    inner = self.condition()
                 self._expect("PUNCT", ")")
                 return inner
             except ParseError:
@@ -531,10 +564,7 @@ class _Parser:
             elif self._check("NUMBER") and self._peek().text.startswith("-"):
                 # "a -1" lexes the minus into the number; read it as a
                 # subtraction of the absolute value.
-                token = self._advance()
-                text = token.text[1:]
-                value = float(text) if "." in text else int(text)
-                left = BinaryOp("-", left, LiteralValue(value))
+                left = BinaryOp("-", left, LiteralValue(literal_value(self._advance().text[1:])))
             else:
                 return left
 
@@ -550,9 +580,11 @@ class _Parser:
 
     def unary(self) -> Operand:
         if self._accept("OP", "-"):
-            return BinaryOp("-", LiteralValue(0), self.unary())
+            with self._nested():
+                return BinaryOp("-", LiteralValue(0), self.unary())
         if self._accept("PUNCT", "("):
-            inner = self.expression()
+            with self._nested():
+                inner = self.expression()
             self._expect("PUNCT", ")")
             return inner
         return self.operand()
@@ -561,13 +593,9 @@ class _Parser:
         token = self._peek()
         if token.kind == "NAME":
             return self.column_ref()
-        if token.kind == "NUMBER":
+        if token.kind in ("NUMBER", "STRING"):
             self._advance()
-            text = token.text
-            return LiteralValue(float(text) if "." in text else int(text))
-        if token.kind == "STRING":
-            self._advance()
-            return LiteralValue(token.text)
+            return LiteralValue(token.value)
         if token.kind == "KEYWORD" and token.text in {"NULL", "TRUE", "FALSE"}:
             self._advance()
             return LiteralValue({"NULL": None, "TRUE": True, "FALSE": False}[token.text])
@@ -576,21 +604,14 @@ class _Parser:
 
 def parse_statement(source: str) -> Statement:
     """Parse one full statement (query, CREATE VIEW, INSERT, or DELETE)."""
-    return _Parser(tokenize(source)).statement()
+    return Parser(tokenize(source)).statement()
 
 
 def parse_script(source: str) -> list[Statement]:
     """Parse a ``;``-separated script of statements."""
-    return _Parser(tokenize(source)).script()
+    return Parser(tokenize(source)).script()
 
 
 def parse_query(source: str) -> Query:
     """Parse a query; reject DDL/DML statements."""
-    parser = _Parser(tokenize(source))
-    result = parser.statement()
-    if not isinstance(result, (SelectCore, SetOp)):
-        raise ParseError(
-            f"expected a query, found {type(result).__name__}",
-            parser.last_position,
-        )
-    return result
+    return Parser(tokenize(source)).only_query()
