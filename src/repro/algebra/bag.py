@@ -56,7 +56,7 @@ class Bag:
     schema bugs surface at the operation that caused them.
     """
 
-    __slots__ = ("_counts", "_arity", "_hash")
+    __slots__ = ("_counts", "_arity", "_hash", "_derived")
 
     def __init__(self, items: Iterable[Row] = (), *, counts: Mapping[Row, int] | None = None) -> None:
         if counts is not None:
@@ -73,6 +73,7 @@ class Bag:
             raise SchemaError(f"rows of mixed arity in one bag: {sorted(arities)}")
         self._arity: int | None = arities.pop() if arities else None
         self._hash: int | None = None
+        self._derived: dict | None = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -91,6 +92,7 @@ class Bag:
         bag._counts = counts
         bag._arity = arity if counts else None
         bag._hash = None
+        bag._derived = None
         return bag
 
     @classmethod
@@ -153,6 +155,26 @@ class Bag:
 
     def __bool__(self) -> bool:
         return bool(self._counts)
+
+    def derived(self, key: Any, build: Callable[[Bag], Any]) -> Any:
+        """``build(self)``, computed once and kept for the life of this bag.
+
+        A bag never changes, so a structure derived from it (a hash
+        index over its rows, say) is valid for as long as the bag exists
+        and is freed with it: everything that shares the bag — the live
+        database and every snapshot cut before the next write — finds
+        the same structure, and there is nothing to invalidate or evict.
+        Takes no lock: two threads asking at once may both build (the
+        worst a lost race costs is one more build later), but neither
+        ever sees a partial structure — it is stored only once built.
+        """
+        cache = self._derived
+        if cache is None:
+            cache = self._derived = {}
+        try:
+            return cache[key]
+        except KeyError:
+            return cache.setdefault(key, build(self))
 
     # ------------------------------------------------------------------
     # Equality / ordering

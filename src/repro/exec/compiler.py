@@ -168,15 +168,15 @@ def source_access(expr: Expr) -> SourceAccess | None:
 class PNode:
     """A physical operator with a version-stamped cross-call result memo."""
 
-    __slots__ = ("tables", "_stamp", "_value")
+    __slots__ = ("tables", "_memo")
 
     #: Whether execute() may short-circuit to φ via runtime_empty().
     check_empty = True
 
     def __init__(self, tables: frozenset[str]) -> None:
         self.tables = tuple(sorted(tables))
-        self._stamp: tuple[int, ...] | None = None
-        self._value: Bag | None = None
+        #: ``(stamp, value)`` of the last execution, or None.
+        self._memo: tuple[tuple[int, ...], Bag] | None = None
 
     def children(self) -> tuple[PNode, ...]:
         return ()
@@ -187,20 +187,21 @@ class PNode:
 
     def execute(self, ctx) -> Bag:
         stamp = ctx.stamp_for(self.tables)
-        if stamp == self._stamp and self._value is not None:
+        memo = self._memo
+        if memo is not None and memo[0] == stamp:
             if ctx.counter is not None:
                 ctx.counter.memo_hits += 1
-            return self._value
+            return memo[1]
         if self.check_empty and self.runtime_empty(ctx.state):
             result = Bag.empty()
         else:
             result = self._compute(ctx)
-        # Value before stamp: a concurrent reader (the parallel group
-        # scheduler's compute phase) that observes the new stamp must
-        # also observe the matching value.  Worst case under the reverse
-        # order is a stale stamp, which just means a redundant recompute.
-        self._value = result
-        self._stamp = stamp
+        # One store of the pair, read back with one load: nodes are
+        # shared by concurrent callers at *different* stamps (readers
+        # pinned at different snapshot versions, the parallel group
+        # scheduler), and stamp and value kept in two attributes could
+        # be left holding one caller's stamp with another's value.
+        self._memo = (stamp, result)
         return result
 
     def _compute(self, ctx) -> Bag:

@@ -29,7 +29,7 @@ from repro.algebra.expr import Expr
 from repro.errors import UnknownTableError
 from repro.exec.compiler import Compiler, PEquiJoin, PIndexSelect, PNode
 
-__all__ = ["ExecutionContext", "Executor"]
+__all__ = ["ExecutionContext", "Executor", "plan_for"]
 
 
 class ExecutionContext:
@@ -112,22 +112,7 @@ class Executor:
 
     def evaluate(self, expr: Expr, *, counter: CostCounter | None = None) -> Bag:
         """Evaluate ``expr`` against the database's current state."""
-        node = self._nodes.get(expr)
-        if node is not None:
-            if counter is not None:
-                counter.plan_hits += 1
-        else:
-            if counter is not None:
-                counter.plan_misses += 1
-            if len(self._nodes) > self.MAX_NODES:
-                self._nodes.clear()
-            if obs.telemetry_enabled():
-                with obs.span("plan_compile", tables=",".join(sorted(expr.tables()))):
-                    node = Compiler(self._nodes).compile(expr)
-                obs.metric_inc("plan_compiles")
-            else:
-                node = Compiler(self._nodes).compile(expr)
-        return node.execute(self._context(counter))
+        return plan_for(self._nodes, expr, counter).execute(self._context(counter))
 
     def prime(self, expr: Expr, *, counter: CostCounter | None = None) -> PNode:
         """Compile ``expr`` now and pre-build the indexes its plan can use.
@@ -168,3 +153,29 @@ class Executor:
     def _context(self, counter: CostCounter | None) -> ExecutionContext:
         database = self._database
         return ExecutionContext(database.state, counter, database.indexes, database.version_of)
+
+
+def plan_for(nodes: dict[Expr, PNode], expr: Expr, counter: CostCounter | None) -> PNode:
+    """The physical plan for ``expr`` out of the node table ``nodes``.
+
+    Compiled into the table on a miss (``plan_hits`` / ``plan_misses``
+    on the counter).  A node's memo is guarded by version stamps, which
+    compare only within one database: a table is owned by whoever
+    evaluates against that database — its :class:`Executor`, or the
+    snapshot registry pinning it — and never shared across two.
+    """
+    node = nodes.get(expr)
+    if node is not None:
+        if counter is not None:
+            counter.plan_hits += 1
+        return node
+    if counter is not None:
+        counter.plan_misses += 1
+    if len(nodes) > Executor.MAX_NODES:
+        nodes.clear()
+    if obs.telemetry_enabled():
+        with obs.span("plan_compile", tables=",".join(sorted(expr.tables()))):
+            node = Compiler(nodes).compile(expr)
+        obs.metric_inc("plan_compiles")
+        return node
+    return Compiler(nodes).compile(expr)

@@ -23,7 +23,7 @@ from repro import obs
 from repro.algebra.bag import Bag, Row
 from repro.algebra.evaluation import CostCounter
 
-__all__ = ["HashIndex", "IndexManager"]
+__all__ = ["FROZEN_INDEXES", "FrozenIndexes", "HashIndex", "IndexManager"]
 
 _EMPTY_BUCKET: dict[Row, int] = {}
 
@@ -83,6 +83,49 @@ class HashIndex:
     def __len__(self) -> int:
         """Total copies indexed (should equal ``len(table)``)."""
         return sum(count for bucket in self._buckets.values() for count in bucket.values())
+
+
+class FrozenIndexes:
+    """The index provider of a pinned snapshot: indexes over bags that never change.
+
+    What :class:`IndexManager` is to a live database, behind the same
+    two calls the physical operators make.  A snapshot's tables are
+    immutable, so there is nothing to maintain and nothing to go stale:
+    an index is built at most once per bag (charged as ``index_build``)
+    and kept in the bag's own :meth:`~repro.algebra.bag.Bag.derived`
+    slot, where every snapshot that shares the bag finds it and where
+    it dies with the bag.  It holds no state of its own and never
+    touches a live :class:`IndexManager`, whose buckets the writer
+    mutates in place.
+    """
+
+    __slots__ = ()
+
+    def covering(self, table: str, columns: tuple[int, ...]) -> None:
+        """No index is registered ahead of a read: a keyed chain indexes
+        exactly the columns it pins."""
+        return None
+
+    def get(
+        self,
+        table: str,
+        positions: tuple[int, ...],
+        bag: Bag,
+        *,
+        counter: CostCounter | None = None,
+    ) -> HashIndex:
+        """The index on ``bag`` keyed by ``positions``."""
+
+        def build(frozen: Bag) -> HashIndex:
+            if counter is not None:
+                counter.record("index_build", len(frozen))
+            obs.metric_inc("pinned_index_builds")
+            return HashIndex.build(positions, frozen)
+
+        return bag.derived((HashIndex, positions), build)
+
+
+FROZEN_INDEXES = FrozenIndexes()
 
 
 def _compose_tail(tail: list[tuple[Bag, Bag]]) -> tuple[dict[Row, int], dict[Row, int]]:

@@ -383,4 +383,11 @@ class ViewServer:
             "pending_maintenance": self.pending_maintenance(),
             "staleness_ticks": {name: self.staleness_ticks(name) for name in self._mv_tables},
             "snapshots": self.registry.stats(),
+            # Counted only while telemetry is on (empty otherwise):
+            # pinned_reads{access="probe"|"scan"}, pinned_index_builds.
+            "pinned": {
+                name: metric["value"]
+                for name, metric in obs.current().metrics.snapshot().items()
+                if name.startswith("pinned_")
+            },
         }

@@ -17,12 +17,21 @@ discipline around that copy:
   by old versions is bounded by the number of *live* readers, not by
   write traffic.
 
-Handles evaluate ad-hoc expressions with the **interpreted oracle**
-against their own frozen tables.  The compiled engines' plan caches and
-indexes are keyed to the live database's version stamps; consulting them
-with a pinned state would be exactly the plan-cache staleness bug the
-exec-layer tests guard against, so pinned evaluation never goes near an
-executor.
+Handles evaluate ad-hoc expressions with the **shared lowering**
+(:mod:`repro.exec.compiler`) over their own frozen tables: the plan runs
+through an :class:`~repro.exec.executor.ExecutionContext` whose state is
+the cut, whose version stamps are the pinned ones and whose indexes come
+from :data:`~repro.exec.indexes.FROZEN_INDEXES` — built once per
+immutable bag and kept on the bag, so every snapshot sharing that
+version of a table probes the same index.  A keyed read costs a probe
+plus its bucket, an unkeyed one a single fused pass.  What a pinned read
+stays isolated from is the live engine's *state*, not the lowering: the
+live executor's plan table and node memos (stamped with the live
+versions), the live :class:`~repro.exec.indexes.IndexManager` (its
+buckets are mutated in place by the writer), column batches and the
+sqlite mirror are never consulted, whatever the database's
+``exec_mode``.  The interpreted evaluator remains the oracle the tests
+compare pinned results against.
 """
 
 from __future__ import annotations
@@ -30,17 +39,22 @@ from __future__ import annotations
 import threading
 from collections.abc import Mapping
 
+from repro import obs
 from repro.algebra.bag import Bag
-from repro.algebra.evaluation import CostCounter, evaluate
-from repro.algebra.expr import Expr
-from repro.errors import UnknownTableError
+from repro.algebra.evaluation import CostCounter
+from repro.algebra.expr import Expr, TableRef
+from repro.algebra.schema import Schema
+from repro.errors import SchemaError, UnknownTableError
+from repro.exec.compiler import PIndexSelect, PNode
+from repro.exec.executor import ExecutionContext, plan_for
+from repro.exec.indexes import FROZEN_INDEXES
 from repro.robustness.journal import bag_digest
 
 __all__ = ["SnapshotHandle", "SnapshotRegistry"]
 
 
 class SnapshotHandle:
-    """One immutable ``(tables, versions, clock)`` cut of a database.
+    """One immutable ``(tables, versions, clock, schemas)`` cut of a database.
 
     Handles are created by :meth:`SnapshotRegistry.pin` and stay readable
     until every pin is :meth:`release`-d — and, since the tables are
@@ -49,7 +63,10 @@ class SnapshotHandle:
     release on exit.
     """
 
-    __slots__ = ("snapshot_id", "clock", "tick", "reflects", "_tables", "_versions", "_registry")
+    __slots__ = (
+        "snapshot_id", "clock", "tick", "reflects",
+        "_tables", "_versions", "_schemas", "_registry", "_plans",
+    )
 
     def __init__(
         self,
@@ -57,6 +74,7 @@ class SnapshotHandle:
         tables: Mapping[str, Bag],
         versions: Mapping[str, int],
         clock: int,
+        schemas: Mapping[str, Schema],
         *,
         tick: int = 0,
         reflects: int = 0,
@@ -73,7 +91,12 @@ class SnapshotHandle:
         self.reflects = reflects
         self._tables = dict(tables)
         self._versions = dict(versions)
+        self._schemas = dict(schemas)
         self._registry = registry
+        # Compiled plans are shared through the registry, which pins one
+        # database only (a node's memo stamps compare within one
+        # database); a handle built without a registry keeps its own.
+        self._plans: dict[Expr, PNode] = registry.plans if registry is not None else {}
 
     # ------------------------------------------------------------------
     # Reads
@@ -96,11 +119,35 @@ class SnapshotHandle:
     def evaluate(self, expr: Expr, *, counter: CostCounter | None = None) -> Bag:
         """Evaluate an ad-hoc query against the pinned state.
 
-        Always runs the interpreted evaluator over the frozen tables:
-        engine plan caches and indexes are stamped against the *live*
-        database and must never serve a pinned read.
+        Runs the compiled lowering over the frozen tables, with the
+        pinned version stamps and per-bag frozen indexes (see the module
+        docstring); no live engine state is read.  Fails closed on
+        schema drift: ``expr`` was built against *some* catalog, and a
+        table it names may have been dropped and re-created since the
+        pin — a reference whose schema is not the pinned one raises
+        :class:`SchemaError`, a table absent from the cut
+        :class:`UnknownTableError`.
         """
-        return evaluate(expr, self._tables, counter=counter)
+        schemas = self._schemas
+        stack = [expr]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, TableRef):
+                pinned = schemas.get(node.name)
+                if pinned is None:
+                    raise UnknownTableError(f"no such table in snapshot: {node.name!r}")
+                if pinned != node.table_schema:
+                    raise SchemaError(
+                        f"table {node.name!r} is pinned with schema {list(pinned)} but the "
+                        f"query was built against {list(node.table_schema)}"
+                    )
+            else:
+                stack.extend(node.children())
+        plan = plan_for(self._plans, expr, counter)
+        if obs.telemetry_enabled():
+            access = "probe" if isinstance(plan, PIndexSelect) else "scan"
+            obs.metric_inc(f'pinned_reads{{access="{access}"}}')
+        return plan.execute(ExecutionContext(self._tables, counter, FROZEN_INDEXES, self.version_of))
 
     def digest(self, name: str) -> str:
         """Order-insensitive content digest of a pinned table."""
@@ -145,6 +192,10 @@ class SnapshotRegistry:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
+        self._database = None
+        #: Compiled plans of every handle this registry pinned (bounded
+        #: like an executor's node table).  Never the live executor's.
+        self.plans: dict[Expr, PNode] = {}
         self._pins: dict[int, int] = {}
         self._handles: dict[int, SnapshotHandle] = {}
         self._next_id = 0
@@ -158,13 +209,22 @@ class SnapshotRegistry:
     # ------------------------------------------------------------------
 
     def pin(self, db, *, tick: int = 0, reflects: int = 0) -> SnapshotHandle:
-        """Cut and pin a fresh snapshot of ``db`` (O(#tables))."""
-        tables, versions, clock = db.consistent_cut()
+        """Cut and pin a fresh snapshot of ``db`` (O(#tables)).
+
+        A registry serves one database: its handles share compiled plans
+        whose memos are guarded by version stamps, and stamps of two
+        databases (a clone and its origin, say) can be equal over
+        different contents.  Pinning a second database is refused.
+        """
+        cut = db.consistent_cut()
         with self._lock:
+            if self._database is None:
+                self._database = db
+            elif self._database is not db:
+                raise ValueError("a SnapshotRegistry pins one database; use a registry per database")
             self._next_id += 1
             handle = SnapshotHandle(
-                self._next_id, tables, versions, clock,
-                tick=tick, reflects=reflects, registry=self,
+                self._next_id, *cut, tick=tick, reflects=reflects, registry=self
             )
             self._pins[handle.snapshot_id] = 1
             self._handles[handle.snapshot_id] = handle

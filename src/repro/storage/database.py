@@ -480,18 +480,20 @@ class Database:
         """Capture the current state (bags are immutable, so this is cheap)."""
         return dict(self._tables)
 
-    def consistent_cut(self) -> tuple[dict[str, Bag], dict[str, int], int]:
-        """Atomically capture ``(tables, versions, clock)`` for a snapshot pin.
+    def consistent_cut(self) -> tuple[dict[str, Bag], dict[str, int], int, dict[str, Schema]]:
+        """Atomically capture ``(tables, versions, clock, schemas)`` for a snapshot pin.
 
         Unlike :meth:`snapshot`, the copy is taken under the commit mutex,
         so it can never interleave with the install loop of a simultaneous
         transaction: the cut either wholly precedes or wholly follows every
         multi-table commit.  Bags are immutable, so this is an O(#tables)
-        reference copy — no data is duplicated.  This is the seam
+        reference copy — no data is duplicated.  The schemas ride in the
+        same cut so a pinned reader can tell a table it pinned from one
+        dropped and re-created under the same name since.  This is the seam
         :class:`repro.serve.SnapshotRegistry` pins reader snapshots on.
         """
         with self._commit_mutex:
-            return dict(self._tables), dict(self._versions), self._clock
+            return dict(self._tables), dict(self._versions), self._clock, dict(self._schemas)
 
     def restore(self, snapshot: Mapping[str, Bag]) -> None:
         """Restore a state previously captured with :meth:`snapshot`."""

@@ -389,6 +389,12 @@ class PartitionedDatabase(Database):
         self._materialize_all()
         return super().snapshot()
 
+    def consistent_cut(self):
+        # A pin must hold the rows its version stamps describe, not a
+        # flat bag that partition-wise patches have since left behind.
+        self._materialize_all()
+        return super().consistent_cut()
+
     def clone(self) -> Database:
         self._materialize_all()
         return super().clone()

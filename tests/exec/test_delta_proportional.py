@@ -13,13 +13,22 @@ probed the maintained hash indexes every one of these steps scanned
 The guarantee belongs to the engines that keep indexes (compiled and
 vectorized; CI runs this file under both).  The interpreted oracle
 re-scans by design and the sqlite tier counts pushed-down rows instead.
+
+The second half holds the read side to the same standard: a keyed read
+of a *pinned* snapshot costs one probe plus its bucket whether the view
+has 300 rows or 30 000, each version of the view's bag builds its index
+at most once however many snapshots share it, and an unkeyed read is a
+single fused pass.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.algebra.evaluation import CostCounter
 from repro.exec import COMPILED, VECTORIZED, default_exec_mode
+from repro.serve import ServeConfig, ViewServer
+from repro.sqlfront.compiler import sql_to_expr
 from repro.warehouse.manager import ViewManager
 
 pytestmark = pytest.mark.skipif(
@@ -128,3 +137,83 @@ def test_keyed_delete_script():
     # probe, the customer's bucket examined, no second index on sales.
     assert results[0][1]["index_select"] == FAN_OUT
     assert [index.positions for index in manager.db.indexes.indexes_on("sales")] == [(0,)]
+
+
+# ----------------------------------------------------------------------
+# Pinned reads: access delay tracks the answer, not the view
+# ----------------------------------------------------------------------
+
+VIEW_SIZES = (300, 30_000)
+SALES_VIEW = "SELECT custId, itemNo, quantity FROM sales WHERE quantity != 0"
+KEYED_READ = "SELECT itemNo, quantity FROM {mv} WHERE custId = {key}"
+KEYS = (RESCORED, RESCORED + 1)  # FAN_OUT view rows each, at every size
+
+
+def view_server(size: int) -> tuple[ViewServer, str]:
+    """A served single-table view of ``size`` rows; returns it with its table name."""
+    server = ViewServer(ServeConfig(k=2, m=7))
+    server.create_table("sales", ("custId", "itemNo", "quantity", "salesPrice"))
+    others = [c for c in range(CUSTOMERS) if c not in KEYS]
+    rows = [(key, item, 1 + item % 3, 5.0) for key in KEYS for item in range(FAN_OUT)]
+    rows += [(others[i % len(others)], i, 1 + i % 4, float(i)) for i in range(size - len(rows))]
+    server.load("sales", rows)
+    server.define_view("V", SALES_VIEW, scenario="combined")
+    mv = server.manager.scenario("V").view.mv_table
+    assert server.current.table(mv).distinct_count() == size
+    return server, mv
+
+
+def pinned_ops(handle, sql: str, db) -> dict[str, int]:
+    counter = CostCounter()
+    handle.evaluate(sql_to_expr(sql, db), counter=counter)
+    return dict(counter.by_operator)
+
+
+def test_keyed_pinned_read_costs_a_probe_and_its_bucket():
+    results = []
+    for size in VIEW_SIZES:
+        server, mv = view_server(size)
+        with server.pin() as handle:
+            first = pinned_ops(handle, KEYED_READ.format(mv=mv, key=KEYS[0]), server.db)
+            # The first keyed read of a version pays for the index...
+            assert first.pop("index_build") == size
+            # ...every later one (another key: not a memo hit) only probes it.
+            second = pinned_ops(handle, KEYED_READ.format(mv=mv, key=KEYS[1]), server.db)
+        assert first == second
+        results.append(second)
+    assert results[0] == results[1] == {"index_probe": 1, "index_select": FAN_OUT}
+
+
+def test_pinned_index_is_built_once_per_view_version_however_many_snapshots_share_it():
+    server, mv = view_server(VIEW_SIZES[0])
+    builds = []
+
+    def read(handle, key) -> None:
+        ops = pinned_ops(handle, KEYED_READ.format(mv=mv, key=key), server.db)
+        assert "scan" not in ops
+        builds.append(ops.get("index_build", 0))
+
+    before = server.pin()
+    server.execute_sql("INSERT INTO sales VALUES (11, 900, 2, 9.5)")  # logged; MV untouched
+    after = server.pin()
+    assert after.snapshot_id != before.snapshot_id
+    assert after.table(mv) is before.table(mv)
+    read(before, KEYS[0])
+    read(after, KEYS[1])
+    read(before, KEYS[1])
+    server.read_fresh("V")  # a refresh patches MV: a new bag, a new version
+    with server.pin() as refreshed:
+        read(refreshed, KEYS[0])
+        read(refreshed, KEYS[1])
+    read(after, 11)
+    assert builds == [VIEW_SIZES[0], 0, 0, VIEW_SIZES[0] + 1, 0, 0]
+    before.release()
+    after.release()
+
+
+def test_unkeyed_pinned_read_is_one_fused_pass():
+    for size in VIEW_SIZES:
+        server, mv = view_server(size)
+        with server.pin() as handle:
+            ops = pinned_ops(handle, f"SELECT itemNo FROM {mv} WHERE quantity > 2", server.db)
+        assert ops == {"scan": size}

@@ -1,12 +1,17 @@
 """Plan-cache correctness under pinned snapshot versions.
 
 Every engine keeps state keyed to the *live* database — compiled plan
-caches, vectorized column-batch caches, sqlite mirrors, index advisors.
-A pinned :class:`~repro.serve.SnapshotHandle` deliberately bypasses all
-of it (handles evaluate with the interpreted oracle over their frozen
-tables).  These tests interleave pinned evaluation with live engine
-evaluation and assert neither contaminates the other: the live engines
-keep their caches hot and correct, and pinned results never move.
+tables and node memos stamped with the live versions, hash indexes the
+writer mutates in place, vectorized column-batch caches, sqlite mirrors.
+A pinned :class:`~repro.serve.SnapshotHandle` reads none of it.  What is
+isolated is that live engine *state*, not the lowering: a handle runs
+the same compiled plans (:mod:`repro.exec.compiler`), but out of the
+snapshot registry's own plan table, stamped with the pinned versions,
+over its frozen tables, probing indexes built once per immutable bag —
+the same way whatever the database's ``exec_mode``.  These tests
+interleave pinned evaluation with live engine evaluation and assert
+neither contaminates the other: the live engines keep their caches hot
+and correct, and pinned results never move.
 """
 
 from __future__ import annotations

@@ -6,12 +6,16 @@ import threading
 
 import pytest
 
+from repro import obs
 from repro.algebra.bag import Bag
+from repro.algebra.evaluation import CostCounter, evaluate
 from repro.algebra.expr import Literal
-from repro.errors import UnknownTableError
+from repro.errors import SchemaError, UnknownTableError
 from repro.robustness.journal import bag_digest
-from repro.serve import SnapshotRegistry
+from repro.serve import SnapshotHandle, SnapshotRegistry
+from repro.sqlfront.compiler import sql_to_expr
 from repro.storage.database import Database
+from repro.storage.partition import PartitionedDatabase
 
 
 def _db(rows=((1, 10), (2, 20))) -> Database:
@@ -74,6 +78,131 @@ class TestSnapshotHandle:
         handle.release()
         handle.release()  # must not raise or corrupt counters
         assert registry.stats()["releases_total"] == 1
+
+
+class TestSchemaDriftUnderAPin:
+    """A query compiled against today's catalog must not read yesterday's rows.
+
+    ``evaluate`` takes an expression built against *some* catalog; after
+    ``DROP`` + ``CREATE`` under a live pin its positions no longer mean
+    what they meant for the pinned rows.
+    """
+
+    def test_reordered_columns_are_refused_not_misread(self):
+        db = _db()
+        handle = SnapshotRegistry().pin(db)
+        db.drop_table("t")
+        db.create_table("t", ("b", "a"))
+        query = sql_to_expr("SELECT b FROM t WHERE a = 1", db)
+        with pytest.raises(SchemaError) as caught:
+            handle.evaluate(query)  # was: Bag({}) out of pinned rows [(1, 10), (2, 20)]
+        message = str(caught.value)
+        assert "'t'" in message and "['a', 'b']" in message and "['b', 'a']" in message
+
+    def test_widened_table_is_refused_with_a_coded_error(self):
+        db = _db()
+        handle = SnapshotRegistry().pin(db)
+        db.drop_table("t")
+        db.create_table("t", ("a", "b", "c"))
+        with pytest.raises(SchemaError, match="'t'"):
+            handle.evaluate(sql_to_expr("SELECT c FROM t WHERE a = 1", db))
+        with pytest.raises(SchemaError, match="'t'"):
+            handle.evaluate(sql_to_expr("SELECT c FROM t", db))
+
+    def test_drift_anywhere_in_the_expression_is_refused(self):
+        db = _db()
+        db.create_table("u", ("a", "c"), rows=[(1, 7)])
+        handle = SnapshotRegistry().pin(db)
+        db.drop_table("u")
+        db.create_table("u", ("c", "a"))
+        query = sql_to_expr("SELECT t.b FROM t, u WHERE t.a = u.a", db)
+        with pytest.raises(SchemaError, match="'u'"):
+            handle.evaluate(query)
+
+    def test_table_absent_from_the_cut_is_unknown(self):
+        db = _db()
+        handle = SnapshotRegistry().pin(db)
+        db.create_table("later", ("x",), rows=[(1,)])
+        with pytest.raises(UnknownTableError):
+            handle.evaluate(db.ref("later"))
+        # ...even where evaluation would short-circuit past it.
+        db.create_table("nothing", ("y",))
+        short_circuit = Literal(Bag(), db.schema_of("nothing")).product(db.ref("later"))
+        assert evaluate(short_circuit, {}) == Bag()
+        with pytest.raises(UnknownTableError):
+            handle.evaluate(short_circuit)
+
+    def test_same_schema_recreated_still_reads_the_pinned_rows(self):
+        db = _db()
+        handle = SnapshotRegistry().pin(db)
+        db.drop_table("t")
+        db.create_table("t", ("a", "b"), rows=[(1, 99)])
+        query = sql_to_expr("SELECT b FROM t WHERE a = 1", db)
+        assert handle.evaluate(query) == Bag([(10,)])
+        assert db.evaluate(query) == Bag([(99,)])
+
+
+class TestPinnedPlans:
+    def test_handle_without_a_registry_evaluates_the_same_way(self):
+        db = _db(rows=[(i % 5, i) for i in range(40)])
+        shared = SnapshotRegistry().pin(db)
+        alone = SnapshotHandle(1, *db.consistent_cut())
+        for sql in ("SELECT b FROM t WHERE a = 3", "SELECT a FROM t WHERE b > 7", "SELECT * FROM t"):
+            query = sql_to_expr(sql, db)
+            counters = CostCounter(), CostCounter()
+            expected = evaluate(query, {"t": db["t"]})
+            assert shared.evaluate(query, counter=counters[0]) == expected
+            assert alone.evaluate(query, counter=counters[1]) == expected
+            # Same plan, same charges — except that the index the first
+            # read built sits on the bag both cuts share.
+            assert "index_build" not in counters[1].by_operator
+            counters[0].by_operator.pop("index_build", None)
+            assert counters[0].by_operator == counters[1].by_operator
+        alone.release()  # no registry: a no-op
+
+    def test_registry_refuses_a_second_database(self):
+        """Plans carry version-stamped memos; stamps mean nothing across databases."""
+        db = _db()
+        registry = SnapshotRegistry()
+        registry.pin(db)
+        clone = db.clone()
+        clone.load("t", [(3, 30)])
+        db.load("t", [(4, 40)])
+        assert clone.version_of("t") == db.version_of("t")  # equal stamps, different rows
+        with pytest.raises(ValueError, match="one database"):
+            registry.pin(clone)
+
+    def test_pinned_evaluation_leaves_the_live_engine_alone(self):
+        db = Database(exec_mode="compiled")
+        db.create_table("t", ("a", "b"), rows=[(1, 10), (2, 20)])
+        handle = SnapshotRegistry().pin(db)
+        handle.evaluate(sql_to_expr("SELECT b FROM t WHERE a = 1", db))
+        assert db.executor.cached_plans == 0
+        assert db.indexes.indexes_on("t") == ()
+
+    def test_reads_are_counted_by_access_path_when_telemetry_is_on(self):
+        db = _db(rows=[(i % 5, i) for i in range(40)])
+        registry = SnapshotRegistry()
+        keyed = sql_to_expr("SELECT b FROM t WHERE a = 3", db)
+        unkeyed = sql_to_expr("SELECT a FROM t WHERE b > 7", db)
+        with obs.observed() as stack:
+            first = registry.pin(db)
+            second = registry.pin(db)  # same bag: shares the index
+            for handle in (first, second, first):
+                handle.evaluate(keyed)
+            second.evaluate(unkeyed)
+            db.load("t", [(3, 1000)])
+            registry.pin(db).evaluate(keyed)  # new version of t: one more build
+            counters = {
+                name: metric["value"]
+                for name, metric in stack.metrics.snapshot().items()
+                if name.startswith("pinned_")
+            }
+        assert counters == {
+            'pinned_reads{access="probe"}': 4,
+            'pinned_reads{access="scan"}': 1,
+            "pinned_index_builds": 2,
+        }
 
 
 class TestSnapshotRegistry:
@@ -173,10 +302,22 @@ class TestConsistentCut:
             pinner.join(timeout=5.0)
         assert torn == []
 
+    def test_cut_of_a_partitioned_database_holds_the_rows_its_stamps_describe(self):
+        """``apply_parts`` patches slices and leaves the flat bag stale until read."""
+        db = PartitionedDatabase()
+        db.create_table("t", ("a", "b"), rows=[(i, i) for i in range(10)])
+        db.declare_partitioning("t", "a", parts=4)
+        db.apply_parts({"t": (Bag(), Bag([(100, 100)]))})
+        handle = SnapshotRegistry().pin(db)
+        assert handle.version_of("t") == db.version_of("t")
+        assert (100, 100) in handle.table("t")  # was: the pre-patch bag under the post-patch stamp
+        assert handle.evaluate(sql_to_expr("SELECT b FROM t WHERE a = 100", db)) == Bag([(100,)])
+
     def test_cut_matches_live_state_when_quiescent(self):
         db = _db()
-        tables, versions, clock = db.consistent_cut()
+        tables, versions, clock, schemas = db.consistent_cut()
         assert set(tables) == {"t"}
+        assert schemas == {"t": db.schema_of("t")}
         assert bag_digest(tables["t"]) == bag_digest(db["t"])
         assert versions["t"] == db.version_of("t")
         assert clock >= versions["t"]
