@@ -20,13 +20,14 @@ Two production concerns are handled here rather than in the AST:
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Collection, Mapping
 from dataclasses import dataclass, field
 
 from repro.algebra.bag import Bag, Row
 from repro.algebra.expr import (
     DupElim,
     Expr,
+    KeyRestrict,
     Literal,
     MapProject,
     Monus,
@@ -89,12 +90,12 @@ class CostCounter:
         """
         self.partitions_touched += touched
 
-    def record_prune(self, *, fallback: bool = False) -> None:
-        """Note one partition-pruning decision on a maintenance plan."""
+    def record_prune(self, count: int = 1, *, fallback: bool = False) -> None:
+        """Note ``count`` partition-pruning decisions on a maintenance plan."""
         if fallback:
-            self.partition_fallbacks += 1
+            self.partition_fallbacks += count
         else:
-            self.partition_prunes += 1
+            self.partition_prunes += count
 
     def snapshot(self) -> dict[str, object]:
         """A plain-dict summary (useful for report tables).
@@ -156,12 +157,15 @@ def evaluate(
     *,
     counter: CostCounter | None = None,
     memo: dict[Expr, Bag] | None = None,
+    keys: Mapping[str, Collection] | None = None,
 ) -> Bag:
     """Evaluate ``expr`` in ``state`` and return the resulting bag.
 
     ``memo`` may be supplied to share memoized results across several
     ``evaluate`` calls against the *same* state (e.g. when a transaction
-    evaluates many assignment right-hand sides simultaneously).
+    evaluates many assignment right-hand sides simultaneously).  ``keys``
+    binds the key set of each domain a :class:`KeyRestrict` leaf names
+    (one memo must not be shared across two bindings).
 
     .. warning::
 
@@ -175,7 +179,7 @@ def evaluate(
     """
     if memo is None:
         memo = {}
-    return _eval(expr, state, counter, memo)
+    return _eval(expr, state, counter, memo, keys)
 
 
 # ----------------------------------------------------------------------
@@ -230,6 +234,7 @@ def _hash_join(
     state: Mapping[str, Bag],
     counter: CostCounter | None,
     memo: dict[Expr, Bag],
+    binding: Mapping[str, Collection] | None,
 ) -> Bag | None:
     """Evaluate ``σ_p(E × F)`` as a hash join when ``p`` has equi-keys.
 
@@ -246,8 +251,8 @@ def _hash_join(
     if not keys:
         return None
 
-    left = _eval(product.left, state, counter, memo)
-    right = _eval(product.right, state, counter, memo)
+    left = _eval(product.left, state, counter, memo, binding)
+    right = _eval(product.right, state, counter, memo, binding)
     left_positions = tuple(position for position, __ in keys)
     right_positions = tuple(position for __, position in keys)
 
@@ -291,7 +296,7 @@ def _runtime_empty(expr: Expr, state: Mapping[str, Bag]) -> bool:
     if isinstance(expr, TableRef):
         value = state.get(expr.name)
         return value is not None and not value
-    if isinstance(expr, (Select, Project, MapProject, DupElim)):
+    if isinstance(expr, (Select, Project, MapProject, DupElim, KeyRestrict)):
         return _runtime_empty(expr.child, state)
     if isinstance(expr, Product):
         return _runtime_empty(expr.left, state) or _runtime_empty(expr.right, state)
@@ -307,6 +312,7 @@ def _eval(
     state: Mapping[str, Bag],
     counter: CostCounter | None,
     memo: dict[Expr, Bag],
+    keys: Mapping[str, Collection] | None = None,
 ) -> Bag:
     cached = memo.get(expr)
     if cached is not None:
@@ -328,23 +334,32 @@ def _eval(
         result = expr.bag
         if counter is not None:
             counter.record("literal", len(result))
+    elif isinstance(expr, KeyRestrict):
+        if keys is None:
+            raise ReproError(f"{expr} was evaluated without a key binding")
+        bound = keys.get(expr.domain, ())
+        position = expr.position
+        child = _eval(expr.child, state, counter, memo, keys)
+        result = child.select(lambda row: row[position] in bound)
+        if counter is not None:
+            counter.record("select", len(result))
     elif isinstance(expr, Select):
         result = None
         if isinstance(expr.child, Product) and expr.child not in memo:
-            result = _hash_join(expr, expr.child, state, counter, memo)
+            result = _hash_join(expr, expr.child, state, counter, memo, keys)
         if result is None:
-            child = _eval(expr.child, state, counter, memo)
+            child = _eval(expr.child, state, counter, memo, keys)
             predicate = expr.predicate.bind(expr.child.schema())
             result = child.select(predicate)
             if counter is not None:
                 counter.record("select", len(result))
     elif isinstance(expr, Project):
-        child = _eval(expr.child, state, counter, memo)
+        child = _eval(expr.child, state, counter, memo, keys)
         result = child.project(expr.positions())
         if counter is not None:
             counter.record("project", len(result))
     elif isinstance(expr, MapProject):
-        child = _eval(expr.child, state, counter, memo)
+        child = _eval(expr.child, state, counter, memo, keys)
         functions = [term.bind(expr.child.schema()) for term in expr.terms]
         counts: dict[Row, int] = {}
         for row, count in child.items():
@@ -354,23 +369,23 @@ def _eval(
         if counter is not None:
             counter.record("map", len(result))
     elif isinstance(expr, DupElim):
-        child = _eval(expr.child, state, counter, memo)
+        child = _eval(expr.child, state, counter, memo, keys)
         result = child.dedup()
         if counter is not None:
             counter.record("dedup", len(result))
     elif isinstance(expr, UnionAll):
-        left = _eval(expr.left, state, counter, memo)
-        right = _eval(expr.right, state, counter, memo)
+        left = _eval(expr.left, state, counter, memo, keys)
+        right = _eval(expr.right, state, counter, memo, keys)
         result = left.union_all(right)
         if counter is not None:
             counter.record("union_all", len(result))
     elif isinstance(expr, Monus):
         if _runtime_empty(expr.right, state):
             # ``E ∸ φ`` is ``E``: an executor skips the anti-join entirely.
-            result = _eval(expr.left, state, counter, memo)
+            result = _eval(expr.left, state, counter, memo, keys)
             memo[expr] = result
             return result
-        left = _eval(expr.left, state, counter, memo)
+        left = _eval(expr.left, state, counter, memo, keys)
         if isinstance(expr.right, TableRef) and expr.right not in memo:
             # Probe optimization: ``E ∸ R`` needs only per-row lookups in
             # the stored (hashed) table, not a scan — a real engine would
@@ -384,13 +399,13 @@ def _eval(
             if counter is not None:
                 counter.record("probe", left.distinct_count())
         else:
-            right = _eval(expr.right, state, counter, memo)
+            right = _eval(expr.right, state, counter, memo, keys)
         result = left.monus(right)
         if counter is not None:
             counter.record("monus", len(result))
     elif isinstance(expr, Product):
-        left = _eval(expr.left, state, counter, memo)
-        right = _eval(expr.right, state, counter, memo)
+        left = _eval(expr.left, state, counter, memo, keys)
+        right = _eval(expr.right, state, counter, memo, keys)
         result = left.product(right)
         if counter is not None:
             counter.record("product", len(result))

@@ -34,6 +34,7 @@ __all__ = [
     "Expr",
     "TableRef",
     "Literal",
+    "KeyRestrict",
     "Select",
     "Project",
     "MapProject",
@@ -173,6 +174,41 @@ class Literal(Expr):
 
     def __str__(self) -> str:
         return "phi" if not self.bag else repr(self.bag)
+
+
+@dataclass(frozen=True)
+class KeyRestrict(Expr):
+    """A stored table restricted to bound keys: :math:`\\sigma_{key \\in K(domain)}(R)`.
+
+    ``position`` is the table's partition-key column and ``domain`` names
+    the key set ``K``, which is not part of the expression: the caller
+    binds it per evaluation (``evaluate(..., keys={domain: K})``), so one
+    expression — and one compiled plan — serves every maintenance epoch.
+    ``delta`` marks a table that is delta-sized by construction (a
+    maintenance log): an engine reads it whole and filters, where a base
+    table is reached through its key index and never scanned.
+    Emitted by the partition-pruning pass (:mod:`repro.analysis.partitioning`)
+    only; not part of the paper's grammar, and never differentiated.
+    """
+
+    child: TableRef
+    position: int
+    domain: str
+    delta: bool = False
+
+    def schema(self) -> Schema:
+        return self.child.table_schema
+
+    def children(self) -> tuple[Expr, ...]:
+        return (self.child,)
+
+    def substitute(self, mapping: Mapping[str, Expr]) -> Expr:
+        if self.child.name in mapping:
+            raise SchemaError(f"cannot substitute under the key restriction of {self.child.name!r}")
+        return self
+
+    def __str__(self) -> str:
+        return f"sigma[#{self.position} in K({self.domain})]({self.child})"
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,14 @@
 """Partition pruning for maintenance plans (RVM7xx).
 
 Given the partition layout of the base tables
-(:class:`~repro.storage.partition.PartitionSpec`) and the maintenance
-logs' affected-key sets, this module rewrites a delta expression so
-that every reference to a partitioned base table whose partition-key
-column is *bounded* by the pending delta is replaced by a restricted
-literal — the rows of the affected partitions only.  The maintenance
-epoch then touches work proportional to the delta, not the database.
+(:class:`~repro.storage.partition.PartitionSpec`), this module rewrites
+a delta expression — once, when the view is installed — so that every
+reference to a partitioned base table whose partition-key column is
+*bounded* by the pending delta is replaced by a key-restricted leaf
+(:class:`~repro.algebra.expr.KeyRestrict`): the rows carrying an
+affected key only.  The affected-key set itself is not in the plan; each
+maintenance epoch binds it when it evaluates, and then touches work
+proportional to the delta, not the database.
 
 The analysis is static and conservative, the same stance as the
 property engine (:mod:`repro.analysis.properties`):
@@ -18,7 +20,8 @@ property engine (:mod:`repro.analysis.properties`):
   boundedness across their equivalence class, positionally remapped
   through projections and products;
 * a reference to partitioned table ``R`` whose key column feeds a
-  bounded position may be replaced by :math:`\\sigma_{key \\in K}(R)`.
+  bounded position may be replaced by :math:`\\sigma_{key \\in K}(R)`,
+  ``K`` being whatever affected-key set the epoch binds to the domain.
   The substitution is *per occurrence*; every operator on the path
   (σ, Π positional, map over attributes, ε, ⊎ both sides, ∸ left
   side, ×) preserves row-level values, so rows dropped by the
@@ -30,12 +33,15 @@ The same pass computes **chunk safety**: whether evaluating the delta
 per affected-key chunk (logs filtered to the chunk) and summing the
 per-chunk results reproduces the whole delta, which is what lets the
 group scheduler refresh independent partitions of one view in
-parallel.  The criterion is a degree computation: log leaves are
-linear (degree 1), base tables constant (degree 0); linear combines
-additively through ⊎, bilinear products of two delta terms are safe
-only under a selection equating their partition keys, and the
-non-linear operators (∸, ε) are chunk-local only while a key-carrying
-column survives to witness that both operands chunk identically.
+parallel — the log leaves of a chunk-safe plan are key-restricted too,
+so binding a chunk's keys *is* evaluating that chunk, and binding every
+affected key the whole epoch.  The criterion is a degree computation:
+log leaves are linear (degree 1), base tables constant (degree 0);
+linear combines additively through ⊎, bilinear products of two delta
+terms are safe only under a selection equating their partition keys,
+and the non-linear operators (∸, ε) are chunk-local only while a
+key-carrying column survives to witness that both operands chunk
+identically.
 
 Diagnostics:
 
@@ -49,14 +55,14 @@ Diagnostics:
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
-from repro.algebra.bag import Bag
-from repro.algebra.evaluation import CostCounter, _conjuncts
+from repro.algebra.evaluation import _conjuncts
 from repro.algebra.expr import (
     DupElim,
     Expr,
+    KeyRestrict,
     Literal,
     MapProject,
     Monus,
@@ -122,7 +128,7 @@ class RewriteResult:
     """Outcome of pruning one delta expression."""
 
     expr: Expr
-    #: partitioned-table references replaced by restricted literals.
+    #: partitioned-table references replaced by key-restricted leaves.
     prunes: int
     #: partitioned tables still referenced whole (fallback scans).
     fallbacks: tuple[str, ...]
@@ -144,10 +150,12 @@ class PartitionPlan:
     chunkable: bool
     #: pairs of same-domain tables whose layouts drifted apart.
     mismatched: tuple[tuple[str, str], ...]
-
-
-def _restricted_literal(bag: Bag, ref: TableRef) -> Literal:
-    return Literal(bag, ref.table_schema)
+    #: the pruned deltas, in the order given — what every epoch
+    #: evaluates under its key binding (log leaves key-restricted as
+    #: well when ``chunkable``).
+    deltas: tuple[Expr, ...] = ()
+    #: key-restricted base-table references across ``deltas``.
+    prunes: int = 0
 
 
 class _Rewriter:
@@ -155,20 +163,13 @@ class _Rewriter:
         self,
         specs: Mapping[str, object],
         log_map: Mapping[str, str],
-        restrict: Callable[[str, str], Bag],
         *,
-        chunk_keys: frozenset | None = None,
-        log_bags: Mapping[str, Bag] | None = None,
-        counter: CostCounter | None = None,
+        restrict_logs: bool = False,
     ) -> None:
         self.specs = specs
         self.log_map = log_map
-        self.restrict = restrict
-        self.chunk_keys = chunk_keys
-        self.log_bags = log_bags or {}
-        self.counter = counter
+        self.restrict_logs = restrict_logs
         self.prunes = 0
-        self._restricted: dict[tuple[str, str], Literal] = {}
 
     # -- entry ----------------------------------------------------------
 
@@ -220,18 +221,8 @@ class _Rewriter:
                 # (it would be replicated into every chunk).
                 return _Info(ref, degree=_UNSAFE)
             node: Expr = ref
-            if self.chunk_keys is not None:
-                bag = self.log_bags.get(ref.name)
-                if bag is not None:
-                    position = spec.position
-                    keys = self.chunk_keys
-                    counts = {
-                        row: count for row, count in bag.items() if row[position] in keys
-                    }
-                    node = Literal(
-                        Bag._from_clean(counts, ref.table_schema.arity if counts else None),
-                        ref.table_schema,
-                    )
+            if self.restrict_logs:
+                node = KeyRestrict(ref, spec.position, spec.domain, delta=True)
             marks = {spec.position: spec.domain}
             return _Info(node, dict(marks), dict(marks), _ANCHORED)
         spec = self.specs.get(ref.name)
@@ -427,20 +418,14 @@ class _Rewriter:
 
     def _push(self, expr: Expr, position: int, domain: str) -> Expr:
         """Replace partitioned-table references feeding ``position`` with
-        key-restricted literals.  Non-matching shapes return unchanged."""
+        key-restricted leaves.  Non-matching shapes return unchanged."""
         if isinstance(expr, TableRef):
             if expr.name in self.log_map:
                 return expr
             spec = self.specs.get(expr.name)
             if spec is not None and spec.position == position:
-                cached = self._restricted.get((expr.name, domain))
-                if cached is None:
-                    cached = _restricted_literal(self.restrict(expr.name, domain), expr)
-                    self._restricted[(expr.name, domain)] = cached
                 self.prunes += 1
-                if self.counter is not None:
-                    self.counter.record_prune()
-                return cached
+                return KeyRestrict(expr, position, domain)
             return expr
         if isinstance(expr, Select):
             child = self._push(expr.child, position, domain)
@@ -577,38 +562,39 @@ def _positional_meet(left: dict[int, str], right: dict[int, str]) -> dict[int, s
 # ----------------------------------------------------------------------
 
 
+def _whole_tables(expr: Expr) -> set[str]:
+    """Tables ``expr`` still reads whole (not under a key restriction)."""
+    names: set[str] = set()
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, TableRef):
+            names.add(node.name)
+        elif not isinstance(node, KeyRestrict):
+            stack.extend(node.children())
+    return names
+
+
 def prune_expr(
     expr: Expr,
     specs: Mapping[str, object],
     log_map: Mapping[str, str],
-    restrict: Callable[[str, str], Bag],
     *,
-    chunk_keys: frozenset | None = None,
-    log_bags: Mapping[str, Bag] | None = None,
-    counter: CostCounter | None = None,
+    restrict_logs: bool = False,
 ) -> RewriteResult:
     """Rewrite one delta expression with partition pruning.
 
     ``specs`` maps base-table names to their partition specs; ``log_map``
-    maps maintenance-log table names to the base table they record;
-    ``restrict(table, domain)`` returns the affected rows of a
-    partitioned table (``PartitionedDatabase.restrict`` bound to the
-    epoch's affected keys).  With ``chunk_keys``/``log_bags`` the log
-    leaves are additionally narrowed to one key chunk, for per-chunk
-    parallel refresh (sound only when the result reports ``chunk_safe``).
+    maps maintenance-log table names to the base table they record.  The
+    result reads each prunable base table through a key-restricted leaf
+    whose key set the evaluating epoch binds per partition domain.  With
+    ``restrict_logs`` the log leaves are restricted the same way, so a
+    binding narrower than the whole epoch's keys evaluates one key chunk
+    (sound only when the result reports ``chunk_safe``).
     """
-    rewriter = _Rewriter(
-        specs,
-        log_map,
-        restrict,
-        chunk_keys=chunk_keys,
-        log_bags=log_bags,
-        counter=counter,
-    )
+    rewriter = _Rewriter(specs, log_map, restrict_logs=restrict_logs)
     info = rewriter.rewrite(expr)
-    fallbacks = tuple(sorted(info.expr.tables() & set(specs)))
-    if counter is not None and fallbacks:
-        counter.record_prune(fallback=True)
+    fallbacks = tuple(sorted(_whole_tables(info.expr) & set(specs)))
     return RewriteResult(
         info.expr,
         rewriter.prunes,
@@ -623,8 +609,7 @@ def key_positions(expr: Expr, specs: Mapping[str, object]) -> dict[int, str]:
     Used to locate the materialized view's own partition-key column, so
     the MV can be co-declared and patched partition-by-partition.
     """
-    rewriter = _Rewriter(specs, {}, lambda table, domain: Bag.empty())
-    return dict(rewriter.rewrite(expr).keyed)
+    return dict(_Rewriter(specs, {}).rewrite(expr).keyed)
 
 
 def analyze_deltas(
@@ -632,23 +617,19 @@ def analyze_deltas(
     specs: Mapping[str, object],
     log_map: Mapping[str, str],
 ) -> PartitionPlan:
-    """Static install-time verdict over a view's maintenance deltas.
+    """Static install-time verdict over a view's maintenance deltas, and
+    the pruned plan itself.
 
-    Runs the same rewrite the epoch path uses, with empty key sets, and
-    reports whether every partitioned reference prunes, which domains
+    Reports whether every partitioned reference prunes, which domains
     are involved, whether per-chunk refresh is sound, and any layout
-    drift among same-domain tables.
+    drift among same-domain tables; ``deltas`` are the rewritten
+    expressions every later epoch evaluates under its key binding.
     """
-
-    def empty_restrict(table: str, domain: str) -> Bag:
-        return Bag.empty()
-
-    fallbacks: set[str] = set()
-    chunkable = True
-    for delta in deltas:
-        result = prune_expr(delta, specs, log_map, empty_restrict)
-        fallbacks.update(result.fallbacks)
-        chunkable = chunkable and result.chunk_safe
+    deltas = tuple(deltas)
+    # Chunk-safe is the common verdict: rewrite for it first (the log
+    # leaves change neither the verdict nor the fallbacks).
+    results = [prune_expr(delta, specs, log_map, restrict_logs=True) for delta in deltas]
+    fallbacks = {name for result in results for name in result.fallbacks}
     domains = tuple(sorted({spec.domain for spec in specs.values()}))
     mismatched: list[tuple[str, str]] = []
     by_domain: dict[str, list] = {}
@@ -665,12 +646,17 @@ def analyze_deltas(
     # whole (single-table views: the deltas are log-only and already
     # delta-proportional, so partition-at-a-time apply is sound).
     prunable = not fallbacks
+    chunkable = prunable and len(domains) == 1 and all(result.chunk_safe for result in results)
+    if not chunkable:
+        results = [prune_expr(delta, specs, log_map) for delta in deltas]
     return PartitionPlan(
         prunable,
         tuple(sorted(fallbacks)),
         domains,
-        chunkable and prunable and len(domains) == 1,
+        chunkable,
         tuple(mismatched),
+        tuple(result.expr for result in results),
+        sum(result.prunes for result in results),
     )
 
 

@@ -3,42 +3,49 @@
 :class:`PartitionedMaintenance` is the bridge between one scenario
 (BL or C) and a :class:`~repro.storage.partition.PartitionedDatabase`.
 It is built once at install time by :meth:`PartitionedMaintenance.probe`,
-which re-runs the static pruning analysis of
+which runs the static pruning analysis of
 :mod:`repro.analysis.partitioning` (the same verdict ``repro lint``
-reports as RVM701/RVM702) and returns ``None`` whenever the partitioned
-fast path would not be sound or not be profitable:
+reports as RVM701/RVM702) and refuses — the reason is kept on the
+scenario as ``partition_probe`` and counted as
+``partition_probe{outcome=…}`` — whenever the partitioned fast path
+would not be sound or not be profitable (:data:`PROBE_OUTCOMES`):
 
-* the database is not partitioned (or lacks the fast-apply API),
-* the engine is the interpreted oracle (kept byte-identical to the
-  unpartitioned semantics on purpose — it is the reference the
-  benchmarks digest against),
-* some base table of the view has no declared partition spec,
-* same-domain tables have drifted layouts (RVM702),
-* the maintenance deltas cannot be fully pruned (RVM701), or
-* the view's output does not carry a partition-key column (the MV could
-  not be patched partition-by-partition).
+* ``no_api`` — the database is not partitioned (lacks the fast-apply API),
+* ``interpreted`` — the engine is the interpreted oracle (kept
+  byte-identical to the unpartitioned semantics on purpose — it is the
+  reference the benchmarks digest against),
+* ``unspecced`` — some base table of the view has no partition spec,
+* ``rvm702`` — same-domain tables have drifted layouts,
+* ``rvm701`` — the maintenance deltas cannot be fully pruned, or
+* ``unkeyed`` — the view's output does not carry a partition-key column
+  (the MV could not be patched partition-by-partition).
 
-When the probe succeeds, the MV is co-declared into the base tables'
-partition domain, and the scenario re-declares its operations
-(:mod:`repro.core.ops`) with this object supplying the steps that differ
-on a partitioned database — same ops, same runner, same lock and crash
-points:
+Pruning is a property of the plan, not of the epoch: an accepted probe
+keeps the analysis' pruned ``(delete, insert)`` pair — Figure 2's
+post-update deltas over key-restricted leaves — compiles and primes it
+once, and co-declares the MV into the base tables' partition domain.
+The scenario re-declares its operations (:mod:`repro.core.ops`) with
+this object supplying the steps that differ on a partitioned database —
+same ops, same runner, same lock and crash points:
 
-* :meth:`epoch_deltas` — the compute step: the post-update deltas
-  rewritten over restrictions to the partitions holding this epoch's
-  affected keys;
-* :meth:`refresh_log` — ``refresh_BL``'s apply step: evaluate the pruned
-  pair, then install the MV patch and the log clears in one
-  :meth:`~repro.storage.partition.PartitionedDatabase.apply_parts`
+* :meth:`epoch_deltas` — the compute step: the install-time pair (what
+  an epoch adds is only :meth:`epoch_keys`, bound when the pair is
+  evaluated);
+* :meth:`refresh_log` — ``refresh_BL``'s apply step: evaluate the pair
+  under this epoch's keys, then install the MV patch and the log clears
+  in one :meth:`~repro.storage.partition.PartitionedDatabase.apply_parts`
   epoch (delta-proportional, partition-at-a-time, crash-atomic);
+* :meth:`execute_plan` — an apply step that stays a generic plan
+  (``propagate_C``'s fold, ``refresh_C``'s log tail), run under the keys;
 * :meth:`apply_differentials` — ``refresh_DT``/``partial_refresh_C``'s
   apply step through ``apply_parts`` (the fold into the differential
   tables stays on the generic plan path: the differentials are
   delta-sized already).
 
-Every pruning decision is recorded on the scenario's
-:class:`~repro.algebra.evaluation.CostCounter` (``partition_prunes``,
-``partition_fallbacks``, ``partitions_touched``) — the benchmark and
+Every epoch records the plan's pruned references on the scenario's
+:class:`~repro.algebra.evaluation.CostCounter` (``partition_prunes``;
+``partition_fallbacks`` is the install-time RVM701 verdict,
+``partitions_touched`` comes from ``apply_parts``) — the benchmark and
 the regression gate's ``--partition-guard`` read those counters.
 """
 
@@ -46,41 +53,42 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
+from repro import obs
 from repro.algebra.bag import Bag
-from repro.algebra.expr import Expr, Literal
-from repro.analysis.partitioning import analyze_deltas, key_positions, prune_expr
+from repro.algebra.expr import Expr
+from repro.analysis.partitioning import analyze_deltas, key_positions
 from repro.core.differential import post_update_delta
-from repro.errors import ReproError
 
-__all__ = ["PartitionedMaintenance"]
+__all__ = ["PROBE_OUTCOMES", "PartitionedMaintenance"]
 
 _FAST_APPLY_API = ("partition_spec", "affected_keys", "restrict", "apply_parts")
+
+#: Every verdict :meth:`PartitionedMaintenance.probe` can reach.
+PROBE_OUTCOMES = ("accepted", "no_api", "interpreted", "unspecced", "rvm702", "rvm701", "unkeyed")
 
 
 class PartitionedMaintenance:
     """Pruned maintenance machinery for one installed view."""
 
-    def __init__(
-        self,
-        db,
-        view,
-        log,
-        specs: Mapping[str, object],
-        log_map: Mapping[str, str],
-        delete_expr: Expr,
-        insert_expr: Expr,
-        mv_position: int,
-        domain: str,
-    ) -> None:
+    def __init__(self, db, view, log, specs: Mapping[str, object], plan, mv_position: int, domain: str) -> None:
         self.db = db
         self.view = view
         self.log = log
         self.specs = dict(specs)
-        self.log_map = dict(log_map)
-        self.delete_expr = delete_expr
-        self.insert_expr = insert_expr
+        #: The pruned post-update deltas, fixed at install: what every
+        #: epoch (and every chunk of one) evaluates under its own keys.
+        self.delete_expr, self.insert_expr = plan.deltas
+        #: Key-restricted base-table references in the pair.
+        self.prunes = plan.prunes
+        #: Whether the pair may be evaluated one key chunk at a time.
+        self.chunkable = plan.chunkable
         self.mv_position = mv_position
         self.domain = domain
+        self._log_tables = [
+            (table, ref.name)
+            for table in self.specs
+            for ref in (log.delete_ref(table), log.insert_ref(table))
+        ]
 
     # ------------------------------------------------------------------
     # Install-time probe
@@ -88,47 +96,48 @@ class PartitionedMaintenance:
 
     @classmethod
     def probe(cls, scenario) -> PartitionedMaintenance | None:
-        """Build the fast path for ``scenario``, or ``None`` if ineligible."""
+        """Build the fast path for ``scenario``, or ``None`` if ineligible
+        (why is left in ``scenario.partition_probe`` and counted)."""
+        support, outcome = cls._probe(scenario)
+        scenario.partition_probe = outcome
+        obs.metric_inc(f'partition_probe{{outcome="{outcome}"}}')
+        return support
+
+    @classmethod
+    def _probe(cls, scenario) -> tuple[PartitionedMaintenance | None, str]:
         db = scenario.db
         if any(not hasattr(db, name) for name in _FAST_APPLY_API):
-            return None
+            return None, "no_api"
         if db.exec_mode == "interpreted":
             # The interpreted oracle stays on unpartitioned semantics:
             # it is the digest baseline the partitioned engines must
             # reproduce bit-identically.
-            return None
+            return None, "interpreted"
         view = scenario.view
         log = scenario.log
         base = sorted(view.base_tables())
-        specs = {}
-        for table in base:
-            spec = db.partition_spec(table)
-            if spec is None:
-                return None
-            specs[table] = spec
-        for i, first in enumerate(base):
-            for second in base[i + 1 :]:
-                a, b = specs[first], specs[second]
-                if a.domain == b.domain and not a.co_partitioned(b):
-                    return None  # RVM702: layout drift
+        specs = {table: db.partition_spec(table) for table in base}
+        if None in specs.values():
+            return None, "unspecced"
         log_map = {}
         for table in base:
             log_map[log.delete_ref(table).name] = table
             log_map[log.insert_ref(table).name] = table
-        delete_expr, insert_expr = post_update_delta(log, view.query)
-        plan = analyze_deltas((delete_expr, insert_expr), specs, log_map)
+        plan = analyze_deltas(post_update_delta(log, view.query), specs, log_map)
+        if plan.mismatched:
+            return None, "rvm702"
         if not plan.prunable:
-            return None  # RVM701: whole-table fallback
+            scenario.counter.record_prune(fallback=True)
+            return None, "rvm701"
         keyed = key_positions(view.query, specs)
         if not keyed:
-            return None
+            return None, "unkeyed"
         mv_position = min(keyed)
-        domain = keyed[mv_position]
-        support = cls(
-            db, view, log, specs, log_map, delete_expr, insert_expr, mv_position, domain
-        )
+        support = cls(db, view, log, specs, plan, mv_position, keyed[mv_position])
         support._declare_mv()
-        return support
+        # Compiled once, here: no later epoch rewrites or recompiles it.
+        db.prime(support.delete_expr, support.insert_expr, counter=scenario.counter)
+        return support, "accepted"
 
     def _declare_mv(self) -> None:
         """Co-declare the MV into the base tables' partition domain."""
@@ -149,40 +158,20 @@ class PartitionedMaintenance:
     # Epoch-time helpers
     # ------------------------------------------------------------------
 
-    def pending_deltas(self) -> dict[str, Bag]:
-        """Recorded per-base-table log contents (▼R ⊎ ▲R), non-empty only."""
-        pending: dict[str, Bag] = {}
-        for table in self.specs:
-            delete = self.db[self.log.delete_ref(table).name]
-            insert = self.db[self.log.insert_ref(table).name]
-            if delete or insert:
-                pending[table] = delete.union_all(insert)
-        return pending
+    def epoch_keys(self) -> dict[str, frozenset]:
+        """This epoch's key binding: per partition domain, the keys the
+        log mentions (read off the log bags' key columns in place)."""
+        db = self.db
+        keys = db.affected_keys((table, db[name]) for table, name in self._log_tables)
+        return {domain: frozenset(found) for domain, found in keys.items()}
 
-    def affected_keys(self, pending: Mapping[str, Bag]) -> dict[str, set]:
-        return self.db.affected_keys(pending)
-
-    def pruned_deltas(self, keys: Mapping[str, set], *, counter=None) -> tuple[Expr, Expr] | None:
-        """The pruned ``(delete, insert)`` delta expressions for this epoch.
-
-        Returns ``None`` when a reference unexpectedly fails to prune
-        (the caller falls back to the whole-table plan).
-        """
-
-        def restrict(table: str, domain: str) -> Bag:
-            return self.db.restrict(table, keys.get(domain, ()), counter=counter)
-
-        return self._prune(restrict, counter)
-
-    def _prune(self, restrict, counter, **chunk) -> tuple[Expr, Expr] | None:
-        """Rewrite both delta expressions over ``restrict``; None on a fallback."""
-        delete, insert = (
-            prune_expr(expr, self.specs, self.log_map, restrict, counter=counter, **chunk)
-            for expr in (self.delete_expr, self.insert_expr)
-        )
-        if delete.fallbacks or insert.fallbacks:
-            return None
-        return delete.expr, insert.expr
+    def evaluate_pair(self, delete: Expr, insert: Expr, counter, keys=None) -> tuple[Bag, Bag]:
+        """A ``(delete, insert)`` pair evaluated under ``keys`` (default:
+        this epoch's).  A pair the group epoch already evaluated arrives
+        as literals, which no binding touches."""
+        keys = self.epoch_keys() if keys is None else keys
+        evaluate = self.db.evaluate
+        return evaluate(delete, counter=counter, keys=keys), evaluate(insert, counter=counter, keys=keys)
 
     def log_clears(self) -> dict[str, Bag]:
         return {name: Bag.empty() for name in self.log.table_names()}
@@ -192,33 +181,31 @@ class PartitionedMaintenance:
     # ------------------------------------------------------------------
 
     def epoch_deltas(self, scenario) -> tuple[Expr, Expr]:
-        """This epoch's post-update deltas over restrictions to the partitions
-        holding the keys the log mentions (whole-table expressions when a
-        reference unexpectedly fails to prune)."""
-        pending = self.pending_deltas()
-        keys = self.affected_keys(pending) if pending else {}
-        pruned = self.pruned_deltas(keys, counter=scenario.counter)
-        return pruned if pruned is not None else (self.delete_expr, self.insert_expr)
+        """The compute step: the install-time pruned pair.  Nothing is
+        rewritten per epoch; only the plan's prunes are accounted."""
+        scenario.counter.record_prune(self.prunes)
+        return self.delete_expr, self.insert_expr
 
     def epoch_deltas_if_pending(self, scenario) -> tuple[Expr, Expr] | None:
         """:meth:`epoch_deltas`, or ``None`` when the log recorded nothing."""
         return None if self.log.is_empty() else self.epoch_deltas(scenario)
 
     def refresh_log(self, scenario, delete: Expr, insert: Expr) -> None:
-        """``refresh_BL``'s apply, partition-at-a-time: evaluate the pair (an
-        epoch-supplied literal already is its bag), then install the MV
-        patch and the log clears in one ``apply_parts`` epoch — the effect
-        of ``_log_refresh_plan`` on the affected partitions' slices only."""
+        """``refresh_BL``'s apply, partition-at-a-time: evaluate the pair
+        under this epoch's keys, then install the MV patch and the log
+        clears in one ``apply_parts`` epoch — the effect of
+        ``_log_refresh_plan`` on the affected partitions' slices only."""
         counter = scenario.counter
-        delete_bag, insert_bag = (
-            expr.bag if isinstance(expr, Literal) else self.db.evaluate(expr, counter=counter)
-            for expr in (delete, insert)
-        )
         self.db.apply_parts(
-            {self.view.mv_table: (delete_bag, insert_bag)},
+            {self.view.mv_table: self.evaluate_pair(delete, insert, counter)},
             clears=self.log_clears(),
             counter=counter,
         )
+
+    def execute_plan(self, scenario, build, delete: Expr, insert: Expr) -> None:
+        """An apply step that stays the generic plan ``build(delete,
+        insert)``: the same transaction, its pair bound to this epoch's keys."""
+        build(delete, insert).execute(self.db, counter=scenario.counter, keys=self.epoch_keys())
 
     def chunked_group_tasks(self, scenario, *, order: int, hot_threshold: int = 64) -> list | None:
         """Per-partition-chunk :class:`~repro.exec.group.GroupTask`\\ s.
@@ -229,18 +216,17 @@ class PartitionedMaintenance:
         per affected partition chunk (hot partitions sub-split by
         :func:`~repro.exec.group.split_hot_partitions`), declared under
         partition-granular resources so independent chunks of one view
-        evaluate in parallel, plus a finalize task whose apply merges
-        the per-chunk deltas — they are disjoint by key, so they
-        ⊎-sum to the whole-log deltas — and runs the scenario's normal
-        group apply once.
+        evaluate in parallel — each is the install-time pair bound to
+        the chunk's keys — plus a finalize task whose apply merges the
+        per-chunk deltas — they are disjoint by key, so they ⊎-sum to
+        the whole-log deltas — and runs the scenario's normal group
+        apply once.
         """
         from repro.exec.group import GroupTask, partition_resource, split_hot_partitions
 
-        plan = analyze_deltas((self.delete_expr, self.insert_expr), self.specs, self.log_map)
-        if not plan.chunkable:
+        if not self.chunkable:
             return None
-        pending = self.pending_deltas()
-        keys = sorted(self.affected_keys(pending).get(self.domain, ()), key=repr)
+        keys = sorted(self.epoch_keys().get(self.domain, ()), key=repr)
         spec = next(s for s in self.specs.values() if s.domain == self.domain)
         by_pid: dict[int, list] = {}
         for key in keys:
@@ -251,29 +237,18 @@ class PartitionedMaintenance:
         results: dict[str, tuple[Bag, Bag]] = {}
 
         def make_compute(chunk_keys: tuple):
+            binding = {self.domain: frozenset(chunk_keys)}
+
             def compute(counter):
-                chunk = frozenset(chunk_keys)
-                log_bags = {name: self.db[name] for name in log_tables}
-
-                def restrict(table: str, domain: str) -> Bag:
-                    return self.db.restrict(table, chunk_keys, counter=counter)
-
-                pruned = self._prune(restrict, counter, chunk_keys=chunk, log_bags=log_bags)
-                if pruned is None:
-                    raise ReproError(
-                        f"chunked refresh of {view.name!r}: runtime rewrite "
-                        "fell back although the static plan was prunable"
-                    )
-                delete, insert = pruned
-                return self.db.evaluate(delete, counter=counter), self.db.evaluate(insert, counter=counter)
+                counter.record_prune(self.prunes)
+                return self.evaluate_pair(self.delete_expr, self.insert_expr, counter, binding)
 
             return compute
 
         def prime():
+            # Plans and key indexes exist since install; a no-op unless
+            # the plan table was dropped wholesale in between.
             self.db.prime(self.delete_expr, self.insert_expr, counter=scenario.counter)
-            for table in self.specs:
-                # Force-build the key index parallel restricts will probe.
-                self.db.restrict(table, ())
 
         tasks = []
         all_pids: set[int] = set()

@@ -95,6 +95,8 @@ class Scenario(ABC):
         #: set at install time by the log-keeping scenarios when the database
         #: is partitioned and the maintenance plan is prunable.
         self._pmaint = None
+        #: The install-time probe's verdict (``PROBE_OUTCOMES``), once asked.
+        self.partition_probe: str | None = None
         #: Operation kind -> the one definition of that operation.
         self.ops: dict[str, MaintenanceOp] = self._declare_ops()
 
@@ -436,7 +438,8 @@ class LoggedScenario(Scenario):
 
         self._pmaint = PartitionedMaintenance.probe(self)
         if self._pmaint is not None:
-            # Same operations, routed: pruned compute, apply_parts apply.
+            # Same operations, routed: the install-time pruned pair,
+            # bound to each epoch's keys; apply_parts apply.
             self.ops = self._declare_ops()
 
     def _uninstall_auxiliary(self) -> None:
@@ -452,9 +455,10 @@ class LoggedScenario(Scenario):
         return post_update_delta(self.log, self.view.query)
 
     def _compute_step(self, *, locked: bool, skip_idle: bool = False) -> OpStep:
-        """Compute the post-update deltas over the log.  ``skip_idle``: on a
-        partitioned database an empty log ends the op before it takes the
-        lock (only sound for an op that just installs this pair)."""
+        """Compute the post-update deltas over the log (on a partitioned
+        database: the pair pruned at install).  ``skip_idle``: there, an
+        empty log ends the op before it takes the lock (only sound for an
+        op that just installs this pair)."""
         via = None
         if self._pmaint is not None:
             pruned = self._pmaint.epoch_deltas_if_pending if skip_idle else self._pmaint.epoch_deltas
@@ -690,7 +694,13 @@ class CombinedScenario(LoggedScenario, DiffTableScenario):
     def _declare_ops(self) -> dict[str, MaintenanceOp]:
         ops = super()._declare_ops()
         del ops["refresh"]  # re-declared below, after the ops it composes
-        fold = partial(OpStep, "dt_fold", plan=self._fold_plan)
+        parts = self._pmaint
+        fold = partial(
+            OpStep,
+            "dt_fold",
+            plan=self._fold_plan,
+            via=parts and partial(parts.execute_plan, self, self._fold_plan),
+        )
         apply = self._apply_dt_step()
         # propagate_C holds no lock by design: it reads base/log tables
         # and writes only maintenance-private differentials — never MV.
@@ -704,7 +714,12 @@ class CombinedScenario(LoggedScenario, DiffTableScenario):
         # but the last k time units of the log, so the in-lock delta
         # computation covers a short log only.
         compute = self._compute_step(locked=True)
-        tail = OpStep("log_apply", locked=True, plan=self._log_refresh_plan)
+        tail = OpStep(
+            "log_apply",
+            locked=True,
+            plan=self._log_refresh_plan,
+            via=parts and partial(parts.execute_plan, self, self._log_refresh_plan),
+        )
         self._refresh_orders = {
             "propagate_first": self._op(
                 "refresh", compute, fold(locked=True), apply, order="propagate_first"

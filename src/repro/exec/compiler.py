@@ -17,6 +17,10 @@ every call:
   ``chain(R) ∸ D`` operand Figure 2's Product rule joins every delta
   with: the bucket's chain images, less ``D``'s copies of them;
 * ``E ∸ R`` against a stored table becomes a **monus-probe** node;
+* a key-restricted leaf ``σ_{key ∈ K}(R)`` (partition pruning; ``K`` is
+  bound per call) fuses into its chain's :class:`SourceAccess`: joined
+  on the key it *is* the index-probe join, anywhere else it gathers
+  ``K``'s buckets from ``R``'s key index — ``R`` is never scanned;
 * adjacent projections compose into one.
 
 Cost accounting mirrors the interpreted evaluator's conventions: every
@@ -41,6 +45,7 @@ from repro.algebra.evaluation import _conjuncts, _equijoin_keys
 from repro.algebra.expr import (
     DupElim,
     Expr,
+    KeyRestrict,
     Literal,
     MapProject,
     Monus,
@@ -72,16 +77,23 @@ class SourceAccess:
     fused, every base column one of its filters pins to a constant
     (``attr = const``): each row the chain lets through carries exactly
     those values, so a hash index on any subset of the columns narrows
-    the chain's input to one bucket.
+    the chain's input to one bucket.  ``restrict`` is the
+    :class:`~repro.algebra.expr.KeyRestrict` leaf when the chain reads
+    ``σ_{key ∈ K(domain)}(table)`` rather than the table: its input is
+    then the buckets of the call's bound keys in the index on the key
+    column (a delta-sized table is read whole and filtered instead).
     """
 
-    __slots__ = ("table", "out_map", "steps", "const_eq")
+    __slots__ = ("table", "out_map", "steps", "const_eq", "restrict")
 
-    def __init__(self, table: str, out_map: tuple[int | None, ...]) -> None:
+    def __init__(
+        self, table: str, out_map: tuple[int | None, ...], restrict: KeyRestrict | None = None
+    ) -> None:
         self.table = table
         self.out_map = out_map
         self.steps: list[tuple[str, Any]] = []
         self.const_eq: dict[int, Any] = {}
+        self.restrict = restrict
 
     def base_positions(self, out_positions: tuple[int, ...]) -> tuple[int, ...] | None:
         """Map output positions to base columns (``None`` if any is computed)."""
@@ -122,6 +134,9 @@ def source_access(expr: Expr) -> SourceAccess | None:
     """Build a :class:`SourceAccess` for ``expr`` when it is a fusable chain."""
     if isinstance(expr, TableRef):
         return SourceAccess(expr.name, tuple(range(expr.table_schema.arity)))
+    if isinstance(expr, KeyRestrict):
+        table = expr.child
+        return SourceAccess(table.name, tuple(range(table.table_schema.arity)), expr)
     if isinstance(expr, Select):
         access = source_access(expr.child)
         if access is None:
@@ -168,15 +183,19 @@ def source_access(expr: Expr) -> SourceAccess | None:
 class PNode:
     """A physical operator with a version-stamped cross-call result memo."""
 
-    __slots__ = ("tables", "_memo")
+    __slots__ = ("tables", "keyed", "_memo")
 
     #: Whether execute() may short-circuit to φ via runtime_empty().
     check_empty = True
 
     def __init__(self, tables: frozenset[str]) -> None:
         self.tables = tuple(sorted(tables))
+        #: Whether a key-restricted leaf sits at or below this node: its
+        #: result then depends on the call's key binding, which joins the
+        #: table versions in the memo stamp (set by ``Compiler.compile``).
+        self.keyed = False
         #: ``(stamp, value)`` of the last execution, or None.
-        self._memo: tuple[tuple[int, ...], Bag] | None = None
+        self._memo: tuple[tuple, Bag] | None = None
 
     def children(self) -> tuple[PNode, ...]:
         return ()
@@ -186,7 +205,7 @@ class PNode:
         return False
 
     def execute(self, ctx) -> Bag:
-        stamp = ctx.stamp_for(self.tables)
+        stamp = ctx.stamp_for(self)
         memo = self._memo
         if memo is not None and memo[0] == stamp:
             if ctx.counter is not None:
@@ -250,7 +269,9 @@ class PPipeline(PNode):
     """A fused σ/Π/map chain over a stored table, evaluated in one pass.
 
     Charges one ``scan`` tuple-op per base row read — intermediate
-    selection/projection materializations are pipelined away.
+    selection/projection materializations are pipelined away.  Over a
+    key-restricted access the pass runs over the bound keys' rows only
+    (:meth:`restricted`): a base table is not scanned.
     """
 
     __slots__ = ("access",)
@@ -258,14 +279,56 @@ class PPipeline(PNode):
     def __init__(self, access: SourceAccess) -> None:
         super().__init__(frozenset({access.table}))
         self.access = access
+        self.keyed = access.restrict is not None
 
     def runtime_empty(self, state) -> bool:
         value = state.get(self.access.table)
         return value is not None and not value
 
+    def restricted(self, ctx) -> Iterator[tuple[Row, int]]:
+        """The chain's ``(image, count)`` pairs over ``σ_{key ∈ K}(R)``.
+
+        One lookup per bound key in ``R``'s maintained key index — the
+        cost is the keys and their buckets, whatever the table's size; a
+        delta-sized ``R`` (a log) is one filtered pass, charged like the
+        unrestricted scan it narrows.  One routine for every engine
+        tier, like :meth:`PIndexSelect.matches`.
+        """
+        access = self.access
+        leaf = access.restrict
+        position = leaf.position
+        keys = ctx.keys_of(leaf.domain)
+        base = ctx.table(access.table)
+        apply = access.apply
+        if leaf.delta:
+            for row, count in base.items():
+                if row[position] in keys:
+                    image = apply(row)
+                    if image is not None:
+                        yield image, count
+            if ctx.counter is not None:
+                ctx.counter.record("scan", base.distinct_count())
+            return
+        index = ctx.indexes.get(access.table, (position,), base, counter=ctx.counter)
+        gathered = 0
+        for key in keys:
+            bucket = index.lookup((key,))
+            gathered += len(bucket)
+            for row, count in bucket.items():
+                image = apply(row)
+                if image is not None:
+                    yield image, count
+        if ctx.counter is not None:
+            ctx.counter.record_probes("index_probe", len(keys))
+            ctx.counter.record("partition_restrict", gathered)
+
     def _compute(self, ctx) -> Bag:
-        base = ctx.table(self.access.table)
         counts: dict[Row, int] = {}
+        if self.access.restrict is not None:
+            for image, count in self.restricted(ctx):
+                counts[image] = counts.get(image, 0) + count
+            return Bag(counts=counts)
+        base = ctx.table(self.access.table)
         apply = self.access.apply
         for row, count in base.items():
             image = apply(row)
@@ -496,9 +559,20 @@ class _JoinSide:
     table ``R`` whose join keys map to base columns — bare
     (``chain(R)``), or as the ``chain(R) ∸ D`` "rest" that Figure 2's
     Product rule joins every delta with; ``minus`` is then ``D``'s node.
+    A chain over a key-restricted ``R`` qualifies only when the join is
+    on that key: the probed bucket is then the restriction, and
+    ``restrict_slot`` says which join key carries it.
     """
 
-    __slots__ = ("node", "key_positions", "access", "minus", "base_key_positions", "side_filter")
+    __slots__ = (
+        "node",
+        "key_positions",
+        "access",
+        "minus",
+        "base_key_positions",
+        "side_filter",
+        "restrict_slot",
+    )
 
     def __init__(
         self,
@@ -515,6 +589,12 @@ class _JoinSide:
         # Base columns behind the join keys; None = not index-servable.
         self.base_key_positions = access.base_positions(key_positions) if access is not None else None
         self.side_filter = side_filter
+        self.restrict_slot: int | None = None
+        if self.base_key_positions is not None and access.restrict is not None:
+            if access.restrict.position in self.base_key_positions:
+                self.restrict_slot = self.base_key_positions.index(access.restrict.position)
+            else:
+                self.base_key_positions = None
 
     @property
     def indexable(self) -> bool:
@@ -528,12 +608,12 @@ class _JoinSide:
         if self.indexable:
             return None
         if self.access is not None:
-            return "computed-key"
+            return "off-key-restriction" if self.access.restrict is not None else "computed-key"
         node = self.node
         while isinstance(node, (PMonus, PFilter, PProject, PMap)):
             node = node.left if isinstance(node, PMonus) else node.child
         if isinstance(node, PLiteral):
-            # A partition-restricted slice standing in for its base table.
+            # An evaluated bag standing in for the stored table it came from.
             return "literal-base"
         return "non-chain-operand" if self.node.tables else None
 
@@ -642,6 +722,8 @@ class PEquiJoin(PNode):
         (:func:`_bucket_rest`); when ``D`` is empty at run time this is
         the plain probe.  The index is brought current inside
         ``IndexManager.get``, under its lock, before the first lookup.
+        Over a key-restricted ``R`` only probes carrying a bound key are
+        looked up: the bucket of such a key is its slice of ``σ_K(R)``.
         """
         probe = self.right if indexed is self.left else self.left
         base = ctx.table(indexed.access.table)
@@ -661,10 +743,16 @@ class PEquiJoin(PNode):
         lookup = index.lookup
         residual = self.residual
         left_is_probe = probe is self.left
+        bound = bound_position = None
+        if indexed.restrict_slot is not None:
+            bound = ctx.keys_of(indexed.access.restrict.domain)
+            bound_position = probe_positions[indexed.restrict_slot]
         probes = 0
         examined = 0
         for probe_row, probe_count in probe_rows:
             if probe_filter is not None and not probe_filter(probe_row):
+                continue
+            if bound is not None and probe_row[bound_position] not in bound:
                 continue
             probes += 1
             bucket = lookup(tuple(probe_row[position] for position in probe_positions))
@@ -749,6 +837,7 @@ class Compiler:
         node = self._nodes.get(expr)
         if node is None:
             node = self._build(expr)
+            node.keyed = node.keyed or any(child.keyed for child in node.children())
             self._nodes[expr] = node
         return node
 
@@ -760,7 +849,7 @@ class Compiler:
             return PScan(expr.name)
         if isinstance(expr, Literal):
             return PLiteral(expr.bag)
-        if isinstance(expr, (Select, Project, MapProject)):
+        if isinstance(expr, (Select, Project, MapProject, KeyRestrict)):
             if isinstance(expr, Select) and isinstance(expr.child, Product):
                 join = self._build_equijoin(expr, expr.child)
                 if join is not None:
@@ -768,8 +857,10 @@ class Compiler:
             access = source_access(expr)
             if access is not None:
                 # A chain that pins base columns to constants is one
-                # index probe, whichever of σ/Π/map is its root.
-                return PIndexSelect(access) if access.const_eq else PPipeline(access)
+                # index probe, whichever of σ/Π/map is its root (over a
+                # key restriction the bound keys' buckets are narrower).
+                probed = access.const_eq and access.restrict is None
+                return PIndexSelect(access) if probed else PPipeline(access)
         if isinstance(expr, Select):
             predicate = expr.predicate.bind(expr.child.schema())
             return PFilter(self.compile(expr.child), predicate)

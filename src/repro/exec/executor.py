@@ -20,33 +20,64 @@ the interpreted evaluator's per-call memo is not (see the warning on
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Collection, Iterable, Mapping
 
 from repro import obs
 from repro.algebra.bag import Bag, Row
 from repro.algebra.evaluation import CostCounter
-from repro.algebra.expr import Expr
-from repro.errors import UnknownTableError
-from repro.exec.compiler import Compiler, PEquiJoin, PIndexSelect, PNode
+from repro.algebra.expr import Expr, Literal
+from repro.errors import ReproError, UnknownTableError
+from repro.exec.compiler import Compiler, PEquiJoin, PIndexSelect, PLiteral, PNode, PPipeline
 
-__all__ = ["ExecutionContext", "Executor", "plan_for"]
+__all__ = ["ExecutionContext", "Executor", "binding_stamp", "plan_for"]
+
+
+def binding_stamp(keys: Mapping[str, Collection] | None) -> tuple | None:
+    """A key binding as a value a result memo can be stamped with."""
+    return None if keys is None else tuple(sorted(keys.items()))
 
 
 class ExecutionContext:
-    """Per-call view of the database handed to physical operators."""
+    """Per-call view of the database handed to physical operators.
 
-    __slots__ = ("state", "counter", "indexes", "_version_of")
+    ``keys`` is the call's key binding — domain → the key set ``K`` its
+    key-restricted leaves (:class:`~repro.algebra.expr.KeyRestrict`)
+    select by; ``None`` for the ordinary call that has no such leaf.
+    """
 
-    def __init__(self, state: Mapping[str, Bag], counter: CostCounter | None, indexes, version_of) -> None:
+    __slots__ = ("state", "counter", "indexes", "_version_of", "_keys", "_binding")
+
+    def __init__(
+        self,
+        state: Mapping[str, Bag],
+        counter: CostCounter | None,
+        indexes,
+        version_of,
+        keys: Mapping[str, Collection] | None = None,
+    ) -> None:
         self.state = state
         self.counter = counter
         self.indexes = indexes
         self._version_of = version_of
+        self._keys = keys
+        self._binding = None if keys is None else binding_stamp(keys)
 
-    def stamp_for(self, tables: tuple[str, ...]) -> tuple[int, ...]:
-        """The current version stamp of a node's input tables."""
+    def stamp_for(self, node: PNode) -> tuple:
+        """The memo stamp of ``node``: its input tables' current versions,
+        and the key binding as well when a restricted leaf sits below it
+        (the same table version answers differently under another ``K``)."""
         version_of = self._version_of
-        return tuple(version_of(name) for name in tables)
+        stamp = tuple(version_of(name) for name in node.tables)
+        return (*stamp, self._binding) if node.keyed else stamp
+
+    def keys_of(self, domain: str) -> Collection:
+        """The key set bound to ``domain`` for this call."""
+        if self._keys is None:
+            raise ReproError(
+                f"a leaf restricted to the keys of domain {domain!r} was evaluated "
+                "without a key binding (pass keys= to evaluate)"
+            )
+        return self._keys.get(domain, ())
 
     def table(self, name: str) -> Bag:
         """The stored table ``name`` as of this call."""
@@ -110,9 +141,15 @@ class Executor:
 
     # -- execution -----------------------------------------------------
 
-    def evaluate(self, expr: Expr, *, counter: CostCounter | None = None) -> Bag:
+    def evaluate(
+        self,
+        expr: Expr,
+        *,
+        counter: CostCounter | None = None,
+        keys: Mapping[str, Collection] | None = None,
+    ) -> Bag:
         """Evaluate ``expr`` against the database's current state."""
-        return plan_for(self._nodes, expr, counter).execute(self._context(counter))
+        return plan_for(self._nodes, expr, counter).execute(self._context(counter, keys))
 
     def prime(self, expr: Expr, *, counter: CostCounter | None = None) -> PNode:
         """Compile ``expr`` now and pre-build the indexes its plan can use.
@@ -138,6 +175,10 @@ class Executor:
                 table = current.access.table
                 positions = ctx.indexes.covering(table, current.key_positions)
                 self._build_index(ctx, table, positions or current.key_positions)
+            elif isinstance(current, PPipeline):
+                leaf = current.access.restrict
+                if leaf is not None and not leaf.delta:
+                    self._build_index(ctx, current.access.table, (leaf.position,))
             elif isinstance(current, PEquiJoin):
                 # Bare chains and ``chain(R) ∸ D`` operands alike.
                 for side in (current.left, current.right):
@@ -150,29 +191,40 @@ class Executor:
         if base is not None:
             ctx.indexes.get(table, positions, base, counter=ctx.counter)
 
-    def _context(self, counter: CostCounter | None) -> ExecutionContext:
+    def _context(self, counter: CostCounter | None, keys=None) -> ExecutionContext:
         database = self._database
-        return ExecutionContext(database.state, counter, database.indexes, database.version_of)
+        return ExecutionContext(database.state, counter, database.indexes, database.version_of, keys)
 
 
-def plan_for(nodes: dict[Expr, PNode], expr: Expr, counter: CostCounter | None) -> PNode:
+def plan_for(nodes: dict[Expr, PNode], expr: Expr, counter: CostCounter | None, clear=None) -> PNode:
     """The physical plan for ``expr`` out of the node table ``nodes``.
 
     Compiled into the table on a miss (``plan_hits`` / ``plan_misses``
-    on the counter).  A node's memo is guarded by version stamps, which
-    compare only within one database: a table is owned by whoever
-    evaluates against that database — its :class:`Executor`, or the
-    snapshot registry pinning it — and never shared across two.
+    on the counter); a table past ``MAX_NODES`` is dropped first, through
+    ``clear`` when its owner keeps more per node than the table does.  A
+    node's memo is guarded by version stamps, which compare only within
+    one database: a table is owned by whoever evaluates against that
+    database — its :class:`Executor`, or the snapshot registry pinning
+    it — and never shared across two.
+
+    A bare literal (a script's ``INSERT`` rows, an epoch-supplied delta)
+    has nothing to lower: new, it is not a miss and never reaches the
+    compiler.  Its node still lives in the table, because the same
+    script's log-extension plan holds the same literal as an operand and
+    the two must share one memo (one ``literal`` charge).
     """
     node = nodes.get(expr)
     if node is not None:
         if counter is not None:
             counter.plan_hits += 1
         return node
+    if len(nodes) > Executor.MAX_NODES:
+        (clear or nodes.clear)()
+    if isinstance(expr, Literal):
+        node = nodes[expr] = PLiteral(expr.bag)
+        return node
     if counter is not None:
         counter.plan_misses += 1
-    if len(nodes) > Executor.MAX_NODES:
-        nodes.clear()
     if obs.telemetry_enabled():
         with obs.span("plan_compile", tables=",".join(sorted(expr.tables()))):
             node = Compiler(nodes).compile(expr)

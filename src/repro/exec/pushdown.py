@@ -30,6 +30,11 @@ Results are memoized per expression under the same per-table version
 stamps the compiled engine uses, so an unchanged expression — the
 common case across deferred-refresh rounds — re-evaluates in O(1)
 without touching SQLite at all.
+
+A key-restricted leaf (partition pruning) is pushable: its SQL text is
+fixed at compile time and reads the call's key binding from a table the
+mirror loads just before the statement runs, so the pruned refresh pair
+compiles once; the binding joins the version stamps in the result memo.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from repro.algebra.evaluation import CostCounter
 from repro.algebra.expr import (
     DupElim,
     Expr,
+    KeyRestrict,
     Literal,
     MapProject,
     Monus,
@@ -59,7 +65,7 @@ from repro.algebra.predicates import (
     Term,
 )
 from repro.errors import ReproError, UnknownTableError
-from repro.exec.executor import ExecutionContext
+from repro.exec.executor import ExecutionContext, binding_stamp
 from repro.robustness.faults import fault_point
 from repro.exec.vectorized import VectorizedExecutor
 from repro.storage.sqlite_backend import (
@@ -120,8 +126,9 @@ class PushdownExecutor(VectorizedExecutor):
         self._partitions: dict[str, object] = {}
         #: expr -> structural pushability verdict (content-independent).
         self._pushable_memo: dict[Expr, bool] = {}
-        #: expr -> compiled SQL text (table names/arities are stable).
-        self._sql_cache: dict[Expr, str] = {}
+        #: expr -> (compiled SQL text, whether it reads the call's key
+        #: binding); table names/arities are stable.
+        self._sql_cache: dict[Expr, tuple[str, bool]] = {}
         #: expr -> [stamp, bag]; stamp spans the expr's table versions.
         self._result_memo: dict[Expr, list] = {}
 
@@ -180,9 +187,11 @@ class PushdownExecutor(VectorizedExecutor):
     # Entry point
     # ------------------------------------------------------------------
 
-    def evaluate(self, expr: Expr, *, counter: CostCounter | None = None) -> Bag:
+    def evaluate(self, expr: Expr, *, counter: CostCounter | None = None, keys=None) -> Bag:
         database = self._database
         stamp = tuple(database.version_of(name) for name in sorted(expr.tables()))
+        if keys is not None:
+            stamp = (*stamp, binding_stamp(keys))
         entry = self._result_memo.get(expr)
         if entry is not None and entry[0] == stamp:
             if counter is not None:
@@ -190,18 +199,18 @@ class PushdownExecutor(VectorizedExecutor):
             return entry[1]
         if len(self._result_memo) > self.MAX_NODES:
             self._result_memo.clear()
-        bag = self._eval(expr, counter)
+        bag = self._eval(expr, counter, keys)
         self._result_memo[expr] = [stamp, bag]
         return bag
 
-    def _eval(self, expr: Expr, counter: CostCounter | None) -> Bag:
+    def _eval(self, expr: Expr, counter: CostCounter | None, keys) -> Bag:
         if self._is_pushable(expr):
             try:
-                return self._sql_eval(expr, counter)
+                return self._sql_eval(expr, counter, keys)
             except MirrorUnsupported:
-                return super().evaluate(expr, counter=counter)
-        rewritten = self._push_maximal(expr, counter)
-        return super().evaluate(rewritten, counter=counter)
+                return super().evaluate(expr, counter=counter, keys=keys)
+        rewritten = self._push_maximal(expr, counter, keys)
+        return super().evaluate(rewritten, counter=counter, keys=keys)
 
     # ------------------------------------------------------------------
     # Pushability analysis
@@ -215,8 +224,8 @@ class PushdownExecutor(VectorizedExecutor):
         return cached
 
     def _compute_pushable(self, expr: Expr) -> bool:
-        if isinstance(expr, TableRef):
-            return expr.table_schema.arity > 0
+        if isinstance(expr, (TableRef, KeyRestrict)):
+            return expr.schema().arity > 0
         if isinstance(expr, Literal):
             return expr.literal_schema.arity > 0 and all(
                 sqlite_supported_value(value) for row, _count in expr.bag.items() for value in row
@@ -239,7 +248,7 @@ class PushdownExecutor(VectorizedExecutor):
     # SQL evaluation + per-subtree fallback
     # ------------------------------------------------------------------
 
-    def _sql_eval(self, expr: Expr, counter: CostCounter | None) -> Bag:
+    def _sql_eval(self, expr: Expr, counter: CostCounter | None, keys=None) -> Bag:
         """Evaluate a pushable ``expr`` entirely inside SQLite."""
         mirror = self._mirror
         database = self._database
@@ -253,16 +262,22 @@ class PushdownExecutor(VectorizedExecutor):
                         f"table {name!r} is not present in the database state"
                     ) from None
                 mirror.ensure(name, database.schema_of(name), bag)
-            sql = self._sql_cache.get(expr)
-            if sql is None:
+            compiled = self._sql_cache.get(expr)
+            if compiled is None:
                 if counter is not None:
                     counter.plan_misses += 1
                 if len(self._sql_cache) > self.MAX_NODES:
                     self._sql_cache.clear()
-                sql = compile_expr(expr, scan=mirror.scan_sql, net=True)
-                self._sql_cache[expr] = sql
+                keyed = any(isinstance(node, KeyRestrict) for node in expr.walk())
+                compiled = compile_expr(expr, scan=mirror.scan_sql, net=True), keyed
+                self._sql_cache[expr] = compiled
             elif counter is not None:
                 counter.plan_hits += 1
+            sql, keyed = compiled
+            if keyed:
+                if keys is None:
+                    raise ReproError("a key-restricted leaf was evaluated without a key binding")
+                mirror.bind_keys(keys)
             fault_point("flaky-pushdown-execute")
             rows = mirror.execute(sql)
         counts: dict[Row, int] = {}
@@ -273,7 +288,7 @@ class PushdownExecutor(VectorizedExecutor):
             counter.record("pushdown", len(rows))
         return Bag.from_counts(counts)
 
-    def _push_maximal(self, expr: Expr, counter: CostCounter | None) -> Expr:
+    def _push_maximal(self, expr: Expr, counter: CostCounter | None, keys=None) -> Expr:
         """Replace each maximal pushable subtree with its SQL result.
 
         The rewritten tree's remaining operators run on the inherited
@@ -282,14 +297,14 @@ class PushdownExecutor(VectorizedExecutor):
         """
         if self._is_pushable(expr):
             try:
-                bag = self._sql_eval(expr, counter)
+                bag = self._sql_eval(expr, counter, keys)
             except MirrorUnsupported:
                 return expr
             return Literal(bag, expr.schema())
         children = expr.children()
         if not children:
             return expr
-        rewritten = tuple(self._push_maximal(child, counter) for child in children)
+        rewritten = tuple(self._push_maximal(child, counter, keys) for child in children)
         if all(new is old for new, old in zip(rewritten, children)):
             return expr
         return _rebuild(expr, rewritten)

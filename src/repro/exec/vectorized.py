@@ -46,7 +46,6 @@ from repro.algebra.evaluation import CostCounter
 from repro.algebra.expr import Expr
 from repro.errors import ReproError
 from repro.exec.compiler import (
-    Compiler,
     PDedup,
     PEquiJoin,
     PFilter,
@@ -61,7 +60,7 @@ from repro.exec.compiler import (
     PScan,
     PUnionAll,
 )
-from repro.exec.executor import ExecutionContext, Executor
+from repro.exec.executor import ExecutionContext, Executor, plan_for
 from repro.robustness.faults import fault_point
 
 __all__ = ["VectorizedExecutor", "TableBatchCache"]
@@ -147,8 +146,8 @@ class _BatchContext(ExecutionContext):
 
     __slots__ = ("_executor",)
 
-    def __init__(self, state, counter, indexes, version_of, executor: VectorizedExecutor) -> None:
-        super().__init__(state, counter, indexes, version_of)
+    def __init__(self, state, counter, indexes, version_of, keys, executor: VectorizedExecutor) -> None:
+        super().__init__(state, counter, indexes, version_of, keys)
         self._executor = executor
 
     def rows(self, node: PNode):
@@ -171,30 +170,24 @@ class VectorizedExecutor(Executor):
 
     # -- entry points --------------------------------------------------
 
-    def evaluate(self, expr: Expr, *, counter: CostCounter | None = None) -> Bag:
-        node = self._nodes.get(expr)
-        if node is not None:
-            if counter is not None:
-                counter.plan_hits += 1
-        else:
-            if counter is not None:
-                counter.plan_misses += 1
-            if len(self._nodes) > self.MAX_NODES:
-                self._nodes.clear()
-                self._batch_memo.clear()
-            node = Compiler(self._nodes).compile(expr)
+    def evaluate(self, expr: Expr, *, counter: CostCounter | None = None, keys=None) -> Bag:
+        node = plan_for(self._nodes, expr, counter, self._drop_plans)
         # Built here rather than by overriding ``_context``: the governor
         # runs ``Executor.evaluate`` on this same instance as its compiled
         # tier, which must keep reading children through ``PNode.execute``.
         database = self._database
-        ctx = _BatchContext(database.state, counter, database.indexes, database.version_of, self)
+        ctx = _BatchContext(database.state, counter, database.indexes, database.version_of, keys, self)
         return self._bag(node, ctx)
+
+    def _drop_plans(self) -> None:
+        self._nodes.clear()
+        self._batch_memo.clear()
 
     # -- the batch interpreter -----------------------------------------
 
     def _run(self, node: PNode, ctx: ExecutionContext) -> list:
         """Execute ``node`` to a memo entry ``[stamp, batch, bag|None]``."""
-        stamp = ctx.stamp_for(node.tables)
+        stamp = ctx.stamp_for(node)
         entry = self._batch_memo.get(node)
         if entry is not None and entry[0] == stamp:
             if ctx.counter is not None:
@@ -245,8 +238,10 @@ class VectorizedExecutor(Executor):
         return ColumnBatch.from_bag(node.bag)
 
     def _k_pipeline(self, node: PPipeline, ctx) -> ColumnBatch:
-        base = self._scan_batch(node.access.table, ctx)
         out_arity = len(node.access.out_map)
+        if node.access.restrict is not None:
+            return ColumnBatch.from_pairs(node.restricted(ctx), out_arity)
+        base = self._scan_batch(node.access.table, ctx)
         fast = _filter_project_shape(node.access.steps)
         if fast is not None and base.arity:
             # Columnar fast path for the dominant σ*→Π chain: predicates

@@ -202,6 +202,7 @@ class EngineGovernor:
         *,
         counter: CostCounter | None = None,
         memo: dict | None = None,
+        keys=None,
     ) -> Bag:
         """Evaluate ``expr`` on the highest healthy tier; never let a
         backend error reach the caller.
@@ -211,35 +212,37 @@ class EngineGovernor:
         share work across a transaction's right-hand sides exactly like
         the ungoverned path, or the governor would change tuple-op
         accounting (the ``--governor-guard`` gate pins this down).
+        ``keys`` is the call's key binding, handed to whichever tier
+        answers.
         """
-        return self._evaluate_from(0, expr, counter, memo)
+        return self._evaluate_from(0, expr, counter, memo, keys)
 
     def _evaluate_from(
-        self, start: int, expr: Expr, counter: CostCounter | None, memo: dict | None
+        self, start: int, expr: Expr, counter: CostCounter | None, memo: dict | None, keys=None
     ) -> Bag:
         ladder = self.ladder
         for position in range(start, len(ladder)):
             tier = ladder[position]
             breaker = self.breakers.get(tier)
             if breaker is None:
-                return self._run_tier(tier, expr, counter, memo)
+                return self._run_tier(tier, expr, counter, memo, keys)
             gate = breaker.allow()
             if gate == "skip":
                 continue
             if gate == "probe":
-                return self._probe(position, expr, counter, memo)
+                return self._probe(position, expr, counter, memo, keys)
             try:
                 return self._policy.run(
-                    lambda: self._run_tier(tier, expr, counter, memo),
+                    lambda: self._run_tier(tier, expr, counter, memo, keys),
                     sleep=self._sleep,
                     rng=self._rng,
                 )
             except sqlite3.Error as exc:
                 self._demote(position, exc)
-        return self._run_tier(ladder[-1], expr, counter, memo)
+        return self._run_tier(ladder[-1], expr, counter, memo, keys)
 
     def _run_tier(
-        self, tier: str, expr: Expr, counter: CostCounter | None, memo: dict | None = None
+        self, tier: str, expr: Expr, counter: CostCounter | None, memo: dict | None = None, keys=None
     ) -> Bag:
         """Evaluate on one specific tier of the shared executor chain.
 
@@ -250,13 +253,13 @@ class EngineGovernor:
         the one set of write-listener-maintained caches.
         """
         if tier == INTERPRETED:
-            return interpret(expr, self._db.state, counter=counter, memo=memo)
+            return interpret(expr, self._db.state, counter=counter, memo=memo, keys=keys)
         executor = self._db.executor
         if tier == SQLITE:
-            return executor.evaluate(expr, counter=counter)
+            return executor.evaluate(expr, counter=counter, keys=keys)
         if tier == VECTORIZED:
-            return VectorizedExecutor.evaluate(executor, expr, counter=counter)
-        return Executor.evaluate(executor, expr, counter=counter)
+            return VectorizedExecutor.evaluate(executor, expr, counter=counter, keys=keys)
+        return Executor.evaluate(executor, expr, counter=counter, keys=keys)
 
     # ------------------------------------------------------------------
     # Demotion / re-promotion
@@ -273,7 +276,7 @@ class EngineGovernor:
             pass
 
     def _probe(
-        self, position: int, expr: Expr, counter: CostCounter | None, memo: dict | None
+        self, position: int, expr: Expr, counter: CostCounter | None, memo: dict | None, keys=None
     ) -> Bag:
         """The half-open cross-check: heal, re-run, compare digests.
 
@@ -288,12 +291,12 @@ class EngineGovernor:
         """
         tier = self.ladder[position]
         breaker = self.breakers[tier]
-        reference = self._evaluate_from(position + 1, expr, counter, memo)
+        reference = self._evaluate_from(position + 1, expr, counter, memo, keys)
         try:
             with obs.span("governor_probe", tier=tier):
                 fault_point("flaky-governor-probe")
                 self._heal_tier(tier)
-                candidate = self._run_tier(tier, expr, counter, memo)
+                candidate = self._run_tier(tier, expr, counter, memo, keys)
         except sqlite3.Error:
             breaker.trip()
             obs.metric_inc("governor_probe_failures")

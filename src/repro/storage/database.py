@@ -270,16 +270,21 @@ class Database:
         """The current state as a read-only mapping for evaluation."""
         return self._tables
 
-    def evaluate(self, expr: Expr, *, counter: CostCounter | None = None) -> Bag:
-        """Evaluate a query in the current state."""
+    def evaluate(self, expr: Expr, *, counter: CostCounter | None = None, keys=None) -> Bag:
+        """Evaluate a query in the current state.
+
+        ``keys`` maps a partition domain to the key set this call binds
+        to the expression's key-restricted leaves (pruned maintenance
+        plans only; see :class:`~repro.algebra.expr.KeyRestrict`).
+        """
         sanitizer = obs.active_sanitizer()
         if sanitizer is not None and sanitizer.tracking():
             sanitizer.on_read(expr.tables())
         if self._governor is not None:
-            return self._governor.evaluate(expr, counter=counter)
+            return self._governor.evaluate(expr, counter=counter, keys=keys)
         if self._exec_mode == INTERPRETED:
-            return evaluate(expr, self._tables, counter=counter)
-        return self.executor.evaluate(expr, counter=counter)
+            return evaluate(expr, self._tables, counter=counter, keys=keys)
+        return self.executor.evaluate(expr, counter=counter, keys=keys)
 
     def total_rows(self) -> int:
         """Total tuple count across all tables (with multiplicity)."""
@@ -318,6 +323,7 @@ class Database:
         patches: Mapping[str, tuple[Expr, Expr]] | None = None,
         counter: CostCounter | None = None,
         restrict_to_external: bool = False,
+        keys=None,
     ) -> None:
         """Execute one simultaneous transaction of assignments and patches.
 
@@ -338,6 +344,8 @@ class Database:
 
         With ``restrict_to_external=True`` the transaction is validated
         as a *user* transaction: it may only touch external tables.
+        ``keys`` binds the right-hand sides' key-restricted leaves, as in
+        :meth:`evaluate`.
 
         The transaction is **exception-safe**: every right-hand side is
         evaluated and every patched bag is staged before anything is
@@ -351,7 +359,9 @@ class Database:
         if overlap:
             raise TransactionError(f"tables both assigned and patched: {sorted(overlap)}")
         with obs.span("apply", assignments=len(assignments), patches=len(patches), counter=counter):
-            self._apply(assignments, patches, counter=counter, restrict_to_external=restrict_to_external)
+            self._apply(
+                assignments, patches, counter=counter, restrict_to_external=restrict_to_external, keys=keys
+            )
 
     def _apply(
         self,
@@ -360,6 +370,7 @@ class Database:
         *,
         counter: CostCounter | None = None,
         restrict_to_external: bool = False,
+        keys=None,
     ) -> None:
         interpreted = self._exec_mode == INTERPRETED
         governor = self._governor
@@ -380,10 +391,10 @@ class Database:
             if sanitizer is not None:
                 sanitizer.on_read(expr.tables())
             if governor is not None:
-                return governor.evaluate(expr, counter=counter, memo=memo)
+                return governor.evaluate(expr, counter=counter, memo=memo, keys=keys)
             if interpreted:
-                return evaluate(expr, self._tables, counter=counter, memo=memo)
-            return self.executor.evaluate(expr, counter=counter)
+                return evaluate(expr, self._tables, counter=counter, memo=memo, keys=keys)
+            return self.executor.evaluate(expr, counter=counter, keys=keys)
 
         new_values: dict[str, Bag] = {}
         patch_deltas: dict[str, tuple[Bag, Bag]] = {}

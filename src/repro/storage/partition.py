@@ -12,10 +12,10 @@ state cannot:
   is marked stale and rebuilt lazily on the next whole-table read, so a
   refresh epoch never pays O(|table|);
 * **partition pruning** — the affected-key sets the maintenance logs
-  induce (:meth:`affected_keys`) let the exec compiler replace
-  full-table scans with restricted literals
-  (:mod:`repro.analysis.partitioning`), touching only the partitions
-  whose keys appear in the pending delta.
+  induce (:meth:`affected_keys`) are what a pruned maintenance plan's
+  key-restricted leaves (:mod:`repro.analysis.partitioning`) are bound
+  to at each epoch, so a refresh reads only the index buckets of the
+  keys that appear in the pending delta.
 
 Two partitioning schemes are supported:
 
@@ -372,9 +372,9 @@ class PartitionedDatabase(Database):
     def state(self) -> Mapping[str, Bag]:
         return _StateView(self)
 
-    def evaluate(self, expr: Expr, *, counter: CostCounter | None = None) -> Bag:
+    def evaluate(self, expr: Expr, *, counter: CostCounter | None = None, keys=None) -> Bag:
         self._materialize_for(expr.tables())
-        return super().evaluate(expr, counter=counter)
+        return super().evaluate(expr, counter=counter, keys=keys)
 
     def prime(self, *exprs: Expr, counter: CostCounter | None = None) -> None:
         for expr in exprs:
@@ -418,15 +418,19 @@ class PartitionedDatabase(Database):
     # Affected keys and key-restricted reads
     # ------------------------------------------------------------------
 
-    def affected_keys(self, table_bags: Mapping[str, Bag]) -> dict[str, set]:
+    def affected_keys(
+        self, table_bags: Mapping[str, Bag] | Iterable[tuple[str, Bag]]
+    ) -> dict[str, set]:
         """Per-domain affected-key sets induced by pending delta bags.
 
-        ``table_bags`` maps a *base table name* to a delta bag carrying
-        the base schema (a maintenance log's contents); the key column
+        ``table_bags`` pairs a *base table name* with a delta bag carrying
+        the base schema (a maintenance log's contents) — a mapping, or
+        ``(table, bag)`` pairs when a table has several; the key column
         of the table's spec is projected out and unioned per domain.
         """
         by_domain: dict[str, set] = {}
-        for table, bag in table_bags.items():
+        pairs = table_bags.items() if isinstance(table_bags, Mapping) else table_bags
+        for table, bag in pairs:
             spec = self._specs.get(table)
             if spec is None:
                 continue

@@ -11,6 +11,8 @@ over that encoding:
 operator        SQL strategy
 ==============  ==================================================
 table ref       scan the multiplicity-encoded table
+key restriction ``WHERE key IN (SELECT key FROM __bound_keys ...)`` —
+                the set is bound per call (:meth:`SQLiteMirror.bind_keys`)
 literal         ``VALUES`` list
 σ (select)      ``WHERE`` over the child
 Π (project)     ``GROUP BY`` projected columns, ``SUM(mult)``
@@ -51,7 +53,7 @@ from __future__ import annotations
 import hashlib
 import sqlite3
 import threading
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Mapping
 from typing import Any
 
 from repro import obs
@@ -60,6 +62,7 @@ from repro.robustness.faults import fault_point
 from repro.algebra.expr import (
     DupElim,
     Expr,
+    KeyRestrict,
     Literal,
     MapProject,
     Monus,
@@ -93,6 +96,11 @@ __all__ = [
     "mirror_digest",
     "sqlite_supported_value",
 ]
+
+#: The table a call's key binding is loaded into: one ``(domain, key)``
+#: row per bound key, so a key-restricted leaf compiles to SQL text
+#: that does not depend on the key set.
+_KEYS_TABLE = "__bound_keys"
 
 #: Python types SQLite stores faithfully (round-trip preserves Bag
 #: equality: bool maps to 0/1, which hashes equal to the original).
@@ -249,6 +257,13 @@ def _compile(expr: Expr, scan: Callable[[str, int], str] | None) -> tuple[str, b
             return scan(expr.name, arity), True
         cols = ", ".join(_cols(arity))
         return f"SELECT {cols}, mult FROM {_mangle(expr.name)}", True
+
+    if isinstance(expr, KeyRestrict):
+        table, distinct = _compile(expr.child, scan)
+        return (
+            f"SELECT * FROM ({table}) WHERE c{expr.position} IN "
+            f"(SELECT key FROM {_KEYS_TABLE} WHERE domain = {_sql_value(expr.domain)})"
+        ), distinct
 
     if isinstance(expr, Literal):
         arity = expr.literal_schema.arity
@@ -502,6 +517,9 @@ class SQLiteMirror:
         #: is not expressible in SQL) plus a ``(__part, key)`` index, so
         #: affected-key restrictions run as indexed C scans.
         self._partitions: dict[str, Any] = {}
+        self._conn.execute(
+            f"CREATE TABLE {_KEYS_TABLE} (domain TEXT, key, PRIMARY KEY (domain, key)) WITHOUT ROWID"
+        )
 
     def close(self) -> None:
         with self.lock:
@@ -777,6 +795,19 @@ class SQLiteMirror:
                 f"WHERE __part IN ({part_marks}) AND c{spec.position} IN ({key_marks})"
             )
             return self._conn.execute(sql, (*pids, *keys)).fetchall()
+
+    def bind_keys(self, keys: Mapping[str, Iterable]) -> None:
+        """Load one call's key binding for the key-restricted leaves of
+        the query about to run (hold :attr:`lock` across bind + execute).
+
+        Raises :class:`MirrorUnsupported` for a key ``IN`` cannot match
+        the way the in-memory index does (``NULL``, exotic values).
+        """
+        rows = [(domain, key) for domain, bound in keys.items() for key in bound]
+        if any(key is None or not sqlite_supported_value(key) for _domain, key in rows):
+            raise MirrorUnsupported("a bound key does not compare inside SQLite")
+        self._conn.execute(f"DELETE FROM {_KEYS_TABLE}")
+        self._conn.executemany(f"INSERT OR IGNORE INTO {_KEYS_TABLE} VALUES (?, ?)", rows)
 
     def request_index(self, name: str, positions: tuple[int, ...]) -> None:
         """Index the mirrored key columns, now or at materialization."""

@@ -1,10 +1,14 @@
 """Static partition-pruning analysis and the RVM7xx lint diagnostics."""
 
+import pytest
+
 from repro.algebra.bag import Bag
+from repro.algebra.expr import KeyRestrict, Literal
 from repro.analysis.lint import lint_view
 from repro.analysis.partitioning import analyze_deltas, key_positions, prune_expr
 from repro.core.differential import post_update_delta
 from repro.core.logs import Log
+from repro.errors import ReproError
 from repro.sqlfront.compiler import sql_to_view
 from repro.storage.partition import PartitionedDatabase
 
@@ -73,19 +77,21 @@ class TestAnalyzeDeltas:
 
 class TestPruneExpr:
     def test_restricted_literals_substituted(self):
+        # Since pruning became a plan-time property the substitute is a
+        # key-restricted leaf, not a literal holding one epoch's rows.
         db = make_db()
-        _, _, specs, log_map, (delete, insert) = deltas_for(db, JOIN_SQL)
-        calls = []
-
-        def restrict(table, domain):
-            calls.append((table, domain))
-            return db.restrict(table, [1])
-
-        result = prune_expr(insert, specs, log_map, restrict)
+        _, log, specs, log_map, (delete, insert) = deltas_for(db, JOIN_SQL)
+        result = prune_expr(insert, specs, log_map)
         assert not result.fallbacks
         assert result.prunes > 0
-        assert not (result.expr.tables() & {"C", "S"})
-        assert all(domain == "k" for _, domain in calls)
+        leaves = [node for node in result.expr.walk() if isinstance(node, KeyRestrict)]
+        assert {leaf.child.name for leaf in leaves} == {"C", "S"}
+        assert all(leaf.domain == "k" and leaf.position == 0 for leaf in leaves)
+        assert not any(isinstance(node, Literal) for node in result.expr.walk())
+        # The leaf means nothing without a binding: it fails closed.
+        db.set_table(log.insert_ref("C").name, Bag([(1, "n1")]))
+        with pytest.raises(ReproError, match="key binding"):
+            db.evaluate(result.expr)
 
     def test_chunk_mode_filters_log_leaves(self):
         db = make_db()
@@ -93,18 +99,24 @@ class TestPruneExpr:
         # Record changes touching keys 1 and 2, then evaluate the chunk
         # for key 1 only: the pruned expr must see only key-1 log rows.
         db.set_table(log.insert_ref("S").name, Bag([(1, "a"), (2, "b")]))
-        log_bags = {name: db[name] for name in log.table_names()}
-        result = prune_expr(
-            insert,
-            specs,
-            log_map,
-            lambda table, domain: db.restrict(table, [1]),
-            chunk_keys=frozenset([1]),
-            log_bags=log_bags,
-        )
+        result = prune_expr(insert, specs, log_map, restrict_logs=True)
         assert result.chunk_safe
-        bag = db.evaluate(result.expr)
-        assert all(row[0] == 1 for row in bag.support)
+        chunk = db.evaluate(result.expr, keys={"k": frozenset([1])})
+        assert chunk and all(row[0] == 1 for row in chunk.support)
+        # The chunks are disjoint by key and sum to the whole epoch.
+        other = db.evaluate(result.expr, keys={"k": frozenset([2])})
+        whole = db.evaluate(result.expr, keys={"k": frozenset([1, 2])})
+        assert chunk.union_all(other) == whole == db.evaluate(insert)
+
+    def test_analyze_deltas_returns_the_plan_every_epoch_runs(self):
+        db = make_db()
+        _, _, specs, log_map, deltas = deltas_for(db, JOIN_SQL)
+        plan = analyze_deltas(deltas, specs, log_map)
+        assert len(plan.deltas) == 2 and plan.prunes == 4
+        # Chunk-safe: the log leaves are restricted too, marked delta-sized.
+        leaves = [node for delta in plan.deltas for node in delta.walk() if isinstance(node, KeyRestrict)]
+        assert {leaf.delta for leaf in leaves if leaf.child.name in log_map} == {True}
+        assert {leaf.delta for leaf in leaves if leaf.child.name in specs} == {False}
 
 
 class TestKeyPositions:

@@ -1,22 +1,25 @@
 """Partitioned-maintenance fallback paths, exercised one by one.
 
-The affected-key fast path must *refuse* quietly whenever its
-preconditions fail — RVM702 layout drift, unprunable plans (RVM701),
-missing specs, the interpreted oracle — and the scenario must keep
-producing oracle-identical results through the whole-table path it falls
-back to.  The partition apply itself must stay all-or-nothing under a
-``crash-mid-partition-apply``.
+The affected-key fast path must *refuse* whenever its preconditions
+fail — RVM702 layout drift, unprunable plans (RVM701), missing specs,
+the interpreted oracle — say which one it was (``partition_probe`` on
+the scenario, ``partition_probe{outcome=…}`` in the metrics), and the
+scenario must keep producing oracle-identical results through the
+whole-table path it falls back to.  The partition apply itself must
+stay all-or-nothing under a ``crash-mid-partition-apply``.
 """
 
 from __future__ import annotations
 
-from types import SimpleNamespace
+from dataclasses import replace
 
 import pytest
 
+from repro import obs
 from repro.algebra.bag import Bag
 from repro.analysis.diagnostics import AnalysisWarning
-from repro.core.partition_refresh import PartitionedMaintenance
+from repro.analysis.partitioning import prune_expr
+from repro.core.partition_refresh import PROBE_OUTCOMES
 from repro.core.scenarios import BaseLogScenario, CombinedScenario
 from repro.core.transactions import UserTransaction
 from repro.robustness.faults import INJECTOR, InjectedCrash
@@ -82,6 +85,7 @@ class TestProbeRefusals:
         _tables(db)
         scenario = _scenario(db)
         assert scenario._pmaint is None
+        assert scenario.partition_probe == "no_api"
 
     def test_interpreted_oracle_stays_unpartitioned(self):
         db = PartitionedDatabase(exec_mode="interpreted")
@@ -90,6 +94,7 @@ class TestProbeRefusals:
         db.declare_partitioning("S", "custId", parts=8, domain="custId")
         scenario = _scenario(db)
         assert scenario._pmaint is None
+        assert scenario.partition_probe == "interpreted"
 
     def test_missing_spec_refuses(self):
         db = PartitionedDatabase(exec_mode="compiled")
@@ -98,6 +103,7 @@ class TestProbeRefusals:
         # S undeclared: the probe must not partially commit.
         scenario = _scenario(db)
         assert scenario._pmaint is None
+        assert scenario.partition_probe == "unspecced"
 
     def test_rvm702_layout_drift_refuses(self):
         db = PartitionedDatabase(exec_mode="compiled")
@@ -107,6 +113,7 @@ class TestProbeRefusals:
         with pytest.warns(AnalysisWarning, match="RVM702"):
             scenario = _scenario(db)
         assert scenario._pmaint is None
+        assert scenario.partition_probe == "rvm702"
 
     def test_no_mv_key_column_refuses(self):
         db = PartitionedDatabase(exec_mode="compiled")
@@ -115,6 +122,7 @@ class TestProbeRefusals:
         db.declare_partitioning("S", "custId", parts=8, domain="custId")
         scenario = _scenario(db, SQL_NO_KEY)
         assert scenario._pmaint is None
+        assert scenario.partition_probe == "unkeyed"
 
     def test_unkeyed_plan_refuses(self):
         db = PartitionedDatabase(exec_mode="compiled")
@@ -124,6 +132,39 @@ class TestProbeRefusals:
         with pytest.warns(AnalysisWarning, match="RVM701"):
             scenario = _scenario(db, SQL_CROSS)
         assert scenario._pmaint is None
+        assert scenario.partition_probe == "rvm701"
+        # The install-time verdict is the one whole-table fallback on record.
+        assert scenario.counter.partition_fallbacks == 1
+
+    def test_every_verdict_is_counted_by_outcome(self):
+        def declared(c_parts=8, s_parts=8, mode="compiled"):
+            db = PartitionedDatabase(exec_mode=mode)
+            _tables(db)
+            db.declare_partitioning("C", "custId", parts=c_parts, domain="custId")
+            db.declare_partitioning("S", "custId", parts=s_parts, domain="custId")
+            return db
+
+        half = PartitionedDatabase(exec_mode="compiled")
+        _tables(half)
+        half.declare_partitioning("C", "custId", parts=8, domain="custId")
+        plain = Database(exec_mode="compiled")
+        _tables(plain)
+        installs = {
+            "accepted": (declared(), SQL),
+            "no_api": (plain, SQL),
+            "interpreted": (declared(mode="interpreted"), SQL),
+            "unspecced": (half, SQL),
+            "rvm702": (declared(s_parts=4), SQL),
+            "rvm701": (declared(), SQL_CROSS),
+            "unkeyed": (declared(), SQL_NO_KEY),
+        }
+        assert set(installs) == set(PROBE_OUTCOMES)
+        with obs.observed() as stack, pytest.warns(AnalysisWarning):
+            for outcome, (db, sql) in installs.items():
+                assert _scenario(db, sql).partition_probe == outcome
+            counted = stack.metrics.snapshot()
+        for outcome in PROBE_OUTCOMES:
+            assert counted[f'partition_probe{{outcome="{outcome}"}}']["value"] == 1
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     @pytest.mark.parametrize(
@@ -149,17 +190,6 @@ class TestRuntimeFallbacks:
         assert scenario._pmaint is not None
         return db, scenario
 
-    def test_refresh_log_false_falls_back_to_whole_table(self, monkeypatch):
-        """A runtime prune failure degrades to refresh_BL, not an error."""
-        db, scenario = self._partitioned_scenario()
-        monkeypatch.setattr(
-            scenario._pmaint, "pruned_deltas", lambda keys, counter=None: None
-        )
-        _stream(db, scenario)
-        # The whole-table path ran: log cleared, contents oracle-identical.
-        assert scenario.log.recorded_changes() == 0
-        assert bag_digest(scenario.read_view()) == _oracle_digest()
-
     def test_refresh_handles_empty_epoch_without_locking(self):
         db, scenario = self._partitioned_scenario()
         assert scenario._pmaint.epoch_deltas_if_pending(scenario) is None  # nothing pending
@@ -168,14 +198,25 @@ class TestRuntimeFallbacks:
         assert scenario.staleness_entries() == 0
 
     def test_chunked_tasks_refuse_unchunkable_plans(self, monkeypatch):
+        """Chunk safety is an install-time verdict like prunability: a plan
+        the analysis does not call chunk-safe keeps its log leaves whole
+        and never splits into chunk tasks."""
+        import repro.core.partition_refresh as partition_refresh
+
+        analyze = partition_refresh.analyze_deltas
+
+        def unchunkable(deltas, specs, log_map):
+            plan = analyze(deltas, specs, log_map)
+            whole_logs = tuple(prune_expr(delta, specs, log_map).expr for delta in deltas)
+            return replace(plan, chunkable=False, deltas=whole_logs)
+
+        monkeypatch.setattr(partition_refresh, "analyze_deltas", unchunkable)
         db, scenario = self._partitioned_scenario()
-        monkeypatch.setattr(
-            "repro.core.partition_refresh.analyze_deltas",
-            lambda deltas, specs, log_map: SimpleNamespace(
-                prunable=True, chunkable=False
-            ),
-        )
         assert scenario._pmaint.chunked_group_tasks(scenario, order=0) is None
+        assert scenario.partitioned_group_tasks(order=0) is None
+        # The whole-epoch refresh is unaffected.
+        _stream(db, scenario)
+        assert bag_digest(scenario.read_view()) == _oracle_digest()
 
 
 class TestApplyPartsCrash:

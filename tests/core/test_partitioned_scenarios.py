@@ -8,12 +8,18 @@ on a plain database with the interpreted oracle.  The streams bake in
 the awkward cases — over-deletes, partitions that stay empty, keys
 migrating between partitions, and a mid-stream hot-key burst — and a
 chaos extension kills the refresh *between* per-partition applies.
+
+The pruned pair is compiled once and bound to each epoch's affected keys
+(:class:`~repro.algebra.expr.KeyRestrict`), so a second grid holds the
+*binding* to the same oracle: hand-picked epochs that a result memo
+keyed on table versions alone would answer from the wrong key set.
 """
 
 import random
 
 import pytest
 
+from repro.algebra.expr import KeyRestrict
 from repro.core.scenarios import BaseLogScenario, CombinedScenario
 from repro.core.transactions import UserTransaction
 from repro.robustness.faults import INJECTOR, InjectedCrash
@@ -21,6 +27,7 @@ from repro.robustness.journal import bag_digest
 from repro.sqlfront import sql_to_view
 from repro.storage.database import Database
 from repro.storage.partition import PartitionedDatabase
+from repro.warehouse import ViewManager
 
 ENGINES = ["interpreted", "compiled", "vectorized", "sqlite"]
 SCENARIOS = {"base_log": BaseLogScenario, "combined": CombinedScenario}
@@ -191,9 +198,11 @@ class TestPartitionCrashChaos:
         mv = subject.view.mv_table
         mv_before = subject.db[mv]
         version_before = subject.db.version_of(mv)
+        pruned = (subject._pmaint.delete_expr, subject._pmaint.insert_expr)
         INJECTOR.arm("crash-mid-partition-apply")
         with pytest.raises(InjectedCrash):
             subject.refresh()
+        misses_at_crash = subject.counter.plan_misses
         # Full rollback: the view is untouched, no half-applied epoch.
         assert subject.db[mv] == mv_before
         assert subject.db.version_of(mv) == version_before
@@ -205,3 +214,157 @@ class TestPartitionCrashChaos:
         assert bag_digest(subject.read_view()) == bag_digest(oracle.read_view())
         assert subject.invariant_holds()
         assert subject.is_consistent()
+        # The re-run ran the plan compiled at install: the very same pair
+        # of expressions, and not one compile after the crash.
+        assert subject._pmaint.delete_expr is pruned[0]
+        assert subject._pmaint.insert_expr is pruned[1]
+        assert subject.counter.plan_misses == misses_at_crash
+
+
+# ----------------------------------------------------------------------
+# Binding soundness: one plan, a different key set every epoch
+# ----------------------------------------------------------------------
+
+NAMED_SQL = (
+    "CREATE VIEW V (custId, name, item) AS "
+    "SELECT c.custId, c.name, s.item FROM C c, S s WHERE c.custId = s.custId"
+)
+PRUNED_ENGINES = ["compiled", "vectorized", "sqlite"]
+
+
+def rescore(keys, old, new):
+    return (
+        {"C": [(k, f"{old}{k}") for k in keys]},
+        {"C": [(k, f"{new}{k}") for k in keys]},
+    )
+
+
+#: Each epoch is aimed at a way one compiled plan could answer from the
+#: wrong key set.  The restricted ``C`` leaf reads one table, so between
+#: two epochs that leave ``C`` alone only the binding tells its results
+#: apart; more ``S`` rows than ``C`` has (12) make the ``C`` side drive
+#: the join, so the leaf's own memo — not a probe — is what answers.
+BINDING_EPOCHS = (
+    # sales-only, keys 0-4 ...
+    ({}, {"S": [(k, f"new{j}") for k in range(5) for j in range(3)]}),
+    # ... then disjoint keys 5-9, `C` untouched in between
+    ({}, {"S": [(k, f"new{j}") for k in range(5, 10) for j in range(3)]}),
+    # re-score only: `S` untouched, so its restricted leaf is the one at risk
+    rescore((0, 5), "name", "vip"),
+    # the same key set twice
+    rescore((0, 5), "vip", "name"),
+    # an empty log
+    ({}, {}),
+    # a key whose rows are all deleted (three seed copies, three new rows)
+    ({"S": [(3, "item3")] * 3 + [(3, f"new{j}") for j in range(3)]}, {}),
+    # that key again, now from nothing
+    ({}, {"S": [(3, "back")]}),
+    # both tables in one epoch, an over-delete and a key no table holds
+    ({"C": [(3, "name3"), (77, "ghost")], "S": [(3, "never")]}, {"C": [(3, "vip3")], "S": [(3, "x"), (77, "y")]}),
+)
+
+
+def maintain_whole(manager):
+    manager.refresh("V")
+
+
+def maintain_two_phase(manager):
+    manager.propagate("V")
+    manager.partial_refresh("V")
+
+
+def maintain_chunked(manager):
+    manager.refresh_group(parallel=True, max_workers=2)
+
+
+#: mode -> (scenario, how one epoch is maintained)
+MAINTENANCE = {
+    "refresh": ("base_log", maintain_whole),
+    "propagate+partial_refresh": ("combined", maintain_two_phase),
+    "chunked-group": ("base_log", maintain_chunked),
+}
+
+
+def build_manager(scenario, *, engine, partitioned):
+    db = (PartitionedDatabase if partitioned else Database)(exec_mode=engine)
+    customers, sales = seed_rows()
+    db.create_table("C", ["custId", "name"], rows=customers)
+    db.create_table("S", ["custId", "item"], rows=sales)
+    if partitioned:
+        db.declare_partitioning("C", "custId", parts=8, domain="custId")
+        db.declare_partitioning("S", "custId", parts=8, domain="custId")
+    manager = ViewManager(db)
+    manager.define_view("V", NAMED_SQL, scenario=scenario)
+    return manager
+
+
+def replay_on(manager, ops):
+    deletes, inserts = ops
+    if not deletes and not inserts:
+        return
+    txn = UserTransaction(manager.db)
+    for table, rows in deletes.items():
+        txn.delete(table, rows)
+    for table, rows in inserts.items():
+        txn.insert(table, rows)
+    manager.execute(txn)
+
+
+class TestBindingSoundness:
+    @pytest.mark.parametrize("engine", PRUNED_ENGINES)
+    @pytest.mark.parametrize("mode", sorted(MAINTENANCE))
+    def test_epochs_that_break_a_version_only_memo(self, engine, mode):
+        scenario, maintain = MAINTENANCE[mode]
+        subject = build_manager(scenario, engine=engine, partitioned=True)
+        flat = build_manager(scenario, engine=engine, partitioned=False)
+        oracle = build_manager(scenario, engine="interpreted", partitioned=False)
+        pmaint = subject.scenario("V")._pmaint
+        assert pmaint is not None and pmaint.chunkable
+        pruned = (pmaint.delete_expr, pmaint.insert_expr)
+        assert any(isinstance(node, KeyRestrict) for node in pruned[0].walk())
+        for number, ops in enumerate(BINDING_EPOCHS):
+            for manager in (subject, flat, oracle):
+                replay_on(manager, ops)
+                maintain(manager)
+            where = f"{engine}/{mode} diverged at epoch {number}"
+            assert subject.query("V") == oracle.query("V"), where
+            assert flat.query("V") == oracle.query("V"), where
+            assert not subject.is_stale("V")
+        subject.check_invariants()
+        # One plan served every epoch: nothing was rewritten in between.
+        assert (pmaint.delete_expr, pmaint.insert_expr) == pruned
+        assert subject.counter.partition_fallbacks == 0
+
+    def test_governor_demotion_to_interpreted_mid_stream(self):
+        """The leaf keeps its meaning on every rung of the ladder."""
+        subject = build_manager("base_log", engine="sqlite", partitioned=True)
+        oracle = build_manager("base_log", engine="interpreted", partitioned=False)
+        assert subject.scenario("V")._pmaint is not None
+        governor = subject.db.enable_governor(cooldown_ops=10_000, sleep=lambda delay: None)
+        for number, ops in enumerate(BINDING_EPOCHS):
+            if number == 2:
+                for breaker in governor.breakers.values():
+                    breaker.trip()
+                assert governor.active_tier() == "interpreted"
+            for manager in (subject, oracle):
+                replay_on(manager, ops)
+                manager.refresh("V")
+            assert subject.query("V") == oracle.query("V"), f"diverged at epoch {number}"
+        assert governor.active_tier() == "interpreted"
+        subject.check_invariants()
+
+    @pytest.mark.parametrize("engine", PRUNED_ENGINES)
+    def test_same_versions_different_keys_is_not_a_memo_hit(self, engine):
+        """The pair evaluated twice over one state under two bindings."""
+        subject = build_manager("base_log", engine=engine, partitioned=True)
+        pmaint = subject.scenario("V")._pmaint
+        replay_on(subject, BINDING_EPOCHS[0])
+        whole = pmaint.epoch_keys()
+        assert whole == {"custId": frozenset(range(5))}
+        evaluate = subject.db.evaluate
+        everything = evaluate(pmaint.insert_expr, keys=whole)
+        assert {row[0] for row in everything.support} == set(range(5))
+        for key in range(5):
+            only = evaluate(pmaint.insert_expr, keys={"custId": frozenset([key])})
+            assert only == everything.select(lambda row, key=key: row[0] == key)
+        assert evaluate(pmaint.insert_expr, keys=whole) == everything

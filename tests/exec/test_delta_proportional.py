@@ -10,6 +10,11 @@ is a hard assertion, not a timing; before the join terms and keyed DML
 probed the maintained hash indexes every one of these steps scanned
 ``sales`` and the count grew with it.
 
+On a partitioned database the same guard holds the pruned refresh to the
+flat one's standard and to "prune once, bind per epoch": identical
+counts at both sizes, no plan compiled and no call into the pruning
+analysis after the view is installed.
+
 The guarantee belongs to the engines that keep indexes (compiled and
 vectorized; CI runs this file under both).  The interpreted oracle
 re-scans by design and the sqlite tier counts pushed-down rows instead.
@@ -25,10 +30,13 @@ from __future__ import annotations
 
 import pytest
 
+import repro.analysis.partitioning as partitioning
+import repro.core.partition_refresh as partition_refresh
 from repro.algebra.evaluation import CostCounter
 from repro.exec import COMPILED, VECTORIZED, default_exec_mode
 from repro.serve import ServeConfig, ViewServer
 from repro.sqlfront.compiler import sql_to_expr
+from repro.storage.partition import PartitionedDatabase
 from repro.warehouse.manager import ViewManager
 
 pytestmark = pytest.mark.skipif(
@@ -57,8 +65,8 @@ BACKLOG = (
 )
 
 
-def warehouse(sales: int, views: dict[str, str], scenario: str) -> ViewManager:
-    manager = ViewManager()
+def warehouse(sales: int, views: dict[str, str], scenario: str, *, parts: int = 0) -> ViewManager:
+    manager = ViewManager(PartitionedDatabase() if parts else None)
     manager.create_table("customer", ("custId", "name", "address", "score"))
     manager.create_table("sales", ("custId", "itemNo", "quantity", "salesPrice"))
     manager.load(
@@ -69,6 +77,8 @@ def warehouse(sales: int, views: dict[str, str], scenario: str) -> ViewManager:
     rows = [(RESCORED, item, 1 + item % 3, 5.0) for item in range(FAN_OUT)]
     rows += [(others[i % len(others)], i, i % 4, float(i)) for i in range(sales - FAN_OUT)]
     manager.load("sales", rows)
+    for table in ("customer", "sales") if parts else ():
+        manager.db.declare_partitioning(table, "custId", parts=parts, domain="custId")
     for name, sql in views.items():
         manager.define_view(name, sql, scenario=scenario)
     return manager
@@ -112,6 +122,61 @@ def test_base_log_refresh_with_a_rescore():
     # The re-scored customer's sales came out of the sales index, bucket
     # by bucket, corrected by this epoch's logged inserts.
     assert results[0][1]["index_join_patched"] >= FAN_OUT
+
+
+def test_partitioned_base_log_refresh_is_pruned_once_and_bound_per_epoch(monkeypatch):
+    analysis_calls = []
+    for module, name in (
+        (partitioning, "prune_expr"),
+        (partitioning, "analyze_deltas"),
+        (partition_refresh, "analyze_deltas"),
+    ):
+        original = getattr(module, name)
+
+        def spy(*args, _original=original, _name=name, **kwargs):
+            analysis_calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+
+    results = []
+    for sales in SIZES:
+        manager = warehouse(sales, {"V": JOIN_VIEW}, "base_log", parts=16)
+        assert manager.scenario("V").partition_probe == "accepted"
+        installed = len(analysis_calls)
+        assert installed  # the one prune, at define_view
+        counter = manager.counter
+        epochs = (
+            BACKLOG,
+            (f"UPDATE customer SET score = 'High' WHERE custId = {RESCORED}",),  # re-score only
+            ("INSERT INTO sales VALUES (150, 990, 1, 1.0)",),  # sales only; a key the view lacks
+        )
+        for epoch, scripts in enumerate(epochs):
+            for script in scripts:
+                manager.execute_sql(script)
+            before = counter.plan_misses, counter.partition_prunes, counter.partitions_touched
+            affected = manager.scenario("V")._pmaint.epoch_keys()["custId"]
+            ops = ops_of(manager, lambda: manager.refresh("V"))
+            # Compiled and primed beside the unpruned pair at install: not
+            # even the first epoch compiles, and none re-runs the analysis.
+            assert counter.plan_misses == before[0]
+            assert len(analysis_calls) == installed
+            assert counter.partition_prunes - before[1] == 4
+            assert counter.partitions_touched - before[2] <= len(affected)
+            assert counter.partition_fallbacks == 0
+            manager.check_invariants()
+            if epoch == 0:
+                results.append(ops)
+    assert_size_independent(results)
+    # The same access paths as the flat database: the re-scored customer's
+    # sales out of the sales index bucket by bucket, nothing copied out of
+    # a base table first, no literal standing in for one.
+    by_operator = results[0][1]
+    assert counter.partitions_touched  # the MV was patched partition by partition
+    assert by_operator["index_join_patched"] >= FAN_OUT
+    assert "literal" not in by_operator and "partition_restrict" not in by_operator
+    flat = measured("base_log", {"V": JOIN_VIEW}, lambda m: lambda: m.refresh("V"))
+    assert results[0] == flat[0]
 
 
 def test_combined_propagate_with_a_rescore():

@@ -61,6 +61,26 @@ class TestPlanCache:
         db.evaluate(db.ref("R").project(["a"]), counter=counter)
         assert (counter.plan_misses, counter.plan_hits) == (1, 1)
 
+    @pytest.mark.parametrize("mode", [COMPILED, VECTORIZED])
+    def test_a_bare_literal_is_not_a_compile(self, mode):
+        """A script's rows evaluated on their own have nothing to lower:
+        no miss, no trip through the compiler — yet one memo with the
+        same literal held as an operand, so it is charged once."""
+        db = Database(exec_mode=mode)
+        db.create_table("R", ["a", "b"], rows=[(1, 10), (2, 20)])
+        rows = delta([(1, 10), (7, 70)], db.schema_of("R"))
+        counter = CostCounter()
+        assert db.evaluate(rows, counter=counter) == rows.bag
+        assert (counter.plan_misses, counter.plan_hits) == (0, 0)
+        assert counter.by_operator == {"literal": 2}
+        # As an operand of the same transaction's log extension:
+        db.evaluate(rows.monus(db.ref("R")), counter=counter)
+        assert counter.plan_misses == 1
+        assert counter.by_operator["literal"] == 2
+        db.evaluate(rows, counter=counter)
+        assert (counter.plan_misses, counter.plan_hits) == (1, 1)
+        assert counter.by_operator["literal"] == 2
+
 
 class TestVersionStampedMemo:
     def test_result_reused_until_table_changes(self, db):
