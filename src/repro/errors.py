@@ -98,7 +98,7 @@ class RecoveryError(ReproError):
 
 
 class SnapshotError(ReproError):
-    """A snapshot file holds something no checkpoint could have written.
+    """A snapshot file is in a state no checkpoint leaves it in.
 
     Raised by :func:`repro.storage.persistence.load_database`, which
     fails closed instead of building a database from such a file.
@@ -106,10 +106,14 @@ class SnapshotError(ReproError):
     ``mult`` entries sum below zero), ``"uncatalogued-table"`` (a data
     table that ``__catalog__`` does not list) or ``"missing-table"`` (a
     catalog row without its data table) — and ``table`` names the table.
+    A full write raises ``"live-wal"`` (``table`` is ``None``) instead
+    of renaming a new file over one whose write-ahead log another
+    connection still holds frames in.
     """
 
-    def __init__(self, code: str, table: str, message: str) -> None:
-        super().__init__(f"[{code}] table {table!r}: {message}")
+    def __init__(self, code: str, table: str | None, message: str) -> None:
+        subject = "" if table is None else f" table {table!r}:"
+        super().__init__(f"[{code}]{subject} {message}")
         self.code = code
         self.table = table
 

@@ -12,6 +12,10 @@ Both per-operation durability costs track the *delta*, not the base: a
 :class:`~repro.storage.persistence.DeltaQueue` registered on the
 database queues every installed patch, the intent's table digests are
 folded from it, and the checkpoint appends it to the snapshot file.
+Each of the two files has one owner holding one open connection for the
+warehouse's life (the journal its own, the queue the snapshot's), both
+in ``journal_mode=WAL`` with ``synchronous=FULL``; :meth:`DurableWarehouse.close`
+closes them.
 
 A crash at *any* instant leaves the disk in one of exactly three
 states, all of which :func:`repro.robustness.recovery.recover` resolves:
@@ -107,7 +111,7 @@ class DurableWarehouse:
             self.db.enable_governor(**(governor_opts or {}))
         self.db.journaled = True
         self.db.durable_origin = self.path
-        track_deltas(self.db, self.path)
+        self._queue = track_deltas(self.db, self.path)
         self.journal = IntentJournal(journal_path(self.path))
         pending = self.journal.pending()
         if pending is not None:
@@ -151,7 +155,15 @@ class DurableWarehouse:
         return cls(path, _manager=manager, _skip_baseline=True)
 
     def close(self) -> None:
-        self.journal.close()
+        """Close both files' connections; each is left one self-contained file.
+
+        Idempotent.  Until then the last commits may live in the
+        ``-wal`` file next to the snapshot and next to the journal.
+        """
+        try:
+            self._queue.close()
+        finally:
+            self.journal.close()
 
     def __enter__(self) -> DurableWarehouse:
         return self

@@ -21,11 +21,19 @@ exactly once no matter where the schedule kills it.  The final state of
 any schedule must be bag-equal to an uninterrupted run and leave every
 invariant green; :meth:`RetailCrashHarness.run` asserts neither and
 returns both so tests can.
+
+An :class:`InjectedCrash` abandons Python objects; it never leaves the
+files as a dead process does (a ``-wal`` with frames in it, a half
+written staging file).  :meth:`RetailCrashHarness.resume` is the other
+half of that test: the body of a child process that a parent kills
+with ``SIGKILL`` at arbitrary instants and restarts
+(``tests/robustness/test_real_kill.py``).
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -194,6 +202,26 @@ class RetailCrashHarness:
             governed=self.governed,
             governor_opts=self.governor_opts,
         )
+
+    def resume(self) -> Iterator[int]:
+        """What a restarted process does after a *real* kill: recover,
+        reopen, finish the workload.
+
+        Yields each step's index once the step is durable.  Every step
+        is idempotent under resume (tokens, existence checks, the
+        refresh family), so the workload is re-driven from its first
+        step whatever prefix the files already hold — and a process
+        killed anywhere in here is resumed the same way.
+        """
+        if self.path.exists():
+            recover(self.path)
+        warehouse = self._attach()
+        try:
+            for index, (kind, arg) in enumerate(self._ops()):
+                self._apply(warehouse, kind, arg)
+                yield index
+        finally:
+            warehouse.close()
 
     def _recover_until_done(self, result: HarnessResult) -> None:
         """Recovery must survive crashes of its own (idempotence)."""

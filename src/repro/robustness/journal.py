@@ -24,10 +24,12 @@ Each journal record carries:
   ``(delete, insert)`` **delta bags**, which make the operation
   replayable from the journal alone.
 
-Durability: the journal connection runs with ``PRAGMA
-synchronous=FULL``, so every ``begin``/``commit_op`` is fsync'd before
-the caller proceeds — the write-ahead property the recovery protocol
-depends on.
+Durability: the journal holds one connection for its whole life, in
+``journal_mode=WAL`` with ``PRAGMA synchronous=FULL``, so every
+``begin``/``commit_op`` is one fsync'd append to ``<journal>-wal``
+before the caller proceeds — the write-ahead property the recovery
+protocol depends on.  :meth:`IntentJournal.close` folds that log back
+into the journal file.
 """
 
 from __future__ import annotations
@@ -44,7 +46,13 @@ from repro import obs
 from repro.algebra.bag import Bag, Row
 from repro.errors import RecoveryError
 from repro.storage.database import Database
-from repro.storage.persistence import RETRY_POLICY, DeltaQueue, delta_queue, with_retry
+from repro.storage.persistence import (
+    RETRY_POLICY,
+    DeltaQueue,
+    delta_queue,
+    fold_and_close,
+    with_retry,
+)
 
 __all__ = [
     "IntentJournal",
@@ -57,11 +65,24 @@ __all__ = [
 ]
 
 _TABLE = "__journal__"
+_PENDING_INDEX = "__journal_pending__"
+_TOKEN_INDEX = "__journal_committed_token__"
 
 #: Journal record lifecycle.
 INTENT = "intent"
 COMMITTED = "committed"
 ABORTED = "aborted"
+
+#: ``has_committed``'s lookup and ``begin``'s guarded insert.  The
+#: statuses are literals, not parameters: SQLite only uses a partial
+#: index whose ``WHERE`` it can match against the statement's text.
+_HAS_COMMITTED = f"SELECT 1 FROM {_TABLE} WHERE token = ? AND status = '{COMMITTED}' LIMIT 1"
+_BEGIN = (
+    f"INSERT INTO {_TABLE} (kind, view, token, status, payload) "
+    f"SELECT ?, ?, ?, '{INTENT}', ? "
+    f"WHERE NOT EXISTS (SELECT 1 FROM {_TABLE} WHERE status = '{INTENT}') "
+    f"AND NOT EXISTS ({_HAS_COMMITTED})"
+)
 
 
 def journal_path(snapshot_path: str | Path) -> Path:
@@ -213,11 +234,18 @@ class IntentJournal:
         # The shared retry policy (jittered backoff + deadline): opening
         # the journal races checkpoint writers and concurrent recoveries
         # for the same file, so connect/DDL must absorb lock contention.
-        self._conn = with_retry(lambda: sqlite3.connect(self.path), policy=RETRY_POLICY)
-        self._conn.execute("PRAGMA synchronous=FULL")
+        # ``check_same_thread=False``: a journaled action runs on
+        # whichever thread holds the server's write mutex — a maintenance
+        # worker as often as the caller — and only ever under that mutex.
+        self._conn = with_retry(
+            lambda: sqlite3.connect(self.path, check_same_thread=False), policy=RETRY_POLICY
+        )
+        self._closed = False
         with_retry(self._create, policy=RETRY_POLICY)
 
     def _create(self) -> None:
+        self._conn.execute("PRAGMA journal_mode=WAL")
+        self._conn.execute("PRAGMA synchronous=FULL")
         with self._conn:
             self._conn.execute(
                 f"CREATE TABLE IF NOT EXISTS {_TABLE} ("
@@ -228,9 +256,23 @@ class IntentJournal:
                 "  status TEXT NOT NULL,"
                 "  payload TEXT NOT NULL)"
             )
+            # ``begin``'s two guards and ``has_committed`` probe these, so
+            # an operation's journal cost does not grow with the history.
+            self._conn.execute(
+                f"CREATE INDEX IF NOT EXISTS {_PENDING_INDEX} ON {_TABLE} (status) "
+                f"WHERE status = '{INTENT}'"
+            )
+            self._conn.execute(
+                f"CREATE INDEX IF NOT EXISTS {_TOKEN_INDEX} ON {_TABLE} (token) "
+                f"WHERE status = '{COMMITTED}' AND token IS NOT NULL"
+            )
 
     def close(self) -> None:
-        self._conn.close()
+        """Fold the write-ahead log into the journal file and close.  Idempotent."""
+        if self._closed:
+            return
+        self._closed = True
+        fold_and_close(self._conn)
 
     def __enter__(self) -> IntentJournal:
         return self
@@ -262,13 +304,7 @@ class IntentJournal:
             # Both guards ride on the INSERT itself: one statement, and
             # nothing can slip in between the check and the write.
             with self._conn:
-                cursor = self._conn.execute(
-                    f"INSERT INTO {_TABLE} (kind, view, token, status, payload) "
-                    f"SELECT ?, ?, ?, ?, ? "
-                    f"WHERE NOT EXISTS (SELECT 1 FROM {_TABLE} WHERE status = ?) "
-                    f"AND NOT EXISTS (SELECT 1 FROM {_TABLE} WHERE token = ? AND status = ?)",
-                    (kind, view, token, INTENT, encoded, INTENT, token, COMMITTED),
-                )
+                cursor = self._conn.execute(_BEGIN, (kind, view, token, encoded, token))
             return int(cursor.lastrowid) if cursor.rowcount == 1 else None
 
         op_id = with_retry(insert)
@@ -326,8 +362,7 @@ class IntentJournal:
         rows = with_retry(
             lambda: self._conn.execute(
                 f"SELECT op_id, kind, view, token, status, payload FROM {_TABLE} "
-                "WHERE status = ? ORDER BY op_id DESC LIMIT 1",
-                (INTENT,),
+                f"WHERE status = '{INTENT}' ORDER BY op_id DESC LIMIT 1"
             ).fetchall()
         )
         return self._row_to_intent(rows[0]) if rows else None
@@ -335,9 +370,6 @@ class IntentJournal:
     def has_committed(self, token: str) -> bool:
         """Whether a client token was already applied (exactly-once replay)."""
         rows = with_retry(
-            lambda: self._conn.execute(
-                f"SELECT 1 FROM {_TABLE} WHERE token = ? AND status = ? LIMIT 1",
-                (token, COMMITTED),
-            ).fetchall()
+            lambda: self._conn.execute(_HAS_COMMITTED, (token,)).fetchall()
         )
         return bool(rows)

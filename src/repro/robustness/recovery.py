@@ -166,18 +166,21 @@ def recover(path: str | Path) -> RecoveryReport:
         raise RecoveryError(f"no snapshot at {path}; nothing to recover")
     with obs.span("recovery", path=str(path)) as recovery_span:
         # A crash between staging and os.replace can leave a stray temp
-        # file; it is not part of the durable state.
+        # file (and, killed mid-write, its rollback journal); neither is
+        # part of the durable state.
         staged = staging_path(path)
-        if staged.exists():
-            staged.unlink()
+        for stray in (staged, staged.with_name(staged.name + "-journal")):
+            if stray.exists():
+                stray.unlink()
         journal = IntentJournal(journal_path(path))
+        queue = None
         try:
             pending = journal.pending()
             manager = load_warehouse(path)
             # A queue that has not seen a full write makes the roll-forward
             # checkpoint below a rewrite with ``reason="recovery"``: the
             # file leaves recovery consolidated, whatever was appended to it.
-            track_deltas(manager.db, path)
+            queue = track_deltas(manager.db, path)
             action = "none"
             if pending is not None:
                 recorded = pending.pre_digests
@@ -203,6 +206,8 @@ def recover(path: str | Path) -> RecoveryReport:
             obs.metric_inc("recoveries")
             return RecoveryReport(path, pending, action, audits, healed)
         finally:
+            if queue is not None:
+                queue.close()
             journal.close()
 
 

@@ -27,9 +27,13 @@ disk is always exactly the old state or exactly the new one.  A rewrite
 stages the file in a temporary sibling in a **single SQLite
 transaction** and installs it with :func:`os.replace`; an append is one
 ``synchronous=FULL`` SQLite transaction on the file itself, which
-SQLite's rollback journal makes all-or-nothing across a crash.
-Transient ``OperationalError: database is locked`` failures are absorbed
-by :func:`with_retry` (exponential backoff).
+SQLite's write-ahead log (``<file>-wal``) makes all-or-nothing across a
+crash.  The queue owns the **one** connection appends go through: it is
+opened on the first append, kept open between checkpoints, and closed —
+the log folded back into the file — by :meth:`DeltaQueue.close` and
+around every rewrite.  Transient ``OperationalError: database is
+locked`` failures are absorbed by :func:`with_retry` (exponential
+backoff).
 
 File layout:
 
@@ -74,6 +78,8 @@ __all__ = [
     "delta_queue",
     "with_retry",
     "staging_path",
+    "wal_path",
+    "fold_and_close",
     "RetryPolicy",
     "RETRY_POLICY",
     "transient_sqlite_error",
@@ -264,12 +270,17 @@ class DeltaQueue:
     the rollback of a failed ``apply`` — or a drop discards the table's
     queued patches: the digest is then recomputed from the table, and
     the checkpoint writes the table whole.
+
+    The queue also owns the snapshot file's one long-lived connection
+    (:meth:`connection`): whoever called :func:`track_deltas` calls
+    :meth:`close` when it is done with the file.
     """
 
     def __init__(self, db: Database, path: Path) -> None:
         self._db = db
         #: The snapshot file the ``unsaved`` side is relative to.
         self.path = path
+        self._conn: sqlite3.Connection | None = None
         self.undigested: dict[str, list[Patch]] = {}
         #: ``table -> (version stamp, additive digest)`` as of the last fold.
         self.digests: dict[str, tuple[int, int]] = {}
@@ -301,6 +312,40 @@ class DeltaQueue:
 
     def on_drop(self, name: str) -> None:
         self.on_replace(name, Bag())
+
+    def connection(self) -> sqlite3.Connection:
+        """The open WAL connection to :attr:`path`, opened on first use.
+
+        Explicit transaction control (``isolation_level=None``): the
+        sqlite3 module's implicit transactions differ across Python
+        versions.  ``check_same_thread=False`` because the checkpoint
+        runs on whichever thread holds the server's write mutex — a
+        maintenance worker as often as the caller — and only ever under
+        that mutex.
+        """
+        if self._conn is None:
+            conn = sqlite3.connect(self.path, isolation_level=None, check_same_thread=False)
+            try:
+                conn.execute("PRAGMA journal_mode=WAL")
+                conn.execute("PRAGMA synchronous=FULL")
+            except BaseException:
+                conn.close()
+                raise
+            obs.metric_inc("snapshot_connections_opened")
+            self._conn = conn
+        return self._conn
+
+    def close(self) -> None:
+        """Fold the write-ahead log into the file and close the connection.
+
+        Afterwards the snapshot is one self-contained file — safe to
+        copy, and safe to ``os.replace``.  Idempotent.  A failed append
+        closes mid-transaction: closing rolls the transaction back, as
+        the death of the process would.
+        """
+        conn, self._conn = self._conn, None
+        if conn is not None:
+            fold_and_close(conn)
 
 
 def track_deltas(db: Database, path: str | Path) -> DeltaQueue:
@@ -360,35 +405,76 @@ def _write_snapshot(tables: list[StoredTable], target: Path) -> int:
         conn.close()
 
 
-def _rewrite(tables: list[StoredTable], path: Path, reason: str) -> int:
-    """Replace the file at ``path`` with a full write of ``tables``."""
+def wal_path(path: str | Path) -> Path:
+    """The write-ahead log SQLite keeps next to a file it has open in WAL mode."""
+    path = Path(path)
+    return path.with_name(path.name + "-wal")
+
+
+def fold_and_close(conn: sqlite3.Connection) -> None:
+    """Fold ``conn``'s write-ahead log into its file, then close it.
+
+    Inside a transaction only the close happens, which rolls it back.
+    """
+    try:
+        if not conn.in_transaction:
+            conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
+    finally:
+        conn.close()
+
+
+def _fold_wal(path: Path) -> None:
+    """Leave ``path`` with no frames in its write-ahead log, or raise.
+
+    Renaming a new file over ``path`` while ``<path>-wal`` still holds
+    frames would replay the *old* file's pages into the new one on the
+    next open.  A killed process leaves such a log; so does a connection
+    that is still reading.
+    """
+    wal = wal_path(path)
+    if not wal.exists() or not wal.stat().st_size:
+        return
+    fold_and_close(sqlite3.connect(path))
+    if wal.exists() and wal.stat().st_size:
+        raise SnapshotError(
+            "live-wal", None, f"{wal} is held by another connection; refusing to replace {path}"
+        )
+
+
+def _rewrite(tables: list[StoredTable], path: Path, reason: str, queue: DeltaQueue | None = None) -> int:
+    """Replace the file at ``path`` with a full write of ``tables``.
+
+    The staged file stays in rollback-journal mode, so it is a single
+    file when it is renamed — no ``-wal`` sibling to orphan; ``queue``'s
+    connection is closed first and reopens on the next append.
+    """
     staged = staging_path(path)
     with obs.span("checkpoint_rewrite", reason=reason, path=str(path)):
         rows = with_retry(lambda: _write_snapshot(tables, staged))
         fault_point("crash-mid-checkpoint")
+        if queue is not None:
+            queue.close()
+        _fold_wal(path)
         os.replace(staged, path)
     obs.metric_inc("checkpoint_rewrites")
     return rows
 
 
 def _append_snapshot(
-    path: Path,
-    patches: Mapping[str, list[Patch]],
+    queue: DeltaQueue,
     replaced: Iterable[StoredTable],
     catalog: Mapping[str, tuple[tuple[str, ...], bool]],
 ) -> int:
-    """Append ``patches`` and swap in ``replaced`` as one transaction; rows written."""
+    """Append ``queue.unsaved`` and swap in ``replaced`` as one transaction; rows written."""
     fault_point("flaky-save")
-    conn = sqlite3.connect(path)
+    conn = queue.connection()
     try:
-        conn.execute("PRAGMA synchronous=FULL")
-        conn.isolation_level = None
         conn.execute("BEGIN IMMEDIATE")
         rows = 0
         for name, attrs, _internal, bag in replaced:
             conn.execute(f"DELETE FROM {_mangle(name)}")
             rows += _insert_rows(conn, name, len(attrs), bag.items())
-        for name, queued in patches.items():
+        for name, queued in queue.unsaved.items():
             for patch in queued:
                 signed = itertools.chain(
                     ((row, -count) for row, count in patch.removed()), patch.insert.items()
@@ -397,10 +483,12 @@ def _append_snapshot(
         fault_point("crash-mid-checkpoint")
         conn.execute("COMMIT")
         return rows
-    finally:
-        # Closing rolls an uncommitted transaction back: a crash or an
-        # error above leaves the file exactly as it was.
-        conn.close()
+    except BaseException:
+        # Never keep a connection that may be inside ``BEGIN``: a crash or
+        # an error above leaves the file exactly as it was, and the next
+        # attempt starts on a fresh connection.
+        queue.close()
+        raise
 
 
 def save_database(db: Database, path: str | Path, *, extra: Iterable[StoredTable] = ()) -> None:
@@ -415,7 +503,8 @@ def save_database(db: Database, path: str | Path, *, extra: Iterable[StoredTable
     Without a :class:`DeltaQueue` for ``path`` the whole file is staged
     in a sibling temp file and installed with ``os.replace``
     (``untracked``).  With one, only what the queue holds is appended,
-    in place, unless the catalog changed or the file is new (``ddl``),
+    in place and through the queue's open connection, unless the
+    catalog changed or the file is new (``ddl``),
     the rows appended since the last full write would exceed the rows
     written then (``ratio``), or this queue has not seen a full write of
     the file it resumed yet (``recovery``); the ``checkpoint_rewrite``
@@ -456,11 +545,11 @@ def save_database(db: Database, path: str | Path, *, extra: Iterable[StoredTable
     else:
         reason = None
     if reason is None:
-        rows = with_retry(lambda: _append_snapshot(path, queue.unsaved, replaced, catalog))
+        rows = with_retry(lambda: _append_snapshot(queue, replaced, catalog))
         queue.rows_appended += rows
         obs.metric_inc("checkpoint_rows_appended", rows)
     else:
-        queue.rows_written = _rewrite([stored(name) for name in catalog], path, reason)
+        queue.rows_written = _rewrite([stored(name) for name in catalog], path, reason, queue)
         queue.rows_appended = 0
     queue.saved_catalog = catalog
     queue.saved_extras = {name: table.bag for name, table in extras.items()}

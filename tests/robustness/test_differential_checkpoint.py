@@ -7,6 +7,8 @@ process, has neither cache nor queue: it digests the loaded file from
 scratch.  These tests hold the two sides to each other.
 """
 
+import sqlite3
+
 import pytest
 
 from repro import obs
@@ -218,3 +220,36 @@ def test_first_checkpoint_after_reopen_is_a_rewrite_for_recovery(tmp_path):
     assert reasons == ["recovery"]  # then appends again
     assert table_digests(reopened.db) == file_digests(path)
     reopened.close()
+
+
+def test_a_stream_of_checkpoints_opens_the_snapshot_once_per_rewrite(tmp_path, monkeypatch):
+    """The count guard of the kept connection: 200 scripts, 20 refreshes,
+    two ``ratio`` rewrites — three ``sqlite3.connect``\\ s on the snapshot
+    path, not one per checkpoint; rows and fsyncs as they always were."""
+    path = tmp_path / "wh.db"
+    warehouse = build(path, base_rows=2000)  # ends on define_view: a rewrite, connection closed
+    connects = []
+    real_connect = sqlite3.connect
+    monkeypatch.setattr(
+        sqlite3, "connect", lambda database, *args, **kw: connects.append(str(database)) or real_connect(database, *args, **kw)
+    )
+    ops = 0
+    with obs.observed() as stack:
+        for step in range(200):
+            rows = ", ".join(f"({10_000 + 25 * step + i}, {2 + i % 5})" for i in range(25))
+            warehouse.execute_sql(f"INSERT INTO sales VALUES {rows}; DELETE FROM sales WHERE custId = {step};")
+            ops += 1
+            if step % 10 == 9:
+                warehouse.refresh("V")
+                ops += 1
+        metrics = {name: entry.get("value") for name, entry in stack.metrics.snapshot().items()}
+        reasons = [span.attrs["reason"] for span in stack.tracer.find("checkpoint_rewrite")]
+    assert reasons == ["ratio", "ratio"]
+    opens = connects.count(str(path))
+    assert opens == metrics["snapshot_connections_opened"] == 1 + metrics["checkpoint_rewrites"] == 3
+    # Everything else that connected staged a rewrite.
+    assert set(connects) == {str(path), str(staging_path(path))} and len(connects) == opens + 2
+    assert metrics["journal_fsyncs"] == 2 * ops
+    assert metrics["checkpoint_rows_appended"] == 15_054  # as before the connection was kept
+    assert table_digests(warehouse.db) == file_digests(path)
+    warehouse.close()

@@ -1,9 +1,12 @@
 """Unit tests for the write-ahead intent journal."""
 
+import sqlite3
+
 import pytest
 
 from repro.algebra.bag import Bag
 from repro.errors import RecoveryError
+from repro.robustness import journal as journal_module
 from repro.robustness.journal import (
     IntentJournal,
     bag_digest,
@@ -138,3 +141,66 @@ class TestTokens:
         journal.commit_op(op_id)
         with pytest.raises(RecoveryError, match="already committed"):
             journal.begin("txn", token="t3")
+
+
+class TestHistoryIndependence:
+    """``begin``'s guards and ``has_committed`` probe indexes: an
+    operation's journal cost must not grow with the journal's history."""
+
+    @staticmethod
+    def plan(journal, sql, params):
+        rows = journal._conn.execute("EXPLAIN QUERY PLAN " + sql, params).fetchall()
+        return [detail for *_ids, detail in rows]
+
+    def test_begin_guards_search_the_partial_indexes(self, journal):
+        plan = self.plan(journal, journal_module._BEGIN, ("txn", None, "t", "{}", "t"))
+        assert not [step for step in plan if step.startswith("SCAN") and "CONSTANT ROW" not in step], plan
+        assert any(journal_module._PENDING_INDEX in step for step in plan), plan
+        assert any(journal_module._TOKEN_INDEX in step and "token=?" in step for step in plan), plan
+
+    def test_has_committed_searches_the_token_index(self, journal):
+        (step,) = self.plan(journal, journal_module._HAS_COMMITTED, ("t",))
+        assert step.startswith("SEARCH") and journal_module._TOKEN_INDEX in step and "token=?" in step
+
+    def test_pending_searches_the_pending_index(self, journal):
+        journal.begin("refresh", view="V")
+        executed = []
+        journal._conn.set_trace_callback(executed.append)
+        assert journal.pending().view == "V"
+        journal._conn.set_trace_callback(None)
+        (step,) = self.plan(journal, executed[-1], ())
+        assert step.startswith("SEARCH") and journal_module._PENDING_INDEX in step
+
+    def test_indexes_are_added_to_a_journal_written_without_them(self, tmp_path):
+        path = tmp_path / "old.journal"
+        conn = sqlite3.connect(path)
+        conn.execute(
+            "CREATE TABLE __journal__ (op_id INTEGER PRIMARY KEY AUTOINCREMENT, kind TEXT NOT NULL,"
+            " view TEXT, token TEXT, status TEXT NOT NULL, payload TEXT NOT NULL)"
+        )
+        conn.execute("INSERT INTO __journal__ (kind, token, status, payload) VALUES ('txn', 't-1', 'committed', '{}')")
+        conn.commit()
+        conn.close()
+        with IntentJournal(path) as journal:
+            names = {name for (name,) in journal._conn.execute("SELECT name FROM sqlite_master WHERE type = 'index'")}
+            assert {journal_module._PENDING_INDEX, journal_module._TOKEN_INDEX} <= names
+            assert journal._conn.execute("PRAGMA journal_mode").fetchone() == ("wal",)
+            assert journal.has_committed("t-1") and not journal.has_committed("t-2")
+            with pytest.raises(RecoveryError, match="already committed"):
+                journal.begin("txn", token="t-1")
+
+
+class TestConnection:
+    def test_every_commit_is_synchronous_full_on_a_wal_connection(self, journal):
+        assert journal._conn.execute("PRAGMA journal_mode").fetchone() == ("wal",)
+        assert journal._conn.execute("PRAGMA synchronous").fetchone() == (2,)  # FULL
+
+    def test_close_is_idempotent_and_leaves_one_file(self, tmp_path):
+        journal = IntentJournal(tmp_path / "wh.db.journal")
+        journal.commit_op(journal.begin("txn", token="t"))
+        assert (tmp_path / "wh.db.journal-wal").stat().st_size > 0
+        journal.close()
+        journal.close()
+        assert sorted(entry.name for entry in tmp_path.iterdir()) == ["wh.db.journal"]
+        with IntentJournal(tmp_path / "wh.db.journal") as reopened:
+            assert reopened.has_committed("t")

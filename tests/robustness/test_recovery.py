@@ -224,9 +224,30 @@ def test_stray_staging_file_is_discarded(tmp_path):
     build(path).close()
     staged = staging_path(path)
     staged.write_bytes(b"torn half-written snapshot")
+    staged.with_name(staged.name + "-journal").write_bytes(b"its rollback journal")
     report = recover(path)
-    assert not staged.exists()
     assert report.green
+    # Recovery closes what it opens: the two durable files, no sidecars.
+    assert sorted(entry.name for entry in tmp_path.iterdir()) == ["wh.db", "wh.db.journal"]
+
+
+def test_close_is_idempotent_and_leaves_two_self_contained_files(tmp_path):
+    path = tmp_path / "wh.db"
+    warehouse = build(path)
+    warehouse.transaction(token="appended").insert("sales", [(5, 7)]).run()
+    assert (tmp_path / "wh.db-wal").stat().st_size > 0  # the append lives in the log
+    expected = warehouse.db.snapshot()
+    warehouse.close()
+    warehouse.close()
+    assert sorted(entry.name for entry in tmp_path.iterdir()) == ["wh.db", "wh.db.journal"]
+    # "Copy the files": the pair alone is the whole warehouse.
+    copy = tmp_path / "copy" / "wh.db"
+    copy.parent.mkdir()
+    copy.write_bytes(path.read_bytes())
+    journal_path(copy).write_bytes(journal_path(path).read_bytes())
+    with DurableWarehouse.open(copy) as reopened:
+        assert reopened.db.snapshot() == expected
+        assert reopened.journal.has_committed("appended")
 
 
 def test_open_auto_recovers(tmp_path):

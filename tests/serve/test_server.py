@@ -189,6 +189,46 @@ class TestComposition:
         recovered = DurableWarehouse.open(str(path))
         assert bag_digest(recovered.query_fresh("V")) == expected
 
+    def test_durable_mode_runs_journaled_actions_on_a_worker(self, tmp_path):
+        """The journal's and the snapshot file's connections are opened on
+        the constructing thread and used on whichever thread holds the
+        write mutex — here a maintenance worker."""
+        from repro.robustness.durable import DurableWarehouse
+        from repro.robustness.journal import table_digests
+        from repro.workloads.retail import VIEW_SQL, CUSTOMER_ATTRS, SALES_ATTRS, RetailConfig, RetailWorkload
+
+        def build(durable_path):
+            workload = RetailWorkload(RetailConfig(customers=8, initial_sales=20, txn_inserts=3, seed=7))
+            server = ViewServer(ServeConfig(k=1, m=2, durable_path=durable_path))
+            server.create_table("customer", CUSTOMER_ATTRS, rows=workload.customer_rows())
+            server.create_table("sales", SALES_ATTRS, rows=workload.initial_sales_rows())
+            server.define_view("V", VIEW_SQL, scenario="combined")
+            return server, workload
+
+        path = tmp_path / "serve.db"
+        server, workload = build(str(path))
+        oracle, oracle_workload = build(None)
+        pool = server.start_workers(1)
+        try:
+            for _ in range(4):
+                server.tick([workload.next_transaction(server.db)])
+                oracle.tick([oracle_workload.next_transaction(oracle.db)])
+                assert server.wait_idle()
+        finally:
+            server.stop_workers(drain=False)
+        worker = pool.workers[0]
+        assert not worker.is_alive() and worker.crashed is None and not worker.failures
+        # Every queued action ran on the worker: none was put back for
+        # the caller's thread to finish.
+        assert worker.actions_run == server.actions_run == oracle.actions_run > 0
+        assert server.pending_maintenance() == 0 and server.actions_failed == 0
+        assert bag_digest(server.read("V")) == bag_digest(oracle.read("V"))
+
+        before = table_digests(server.db)
+        server.manager.close()
+        with DurableWarehouse.open(path) as reopened:
+            assert table_digests(reopened.db) == before
+
     def test_governed_mode_serves_identically(self):
         from repro.workloads.retail import (
             CUSTOMER_ATTRS,

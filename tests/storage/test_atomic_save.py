@@ -7,6 +7,7 @@ import pytest
 from repro import obs
 from repro.algebra.bag import Bag
 from repro.algebra.expr import Literal
+from repro.errors import SnapshotError
 from repro.robustness.faults import INJECTOR, InjectedCrash
 from repro.storage.database import Database
 from repro.storage.persistence import (
@@ -14,6 +15,7 @@ from repro.storage.persistence import (
     save_database,
     staging_path,
     track_deltas,
+    wal_path,
     with_retry,
 )
 
@@ -232,3 +234,142 @@ class TestDifferentialSave:
         assert reasons == ["ratio"] and metrics["checkpoint_rewrites"]["value"] == 1
         assert (queue.rows_written, queue.rows_appended) == (13, 0)
         assert load_database(path).snapshot() == database.snapshot()
+
+
+class TestSnapshotConnection:
+    """The queue owns the snapshot file's one connection: WAL, ``synchronous=FULL``."""
+
+    tracked = staticmethod(TestDifferentialSave.tracked)
+    patch = staticmethod(TestDifferentialSave.patch)
+
+    @staticmethod
+    def files(tmp_path):
+        return sorted(entry.name for entry in tmp_path.iterdir())
+
+    def append(self, database, path, value):
+        self.patch(database, "R", [], [(value, 100)])
+        save_database(database, path)
+
+    def test_appends_go_through_one_wal_connection_with_full_sync(self, tmp_path):
+        database, path, queue = self.tracked(tmp_path)
+        self.append(database, path, 50)
+        conn = queue.connection()
+        self.append(database, path, 51)
+        assert queue.connection() is conn
+        assert conn.execute("PRAGMA journal_mode").fetchone() == ("wal",)
+        assert conn.execute("PRAGMA synchronous").fetchone() == (2,)  # FULL
+        assert not conn.in_transaction
+        # Between checkpoints the last commits live in the log, and a
+        # reader on another connection sees them.
+        assert wal_path(path).stat().st_size > 0
+        assert load_database(path).snapshot() == database.snapshot()
+
+    def test_close_is_idempotent_and_leaves_one_self_contained_file(self, tmp_path):
+        database, path, queue = self.tracked(tmp_path)
+        self.append(database, path, 50)
+        queue.close()
+        queue.close()
+        assert self.files(tmp_path) == ["wh.db"]
+        copy = tmp_path / "copy.db"
+        copy.write_bytes(path.read_bytes())
+        assert load_database(copy).snapshot() == database.snapshot()
+        self.append(database, path, 51)  # reopens on the next append
+        queue.close()
+        assert load_database(path).snapshot() == database.snapshot()
+
+    def test_rewrite_closes_the_connection_and_installs_a_rollback_mode_file(self, tmp_path):
+        database, path, queue = self.tracked(tmp_path)
+        self.append(database, path, 50)
+        conn = queue.connection()
+        database.create_table("T", ["a"])
+        save_database(database, path)  # ddl: stage + os.replace
+        # No -wal survives the rename (no frames of the old file to replay
+        # into the new one), and the staged file never had one: bytes 18-19
+        # of the header are 1 for rollback-journal mode, 2 for WAL.
+        assert not wal_path(path).exists() or not wal_path(path).stat().st_size
+        assert path.read_bytes()[18:20] == b"\x01\x01"
+        with pytest.raises(sqlite3.ProgrammingError):
+            conn.execute("SELECT 1")  # closed, not leaked
+        self.append(database, path, 51)
+        assert queue.connection() is not conn
+        assert load_database(path).snapshot() == database.snapshot()
+        queue.close()
+        assert self.files(tmp_path) == ["wh.db"]
+
+    def test_rewrite_refuses_to_replace_a_file_whose_wal_is_held(self, tmp_path, monkeypatch):
+        database, path, queue = self.tracked(tmp_path)
+        self.append(database, path, 50)
+        before = database.snapshot()
+        reader = sqlite3.connect(path)
+        reader.execute("BEGIN")
+        reader.execute("SELECT * FROM R").fetchone()  # pins the log's frames
+        # The checkpoint waits for readers for the connection's busy
+        # timeout; keep the test from waiting five seconds twice.
+        real_connect = sqlite3.connect
+        monkeypatch.setattr(sqlite3, "connect", lambda *args, **kw: real_connect(*args, **{**kw, "timeout": 0.05}))
+        try:
+            database.create_table("T", ["a"])
+            with pytest.raises(SnapshotError, match="live-wal") as info:
+                save_database(database, path)
+            assert info.value.code == "live-wal" and info.value.table is None
+            assert wal_path(path).stat().st_size > 0
+            assert load_database(path).snapshot() == before
+        finally:
+            reader.close()
+        save_database(database, path)  # nothing was consumed: the retry lands
+        assert load_database(path).snapshot() == database.snapshot()
+        queue.close()
+
+    def test_a_full_write_folds_the_log_a_killed_process_left(self, tmp_path):
+        database, path, queue = self.tracked(tmp_path)
+        self.append(database, path, 50)
+        # What a kill leaves: the main file plus a log holding the append.
+        main, log = path.read_bytes(), wal_path(path).read_bytes()
+        queue.close()
+        killed = tmp_path / "killed.db"
+
+        def kill_again():
+            killed.write_bytes(main)
+            wal_path(killed).write_bytes(log)
+
+        kill_again()
+        assert load_database(killed).snapshot() == database.snapshot()  # a reader replays the log
+        kill_again()
+        other = Database()
+        other.create_table("Z", ["a"], rows=[(1,)])
+        save_database(other, killed)  # must not rename a file under the old log
+        assert not wal_path(killed).exists()
+        assert load_database(killed).snapshot() == other.snapshot()
+
+    @pytest.mark.parametrize("point", ["flaky-save", "crash-mid-checkpoint"])
+    def test_transient_errors_retry_without_a_dangling_transaction(self, tmp_path, point):
+        """``crash-mid-checkpoint`` sits inside ``BEGIN``: a retry on a
+        connection left there would raise "cannot start a transaction
+        within a transaction"."""
+        database, path, queue = self.tracked(tmp_path)
+        self.append(database, path, 50)
+        conn = queue.connection()
+        self.patch(database, "R", [(0, 0)], [(51, 100)])
+        INJECTOR.arm_transient(point, times=2)
+        save_database(database, path)
+        assert not INJECTOR.armed() and not queue.connection().in_transaction
+        # Before the transaction the connection is kept; inside it, dropped.
+        assert (queue.connection() is conn) == (point == "flaky-save")
+        self.append(database, path, 52)
+        assert load_database(path).snapshot() == database.snapshot()
+        queue.close()
+
+    def test_crash_inside_the_append_drops_the_connection(self, tmp_path):
+        database, path, queue = self.tracked(tmp_path)
+        self.append(database, path, 50)
+        pre_op = database.snapshot()
+        self.patch(database, "R", [(0, 0)], [(51, 100)])
+        INJECTOR.arm("crash-mid-checkpoint")
+        with pytest.raises(InjectedCrash):
+            save_database(database, path)
+        INJECTOR.reset()
+        assert load_database(path).snapshot() == pre_op
+        save_database(database, path)
+        assert not queue.connection().in_transaction
+        assert load_database(path).snapshot() == database.snapshot()
+        queue.close()
