@@ -273,6 +273,9 @@ class Bag:
         """
         self._check_arity(delete, "patch")
         self._check_arity(insert, "patch")
+        if not delete and not insert:
+            # (X ∸ φ) ⊎ φ = X: no copy, and what is derived from X stays with it.
+            return self
         counts = dict(self._counts)
         for row, count in delete._counts.items():
             remaining = counts.get(row, 0) - count

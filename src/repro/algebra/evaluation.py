@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 from repro.algebra.bag import Bag, Row
 from repro.algebra.expr import (
+    Bound,
     DupElim,
     Expr,
     KeyRestrict,
@@ -40,7 +41,7 @@ from repro.algebra.expr import (
 from repro.algebra.predicates import And, Attr, Comparison, Predicate
 from repro.errors import ReproError, SchemaError, UnknownTableError
 
-__all__ = ["evaluate", "CostCounter"]
+__all__ = ["evaluate", "bound_bag", "CostCounter"]
 
 
 @dataclass
@@ -157,15 +158,18 @@ def evaluate(
     *,
     counter: CostCounter | None = None,
     memo: dict[Expr, Bag] | None = None,
-    keys: Mapping[str, Collection] | None = None,
+    binding: Mapping[str, Collection] | None = None,
 ) -> Bag:
     """Evaluate ``expr`` in ``state`` and return the resulting bag.
 
     ``memo`` may be supplied to share memoized results across several
     ``evaluate`` calls against the *same* state (e.g. when a transaction
-    evaluates many assignment right-hand sides simultaneously).  ``keys``
-    binds the key set of each domain a :class:`KeyRestrict` leaf names
-    (one memo must not be shared across two bindings).
+    evaluates many assignment right-hand sides simultaneously).
+    ``binding`` is what the caller supplies per evaluation: the key set
+    of each domain a :class:`KeyRestrict` leaf names, the bag of each
+    :class:`Bound` leaf (one memo must not be shared across two
+    bindings).  Every bound leaf is held against it before anything is
+    evaluated.
 
     .. warning::
 
@@ -179,7 +183,26 @@ def evaluate(
     """
     if memo is None:
         memo = {}
-    return _eval(expr, state, counter, memo, keys)
+    if binding is not None:
+        for node in expr.walk():
+            if isinstance(node, Bound):
+                bound_bag(node, binding)
+    return _eval(expr, state, counter, memo, binding)
+
+
+def bound_bag(leaf: Bound, binding: Mapping[str, object] | None) -> Bag:
+    """The bag the call's ``binding`` supplies for ``leaf``; fails closed."""
+    bag = None if binding is None else binding.get(leaf.name)
+    if not isinstance(bag, Bag):
+        raise ReproError(
+            f"{leaf} was evaluated without a bag bound to {leaf.name!r} (pass binding= to evaluate)"
+        )
+    if bag.arity is not None and bag.arity != leaf.bound_schema.arity:
+        raise SchemaError(
+            f"the bag bound to {leaf.name!r} has arity {bag.arity}, "
+            f"the leaf's schema has arity {leaf.bound_schema.arity}"
+        )
+    return bag
 
 
 # ----------------------------------------------------------------------
@@ -283,27 +306,29 @@ def _hash_join(
     return result
 
 
-def _runtime_empty(expr: Expr, state: Mapping[str, Bag]) -> bool:
+def _runtime_empty(expr: Expr, state: Mapping[str, Bag], binding=None) -> bool:
     """Conservatively decide, without evaluating, that ``expr`` is empty.
 
     This models executor short-circuiting: a nested-loop or hash join
     whose outer operand is an empty (log) table never touches the inner
-    operand.  Only emptiness provable from literals and current table
-    sizes is used; ``False`` means "unknown".
+    operand.  Only emptiness provable from literals, bound bags and
+    current table sizes is used; ``False`` means "unknown".
     """
     if isinstance(expr, Literal):
         return not expr.bag
+    if isinstance(expr, Bound):
+        return not bound_bag(expr, binding)
     if isinstance(expr, TableRef):
         value = state.get(expr.name)
         return value is not None and not value
     if isinstance(expr, (Select, Project, MapProject, DupElim, KeyRestrict)):
-        return _runtime_empty(expr.child, state)
+        return _runtime_empty(expr.child, state, binding)
     if isinstance(expr, Product):
-        return _runtime_empty(expr.left, state) or _runtime_empty(expr.right, state)
+        return _runtime_empty(expr.left, state, binding) or _runtime_empty(expr.right, state, binding)
     if isinstance(expr, Monus):
-        return _runtime_empty(expr.left, state)
+        return _runtime_empty(expr.left, state, binding)
     if isinstance(expr, UnionAll):
-        return _runtime_empty(expr.left, state) and _runtime_empty(expr.right, state)
+        return _runtime_empty(expr.left, state, binding) and _runtime_empty(expr.right, state, binding)
     return False
 
 
@@ -312,13 +337,13 @@ def _eval(
     state: Mapping[str, Bag],
     counter: CostCounter | None,
     memo: dict[Expr, Bag],
-    keys: Mapping[str, Collection] | None = None,
+    binding: Mapping[str, Collection] | None = None,
 ) -> Bag:
     cached = memo.get(expr)
     if cached is not None:
         return cached
 
-    if not isinstance(expr, (TableRef, Literal)) and _runtime_empty(expr, state):
+    if not isinstance(expr, (TableRef, Literal, Bound)) and _runtime_empty(expr, state, binding):
         result = Bag.empty()
         memo[expr] = result
         return result
@@ -334,32 +359,37 @@ def _eval(
         result = expr.bag
         if counter is not None:
             counter.record("literal", len(result))
+    elif isinstance(expr, Bound):
+        # The caller's bag stands where a literal would: same charge.
+        result = bound_bag(expr, binding)
+        if counter is not None:
+            counter.record("literal", len(result))
     elif isinstance(expr, KeyRestrict):
-        if keys is None:
+        if binding is None:
             raise ReproError(f"{expr} was evaluated without a key binding")
-        bound = keys.get(expr.domain, ())
+        bound = binding.get(expr.domain, ())
         position = expr.position
-        child = _eval(expr.child, state, counter, memo, keys)
+        child = _eval(expr.child, state, counter, memo, binding)
         result = child.select(lambda row: row[position] in bound)
         if counter is not None:
             counter.record("select", len(result))
     elif isinstance(expr, Select):
         result = None
         if isinstance(expr.child, Product) and expr.child not in memo:
-            result = _hash_join(expr, expr.child, state, counter, memo, keys)
+            result = _hash_join(expr, expr.child, state, counter, memo, binding)
         if result is None:
-            child = _eval(expr.child, state, counter, memo, keys)
+            child = _eval(expr.child, state, counter, memo, binding)
             predicate = expr.predicate.bind(expr.child.schema())
             result = child.select(predicate)
             if counter is not None:
                 counter.record("select", len(result))
     elif isinstance(expr, Project):
-        child = _eval(expr.child, state, counter, memo, keys)
+        child = _eval(expr.child, state, counter, memo, binding)
         result = child.project(expr.positions())
         if counter is not None:
             counter.record("project", len(result))
     elif isinstance(expr, MapProject):
-        child = _eval(expr.child, state, counter, memo, keys)
+        child = _eval(expr.child, state, counter, memo, binding)
         functions = [term.bind(expr.child.schema()) for term in expr.terms]
         counts: dict[Row, int] = {}
         for row, count in child.items():
@@ -369,23 +399,23 @@ def _eval(
         if counter is not None:
             counter.record("map", len(result))
     elif isinstance(expr, DupElim):
-        child = _eval(expr.child, state, counter, memo, keys)
+        child = _eval(expr.child, state, counter, memo, binding)
         result = child.dedup()
         if counter is not None:
             counter.record("dedup", len(result))
     elif isinstance(expr, UnionAll):
-        left = _eval(expr.left, state, counter, memo, keys)
-        right = _eval(expr.right, state, counter, memo, keys)
+        left = _eval(expr.left, state, counter, memo, binding)
+        right = _eval(expr.right, state, counter, memo, binding)
         result = left.union_all(right)
         if counter is not None:
             counter.record("union_all", len(result))
     elif isinstance(expr, Monus):
-        if _runtime_empty(expr.right, state):
+        if _runtime_empty(expr.right, state, binding):
             # ``E ∸ φ`` is ``E``: an executor skips the anti-join entirely.
-            result = _eval(expr.left, state, counter, memo, keys)
+            result = _eval(expr.left, state, counter, memo, binding)
             memo[expr] = result
             return result
-        left = _eval(expr.left, state, counter, memo, keys)
+        left = _eval(expr.left, state, counter, memo, binding)
         if isinstance(expr.right, TableRef) and expr.right not in memo:
             # Probe optimization: ``E ∸ R`` needs only per-row lookups in
             # the stored (hashed) table, not a scan — a real engine would
@@ -399,13 +429,13 @@ def _eval(
             if counter is not None:
                 counter.record("probe", left.distinct_count())
         else:
-            right = _eval(expr.right, state, counter, memo, keys)
+            right = _eval(expr.right, state, counter, memo, binding)
         result = left.monus(right)
         if counter is not None:
             counter.record("monus", len(result))
     elif isinstance(expr, Product):
-        left = _eval(expr.left, state, counter, memo, keys)
-        right = _eval(expr.right, state, counter, memo, keys)
+        left = _eval(expr.left, state, counter, memo, binding)
+        right = _eval(expr.right, state, counter, memo, binding)
         result = left.product(right)
         if counter is not None:
             counter.record("product", len(result))

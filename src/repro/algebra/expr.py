@@ -35,6 +35,7 @@ __all__ = [
     "TableRef",
     "Literal",
     "KeyRestrict",
+    "Bound",
     "Select",
     "Project",
     "MapProject",
@@ -182,7 +183,7 @@ class KeyRestrict(Expr):
 
     ``position`` is the table's partition-key column and ``domain`` names
     the key set ``K``, which is not part of the expression: the caller
-    binds it per evaluation (``evaluate(..., keys={domain: K})``), so one
+    binds it per evaluation (``evaluate(..., binding={domain: K})``), so one
     expression — and one compiled plan — serves every maintenance epoch.
     ``delta`` marks a table that is delta-sized by construction (a
     maintenance log): an engine reads it whole and filters, where a base
@@ -209,6 +210,37 @@ class KeyRestrict(Expr):
 
     def __str__(self) -> str:
         return f"sigma[#{self.position} in K({self.domain})]({self.child})"
+
+
+@dataclass(frozen=True)
+class Bound(Expr):
+    """A delta the caller supplies per evaluation: a name and a schema, no bag.
+
+    The bag travels on the call's binding, beside the key sets of
+    :class:`KeyRestrict` (``evaluate(..., binding={name: bag})``), so an
+    expression built over bound leaves — Figure 2's delta pair over a
+    substitution whose :math:`D_i` / :math:`A_i` are such leaves, an
+    apply plan over an already evaluated ``(delete, insert)`` pair — is
+    built and compiled once and serves every epoch, where a
+    :class:`Literal` holding the epoch's bag makes a new expression
+    each time.  Not a table reference, so substitution leaves it alone;
+    not part of the paper's grammar, and never differentiated.
+    """
+
+    name: str
+    bound_schema: Schema
+
+    def schema(self) -> Schema:
+        return self.bound_schema
+
+    def children(self) -> tuple[Expr, ...]:
+        return ()
+
+    def substitute(self, mapping: Mapping[str, Expr]) -> Expr:
+        return self
+
+    def __str__(self) -> str:
+        return f"bound({self.name})"
 
 
 @dataclass(frozen=True)

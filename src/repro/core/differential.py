@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from repro.algebra.bag import Bag
 from repro.algebra.expr import (
+    Bound,
     DupElim,
     Expr,
     Literal,
@@ -252,6 +253,9 @@ def _diff(eta: FactoredSubstitution, query: Expr, memo: dict[Expr, tuple[Expr, E
             _product(left_rest_del, right_add),
         )
         result = (del_part, add_part)
+    elif isinstance(query, Bound):
+        # Whether the caller's bag changes under η is not ours to guess.
+        raise ReproError(f"differentiate: the query holds the bound leaf {query}")
     else:
         raise ReproError(f"differentiate: unknown expression node {type(query).__name__}")
 

@@ -165,13 +165,13 @@ class PartitionedMaintenance:
         keys = db.affected_keys((table, db[name]) for table, name in self._log_tables)
         return {domain: frozenset(found) for domain, found in keys.items()}
 
-    def evaluate_pair(self, delete: Expr, insert: Expr, counter, keys=None) -> tuple[Bag, Bag]:
-        """A ``(delete, insert)`` pair evaluated under ``keys`` (default:
-        this epoch's).  A pair the group epoch already evaluated arrives
-        as literals, which no binding touches."""
-        keys = self.epoch_keys() if keys is None else keys
+    def evaluate_pair(self, delete: Expr, insert: Expr, counter, binding) -> tuple[Bag, Bag]:
+        """A ``(delete, insert)`` pair evaluated under ``binding``."""
         evaluate = self.db.evaluate
-        return evaluate(delete, counter=counter, keys=keys), evaluate(insert, counter=counter, keys=keys)
+        return (
+            evaluate(delete, counter=counter, binding=binding),
+            evaluate(insert, counter=counter, binding=binding),
+        )
 
     def log_clears(self) -> dict[str, Bag]:
         return {name: Bag.empty() for name in self.log.table_names()}
@@ -190,22 +190,30 @@ class PartitionedMaintenance:
         """:meth:`epoch_deltas`, or ``None`` when the log recorded nothing."""
         return None if self.log.is_empty() else self.epoch_deltas(scenario)
 
-    def refresh_log(self, scenario, delete: Expr, insert: Expr) -> None:
+    def epoch_binding(self, supplied: Mapping[str, Bag] | None) -> dict:
+        """What an apply step's pair is evaluated under: this epoch's keys,
+        and the bags of a pair the group epoch ``supplied`` already evaluated."""
+        return {**self.epoch_keys(), **(supplied or {})}
+
+    def refresh_log(self, scenario, delete: Expr, insert: Expr, binding=None) -> None:
         """``refresh_BL``'s apply, partition-at-a-time: evaluate the pair
         under this epoch's keys, then install the MV patch and the log
         clears in one ``apply_parts`` epoch — the effect of
         ``_log_refresh_plan`` on the affected partitions' slices only."""
         counter = scenario.counter
+        pair = self.evaluate_pair(delete, insert, counter, self.epoch_binding(binding))
         self.db.apply_parts(
-            {self.view.mv_table: self.evaluate_pair(delete, insert, counter)},
+            {self.view.mv_table: pair},
             clears=self.log_clears(),
             counter=counter,
         )
 
-    def execute_plan(self, scenario, build, delete: Expr, insert: Expr) -> None:
+    def execute_plan(self, scenario, build, delete: Expr, insert: Expr, binding=None) -> None:
         """An apply step that stays the generic plan ``build(delete,
         insert)``: the same transaction, its pair bound to this epoch's keys."""
-        build(delete, insert).execute(self.db, counter=scenario.counter, keys=self.epoch_keys())
+        build(delete, insert).execute(
+            self.db, counter=scenario.counter, binding=self.epoch_binding(binding)
+        )
 
     def chunked_group_tasks(self, scenario, *, order: int, hot_threshold: int = 64) -> list | None:
         """Per-partition-chunk :class:`~repro.exec.group.GroupTask`\\ s.
@@ -245,11 +253,6 @@ class PartitionedMaintenance:
 
             return compute
 
-        def prime():
-            # Plans and key indexes exist since install; a no-op unless
-            # the plan table was dropped wholesale in between.
-            self.db.prime(self.delete_expr, self.insert_expr, counter=scenario.counter)
-
         tasks = []
         all_pids: set[int] = set()
         for label, chunk_keys in chunks:
@@ -265,7 +268,6 @@ class PartitionedMaintenance:
                     reads=log_tables
                     | {partition_resource(t, pid) for t in self.specs for pid in pids},
                     writes=frozenset(),
-                    prime=prime,
                 )
             )
 
@@ -304,7 +306,7 @@ class PartitionedMaintenance:
         )
         return tasks
 
-    def apply_differentials(self, scenario, *_pair: Expr) -> None:
+    def apply_differentials(self, scenario, *_pair: Expr, binding=None) -> None:
         """The ``refresh_DT`` apply, partition-at-a-time.
 
         Installs the pending ∇MV/ΔMV patch and the differential clears

@@ -71,7 +71,7 @@ class MaintenancePlan:
     def is_empty(self) -> bool:
         return not self.assignments and not self.patches
 
-    def execute(self, db: Database, *, counter: CostCounter | None = None, keys=None) -> None:
-        """Run the plan as one simultaneous transaction (``keys``: the key
-        binding of a pruned plan's restricted leaves, see ``Database.evaluate``)."""
-        db.apply(self.assignments, patches=self.patches, counter=counter, keys=keys)
+    def execute(self, db: Database, *, counter: CostCounter | None = None, binding=None) -> None:
+        """Run the plan as one simultaneous transaction (``binding``: the key
+        sets and bags its restricted and bound leaves read, see ``Database.evaluate``)."""
+        db.apply(self.assignments, patches=self.patches, counter=counter, binding=binding)

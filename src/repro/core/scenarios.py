@@ -38,7 +38,7 @@ from __future__ import annotations
 import warnings
 from abc import ABC, abstractmethod
 from contextlib import nullcontext
-from functools import partial
+from functools import cached_property, partial
 
 from repro import obs
 from repro.algebra.bag import Bag
@@ -49,6 +49,7 @@ from repro.core.differential import post_update_delta, pre_update_delta
 from repro.core.logs import Log
 from repro.core.ops import MaintenanceOp, OpStep
 from repro.core.plan import MaintenancePlan
+from repro.core.substitution import bound_pair, pair_binding
 from repro.core.transactions import UserTransaction
 from repro.core.views import ViewDefinition
 from repro.errors import InvariantViolation, PolicyError
@@ -202,7 +203,9 @@ class Scenario(ABC):
         apply step of an op with locked steps and held to the end (a
         leading compute step only *builds* expressions); the crash point
         fires right after.  ``deltas`` is the group path: the epoch's
-        delta cache supplies the evaluated pair, compute steps are skipped.
+        delta cache supplies the evaluated pair, compute steps are
+        skipped, and the apply steps run over the view's bound pair with
+        the bags bound to it — the same plans every epoch.
         """
         op = kind if isinstance(kind, MaintenanceOp) else self.op(kind)
         if not op.steps:
@@ -210,8 +213,10 @@ class Scenario(ABC):
         telemetry = obs.telemetry_enabled()
         attrs = dict(op.attrs)
         pair: tuple = ()
+        binding = None
         if deltas is not None:
-            pair = tuple(Literal(bag, self.view.schema) for bag in deltas)
+            pair = bound_pair(self.view.mv_table, self.view.schema)
+            binding = pair_binding({self.view.mv_table: deltas})
             attrs.update(group=True, delta_rows=len(deltas[0]) + len(deltas[1]))
         elif any(step.deltas is not None for step in op.steps):
             attrs["log_watermark"] = self.log_watermark() if telemetry else 0
@@ -233,9 +238,9 @@ class Scenario(ABC):
                             if deltas is None:
                                 pair = (step.via or step.deltas)()
                         elif step.via is not None:
-                            step.via(*pair)
+                            step.via(*pair, binding=binding)
                         else:
-                            self._execute(step.plan(*pair), None if deltas is None else pair)
+                            self._execute(step.plan(*pair), pair, binding)
         if op.locked:
             # After a partial refresh the still-unpropagated log stays
             # behind: the view is a bounded k ticks out of date.
@@ -243,14 +248,14 @@ class Scenario(ABC):
         elif telemetry:
             obs.metric_inc("propagations")
 
-    def _execute(self, plan: MaintenancePlan, supplied: tuple | None) -> None:
+    def _execute(self, plan: MaintenancePlan, pair: tuple, binding) -> None:
         counter = self.counter
-        if supplied is not None and plan.patches.get(self.view.mv_table) == supplied:
-            # The supplied bags were evaluated (and counted) by the epoch's
-            # compute; patching MV with them only re-emits literals, which
+        if binding is not None and plan.patches.get(self.view.mv_table) == pair:
+            # The bound bags were evaluated (and counted) by the epoch's
+            # compute; patching MV with them only re-emits them, which
             # must not be counted a second time.
             counter = None
-        plan.execute(self.db, counter=counter)
+        plan.execute(self.db, counter=counter, binding=binding)
 
     def maintenance_protocol(self) -> tuple:
         """This scenario's operations as inferred effect sets.
@@ -498,28 +503,18 @@ class LoggedScenario(Scenario):
         structurally identical views over identical recorded changes — a
         BL view and a C view with the same query included — share one
         evaluation per epoch.  The *apply* half is this scenario's own
-        ``refresh`` op with the computed pair supplied.
+        ``refresh`` op with the computed pair supplied.  What no epoch
+        changes (the pair, its fingerprints, the inferred footprint) is
+        built with the first task and kept (:meth:`_group_parts`).
         """
-        from repro.analysis.effects import op_effects
-        from repro.exec.group import GroupTask, evaluate_delta_pair, subplan_fingerprint
+        from repro.exec.group import GroupTask, evaluate_delta_pair
 
-        view_delete, view_insert = self._log_deltas()
-        rename = self.log.canonical_rename()
+        view_delete, view_insert, fingerprints, inferred = self._group_parts
         base = tuple(sorted(self.view.base_tables()))
-        # Independently inferred footprint, read off the refresh op —
-        # *not* the declared reads/writes below, so a drifted
-        # declaration is detectable (RVM604).
-        inferred = op_effects(self, self.ops["refresh"])
 
         def key():
             stamps = tuple((table, self.db.version_of(table)) for table in base)
-            return (
-                "log",
-                subplan_fingerprint(view_delete, rename),
-                subplan_fingerprint(view_insert, rename),
-                stamps,
-                self.log.content_digests(),
-            )
+            return ("log", *fingerprints, stamps, self.log.content_digests())
 
         return GroupTask(
             name=self.view.name,
@@ -529,10 +524,35 @@ class LoggedScenario(Scenario):
             apply=partial(self.run, "refresh"),
             reads=frozenset(base) | frozenset(self.log.table_names()),
             writes=self._group_writes(),
-            prime=lambda: self.db.prime(view_delete, view_insert, counter=self.counter),
             inferred_reads=inferred.reads,
             inferred_writes=inferred.writes,
         )
+
+    @cached_property
+    def _group_parts(self):
+        """``(▼, ▲, their fingerprints, the refresh op's inferred effects)``.
+
+        A function of the view definition and the installed op table
+        only.  Priming here — on the scheduling thread, before any
+        epoch computes — is what lets pool workers only ever *execute*
+        (install primes the same pair; a reloaded scenario was never
+        installed in this process).
+        """
+        from repro.analysis.effects import op_effects
+        from repro.exec.group import subplan_fingerprint
+
+        view_delete, view_insert = self._log_deltas()
+        self.db.prime(view_delete, view_insert, counter=self.counter)
+        rename = self.log.canonical_rename()
+        fingerprints = (
+            subplan_fingerprint(view_delete, rename),
+            subplan_fingerprint(view_insert, rename),
+        )
+        # Independently inferred footprint, read off the refresh op —
+        # *not* the declared reads/writes of the task, so a drifted
+        # declaration is detectable (RVM604).
+        inferred = op_effects(self, self.ops["refresh"])
+        return view_delete, view_insert, fingerprints, inferred
 
     def partitioned_group_tasks(self, *, order: int, hot_threshold: int = 64):
         """Partition-chunked group tasks, or ``None`` when ineligible.

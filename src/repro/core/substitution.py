@@ -23,11 +23,31 @@ from __future__ import annotations
 from collections.abc import Iterator, Mapping
 
 from repro.algebra.bag import Bag
-from repro.algebra.expr import Expr, Literal, Monus, TableRef, UnionAll, min_expr
+from repro.algebra.expr import Bound, Expr, Literal, Monus, TableRef, UnionAll, min_expr
 from repro.algebra.schema import Schema
-from repro.errors import SchemaError
+from repro.errors import ReproError, SchemaError
 
-__all__ = ["FactoredSubstitution"]
+__all__ = ["FactoredSubstitution", "bound_pair", "pair_binding"]
+
+
+def _pair_names(name: str) -> tuple[str, str]:
+    return f"{name}.delete", f"{name}.insert"
+
+
+def bound_pair(name: str, schema: Schema) -> tuple[Bound, Bound]:
+    """The ``(delete, insert)`` leaves standing for table ``name``'s delta
+    pair in an expression built once; :func:`pair_binding` supplies the bags."""
+    delete, insert = _pair_names(name)
+    return Bound(delete, schema), Bound(insert, schema)
+
+
+def pair_binding(deltas: Mapping[str, tuple[Bag, Bag]]) -> dict[str, Bag]:
+    """The binding that hands each table's ``(delete, insert)`` bags to
+    its :func:`bound_pair` leaves."""
+    binding: dict[str, Bag] = {}
+    for name, pair in deltas.items():
+        binding.update(zip(_pair_names(name), pair))
+    return binding
 
 
 class FactoredSubstitution:
@@ -103,7 +123,15 @@ class FactoredSubstitution:
     # ------------------------------------------------------------------
 
     def apply(self, query: Expr) -> Expr:
-        """:math:`\\eta(Q)`: replace every occurrence of each substituted table."""
+        """:math:`\\eta(Q)`: replace every occurrence of each substituted table.
+
+        A query that itself holds a bound leaf is refused: whether the
+        caller's bag belongs to the state being substituted is not ours
+        to guess.
+        """
+        for node in query.walk():
+            if isinstance(node, Bound):
+                raise ReproError(f"cannot substitute into a query holding the bound leaf {node}")
         mapping = {name: self.replacement(name) for name in self._entries}
         return query.substitute(mapping)
 
@@ -136,6 +164,13 @@ class FactoredSubstitution:
             for name, (delete, insert) in deltas.items()
         }
         return cls(entries, schemas)
+
+    @classmethod
+    def bound(cls, schemas: Mapping[str, Schema]) -> FactoredSubstitution:
+        """Build over bound leaves: each table's ``(D, A)`` is its
+        :func:`bound_pair`, supplied per evaluation (:func:`pair_binding`),
+        so what is built from this substitution is built once."""
+        return cls({name: bound_pair(name, schema) for name, schema in schemas.items()}, schemas)
 
     def __repr__(self) -> str:
         return f"FactoredSubstitution({sorted(self._entries)})"

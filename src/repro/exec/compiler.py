@@ -21,6 +21,11 @@ every call:
   bound per call) fuses into its chain's :class:`SourceAccess`: joined
   on the key it *is* the index-probe join, anywhere else it gathers
   ``K``'s buckets from ``R``'s key index — ``R`` is never scanned;
+* a bound leaf (a delta the caller supplies per call) is a delta-sized
+  source read off the call's binding: like a log table it drives the
+  index-probe joins from the probing side, and bound empty it
+  short-circuits everything a statically empty literal would have
+  folded away;
 * adjacent projections compose into one.
 
 Cost accounting mirrors the interpreted evaluator's conventions: every
@@ -43,6 +48,7 @@ from repro import obs
 from repro.algebra.bag import Bag, Row
 from repro.algebra.evaluation import _conjuncts, _equijoin_keys
 from repro.algebra.expr import (
+    Bound,
     DupElim,
     Expr,
     KeyRestrict,
@@ -183,25 +189,30 @@ def source_access(expr: Expr) -> SourceAccess | None:
 class PNode:
     """A physical operator with a version-stamped cross-call result memo."""
 
-    __slots__ = ("tables", "keyed", "_memo")
+    __slots__ = ("tables", "binds", "leaves", "_memo")
 
     #: Whether execute() may short-circuit to φ via runtime_empty().
     check_empty = True
 
     def __init__(self, tables: frozenset[str]) -> None:
         self.tables = tuple(sorted(tables))
-        #: Whether a key-restricted leaf sits at or below this node: its
-        #: result then depends on the call's key binding, which joins the
-        #: table versions in the memo stamp (set by ``Compiler.compile``).
-        self.keyed = False
+        #: What the call's binding supplies to the leaves at or below this
+        #: node — the domains of key-restricted leaves, the names of bound
+        #: ones: the result depends on those entries, which join the table
+        #: versions in the memo stamp (set by ``Compiler.compile``).
+        self.binds: tuple[str, ...] = ()
+        #: The bound leaves at or below this node — what a call's
+        #: binding is held against before anything executes.
+        self.leaves: tuple[Bound, ...] = ()
         #: ``(stamp, value)`` of the last execution, or None.
         self._memo: tuple[tuple, Bag] | None = None
 
     def children(self) -> tuple[PNode, ...]:
         return ()
 
-    def runtime_empty(self, state: Mapping[str, Bag]) -> bool:
-        """Conservatively decide emptiness from table sizes (False = unknown)."""
+    def runtime_empty(self, ctx) -> bool:
+        """Conservatively decide emptiness from table sizes and bound bags
+        (False = unknown)."""
         return False
 
     def execute(self, ctx) -> Bag:
@@ -211,7 +222,7 @@ class PNode:
             if ctx.counter is not None:
                 ctx.counter.memo_hits += 1
             return memo[1]
-        if self.check_empty and self.runtime_empty(ctx.state):
+        if self.check_empty and self.runtime_empty(ctx):
             result = Bag.empty()
         else:
             result = self._compute(ctx)
@@ -236,13 +247,40 @@ class PLiteral(PNode):
         super().__init__(frozenset())
         self.bag = bag
 
-    def runtime_empty(self, state) -> bool:
+    def runtime_empty(self, ctx) -> bool:
         return not self.bag
 
     def _compute(self, ctx) -> Bag:
         if ctx.counter is not None:
             ctx.counter.record("literal", len(self.bag))
         return self.bag
+
+
+class PBound(PNode):
+    """The bag the call binds to a :class:`~repro.algebra.expr.Bound` leaf.
+
+    Stands where a literal holding that bag would (same ``literal``
+    charge), but the plan above it is the same node every call.
+    """
+
+    check_empty = False
+
+    __slots__ = ("leaf",)
+
+    def __init__(self, leaf: Bound) -> None:
+        super().__init__(frozenset())
+        self.leaf = leaf
+        self.binds = (leaf.name,)
+        self.leaves = (leaf,)
+
+    def runtime_empty(self, ctx) -> bool:
+        return not ctx.bound(self.leaf)
+
+    def _compute(self, ctx) -> Bag:
+        bag = ctx.bound(self.leaf)
+        if ctx.counter is not None:
+            ctx.counter.record("literal", len(bag))
+        return bag
 
 
 class PScan(PNode):
@@ -254,8 +292,8 @@ class PScan(PNode):
         super().__init__(frozenset({name}))
         self.name = name
 
-    def runtime_empty(self, state) -> bool:
-        value = state.get(self.name)
+    def runtime_empty(self, ctx) -> bool:
+        value = ctx.state.get(self.name)
         return value is not None and not value
 
     def _compute(self, ctx) -> Bag:
@@ -279,10 +317,11 @@ class PPipeline(PNode):
     def __init__(self, access: SourceAccess) -> None:
         super().__init__(frozenset({access.table}))
         self.access = access
-        self.keyed = access.restrict is not None
+        if access.restrict is not None:
+            self.binds = (access.restrict.domain,)
 
-    def runtime_empty(self, state) -> bool:
-        value = state.get(self.access.table)
+    def runtime_empty(self, ctx) -> bool:
+        value = ctx.state.get(self.access.table)
         return value is not None and not value
 
     def restricted(self, ctx) -> Iterator[tuple[Row, int]]:
@@ -400,8 +439,8 @@ class PFilter(PNode):
     def children(self):
         return (self.child,)
 
-    def runtime_empty(self, state) -> bool:
-        return self.child.runtime_empty(state)
+    def runtime_empty(self, ctx) -> bool:
+        return self.child.runtime_empty(ctx)
 
     def _compute(self, ctx) -> Bag:
         result = self.child.execute(ctx).select(self.predicate)
@@ -421,8 +460,8 @@ class PProject(PNode):
     def children(self):
         return (self.child,)
 
-    def runtime_empty(self, state) -> bool:
-        return self.child.runtime_empty(state)
+    def runtime_empty(self, ctx) -> bool:
+        return self.child.runtime_empty(ctx)
 
     def _compute(self, ctx) -> Bag:
         result = self.child.execute(ctx).project(self.positions)
@@ -442,8 +481,8 @@ class PMap(PNode):
     def children(self):
         return (self.child,)
 
-    def runtime_empty(self, state) -> bool:
-        return self.child.runtime_empty(state)
+    def runtime_empty(self, ctx) -> bool:
+        return self.child.runtime_empty(ctx)
 
     def _compute(self, ctx) -> Bag:
         counts: dict[Row, int] = {}
@@ -466,8 +505,8 @@ class PDedup(PNode):
     def children(self):
         return (self.child,)
 
-    def runtime_empty(self, state) -> bool:
-        return self.child.runtime_empty(state)
+    def runtime_empty(self, ctx) -> bool:
+        return self.child.runtime_empty(ctx)
 
     def _compute(self, ctx) -> Bag:
         result = self.child.execute(ctx).dedup()
@@ -487,8 +526,8 @@ class PUnionAll(PNode):
     def children(self):
         return (self.left, self.right)
 
-    def runtime_empty(self, state) -> bool:
-        return self.left.runtime_empty(state) and self.right.runtime_empty(state)
+    def runtime_empty(self, ctx) -> bool:
+        return self.left.runtime_empty(ctx) and self.right.runtime_empty(ctx)
 
     def _compute(self, ctx) -> Bag:
         result = self.left.execute(ctx).union_all(self.right.execute(ctx))
@@ -511,11 +550,11 @@ class PMonus(PNode):
     def children(self):
         return (self.left, self.right)
 
-    def runtime_empty(self, state) -> bool:
-        return self.left.runtime_empty(state)
+    def runtime_empty(self, ctx) -> bool:
+        return self.left.runtime_empty(ctx)
 
     def _compute(self, ctx) -> Bag:
-        if self.right.runtime_empty(ctx.state):
+        if self.right.runtime_empty(ctx):
             # ``E ∸ φ`` is ``E``: skip the anti-join entirely.
             return self.left.execute(ctx)
         left = self.left.execute(ctx)
@@ -542,8 +581,8 @@ class PProduct(PNode):
     def children(self):
         return (self.left, self.right)
 
-    def runtime_empty(self, state) -> bool:
-        return self.left.runtime_empty(state) or self.right.runtime_empty(state)
+    def runtime_empty(self, ctx) -> bool:
+        return self.left.runtime_empty(ctx) or self.right.runtime_empty(ctx)
 
     def _compute(self, ctx) -> Bag:
         result = self.left.execute(ctx).product(self.right.execute(ctx))
@@ -673,8 +712,8 @@ class PEquiJoin(PNode):
     def children(self):
         return (self.left.node, self.right.node)
 
-    def runtime_empty(self, state) -> bool:
-        return self.left.node.runtime_empty(state) or self.right.node.runtime_empty(state)
+    def runtime_empty(self, ctx) -> bool:
+        return self.left.node.runtime_empty(ctx) or self.right.node.runtime_empty(ctx)
 
     def _index_side(self, ctx) -> _JoinSide | None:
         """The side to serve from an index (the larger stored table wins)."""
@@ -731,7 +770,7 @@ class PEquiJoin(PNode):
             indexed.access.table, indexed.base_key_positions, base, counter=ctx.counter
         )
         minus = None
-        if indexed.minus is not None and not indexed.minus.runtime_empty(ctx.state):
+        if indexed.minus is not None and not indexed.minus.runtime_empty(ctx):
             minus = ctx.bag(indexed.minus)
         patched = bool(minus)
         probe_rows, probe_size = ctx.rows(probe.node)
@@ -837,7 +876,9 @@ class Compiler:
         node = self._nodes.get(expr)
         if node is None:
             node = self._build(expr)
-            node.keyed = node.keyed or any(child.keyed for child in node.children())
+            for child in node.children():
+                node.binds += tuple(name for name in child.binds if name not in node.binds)
+                node.leaves += tuple(leaf for leaf in child.leaves if leaf not in node.leaves)
             self._nodes[expr] = node
         return node
 
@@ -849,6 +890,8 @@ class Compiler:
             return PScan(expr.name)
         if isinstance(expr, Literal):
             return PLiteral(expr.bag)
+        if isinstance(expr, Bound):
+            return PBound(expr)
         if isinstance(expr, (Select, Project, MapProject, KeyRestrict)):
             if isinstance(expr, Select) and isinstance(expr.child, Product):
                 join = self._build_equijoin(expr, expr.child)

@@ -24,28 +24,31 @@ from collections.abc import Collection, Iterable, Mapping
 
 from repro import obs
 from repro.algebra.bag import Bag, Row
-from repro.algebra.evaluation import CostCounter
-from repro.algebra.expr import Expr, Literal
+from repro.algebra.evaluation import CostCounter, bound_bag
+from repro.algebra.expr import Bound, Expr, Literal
 from repro.errors import ReproError, UnknownTableError
 from repro.exec.compiler import Compiler, PEquiJoin, PIndexSelect, PLiteral, PNode, PPipeline
 
 __all__ = ["ExecutionContext", "Executor", "binding_stamp", "plan_for"]
 
 
-def binding_stamp(keys: Mapping[str, Collection] | None) -> tuple | None:
-    """A key binding as a value a result memo can be stamped with."""
-    return None if keys is None else tuple(sorted(keys.items()))
+def binding_stamp(binding: Mapping[str, Collection] | None) -> tuple | None:
+    """A call's whole binding as a value a result memo can be stamped with
+    (two stamps compare equal exactly when they bind equal sets and bags)."""
+    return None if binding is None else tuple(sorted(binding.items()))
 
 
 class ExecutionContext:
     """Per-call view of the database handed to physical operators.
 
-    ``keys`` is the call's key binding — domain → the key set ``K`` its
-    key-restricted leaves (:class:`~repro.algebra.expr.KeyRestrict`)
-    select by; ``None`` for the ordinary call that has no such leaf.
+    ``binding`` is what the caller supplies for this call only: domain →
+    the key set ``K`` its key-restricted leaves
+    (:class:`~repro.algebra.expr.KeyRestrict`) select by, and name → the
+    bag of each bound leaf (:class:`~repro.algebra.expr.Bound`); ``None``
+    for the ordinary call that has no such leaf.
     """
 
-    __slots__ = ("state", "counter", "indexes", "_version_of", "_keys", "_binding")
+    __slots__ = ("state", "counter", "indexes", "_version_of", "_binding")
 
     def __init__(
         self,
@@ -53,31 +56,47 @@ class ExecutionContext:
         counter: CostCounter | None,
         indexes,
         version_of,
-        keys: Mapping[str, Collection] | None = None,
+        binding: Mapping[str, Collection] | None = None,
     ) -> None:
         self.state = state
         self.counter = counter
         self.indexes = indexes
         self._version_of = version_of
-        self._keys = keys
-        self._binding = None if keys is None else binding_stamp(keys)
+        self._binding = binding
 
     def stamp_for(self, node: PNode) -> tuple:
         """The memo stamp of ``node``: its input tables' current versions,
-        and the key binding as well when a restricted leaf sits below it
-        (the same table version answers differently under another ``K``)."""
+        and what the call binds to the restricted and bound leaves below
+        it (the same table version answers differently under another
+        ``K``, another bag; equal sets and bags compare equal).  Only
+        those entries: two calls that differ elsewhere share the result."""
         version_of = self._version_of
         stamp = tuple(version_of(name) for name in node.tables)
-        return (*stamp, self._binding) if node.keyed else stamp
+        if node.binds:
+            binding = self._binding
+            bound = None if binding is None else tuple(binding.get(name) for name in node.binds)
+            return (*stamp, bound)
+        return stamp
 
     def keys_of(self, domain: str) -> Collection:
         """The key set bound to ``domain`` for this call."""
-        if self._keys is None:
+        if self._binding is None:
             raise ReproError(
                 f"a leaf restricted to the keys of domain {domain!r} was evaluated "
-                "without a key binding (pass keys= to evaluate)"
+                "without a key binding (pass binding= to evaluate)"
             )
-        return self._keys.get(domain, ())
+        return self._binding.get(domain, ())
+
+    def bound(self, leaf: Bound) -> Bag:
+        """The bag this call binds to ``leaf`` (coded error when it binds none)."""
+        return bound_bag(leaf, self._binding)
+
+    def admit(self, node: PNode) -> PNode:
+        """``node``, once every bound leaf below it is held against this
+        call's binding — before anything executes."""
+        for leaf in node.leaves:
+            bound_bag(leaf, self._binding)
+        return node
 
     def table(self, name: str) -> Bag:
         """The stored table ``name`` as of this call."""
@@ -146,10 +165,11 @@ class Executor:
         expr: Expr,
         *,
         counter: CostCounter | None = None,
-        keys: Mapping[str, Collection] | None = None,
+        binding: Mapping[str, Collection] | None = None,
     ) -> Bag:
         """Evaluate ``expr`` against the database's current state."""
-        return plan_for(self._nodes, expr, counter).execute(self._context(counter, keys))
+        ctx = self._context(counter, binding)
+        return ctx.admit(plan_for(self._nodes, expr, counter)).execute(ctx)
 
     def prime(self, expr: Expr, *, counter: CostCounter | None = None) -> PNode:
         """Compile ``expr`` now and pre-build the indexes its plan can use.
@@ -191,9 +211,9 @@ class Executor:
         if base is not None:
             ctx.indexes.get(table, positions, base, counter=ctx.counter)
 
-    def _context(self, counter: CostCounter | None, keys=None) -> ExecutionContext:
+    def _context(self, counter: CostCounter | None, binding=None) -> ExecutionContext:
         database = self._database
-        return ExecutionContext(database.state, counter, database.indexes, database.version_of, keys)
+        return ExecutionContext(database.state, counter, database.indexes, database.version_of, binding)
 
 
 def plan_for(nodes: dict[Expr, PNode], expr: Expr, counter: CostCounter | None, clear=None) -> PNode:

@@ -128,13 +128,17 @@ def view_fingerprints(expr: Expr, rename: Mapping[str, str] | None = None) -> fr
     return frozenset(found)
 
 
-def evaluate_delta_pair(db, delete_expr: Expr, insert_expr: Expr, counter: CostCounter | None = None) -> tuple[Bag, Bag]:
+def evaluate_delta_pair(
+    db, delete_expr: Expr, insert_expr: Expr, counter: CostCounter | None = None, binding=None
+) -> tuple[Bag, Bag]:
     """Evaluate a view's ``(delete, insert)`` delta pair, sharing subresults.
 
     In interpreted mode the two expressions share one memo dict — the
     same sharing a single refresh plan gets when it evaluates all
     right-hand sides simultaneously.  In compiled mode the executor's
-    cross-call result memo (version-stamp guarded) provides the sharing.
+    cross-call result memo (stamped with table versions and ``binding``)
+    provides the sharing.  ``binding`` supplies the pair's bound leaves,
+    as in :meth:`Database.evaluate`.
     """
     from repro.exec import INTERPRETED
 
@@ -142,12 +146,12 @@ def evaluate_delta_pair(db, delete_expr: Expr, insert_expr: Expr, counter: CostC
         memo: dict[Expr, Bag] = {}
         state = db.state
         return (
-            evaluate(delete_expr, state, counter=counter, memo=memo),
-            evaluate(insert_expr, state, counter=counter, memo=memo),
+            evaluate(delete_expr, state, counter=counter, memo=memo, binding=binding),
+            evaluate(insert_expr, state, counter=counter, memo=memo, binding=binding),
         )
     return (
-        db.evaluate(delete_expr, counter=counter),
-        db.evaluate(insert_expr, counter=counter),
+        db.evaluate(delete_expr, counter=counter, binding=binding),
+        db.evaluate(insert_expr, counter=counter, binding=binding),
     )
 
 
@@ -195,9 +199,9 @@ class GroupTask:
     ``None`` for an uncacheable task.  ``compute`` evaluates the view's
     ``(delete, insert)`` delta bags reading the current state only;
     ``apply`` installs them (and any per-view bookkeeping) under the
-    view's lock.  ``reads``/``writes`` drive conflict batching;
-    ``prime`` (optional) pre-compiles plans so parallel computes never
-    race the compiler.
+    view's lock.  ``reads``/``writes`` drive conflict batching.  Plans a
+    ``compute`` runs are compiled by whoever builds the task (at install
+    or on first use), so parallel computes never race the compiler.
     """
 
     name: str
@@ -207,7 +211,6 @@ class GroupTask:
     apply: Callable[[tuple[Bag, Bag]], None]
     reads: frozenset[str] = frozenset()
     writes: frozenset[str] = frozenset()
-    prime: Callable[[], None] | None = None
     #: Independently inferred footprint (compiled delta plans + apply-plan
     #: structure), consumed by the concurrency analyzer's RVM604 check of
     #: declared vs. inferred sets.  ``None`` = no inference available.
@@ -317,8 +320,15 @@ class GroupScheduler:
 
     # -- execution -----------------------------------------------------
 
-    def run(self, tasks: Sequence[GroupTask], cache: EpochDeltaCache) -> None:
-        for index, batch in enumerate(self.batches(tasks)):
+    def run(
+        self,
+        tasks: Sequence[GroupTask],
+        cache: EpochDeltaCache,
+        batches: Sequence[Sequence[GroupTask]] | None = None,
+    ) -> None:
+        """Run ``tasks`` batch by batch (``batches``: a layout of exactly
+        these tasks the caller already holds; default :meth:`batches`)."""
+        for index, batch in enumerate(self.batches(tasks) if batches is None else batches):
             with obs.span("batch", index=index, tasks=len(batch), counter=self.counter):
                 self._run_batch(batch, cache)
 
@@ -337,10 +347,6 @@ class GroupScheduler:
 
         results: dict[str, tuple[Bag, Bag]] = {}
         if self.parallel and len(leaders) > 1:
-            # Compile once, sequentially, so pool workers only *execute*.
-            for task in leaders:
-                if task.prime is not None:
-                    task.prime()
             counters = [CostCounter() for _ in leaders]
             workers = self.max_workers or min(len(leaders), max(2, (os.cpu_count() or 4) - 1))
             # Thread-local span stacks don't cross into pool workers:

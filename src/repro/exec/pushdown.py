@@ -35,13 +35,17 @@ A key-restricted leaf (partition pruning) is pushable: its SQL text is
 fixed at compile time and reads the call's key binding from a table the
 mirror loads just before the statement runs, so the pruned refresh pair
 compiles once; the binding joins the version stamps in the result memo.
+A bound leaf is bound like a literal: the call's bag takes its place in
+the expression before anything is pushed, so the delta reaches SQLite as
+the ``VALUES`` rows a literal delta always was.
 """
 
 from __future__ import annotations
 
 from repro.algebra.bag import Bag, Row
-from repro.algebra.evaluation import CostCounter
+from repro.algebra.evaluation import CostCounter, bound_bag
 from repro.algebra.expr import (
+    Bound,
     DupElim,
     Expr,
     KeyRestrict,
@@ -187,11 +191,11 @@ class PushdownExecutor(VectorizedExecutor):
     # Entry point
     # ------------------------------------------------------------------
 
-    def evaluate(self, expr: Expr, *, counter: CostCounter | None = None, keys=None) -> Bag:
+    def evaluate(self, expr: Expr, *, counter: CostCounter | None = None, binding=None) -> Bag:
         database = self._database
         stamp = tuple(database.version_of(name) for name in sorted(expr.tables()))
-        if keys is not None:
-            stamp = (*stamp, binding_stamp(keys))
+        if binding is not None:
+            stamp = (*stamp, binding_stamp(binding))
         entry = self._result_memo.get(expr)
         if entry is not None and entry[0] == stamp:
             if counter is not None:
@@ -199,18 +203,44 @@ class PushdownExecutor(VectorizedExecutor):
             return entry[1]
         if len(self._result_memo) > self.MAX_NODES:
             self._result_memo.clear()
-        bag = self._eval(expr, counter, keys)
+        bag = self._eval(expr, counter, binding)
         self._result_memo[expr] = [stamp, bag]
         return bag
 
-    def _eval(self, expr: Expr, counter: CostCounter | None, keys) -> Bag:
+    def _eval(self, expr: Expr, counter: CostCounter | None, binding) -> Bag:
+        if binding is not None:
+            expr = self._bind_leaves(expr, binding)
         if self._is_pushable(expr):
             try:
-                return self._sql_eval(expr, counter, keys)
+                return self._sql_eval(expr, counter, binding)
             except MirrorUnsupported:
-                return super().evaluate(expr, counter=counter, keys=keys)
-        rewritten = self._push_maximal(expr, counter, keys)
-        return super().evaluate(rewritten, counter=counter, keys=keys)
+                return super().evaluate(expr, counter=counter, binding=binding)
+        rewritten = self._push_maximal(expr, counter, binding)
+        return super().evaluate(rewritten, counter=counter, binding=binding)
+
+    def _bind_leaves(self, expr: Expr, binding) -> Expr:
+        """``expr`` with each bound leaf replaced by a literal of the bag
+        ``binding`` supplies for it (``expr`` itself when it has none).
+
+        What a leaf bound empty makes trivial is folded away on the way
+        up: the other tiers skip it at run time, SQLite would run it.
+        """
+        if isinstance(expr, Bound):
+            return Literal(bound_bag(expr, binding), expr.bound_schema)
+        children = expr.children()
+        if not children or isinstance(expr, KeyRestrict):
+            return expr
+        rewritten = tuple(self._bind_leaves(child, binding) for child in children)
+        if all(new is old for new, old in zip(rewritten, children)):
+            return expr
+        empty = [isinstance(child, Literal) and not child.bag for child in rewritten]
+        if isinstance(expr, UnionAll) and any(empty):
+            return rewritten[empty[0]]  # φ ⊎ E = E ⊎ φ = E
+        if isinstance(expr, Monus) and any(empty):
+            return rewritten[0]  # φ ∸ E = φ, E ∸ φ = E
+        if any(empty):  # σ, Π, map, ε, ×: empty in, empty out
+            return Literal(Bag.empty(), expr.schema())
+        return _rebuild(expr, rewritten)
 
     # ------------------------------------------------------------------
     # Pushability analysis
@@ -248,7 +278,7 @@ class PushdownExecutor(VectorizedExecutor):
     # SQL evaluation + per-subtree fallback
     # ------------------------------------------------------------------
 
-    def _sql_eval(self, expr: Expr, counter: CostCounter | None, keys=None) -> Bag:
+    def _sql_eval(self, expr: Expr, counter: CostCounter | None, binding=None) -> Bag:
         """Evaluate a pushable ``expr`` entirely inside SQLite."""
         mirror = self._mirror
         database = self._database
@@ -275,9 +305,11 @@ class PushdownExecutor(VectorizedExecutor):
                 counter.plan_hits += 1
             sql, keyed = compiled
             if keyed:
-                if keys is None:
+                if binding is None:
                     raise ReproError("a key-restricted leaf was evaluated without a key binding")
-                mirror.bind_keys(keys)
+                mirror.bind_keys(
+                    {domain: bound for domain, bound in binding.items() if not isinstance(bound, Bag)}
+                )
             fault_point("flaky-pushdown-execute")
             rows = mirror.execute(sql)
         counts: dict[Row, int] = {}
@@ -288,7 +320,7 @@ class PushdownExecutor(VectorizedExecutor):
             counter.record("pushdown", len(rows))
         return Bag.from_counts(counts)
 
-    def _push_maximal(self, expr: Expr, counter: CostCounter | None, keys=None) -> Expr:
+    def _push_maximal(self, expr: Expr, counter: CostCounter | None, binding=None) -> Expr:
         """Replace each maximal pushable subtree with its SQL result.
 
         The rewritten tree's remaining operators run on the inherited
@@ -297,14 +329,14 @@ class PushdownExecutor(VectorizedExecutor):
         """
         if self._is_pushable(expr):
             try:
-                bag = self._sql_eval(expr, counter, keys)
+                bag = self._sql_eval(expr, counter, binding)
             except MirrorUnsupported:
                 return expr
             return Literal(bag, expr.schema())
         children = expr.children()
         if not children:
             return expr
-        rewritten = tuple(self._push_maximal(child, counter, keys) for child in children)
+        rewritten = tuple(self._push_maximal(child, counter, binding) for child in children)
         if all(new is old for new, old in zip(rewritten, children)):
             return expr
         return _rebuild(expr, rewritten)

@@ -50,6 +50,7 @@ from repro.exec.compiler import (
     PEquiJoin,
     PFilter,
     PIndexSelect,
+    PBound,
     PLiteral,
     PMap,
     PMonus,
@@ -146,8 +147,8 @@ class _BatchContext(ExecutionContext):
 
     __slots__ = ("_executor",)
 
-    def __init__(self, state, counter, indexes, version_of, keys, executor: VectorizedExecutor) -> None:
-        super().__init__(state, counter, indexes, version_of, keys)
+    def __init__(self, state, counter, indexes, version_of, binding, executor: VectorizedExecutor) -> None:
+        super().__init__(state, counter, indexes, version_of, binding)
         self._executor = executor
 
     def rows(self, node: PNode):
@@ -170,14 +171,14 @@ class VectorizedExecutor(Executor):
 
     # -- entry points --------------------------------------------------
 
-    def evaluate(self, expr: Expr, *, counter: CostCounter | None = None, keys=None) -> Bag:
+    def evaluate(self, expr: Expr, *, counter: CostCounter | None = None, binding=None) -> Bag:
         node = plan_for(self._nodes, expr, counter, self._drop_plans)
         # Built here rather than by overriding ``_context``: the governor
         # runs ``Executor.evaluate`` on this same instance as its compiled
         # tier, which must keep reading children through ``PNode.execute``.
         database = self._database
-        ctx = _BatchContext(database.state, counter, database.indexes, database.version_of, keys, self)
-        return self._bag(node, ctx)
+        ctx = _BatchContext(database.state, counter, database.indexes, database.version_of, binding, self)
+        return self._bag(ctx.admit(node), ctx)
 
     def _drop_plans(self) -> None:
         self._nodes.clear()
@@ -193,7 +194,7 @@ class VectorizedExecutor(Executor):
             if ctx.counter is not None:
                 ctx.counter.memo_hits += 1
             return entry
-        if node.check_empty and node.runtime_empty(ctx.state):
+        if node.check_empty and node.runtime_empty(ctx):
             batch = ColumnBatch.empty()
         else:
             batch = self._kernel(node, ctx)
@@ -236,6 +237,12 @@ class VectorizedExecutor(Executor):
         if ctx.counter is not None:
             ctx.counter.record("literal", len(node.bag))
         return ColumnBatch.from_bag(node.bag)
+
+    def _k_bound(self, node: PBound, ctx) -> ColumnBatch:
+        bag = ctx.bound(node.leaf)
+        if ctx.counter is not None:
+            ctx.counter.record("literal", len(bag))
+        return ColumnBatch.from_pairs(bag.items(), node.leaf.bound_schema.arity)
 
     def _k_pipeline(self, node: PPipeline, ctx) -> ColumnBatch:
         out_arity = len(node.access.out_map)
@@ -327,7 +334,7 @@ class VectorizedExecutor(Executor):
         return left.concat(right)
 
     def _k_monus(self, node: PMonus, ctx) -> ColumnBatch:
-        if node.right.runtime_empty(ctx.state):
+        if node.right.runtime_empty(ctx):
             return self._batch(node.left, ctx)
         left = self._batch(node.left, ctx)
         counts = left.net_counts()
@@ -376,6 +383,7 @@ class VectorizedExecutor(Executor):
 _KERNELS = {
     PScan: VectorizedExecutor._k_scan,
     PLiteral: VectorizedExecutor._k_literal,
+    PBound: VectorizedExecutor._k_bound,
     PPipeline: VectorizedExecutor._k_pipeline,
     PIndexSelect: VectorizedExecutor._k_index_select,
     PFilter: VectorizedExecutor._k_filter,

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterable
+from typing import NamedTuple
 
 from repro.algebra.bag import Bag, Row
 from repro.algebra.evaluation import CostCounter
@@ -35,7 +36,7 @@ from repro.core.differential import differentiate
 from repro.core.ops import MaintenanceOp, OpStep
 from repro.core.plan import MaintenancePlan
 from repro.core.scenarios import Scenario
-from repro.core.substitution import FactoredSubstitution
+from repro.core.substitution import FactoredSubstitution, bound_pair, pair_binding
 from repro.core.transactions import UserTransaction
 from repro.core.views import ViewDefinition
 from repro.errors import PolicyError, SchemaError
@@ -171,16 +172,27 @@ class SharedLog:
             )
         return net_delete, net_insert
 
-    def substitution_since(self, cursor: int, tables: Iterable[str]) -> FactoredSubstitution:
-        """The log substitution L̂ for the slice past ``cursor``."""
+    def binding_since(
+        self,
+        cursor: int,
+        tables: Iterable[str],
+        folds: dict[tuple[int, str], tuple[Bag, Bag]] | None = None,
+    ) -> dict[str, Bag]:
+        """The log substitution L̂'s deltas for the slice past ``cursor``, as
+        the binding of :meth:`FactoredSubstitution.bound`'s leaves.
+
+        ``folds`` keeps each ``(cursor, table)`` replay for callers binding
+        several overlapping slices of one unchanged log (a group epoch).
+        """
+        folds = {} if folds is None else folds
         deltas: dict[str, tuple[Bag, Bag]] = {}
-        schemas: dict[str, Schema] = {}
         for table in tables:
-            net_delete, net_insert = self.net_deltas_since(table, cursor)
+            net = folds.get((cursor, table))
+            if net is None:
+                net = folds[cursor, table] = self.net_deltas_since(table, cursor)
             # Past queries undo changes: D = recorded inserts, A = deletes.
-            deltas[table] = (net_insert, net_delete)
-            schemas[table] = self._db.schema_of(table)
-        return FactoredSubstitution.literal(deltas, schemas)
+            deltas[table] = (net[1], net[0])
+        return pair_binding(deltas)
 
     # ------------------------------------------------------------------
     # Net-effect compaction
@@ -244,9 +256,23 @@ class SharedLog:
             kept = Bag.from_counts(
                 {row: count for row, count in current.items() if row[0] > min_cursor}
             )
-            removed += len(current) - len(kept)
-            self._db.set_table(name, kept)
+            if len(kept) < len(current):
+                removed += len(current) - len(kept)
+                self._db.set_table(name, kept)
         return removed
+
+
+class _ViewPair(NamedTuple):
+    """What refreshing a view needs that is a function of its definition alone."""
+
+    #: Figure 2's ``(▼, ▲)`` over bound per-table deltas: any slice of the
+    #: log is refreshed by binding it to this one pair.
+    delete: Expr
+    insert: Expr
+    #: The query's :func:`~repro.exec.group.subplan_fingerprint`.
+    fingerprint: str
+    #: The query's base tables, sorted.
+    base: tuple[str, ...]
 
 
 class SharedLogScenario:
@@ -272,6 +298,13 @@ class SharedLogScenario:
         self.ledger = ledger if ledger is not None else LockLedger()
         self._views: dict[str, ViewDefinition] = {}
         self._cursors: dict[str, int] = {}
+        #: Built (and primed) once per view, when it joins; an epoch only
+        #: binds its log slice.
+        self._pairs: dict[str, _ViewPair] = {}
+        self._pairs_built = 0
+        #: What the last :meth:`epoch_tasks` did beyond evaluating deltas:
+        #: pairs built since the epoch before, rows of log slice bound.
+        self.last_epoch = {"pairs_built": 0, "bound_rows": 0}
         #: Highest sequence number durably committed by the journal; when
         #: the database is journaled, pruning never passes this floor so
         #: crash recovery can always replay from its snapshot's cursors.
@@ -289,8 +322,7 @@ class SharedLogScenario:
             self.shared_log.track(table)
         initial = self.db.evaluate(view.query, counter=self.counter)
         self.db.create_table(view.mv_table, view.schema, rows=initial, internal=True)
-        self._views[view.name] = view
-        self._cursors[view.name] = self.shared_log.current_seq
+        self._register(view, self.shared_log.current_seq)
 
     def attach_view(self, view: ViewDefinition, cursor: int) -> None:
         """Re-register a persisted view without rematerializing it."""
@@ -298,6 +330,29 @@ class SharedLogScenario:
             raise SchemaError(f"view {view.name!r} already registered")
         for table in sorted(view.base_tables()):
             self.shared_log.track(table)
+        self._register(view, cursor)
+
+    def _register(self, view: ViewDefinition, cursor: int) -> None:
+        """Enter ``view`` at ``cursor`` with its ``(▼, ▲)`` pair over bound deltas.
+
+        Views with equal queries share one pair.  A new one is primed
+        here, on the installing thread, so a group epoch's pool workers
+        only ever execute plans that exist.
+        """
+        pair = next(
+            (self._pairs[name] for name, other in self._views.items() if other.query == view.query),
+            None,
+        )
+        if pair is None:
+            base = tuple(sorted(view.base_tables()))
+            eta = FactoredSubstitution.bound({table: self.db.schema_of(table) for table in base})
+            # Weakly minimal by replay (Lemma 4), so the simplified duality
+            # applies: ▼(L,Q) = Add(L̂,Q), ▲(L,Q) = Del(L̂,Q).
+            del_hat, add_hat = differentiate(eta, view.query)
+            self.db.prime(add_hat, del_hat, counter=self.counter)
+            pair = _ViewPair(add_hat, del_hat, subplan_fingerprint(view.query), base)
+            self._pairs_built += 1
+        self._pairs[view.name] = pair
         self._views[view.name] = view
         self._cursors[view.name] = cursor
 
@@ -308,6 +363,7 @@ class SharedLogScenario:
         except KeyError:
             raise PolicyError(f"view {name!r} is not registered") from None
         self._cursors.pop(name, None)
+        self._pairs.pop(name, None)
         self.db.drop_table(view.mv_table)
         self._maybe_prune()
 
@@ -341,34 +397,34 @@ class SharedLogScenario:
         except KeyError:
             raise PolicyError(f"view {name!r} is not registered") from None
 
-    def view_deltas(self, name: str, eta: FactoredSubstitution | None = None) -> tuple[Expr, Expr]:
-        """The ``(delete, insert)`` MV patch for the slice past the view's cursor.
+    def view_deltas(self, name: str) -> tuple[Expr, Expr]:
+        """The ``(delete, insert)`` MV patch of any slice of the log: the
+        slice is what :meth:`slice_binding` binds when the pair is evaluated."""
+        self._view(name)
+        return self._pairs[name][:2]
 
-        Weakly minimal by replay (Lemma 4), so the simplified duality
-        applies: ▼(L,Q) = Add(L̂,Q), ▲(L,Q) = Del(L̂,Q).
-        """
-        view = self._view(name)
-        if eta is None:
-            eta = self.shared_log.substitution_since(self._cursors[name], sorted(view.base_tables()))
-        del_hat, add_hat = differentiate(eta, view.query)
-        return add_hat, del_hat
+    def slice_binding(self, name: str) -> dict[str, Bag]:
+        """The log slice past the view's cursor, bound to its pair's leaves."""
+        self._view(name)
+        return self.shared_log.binding_since(self._cursors[name], self._pairs[name].base)
 
     def mv_patch_plan(self, name: str, delete: Expr, insert: Expr) -> MaintenancePlan:
         """``refresh_SL``'s assignments: the MV patch (the log is shared, never cleared)."""
         return MaintenancePlan(patches={self._views[name].mv_table: (delete, insert)})
 
-    def _install(self, name: str, delete: Expr, insert: Expr, epoch: int, counter) -> None:
+    def _install(self, name: str, delete: Expr, insert: Expr, binding, epoch: int, counter) -> None:
         """Patch one view's MV under its lock and move its cursor to ``epoch``."""
         mv_table = self._views[name].mv_table
         with self.ledger.exclusive(mv_table, label="refresh_SL", counter=self.counter):
             fault_point("crash-mid-refresh")
-            self.mv_patch_plan(name, delete, insert).execute(self.db, counter=counter)
+            self.mv_patch_plan(name, delete, insert).execute(self.db, counter=counter, binding=binding)
         self._cursors[name] = epoch
 
     def refresh(self, name: str) -> None:
         """Bring one view up to date and advance its cursor."""
         delete, insert = self.view_deltas(name)
-        self._install(name, delete, insert, self.shared_log.current_seq, self.counter)
+        epoch = self.shared_log.current_seq
+        self._install(name, delete, insert, self.slice_binding(name), epoch, self.counter)
         self._maybe_prune()
 
     def refresh_all(self) -> None:
@@ -413,54 +469,53 @@ class SharedLogScenario:
     def epoch_tasks(self, members: Iterable[tuple[int, str]], *, compact: bool) -> list[GroupTask]:
         """Build one refresh task per ``(order, view name)`` for this epoch.
 
-        All tasks share the epoch's target sequence number and one
-        substitution memo, so several views reading the same base tables
-        from the same cursor replay the log once.
+        All tasks share the epoch's target sequence number, and views
+        reading a base table from the same cursor share one replay of its
+        log: the slices are folded here, once each — nothing an epoch's
+        applies write (MV tables) is read by a fold.
         """
         if compact:
             self.compact()
         epoch = self.shared_log.current_seq
-        eta_memo: dict[object, FactoredSubstitution] = {}
-        return [self._group_task(order, name, epoch, eta_memo) for order, name in members]
+        folds: dict[tuple[int, str], tuple[Bag, Bag]] = {}
+        tasks = [self._group_task(order, name, epoch, folds) for order, name in members]
+        bound_rows = sum(len(bag) for fold in folds.values() for bag in fold)
+        self.last_epoch = {"pairs_built": self._pairs_built, "bound_rows": bound_rows}
+        self._pairs_built = 0
+        return tasks
 
     def _group_task(
         self,
         order: int,
         name: str,
         epoch: int,
-        eta_memo: dict[object, FactoredSubstitution],
+        folds: dict[tuple[int, str], tuple[Bag, Bag]],
     ) -> GroupTask:
         view = self._views[name]
         cursor = self._cursors[name]
-        base = tuple(sorted(view.base_tables()))
+        delete, insert, fingerprint, base = self._pairs[name]
         log_tables = tuple(shared_log_name(table) for table in base)
-
-        def deltas() -> tuple[Expr, Expr]:
-            memo_key = (cursor, base)
-            if memo_key not in eta_memo:
-                eta_memo[memo_key] = self.shared_log.substitution_since(cursor, base)
-            return self.view_deltas(name, eta_memo[memo_key])
+        binding = self.shared_log.binding_since(cursor, base, folds)
 
         def key() -> object:
             stamps = tuple((table, self.db.version_of(table)) for table in base + log_tables)
-            return ("SL", subplan_fingerprint(view.query), cursor, stamps)
+            return ("SL", fingerprint, cursor, stamps)
 
         def apply(bags: tuple[Bag, Bag]) -> None:
             # The bags were already evaluated (and counted) in compute();
-            # re-emitting them as literals is free, so no counter here —
+            # binding them to the patch is free, so no counter here —
             # keeps cost parity with refresh().
-            delete, insert = (Literal(bag, view.schema) for bag in bags)
-            self._install(name, delete, insert, epoch, None)
+            supplied = pair_binding({view.mv_table: bags})
+            self._install(name, *bound_pair(view.mv_table, view.schema), supplied, epoch, None)
 
         return GroupTask(
             name=name,
             order=order,
             key=key,
-            compute=lambda counter: evaluate_delta_pair(self.db, *deltas(), counter),
+            compute=lambda counter: evaluate_delta_pair(self.db, delete, insert, counter, binding),
             apply=apply,
             reads=frozenset(base + log_tables),
             writes=frozenset((view.mv_table,)),
-            prime=lambda: self.db.prime(*deltas(), counter=self.counter),
             # The MV patch is a read-modify-write of the MV table; its
             # read side is covered by the declared write above (RVM604).
             inferred_reads=frozenset(base + log_tables) | {view.mv_table},
@@ -519,8 +574,9 @@ class SharedLogScenario:
     def invariant_holds(self, name: str) -> bool:
         """``INV_BL`` relative to the view's cursor slice of the shared log."""
         view = self._views[name]
-        eta = self.shared_log.substitution_since(self._cursors[name], sorted(view.base_tables()))
-        past = self.db.evaluate(eta.apply(view.query))
+        schemas = {table: self.db.schema_of(table) for table in self._pairs[name].base}
+        past_query = FactoredSubstitution.bound(schemas).apply(view.query)
+        past = self.db.evaluate(past_query, binding=self.slice_binding(name))
         return past == self.db[view.mv_table]
 
     def check_invariants(self) -> None:

@@ -202,7 +202,7 @@ class EngineGovernor:
         *,
         counter: CostCounter | None = None,
         memo: dict | None = None,
-        keys=None,
+        binding=None,
     ) -> Bag:
         """Evaluate ``expr`` on the highest healthy tier; never let a
         backend error reach the caller.
@@ -212,37 +212,37 @@ class EngineGovernor:
         share work across a transaction's right-hand sides exactly like
         the ungoverned path, or the governor would change tuple-op
         accounting (the ``--governor-guard`` gate pins this down).
-        ``keys`` is the call's key binding, handed to whichever tier
-        answers.
+        ``binding`` is what the call supplies for its restricted and
+        bound leaves, handed to whichever tier answers.
         """
-        return self._evaluate_from(0, expr, counter, memo, keys)
+        return self._evaluate_from(0, expr, counter, memo, binding)
 
     def _evaluate_from(
-        self, start: int, expr: Expr, counter: CostCounter | None, memo: dict | None, keys=None
+        self, start: int, expr: Expr, counter: CostCounter | None, memo: dict | None, binding=None
     ) -> Bag:
         ladder = self.ladder
         for position in range(start, len(ladder)):
             tier = ladder[position]
             breaker = self.breakers.get(tier)
             if breaker is None:
-                return self._run_tier(tier, expr, counter, memo, keys)
+                return self._run_tier(tier, expr, counter, memo, binding)
             gate = breaker.allow()
             if gate == "skip":
                 continue
             if gate == "probe":
-                return self._probe(position, expr, counter, memo, keys)
+                return self._probe(position, expr, counter, memo, binding)
             try:
                 return self._policy.run(
-                    lambda: self._run_tier(tier, expr, counter, memo, keys),
+                    lambda: self._run_tier(tier, expr, counter, memo, binding),
                     sleep=self._sleep,
                     rng=self._rng,
                 )
             except sqlite3.Error as exc:
                 self._demote(position, exc)
-        return self._run_tier(ladder[-1], expr, counter, memo, keys)
+        return self._run_tier(ladder[-1], expr, counter, memo, binding)
 
     def _run_tier(
-        self, tier: str, expr: Expr, counter: CostCounter | None, memo: dict | None = None, keys=None
+        self, tier: str, expr: Expr, counter: CostCounter | None, memo: dict | None = None, binding=None
     ) -> Bag:
         """Evaluate on one specific tier of the shared executor chain.
 
@@ -253,13 +253,13 @@ class EngineGovernor:
         the one set of write-listener-maintained caches.
         """
         if tier == INTERPRETED:
-            return interpret(expr, self._db.state, counter=counter, memo=memo, keys=keys)
+            return interpret(expr, self._db.state, counter=counter, memo=memo, binding=binding)
         executor = self._db.executor
         if tier == SQLITE:
-            return executor.evaluate(expr, counter=counter, keys=keys)
+            return executor.evaluate(expr, counter=counter, binding=binding)
         if tier == VECTORIZED:
-            return VectorizedExecutor.evaluate(executor, expr, counter=counter, keys=keys)
-        return Executor.evaluate(executor, expr, counter=counter, keys=keys)
+            return VectorizedExecutor.evaluate(executor, expr, counter=counter, binding=binding)
+        return Executor.evaluate(executor, expr, counter=counter, binding=binding)
 
     # ------------------------------------------------------------------
     # Demotion / re-promotion
@@ -276,7 +276,7 @@ class EngineGovernor:
             pass
 
     def _probe(
-        self, position: int, expr: Expr, counter: CostCounter | None, memo: dict | None, keys=None
+        self, position: int, expr: Expr, counter: CostCounter | None, memo: dict | None, binding=None
     ) -> Bag:
         """The half-open cross-check: heal, re-run, compare digests.
 
@@ -291,12 +291,12 @@ class EngineGovernor:
         """
         tier = self.ladder[position]
         breaker = self.breakers[tier]
-        reference = self._evaluate_from(position + 1, expr, counter, memo, keys)
+        reference = self._evaluate_from(position + 1, expr, counter, memo, binding)
         try:
             with obs.span("governor_probe", tier=tier):
                 fault_point("flaky-governor-probe")
                 self._heal_tier(tier)
-                candidate = self._run_tier(tier, expr, counter, memo, keys)
+                candidate = self._run_tier(tier, expr, counter, memo, binding)
         except sqlite3.Error:
             breaker.trip()
             obs.metric_inc("governor_probe_failures")

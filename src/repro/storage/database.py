@@ -270,21 +270,23 @@ class Database:
         """The current state as a read-only mapping for evaluation."""
         return self._tables
 
-    def evaluate(self, expr: Expr, *, counter: CostCounter | None = None, keys=None) -> Bag:
+    def evaluate(self, expr: Expr, *, counter: CostCounter | None = None, binding=None) -> Bag:
         """Evaluate a query in the current state.
 
-        ``keys`` maps a partition domain to the key set this call binds
-        to the expression's key-restricted leaves (pruned maintenance
-        plans only; see :class:`~repro.algebra.expr.KeyRestrict`).
+        ``binding`` is what this call supplies for the expression's
+        leaves that hold no data of their own (maintenance plans only):
+        a partition domain maps to the key set its key-restricted leaves
+        select by (:class:`~repro.algebra.expr.KeyRestrict`), a bound
+        leaf's name to its bag (:class:`~repro.algebra.expr.Bound`).
         """
         sanitizer = obs.active_sanitizer()
         if sanitizer is not None and sanitizer.tracking():
             sanitizer.on_read(expr.tables())
         if self._governor is not None:
-            return self._governor.evaluate(expr, counter=counter, keys=keys)
+            return self._governor.evaluate(expr, counter=counter, binding=binding)
         if self._exec_mode == INTERPRETED:
-            return evaluate(expr, self._tables, counter=counter, keys=keys)
-        return self.executor.evaluate(expr, counter=counter, keys=keys)
+            return evaluate(expr, self._tables, counter=counter, binding=binding)
+        return self.executor.evaluate(expr, counter=counter, binding=binding)
 
     def total_rows(self) -> int:
         """Total tuple count across all tables (with multiplicity)."""
@@ -323,7 +325,7 @@ class Database:
         patches: Mapping[str, tuple[Expr, Expr]] | None = None,
         counter: CostCounter | None = None,
         restrict_to_external: bool = False,
-        keys=None,
+        binding=None,
     ) -> None:
         """Execute one simultaneous transaction of assignments and patches.
 
@@ -344,8 +346,8 @@ class Database:
 
         With ``restrict_to_external=True`` the transaction is validated
         as a *user* transaction: it may only touch external tables.
-        ``keys`` binds the right-hand sides' key-restricted leaves, as in
-        :meth:`evaluate`.
+        ``binding`` binds the right-hand sides' restricted and bound
+        leaves, as in :meth:`evaluate`.
 
         The transaction is **exception-safe**: every right-hand side is
         evaluated and every patched bag is staged before anything is
@@ -360,7 +362,7 @@ class Database:
             raise TransactionError(f"tables both assigned and patched: {sorted(overlap)}")
         with obs.span("apply", assignments=len(assignments), patches=len(patches), counter=counter):
             self._apply(
-                assignments, patches, counter=counter, restrict_to_external=restrict_to_external, keys=keys
+                assignments, patches, counter=counter, restrict_to_external=restrict_to_external, binding=binding
             )
 
     def _apply(
@@ -370,7 +372,7 @@ class Database:
         *,
         counter: CostCounter | None = None,
         restrict_to_external: bool = False,
-        keys=None,
+        binding=None,
     ) -> None:
         interpreted = self._exec_mode == INTERPRETED
         governor = self._governor
@@ -391,10 +393,10 @@ class Database:
             if sanitizer is not None:
                 sanitizer.on_read(expr.tables())
             if governor is not None:
-                return governor.evaluate(expr, counter=counter, memo=memo, keys=keys)
+                return governor.evaluate(expr, counter=counter, memo=memo, binding=binding)
             if interpreted:
-                return evaluate(expr, self._tables, counter=counter, memo=memo, keys=keys)
-            return self.executor.evaluate(expr, counter=counter, keys=keys)
+                return evaluate(expr, self._tables, counter=counter, memo=memo, binding=binding)
+            return self.executor.evaluate(expr, counter=counter, binding=binding)
 
         new_values: dict[str, Bag] = {}
         patch_deltas: dict[str, tuple[Bag, Bag]] = {}

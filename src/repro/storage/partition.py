@@ -372,9 +372,9 @@ class PartitionedDatabase(Database):
     def state(self) -> Mapping[str, Bag]:
         return _StateView(self)
 
-    def evaluate(self, expr: Expr, *, counter: CostCounter | None = None, keys=None) -> Bag:
+    def evaluate(self, expr: Expr, *, counter: CostCounter | None = None, binding=None) -> Bag:
         self._materialize_for(expr.tables())
-        return super().evaluate(expr, counter=counter, keys=keys)
+        return super().evaluate(expr, counter=counter, binding=binding)
 
     def prime(self, *exprs: Expr, counter: CostCounter | None = None) -> None:
         for expr in exprs:

@@ -234,3 +234,23 @@ class TestDerivedOps:
         right = bag((1,))
         assert left.except_(right) == Bag.empty()
         assert left.monus(right) == bag((1,))
+
+
+class TestPatch:
+    def test_patch_is_monus_then_union(self):
+        bag = Bag([(1,), (1,), (2,)])
+        delete, insert = Bag([(1,), (3,)]), Bag([(2,), (4,)])
+        assert bag.patch(delete, insert) == bag.monus(delete).union_all(insert)
+
+    def test_empty_patch_returns_the_bag_itself(self):
+        bag = Bag([(1,), (2,)])
+        kept = bag.derived("index", lambda _bag: object())
+        same = bag.patch(Bag.empty(), Bag.empty())
+        assert same is bag
+        assert same.derived("index", lambda _bag: object()) is kept
+        assert Bag.empty().patch(Bag.empty(), Bag.empty()) == Bag.empty()
+
+    def test_a_delta_that_cancels_is_still_a_new_bag(self):
+        bag = Bag([(1,)])
+        assert bag.patch(Bag([(1,)]), Bag([(1,)])) == bag
+        assert bag.patch(Bag([(1,)]), Bag([(1,)])) is not bag

@@ -101,11 +101,11 @@ class TestPruneExpr:
         db.set_table(log.insert_ref("S").name, Bag([(1, "a"), (2, "b")]))
         result = prune_expr(insert, specs, log_map, restrict_logs=True)
         assert result.chunk_safe
-        chunk = db.evaluate(result.expr, keys={"k": frozenset([1])})
+        chunk = db.evaluate(result.expr, binding={"k": frozenset([1])})
         assert chunk and all(row[0] == 1 for row in chunk.support)
         # The chunks are disjoint by key and sum to the whole epoch.
-        other = db.evaluate(result.expr, keys={"k": frozenset([2])})
-        whole = db.evaluate(result.expr, keys={"k": frozenset([1, 2])})
+        other = db.evaluate(result.expr, binding={"k": frozenset([2])})
+        whole = db.evaluate(result.expr, binding={"k": frozenset([1, 2])})
         assert chunk.union_all(other) == whole == db.evaluate(insert)
 
     def test_analyze_deltas_returns_the_plan_every_epoch_runs(self):

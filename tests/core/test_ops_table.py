@@ -10,7 +10,14 @@ table holds the two against each other, cell by cell:
 * the reader-visible tables the derivation says it writes were written
   inside an exclusive :class:`~repro.storage.locks.LockLedger` section;
 * its tuple-op counts equal those the same seeded driver recorded at the
-  commit before the ops became values (``ops_table_counts.json``).
+  commit before the ops became values (``ops_table_counts.json``).  One
+  cell pair was re-recorded since: ``shared_log/* refresh`` reads 42 / 13
+  (was 36 / 11) from the commit that made the shared log's delta pair one
+  expression over bound leaves — the driver's transactions never touch
+  ``C``, so the old per-epoch pair had ``C``'s literally empty delta
+  folded away statically, where the one pair finds it empty at run time
+  and still records the two unions (3 delta rows each) whose other operand
+  that was.  Delta-sized; nothing reads a base table more.
 """
 
 from __future__ import annotations

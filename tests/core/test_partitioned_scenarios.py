@@ -362,9 +362,9 @@ class TestBindingSoundness:
         whole = pmaint.epoch_keys()
         assert whole == {"custId": frozenset(range(5))}
         evaluate = subject.db.evaluate
-        everything = evaluate(pmaint.insert_expr, keys=whole)
+        everything = evaluate(pmaint.insert_expr, binding=whole)
         assert {row[0] for row in everything.support} == set(range(5))
         for key in range(5):
-            only = evaluate(pmaint.insert_expr, keys={"custId": frozenset([key])})
+            only = evaluate(pmaint.insert_expr, binding={"custId": frozenset([key])})
             assert only == everything.select(lambda row, key=key: row[0] == key)
-        assert evaluate(pmaint.insert_expr, keys=whole) == everything
+        assert evaluate(pmaint.insert_expr, binding=whole) == everything

@@ -276,6 +276,27 @@ def test_pinned_index_is_built_once_per_view_version_however_many_snapshots_shar
     after.release()
 
 
+def test_a_refresh_with_an_empty_delta_keeps_the_pinned_index():
+    """``(MV ∸ φ) ⊎ φ`` is the same bag: a write (new version, new snapshot)
+    whose readers find the index the last version's readers built."""
+    from repro import obs
+
+    server, mv = view_server(VIEW_SIZES[0])
+    server.read_fresh("V")
+    with server.pin() as handle:
+        ops = pinned_ops(handle, KEYED_READ.format(mv=mv, key=KEYS[0]), server.db)
+        assert ops["index_build"] == VIEW_SIZES[0]
+        bag, version = handle.table(mv), server.db.version_of(mv)
+    with obs.observed() as stack:
+        server.read_fresh("V")  # nothing recorded since: both deltas are empty
+        assert server.db.version_of(mv) > version
+        with server.pin() as refreshed:
+            assert refreshed.table(mv) is bag
+            ops = pinned_ops(refreshed, KEYED_READ.format(mv=mv, key=KEYS[1]), server.db)
+        assert ops == {"index_probe": 1, "index_select": FAN_OUT}
+        assert "pinned_index_builds" not in stack.metrics.snapshot()
+
+
 def test_unkeyed_pinned_read_is_one_fused_pass():
     for size in VIEW_SIZES:
         server, mv = view_server(size)

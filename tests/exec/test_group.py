@@ -232,3 +232,103 @@ class TestParallelEqualsSequentialOracle:
             assert not subject.is_stale(name), name
         oracle.check_invariants()
         subject.check_invariants()
+
+
+# ----------------------------------------------------------------------
+# Count guard: a steady epoch costs its deltas, nothing else
+# ----------------------------------------------------------------------
+
+STEADY_VIEWS = (
+    "SELECT c.custId, c.name, s.itemNo FROM customer c, sales s "
+    "WHERE c.custId = s.custId AND c.score = 'High'",
+    "SELECT custId, itemNo, quantity FROM sales WHERE quantity != 0",
+    "SELECT custId, name FROM customer WHERE score = 'High'",
+)
+
+
+def test_steady_epoch_builds_nothing(monkeypatch):
+    """After the first epoch an unchanged group compiles, differentiates,
+    fingerprints, lints and batches nothing — and a membership change is
+    exactly one re-lint and one re-batch on the next epoch."""
+    import repro.analysis.concurrency_check as concurrency_check
+    import repro.core.differential as differential
+    import repro.exec.group as group
+    import repro.extensions.sharedlog as sharedlog
+    from repro.exec.compiler import Compiler
+
+    manager = ViewManager(exec_mode="compiled")
+    manager.create_table("customer", ("custId", "name", "score"))
+    manager.create_table("sales", ("custId", "itemNo", "quantity"))
+    manager.load("customer", [(i, f"n{i}", "High" if i % 2 else "Low") for i in range(20)])
+    manager.load("sales", [(i % 20, i, i % 3) for i in range(200)])
+    for index in range(8):
+        manager.define_view(f"V{index}", STEADY_VIEWS[index % 3], scenario="shared_log")
+
+    calls = dict.fromkeys(("compile", "differentiate", "fingerprint", "check_tasks", "batches"), 0)
+
+    def spy(owner, name, label):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[label] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    def script(step: int) -> None:
+        manager.execute_sql(
+            f"INSERT INTO sales (custId, itemNo, quantity) VALUES ({step % 20}, {1000 + step}, 2); "
+            f"DELETE FROM sales WHERE custId = {step % 20} AND itemNo = {step}"
+        )
+        if step % 3 == 0:
+            manager.execute_sql(f"UPDATE customer SET score = 'High' WHERE custId = {step % 20}")
+
+    def epoch() -> None:
+        manager.refresh_group(parallel=True, max_workers=2)
+        for name in manager.views():
+            assert not manager.is_stale(name), name
+
+    script(0)
+    epoch()  # the first epoch: pairs exist since define_view, the schedule is built here
+
+    spy(Compiler, "compile", "compile")
+    for module in (differential, sharedlog):
+        spy(module, "differentiate", "differentiate")
+    for module in (group, sharedlog):
+        spy(module, "subplan_fingerprint", "fingerprint")
+    spy(concurrency_check, "check_tasks", "check_tasks")
+    spy(GroupScheduler, "batches", "batches")
+
+    for step in range(1, 11):
+        script(step)  # scripts compile their own plans: counted from here on
+        scripts_compiled = calls["compile"]
+        plans = manager.db.executor.cached_plans
+        epoch()
+        assert calls["compile"] == scripts_compiled, f"epoch {step} compiled a plan"
+        assert manager.db.executor.cached_plans == plans, f"epoch {step} grew the plan table"
+    assert {k: v for k, v in calls.items() if k != "compile"} == {
+        "differentiate": 0,
+        "fingerprint": 0,
+        "check_tasks": 0,
+        "batches": 0,
+    }
+
+    # A new member: its pair is built where it is defined (its query is
+    # already a member's, so nothing is differentiated), and the next
+    # epoch — only that one — lints and batches again.
+    manager.define_view("V8", STEADY_VIEWS[0], scenario="shared_log")
+    assert calls["differentiate"] == 0
+    script(11)
+    epoch()
+    script(12)
+    epoch()
+    assert (calls["check_tasks"], calls["batches"]) == (1, 1)
+    manager.drop_view("V3")
+    script(13)
+    epoch()
+    script(14)
+    epoch()
+    assert (calls["check_tasks"], calls["batches"]) == (2, 2)
+    # A member with a new query differentiates once, at define_view.
+    manager.define_view("V9", "SELECT custId, itemNo FROM sales WHERE quantity = 2", scenario="shared_log")
+    assert calls["differentiate"] == 1

@@ -107,3 +107,50 @@ def test_deterministic_metrics_identical_across_engines():
         snapshots[mode] = {name: full.get(name) for name in DETERMINISTIC_METRICS}
     assert snapshots["interpreted"]["transactions"] is not None
     assert snapshots["interpreted"] == snapshots["compiled"]
+
+
+# ----------------------------------------------------------------------
+# The group epoch: why it was slow, readable from the trace, for free
+# ----------------------------------------------------------------------
+
+
+def group_lifecycle(mode: str, *, enabled: bool):
+    """Three epochs over four shared-log views, one joining before the last."""
+    from repro.warehouse.manager import ViewManager
+
+    manager = ViewManager(exec_mode=mode)
+    manager.create_table("R", ("a", "b"), rows=[(i % 3, i) for i in range(9)])
+    for index in range(3):
+        manager.define_view(f"V{index}", "SELECT a, b FROM R WHERE b != 4", scenario="shared_log")
+
+    def drive():
+        for epoch in range(3):
+            manager.execute_sql(f"INSERT INTO R VALUES (1, {100 + epoch}); DELETE FROM R WHERE b = {epoch}")
+            if epoch == 2:
+                manager.define_view("late", "SELECT a FROM R WHERE a = 1", scenario="shared_log")
+            manager.refresh_group(parallel=(epoch == 1))
+
+    if enabled:
+        with obs.observed() as stack:
+            drive()
+        return manager.counter, stack
+    obs.disable()
+    drive()
+    return manager.counter, None
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_group_epoch_span_says_what_the_epoch_built(mode):
+    baseline, _ = group_lifecycle(mode, enabled=False)
+    observed, stack = group_lifecycle(mode, enabled=True)
+    assert observed.snapshot() == baseline.snapshot()
+    epochs = [span.attrs for span in stack.tracer.find("group_epoch")]
+    assert [attrs["schedule"] for attrs in epochs] == ["rebuilt", "reused", "rebuilt"]
+    # The three equal queries share one pair; a pair is built where its
+    # view is defined and reported by the next epoch.
+    assert [attrs["pairs_built"] for attrs in epochs] == [1, 0, 1]
+    # One insert and one delete recorded per epoch, one slice of R.
+    assert [attrs["bound_rows"] for attrs in epochs] == [2, 2, 2]
+    metrics = stack.metrics.snapshot()
+    assert metrics['group_schedule{outcome="rebuilt"}']["value"] == 2
+    assert metrics['group_schedule{outcome="reused"}']["value"] == 1

@@ -106,6 +106,44 @@ class TestSharedLog:
         assert removed == 1
         assert {row[0] for row in db[shared_log_name("R")].support} == {2}
 
+    def test_a_prune_that_removes_nothing_writes_nothing(self, tmp_path):
+        """No version bump, no index rebuild, no full-table row queued for
+        the checkpoint — on a log with entries to keep and on an empty one."""
+        from repro.algebra.evaluation import CostCounter
+        from repro.storage.persistence import track_deltas
+
+        db = Database(exec_mode="compiled")
+        db.create_table("R", ["a"], rows=[(1,)])
+        db.create_table("S", ["b"], rows=[(5,)])
+        log = SharedLog(db)
+        log.track("R")
+        log.track("S")  # never written: stays empty
+        txn = UserTransaction(db).insert("R", [(7,)]).weakly_minimal()
+        db.apply(patches={**txn.patches(), **log.extend_patches(txn)})
+        names = [shared_log_name("R"), shared_log_name("S")]
+        builds = CostCounter()
+        for name in names:
+            db.indexes.get(name, (0,), db[name], counter=builds)
+        built = builds.by_operator.get("index_build", 0)
+        queue = track_deltas(db, tmp_path / "snapshot.db")
+        try:
+            versions = {name: db.version_of(name) for name in names}
+            assert log.prune(0) == 0
+            assert {name: db.version_of(name) for name in names} == versions
+            assert not queue.replaced and not queue.unsaved
+            for name in names:
+                db.indexes.get(name, (0,), db[name], counter=builds)
+            assert builds.by_operator.get("index_build", 0) == built
+            # A real prune still drops exactly the consumed entries, of the
+            # table that has any — and leaves the empty log alone.
+            assert log.prune(1) == 1
+            assert not db[shared_log_name("R")]
+            assert db.version_of(shared_log_name("R")) > versions[shared_log_name("R")]
+            assert db.version_of(shared_log_name("S")) == versions[shared_log_name("S")]
+            assert queue.replaced == {shared_log_name("R")}
+        finally:
+            queue.close()
+
 
 class TestSharedLogScenario:
     def make(self, views=2):

@@ -124,6 +124,27 @@ class TestApply:
         with pytest.raises(UnknownTableError):
             db.apply({"nope": singleton((1,), Schema(["x"]))})
 
+    def test_an_empty_patch_is_still_a_write(self, db):
+        """``(R ∸ φ) ⊎ φ`` keeps the very bag (and what is derived from it),
+        but the transaction happened: new version, listeners told."""
+
+        class Listener:
+            seen = []
+
+            def on_patch(self, name, delete, insert, before, after):
+                self.seen.append((name, len(delete), len(insert), before is after))
+
+        listener = Listener()
+        db.add_write_listener(listener)
+        bag, version = db["R"], db.version_of("R")
+        index = bag.derived("marker", lambda _bag: object())
+        empty = singleton((1,), Schema(["a"])).monus(singleton((1,), Schema(["a"])))
+        db.apply(patches={"R": (empty, empty)})
+        assert db["R"] is bag
+        assert db["R"].derived("marker", lambda _bag: object()) is index
+        assert db.version_of("R") > version
+        assert listener.seen == [("R", 0, 0, True)]
+
 
 class TestSnapshots:
     def test_snapshot_restore(self, db):
