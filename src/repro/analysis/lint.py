@@ -142,7 +142,7 @@ def lint_sql(source: str, db: Database | None = None, *, engine: str | None = No
     them.
 
     ``engine`` selects the scratch catalog's execution mode (compiled /
-    interpreted / vectorized / sqlite).  All diagnostics are *static* —
+    interpreted / sqlite).  All diagnostics are *static* —
     schema checks and derived properties over the algebra tree — so the
     engine must never change what fires; the flag exists so CI can
     assert exactly that (and so linting never instantiates an engine
@@ -382,7 +382,7 @@ Options:
                    the clean demo stack (must be empty), on a .py target it
                    honours the file's CONCURRENCY_MUTATION declaration
   --engine MODE    execution mode for the scratch catalog (compiled /
-                   interpreted / vectorized / sqlite); diagnostics are
+                   interpreted / sqlite); diagnostics are
                    static and must not depend on it
   --json           emit machine-readable JSON instead of text
   --strict         exit 1 on warnings (errors always exit 2)

@@ -2,7 +2,7 @@
 
 Runs the E7 (incremental-vs-recompute), E13 (shared-view scaling), and
 E18 (group-refresh) workloads under every execution engine —
-interpreted, compiled, vectorized, sqlite — and writes a
+sqlite, compiled, interpreted — and writes a
 machine-readable ``BENCH_exec.json`` so future changes have a perf
 trajectory to compare against.
 
@@ -39,7 +39,7 @@ reported speedup can never come from computing something different.
 Usage::
 
     python -m repro.bench.exec_bench [--smoke] [--scale N]
-        [--engines interpreted,compiled,vectorized,sqlite] [--output PATH]
+        [--engines sqlite,compiled,interpreted] [--output PATH]
 
 ``--smoke`` shrinks the workloads for CI; ``--scale N`` multiplies the
 base-data sizes and the pending-change backlog together
@@ -60,15 +60,13 @@ from repro.algebra.evaluation import CostCounter
 from repro.core.plan import MaintenancePlan
 from repro.core.scenarios import BaseLogScenario
 from repro.core.views import ViewDefinition
-from repro.exec import COMPILED, INTERPRETED, SQLITE, VECTORIZED, resolve_exec_mode
+from repro.exec import COMPILED, INTERPRETED, MODES, resolve_exec_mode
 from repro.sqlfront import sql_to_view
 from repro.storage.database import Database
 from repro.warehouse.manager import ViewManager
 from repro.workloads.retail import VIEW_SQL, RetailConfig, RetailWorkload
 
 __all__ = ["main", "run_all", "run_e7_refresh", "run_e13_shared_views", "run_e18_group_refresh"]
-
-MODES = (INTERPRETED, COMPILED, VECTORIZED, SQLITE)
 
 
 def _digest(*bags: Bag) -> str:
@@ -353,7 +351,7 @@ def main(argv: list[str] | None = None) -> int:
         "--engines",
         type=_parse_engines,
         default=MODES,
-        help="comma-separated engine list (default: all four)",
+        help="comma-separated engine list (default: all three)",
     )
     parser.add_argument(
         "--output",

@@ -44,7 +44,7 @@ from pathlib import Path
 
 from repro.algebra.evaluation import CostCounter, evaluate
 from repro.core.scenarios import BaseLogScenario
-from repro.exec import COMPILED, VECTORIZED
+from repro.exec import COMPILED
 from repro.robustness.journal import bag_digest
 from repro.sqlfront.compiler import sql_to_view
 from repro.storage.database import Database
@@ -53,10 +53,8 @@ from repro.workloads.retail import VIEW_SQL, RetailConfig, RetailWorkload
 
 __all__ = ["main", "run_e21", "run_all", "SCALES", "SMOKE_SCALES"]
 
-#: (sales rows, engine) sweep points.  The vectorized point stays at the
-#: smaller scale so the full run's wall clock is dominated by the 10^6
-#: compiled point the acceptance gate reads.
-SCALES = ((100_000, COMPILED), (100_000, VECTORIZED), (1_000_000, COMPILED))
+#: (sales rows, engine) sweep points; the acceptance gate reads the 10^6 one.
+SCALES = ((100_000, COMPILED), (1_000_000, COMPILED))
 SMOKE_SCALES = ((20_000, COMPILED),)
 
 #: Partitions declared per base table (and inherited by the MV).

@@ -1,18 +1,8 @@
 """Benchmark regression gate: ``python -m repro.bench.regression_gate``.
 
-Reads a ``BENCH_exec.json`` produced by :mod:`repro.bench.exec_bench`
-and fails (exit 1) if the vectorized engine's refresh wall time exceeds
-the compiled engine's on any experiment — the invariant CI enforces so
-the columnar kernels can never silently regress behind the row-at-a-time
-engine they were built to beat.
+Each ``--…-guard`` flag runs one gate and exits 1 on a violation.
 
-Timing on shared CI runners is noisy, so the comparison allows a small
-headroom factor (``--tolerance``, default 1.2): vectorized must stay
-within ``tolerance × compiled``.  Set ``--tolerance 1.0`` for a strict
-local check.  Experiments missing either engine are skipped (the gate
-only judges what was measured).
-
-``--sanitizer-guard`` runs a second, self-contained gate for the
+``--sanitizer-guard`` is a self-contained gate for the
 dynamic lockset sanitizer (:mod:`repro.obs.sanitizer`): on two pinned
 smoke workloads (the E7-shaped refresh stream and an 8-view group
 epoch) the sanitizer-disabled tuple-op counts must be **bit-identical**
@@ -28,8 +18,8 @@ ratio over ``--repeats`` interleaved plain/sanitized run pairs).
 interpreted oracle, readers must acquire **zero** exclusive view locks,
 concurrent readers must observe only legitimate prefix states, staleness
 must stay within Policy 2's ``(k, m)`` bounds, and p99 read latency must
-stay within ``--tolerance`` of the pinned SLO in
-``bench/baselines/serve_slo.json``.
+stay within 1.2× the pinned SLO in ``bench/baselines/serve_slo.json``
+(CI runners are noisy).
 
 ``--governor-guard`` gates the engine governor
 (:mod:`repro.robustness.governor`) the same way: on a pinned retail
@@ -48,54 +38,15 @@ import sys
 import time
 from pathlib import Path
 
-__all__ = ["check", "sanitizer_guard", "governor_guard", "serve_guard", "main"]
+from repro.exec import MODES
+
+__all__ = ["sanitizer_guard", "governor_guard", "partition_guard", "serve_guard", "main"]
 
 _REPO_ROOT = Path(__file__).resolve().parents[3]
 _SANITIZER_BASELINE = _REPO_ROOT / "bench" / "baselines" / "sanitizer_ops.json"
 _SERVE_BASELINE = _REPO_ROOT / "bench" / "baselines" / "serve_slo.json"
-
-_EXPERIMENT_WALLS = {
-    "E7_refresh": lambda run: run["refresh_wall_s"],
-    "E13_shared_views": lambda run: run["phases"]["refresh_all"]["wall_s"],
-    "E18_group_refresh": lambda run: run["refresh_wall_s"],
-}
-
-
-def check(
-    data: dict, *, tolerance: float = 1.2, subject: str = "vectorized", baseline: str = "compiled"
-) -> list[str]:
-    """Violation messages (empty list = gate passes)."""
-    violations: list[str] = []
-    for name, wall_of in _EXPERIMENT_WALLS.items():
-        runs = data.get("experiments", {}).get(name, {})
-        subject_run = runs.get(subject)
-        baseline_run = runs.get(baseline)
-        if not isinstance(subject_run, dict) or not isinstance(baseline_run, dict):
-            continue
-        subject_wall = wall_of(subject_run)
-        baseline_wall = wall_of(baseline_run)
-        if subject_wall > tolerance * baseline_wall:
-            violations.append(
-                f"{name}: {subject} wall {subject_wall}s exceeds "
-                f"{tolerance}x {baseline} wall {baseline_wall}s"
-            )
-    # The columnar kernels must also beat the *interpreted* oracle on the
-    # E7 refresh stream (>= 1.0x, modulo the CI headroom) — being merely
-    # "close to compiled" is not enough if both fell behind the baseline.
-    e7 = data.get("experiments", {}).get("E7_refresh", {})
-    vectorized = e7.get("vectorized")
-    interpreted = e7.get("interpreted")
-    if isinstance(vectorized, dict) and isinstance(interpreted, dict):
-        vectorized_wall = vectorized["refresh_wall_s"]
-        interpreted_wall = interpreted["refresh_wall_s"]
-        if vectorized_wall > tolerance * interpreted_wall:
-            violations.append(
-                f"E7_refresh: vectorized wall {vectorized_wall}s exceeds "
-                f"{tolerance}x interpreted wall {interpreted_wall}s "
-                "(vectorized must stay >= 1.0x the interpreted oracle)"
-            )
-    return violations
-
+#: Headroom the serve guard allows p99 read latency over the pinned SLO.
+_SERVE_TOLERANCE = 1.2
 
 # ----------------------------------------------------------------------
 # Partitioned-maintenance guard
@@ -237,9 +188,7 @@ def sanitizer_guard(
 # ----------------------------------------------------------------------
 
 
-def serve_guard(
-    data: dict, baseline: dict, *, tolerance: float = 1.2
-) -> list[str]:
+def serve_guard(data: dict, baseline: dict) -> list[str]:
     """Violation messages for the view-server SLO gate (empty = pass).
 
     Judges a ``BENCH_serve.json`` artifact against the pinned SLOs in
@@ -250,8 +199,8 @@ def serve_guard(
       sections, zero isolation violations under concurrent workers, and
       staleness within Policy 2's ``(k, m)`` bounds.
     * **Latency is tolerant** — p99 read latency must stay within
-      ``tolerance ×`` the pinned baseline (CI runners are noisy; the
-      pin itself carries ~100x headroom over a quiet local run).
+      ``_SERVE_TOLERANCE ×`` the pinned baseline (CI runners are noisy;
+      the pin itself carries ~100x headroom over a quiet local run).
     """
     violations: list[str] = []
     serving_run = data.get("experiments", {}).get("E22_serving")
@@ -296,9 +245,9 @@ def serve_guard(
     pinned = baseline.get("p99_read_latency_s")
     if p99 is None or pinned is None:
         violations.append("E22_serving: p99 read latency missing from report or baseline")
-    elif p99 > tolerance * pinned:
+    elif p99 > _SERVE_TOLERANCE * pinned:
         violations.append(
-            f"E22_serving: p99 read latency {p99}s exceeds {tolerance}x the "
+            f"E22_serving: p99 read latency {p99}s exceeds {_SERVE_TOLERANCE}x the "
             f"pinned SLO {pinned}s"
         )
 
@@ -323,7 +272,6 @@ def serve_guard(
 # Engine-governor purity guard
 # ----------------------------------------------------------------------
 
-_GOVERNOR_ENGINES = ("interpreted", "compiled", "vectorized", "sqlite")
 
 
 def _governor_run(engine: str, governed: bool) -> tuple[int, str, dict | None]:
@@ -347,7 +295,7 @@ def _governor_run(engine: str, governed: bool) -> tuple[int, str, dict | None]:
     return manager.counter.tuples_out - marker, bag_digest(manager.query("V")), snapshot
 
 
-def governor_guard(*, engines: tuple[str, ...] = _GOVERNOR_ENGINES) -> list[str]:
+def governor_guard(*, engines: tuple[str, ...] = MODES) -> list[str]:
     """Violation messages for the governor purity gate (empty = pass).
 
     With no faults armed, the governor must be invisible: identical
@@ -381,37 +329,22 @@ def governor_guard(*, engines: tuple[str, ...] = _GOVERNOR_ENGINES) -> list[str]
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "report",
-        type=Path,
-        nargs="?",
-        default=Path(__file__).resolve().parents[3] / "BENCH_exec.json",
-        help="exec_bench JSON to judge (default: BENCH_exec.json at the repo root)",
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=1.2,
-        help="headroom factor for CI timing noise (1.0 = strict)",
-    )
-    parser.add_argument("--subject", default="vectorized", help="engine under test")
-    parser.add_argument("--baseline", default="compiled", help="engine it must not lose to")
-    parser.add_argument(
+    guards = parser.add_mutually_exclusive_group(required=True)
+    guards.add_argument(
         "--sanitizer-guard",
         action="store_true",
-        help="run the lockset-sanitizer overhead gate instead of the exec-bench gate",
+        help="run the lockset-sanitizer overhead gate",
     )
-    parser.add_argument(
+    guards.add_argument(
         "--governor-guard",
         action="store_true",
-        help="run the engine-governor purity gate instead of the exec-bench gate",
+        help="run the engine-governor purity gate",
     )
-    parser.add_argument(
+    guards.add_argument(
         "--partition-guard",
         action="store_true",
         help="judge a partition_bench report (digest parity with the "
-        "interpreted oracle, zero fallbacks, touched <= affected partitions) "
-        "instead of the exec-bench gate",
+        "interpreted oracle, zero fallbacks, touched <= affected partitions)",
     )
     parser.add_argument(
         "--partition-report",
@@ -419,13 +352,12 @@ def main(argv: list[str] | None = None) -> int:
         default=Path(__file__).resolve().parents[3] / "BENCH_partition.json",
         help="partition_bench JSON for --partition-guard",
     )
-    parser.add_argument(
+    guards.add_argument(
         "--serve-guard",
         action="store_true",
         help="judge a serve_bench report (zero reader lock acquisitions, "
         "digests bit-identical to the oracle, staleness within (k, m), p99 "
-        "read latency within --tolerance of the pinned SLO) instead of the "
-        "exec-bench gate",
+        f"read latency within {_SERVE_TOLERANCE}x the pinned SLO)",
     )
     parser.add_argument(
         "--serve-report",
@@ -476,7 +408,6 @@ def main(argv: list[str] | None = None) -> int:
         violations = serve_guard(
             json.loads(args.serve_report.read_text()),
             json.loads(args.serve_baseline.read_text()),
-            tolerance=args.tolerance,
         )
         if violations:
             for violation in violations:
@@ -485,7 +416,7 @@ def main(argv: list[str] | None = None) -> int:
         print(
             "gate passed: zero reader-observable lock acquisitions, snapshot "
             "digests bit-identical to the interpreted oracle, staleness within "
-            f"(k, m), p99 read latency within {args.tolerance}x the pinned SLO "
+            f"(k, m), p99 read latency within {_SERVE_TOLERANCE}x the pinned SLO "
             f"({args.serve_report.name})"
         )
         return 0
@@ -498,44 +429,23 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         print(
             "gate passed: governed and ungoverned tuple ops and view digests "
-            f"bit-identical, zero breaker trips on {', '.join(_GOVERNOR_ENGINES)}"
+            f"bit-identical, zero breaker trips on {', '.join(MODES)}"
         )
         return 0
 
-    if args.sanitizer_guard:
-        violations = sanitizer_guard(
-            args.sanitizer_baseline,
-            tolerance=args.sanitizer_tolerance,
-            repeats=args.repeats,
-        )
-        if violations:
-            for violation in violations:
-                print(f"REGRESSION: {violation}", file=sys.stderr)
-            return 1
-        print(
-            "gate passed: sanitizer-disabled and -enabled tuple ops bit-identical "
-            f"to baselines, wall overhead within {args.sanitizer_tolerance}x on "
-            f"{', '.join(_SANITIZER_WORKLOADS)}"
-        )
-        return 0
-
-    data = json.loads(args.report.read_text())
-    violations = check(
-        data, tolerance=args.tolerance, subject=args.subject, baseline=args.baseline
+    violations = sanitizer_guard(
+        args.sanitizer_baseline,
+        tolerance=args.sanitizer_tolerance,
+        repeats=args.repeats,
     )
     if violations:
         for violation in violations:
             print(f"REGRESSION: {violation}", file=sys.stderr)
         return 1
-    judged = [
-        name
-        for name in _EXPERIMENT_WALLS
-        if args.subject in data.get("experiments", {}).get(name, {})
-        and args.baseline in data.get("experiments", {}).get(name, {})
-    ]
     print(
-        f"gate passed: {args.subject} within {args.tolerance}x {args.baseline} "
-        f"on {', '.join(judged) if judged else 'no experiments (nothing measured)'}"
+        "gate passed: sanitizer-disabled and -enabled tuple ops bit-identical "
+        f"to baselines, wall overhead within {args.sanitizer_tolerance}x on "
+        f"{', '.join(_SANITIZER_WORKLOADS)}"
     )
     return 0
 

@@ -4,7 +4,7 @@ Prices the self-healing layer, and writes a machine-readable
 ``BENCH_robust.json``: the retail maintenance workload (transactions,
 propagates, partial refreshes, full refreshes) runs under a seeded
 p = 0.05 transient-fault storm on every ``flaky-*`` backend seam, once
-*without* the engine governor and once *with* it, on each of the four
+*without* the engine governor and once *with* it, on each of the three
 execution engines.  Per cell:
 
 * **refresh success rate** — the fraction of maintenance operations
@@ -36,13 +36,13 @@ import time
 from pathlib import Path
 
 from repro import obs
+from repro.exec import MODES as ENGINES
 from repro.robustness.faults import INJECTOR
 from repro.warehouse.manager import ViewManager
 from repro.workloads.retail import VIEW_SQL, RetailConfig, RetailWorkload
 
 __all__ = ["main", "run_storm_grid", "ENGINES"]
 
-ENGINES = ("interpreted", "compiled", "vectorized", "sqlite")
 
 STORM_SEED = 1996
 STORM_PROBABILITY = 0.05
@@ -121,7 +121,7 @@ def _drive(
 
 
 def run_storm_grid(*, smoke: bool = False) -> dict[str, object]:
-    """The 4-engine × {ungoverned, governed} grid, stormy and calm."""
+    """The 3-engine × {ungoverned, governed} grid, stormy and calm."""
     txns = 8 if smoke else 24
     config = RetailConfig(
         customers=24 if smoke else 60,

@@ -19,18 +19,12 @@ Olteanu's IVM survey calls algorithmic vs *system* delta-proportionality:
   so index-backed selections and join build sides cost
   O(|delta| + |output|) instead of O(|table|).
 
-Two further tiers build on the compiled plans (see
-:mod:`repro.exec.vectorized` and :mod:`repro.exec.pushdown`):
-
-* ``exec_mode="vectorized"`` runs the same physical plans batch-at-a-
-  time over :class:`~repro.algebra.columnar.ColumnBatch` columns with
-  an integer multiplicity vector, deferring canonicalization to
-  nonlinear operator boundaries;
-* ``exec_mode="sqlite"`` pushes whole pushable ``Expr`` subtrees down
-  into an incrementally-mirrored SQLite database as single SQL
-  statements (joins and multiplicity arithmetic run in C), falling
-  back to the vectorized kernels per subtree when a node is not
-  pushable.
+One further tier builds on the compiled plans (see
+:mod:`repro.exec.pushdown`): ``exec_mode="sqlite"`` pushes whole
+pushable ``Expr`` subtrees down into an incrementally-mirrored SQLite
+database as single SQL statements (joins and multiplicity arithmetic
+run in C), running the compiled plans over the rest when a node is not
+pushable.
 
 The interpreted path remains available as a correctness oracle: pass
 ``exec_mode="interpreted"`` to :class:`~repro.storage.database.Database`
@@ -45,10 +39,10 @@ from repro.errors import ReproError
 
 COMPILED = "compiled"
 INTERPRETED = "interpreted"
-VECTORIZED = "vectorized"
 SQLITE = "sqlite"
 
-_MODES = (COMPILED, INTERPRETED, VECTORIZED, SQLITE)
+#: Every execution mode, fastest rung of the governor's ladder first.
+MODES = (SQLITE, COMPILED, INTERPRETED)
 
 #: Environment variable overriding the default execution mode.
 ENV_VAR = "REPRO_EXEC"
@@ -58,9 +52,11 @@ _ALIASES = {
     "interp": INTERPRETED,
     "interpret": INTERPRETED,
     "oracle": INTERPRETED,
-    "vector": VECTORIZED,
-    "batch": VECTORIZED,
-    "columnar": VECTORIZED,
+    # The batch tier this name selected is gone (it never beat the
+    # compiled plans it shared).  The spelling stays because
+    # bench/pipeline/run.py's engine grid and saved REPRO_EXEC settings
+    # still pass it.
+    "vectorized": COMPILED,
     "pushdown": SQLITE,
     "sqlite-pushdown": SQLITE,
     "sql": SQLITE,
@@ -69,8 +65,8 @@ _ALIASES = {
 __all__ = [
     "COMPILED",
     "INTERPRETED",
-    "VECTORIZED",
     "SQLITE",
+    "MODES",
     "ENV_VAR",
     "default_exec_mode",
     "resolve_exec_mode",
@@ -90,8 +86,8 @@ def resolve_exec_mode(mode: str | None) -> str:
     normalized = mode.strip().lower()
     # Accept the obvious abbreviations so REPRO_EXEC=interp works.
     normalized = _ALIASES.get(normalized, normalized)
-    if normalized not in _MODES:
-        raise ReproError(f"unknown execution mode {mode!r}; pick one of {_MODES}")
+    if normalized not in MODES:
+        raise ReproError(f"unknown execution mode {mode!r}; pick one of {MODES}")
     return normalized
 
 

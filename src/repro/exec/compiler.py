@@ -330,8 +330,7 @@ class PPipeline(PNode):
         One lookup per bound key in ``R``'s maintained key index — the
         cost is the keys and their buckets, whatever the table's size; a
         delta-sized ``R`` (a log) is one filtered pass, charged like the
-        unrestricted scan it narrows.  One routine for every engine
-        tier, like :meth:`PIndexSelect.matches`.
+        unrestricted scan it narrows.
         """
         access = self.access
         leaf = access.restrict
@@ -401,30 +400,21 @@ class PIndexSelect(PPipeline):
     def key_values(self) -> tuple:
         return tuple(self.access.const_eq[position] for position in self.key_positions)
 
-    def matches(self, ctx) -> Iterator[tuple[Row, int]]:
-        """The chain's ``(image, count)`` pairs over the probed bucket.
-
-        One routine for every engine tier; each collects the pairs into
-        its own container.
-        """
+    def _compute(self, ctx) -> Bag:
         access = self.access
         base = ctx.table(access.table)
         positions = ctx.indexes.covering(access.table, self.key_positions) or self.key_positions
         index = ctx.indexes.get(access.table, positions, base, counter=ctx.counter)
         bucket = index.lookup(tuple(access.const_eq[position] for position in positions))
         apply = access.apply
+        counts: dict[Row, int] = {}
         for row, count in bucket.items():
             image = apply(row)
             if image is not None:
-                yield image, count
+                counts[image] = counts.get(image, 0) + count
         if ctx.counter is not None:
             ctx.counter.record_probes("index_probe", 1)
             ctx.counter.record("index_select", len(bucket))
-
-    def _compute(self, ctx) -> Bag:
-        counts: dict[Row, int] = {}
-        for image, count in self.matches(ctx):
-            counts[image] = counts.get(image, 0) + count
         return Bag(counts=counts)
 
 
@@ -691,23 +681,21 @@ class PEquiJoin(PNode):
     probes; with two such operands the larger stored table is the one
     served.  Otherwise both operands are evaluated and hashed
     classically.  Both strategies are generators of ``(joined_row,
-    count)`` that each engine tier collects into its own container.
+    count)`` that :meth:`_compute` sums into the result bag.
     """
 
-    __slots__ = ("left", "right", "residual", "arity")
+    __slots__ = ("left", "right", "residual")
 
     def __init__(
         self,
         left: _JoinSide,
         right: _JoinSide,
         residual: Callable[[Row], bool] | None,
-        arity: int,
     ) -> None:
         super().__init__(frozenset(left.node.tables) | frozenset(right.node.tables))
         self.left = left
         self.right = right
         self.residual = residual
-        self.arity = arity
 
     def children(self):
         return (self.left.node, self.right.node)
@@ -771,10 +759,10 @@ class PEquiJoin(PNode):
         )
         minus = None
         if indexed.minus is not None and not indexed.minus.runtime_empty(ctx):
-            minus = ctx.bag(indexed.minus)
+            minus = indexed.minus.execute(ctx)
         patched = bool(minus)
-        probe_rows, probe_size = ctx.rows(probe.node)
-        self._note_base_scan(probe, probe_size, base.distinct_count())
+        probe_bag = probe.node.execute(ctx)
+        self._note_base_scan(probe, probe_bag.distinct_count(), base.distinct_count())
         probe_positions = probe.key_positions
         probe_filter = probe.side_filter
         indexed_filter = indexed.side_filter
@@ -788,7 +776,7 @@ class PEquiJoin(PNode):
             bound_position = probe_positions[indexed.restrict_slot]
         probes = 0
         examined = 0
-        for probe_row, probe_count in probe_rows:
+        for probe_row, probe_count in probe_bag.items():
             if probe_filter is not None and not probe_filter(probe_row):
                 continue
             if bound is not None and probe_row[bound_position] not in bound:
@@ -822,22 +810,23 @@ class PEquiJoin(PNode):
         the interpreted path), so the build side is chosen for wall-clock
         only.
         """
-        left_rows, left_size = ctx.rows(self.left.node)
-        right_rows, right_size = ctx.rows(self.right.node)
+        left_bag = self.left.node.execute(ctx)
+        right_bag = self.right.node.execute(ctx)
+        left_size, right_size = left_bag.distinct_count(), right_bag.distinct_count()
         self._note_base_scan(self.left, left_size, right_size)
         self._note_base_scan(self.right, right_size, left_size)
         build_left = left_size < right_size
         build, probe = (self.left, self.right) if build_left else (self.right, self.left)
-        build_rows, probe_rows = (left_rows, right_rows) if build_left else (right_rows, left_rows)
+        build_bag, probe_bag = (left_bag, right_bag) if build_left else (right_bag, left_bag)
         build_positions, build_filter = build.key_positions, build.side_filter
         probe_positions, probe_filter = probe.key_positions, probe.side_filter
         buckets: dict[tuple, list[tuple[Row, int]]] = {}
-        for row, count in build_rows:
+        for row, count in build_bag.items():
             if build_filter is not None and not build_filter(row):
                 continue
             buckets.setdefault(tuple(row[position] for position in build_positions), []).append((row, count))
         residual = self.residual
-        for row, count in probe_rows:
+        for row, count in probe_bag.items():
             if probe_filter is not None and not probe_filter(row):
                 continue
             bucket = buckets.get(tuple(row[position] for position in probe_positions))
@@ -987,7 +976,7 @@ class Compiler:
 
         left_side = self._join_side(product.left, tuple(position for position, __ in keys), left_filter)
         right_side = self._join_side(product.right, tuple(position for __, position in keys), right_filter)
-        return PEquiJoin(left_side, right_side, cross_check, schema.arity)
+        return PEquiJoin(left_side, right_side, cross_check)
 
     def _join_side(self, operand: Expr, key_positions: tuple[int, ...], side_filter) -> _JoinSide:
         access = source_access(operand)

@@ -20,10 +20,10 @@ the interpreted evaluator's per-call memo is not (see the warning on
 
 from __future__ import annotations
 
-from collections.abc import Collection, Iterable, Mapping
+from collections.abc import Collection, Mapping
 
 from repro import obs
-from repro.algebra.bag import Bag, Row
+from repro.algebra.bag import Bag
 from repro.algebra.evaluation import CostCounter, bound_bag
 from repro.algebra.expr import Bound, Expr, Literal
 from repro.errors import ReproError, UnknownTableError
@@ -104,18 +104,6 @@ class ExecutionContext:
             return self.state[name]
         except KeyError:
             raise UnknownTableError(f"table {name!r} is not present in the database state") from None
-
-    # How the shared join routines read a child operator's result; the
-    # batch tier overrides both to go through its own kernels and memo.
-
-    def rows(self, node: PNode) -> tuple[Iterable[tuple[Row, int]], int]:
-        """``node``'s result as ``(row, multiplicity)`` pairs, and how many pairs."""
-        bag = node.execute(self)
-        return bag.items(), bag.distinct_count()
-
-    def bag(self, node: PNode) -> Bag:
-        """``node``'s result as a canonical bag."""
-        return node.execute(self)
 
 
 class Executor:
@@ -206,6 +194,17 @@ class Executor:
                         self._build_index(ctx, side.access.table, side.base_key_positions)
         return node
 
+    # -- partition layouts ---------------------------------------------
+
+    def declare_partition(self, table: str, spec) -> None:
+        """Note ``table``'s partition layout (nothing to keep here: the
+        in-memory plans restrict through the maintained key index)."""
+
+    def restricted_lookup(self, table: str, keys, *, counter: CostCounter | None = None) -> Bag | None:
+        """Rows of ``table`` with partition key in ``keys``, or ``None``
+        when this engine has no faster answer than the caller's index."""
+        return None
+
     def _build_index(self, ctx: ExecutionContext, table: str, positions: tuple[int, ...]) -> None:
         base = ctx.state.get(table)
         if base is not None:
@@ -216,12 +215,11 @@ class Executor:
         return ExecutionContext(database.state, counter, database.indexes, database.version_of, binding)
 
 
-def plan_for(nodes: dict[Expr, PNode], expr: Expr, counter: CostCounter | None, clear=None) -> PNode:
+def plan_for(nodes: dict[Expr, PNode], expr: Expr, counter: CostCounter | None) -> PNode:
     """The physical plan for ``expr`` out of the node table ``nodes``.
 
     Compiled into the table on a miss (``plan_hits`` / ``plan_misses``
-    on the counter); a table past ``MAX_NODES`` is dropped first, through
-    ``clear`` when its owner keeps more per node than the table does.  A
+    on the counter); a table past ``MAX_NODES`` is dropped first.  A
     node's memo is guarded by version stamps, which compare only within
     one database: a table is owned by whoever evaluates against that
     database — its :class:`Executor`, or the snapshot registry pinning
@@ -239,7 +237,7 @@ def plan_for(nodes: dict[Expr, PNode], expr: Expr, counter: CostCounter | None, 
             counter.plan_hits += 1
         return node
     if len(nodes) > Executor.MAX_NODES:
-        (clear or nodes.clear)()
+        nodes.clear()
     if isinstance(expr, Literal):
         node = nodes[expr] = PLiteral(expr.bag)
         return node

@@ -18,10 +18,10 @@ Pushability is *structural* and cached per expression:
 
 A non-pushable node falls back *per subtree*: its maximal pushable
 descendants are evaluated in SQL, substituted back into the tree as
-``Literal`` results, and the remaining top of the tree runs on the
-vectorized kernels this class inherits (the executor IS a
-:class:`~repro.exec.vectorized.VectorizedExecutor`, so the fallback
-shares its plan cache, batch memos, table batch cache, and maintained
+``Literal`` results, and the remaining top of the tree runs as a
+compiled plan (the executor IS an
+:class:`~repro.exec.executor.Executor`, so the fallback is
+``PNode.execute`` over its one plan table and the database's maintained
 hash indexes).  Tables whose *values* turn out not to mirror raise
 :class:`~repro.storage.sqlite_backend.MirrorUnsupported` at scan time
 and the whole subtree falls back the same way.
@@ -69,9 +69,8 @@ from repro.algebra.predicates import (
     Term,
 )
 from repro.errors import ReproError, UnknownTableError
-from repro.exec.executor import ExecutionContext, binding_stamp
+from repro.exec.executor import ExecutionContext, Executor, binding_stamp
 from repro.robustness.faults import fault_point
-from repro.exec.vectorized import VectorizedExecutor
 from repro.storage.sqlite_backend import (
     MirrorUnsupported,
     SQLiteMirror,
@@ -119,7 +118,7 @@ def _rebuild(expr: Expr, children: tuple[Expr, ...]) -> Expr:
     raise ReproError(f"pushdown: cannot rebuild node {type(expr).__name__}")
 
 
-class PushdownExecutor(VectorizedExecutor):
+class PushdownExecutor(Executor):
     """Evaluate expressions by pushing pushable subtrees into SQLite."""
 
     def __init__(self, database) -> None:
@@ -250,6 +249,8 @@ class PushdownExecutor(VectorizedExecutor):
         cached = self._pushable_memo.get(expr)
         if cached is None:
             cached = self._compute_pushable(expr)
+            if len(self._pushable_memo) > self.MAX_NODES:
+                self._pushable_memo.clear()
             self._pushable_memo[expr] = cached
         return cached
 
@@ -323,9 +324,9 @@ class PushdownExecutor(VectorizedExecutor):
     def _push_maximal(self, expr: Expr, counter: CostCounter | None, binding=None) -> Expr:
         """Replace each maximal pushable subtree with its SQL result.
 
-        The rewritten tree's remaining operators run on the inherited
-        vectorized kernels; a subtree whose tables fail to mirror is
-        left in place (the kernels read the in-memory state directly).
+        The rewritten tree's remaining operators run as a compiled
+        plan; a subtree whose tables fail to mirror is left in place
+        (the plan reads the in-memory state directly).
         """
         if self._is_pushable(expr):
             try:
@@ -346,7 +347,7 @@ class PushdownExecutor(VectorizedExecutor):
     # ------------------------------------------------------------------
 
     def _build_index(self, ctx: ExecutionContext, table: str, positions: tuple[int, ...]) -> None:
-        # Hash indexes serve the vectorized fallback path; the mirror
+        # Hash indexes serve the compiled fallback path; the mirror
         # additionally indexes the same key columns so pushed-down
         # equi-joins use them inside SQLite.
         super()._build_index(ctx, table, positions)

@@ -141,7 +141,7 @@ class DurableWarehouse:
         resolved first, exactly as ``python -m repro recover`` would.
         ``exec_mode`` and ``governed`` re-establish the runtime engine
         configuration — the snapshot file stores neither, so a caller
-        that ran a vectorized governed warehouse must say so again here
+        that ran a sqlite governed warehouse must say so again here
         to resume on the same engine.
         """
         path = Path(path)

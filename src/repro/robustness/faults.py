@@ -34,7 +34,6 @@ crash-mid-checkpoint    ``save_database``: in the append transaction before ``CO
                         or temp file written, before ``os.replace``
 crash-after-checkpoint  durable op, checkpoint durable, before the journal commit
 crash-after-commit      durable op, journal committed, before returning
-crash-mid-consolidate   columnar consolidation, staged rows built, before the swap
 crash-mid-delta-cache   ``EpochDeltaCache.store``, before the entry installs
 crash-mid-partition-apply ``PartitionedDatabase.apply_parts``, between partitions
 flaky-save              ``save_database``, start of a (retried) write attempt
@@ -96,7 +95,6 @@ FAULT_POINTS: frozenset[str] = frozenset(
         "crash-mid-checkpoint",
         "crash-after-checkpoint",
         "crash-after-commit",
-        "crash-mid-consolidate",
         "crash-mid-delta-cache",
         "crash-mid-partition-apply",
         "flaky-save",

@@ -1,4 +1,4 @@
-"""The engine governor: a graceful-degradation ladder over the four engines.
+"""The engine governor: a graceful-degradation ladder over the three engines.
 
 The execution tiers (:mod:`repro.exec`) trade robustness for speed: the
 interpreted oracle touches nothing but Python dicts, while the sqlite
@@ -14,17 +14,15 @@ The :class:`EngineGovernor` wraps every evaluation a
 ``Database.evaluate`` and the transaction executor's right-hand sides)
 in a fallback ladder ordered fastest-first::
 
-    sqlite  →  vectorized  →  compiled  →  interpreted
+    sqlite  →  compiled  →  interpreted
 
-anchored at the database's configured ``exec_mode`` (a ``vectorized``
-database ladders ``vectorized → compiled → interpreted``, and so on).
-All non-floor tiers are strategies over the database's *single* executor
-chain — a :class:`~repro.exec.pushdown.PushdownExecutor` IS a
-:class:`~repro.exec.vectorized.VectorizedExecutor` IS an
+anchored at the database's configured ``exec_mode`` (a ``compiled``
+database ladders ``compiled → interpreted``).  Both non-floor tiers are
+strategies over the database's *single* executor — a
+:class:`~repro.exec.pushdown.PushdownExecutor` IS an
 :class:`~repro.exec.executor.Executor`, so the tiers share one plan
-cache, one table-batch cache, and one set of maintained hash indexes;
-demotion never duplicates listener state, it just enters the chain at a
-lower method.
+cache and one set of maintained hash indexes; demotion never duplicates
+listener state, it just enters the executor at its base-class method.
 
 Per evaluation, the governor:
 
@@ -73,8 +71,7 @@ from repro.algebra.bag import Bag
 from repro.algebra.evaluation import CostCounter
 from repro.algebra.evaluation import evaluate as interpret
 from repro.algebra.expr import Expr
-from repro.exec import COMPILED, INTERPRETED, SQLITE, VECTORIZED, Executor
-from repro.exec.vectorized import VectorizedExecutor
+from repro.exec import INTERPRETED, MODES, SQLITE, Executor
 from repro.robustness.faults import fault_point
 from repro.storage.persistence import RETRY_POLICY, RetryPolicy
 from repro.storage.sqlite_backend import mirror_digest
@@ -86,12 +83,11 @@ __all__ = [
     "heal_engine_state",
 ]
 
-#: The degradation ladder anchored at each configured execution mode.
+#: The degradation ladder anchored at each configured execution mode:
+#: ``sqlite → compiled → interpreted``, ``compiled → interpreted``, and
+#: the floor alone.
 GOVERNOR_LADDERS: dict[str, tuple[str, ...]] = {
-    SQLITE: (SQLITE, VECTORIZED, COMPILED, INTERPRETED),
-    VECTORIZED: (VECTORIZED, COMPILED, INTERPRETED),
-    COMPILED: (COMPILED, INTERPRETED),
-    INTERPRETED: (INTERPRETED,),
+    mode: MODES[rung:] for rung, mode in enumerate(MODES)
 }
 
 #: Evaluations an open breaker skips before probing for re-promotion.
@@ -244,21 +240,17 @@ class EngineGovernor:
     def _run_tier(
         self, tier: str, expr: Expr, counter: CostCounter | None, memo: dict | None = None, binding=None
     ) -> Bag:
-        """Evaluate on one specific tier of the shared executor chain.
+        """Evaluate on one specific tier of the shared executor.
 
-        The unbound-method calls are deliberate: ``Executor.evaluate``
-        runs the compiled tuple-at-a-time path and
-        ``VectorizedExecutor.evaluate`` the columnar path *on the same
-        executor instance*, so every tier sees the one plan cache and
-        the one set of write-listener-maintained caches.
+        The unbound-method call is deliberate: ``Executor.evaluate``
+        runs the compiled plans *on the same executor instance* the
+        sqlite tier pushes down from, so both see the one plan cache.
         """
         if tier == INTERPRETED:
             return interpret(expr, self._db.state, counter=counter, memo=memo, binding=binding)
         executor = self._db.executor
         if tier == SQLITE:
             return executor.evaluate(expr, counter=counter, binding=binding)
-        if tier == VECTORIZED:
-            return VectorizedExecutor.evaluate(executor, expr, counter=counter, binding=binding)
         return Executor.evaluate(executor, expr, counter=counter, binding=binding)
 
     # ------------------------------------------------------------------

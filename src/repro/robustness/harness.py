@@ -186,7 +186,7 @@ class RetailCrashHarness:
     def _attach(self) -> DurableWarehouse:
         # The snapshot stores no engine choice, so the harness replays
         # its configured exec_mode/governed flags on every reopen — a
-        # vectorized chaos run stays vectorized across every simulated
+        # sqlite chaos run stays on sqlite across every simulated
         # process death.
         if self.path.exists():
             return DurableWarehouse.open(

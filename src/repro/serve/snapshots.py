@@ -28,10 +28,10 @@ plus its bucket, an unkeyed one a single fused pass.  What a pinned read
 stays isolated from is the live engine's *state*, not the lowering: the
 live executor's plan table and node memos (stamped with the live
 versions), the live :class:`~repro.exec.indexes.IndexManager` (its
-buckets are mutated in place by the writer), column batches and the
-sqlite mirror are never consulted, whatever the database's
-``exec_mode``.  The interpreted evaluator remains the oracle the tests
-compare pinned results against.
+buckets are mutated in place by the writer) and the sqlite mirror are
+never consulted, whatever the database's ``exec_mode``.  The
+interpreted evaluator remains the oracle the tests compare pinned
+results against.
 """
 
 from __future__ import annotations

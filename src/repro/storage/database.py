@@ -32,7 +32,6 @@ from repro.errors import SchemaError, TransactionError, UnknownTableError
 from repro.exec import (
     INTERPRETED,
     SQLITE,
-    VECTORIZED,
     Executor,
     default_exec_mode,
     resolve_exec_mode,
@@ -46,26 +45,24 @@ __all__ = ["Database"]
 class Database:
     """A mutable collection of named bag tables with schemas.
 
-    Queries run through one of four engines (see :mod:`repro.exec`):
+    Queries run through one of three engines (see :mod:`repro.exec`):
 
     * ``exec_mode="compiled"`` (the default) lowers expressions once
       into cached physical plans whose subexpression results are reused
       across calls, guarded by per-table *version stamps* — a monotonic
       clock value bumped on every write to a table;
-    * ``exec_mode="vectorized"`` runs the same plans batch-at-a-time
-      over columnar multiplicity-vector batches;
     * ``exec_mode="sqlite"`` pushes pushable plan subtrees down into an
       incrementally-mirrored SQLite database, falling back to the
-      vectorized kernels per subtree;
+      compiled plans per subtree;
     * ``exec_mode="interpreted"`` walks the AST on every call and serves
       as the correctness oracle.
 
     The database also owns the :class:`~repro.exec.indexes.IndexManager`
     holding hash indexes on stored tables; every write path below
     forwards its delta (or replacement value) so indexes stay current
-    incrementally.  Engines that keep further derived state (columnar
-    table batches, the SQLite mirror) register *write listeners* via
-    :meth:`add_write_listener` and receive the same per-write deltas.
+    incrementally.  An engine that keeps further derived state (the
+    SQLite mirror) registers a *write listener* via
+    :meth:`add_write_listener` and receives the same per-write deltas.
     """
 
     def __init__(self, *, exec_mode: str | None = None) -> None:
@@ -112,11 +109,7 @@ class Database:
     @property
     def executor(self) -> Executor:
         if self._executor is None:
-            if self._exec_mode == VECTORIZED:
-                from repro.exec.vectorized import VectorizedExecutor
-
-                self._executor = VectorizedExecutor(self)
-            elif self._exec_mode == SQLITE:
+            if self._exec_mode == SQLITE:
                 from repro.exec.pushdown import PushdownExecutor
 
                 self._executor = PushdownExecutor(self)

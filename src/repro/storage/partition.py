@@ -48,7 +48,6 @@ from repro.algebra.bag import Bag, Row
 from repro.algebra.evaluation import CostCounter
 from repro.algebra.expr import Expr
 from repro.errors import SchemaError, UnknownTableError
-from repro.exec import SQLITE
 from repro.robustness.faults import fault_point
 from repro.storage.database import Database
 
@@ -308,10 +307,9 @@ class PartitionedDatabase(Database):
             raise SchemaError(f"table {table!r} is already partitioned differently")
         self._specs[table] = spec
         self._slices[table] = self._slice_bag(self._tables[table], spec)
-        if self._exec_mode == SQLITE:
-            # Thread the layout down into the mirror so pushed-down scans
-            # can prune by partition id (partition-key column + index).
-            self.executor.declare_partition(table, spec)
+        # An engine with a mirror threads the layout down into it, so
+        # pushed-down scans can prune by partition id.
+        self.executor.declare_partition(table, spec)
         return spec
 
     def partition_spec(self, table: str) -> PartitionSpec | None:
@@ -455,13 +453,12 @@ class PartitionedDatabase(Database):
         keys = list(keys)
         if table in self._stale:
             self._materialize(table)
-        if self._exec_mode == SQLITE:
-            # Partial-index pushdown: the mirror carries a routed
-            # ``__part`` column, so the restriction runs as one indexed
-            # C scan instead of per-key Python dict probes.
-            bag = self.executor.restricted_lookup(table, keys, counter=counter)
-            if bag is not None:
-                return bag
+        # Partial-index pushdown: an engine whose mirror carries a routed
+        # ``__part`` column answers the restriction as one indexed C scan
+        # instead of per-key Python dict probes.
+        bag = self.executor.restricted_lookup(table, keys, counter=counter)
+        if bag is not None:
+            return bag
         index = self._indexes.get(table, (spec.position,), self._tables[table], counter=counter)
         merged: dict[Row, int] = {}
         for key in keys:

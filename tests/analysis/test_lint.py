@@ -16,6 +16,7 @@ from repro.analysis.lint import (
 )
 from repro.core import BaseLogScenario, ViewDefinition
 from repro.errors import AnalysisError
+from repro.exec import MODES
 from repro.storage.database import Database
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -139,7 +140,7 @@ class TestCli:
         assert "clean" in capsys.readouterr().out
 
     def test_engine_flag_equals_form(self, capsys):
-        status = main(["--engine=vectorized", "--experiments"])
+        status = main(["--engine=compiled", "--experiments"])
         assert status == 0
         capsys.readouterr()
 
@@ -193,10 +194,7 @@ class TestCli:
     def test_diagnostics_identical_across_engines(self):
         # Lints are static: the selected engine must change nothing.
         source = "CREATE TABLE r (a, b);\nSELECT a FROM r WHERE c = 1"
-        reports = {
-            engine: lint_sql(source, engine=engine)
-            for engine in ("interpreted", "compiled", "vectorized", "sqlite")
-        }
+        reports = {engine: lint_sql(source, engine=engine) for engine in MODES}
         rendered = {
             engine: [d.format() for d in report]
             for engine, report in reports.items()

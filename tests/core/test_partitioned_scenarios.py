@@ -22,6 +22,7 @@ import pytest
 from repro.algebra.expr import KeyRestrict
 from repro.core.scenarios import BaseLogScenario, CombinedScenario
 from repro.core.transactions import UserTransaction
+from repro.exec import INTERPRETED, MODES
 from repro.robustness.faults import INJECTOR, InjectedCrash
 from repro.robustness.journal import bag_digest
 from repro.sqlfront import sql_to_view
@@ -29,7 +30,9 @@ from repro.storage.database import Database
 from repro.storage.partition import PartitionedDatabase
 from repro.warehouse import ViewManager
 
-ENGINES = ["interpreted", "compiled", "vectorized", "sqlite"]
+ENGINES = MODES
+#: The engines that run the pruned pair as a plan (the oracle recomputes).
+PRUNED_ENGINES = [mode for mode in MODES if mode != INTERPRETED]
 SCENARIOS = {"base_log": BaseLogScenario, "combined": CombinedScenario}
 SQL = (
     "CREATE VIEW V (custId, item) AS "
@@ -178,7 +181,7 @@ class TestEquivalenceGrid:
 class TestPartitionCrashChaos:
     """A crash between per-partition applies of one epoch."""
 
-    @pytest.mark.parametrize("engine", ["compiled", "vectorized", "sqlite"])
+    @pytest.mark.parametrize("engine", PRUNED_ENGINES)
     @pytest.mark.parametrize("scenario_key", sorted(SCENARIOS))
     def test_crash_rolls_back_and_rerun_converges(self, engine, scenario_key):
         scenario_cls = SCENARIOS[scenario_key]
@@ -229,7 +232,6 @@ NAMED_SQL = (
     "CREATE VIEW V (custId, name, item) AS "
     "SELECT c.custId, c.name, s.item FROM C c, S s WHERE c.custId = s.custId"
 )
-PRUNED_ENGINES = ["compiled", "vectorized", "sqlite"]
 
 
 def rescore(keys, old, new):

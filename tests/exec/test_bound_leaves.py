@@ -3,7 +3,7 @@
 A :class:`~repro.algebra.expr.Bound` leaf holds no bag; the call
 supplies it (``evaluate(expr, binding={name: bag})``), on the same
 binding a :class:`~repro.algebra.expr.KeyRestrict` leaf reads its key
-set from.  Held here, on all four engines:
+set from.  Held here, on all three engines:
 
 * an evaluation with no binding, or a binding that names other things,
   raises the coded :class:`~repro.errors.ReproError`; a bag of the wrong
@@ -30,10 +30,10 @@ from repro.algebra.schema import Schema
 from repro.core.differential import differentiate
 from repro.core.substitution import FactoredSubstitution, bound_pair, pair_binding
 from repro.errors import ReproError, SchemaError
-from repro.exec import COMPILED, INTERPRETED, SQLITE, VECTORIZED
+from repro.exec import COMPILED, SQLITE
+from repro.exec import MODES as ENGINES
 from repro.storage.database import Database
 
-ENGINES = (INTERPRETED, COMPILED, VECTORIZED, SQLITE)
 DELTA = Bound("R.delete", Schema(("k", "x")))
 
 
@@ -119,7 +119,7 @@ class TestRewritesRefuse:
         assert bound_pair("R", schemas["R"])[0].name in pair_binding(deltas)
 
 
-@pytest.mark.parametrize("mode", (COMPILED, VECTORIZED, SQLITE))
+@pytest.mark.parametrize("mode", (COMPILED, SQLITE))
 class TestNoStaleMemo:
     """Same expression, same table versions, another bag: another answer."""
 
@@ -145,7 +145,7 @@ class TestNoStaleMemo:
         assert counter.tuples_out == 0
 
 
-@pytest.mark.parametrize("mode", (COMPILED, VECTORIZED))
+@pytest.mark.parametrize("mode", (COMPILED,))
 class TestLowering:
     def test_one_plan_serves_every_binding(self, mode):
         db = make_db(mode)

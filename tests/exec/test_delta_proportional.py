@@ -15,9 +15,9 @@ flat one's standard and to "prune once, bind per epoch": identical
 counts at both sizes, no plan compiled and no call into the pruning
 analysis after the view is installed.
 
-The guarantee belongs to the engines that keep indexes (compiled and
-vectorized; CI runs this file under both).  The interpreted oracle
-re-scans by design and the sqlite tier counts pushed-down rows instead.
+The guarantee belongs to the engine that keeps indexes (compiled).  The
+interpreted oracle re-scans by design and the sqlite tier counts
+pushed-down rows instead.
 
 The second half holds the read side to the same standard: a keyed read
 of a *pinned* snapshot costs one probe plus its bucket whether the view
@@ -33,15 +33,15 @@ import pytest
 import repro.analysis.partitioning as partitioning
 import repro.core.partition_refresh as partition_refresh
 from repro.algebra.evaluation import CostCounter
-from repro.exec import COMPILED, VECTORIZED, default_exec_mode
+from repro.exec import COMPILED, default_exec_mode
 from repro.serve import ServeConfig, ViewServer
 from repro.sqlfront.compiler import sql_to_expr
 from repro.storage.partition import PartitionedDatabase
 from repro.warehouse.manager import ViewManager
 
 pytestmark = pytest.mark.skipif(
-    default_exec_mode() not in (COMPILED, VECTORIZED),
-    reason="delta-proportional access paths are the index-keeping engines' guarantee",
+    default_exec_mode() != COMPILED,
+    reason="delta-proportional access paths are the index-keeping engine's guarantee",
 )
 
 SIZES = (2_000, 20_000)

@@ -3,7 +3,7 @@
 Seeded random core-algebra queries over seeded random databases,
 evaluated under every execution engine across rounds of random updates
 (over-deletes included, plus an empty-delta round).  The interpreted
-engine is the oracle; compiled, vectorized, and sqlite must agree with
+engine is the oracle; compiled and sqlite must agree with
 it query-for-query and table-for-table after every round.  This is the
 adversarial complement to the workload-shaped checks in
 ``test_oracle.py``: the generator reaches operator combinations (deep
@@ -15,10 +15,10 @@ import pytest
 
 from repro.algebra.bag import Bag
 from repro.algebra.expr import DupElim, Literal, Monus
+from repro.exec import MODES
 from repro.storage.database import Database
 from repro.workloads.randgen import RandomExpressionGenerator
 
-MODES = ("interpreted", "compiled", "vectorized", "sqlite")
 ENGINES = tuple(mode for mode in MODES if mode != "interpreted")
 
 

@@ -7,7 +7,7 @@ from repro.algebra.evaluation import CostCounter
 from repro.algebra.expr import Literal
 from repro.algebra.predicates import Attr, Comparison, Const
 from repro.errors import ReproError
-from repro.exec import COMPILED, INTERPRETED, SQLITE, VECTORIZED, resolve_exec_mode
+from repro.exec import COMPILED, INTERPRETED, SQLITE, Executor, resolve_exec_mode
 from repro.storage.database import Database
 
 
@@ -29,14 +29,21 @@ class TestModeResolution:
         assert resolve_exec_mode("interp") == INTERPRETED
         assert resolve_exec_mode("ORACLE") == INTERPRETED
         assert resolve_exec_mode("Compiled") == COMPILED
-        assert resolve_exec_mode("columnar") == VECTORIZED
-        assert resolve_exec_mode("batch") == VECTORIZED
         assert resolve_exec_mode("pushdown") == SQLITE
         assert resolve_exec_mode("SQL") == SQLITE
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ReproError):
             resolve_exec_mode("quantum")
+
+    def test_the_deleted_tiers_name_selects_the_compiled_plans(self):
+        # bench/pipeline's engine grid and saved REPRO_EXEC settings still
+        # pass the name; its other spellings went with the tier.
+        assert resolve_exec_mode("vectorized") == COMPILED
+        assert type(Database(exec_mode="vectorized").executor) is Executor
+        for spelling in ("columnar", "batch", "vector"):
+            with pytest.raises(ReproError, match="unknown execution mode"):
+                resolve_exec_mode(spelling)
 
     def test_env_var_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXEC", "interpreted")
@@ -61,7 +68,7 @@ class TestPlanCache:
         db.evaluate(db.ref("R").project(["a"]), counter=counter)
         assert (counter.plan_misses, counter.plan_hits) == (1, 1)
 
-    @pytest.mark.parametrize("mode", [COMPILED, VECTORIZED])
+    @pytest.mark.parametrize("mode", [COMPILED])
     def test_a_bare_literal_is_not_a_compile(self, mode):
         """A script's rows evaluated on their own have nothing to lower:
         no miss, no trip through the compiler — yet one memo with the

@@ -176,9 +176,9 @@ class TestRandomizedPatchConsistency:
 
 
 class TestComposedDrain:
-    """The net-composition drain of a queued patch run (satellite of the
-    vectorized-engine PR): composing the queue must be indistinguishable
-    from applying it sequentially, including ``Bag.patch`` flooring."""
+    """The net-composition drain of a queued patch run: composing the
+    queue must be indistinguishable from applying it sequentially,
+    including ``Bag.patch`` flooring."""
 
     def test_composition_matches_sequential_floored_patches(self):
         rng = random.Random(42)

@@ -3,8 +3,8 @@
 Runs the same retail workload (the shape behind the E1–E16 experiments:
 the Example 1.1 join view, scenario grid IM/BL/DT/C with and without
 strong minimality, maintenance policies, the shared-log extension, and
-the recompute baseline) once under each execution engine — interpreted,
-compiled, vectorized, sqlite — and asserts the full database state —
+the recompute baseline) once under each execution engine — sqlite,
+compiled, interpreted — and asserts the full database state —
 base tables, MV, logs, and differential tables — is bag-identical after
 every phase.  The interpreted engine is the oracle; every other engine
 must match it checkpoint for checkpoint.
@@ -21,12 +21,12 @@ from repro.core.scenarios import (
     ImmediateScenario,
 )
 from repro.core.views import ViewDefinition
+from repro.exec import MODES
 from repro.extensions.sharedlog import SharedLogScenario
 from repro.sqlfront import sql_to_view
 from repro.storage.database import Database
 from repro.workloads.retail import VIEW_SQL, RetailConfig, RetailWorkload
 
-MODES = ("interpreted", "compiled", "vectorized", "sqlite")
 ENGINES = tuple(mode for mode in MODES if mode != "interpreted")
 
 

@@ -2,7 +2,7 @@
 
 Every engine keeps state keyed to the *live* database — compiled plan
 tables and node memos stamped with the live versions, hash indexes the
-writer mutates in place, vectorized column-batch caches, sqlite mirrors.
+writer mutates in place, sqlite mirrors.
 A pinned :class:`~repro.serve.SnapshotHandle` reads none of it.  What is
 isolated is that live engine *state*, not the lowering: a handle runs
 the same compiled plans (:mod:`repro.exec.compiler`), but out of the
@@ -21,11 +21,10 @@ import pytest
 from repro.algebra.evaluation import evaluate
 from repro.algebra.expr import join
 from repro.algebra.predicates import Attr, Comparison, Const
+from repro.exec import MODES as ENGINES
 from repro.robustness.journal import bag_digest
 from repro.serve import SnapshotRegistry
 from repro.storage.database import Database
-
-ENGINES = ("interpreted", "compiled", "vectorized", "sqlite")
 
 
 def _build(engine: str) -> Database:

@@ -1,7 +1,8 @@
 """The SQLite pushdown engine (``exec_mode="sqlite"``).
 
 Covers the pieces the oracle grid cannot see: structural pushability
-verdicts, per-subtree fallback around non-pushable nodes, the
+verdicts and their bounded memo, per-subtree fallback around
+non-pushable nodes onto the compiled plans, the
 MirrorUnsupported escape hatch for values SQLite cannot round-trip,
 incremental (UPSERT-canonical) mirror maintenance including NULL rows
 and over-deletes, adoption of initially-empty tables, and the
@@ -16,6 +17,7 @@ from repro.algebra.expr import DupElim, Literal, Monus, Project, UnionAll, join
 from repro.algebra.predicates import Attr, Comparison, Const
 from repro.algebra.schema import Schema
 from repro.exec.pushdown import PushdownExecutor
+from repro.robustness.journal import bag_digest
 from repro.storage.database import Database
 
 
@@ -72,11 +74,36 @@ class TestPushability:
         assert result == oracle_for(db).evaluate(expr)
         assert counter.by_operator.get("pushdown", 0) > 0
 
+    def test_every_per_expression_cache_has_the_same_ceiling(self, db, monkeypatch):
+        # Per-transaction literals are distinct every time: a cache keyed
+        # by expression with no ceiling grows with the workload's length.
+        monkeypatch.setattr(PushdownExecutor, "MAX_NODES", 32)
+        executor = db.executor
+        schema = db.schema_of("S")
+        for value in range(200):
+            db.evaluate(UnionAll(db.ref("S"), delta([(value,)], schema)))
+        for cache in (executor._pushable_memo, executor._sql_cache, executor._result_memo):
+            assert len(cache) <= PushdownExecutor.MAX_NODES + 1
+
 
 class TestFallback:
+    def test_unpushable_top_runs_as_a_compiled_plan_over_the_sql_result(self, db):
+        # SQL has no zero-column rows: the join below is one statement, the
+        # empty projection above it is ``PNode.execute`` over its result.
+        expr = Project((), join_expr(db), ())
+        assert not db.executor._is_pushable(expr)
+        assert db.executor._is_pushable(expr.child)
+        counter = CostCounter()
+        result = db.evaluate(expr, counter=counter)
+        oracle = oracle_for(db)
+        assert bag_digest(result) == bag_digest(oracle.evaluate(Project((), join_expr(oracle), ())))
+        assert len(result) > 0
+        assert counter.by_operator.get("pushdown", 0) > 0
+        assert counter.by_operator.get("project", 0) > 0
+
     def test_maximal_subtrees_pushed_around_blocker(self, db):
         # The union's right leg holds a value SQLite cannot store, so the
-        # top of the tree runs vectorized — with the left leg still
+        # top of the tree runs as a compiled plan — with the left leg still
         # evaluated in SQL and substituted back as a literal.
         blocked = Literal(Bag([((1, 2), 0)]), Schema(("a", "b")))
         expr = UnionAll(join_expr(db).project(["a", "b"]), blocked)

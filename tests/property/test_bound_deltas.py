@@ -37,14 +37,14 @@ from tests.property.gen import _seeds
 from repro.algebra.evaluation import evaluate
 from repro.core.differential import differentiate
 from repro.core.substitution import FactoredSubstitution
-from repro.exec import COMPILED, INTERPRETED, SQLITE, VECTORIZED
+from repro.exec import MODES as ENGINES
+from repro.exec import SQLITE
 from repro.extensions.sharedlog import SharedLog
 from repro.storage.database import Database
 from repro.warehouse.manager import ViewManager
 from repro.warehouse.persistence import load_warehouse, save_warehouse
 from repro.workloads.randgen import RandomExpressionGenerator
 
-ENGINES = (INTERPRETED, COMPILED, VECTORIZED, SQLITE)
 QUERIES_PER_SEED = 6
 ROUNDS = 4
 

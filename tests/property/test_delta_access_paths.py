@@ -1,7 +1,7 @@
 """Soundness of the delta-driven access paths against the oracle.
 
 Figure 2's Product rule joins every delta with ``E ∸ Del(E)`` — the
-*rest* of the other operand.  The compiled and vectorized tiers answer
+*rest* of the other operand.  The compiled tier answers
 ``σ_p(A × (chain(R) ∸ D))`` from ``R``'s hash index, correcting each
 probed bucket by ``D`` (``docs/executor.md``, "Access paths"); the
 identity behind it holds for arbitrary bags, so it is checked here on
@@ -35,7 +35,7 @@ from repro.storage.database import Database
 from repro.storage.partition import PartitionedDatabase
 from repro.warehouse.manager import ViewManager
 
-ENGINES = ("compiled", "vectorized")
+ENGINES = ("compiled",)
 
 
 # ----------------------------------------------------------------------

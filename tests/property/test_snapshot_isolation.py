@@ -8,7 +8,7 @@ interleave afterwards, and no matter which execution engine maintains
 the live database.  Live reads must likewise always match the oracle's
 current state.
 
-Runs the fixed seed matrix of ``tests/property/gen`` across all four
+Runs the fixed seed matrix of ``tests/property/gen`` across all three
 engines; override with ``REPRO_TEST_SEED=<int>`` to probe a fresh
 region (the failure message carries the ``engine/seed/tick`` triple to
 replay).
@@ -28,10 +28,10 @@ from repro.algebra.evaluation import evaluate
 from repro.algebra.expr import MapProject
 from repro.algebra.predicates import Arith, Attr, Comparison, Const
 from repro.errors import ReproError
+from repro.exec import MODES as ENGINES
 from repro.robustness.journal import bag_digest
 from repro.sqlfront.compiler import sql_to_expr
 
-ENGINES = ("interpreted", "compiled", "vectorized", "sqlite")
 HORIZON = 14
 TXNS_PER_TICK = 2
 

@@ -1,7 +1,7 @@
-"""The 4-engine chaos grid: crash schedules and transient storms.
+"""The 3-engine chaos grid: crash schedules and transient storms.
 
 The acceptance bar of the self-healing layer, engine by engine: for
->= 50 seeded random crash schedules run on *each* of the four execution
+>= 50 seeded random crash schedules run on *each* of the three execution
 tiers (all governed, so backend flakiness demotes instead of erroring),
 killing and recovering the retail workload at every scheduled point
 must leave the final view contents **bit-identical** — same content
@@ -20,6 +20,7 @@ import random
 import pytest
 
 from repro import obs
+from repro.exec import MODES
 from repro.robustness.faults import INJECTOR
 from repro.robustness.harness import RetailCrashHarness, random_schedule
 from repro.robustness.journal import bag_digest
@@ -40,7 +41,7 @@ BATCHES = 5
 #: The grid's engine axis. Every run is governed: the ladder is the
 #: mechanism under test, and on the interpreted floor it degenerates to
 #: a plain evaluation (no breakers), so governance is uniform.
-ENGINES = ["interpreted", "compiled", "vectorized", "sqlite"]
+ENGINES = MODES
 
 
 @pytest.fixture(autouse=True)

@@ -73,9 +73,8 @@ def test_every_fault_point_is_reachable(tmp_path):
 
     The default-engine workload covers the classic journal/checkpoint
     points; the governed sqlite engine adds the mirror and pushdown
-    seams.  Four points need targeted drivers: consolidation only
-    triggers past a compaction threshold, the epoch delta cache only
-    fills under a *group* refresh, the probe seam only fires while
+    seams.  Three points need targeted drivers: the epoch delta cache
+    only fills under a *group* refresh, the probe seam only fires while
     a breaker is half-open, and the partition-apply seam only exists
     on a `PartitionedDatabase` — each is exercised below.
     """
@@ -88,29 +87,11 @@ def test_every_fault_point_is_reachable(tmp_path):
     visited |= set(INJECTOR.hits)
     INJECTOR.reset()
     targeted = {
-        "crash-mid-consolidate",
         "crash-mid-delta-cache",
         "flaky-governor-probe",
         "crash-mid-partition-apply",
     }
     assert FAULT_POINTS - targeted <= visited
-
-
-def test_consolidate_point_is_reachable():
-    from repro.algebra.bag import Bag
-    from repro.exec.vectorized import TableBatchCache
-
-    cache = TableBatchCache()
-    bag = Bag([(1, "x")])
-    cache.get("t", bag, 2)
-    INJECTOR.trace()
-    # Pile appended deltas far past the compaction threshold, then read.
-    for index in range(200):
-        cache.on_patch("t", Bag(), Bag([(index, "y")]), bag, bag)
-    cache.get("t", bag, 2)
-    visits = INJECTOR.hits.get("crash-mid-consolidate", 0)
-    INJECTOR.reset()
-    assert visits >= 1
 
 
 def test_delta_cache_point_is_reachable():

@@ -136,7 +136,6 @@ class TestCatalog:
             "crash-mid-checkpoint",
             "crash-after-checkpoint",
             "crash-after-commit",
-            "crash-mid-consolidate",
             "crash-mid-delta-cache",
             "crash-mid-partition-apply",
             "flaky-save",

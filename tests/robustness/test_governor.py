@@ -13,6 +13,7 @@ import pytest
 
 from repro import obs
 from repro.algebra.bag import Bag
+from repro.algebra.evaluation import evaluate as interpret
 from repro.robustness.faults import INJECTOR
 from repro.robustness.governor import (
     DEFAULT_COOLDOWN_OPS,
@@ -21,6 +22,7 @@ from repro.robustness.governor import (
     EngineGovernor,
     heal_engine_state,
 )
+from repro.robustness.journal import bag_digest
 from repro.storage.database import Database
 
 
@@ -109,8 +111,7 @@ class TestCircuitBreaker:
 @pytest.mark.parametrize(
     "mode, ladder",
     [
-        ("sqlite", ("sqlite", "vectorized", "compiled", "interpreted")),
-        ("vectorized", ("vectorized", "compiled", "interpreted")),
+        ("sqlite", ("sqlite", "compiled", "interpreted")),
         ("compiled", ("compiled", "interpreted")),
         ("interpreted", ("interpreted",)),
     ],
@@ -125,11 +126,11 @@ def test_ladder_anchored_at_exec_mode(mode, ladder):
 
 
 def test_enable_governor_is_idempotent():
-    db = Database(exec_mode="vectorized")
+    db = Database(exec_mode="compiled")
     first = db.enable_governor(cooldown_ops=5)
     second = db.enable_governor(cooldown_ops=9)
     assert first is second is db.governor
-    assert first.breakers["vectorized"].cooldown_ops == 5
+    assert first.breakers["compiled"].cooldown_ops == 5
 
 
 def test_every_tier_answers_identically():
@@ -173,7 +174,7 @@ def test_retry_exhaustion_demotes_not_raises(metrics):
     INJECTOR.arm_transient("flaky-pushdown-execute", times=5)
     bump(db, (3, "z"))
     assert db.evaluate(ref) == Bag([(1, "x"), (2, "y"), (3, "z")])
-    assert governor.active_tier() == "vectorized"
+    assert governor.active_tier() == "compiled"
     assert governor.breakers["sqlite"].state == CircuitBreaker.OPEN
     assert metrics()["engine_demotions"] == 1
 
@@ -190,7 +191,7 @@ def test_permanent_error_trips_immediately(metrics):
     )
     bump(db, (3, "z"))
     assert db.evaluate(ref) == Bag([(1, "x"), (2, "y"), (3, "z")])
-    assert governor.active_tier() == "vectorized"
+    assert governor.active_tier() == "compiled"
     assert metrics()["engine_demotions"] == 1
     assert metrics()["faults_injected"] == 1
 
@@ -204,7 +205,7 @@ def test_open_breaker_skips_tier_without_touching_backend():
     db.evaluate(ref)
     assert governor.breakers["sqlite"].state == CircuitBreaker.OPEN
     visits = INJECTOR.hits.get("flaky-pushdown-execute", 0)
-    # Evaluations during the cooldown run the vectorized tier; the
+    # Evaluations during the cooldown run the compiled tier; the
     # sqlite seam is never visited again.
     for index in range(3):
         bump(db, (10 + index, "w"))
@@ -224,7 +225,7 @@ def test_probe_repromotes_after_outage_ends(metrics):
     INJECTOR.arm_transient("flaky-pushdown-execute", times=5)
     bump(db, (3, "z"))
     db.evaluate(ref)
-    assert governor.active_tier() == "vectorized"
+    assert governor.active_tier() == "compiled"
     # Three more evaluations: two cooldown skips, then the half-open
     # probe — which heals the mirror, cross-checks digests, and closes.
     for index in range(3):
@@ -257,7 +258,7 @@ def test_probe_that_errors_retrips(metrics):
         bump(db, (10 + index, "w"))
         assert db.evaluate(ref)
     assert governor.breakers["sqlite"].trips == 2
-    assert governor.active_tier() == "vectorized"
+    assert governor.active_tier() == "compiled"
     assert metrics()["governor_probe_failures"] == 1
     # The client never saw any of it: answers stayed exact throughout.
     assert db.evaluate(ref) == Bag([(1, "x"), (2, "y"), (3, "z"), (10, "w"), (11, "w")])
@@ -298,7 +299,7 @@ def test_probe_digest_mismatch_refuses_repromotion(metrics, monkeypatch):
     mirror = db.executor.mirror
     mirror._conn.execute('UPDATE "t" SET c0 = c0 + 100')
     expected = Bag([(1, "x"), (2, "y"), (3, "z")])
-    assert db.evaluate(ref) == expected  # cooldown: vectorized serves
+    assert db.evaluate(ref) == expected  # cooldown: compiled serves
     assert db.evaluate(ref) == expected  # probe: candidate diverges
     # The cross-check caught the corruption: no re-promotion, and the
     # client got the reference (healthy-tier) answer, not the corrupt one.
@@ -312,16 +313,20 @@ def test_full_outage_falls_to_interpreted_floor():
     db, governor = governed_db(cooldown_ops=1000)
     ref = db.ref("t")
     db.evaluate(ref)
-    # Trip sqlite, then force the vectorized and compiled tiers down by
-    # tripping their breakers directly — only the floor remains.
+    # A sqlite outage leaves the compiled plans answering; with that
+    # breaker tripped directly as well, only the floor remains.
     INJECTOR.arm_transient("flaky-pushdown-execute", times=5)
     bump(db, (3, "z"))
-    db.evaluate(ref)
-    governor.breakers["vectorized"].trip()
+    assert bag_digest(db.evaluate(ref)) == bag_digest(interpret(ref, db.state))
+    assert governor.active_tier() == "compiled"
     governor.breakers["compiled"].trip()
     assert governor.active_tier() == "interpreted"
     bump(db, (4, "u"))
-    assert db.evaluate(ref) == Bag([(1, "x"), (2, "y"), (3, "z"), (4, "u")])
+    assert bag_digest(db.evaluate(ref)) == bag_digest(interpret(ref, db.state))
+    assert db["t"] == Bag([(1, "x"), (2, "y"), (3, "z"), (4, "u")])
+    snap = governor.snapshot()
+    assert set(snap["breakers"]) == {"sqlite", "compiled"}
+    assert all(breaker["state"] == "open" for breaker in snap["breakers"].values())
 
 
 def test_interpreted_mode_has_no_breakers():
@@ -351,7 +356,7 @@ def test_snapshot_shape():
     snap = governor.snapshot()
     assert snap["mode"] == "sqlite"
     assert snap["active_tier"] == "sqlite"
-    assert set(snap["breakers"]) == {"sqlite", "vectorized", "compiled"}
+    assert set(snap["breakers"]) == {"sqlite", "compiled"}
     assert snap["breakers"]["sqlite"] == {"state": "closed", "trips": 0}
 
 
