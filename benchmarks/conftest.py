@@ -9,9 +9,12 @@ as incremental maintenance on small bases, collapsing the E7 speedup the
 paper predicts.  Running them interpreted keeps E1–E16 an apples-to-
 apples reproduction and a stable oracle.
 
-The compiled engine's own numbers are measured separately by
-``repro.bench.exec_bench`` (see ``BENCH_exec.json``), which runs the E7
-and E13 workloads under *both* engines and reports the system-level win.
+The engines' own numbers are measured by the pipeline benchmark
+(``python3 bench/pipeline/run.py``; see ``docs/performance.md``), whose
+engine grid re-runs ``backlog_refresh`` and ``multiview_group`` under
+every engine against the interpreted oracle.  An experiment that
+prices an engine-level mechanism rather than the paper's cost model
+(E19's sanitizer wall ratio) names its engine explicitly.
 """
 
 import os

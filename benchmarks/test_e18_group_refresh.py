@@ -16,27 +16,58 @@ experiment measures the payoff on the retail workload:
 * compaction empties the shared log down to the net change, and the
   group result stays bag-equal to the per-view oracle.
 
-``repro.bench.group_bench`` runs the same sweep under both engines and
-writes ``BENCH_group.json``; this experiment pins the interpreted engine
-like E1–E16 (see ``conftest.py``) and asserts the qualitative claims.
+The experiment runs on the interpreted engine like E1–E16 (see
+``conftest.py``); the compiled engine's group epoch is measured by the
+pipeline benchmark's ``multiview_group`` workload.
 """
 
-from benchmarks.common import ExperimentResult, write_report
-from repro.bench.group_bench import run_e18
+from benchmarks.common import ExperimentResult, group_manager, write_report
 from repro.exec import INTERPRETED
 
 VIEW_COUNTS = (4, 8, 16)
 
 
-def test_e18_group_refresh_scales_with_distinct_structures():
+def run_e18(mode: str, views: int, *, parallel: bool = True) -> dict[str, object]:
+    """One sweep point: per-view oracle vs one group epoch at ``views``."""
+    baseline = group_manager(mode, views)
+    subject = group_manager(mode, views)
+
+    marker = baseline.counter.tuples_out
+    baseline.refresh_all()
+    per_view = {"ops": baseline.counter.tuples_out - marker}
+
+    shared = subject.shared_group()
+    log_rows_before = shared.log_size()
+    marker = subject.counter.tuples_out
+    hits_marker = subject.counter.delta_cache_hits
+    subject.refresh_group(parallel=parallel)
+    group = {
+        "ops": subject.counter.tuples_out - marker,
+        "delta_cache_hits": subject.counter.delta_cache_hits - hits_marker,
+        "log_rows_before": log_rows_before,
+        "log_rows_after": shared.log_size(),
+    }
+
+    for name in baseline.views():
+        assert subject.query(name) == baseline.query(name), name
+        assert not subject.is_stale(name), name
+
+    reduction = round(per_view["ops"] / group["ops"], 2) if group["ops"] else None
+    return {"views": views, "per_view": per_view, "group": group, "tuple_op_reduction": reduction}
+
+
+def run_experiment():
+    return {views: run_e18(INTERPRETED, views) for views in VIEW_COUNTS}
+
+
+def test_e18_group_refresh_scales_with_distinct_structures(benchmark):
+    points = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+
     result = ExperimentResult(
         "E18_group_refresh",
         description="per-view refresh vs one group epoch (interpreted engine)",
     )
-    points = {}
-    for views in VIEW_COUNTS:
-        point = run_e18(INTERPRETED, views)
-        points[views] = point
+    for views, point in points.items():
         result.add(
             views=views,
             per_view_ops=point["per_view"]["ops"],

@@ -5,8 +5,9 @@ E19 runs the same Policy 1 vs Policy 2 comparison through
 :mod:`repro.obs` — per-view clocks that implement the Section 5.3 split
 into *downtime* (exclusively locked for refresh) and *staleness* (how
 out-of-date answers served meanwhile are, in wall-clock seconds AND
-unpropagated log entries) — and checks that the observability layer
-itself is free when disabled (tuple-op identity on an E7-shaped run).
+unpropagated log entries).  That observing changes no tuple-op count is
+a tier-1 test (``tests/test_free_bookkeeping.py``); what it costs in
+wall time is read here for the lockset sanitizer.
 
 Paper claims reproduced:
 
@@ -17,20 +18,144 @@ Paper claims reproduced:
   unpropagated-entry count is nonzero when the refresh tick carries no
   propagate.
 * Staleness is reported in both units (wall seconds and log entries).
+
+And one claim about the instrument: the dynamic lockset sanitizer costs
+at most ``SANITIZER_WALL_BUDGET`` of the same run's wall time without it.
 """
 
-from benchmarks.common import ExperimentResult, write_report
-from repro.bench.obs_bench import run_overhead_check, run_policy_comparison
+import statistics
+import time
+
+from benchmarks.common import ExperimentResult, group_manager, retail_setup, write_report
+from repro import obs
+from repro.core.policies import MaintenanceDriver, Policy1, Policy2
+from repro.core.scenarios import BaseLogScenario, CombinedScenario
+from repro.exec import COMPILED
+from repro.sqlfront import sql_to_view
+from repro.storage.database import Database
+from repro.workloads.retail import VIEW_SQL, RetailConfig, RetailWorkload
+
+#: The sanitizer's wall-clock budget, as a multiple of the plain run's.
+SANITIZER_WALL_BUDGET = 1.05
+#: Interleaved plain/sanitized run pairs per workload.
+SANITIZER_PAIRS = 15
+
+
+def _run_policy(policy, *, horizon: int, txns_per_tick: int) -> dict[str, object]:
+    """One full simulated day under ``policy``, observed.
+
+    ``query_every=1`` reads the view at every tick, so the driver's
+    staleness samples measure how out-of-date *served answers* were in
+    simulated ticks, alongside the accountant's wall-clock/log-entry
+    samples taken at each refresh.
+    """
+    db, view, workload = retail_setup(customers=150, initial_sales=1500, txn_inserts=12)
+    with obs.observed() as observability:
+        scenario = CombinedScenario(db, view)
+        scenario.install()
+        driver = MaintenanceDriver(scenario, policy)
+        driver.run(
+            workload.schedule(db, horizon=horizon, txns_per_tick=txns_per_tick),
+            horizon=horizon,
+            query_every=1,
+        )
+        clock = observability.accounting.clock(view.name)
+        return {
+            "policy": f"{type(policy).__name__}(k={policy.k}, m={policy.m})",
+            "downtime": {
+                "lock_sections": clock.lock_sections,
+                "mean_section_ops": round(clock.mean_section_ops(), 2),
+                "max_section_ops": clock.max_section_ops,
+            },
+            "staleness": {
+                # Staleness at each refresh completion, in both units.
+                "samples": [
+                    {"wall_s": round(wall, 6), "entries": entries}
+                    for wall, entries in clock.staleness_samples
+                ],
+                "max_entries": clock.max_staleness_entries(),
+                "residual_entries_after_run": clock.pending_entries,
+                "ticks_behind_after_run": driver.clock.staleness(driver.now),
+            },
+        }
+
+
+def run_policy_comparison(*, k: int = 2, m: int = 7) -> dict[str, object]:
+    """Policy 1 vs Policy 2 at equal ``(k, m)`` — the Section 5.3 trade.
+
+    ``m = 7`` is deliberately not a multiple of ``k``: when ``k`` divides
+    ``m``, every ``partial_refresh`` tick also carries a ``propagate``,
+    and Policy 2 comes out fully fresh at each refresh — hiding exactly
+    the bounded-``k`` residual staleness the policy trades for its lower
+    downtime.  The horizon is an odd multiple of the (odd) ``m``: the run
+    ends on a partial-refresh tick that does NOT coincide with a
+    propagate, so Policy 2's residual staleness is visible at the end.
+    """
+    horizon = 3 * m
+    return {
+        "k": k,
+        "policy1": _run_policy(Policy1(k=k, m=m), horizon=horizon, txns_per_tick=5),
+        "policy2": _run_policy(Policy2(k=k, m=m), horizon=horizon, txns_per_tick=5),
+    }
+
+
+def _sanitizer_only(sanitizer: bool):
+    return obs.observed(tracer=False, metrics=False, accounting=False, sanitizer=sanitizer)
+
+
+def _stream_wall(sanitizer: bool) -> float:
+    """Wall seconds of an E7-shaped transaction stream + refresh."""
+    config = RetailConfig(customers=80, initial_sales=200, txn_inserts=20, seed=96)
+    workload = RetailWorkload(config)
+    db = Database(exec_mode=COMPILED)
+    workload.setup_database(db)
+    with _sanitizer_only(sanitizer):
+        scenario = BaseLogScenario(db, sql_to_view(VIEW_SQL, db))
+        scenario.install()
+        start = time.perf_counter()
+        for _ in range(config.initial_sales // config.txn_inserts):
+            scenario.execute(workload.next_transaction(db))
+        scenario.refresh()
+        return time.perf_counter() - start
+
+
+def _group_wall(sanitizer: bool) -> float:
+    """Wall seconds of one sequential group epoch over eight shared-log views."""
+    manager = group_manager(COMPILED, 8, smoke=True)
+    with _sanitizer_only(sanitizer):
+        start = time.perf_counter()
+        manager.refresh_group(parallel=False)
+        return time.perf_counter() - start
+
+
+def sanitizer_wall_ratio(run) -> float:
+    """Median sanitized/plain wall ratio over interleaved run pairs.
+
+    A smoke run lasts milliseconds, where scheduler jitter swamps any one
+    measurement.  The two runs of a pair go back to back under the same
+    machine conditions, so the pair's ratio is drift-free; which side
+    runs first alternates, because the second run of a pair reads a few
+    per cent slower whatever it is; the median then discards outlier
+    pairs in either direction.
+    """
+    ratios = []
+    for pair in range(SANITIZER_PAIRS):
+        if pair % 2:
+            sanitized, plain = run(True), run(False)
+        else:
+            plain, sanitized = run(False), run(True)
+        ratios.append(sanitized / plain)
+    return statistics.median(ratios)
 
 
 def run_experiment():
-    comparison = run_policy_comparison(smoke=False, k=2, m=7)
-    overhead = run_overhead_check(smoke=True)
-    return comparison, overhead
+    comparison = run_policy_comparison(k=2, m=7)
+    ratios = {"stream": sanitizer_wall_ratio(_stream_wall), "group": sanitizer_wall_ratio(_group_wall)}
+    return comparison, ratios
 
 
 def test_e19_obs_downtime(benchmark):
-    comparison, overhead = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+    comparison, sanitizer_ratios = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
 
     result = ExperimentResult(
         "E19", "downtime vs staleness via obs clocks, Policy 1 vs 2 at (k=2, m=7)"
@@ -59,7 +184,7 @@ def test_e19_obs_downtime(benchmark):
     # refresh with no same-tick propagate, so Policy 2 is behind — but
     # by at most k ticks — while Policy 1's closing refresh_C leaves
     # the view fully current.
-    assert 0 < policy2["staleness"]["ticks_behind_after_run"] <= comparison["config"]["k"]
+    assert 0 < policy2["staleness"]["ticks_behind_after_run"] <= comparison["k"]
     assert policy2["staleness"]["residual_entries_after_run"] > 0
     assert policy1["staleness"]["ticks_behind_after_run"] == 0
 
@@ -69,6 +194,9 @@ def test_e19_obs_downtime(benchmark):
         for sample in run["staleness"]["samples"]:
             assert set(sample) == {"wall_s", "entries"}
 
-    # The clocks only exist because observability was on; being on must
-    # never move the deterministic cost signal.
-    assert overhead["tuple_ops_identical"], overhead
+    # The sanitizer's price in wall time, judged pair by pair.
+    for workload, ratio in sanitizer_ratios.items():
+        assert ratio <= SANITIZER_WALL_BUDGET, (
+            f"{workload}: sanitizer wall overhead {ratio:.3f}x exceeds {SANITIZER_WALL_BUDGET}x "
+            f"(median of {SANITIZER_PAIRS} interleaved run pairs)"
+        )

@@ -15,7 +15,9 @@ The package layers, bottom-up:
 * :mod:`repro.workloads` — synthetic workload generators;
 * :mod:`repro.baselines` — comparison algorithms (full recompute, the
   state-bug victim, Hanson-style suspended updates);
-* :mod:`repro.bench` — experiment harness and report formatting.
+* :mod:`repro.bench` — the report table the experiments in
+  ``benchmarks/`` write; performance is measured by
+  ``python3 bench/pipeline/run.py``.
 
 Quickstart::
 

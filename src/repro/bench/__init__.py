@@ -1,6 +1,6 @@
-"""Experiment harness: measurement helpers and report formatting."""
+"""Experiment reports: the result table and its plain-text formatting."""
 
-from repro.bench.harness import ExperimentResult, measure_cost, measure_wall
+from repro.bench.harness import ExperimentResult
 from repro.bench.report import format_table
 
-__all__ = ["ExperimentResult", "measure_cost", "measure_wall", "format_table"]
+__all__ = ["ExperimentResult", "format_table"]

@@ -1,37 +1,17 @@
-"""Measurement helpers shared by the experiment benchmarks.
+"""The report table every experiment (``benchmarks/test_e*.py``) writes.
 
-Every experiment reports two cost signals:
-
-* wall-clock seconds (`measure_wall`) — what the paper means by refresh
-  time / downtime, on our hardware;
-* tuple-operation counts (`measure_cost`) — deterministic, so the
-  comparative *shape* of results is reproducible across machines.
+Experiments report tuple-operation counts — deterministic, so the
+comparative *shape* of results is reproducible across machines — and,
+where the claim is about time, wall-clock seconds on the machine that
+ran them.
 """
 
 from __future__ import annotations
 
-import time
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.algebra.evaluation import CostCounter
-
-__all__ = ["measure_wall", "measure_cost", "ExperimentResult"]
-
-
-def measure_wall(fn: Callable[[], Any]) -> tuple[Any, float]:
-    """Run ``fn`` and return ``(result, elapsed_seconds)``."""
-    started = time.perf_counter()
-    result = fn()
-    return result, time.perf_counter() - started
-
-
-def measure_cost(counter: CostCounter, fn: Callable[[], Any]) -> tuple[Any, int]:
-    """Run ``fn`` and return ``(result, tuple_ops_delta)`` on ``counter``."""
-    before = counter.tuples_out
-    result = fn()
-    return result, counter.tuples_out - before
+__all__ = ["ExperimentResult"]
 
 
 @dataclass

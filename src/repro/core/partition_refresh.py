@@ -45,8 +45,8 @@ same ops, same runner, same lock and crash points:
 Every epoch records the plan's pruned references on the scenario's
 :class:`~repro.algebra.evaluation.CostCounter` (``partition_prunes``;
 ``partition_fallbacks`` is the install-time RVM701 verdict,
-``partitions_touched`` comes from ``apply_parts``) — the benchmark and
-the regression gate's ``--partition-guard`` read those counters.
+``partitions_touched`` comes from ``apply_parts``) — the pipeline
+benchmark and ``tests/test_free_bookkeeping.py`` read those counters.
 """
 
 from __future__ import annotations

@@ -24,7 +24,11 @@ compiled plan (the executor IS an
 ``PNode.execute`` over its one plan table and the database's maintained
 hash indexes).  Tables whose *values* turn out not to mirror raise
 :class:`~repro.storage.sqlite_backend.MirrorUnsupported` at scan time
-and the whole subtree falls back the same way.
+and the whole subtree falls back the same way.  So does a subtree whose
+SQL nests deeper than SQLite's parser stack accepts (a long chain of
+nested delta terms): SQLite refuses the statement before running
+anything, the verdict is remembered as "not pushable", and the push
+moves down to its shallower subtrees.
 
 Results are memoized per expression under the same per-table version
 stamps the compiled engine uses, so an unchanged expression — the
@@ -41,6 +45,8 @@ the ``VALUES`` rows a literal delta always was.
 """
 
 from __future__ import annotations
+
+import sqlite3
 
 from repro.algebra.bag import Bag, Row
 from repro.algebra.evaluation import CostCounter, bound_bag
@@ -79,6 +85,10 @@ from repro.storage.sqlite_backend import (
 )
 
 __all__ = ["PushdownExecutor"]
+
+
+class _TooDeep(Exception):
+    """SQLite's parser refused a pushed statement as nested too deeply."""
 
 
 def _term_consts_supported(term: Term) -> bool:
@@ -214,6 +224,8 @@ class PushdownExecutor(Executor):
                 return self._sql_eval(expr, counter, binding)
             except MirrorUnsupported:
                 return super().evaluate(expr, counter=counter, binding=binding)
+            except _TooDeep:
+                pass
         rewritten = self._push_maximal(expr, counter, binding)
         return super().evaluate(rewritten, counter=counter, binding=binding)
 
@@ -312,7 +324,16 @@ class PushdownExecutor(Executor):
                     {domain: bound for domain, bound in binding.items() if not isinstance(bound, Bag)}
                 )
             fault_point("flaky-pushdown-execute")
-            rows = mirror.execute(sql)
+            try:
+                rows = mirror.execute(sql)
+            except sqlite3.OperationalError as exc:
+                if "parser stack overflow" not in str(exc):
+                    raise
+                # Refused while parsing, before anything ran: the subtree
+                # is not pushable, whatever its operators say.
+                self._pushable_memo[expr] = False
+                self._sql_cache.pop(expr, None)
+                raise _TooDeep from exc
         counts: dict[Row, int] = {}
         for *values, mult in rows:
             row = tuple(values)
@@ -326,14 +347,16 @@ class PushdownExecutor(Executor):
 
         The rewritten tree's remaining operators run as a compiled
         plan; a subtree whose tables fail to mirror is left in place
-        (the plan reads the in-memory state directly).
+        (the plan reads the in-memory state directly), one too deep for
+        SQLite's parser is pushed a level further down.
         """
         if self._is_pushable(expr):
             try:
-                bag = self._sql_eval(expr, counter, binding)
+                return Literal(self._sql_eval(expr, counter, binding), expr.schema())
             except MirrorUnsupported:
                 return expr
-            return Literal(bag, expr.schema())
+            except _TooDeep:
+                pass
         children = expr.children()
         if not children:
             return expr

@@ -21,8 +21,9 @@ two measures:
 
 Policy 1 and Policy 2 at equal ``(k, m)`` differ in exactly these
 numbers — Policy 2 trades a bounded ``k`` ticks of staleness for
-minimal per-refresh downtime — and E19 (``repro.bench.obs_bench``)
-measures that trade-off with this accountant.
+minimal per-refresh downtime — and E19
+(``benchmarks/test_e19_obs_downtime.py``) measures that trade-off with
+this accountant.
 """
 
 from __future__ import annotations

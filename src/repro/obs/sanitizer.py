@@ -26,9 +26,10 @@ locks held, so they contribute no accesses); findings are shared and
 deduplicated on ``(code, table, operation)``.
 
 Enable with ``obs.observed(sanitizer=True)`` — the default
-:class:`NullSanitizer` costs one attribute check per instrumented site
-and keeps tuple-operation accounting bit-identical (the benchmark
-regression gate asserts exactly that).
+:class:`NullSanitizer` costs one attribute check per instrumented site.
+Enabled, it keeps tuple-operation accounting bit-identical
+(``tests/test_free_bookkeeping.py``) within a 1.05× wall-clock budget
+(``benchmarks/test_e19_obs_downtime.py``).
 """
 
 from __future__ import annotations

@@ -142,16 +142,15 @@ class DurableWarehouse:
         ``exec_mode`` and ``governed`` re-establish the runtime engine
         configuration — the snapshot file stores neither, so a caller
         that ran a sqlite governed warehouse must say so again here
-        to resume on the same engine.
+        to resume (and roll forward) on the same engine.
         """
         path = Path(path)
+        engine = {"exec_mode": exec_mode, "governed": governed, "governor_opts": governor_opts}
         if auto_recover:
             from repro.robustness.recovery import recover
 
-            recover(path)
-        manager = load_warehouse(
-            path, exec_mode=exec_mode, governed=governed, governor_opts=governor_opts
-        )
+            recover(path, **engine)
+        manager = load_warehouse(path, **engine)
         return cls(path, _manager=manager, _skip_baseline=True)
 
     def close(self) -> None:

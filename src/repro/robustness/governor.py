@@ -207,7 +207,7 @@ class EngineGovernor:
         one scoped to its pre-state) — the governed interpreted tier must
         share work across a transaction's right-hand sides exactly like
         the ungoverned path, or the governor would change tuple-op
-        accounting (the ``--governor-guard`` gate pins this down).
+        accounting (``tests/test_free_bookkeeping.py`` pins this down).
         ``binding`` is what the call supplies for its restricted and
         bound leaves, handed to whichever tier answers.
         """

@@ -183,25 +183,22 @@ class RetailCrashHarness:
     # Driving with crashes
     # ------------------------------------------------------------------
 
-    def _attach(self) -> DurableWarehouse:
+    @property
+    def _engine(self) -> dict:
         # The snapshot stores no engine choice, so the harness replays
-        # its configured exec_mode/governed flags on every reopen — a
-        # sqlite chaos run stays on sqlite across every simulated
-        # process death.
+        # its configured exec_mode/governed flags on every recovery and
+        # reopen — a sqlite chaos run stays on sqlite, governed, across
+        # every simulated process death.
+        return {
+            "exec_mode": self.exec_mode,
+            "governed": self.governed,
+            "governor_opts": self.governor_opts,
+        }
+
+    def _attach(self) -> DurableWarehouse:
         if self.path.exists():
-            return DurableWarehouse.open(
-                self.path,
-                auto_recover=False,
-                exec_mode=self.exec_mode,
-                governed=self.governed,
-                governor_opts=self.governor_opts,
-            )
-        return DurableWarehouse(
-            self.path,
-            exec_mode=self.exec_mode,
-            governed=self.governed,
-            governor_opts=self.governor_opts,
-        )
+            return DurableWarehouse.open(self.path, auto_recover=False, **self._engine)
+        return DurableWarehouse(self.path, **self._engine)
 
     def resume(self) -> Iterator[int]:
         """What a restarted process does after a *real* kill: recover,
@@ -214,7 +211,7 @@ class RetailCrashHarness:
         killed anywhere in here is resumed the same way.
         """
         if self.path.exists():
-            recover(self.path)
+            recover(self.path, **self._engine)
         warehouse = self._attach()
         try:
             for index, (kind, arg) in enumerate(self._ops()):
@@ -227,7 +224,7 @@ class RetailCrashHarness:
         """Recovery must survive crashes of its own (idempotence)."""
         while True:
             try:
-                result.recoveries.append(recover(self.path))
+                result.recoveries.append(recover(self.path, **self._engine))
                 return
             except InjectedCrash:
                 result.crashes += 1

@@ -155,8 +155,20 @@ def _journaled_action(manager: ViewManager, intent: OpIntent) -> MaintenanceActi
     return replace(action, options={"txn": txn})
 
 
-def recover(path: str | Path) -> RecoveryReport:
+def recover(
+    path: str | Path,
+    *,
+    exec_mode: str | None = None,
+    governed: bool = False,
+    governor_opts: dict | None = None,
+) -> RecoveryReport:
     """Resolve any interrupted operation at ``path`` and audit invariants.
+
+    The snapshot stores no engine choice: ``exec_mode``, ``governed`` and
+    ``governor_opts`` are the warehouse's own (what
+    :meth:`~repro.robustness.durable.DurableWarehouse.open` is given), so
+    the roll-forward runs on the engine and under the governor the
+    warehouse resumes on.
 
     Idempotent: running it again (or crashing *during* recovery and
     running it once more) converges to the same green state.
@@ -176,7 +188,9 @@ def recover(path: str | Path) -> RecoveryReport:
         queue = None
         try:
             pending = journal.pending()
-            manager = load_warehouse(path)
+            manager = load_warehouse(
+                path, exec_mode=exec_mode, governed=governed, governor_opts=governor_opts
+            )
             # A queue that has not seen a full write makes the roll-forward
             # checkpoint below a rewrite with ``reason="recovery"``: the
             # file leaves recovery consolidated, whatever was appended to it.

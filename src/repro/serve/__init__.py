@@ -12,7 +12,7 @@ background :class:`~repro.serve.workers.WorkerPool`.
 
 See ``docs/serving.md`` for the snapshot lifecycle, the worker pool's
 crash semantics, and the E22 methodology
-(``python -m repro.bench.serve_bench``).
+(``benchmarks/test_e22_serving.py``).
 """
 
 from repro.serve.server import ServeConfig, ViewServer

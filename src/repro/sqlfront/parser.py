@@ -225,6 +225,21 @@ class UpdateStatement:
 Statement = Union[Query, CreateView, CreateTable, InsertStatement, DeleteStatement, UpdateStatement]
 
 
+def _balanced(node: type, terms: list[Condition]) -> Condition:
+    """``t1 op t2 op … op tn`` as a tree of depth ⌈log2 n⌉.
+
+    AND and OR are associative and the leaves stay in source order, so
+    short-circuiting sees the same terms in the same order as a
+    left-deep chain would — but a 5 000-term chain no longer nests 5 000
+    deep in everything that walks the tree.  Up to three terms this *is*
+    the left-deep chain.
+    """
+    if len(terms) == 1:
+        return terms[0]
+    middle = (len(terms) + 1) // 2
+    return node(_balanced(node, terms[:middle]), _balanced(node, terms[middle:]))
+
+
 # ----------------------------------------------------------------------
 # Parser
 # ----------------------------------------------------------------------
@@ -512,16 +527,16 @@ class Parser:
     # Conditions ---------------------------------------------------------
 
     def condition(self) -> Condition:
-        left = self.and_condition()
+        terms = [self.and_condition()]
         while self._accept("KEYWORD", "OR"):
-            left = OrCond(left, self.and_condition())
-        return left
+            terms.append(self.and_condition())
+        return _balanced(OrCond, terms)
 
     def and_condition(self) -> Condition:
-        left = self.not_condition()
+        terms = [self.not_condition()]
         while self._accept("KEYWORD", "AND"):
-            left = AndCond(left, self.not_condition())
-        return left
+            terms.append(self.not_condition())
+        return _balanced(AndCond, terms)
 
     def not_condition(self) -> Condition:
         if self._accept("KEYWORD", "NOT"):

@@ -199,9 +199,9 @@ def _binder(node: Any, layout: _Layout, depth: int = 0) -> Callable[[list], Any]
     """``values -> node`` with its slots filled, or ``None`` when it holds none.
 
     Building and binding recurse once per level of the tree, so a tree
-    deeper than the parser lets a text nest (a condition of hundreds of
-    ``AND`` terms is left-deep) is not kept: the uncached path handles it
-    as it always did.
+    deeper than the parser lets a text nest (a ``NOT`` chain at the
+    parser's bound, under the statement's own nodes) is not kept: the
+    uncached path handles it as it always did.
     """
     if depth > MAX_NESTING:
         raise _Uncacheable

@@ -3,12 +3,13 @@
 from repro.algebra.bag import Bag
 from repro.baselines.hanson import HansonDifferentialFiles
 from repro.core.transactions import UserTransaction
+from repro.exec import INTERPRETED
 from repro.sqlfront import sql_to_view
 from repro.storage.database import Database
 
 
-def make_system():
-    db = Database()
+def make_system(exec_mode=None):
+    db = Database(exec_mode=exec_mode)
     db.create_table("R", ["a", "b"], rows=[(1, 1), (2, 2)])
     db.create_table("S", ["b", "c"], rows=[(1, 10), (2, 20)])
     view = sql_to_view(
@@ -49,7 +50,9 @@ class TestVirtualTables:
         assert db["R"] == system.read_table("R")
 
     def test_query_cost_ratio_exceeds_one_after_updates(self):
-        db, __, system = make_system()
+        # A claim about the interpreted scan cost model: the sqlite tier runs
+        # the virtual scan as one pushed statement, counted by its output rows.
+        db, __, system = make_system(INTERPRETED)
         system.execute(UserTransaction(db).insert("R", [(3, 1), (4, 1)]))
         assert system.query_cost_ratio("R") > 1.0
 

@@ -1,27 +1,7 @@
-"""Unit tests for the experiment harness and report formatting."""
+"""Unit tests for the experiment result table and report formatting."""
 
-from repro.algebra.bag import Bag
-from repro.algebra.evaluation import CostCounter, evaluate
-from repro.algebra.expr import table
-from repro.bench.harness import ExperimentResult, measure_cost, measure_wall
+from repro.bench.harness import ExperimentResult
 from repro.bench.report import format_cell, format_table
-
-
-class TestMeasurement:
-    def test_measure_wall_returns_result_and_time(self):
-        result, seconds = measure_wall(lambda: 41 + 1)
-        assert result == 42
-        assert seconds >= 0.0
-
-    def test_measure_cost_counts_delta(self):
-        counter = CostCounter()
-        state = {"R": Bag([(1,), (2,)])}
-        expr = table("R", ["a"])
-        evaluate(expr, state, counter=counter)  # pre-existing cost
-
-        result, ops = measure_cost(counter, lambda: evaluate(expr, state, counter=counter))
-        assert result == state["R"]
-        assert ops == 2
 
 
 class TestExperimentResult:

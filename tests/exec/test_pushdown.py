@@ -4,6 +4,7 @@ Covers the pieces the oracle grid cannot see: structural pushability
 verdicts and their bounded memo, per-subtree fallback around
 non-pushable nodes onto the compiled plans, the
 MirrorUnsupported escape hatch for values SQLite cannot round-trip,
+statements nested too deep for SQLite's parser,
 incremental (UPSERT-canonical) mirror maintenance including NULL rows
 and over-deletes, adoption of initially-empty tables, and the
 version-stamped result memo.
@@ -112,6 +113,19 @@ class TestFallback:
         oracle = oracle_for(db)
         assert result == oracle.evaluate(UnionAll(join_expr(oracle), blocked))
         assert counter.by_operator.get("pushdown", 0) > 0
+
+    def test_statement_too_deep_for_the_sqlite_parser_is_pushed_a_level_down(self, db):
+        # Each ⊎ nests its right leg one subquery deeper; SQLite's parser
+        # stack gives out after about a dozen levels.
+        schema = db.schema_of("S")
+        expr = db.ref("S")
+        for value in range(40):
+            expr = UnionAll(delta([(value,)], schema), expr)
+        counter = CostCounter()
+        assert db.evaluate(expr, counter=counter) == oracle_for(db).evaluate(expr)
+        assert not db.executor._is_pushable(expr)
+        assert counter.by_operator.get("pushdown", 0) > 0
+        assert counter.by_operator.get("union_all", 0) > 0
 
     def test_table_with_unrepresentable_values_falls_back(self, db):
         db.create_table("T", ["x"], rows=[((1, 2),), ((3, 4),)])

@@ -17,18 +17,11 @@ node, two bindings, two pool threads), across several epochs; and a
 saved-and-reloaded warehouse (``attach_view``) refreshed as a group.
 
 Seeds: ``tests/property/gen.py``'s matrix (``REPRO_TEST_SEED`` overrides).
-
-One limit of the sqlite tier predates all of this and is stepped around,
-not hidden: a delta pair whose SQL text nests deeper than SQLite's parser
-stack raises ``OperationalError: parser stack overflow`` (the literal
-pair of the same slice does too).  Such an evaluation is counted, and
-the test insists that most were comparable.
 """
 
 from __future__ import annotations
 
 import random
-import sqlite3
 import sys
 
 import pytest
@@ -38,7 +31,6 @@ from repro.algebra.evaluation import evaluate
 from repro.core.differential import differentiate
 from repro.core.substitution import FactoredSubstitution
 from repro.exec import MODES as ENGINES
-from repro.exec import SQLITE
 from repro.extensions.sharedlog import SharedLog
 from repro.storage.database import Database
 from repro.warehouse.manager import ViewManager
@@ -69,7 +61,7 @@ def record(db: Database, log: SharedLog, txn) -> None:
 def test_bound_pair_equals_the_literal_pair_of_every_slice(seed, mode):
     gen = RandomExpressionGenerator(seed, tables=3, max_rows=6)
     rng = random.Random(seed)
-    empty_slices = compared = too_deep = 0
+    empty_slices = 0
     for number in range(QUERIES_PER_SEED):
         db = database(gen, mode)
         tables = sorted(db.external_tables())
@@ -93,16 +85,8 @@ def test_bound_pair_equals_the_literal_pair_of_every_slice(seed, mode):
             binding = log.binding_since(cursor, tables)
             where = f"seed={seed} query={number} round={round_} cursor={cursor}: {query}"
             for bound, literal in zip(pair, oracle):
-                try:
-                    value = db.evaluate(bound, binding=binding)
-                except sqlite3.OperationalError as exc:
-                    assert mode == SQLITE and "parser stack overflow" in str(exc), where
-                    too_deep += 1
-                    continue
-                assert value == evaluate(literal, db.state), where
-                compared += 1
+                assert db.evaluate(bound, binding=binding) == evaluate(literal, db.state), where
     assert empty_slices, "the streams never left a tracked table's slice empty"
-    assert compared > 3 * too_deep
 
 
 VIEW_COUNT = 5
@@ -110,13 +94,11 @@ VIEW_COUNT = 5
 
 def group_managers(seed: int, mode: str) -> tuple[RandomExpressionGenerator, ViewManager, ViewManager]:
     """Two identical managers: five shared-log views, the last two with one query."""
-    # A refresh cannot step around the parser limit: shallower queries there.
-    depth = 2 if mode == SQLITE else 3
     managers = []
     for _ in range(2):
         gen = RandomExpressionGenerator(seed, tables=3, max_rows=6)
         manager = ViewManager(database(gen, mode))
-        queries = [gen.query(manager.db, depth=depth) for _ in range(VIEW_COUNT - 1)]
+        queries = [gen.query(manager.db, depth=3) for _ in range(VIEW_COUNT - 1)]
         for index, query in enumerate([*queries, queries[-1]]):
             manager.define_view(f"V{index}", query, scenario="shared_log")
         managers.append(manager)

@@ -29,12 +29,12 @@ from repro.robustness.recovery import recover
 # Every test derives its rng from (SEED, engine, batch) alone, so the
 # grid is order-independent: safe under pytest-randomly shuffling, and
 # `-m chaos -p no:randomly` with REPRO_CHAOS_SCHEDULES pinned replays
-# CI's exact matrix.
+# one exact matrix.
 pytestmark = pytest.mark.chaos
 
 SEED = 1996  # pinned: the year of the paper
-# The acceptance bar is 50 schedules per engine; CI's chaos-grid job
-# dials this down (REPRO_CHAOS_SCHEDULES) to keep the matrix quick.
+# The acceptance bar is 50 schedules per engine, what the test suite
+# runs; REPRO_CHAOS_SCHEDULES dials it down for a quick local replay.
 SCHEDULES_PER_ENGINE = int(os.environ.get("REPRO_CHAOS_SCHEDULES", "50"))
 BATCHES = 5
 

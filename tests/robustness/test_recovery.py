@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.ops import ACTIONS
 from repro.errors import RecoveryError
+from repro.exec import COMPILED, ENV_VAR, SQLITE
 from repro.robustness.durable import DurableWarehouse
 from repro.robustness.faults import INJECTOR, InjectedCrash
 from repro.robustness.journal import IntentJournal, bag_digest, journal_path
@@ -258,6 +259,29 @@ def test_open_auto_recovers(tmp_path):
     assert reopened.journal.pending() is None
     reopened.check_invariants()
     reopened.close()
+
+
+@pytest.mark.parametrize(
+    "engine",
+    [
+        {"exec_mode": COMPILED},
+        {"exec_mode": SQLITE, "governed": True, "governor_opts": {"sleep": lambda delay: None}},
+    ],
+    ids=["compiled", "governed-sqlite"],
+)
+def test_roll_forward_runs_on_the_engine_the_warehouse_is_opened_with(tmp_path, monkeypatch, engine):
+    path = tmp_path / "wh.db"
+    warehouse = build(path)
+    crash_during(warehouse, "crash-after-journal", lambda w: w.refresh("V"))
+    # The process default is an ungoverned sqlite tier whose every pushed
+    # statement fails: only the caller's engine can roll the refresh forward.
+    monkeypatch.setenv(ENV_VAR, SQLITE)
+    INJECTOR.arm_storm(seed=1, probability=1.0, points=frozenset({"flaky-pushdown-execute"}))
+    with DurableWarehouse.open(path, **engine) as reopened:
+        INJECTOR.reset()
+        assert reopened.journal.pending() is None
+        reopened.check_invariants()
+        assert reopened.query("V") == oracle_view(tmp_path)
 
 
 def test_recover_missing_snapshot_raises(tmp_path):

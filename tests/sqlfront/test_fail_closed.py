@@ -1,17 +1,21 @@
 """Hostile SQL ends in a positioned ``ParseError``, never in an uncoded exception.
 
 Each text here used to escape ``parse_*`` as ``ValueError`` or
-``RecursionError``; through ``repro lint`` each must read RVM001.
+``RecursionError``; through ``repro lint`` each must read RVM001 — or,
+for a long ``AND`` / ``OR`` chain, which is long but not deep, evaluate.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.algebra.bag import Bag
 from repro.analysis.lint import lint_sql
 from repro.errors import ParseError
+from repro.exec import MODES
 from repro.sqlfront.lexer import tokenize
 from repro.sqlfront.parser import MAX_NESTING, parse_query, parse_script, parse_statement
+from repro.warehouse.manager import ViewManager
 
 QUERY = "SELECT a FROM t WHERE a = "
 
@@ -83,6 +87,16 @@ class TestNesting:
         parse_query(QUERY + "(" * depth + "1" + ")" * depth)
         with pytest.raises(ParseError):
             parse_query("SELECT a FROM t WHERE " + "NOT " * (depth + 1) + "a = 1")
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("terms", [900, 5000])
+    def test_a_long_and_chain_is_evaluated_on_every_engine(self, terms, mode):
+        # A chain is not nesting: it parses ⌈log2 n⌉ deep, so compiling,
+        # hashing the plan and pushing it into SQLite all stay shallow.
+        manager = ViewManager(exec_mode=mode)
+        manager.create_table("t", ("a",), rows=[(-1,), (0,), (1,), (899,)])
+        conjunction = " AND ".join(f"a != {value}" for value in range(1, terms + 1))
+        assert manager.sql(f"SELECT a FROM t WHERE {conjunction}") == Bag([(-1,), (0,)])
 
     def test_backtracking_out_of_a_parenthesis_restores_the_depth(self):
         # "(a + 1) = 2" is first tried as a nested condition; many of them

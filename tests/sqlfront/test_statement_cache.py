@@ -190,23 +190,22 @@ class TestShapes:
         assert outcomes(stack.metrics.snapshot()) == {"miss": 1, "hit": 2}
 
     def test_a_condition_deeper_than_the_bound_is_left_to_the_uncached_path(self):
-        # A chain of AND terms compiles left-deep; binding it would recurse
-        # once per term and run out of stack where the uncached compile
-        # does not.
+        # Binding recurses once per level of the tree: a condition nested
+        # as deep as the parser allows (NOT … NOT) is not kept.
         db = make_db()
-        chain = "SELECT a FROM t WHERE " + " AND ".join(["a = {0}"] * 600)
-        assert sql_to_expr(chain.format(1), db).schema().attributes == ("a",)
         with obs.observed() as stack:
             for value in (1, 2):
-                text = "SELECT a FROM t WHERE " + " AND ".join([f"a = {value}"] * (prepared.MAX_NESTING + 50))
+                text = "SELECT a FROM t WHERE " + "NOT " * prepared.MAX_NESTING + f"a = {value}"
                 assert sql_to_expr(text, db) == compile_query(parse_query(text), db)
         assert outcomes(stack.metrics.snapshot()) == {"uncacheable": 2}
-        # … while a long condition within the bound is prepared like any other.
-        with obs.observed() as stack:
-            for value in (1, 2):
-                text = "SELECT a FROM t WHERE " + " OR ".join([f"a = {value}"] * 60)
-                assert sql_to_expr(text, db) == compile_query(parse_query(text), db)
-        assert outcomes(stack.metrics.snapshot()) == {"miss": 1, "hit": 1}
+        # … while a long chain of AND / OR terms parses ⌈log2 n⌉ deep and
+        # is prepared like any other condition.
+        for joiner in (" AND ", " OR "):
+            with obs.observed() as stack:
+                for value in (1, 2):
+                    text = "SELECT a FROM t WHERE " + joiner.join([f"a = {value}"] * 600)
+                    assert sql_to_expr(text, db) == compile_query(parse_query(text), db)
+            assert outcomes(stack.metrics.snapshot()) == {"miss": 1, "hit": 1}
 
     def test_a_lift_that_disagrees_with_the_lexer_is_uncacheable_not_wrong(self, monkeypatch):
         # The pattern and the lexer share one definition; should they ever
