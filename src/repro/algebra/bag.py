@@ -176,6 +176,11 @@ class Bag:
         except KeyError:
             return cache.setdefault(key, build(self))
 
+    def derived_keys(self) -> tuple:
+        """The keys of the structures :meth:`derived` from this bag so far."""
+        cache = self._derived
+        return () if cache is None else tuple(cache)
+
     # ------------------------------------------------------------------
     # Equality / ordering
     # ------------------------------------------------------------------

@@ -32,13 +32,15 @@ from repro.algebra.expr import (
     Literal,
     MapProject,
     Monus,
+    Parameterized,
     Product,
     Project,
     Select,
     TableRef,
     UnionAll,
+    split_parameters,
 )
-from repro.algebra.predicates import And, Attr, Comparison, Predicate
+from repro.algebra.predicates import PARAMS, And, Attr, Comparison, Predicate
 from repro.errors import ReproError, SchemaError, UnknownTableError
 
 __all__ = ["evaluate", "bound_bag", "CostCounter"]
@@ -167,8 +169,11 @@ def evaluate(
     evaluates many assignment right-hand sides simultaneously).
     ``binding`` is what the caller supplies per evaluation: the key set
     of each domain a :class:`KeyRestrict` leaf names, the bag of each
-    :class:`Bound` leaf (one memo must not be shared across two
-    bindings).  Every bound leaf is held against it before anything is
+    :class:`Bound` leaf, the value of each parameter
+    (:class:`~repro.algebra.predicates.Param`) under its name — one memo
+    must not be shared across two bindings.  A
+    :class:`~repro.algebra.expr.Parameterized` root brings its own values.
+    Every bound leaf is held against the binding before anything is
     evaluated.
 
     .. warning::
@@ -183,11 +188,17 @@ def evaluate(
     """
     if memo is None:
         memo = {}
-    if binding is not None:
-        for node in expr.walk():
-            if isinstance(node, Bound):
-                bound_bag(node, binding)
-    return _eval(expr, state, counter, memo, binding)
+    expr, binding = split_parameters(expr, binding)
+    if binding is None:
+        return _eval(expr, state, counter, memo, binding)
+    for node in expr.walk():
+        if isinstance(node, Bound):
+            bound_bag(node, binding)
+    token = PARAMS.set(binding)
+    try:
+        return _eval(expr, state, counter, memo, binding)
+    finally:
+        PARAMS.reset(token)
 
 
 def bound_bag(leaf: Bound, binding: Mapping[str, object] | None) -> Bag:
@@ -323,6 +334,8 @@ def _runtime_empty(expr: Expr, state: Mapping[str, Bag], binding=None) -> bool:
         return value is not None and not value
     if isinstance(expr, (Select, Project, MapProject, DupElim, KeyRestrict)):
         return _runtime_empty(expr.child, state, binding)
+    if isinstance(expr, Parameterized):
+        return _runtime_empty(expr.query, state, binding)
     if isinstance(expr, Product):
         return _runtime_empty(expr.left, state, binding) or _runtime_empty(expr.right, state, binding)
     if isinstance(expr, Monus):
@@ -439,6 +452,9 @@ def _eval(
         result = left.product(right)
         if counter is not None:
             counter.record("product", len(result))
+    elif isinstance(expr, Parameterized):
+        # Nested in a larger expression: its values are its own, not the call's.
+        result = _eval(expr.resolved(), state, counter, memo, binding)
     else:
         raise ReproError(f"unknown expression node: {type(expr).__name__}")
 

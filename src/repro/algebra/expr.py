@@ -22,13 +22,23 @@ memoizes on structural equality so they are computed once.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, replace
+from typing import Any, Union
 
 from repro.algebra.bag import Bag
-from repro.algebra.predicates import And, Attr, Comparison, Predicate, Term, TruePredicate
+from repro.algebra.predicates import (
+    And,
+    Attr,
+    Comparison,
+    Param,
+    Predicate,
+    Term,
+    TruePredicate,
+    param_names,
+    resolve_params,
+)
 from repro.algebra.schema import Schema
-from repro.errors import SchemaError
+from repro.errors import ParameterError, SchemaError
 
 __all__ = [
     "Expr",
@@ -36,6 +46,7 @@ __all__ = [
     "Literal",
     "KeyRestrict",
     "Bound",
+    "Parameterized",
     "Select",
     "Project",
     "MapProject",
@@ -51,6 +62,9 @@ __all__ = [
     "max_expr",
     "except_expr",
     "rename",
+    "bind_params",
+    "open_params",
+    "split_parameters",
 ]
 
 
@@ -241,6 +255,60 @@ class Bound(Expr):
 
     def __str__(self) -> str:
         return f"bound({self.name})"
+
+
+def _typed(values: tuple) -> tuple:
+    return tuple((type(value), value) for value in values)
+
+
+@dataclass(frozen=True, eq=False)
+class Parameterized(Expr):
+    """A query template with :class:`~repro.algebra.predicates.Param`
+    leaves, and the values of this use of it: ``values[i]`` is ``?i``.
+
+    What a prepared query binds to (:mod:`repro.sqlfront.prepared`): the
+    template is one object per statement shape, so the plan table, keyed
+    by it, holds one plan per shape.  Every evaluation entry point takes
+    it apart with :func:`split_parameters` — the template is what runs,
+    the values travel on the call's binding — so it evaluates correctly
+    with no binding from the caller.  Anywhere else (nested in a larger
+    expression, in a view definition, serialized) it stands for the
+    query with its parameters bound back to constants
+    (:meth:`resolved`).  Equal only with equal value *types* (``1`` is
+    not ``1.0``), like :class:`~repro.algebra.predicates.Const`.
+    """
+
+    query: Expr
+    values: tuple
+
+    def schema(self) -> Schema:
+        return self.query.schema()
+
+    def children(self) -> tuple[Expr, ...]:
+        return (self.query,)
+
+    def substitute(self, mapping: Mapping[str, Expr]) -> Expr:
+        return Parameterized(self.query.substitute(mapping), self.values)
+
+    def binding(self) -> dict[str, Any]:
+        """The values under their parameter names (``{"?0": …}``)."""
+        return {f"?{index}": value for index, value in enumerate(self.values)}
+
+    def resolved(self) -> Expr:
+        """The query with every parameter bound back to a constant."""
+        return bind_params(self.query, self.binding())
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Parameterized:
+            return NotImplemented
+        return self.query == other.query and _typed(self.values) == _typed(other.values)
+
+    def __hash__(self) -> int:
+        return hash((Parameterized, self.query, self.values))
+
+    def __str__(self) -> str:
+        values = ", ".join(f"?{index}={value!r}" for index, value in enumerate(self.values))
+        return f"{self.query} with {values}"
 
 
 @dataclass(frozen=True)
@@ -469,6 +537,86 @@ class Product(Expr):
 
     def __str__(self) -> str:
         return f"({self.left} x {self.right})"
+
+
+# ----------------------------------------------------------------------
+# Parameters
+# ----------------------------------------------------------------------
+
+
+def split_parameters(expr: Expr, binding: Mapping[str, Any] | None) -> tuple[Expr, Mapping[str, Any] | None]:
+    """``(template, binding)`` for an evaluation entry point.
+
+    A :class:`Parameterized` root gives its template and the call's
+    binding extended by its values; any other ``expr`` is returned with
+    ``binding`` unchanged.
+    """
+    if type(expr) is not Parameterized:
+        return expr, binding
+    values = expr.binding()
+    return expr.query, values if binding is None else {**binding, **values}
+
+
+def open_params(expr: Expr) -> tuple[str, ...]:
+    """Names of the parameters ``expr`` leaves open (a :class:`Parameterized`
+    subtree binds its own)."""
+    names: dict[str, None] = {}
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Parameterized):
+            continue
+        if isinstance(node, Select):
+            names.update(dict.fromkeys(param_names(node.predicate)))
+        elif isinstance(node, MapProject):
+            names.update(dict.fromkeys(param_names(*node.terms)))
+        stack.extend(node.children())
+    return tuple(names)
+
+
+def bind_params(expr: Expr, values: Mapping[str, Any] | None = None) -> Expr:
+    """``expr`` with every parameter bound back to a constant.
+
+    A :class:`Parameterized` subtree supplies its own values; the rest
+    come from ``values``.  A parameter neither supplies raises
+    :class:`~repro.errors.ParameterError` (``stored-parameter``), so the
+    result never holds an open one.  ``expr`` itself when it has none.
+    """
+    if isinstance(expr, Parameterized):
+        return expr.resolved()
+    if isinstance(expr, Select):
+        child = bind_params(expr.child, values)
+        predicate = _resolve(expr.predicate, values)
+        if child is expr.child and predicate is expr.predicate:
+            return expr
+        return Select(predicate, child)
+    if isinstance(expr, MapProject):
+        child = bind_params(expr.child, values)
+        terms = tuple(_resolve(term, values) for term in expr.terms)
+        if child is expr.child and all(new is old for new, old in zip(terms, expr.terms)):
+            return expr
+        return MapProject(terms, child, expr.names)
+    if isinstance(expr, (Project, DupElim)):
+        child = bind_params(expr.child, values)
+        return expr if child is expr.child else replace(expr, child=child)
+    if isinstance(expr, (UnionAll, Monus, Product)):
+        left, right = bind_params(expr.left, values), bind_params(expr.right, values)
+        if left is expr.left and right is expr.right:
+            return expr
+        return type(expr)(left, right)
+    return expr
+
+
+def _resolve(node, values: Mapping[str, Any] | None):
+    names = param_names(node)
+    if not names:
+        return node
+    if values is None or any(name not in values for name in names):
+        raise ParameterError(
+            "stored-parameter",
+            f"{node} holds an open parameter: bind it to a value first",
+        )
+    return resolve_params(node, values)
 
 
 # ----------------------------------------------------------------------

@@ -11,8 +11,11 @@ terms and boolean connectives so they can be
   never table names, so the differential algorithm can push selections
   through without rewriting them.
 
-Terms are attribute references or constants; comparisons use the usual
-six operators.  ``None`` models SQL ``NULL`` with the simple convention
+Terms are attribute references, constants or parameters; comparisons use
+the usual six operators.  A :class:`Param` is a constant left open: one
+compiled plan serves every value, and each call supplies the value on
+its ``binding=`` (read back through :data:`PARAMS` while it runs).
+``None`` models SQL ``NULL`` with the simple convention
 that any comparison involving ``None`` is false (sufficient for the
 paper, which never relies on three-valued logic).
 """
@@ -20,18 +23,21 @@ paper, which never relies on three-valued logic).
 from __future__ import annotations
 
 import operator
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Any
 
 from repro.algebra.bag import Row
 from repro.algebra.schema import Schema
-from repro.errors import SchemaError
+from repro.errors import ParameterError, SchemaError
 
 __all__ = [
     "Term",
     "Attr",
     "Const",
+    "Param",
+    "PARAMS",
     "Arith",
     "Predicate",
     "Comparison",
@@ -41,6 +47,10 @@ __all__ = [
     "TruePredicate",
     "attr",
     "const",
+    "is_param_name",
+    "param_names",
+    "param_value",
+    "resolve_params",
 ]
 
 _OPS: dict[str, Callable[[Any, Any], bool]] = {
@@ -86,15 +96,29 @@ class Attr(Term):
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Const(Term):
-    """A literal constant (int, float, str, bool, or None)."""
+    """A literal constant (int, float, str, bool, or None).
+
+    Equal only to a constant of the same type: ``1``, ``1.0`` and
+    ``TRUE`` compare equal as values but yield different rows once
+    computed into an output column, so two expressions that differ only
+    there must not share a compiled plan.
+    """
 
     value: Any
 
     def __post_init__(self) -> None:
         if self.value is not None and not isinstance(self.value, (int, float, str, bool)):
             raise SchemaError(f"unsupported constant type: {type(self.value).__name__}")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Const:
+            return NotImplemented
+        return type(self.value) is type(other.value) and self.value == other.value
+
+    def __hash__(self) -> int:
+        return hash((Const, self.value))
 
     def bind(self, schema: Schema) -> Callable[[Row], Any]:
         value = self.value
@@ -110,6 +134,59 @@ class Const(Term):
         if self.value is None:
             return "NULL"
         return repr(self.value)
+
+
+#: The binding of the call evaluating right now (per thread and task):
+#: what a :class:`Param`'s row function reads its value from.  Every
+#: entry point that evaluates an expression under a ``binding=`` sets it
+#: for the duration of the call.
+PARAMS: ContextVar[Mapping[str, Any] | None] = ContextVar("repro_params", default=None)
+
+
+def param_value(binding: Mapping[str, Any] | None, name: str) -> Any:
+    """The value ``binding`` supplies for parameter ``name``; fails closed."""
+    try:
+        return binding[name]  # type: ignore[index]
+    except (KeyError, TypeError):
+        raise ParameterError(
+            "unbound-parameter",
+            f"parameter {name!r} was evaluated without a value (pass binding= to evaluate)",
+        ) from None
+
+
+@dataclass(frozen=True)
+class Param(Term):
+    """The ``index``-th literal of a prepared query, left open.
+
+    Its value is not part of the expression: the call's binding supplies
+    it under :attr:`name` (``?0``, ``?1``, …), beside the key sets of
+    :class:`~repro.algebra.expr.KeyRestrict` leaves and the bags of
+    :class:`~repro.algebra.expr.Bound` ones, so one expression — and one
+    compiled plan — serves every value.  Never a :class:`Const`: nothing
+    that folds or stores constants may take it for one.
+    """
+
+    index: int
+
+    @property
+    def name(self) -> str:
+        return f"?{self.index}"
+
+    def bind(self, schema: Schema) -> Callable[[Row], Any]:
+        name = self.name
+        current = PARAMS.get
+        return lambda row: param_value(current(), name)
+
+    def attributes(self) -> frozenset[str]:
+        return frozenset()
+
+    def __str__(self) -> str:
+        return self.name
+
+
+def is_param_name(name: str) -> bool:
+    """Whether a binding entry ``name`` is a :class:`Param`'s (``?0``, …)."""
+    return name.startswith("?")
 
 
 _ARITH_OPS: dict[str, Callable[[Any, Any], Any]] = {
@@ -172,6 +249,46 @@ def attr(name: str) -> Attr:
 def const(value: Any) -> Const:
     """Shorthand constructor for a constant."""
     return Const(value)
+
+
+def _operands(node: Any) -> tuple:
+    if isinstance(node, (Arith, Comparison, And, Or)):
+        return (node.left, node.right)
+    if isinstance(node, Not):
+        return (node.operand,)
+    return ()
+
+
+def param_names(*nodes: Term | Predicate) -> tuple[str, ...]:
+    """The names of the parameters in ``nodes``, in first-seen order."""
+    names: dict[str, None] = {}
+    stack = list(reversed(nodes))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Param):
+            names[node.name] = None
+        else:
+            stack.extend(reversed(_operands(node)))
+    return tuple(names)
+
+
+def resolve_params(node: Any, values: Mapping[str, Any]) -> Any:
+    """``node`` (a term or predicate) with every parameter bound back to a
+    :class:`Const` of its value in ``values`` (``node`` itself when it
+    holds none)."""
+    if isinstance(node, Param):
+        return Const(param_value(values, node.name))
+    operands = _operands(node)
+    if not operands:
+        return node
+    resolved = tuple(resolve_params(operand, values) for operand in operands)
+    if all(new is old for new, old in zip(resolved, operands)):
+        return node
+    if isinstance(node, Not):
+        return Not(resolved[0])
+    if isinstance(node, (Arith, Comparison)):
+        return type(node)(node.op, *resolved)
+    return type(node)(*resolved)
 
 
 # ----------------------------------------------------------------------

@@ -26,6 +26,7 @@ from repro.algebra.expr import (
     Select,
     TableRef,
     UnionAll,
+    bind_params,
 )
 from repro.algebra.predicates import (
     And,
@@ -35,12 +36,13 @@ from repro.algebra.predicates import (
     Const,
     Not,
     Or,
+    Param,
     Predicate,
     Term,
     TruePredicate,
 )
 from repro.algebra.schema import Schema
-from repro.errors import ReproError
+from repro.errors import ParameterError, ReproError
 
 __all__ = ["expr_to_dict", "expr_from_dict", "predicate_to_dict", "predicate_from_dict"]
 
@@ -77,6 +79,8 @@ def term_to_dict(term: Term) -> dict:
         return {"kind": "attr", "name": term.name}
     if isinstance(term, Const):
         return {"kind": "const", "value": _encode_value(term.value)}
+    if isinstance(term, Param):
+        raise ParameterError("stored-parameter", f"cannot serialize the open parameter {term}")
     if isinstance(term, Arith):
         return {
             "kind": "arith",
@@ -138,7 +142,16 @@ def predicate_from_dict(data: dict) -> Predicate:
 
 
 def expr_to_dict(expr: Expr) -> dict:
-    """Encode an expression as JSON-safe nested dicts."""
+    """Encode an expression as JSON-safe nested dicts.
+
+    A prepared query's parameters are written as the constants it binds
+    (:func:`~repro.algebra.expr.bind_params`); an open parameter raises
+    :class:`~repro.errors.ParameterError`.
+    """
+    return _expr_to_dict(bind_params(expr))
+
+
+def _expr_to_dict(expr: Expr) -> dict:
     if isinstance(expr, TableRef):
         return {"kind": "table", "name": expr.name, "schema": list(expr.table_schema.attributes)}
     if isinstance(expr, Literal):
@@ -155,30 +168,30 @@ def expr_to_dict(expr: Expr) -> dict:
         return {
             "kind": "select",
             "predicate": predicate_to_dict(expr.predicate),
-            "child": expr_to_dict(expr.child),
+            "child": _expr_to_dict(expr.child),
         }
     if isinstance(expr, Project):
         return {
             "kind": "project",
             "attrs": list(expr.attrs),
             "names": list(expr.names) if expr.names is not None else None,
-            "child": expr_to_dict(expr.child),
+            "child": _expr_to_dict(expr.child),
         }
     if isinstance(expr, MapProject):
         return {
             "kind": "map",
             "terms": [term_to_dict(term) for term in expr.terms],
             "names": list(expr.names),
-            "child": expr_to_dict(expr.child),
+            "child": _expr_to_dict(expr.child),
         }
     if isinstance(expr, DupElim):
-        return {"kind": "dedup", "child": expr_to_dict(expr.child)}
+        return {"kind": "dedup", "child": _expr_to_dict(expr.child)}
     if isinstance(expr, UnionAll):
-        return {"kind": "union", "left": expr_to_dict(expr.left), "right": expr_to_dict(expr.right)}
+        return {"kind": "union", "left": _expr_to_dict(expr.left), "right": _expr_to_dict(expr.right)}
     if isinstance(expr, Monus):
-        return {"kind": "monus", "left": expr_to_dict(expr.left), "right": expr_to_dict(expr.right)}
+        return {"kind": "monus", "left": _expr_to_dict(expr.left), "right": _expr_to_dict(expr.right)}
     if isinstance(expr, Product):
-        return {"kind": "product", "left": expr_to_dict(expr.left), "right": expr_to_dict(expr.right)}
+        return {"kind": "product", "left": _expr_to_dict(expr.left), "right": _expr_to_dict(expr.right)}
     raise ReproError(f"cannot serialize expression {type(expr).__name__}")
 
 

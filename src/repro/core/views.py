@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.algebra.expr import Expr
+from repro.algebra.expr import Expr, bind_params
 from repro.algebra.schema import Schema
 from repro.core import naming
 
@@ -18,10 +18,20 @@ __all__ = ["ViewDefinition"]
 
 @dataclass(frozen=True)
 class ViewDefinition:
-    """A view: a name plus its defining bag-algebra query ``Q``."""
+    """A view: a name plus its defining bag-algebra query ``Q``.
+
+    ``Q`` holds no open parameter: a prepared query's values are bound
+    back into it as constants
+    (:func:`~repro.algebra.expr.bind_params`), and a parameter with no
+    value raises :class:`~repro.errors.ParameterError` — a view outlives
+    the call a parameter's value belongs to.
+    """
 
     name: str
     query: Expr
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "query", bind_params(self.query))
 
     @property
     def schema(self) -> Schema:

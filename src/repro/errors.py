@@ -118,6 +118,21 @@ class SnapshotError(ReproError):
         self.table = table
 
 
+class ParameterError(ReproError):
+    """A query parameter was evaluated without a value, or would outlive its call.
+
+    A :class:`~repro.algebra.predicates.Param` takes its value from the
+    binding of the one call that evaluates it.  ``code`` says what went
+    wrong: ``"unbound-parameter"`` (a call whose binding holds no value
+    for it) or ``"stored-parameter"`` (a view definition or a serialized
+    expression would keep the open parameter past the call).
+    """
+
+    def __init__(self, code: str, message: str) -> None:
+        super().__init__(f"[{code}] {message}")
+        self.code = code
+
+
 class AnalysisError(ReproError):
     """Static analysis rejected an expression or maintenance plan.
 

@@ -26,6 +26,10 @@ every call:
   index-probe joins from the probing side, and bound empty it
   short-circuits everything a statically empty literal would have
   folded away;
+* a parameter (:class:`~repro.algebra.predicates.Param`, a prepared
+  query's literal) is read off the call's binding too: ``attr = ?`` pins
+  its column like ``attr = const`` does, and the index probe looks up
+  the value the call binds, so one plan serves every key;
 * adjacent projections compose into one.
 
 Cost accounting mirrors the interpreted evaluator's conventions: every
@@ -55,13 +59,14 @@ from repro.algebra.expr import (
     Literal,
     MapProject,
     Monus,
+    Parameterized,
     Product,
     Project,
     Select,
     TableRef,
     UnionAll,
 )
-from repro.algebra.predicates import And, Attr, Comparison, Const, Predicate
+from repro.algebra.predicates import And, Attr, Comparison, Const, Param, Predicate, is_param_name, param_names
 from repro.errors import ReproError
 
 __all__ = ["Compiler", "PNode", "SourceAccess"]
@@ -81,16 +86,19 @@ class SourceAccess:
     output positions all map to base columns can be served by a hash
     index on the base table.  ``const_eq`` collects, while the chain is
     fused, every base column one of its filters pins to a constant
-    (``attr = const``): each row the chain lets through carries exactly
-    those values, so a hash index on any subset of the columns narrows
-    the chain's input to one bucket.  ``restrict`` is the
-    :class:`~repro.algebra.expr.KeyRestrict` leaf when the chain reads
-    ``σ_{key ∈ K(domain)}(table)`` rather than the table: its input is
+    (``attr = const``) or to a parameter (``attr = ?``, a
+    :class:`~repro.algebra.predicates.Param` held as such): each row the
+    chain lets through carries exactly those values, so a hash index on
+    any subset of the columns narrows the chain's input to one bucket.
+    ``params`` names the parameters the chain's filters and maps read.
+    ``restrict`` is the :class:`~repro.algebra.expr.KeyRestrict` leaf
+    when the chain reads ``σ_{key ∈ K(domain)}(table)`` rather than the
+    table: its input is
     then the buckets of the call's bound keys in the index on the key
     column (a delta-sized table is read whole and filtered instead).
     """
 
-    __slots__ = ("table", "out_map", "steps", "const_eq", "restrict")
+    __slots__ = ("table", "out_map", "steps", "const_eq", "restrict", "params")
 
     def __init__(
         self, table: str, out_map: tuple[int | None, ...], restrict: KeyRestrict | None = None
@@ -100,6 +108,7 @@ class SourceAccess:
         self.steps: list[tuple[str, Any]] = []
         self.const_eq: dict[int, Any] = {}
         self.restrict = restrict
+        self.params: tuple[str, ...] = ()
 
     def base_positions(self, out_positions: tuple[int, ...]) -> tuple[int, ...] | None:
         """Map output positions to base columns (``None`` if any is computed)."""
@@ -122,18 +131,29 @@ class SourceAccess:
 
 
 def _const_equality(conjunct: Predicate) -> tuple[str, Any] | None:
-    """``(attribute, constant)`` when ``conjunct`` is ``attr = const``.
+    """``(attribute, constant)`` when ``conjunct`` is ``attr = const``, and
+    ``(attribute, param)`` when it is ``attr = ?``.
 
-    ``NULL`` never qualifies: a comparison with it is false for every
-    row, which the chain's own filter already enforces.
+    A ``NULL`` constant never qualifies: a comparison with it is false
+    for every row, which the chain's own filter already enforces (a
+    parameter bound to ``NULL`` is answered empty at run time).
     """
     if isinstance(conjunct, Comparison) and conjunct.op == "=":
         left, right = conjunct.left, conjunct.right
         if isinstance(right, Attr):
             left, right = right, left
-        if isinstance(left, Attr) and isinstance(right, Const) and right.value is not None:
-            return left.name, right.value
+        if isinstance(left, Attr):
+            if isinstance(right, Param):
+                return left.name, right
+            if isinstance(right, Const) and right.value is not None:
+                return left.name, right.value
     return None
+
+
+def _with_params(access: SourceAccess, *nodes) -> None:
+    names = param_names(*nodes)
+    if names:
+        access.params += tuple(name for name in names if name not in access.params)
 
 
 def source_access(expr: Expr) -> SourceAccess | None:
@@ -154,6 +174,7 @@ def source_access(expr: Expr) -> SourceAccess | None:
                 base_column = access.out_map[child_schema.index_of(pinned[0])]
                 if base_column is not None:
                     access.const_eq.setdefault(base_column, pinned[1])
+        _with_params(access, expr.predicate)
         access.steps.append(("filter", expr.predicate.bind(child_schema)))
         return access
     if isinstance(expr, Project):
@@ -176,6 +197,7 @@ def source_access(expr: Expr) -> SourceAccess | None:
             else:
                 out_map.append(None)
         access.out_map = tuple(out_map)
+        _with_params(access, *expr.terms)
         access.steps.append(("map", tuple(term.bind(child_schema) for term in expr.terms)))
         return access
     return None
@@ -189,23 +211,35 @@ def source_access(expr: Expr) -> SourceAccess | None:
 class PNode:
     """A physical operator with a version-stamped cross-call result memo."""
 
-    __slots__ = ("tables", "binds", "leaves", "_memo")
+    __slots__ = ("tables", "binds", "leaves", "by_value", "_memo")
 
     #: Whether execute() may short-circuit to φ via runtime_empty().
     check_empty = True
+
+    #: How many results a :attr:`by_value` node keeps at one version
+    #: (then it starts over).
+    MAX_VALUE_MEMO = 4096
 
     def __init__(self, tables: frozenset[str]) -> None:
         self.tables = tuple(sorted(tables))
         #: What the call's binding supplies to the leaves at or below this
         #: node — the domains of key-restricted leaves, the names of bound
-        #: ones: the result depends on those entries, which join the table
-        #: versions in the memo stamp (set by ``Compiler.compile``).
+        #: ones and of parameters: the result depends on those entries,
+        #: which join the table versions in the memo stamp (set by
+        #: ``Compiler.compile``).
         self.binds: tuple[str, ...] = ()
         #: The bound leaves at or below this node — what a call's
         #: binding is held against before anything executes.
         self.leaves: tuple[Bound, ...] = ()
-        #: ``(stamp, value)`` of the last execution, or None.
-        self._memo: tuple[tuple, Bag] | None = None
+        #: Whether every entry in :attr:`binds` is a parameter: the node of
+        #: a prepared query, one plan for all its keys.  Its memo then
+        #: keeps a result per parameter value at the current table
+        #: versions, so reads that interleave keys hit it as one plan per
+        #: key used to.
+        self.by_value = False
+        #: ``(stamp, value)`` of the last execution, or None; for a
+        #: :attr:`by_value` node, ``(versions, {values: value})``.
+        self._memo: tuple[tuple, Bag | dict[tuple, Bag]] | None = None
 
     def children(self) -> tuple[PNode, ...]:
         return ()
@@ -218,7 +252,15 @@ class PNode:
     def execute(self, ctx) -> Bag:
         stamp = ctx.stamp_for(self)
         memo = self._memo
-        if memo is not None and memo[0] == stamp:
+        if self.by_value:
+            split = len(self.tables)
+            stamp, values = stamp[:split], stamp[split:]
+            result = memo[1].get(values) if memo is not None and memo[0] == stamp else None
+            if result is not None:
+                if ctx.counter is not None:
+                    ctx.counter.memo_hits += 1
+                return result
+        elif memo is not None and memo[0] == stamp:
             if ctx.counter is not None:
                 ctx.counter.memo_hits += 1
             return memo[1]
@@ -226,6 +268,15 @@ class PNode:
             result = Bag.empty()
         else:
             result = self._compute(ctx)
+        if self.by_value:
+            # A dict only ever holds results of its own versions, so a
+            # concurrent caller at other versions cannot corrupt it; new
+            # versions (or a full dict) start over, dropping stale results.
+            if memo is not None and memo[0] == stamp and len(memo[1]) < self.MAX_VALUE_MEMO:
+                memo[1][values] = result
+            else:
+                self._memo = (stamp, {values: result})
+            return result
         # One store of the pair, read back with one load: nodes are
         # shared by concurrent callers at *different* stamps (readers
         # pinned at different snapshot versions, the parallel group
@@ -319,6 +370,7 @@ class PPipeline(PNode):
         self.access = access
         if access.restrict is not None:
             self.binds = (access.restrict.domain,)
+        self.binds += access.params
 
     def runtime_empty(self, ctx) -> bool:
         value = ctx.state.get(self.access.table)
@@ -387,7 +439,9 @@ class PIndexSelect(PPipeline):
     is a subset of the pinned columns (the widest wins; ``R[a]`` serves
     ``a = ? AND b = ?``), so no second index is built or kept current;
     only a table with no such index gets one on the full key.  The
-    chain's own filters run over the bucket as the residual.
+    chain's own filters run over the bucket as the residual.  A column
+    pinned to a parameter is looked up under the value the call binds;
+    bound to ``NULL`` it matches no row, and nothing is probed.
     """
 
     __slots__ = ("key_positions",)
@@ -403,9 +457,14 @@ class PIndexSelect(PPipeline):
     def _compute(self, ctx) -> Bag:
         access = self.access
         base = ctx.table(access.table)
-        positions = ctx.indexes.covering(access.table, self.key_positions) or self.key_positions
+        positions = ctx.indexes.covering(access.table, self.key_positions, base) or self.key_positions
+        key = tuple(access.const_eq[position] for position in positions)
+        if access.params:
+            key = tuple(ctx.param(value.name) if type(value) is Param else value for value in key)
+            if any(value is None for value in key):
+                return Bag.empty()
         index = ctx.indexes.get(access.table, positions, base, counter=ctx.counter)
-        bucket = index.lookup(tuple(access.const_eq[position] for position in positions))
+        bucket = index.lookup(key)
         apply = access.apply
         counts: dict[Row, int] = {}
         for row, count in bucket.items():
@@ -865,9 +924,14 @@ class Compiler:
         node = self._nodes.get(expr)
         if node is None:
             node = self._build(expr)
+            if isinstance(expr, Select):
+                node.binds += tuple(name for name in param_names(expr.predicate) if name not in node.binds)
+            elif isinstance(expr, MapProject):
+                node.binds += tuple(name for name in param_names(*expr.terms) if name not in node.binds)
             for child in node.children():
                 node.binds += tuple(name for name in child.binds if name not in node.binds)
                 node.leaves += tuple(leaf for leaf in child.leaves if leaf not in node.leaves)
+            node.by_value = bool(node.binds) and all(map(is_param_name, node.binds))
             self._nodes[expr] = node
         return node
 
@@ -881,6 +945,9 @@ class Compiler:
             return PLiteral(expr.bag)
         if isinstance(expr, Bound):
             return PBound(expr)
+        if isinstance(expr, Parameterized):
+            # Nested in a larger expression: its values are its own.
+            return self.compile(expr.resolved())
         if isinstance(expr, (Select, Project, MapProject, KeyRestrict)):
             if isinstance(expr, Select) and isinstance(expr.child, Product):
                 join = self._build_equijoin(expr, expr.child)

@@ -25,17 +25,21 @@ from collections.abc import Collection, Mapping
 from repro import obs
 from repro.algebra.bag import Bag
 from repro.algebra.evaluation import CostCounter, bound_bag
-from repro.algebra.expr import Bound, Expr, Literal
+from repro.algebra.expr import Bound, Expr, Literal, split_parameters
+from repro.algebra.predicates import PARAMS, param_value
 from repro.errors import ReproError, UnknownTableError
 from repro.exec.compiler import Compiler, PEquiJoin, PIndexSelect, PLiteral, PNode, PPipeline
 
-__all__ = ["ExecutionContext", "Executor", "binding_stamp", "plan_for"]
+__all__ = ["ExecutionContext", "Executor", "binding_stamp", "execute", "plan_for"]
 
 
 def binding_stamp(binding: Mapping[str, Collection] | None) -> tuple | None:
     """A call's whole binding as a value a result memo can be stamped with
-    (two stamps compare equal exactly when they bind equal sets and bags)."""
-    return None if binding is None else tuple(sorted(binding.items()))
+    (two stamps compare equal exactly when they bind equal sets, bags and
+    parameter values of equal types — ``1`` is not ``1.0``)."""
+    if binding is None:
+        return None
+    return tuple((name, type(binding[name]), binding[name]) for name in sorted(binding))
 
 
 class ExecutionContext:
@@ -43,9 +47,11 @@ class ExecutionContext:
 
     ``binding`` is what the caller supplies for this call only: domain →
     the key set ``K`` its key-restricted leaves
-    (:class:`~repro.algebra.expr.KeyRestrict`) select by, and name → the
-    bag of each bound leaf (:class:`~repro.algebra.expr.Bound`); ``None``
-    for the ordinary call that has no such leaf.
+    (:class:`~repro.algebra.expr.KeyRestrict`) select by, name → the
+    bag of each bound leaf (:class:`~repro.algebra.expr.Bound`), and
+    ``?i`` → the value of each parameter
+    (:class:`~repro.algebra.predicates.Param`); ``None`` for the ordinary
+    call that has none of these.
     """
 
     __slots__ = ("state", "counter", "indexes", "_version_of", "_binding")
@@ -68,14 +74,17 @@ class ExecutionContext:
         """The memo stamp of ``node``: its input tables' current versions,
         and what the call binds to the restricted and bound leaves below
         it (the same table version answers differently under another
-        ``K``, another bag; equal sets and bags compare equal).  Only
-        those entries: two calls that differ elsewhere share the result."""
+        ``K``, another bag, another parameter value; equal sets and bags
+        compare equal, values only with equal types).  Only those
+        entries: two calls that differ elsewhere share the result."""
         version_of = self._version_of
         stamp = tuple(version_of(name) for name in node.tables)
         if node.binds:
             binding = self._binding
-            bound = None if binding is None else tuple(binding.get(name) for name in node.binds)
-            return (*stamp, bound)
+            if binding is None:
+                return (*stamp, None)
+            bound = tuple(binding.get(name) for name in node.binds)
+            return (*stamp, bound, tuple(map(type, bound)))
         return stamp
 
     def keys_of(self, domain: str) -> Collection:
@@ -86,6 +95,10 @@ class ExecutionContext:
                 "without a key binding (pass binding= to evaluate)"
             )
         return self._binding.get(domain, ())
+
+    def param(self, name: str):
+        """The value this call binds to parameter ``name`` (coded error when none)."""
+        return param_value(self._binding, name)
 
     def bound(self, leaf: Bound) -> Bag:
         """The bag this call binds to ``leaf`` (coded error when it binds none)."""
@@ -125,8 +138,9 @@ class Executor:
         return len(self._nodes)
 
     def node_for(self, expr: Expr) -> PNode | None:
-        """The cached physical node for ``expr``, if compiled (for tests)."""
-        return self._nodes.get(expr)
+        """The cached physical node for ``expr``, if compiled (for tests);
+        a prepared query's is its template's."""
+        return self._nodes.get(split_parameters(expr, None)[0])
 
     def footprint(self, expr: Expr) -> frozenset[str]:
         """The set of stored tables the compiled plan for ``expr`` reads.
@@ -156,8 +170,9 @@ class Executor:
         binding: Mapping[str, Collection] | None = None,
     ) -> Bag:
         """Evaluate ``expr`` against the database's current state."""
+        expr, binding = split_parameters(expr, binding)
         ctx = self._context(counter, binding)
-        return ctx.admit(plan_for(self._nodes, expr, counter)).execute(ctx)
+        return execute(ctx.admit(plan_for(self._nodes, expr, counter)), ctx, binding)
 
     def prime(self, expr: Expr, *, counter: CostCounter | None = None) -> PNode:
         """Compile ``expr`` now and pre-build the indexes its plan can use.
@@ -181,7 +196,7 @@ class Executor:
             stack.extend(current.children())
             if isinstance(current, PIndexSelect):
                 table = current.access.table
-                positions = ctx.indexes.covering(table, current.key_positions)
+                positions = ctx.indexes.covering(table, current.key_positions, ctx.state.get(table))
                 self._build_index(ctx, table, positions or current.key_positions)
             elif isinstance(current, PPipeline):
                 leaf = current.access.restrict
@@ -213,6 +228,18 @@ class Executor:
     def _context(self, counter: CostCounter | None, binding=None) -> ExecutionContext:
         database = self._database
         return ExecutionContext(database.state, counter, database.indexes, database.version_of, binding)
+
+
+def execute(plan: PNode, ctx: ExecutionContext, binding: Mapping | None) -> Bag:
+    """Run ``plan`` with the call's ``binding`` published to the row
+    functions of its parameters (:data:`~repro.algebra.predicates.PARAMS`)."""
+    if binding is None:
+        return plan.execute(ctx)
+    token = PARAMS.set(binding)
+    try:
+        return plan.execute(ctx)
+    finally:
+        PARAMS.reset(token)
 
 
 def plan_for(nodes: dict[Expr, PNode], expr: Expr, counter: CostCounter | None) -> PNode:

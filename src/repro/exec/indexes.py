@@ -101,10 +101,19 @@ class FrozenIndexes:
 
     __slots__ = ()
 
-    def covering(self, table: str, columns: tuple[int, ...]) -> None:
-        """No index is registered ahead of a read: a keyed chain indexes
-        exactly the columns it pins."""
-        return None
+    def covering(self, table: str, columns: tuple[int, ...], bag: Bag | None = None) -> tuple[int, ...] | None:
+        """Key of an index already derived on ``bag`` that can answer
+        equality on ``columns`` — the widest whose key is a subset of
+        them, as :meth:`IndexManager.covering` picks among registered
+        ones — or ``None``: the chain then indexes exactly the columns
+        it pins.  An ``a = ?`` read followed by an ``a = ? AND b = ?``
+        read of one pinned bag builds one index, not two."""
+        if bag is None:
+            return None
+        wanted = set(columns)
+        return _widest(
+            key[1] for key in bag.derived_keys() if key[0] is HashIndex and wanted.issuperset(key[1])
+        )
 
     def get(
         self,
@@ -126,6 +135,11 @@ class FrozenIndexes:
 
 
 FROZEN_INDEXES = FrozenIndexes()
+
+
+def _widest(keys) -> tuple[int, ...] | None:
+    """The widest (most selective) of ``keys``; ``None`` when there are none."""
+    return max(keys, key=lambda key: (len(key), key), default=None)
 
 
 def _compose_tail(tail: list[tuple[Bag, Bag]]) -> tuple[dict[Row, int], dict[Row, int]]:
@@ -224,17 +238,17 @@ class IndexManager:
         self._synced.pop(table, None)
         self._stale.add(table)
 
-    def covering(self, table: str, columns: tuple[int, ...]) -> tuple[int, ...] | None:
+    def covering(self, table: str, columns: tuple[int, ...], bag: Bag | None = None) -> tuple[int, ...] | None:
         """Key of a registered index that can answer equality on ``columns``.
 
         Any index keyed by a subset of ``columns`` narrows such a lookup
         to one bucket; the widest (most selective) wins.  ``None`` when
-        the table has no such index.
+        the table has no such index.  (``bag`` is the table's current
+        value; the registered indexes are kept current with it.)
         """
         with self._lock:
             wanted = set(columns)
-            keys = [key for key in self._by_table.get(table, ()) if wanted.issuperset(key)]
-            return max(keys, key=lambda key: (len(key), key)) if keys else None
+            return _widest(key for key in self._by_table.get(table, ()) if wanted.issuperset(key))
 
     def get(
         self,

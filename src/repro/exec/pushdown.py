@@ -41,7 +41,9 @@ mirror loads just before the statement runs, so the pruned refresh pair
 compiles once; the binding joins the version stamps in the result memo.
 A bound leaf is bound like a literal: the call's bag takes its place in
 the expression before anything is pushed, so the delta reaches SQLite as
-the ``VALUES`` rows a literal delta always was.
+the ``VALUES`` rows a literal delta always was.  A parameter (a prepared
+query's literal) is a named SQL parameter: the statement text is one per
+query shape and the call's value is passed with each execution.
 """
 
 from __future__ import annotations
@@ -63,6 +65,8 @@ from repro.algebra.expr import (
     Select,
     TableRef,
     UnionAll,
+    open_params,
+    split_parameters,
 )
 from repro.algebra.predicates import (
     And,
@@ -81,6 +85,7 @@ from repro.storage.sqlite_backend import (
     MirrorUnsupported,
     SQLiteMirror,
     compile_expr,
+    sql_params,
     sqlite_supported_value,
 )
 
@@ -139,9 +144,9 @@ class PushdownExecutor(Executor):
         self._partitions: dict[str, object] = {}
         #: expr -> structural pushability verdict (content-independent).
         self._pushable_memo: dict[Expr, bool] = {}
-        #: expr -> (compiled SQL text, whether it reads the call's key
-        #: binding); table names/arities are stable.
-        self._sql_cache: dict[Expr, tuple[str, bool]] = {}
+        #: expr -> (compiled SQL text, the key domains and the parameters
+        #: it reads off the call's binding); table names/arities are stable.
+        self._sql_cache: dict[Expr, tuple[str, tuple[str, ...], tuple[str, ...]]] = {}
         #: expr -> [stamp, bag]; stamp spans the expr's table versions.
         self._result_memo: dict[Expr, list] = {}
 
@@ -201,11 +206,15 @@ class PushdownExecutor(Executor):
     # ------------------------------------------------------------------
 
     def evaluate(self, expr: Expr, *, counter: CostCounter | None = None, binding=None) -> Bag:
+        # The memo is keyed by the query as given: a prepared query's
+        # values keep one result each, however its reads interleave.
+        key = expr
+        expr, binding = split_parameters(expr, binding)
         database = self._database
         stamp = tuple(database.version_of(name) for name in sorted(expr.tables()))
         if binding is not None:
             stamp = (*stamp, binding_stamp(binding))
-        entry = self._result_memo.get(expr)
+        entry = self._result_memo.get(key)
         if entry is not None and entry[0] == stamp:
             if counter is not None:
                 counter.memo_hits += 1
@@ -213,7 +222,7 @@ class PushdownExecutor(Executor):
         if len(self._result_memo) > self.MAX_NODES:
             self._result_memo.clear()
         bag = self._eval(expr, counter, binding)
-        self._result_memo[expr] = [stamp, bag]
+        self._result_memo[key] = [stamp, bag]
         return bag
 
     def _eval(self, expr: Expr, counter: CostCounter | None, binding) -> Bag:
@@ -311,21 +320,22 @@ class PushdownExecutor(Executor):
                     counter.plan_misses += 1
                 if len(self._sql_cache) > self.MAX_NODES:
                     self._sql_cache.clear()
-                keyed = any(isinstance(node, KeyRestrict) for node in expr.walk())
-                compiled = compile_expr(expr, scan=mirror.scan_sql, net=True), keyed
+                domains = tuple(
+                    sorted({node.domain for node in expr.walk() if isinstance(node, KeyRestrict)})
+                )
+                compiled = compile_expr(expr, scan=mirror.scan_sql, net=True), domains, open_params(expr)
                 self._sql_cache[expr] = compiled
             elif counter is not None:
                 counter.plan_hits += 1
-            sql, keyed = compiled
-            if keyed:
+            sql, domains, names = compiled
+            if domains:
                 if binding is None:
                     raise ReproError("a key-restricted leaf was evaluated without a key binding")
-                mirror.bind_keys(
-                    {domain: bound for domain, bound in binding.items() if not isinstance(bound, Bag)}
-                )
+                mirror.bind_keys({domain: binding.get(domain, ()) for domain in domains})
+            params = sql_params(binding, names)
             fault_point("flaky-pushdown-execute")
             try:
-                rows = mirror.execute(sql)
+                rows = mirror.execute(sql, params)
             except sqlite3.OperationalError as exc:
                 if "parser stack overflow" not in str(exc):
                     raise

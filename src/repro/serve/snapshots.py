@@ -42,11 +42,11 @@ from collections.abc import Mapping
 from repro import obs
 from repro.algebra.bag import Bag
 from repro.algebra.evaluation import CostCounter
-from repro.algebra.expr import Expr, TableRef
+from repro.algebra.expr import Expr, TableRef, split_parameters
 from repro.algebra.schema import Schema
 from repro.errors import SchemaError, UnknownTableError
 from repro.exec.compiler import PIndexSelect, PNode
-from repro.exec.executor import ExecutionContext, plan_for
+from repro.exec.executor import Executor, ExecutionContext, execute, plan_for
 from repro.exec.indexes import FROZEN_INDEXES
 from repro.robustness.journal import bag_digest
 
@@ -65,7 +65,7 @@ class SnapshotHandle:
 
     __slots__ = (
         "snapshot_id", "clock", "tick", "reflects",
-        "_tables", "_versions", "_schemas", "_registry", "_plans",
+        "_tables", "_versions", "_schemas", "_registry", "_plans", "_refs",
     )
 
     def __init__(
@@ -97,6 +97,9 @@ class SnapshotHandle:
         # database only (a node's memo stamps compare within one
         # database); a handle built without a registry keeps its own.
         self._plans: dict[Expr, PNode] = registry.plans if registry is not None else {}
+        self._refs: dict[Expr, tuple[tuple[str, Schema], ...]] = (
+            registry.refs if registry is not None else {}
+        )
 
     # ------------------------------------------------------------------
     # Reads
@@ -121,33 +124,39 @@ class SnapshotHandle:
 
         Runs the compiled lowering over the frozen tables, with the
         pinned version stamps and per-bag frozen indexes (see the module
-        docstring); no live engine state is read.  Fails closed on
+        docstring); no live engine state is read.  A prepared query
+        (:class:`~repro.algebra.expr.Parameterized`) runs its template's
+        one plan with its values as the call's binding.  Fails closed on
         schema drift: ``expr`` was built against *some* catalog, and a
         table it names may have been dropped and re-created since the
         pin — a reference whose schema is not the pinned one raises
         :class:`SchemaError`, a table absent from the cut
-        :class:`UnknownTableError`.
+        :class:`UnknownTableError`.  The references are collected once
+        per expression and checked against every pin.
         """
+        expr, binding = split_parameters(expr, binding=None)
+        refs = self._refs.get(expr)
+        if refs is None:
+            refs = _table_refs(expr)
+            if len(self._refs) > Executor.MAX_NODES:
+                self._refs.clear()
+            self._refs[expr] = refs
         schemas = self._schemas
-        stack = [expr]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, TableRef):
-                pinned = schemas.get(node.name)
-                if pinned is None:
-                    raise UnknownTableError(f"no such table in snapshot: {node.name!r}")
-                if pinned != node.table_schema:
-                    raise SchemaError(
-                        f"table {node.name!r} is pinned with schema {list(pinned)} but the "
-                        f"query was built against {list(node.table_schema)}"
-                    )
-            else:
-                stack.extend(node.children())
+        for name, schema in refs:
+            pinned = schemas.get(name)
+            if pinned is None:
+                raise UnknownTableError(f"no such table in snapshot: {name!r}")
+            if pinned != schema:
+                raise SchemaError(
+                    f"table {name!r} is pinned with schema {list(pinned)} but the "
+                    f"query was built against {list(schema)}"
+                )
         plan = plan_for(self._plans, expr, counter)
         if obs.telemetry_enabled():
             access = "probe" if isinstance(plan, PIndexSelect) else "scan"
             obs.metric_inc(f'pinned_reads{{access="{access}"}}')
-        return plan.execute(ExecutionContext(self._tables, counter, FROZEN_INDEXES, self.version_of))
+        ctx = ExecutionContext(self._tables, counter, FROZEN_INDEXES, self.version_of, binding)
+        return execute(ctx.admit(plan), ctx, binding)
 
     def digest(self, name: str) -> str:
         """Order-insensitive content digest of a pinned table."""
@@ -178,6 +187,19 @@ class SnapshotHandle:
         )
 
 
+def _table_refs(expr: Expr) -> tuple[tuple[str, Schema], ...]:
+    """Every distinct ``(name, schema)`` a table reference in ``expr`` carries."""
+    refs: dict[tuple[str, Schema], None] = {}
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, TableRef):
+            refs[node.name, node.table_schema] = None
+        else:
+            stack.extend(node.children())
+    return tuple(refs)
+
+
 class SnapshotRegistry:
     """Refcounted pin registry with GC of superseded snapshots.
 
@@ -196,6 +218,9 @@ class SnapshotRegistry:
         #: Compiled plans of every handle this registry pinned (bounded
         #: like an executor's node table).  Never the live executor's.
         self.plans: dict[Expr, PNode] = {}
+        #: Per expression the handles evaluated, the table references
+        #: each pin's schemas are checked against (bounded the same way).
+        self.refs: dict[Expr, tuple[tuple[str, Schema], ...]] = {}
         self._pins: dict[int, int] = {}
         self._handles: dict[int, SnapshotHandle] = {}
         self._next_id = 0

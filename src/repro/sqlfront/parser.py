@@ -42,8 +42,10 @@ __all__ = [
     "parse_query",
 ]
 
-#: How deep parentheses, ``NOT`` and unary minus may nest.  The parser
-#: recurses on each, so an unbounded text would end in the interpreter's
+#: How deep parentheses, ``NOT`` and unary minus may nest, and how deep
+#: an arithmetic tree may be.  The parser recurses on the first three and
+#: everything downstream (hashing, compiling, evaluating a row) on the
+#: last, so an unbounded text would end in the interpreter's
 #: ``RecursionError``; beyond this it is a :class:`ParseError`.
 MAX_NESTING = 100
 
@@ -79,11 +81,22 @@ class LiteralValue:
 
 @dataclass(frozen=True)
 class BinaryOp:
-    """Arithmetic over operands: ``left op right`` with op in ``+ - * /``."""
+    """Arithmetic over operands: ``left op right`` with op in ``+ - * /``.
+
+    ``depth`` is the height of the tree (1 over two plain operands).
+    A chain is left-deep and stays so — ``+`` over floats is not
+    associative, so it is never rebalanced — which is why its height,
+    not just the parser's recursion, is bounded (:data:`MAX_NESTING`).
+    """
 
     op: str
     left: "Operand"
     right: "Operand"
+    depth: int = field(default=1, init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        below = max(getattr(self.left, "depth", 0), getattr(self.right, "depth", 0))
+        object.__setattr__(self, "depth", below + 1)
 
 
 Operand = Union[ColumnRef, LiteralValue, BinaryOp]
@@ -569,17 +582,25 @@ class Parser:
 
     # Arithmetic expression grammar -----------------------------------
 
+    def _arith(self, op: str, left: Operand, right: Operand) -> BinaryOp:
+        node = BinaryOp(op, left, right)
+        if node.depth > MAX_NESTING:
+            raise ParseError(
+                f"arithmetic nested deeper than {MAX_NESTING} levels", self.last_position
+            )
+        return node
+
     def expression(self) -> Operand:
         left = self.term_mul()
         while True:
             if self._accept("OP", "+"):
-                left = BinaryOp("+", left, self.term_mul())
+                left = self._arith("+", left, self.term_mul())
             elif self._accept("OP", "-"):
-                left = BinaryOp("-", left, self.term_mul())
+                left = self._arith("-", left, self.term_mul())
             elif self._check("NUMBER") and self._peek().text.startswith("-"):
                 # "a -1" lexes the minus into the number; read it as a
                 # subtraction of the absolute value.
-                left = BinaryOp("-", left, LiteralValue(literal_value(self._advance().text[1:])))
+                left = self._arith("-", left, LiteralValue(literal_value(self._advance().text[1:])))
             else:
                 return left
 
@@ -587,16 +608,16 @@ class Parser:
         left = self.unary()
         while True:
             if self._accept("PUNCT", "*"):
-                left = BinaryOp("*", left, self.unary())
+                left = self._arith("*", left, self.unary())
             elif self._accept("OP", "/"):
-                left = BinaryOp("/", left, self.unary())
+                left = self._arith("/", left, self.unary())
             else:
                 return left
 
     def unary(self) -> Operand:
         if self._accept("OP", "-"):
             with self._nested():
-                return BinaryOp("-", LiteralValue(0), self.unary())
+                return self._arith("-", LiteralValue(0), self.unary())
         if self._accept("PUNCT", "("):
             with self._nested():
                 inner = self.expression()

@@ -6,9 +6,14 @@ text with one regex pass (:data:`~repro.sqlfront.lexer.LITERAL`, the
 lexer's own two rules); what is left — the *skeleton*, with the first
 ``VALUES`` list cut down to one row so that any row count is one shape —
 keys a cache of :class:`Shape`\\ s.  A shape is the statement already
-tokenized, parsed and compiled, with its literals left open: binding it
-slices the ``VALUES`` rows out of the literal list column by column and
-rebuilds only the expression nodes above a constant.
+tokenized, parsed and compiled, with its literals left open.  A query's
+shape keeps one template expression whose literals are
+:class:`~repro.algebra.predicates.Param` leaves: binding it returns that
+same template with the converted literals beside it
+(:class:`~repro.algebra.expr.Parameterized`), so every read of the shape
+runs one compiled plan.  A script's shape slices the ``VALUES`` rows out
+of the literal list column by column and rebuilds only the expression
+nodes above a constant.
 
 What keeps a hit equal to the uncached path:
 
@@ -21,6 +26,15 @@ What keeps a hit equal to the uncached path:
   remembered as uncacheable and always takes the uncached path);
 * a text that does not parse or compile is never cached: the caller's
   uncached path runs and raises what it always raised;
+* a shape that is never cached is counted with the reason why
+  (``sql_statements{outcome="uncacheable",reason=…}``): ``placeholder``
+  (the text holds the skeleton's own marker), ``too_long`` (a skeleton
+  past :data:`MAX_SKELETON`), ``folded_literal`` (the compiled output
+  cannot be re-bound from the lifted literals: a literal the parser
+  folded, ``VALUES`` rows that do not read alike, a tree nested past
+  the parser's bound), ``not_compiled`` (the text does not parse or
+  compile) or ``schema_changed`` (it compiled against an earlier
+  catalog, and no longer does);
 * every bind re-checks that the tables the shape resolved still have the
   schemas it was compiled against, so two databases, a DDL change or a
   stub catalog need no invalidation hook.
@@ -40,8 +54,8 @@ from itertools import repeat
 from typing import Any
 
 from repro import obs
-from repro.algebra.expr import TableRef
-from repro.algebra.predicates import Const
+from repro.algebra.expr import Parameterized, TableRef
+from repro.algebra.predicates import Const, Param
 from repro.errors import ReproError
 from repro.sqlfront.lexer import LITERAL, literal_value, tokenize
 from repro.sqlfront.parser import MAX_NESTING, Parser
@@ -87,6 +101,10 @@ class Slot(str):
 
 class _Uncacheable(Exception):
     """The compiled output cannot be re-bound from the lifted literals alone."""
+
+
+#: Why a skeleton is remembered as uncacheable (see the module docstring).
+FOLDED_LITERAL = "folded_literal"
 
 
 class _Recording:
@@ -195,8 +213,11 @@ class _Rows:
         )
 
 
-def _binder(node: Any, layout: _Layout, depth: int = 0) -> Callable[[list], Any] | None:
-    """``values -> node`` with its slots filled, or ``None`` when it holds none.
+def _binder(
+    node: Any, layout: _Layout, depth: int = 0, leaf: Callable[[Any], Any] = Const
+) -> Callable[[list], Any] | None:
+    """``values -> node`` with its slots filled (each by ``leaf(value)``),
+    or ``None`` when it holds none.
 
     Building and binding recurse once per level of the tree, so a tree
     deeper than the parser lets a text nest (a ``NOT`` chain at the
@@ -209,7 +230,7 @@ def _binder(node: Any, layout: _Layout, depth: int = 0) -> Callable[[list], Any]
         if not isinstance(node.value, Slot):
             return None
         index = layout.at(node.value.index)
-        return lambda values: Const(values[index])
+        return lambda values: leaf(values[index])
     if isinstance(node, tuple):
         make: Callable[..., Any] = lambda *items: items
         items = node
@@ -218,11 +239,21 @@ def _binder(node: Any, layout: _Layout, depth: int = 0) -> Callable[[list], Any]
         items = tuple(getattr(node, field.name) for field in fields(node))
     else:
         return None
-    binders = [_binder(item, layout, depth + 1) for item in items]
+    binders = [_binder(item, layout, depth + 1, leaf) for item in items]
     if not any(binders):
         return None
     parts = list(zip(binders, items))
     return lambda values: make(*[bind(values) if bind else item for bind, item in parts])
+
+
+def _query(payload: Any, layout: _Layout) -> Callable[[list], Any]:
+    """A query step: one template — its slots filled once, by parameters —
+    paired per call with its literal values."""
+    bind = _binder(payload, layout, leaf=lambda param: param)
+    if bind is None:
+        return lambda values: payload
+    template = bind([Param(index) for index in range(layout.total)])
+    return lambda values: Parameterized(template, tuple(values))
 
 
 class Shape:
@@ -234,7 +265,12 @@ class Shape:
         self.refs = tuple(recording.refs.items())
         self.steps = []
         for method, table, payload in recording.steps:
-            fill = _Rows(payload, layout) if method == "insert" else _binder(payload, layout)
+            if method == "insert":
+                fill = _Rows(payload, layout)
+            elif method == "query":
+                fill = _query(payload, layout)
+            else:
+                fill = _binder(payload, layout)
             self.steps.append((method, table, fill or (lambda values, payload=payload: payload)))
         if len(layout.claimed) != layout.total:
             raise _Uncacheable  # a literal the compiler folded away or transformed
@@ -262,16 +298,17 @@ class Shape:
 
 
 class ShapeCache:
-    """Skeleton -> :class:`Shape` (or ``None``: known uncacheable), oldest out first."""
+    """Skeleton -> :class:`Shape` (or the reason it is known uncacheable),
+    oldest out first."""
 
     def __init__(self) -> None:
-        self._entries: dict[Any, Shape | None] = {}
+        self._entries: dict[Any, Shape | str] = {}
         self._lock = threading.Lock()
 
     def get(self, key: Any, default: Any = None) -> Any:
         return self._entries.get(key, default)
 
-    def put(self, key: Any, shape: Shape | None) -> None:
+    def put(self, key: Any, shape: Shape | str) -> None:
         with self._lock:
             if key not in self._entries and len(self._entries) >= MAX_SHAPES:
                 del self._entries[next(iter(self._entries))]
@@ -291,12 +328,13 @@ SHAPES = ShapeCache()
 _UNSEEN = object()
 
 
-def _build(source: str, skeleton: str, catalog: Any, parse: Callable, emit: Callable) -> Shape | None:
-    """Tokenize, parse and compile ``source`` once, literals left open."""
+def _build(source: str, skeleton: str, catalog: Any, parse: Callable, emit: Callable) -> Shape | str:
+    """Tokenize, parse and compile ``source`` once, literals left open
+    (:data:`FOLDED_LITERAL` when they cannot be)."""
     tokens = tokenize(source)
     lifted = [match.start() for match in LITERAL.finditer(source)]
     if lifted != [token.position for token in tokens if token.kind in _LITERAL_KINDS]:
-        return None
+        return FOLDED_LITERAL
     numbering = iter(range(len(lifted)))
     slotted = [
         replace(token, value=Slot(next(numbering))) if token.kind in _LITERAL_KINDS else token
@@ -307,12 +345,15 @@ def _build(source: str, skeleton: str, catalog: Any, parse: Callable, emit: Call
     try:
         return Shape(recording, _Layout(skeleton, len(lifted)))
     except _Uncacheable:
-        return None
+        return FOLDED_LITERAL
 
 
-def _count(outcome: str) -> None:
+def _count(outcome: str, reason: str | None = None) -> None:
     if obs.telemetry_enabled():
-        obs.metric_inc(f'sql_statements{{outcome="{outcome}"}}')
+        if reason is None:
+            obs.metric_inc(f'sql_statements{{outcome="{outcome}"}}')
+        else:
+            obs.metric_inc(f'sql_statements{{outcome="{outcome}",reason="{reason}"}}')
 
 
 def prepare(source: str, catalog: Any, parse: Callable, emit: Callable) -> list[Step] | None:
@@ -326,7 +367,7 @@ def prepare(source: str, catalog: Any, parse: Callable, emit: Callable) -> list[
     then the only code that raises.
     """
     if PLACEHOLDER in source:
-        _count("uncacheable")
+        _count("uncacheable", "placeholder")
         return None
     parts = LITERAL.split(source)
     literals = parts[1::2]
@@ -335,26 +376,30 @@ def prepare(source: str, catalog: Any, parse: Callable, emit: Callable) -> list[
     run = _VALUES_RUN.search(skeleton)
     key = (parse, skeleton if run is None else skeleton[: run.end(1)] + skeleton[run.end() :])
     if len(key[1]) > MAX_SKELETON:
-        _count("uncacheable")
+        _count("uncacheable", "too_long")
         return None
     known = SHAPES.get(key, _UNSEEN)
-    steps = None
+    if isinstance(known, str):
+        _count("uncacheable", known)
+        return None
     if known is not _UNSEEN:
-        if known is None:
-            _count("uncacheable")
-            return None
         steps = known.bind(literals, catalog)
-    if steps is not None:
-        _count("hit")
-        return steps
+        if steps is not None:
+            _count("hit")
+            return steps
     # First sight of the shape, or its tables changed: build it from this text.
     try:
         shape = _build(source, skeleton, catalog, parse, emit)
     except ReproError:
-        _count("uncacheable")
+        _count("uncacheable", "not_compiled" if known is _UNSEEN else "schema_changed")
         return None
     SHAPES.put(key, shape)
-    if shape is not None:
-        steps = shape.bind(literals, catalog)
-    _count("uncacheable" if steps is None else "miss")
+    if isinstance(shape, str):
+        _count("uncacheable", shape)
+        return None
+    steps = shape.bind(literals, catalog)
+    if steps is None:
+        _count("uncacheable", "not_compiled")
+    else:
+        _count("miss")
     return steps

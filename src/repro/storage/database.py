@@ -270,7 +270,9 @@ class Database:
         leaves that hold no data of their own (maintenance plans only):
         a partition domain maps to the key set its key-restricted leaves
         select by (:class:`~repro.algebra.expr.KeyRestrict`), a bound
-        leaf's name to its bag (:class:`~repro.algebra.expr.Bound`).
+        leaf's name to its bag (:class:`~repro.algebra.expr.Bound`).  A
+        prepared query (:class:`~repro.algebra.expr.Parameterized`, what
+        ``sql_to_expr`` returns) brings its parameter values itself.
         """
         sanitizer = obs.active_sanitizer()
         if sanitizer is not None and sanitizer.tracking():

@@ -66,6 +66,7 @@ from repro.algebra.expr import (
     Literal,
     MapProject,
     Monus,
+    Parameterized,
     Product,
     Project,
     Select,
@@ -79,10 +80,12 @@ from repro.algebra.predicates import (
     Comparison,
     Const,
     Not,
+    Param,
     Or,
     Predicate,
     Term,
     TruePredicate,
+    param_value,
 )
 from repro.algebra.schema import Schema
 from repro.errors import ReproError, SchemaError, UnknownTableError
@@ -94,6 +97,7 @@ __all__ = [
     "SQLiteMirror",
     "compile_expr",
     "mirror_digest",
+    "sql_params",
     "sqlite_supported_value",
 ]
 
@@ -168,6 +172,10 @@ def _compile_term(term: Term, schema: Schema, columns: list[str] | None = None) 
         return columns[index] if columns is not None else f"c{index}"
     if isinstance(term, Const):
         return _sql_value(term.value)
+    if isinstance(term, Param):
+        # A named SQL parameter: the text is one per shape, the value
+        # comes with each execution (see :func:`sql_params`).
+        return f":p{term.index}"
     if isinstance(term, Arith):
         left = _compile_term(term.left, schema, columns)
         right = _compile_term(term.right, schema, columns)
@@ -187,17 +195,16 @@ def _compile_predicate(
     if isinstance(predicate, Comparison):
         left = _compile_term(predicate.left, schema, columns)
         right = _compile_term(predicate.right, schema, columns)
-        # (In)equality is null-safe IS / IS NOT: it matches the
-        # in-memory engine on None (None == None is true there, while
-        # SQL "=" would return unknown) and the planner can still
-        # drive index lookups with it.  Ordered comparisons stay bare —
-        # NULL operands make them unknown, and WHERE drops unknown rows
-        # just like the engine's false (the in-memory engine raises on
-        # ordering None, so no behavior is being contradicted).
-        if predicate.op == "=":
+        # Equality of two columns is null-safe IS: it matches the
+        # in-memory hash join, whose NULL keys meet (None == None), and
+        # the planner can still drive index lookups with it.  Every
+        # other comparison stays bare: the engine's row filter makes a
+        # comparison with a NULL operand false, and SQL's unknown drops
+        # the row from a WHERE just the same (NOT is pinned with
+        # COALESCE below) — so ``b != 'x'`` keeps no NULL ``b`` and
+        # ``a = NULL`` matches no row.
+        if predicate.op == "=" and isinstance(predicate.left, Attr) and isinstance(predicate.right, Attr):
             return f"({left} IS {right})"
-        if predicate.op == "!=":
-            return f"({left} IS NOT {right})"
         return f"({left} {predicate.op} {right})"
     if isinstance(predicate, And):
         left = _compile_predicate(predicate.left, schema, columns)
@@ -240,6 +247,19 @@ def compile_expr(
     return sql
 
 
+def sql_params(binding: Mapping[str, Any] | None, names: Iterable[str]) -> dict[str, Any]:
+    """The named SQL parameters of a compiled statement whose expression
+    reads the parameters ``names``, from the call's ``binding``
+    (:class:`MirrorUnsupported` for a value SQLite does not round-trip)."""
+    params = {}
+    for name in names:
+        value = param_value(binding, name)
+        if not sqlite_supported_value(value):
+            raise MirrorUnsupported(f"parameter {name} is bound to a value SQLite cannot hold")
+        params[f"p{name[1:]}"] = value
+    return params
+
+
 def _compile(expr: Expr, scan: Callable[[str, int], str] | None) -> tuple[str, bool]:
     """Compile to ``(sql, distinct)``.
 
@@ -249,6 +269,9 @@ def _compile(expr: Expr, scan: Callable[[str, int], str] | None) -> tuple[str, b
     care; tracking it lets everything else skip re-grouping, keeping the
     emitted SQL flattenable by SQLite's planner.
     """
+    if isinstance(expr, Parameterized):
+        return _compile(expr.resolved(), scan)
+
     if isinstance(expr, TableRef):
         arity = expr.table_schema.arity
         if scan is not None:
@@ -833,9 +856,9 @@ class SQLiteMirror:
         cols = ", ".join(f"c{position}" for position in positions)
         self._conn.execute(f"CREATE INDEX IF NOT EXISTS {label} ON {_mangle(name)} ({cols})")
 
-    def execute(self, sql: str) -> list[tuple]:
+    def execute(self, sql: str, params: Mapping[str, Any] | None = None) -> list[tuple]:
         """Run a compiled query (hold :attr:`lock` across ensure+execute)."""
-        return self._conn.execute(sql).fetchall()
+        return self._conn.execute(sql, params or {}).fetchall()
 
     # ------------------------------------------------------------------
     # Self-healing

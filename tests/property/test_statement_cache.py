@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 from tests.property.gen import _seeds
 
 from repro import obs
+from repro.algebra.expr import bind_params
 from repro.core.transactions import UserTransaction
 from repro.errors import ParseError, ReproError
 from repro.sqlfront import prepared
@@ -116,15 +117,16 @@ def check_family(texts: list[str]) -> dict[str, int]:
     with obs.observed(tracer=False, accounting=False) as stack:
         for text in texts:
             assert outcome(lambda: cached_script(text, db)) == outcome(lambda: uncached_script(text, db)), text
-            assert outcome(lambda: sql_to_expr(text, db)) == outcome(
+            assert outcome(lambda: bind_params(sql_to_expr(text, db))) == outcome(
                 lambda: compile_query(parse_query(text), db)
             ), text
     assert len(prepared.SHAPES) <= prepared.MAX_SHAPES
-    return {
-        name.partition('outcome="')[2].rstrip('"}'): int(metric["value"])
-        for name, metric in stack.metrics.snapshot().items()
-        if name.startswith("sql_statements{")
-    }
+    counts: dict[str, int] = {}
+    for name, metric in stack.metrics.snapshot().items():
+        if name.startswith("sql_statements{"):
+            kind = name.partition('outcome="')[2].partition('"')[0]
+            counts[kind] = counts.get(kind, 0) + int(metric["value"])
+    return counts
 
 
 # ----------------------------------------------------------------------

@@ -204,6 +204,16 @@ class TestPinnedPlans:
             "pinned_index_builds": 2,
         }
 
+    def test_a_wider_key_reuses_the_narrower_index_already_on_the_pinned_bag(self):
+        db = _db(rows=[(i % 5, i % 3) for i in range(60)])
+        with obs.observed() as stack:
+            with SnapshotRegistry().pin(db) as handle:
+                assert handle.evaluate(sql_to_expr("SELECT b FROM t WHERE a = 2", db)) == Bag([(2,), (0,), (1,)] * 4)
+                both = sql_to_expr("SELECT a, b FROM t WHERE a = 2 AND b = 1", db)
+                assert handle.evaluate(both) == evaluate(both, {"t": db["t"]}) == Bag([(2, 1)] * 4)
+            builds = stack.metrics.snapshot()["pinned_index_builds"]["value"]
+        assert builds == 1
+
 
 class TestSnapshotRegistry:
     def test_refcount_collects_at_zero(self):

@@ -3,6 +3,8 @@
 Each text here used to escape ``parse_*`` as ``ValueError`` or
 ``RecursionError``; through ``repro lint`` each must read RVM001 — or,
 for a long ``AND`` / ``OR`` chain, which is long but not deep, evaluate.
+A long arithmetic chain *is* deep (it is never rebalanced): past
+``MAX_NESTING`` operators it is a ``ParseError`` too.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from repro.algebra.bag import Bag
 from repro.analysis.lint import lint_sql
 from repro.errors import ParseError
 from repro.exec import MODES
+from repro.sqlfront import prepared
 from repro.sqlfront.lexer import tokenize
 from repro.sqlfront.parser import MAX_NESTING, parse_query, parse_script, parse_statement
 from repro.warehouse.manager import ViewManager
@@ -97,6 +100,35 @@ class TestNesting:
         manager.create_table("t", ("a",), rows=[(-1,), (0,), (1,), (899,)])
         conjunction = " AND ".join(f"a != {value}" for value in range(1, terms + 1))
         assert manager.sql(f"SELECT a FROM t WHERE {conjunction}") == Bag([(-1,), (0,)])
+
+    @pytest.mark.parametrize("op", ["+", "-", "*", "/"])
+    @pytest.mark.parametrize("terms", [900, 5000])
+    def test_a_long_arithmetic_chain_is_a_parse_error_cached_and_uncached(self, terms, op):
+        # Arithmetic is left-deep and stays so (float + is not
+        # associative): past the bound it is refused, not rebalanced.
+        manager = ViewManager()
+        manager.create_table("t", ("a",), rows=[(1,)])
+        chain = f" {op} ".join(["1"] * terms)
+        message = f"arithmetic nested deeper than {MAX_NESTING}"
+        prepared.SHAPES.clear()
+        for _ in range(2):  # a cold skeleton, then a known one
+            with pytest.raises(ParseError, match=message):
+                manager.sql(QUERY + chain)
+            with pytest.raises(ParseError, match=message):
+                manager.execute_sql(f"UPDATE t SET a = {chain}")
+        with pytest.raises(ParseError, match=message) as info:
+            parse_query(QUERY + chain)
+        assert info.value.position is not None
+        assert [d.code for d in lint_sql(QUERY + chain).diagnostics] == ["RVM001"]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_an_arithmetic_chain_at_the_bound_evaluates_on_every_engine(self, mode):
+        manager = ViewManager(exec_mode=mode)
+        manager.create_table("t", ("a",), rows=[(0,), (100,), (101,)])
+        chain = " + ".join(["1"] * (MAX_NESTING + 1))  # MAX_NESTING operators
+        assert manager.sql(QUERY + chain) == Bag([(101,)])
+        with pytest.raises(ParseError):
+            manager.sql(QUERY + chain + " + 1")
 
     def test_backtracking_out_of_a_parenthesis_restores_the_depth(self):
         # "(a + 1) = 2" is first tried as a nested condition; many of them

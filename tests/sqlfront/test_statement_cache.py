@@ -17,10 +17,10 @@ import pytest
 
 from repro import obs
 from repro.algebra.bag import Bag
-from repro.algebra.expr import TableRef
+from repro.algebra.expr import TableRef, bind_params
 from repro.algebra.schema import Schema
 from repro.core.transactions import UserTransaction
-from repro.errors import ParseError, SchemaError, TransactionError, UnknownTableError
+from repro.errors import ParseError, ReproError, SchemaError, TransactionError, UnknownTableError
 from repro.sqlfront import compiler, parser, prepared
 from repro.sqlfront.compiler import compile_query, script_to_transaction, sql_to_expr
 from repro.sqlfront.parser import parse_query
@@ -48,12 +48,19 @@ def inserted(db: Database, script: str, table: str = "t"):
 
 
 def outcomes(metrics: dict) -> dict[str, float]:
-    """``sql_statements`` counts by outcome, from a metrics snapshot."""
-    return {
-        name.partition('outcome="')[2].rstrip('"}'): metric["value"]
-        for name, metric in metrics.items()
-        if name.startswith("sql_statements{")
-    }
+    """``sql_statements`` counts by outcome (summed over reasons), from a metrics snapshot."""
+    counts: dict[str, float] = {}
+    for name, metric in metrics.items():
+        if name.startswith("sql_statements{"):
+            outcome = name.partition('outcome="')[2].partition('"')[0]
+            counts[outcome] = counts.get(outcome, 0) + metric["value"]
+    return counts
+
+
+def uncacheable(metrics: dict) -> dict[str, float]:
+    """``sql_statements{outcome="uncacheable"}`` counts by reason, from a metrics snapshot."""
+    prefix = 'sql_statements{outcome="uncacheable",reason="'
+    return {name[len(prefix) : -2]: metric["value"] for name, metric in metrics.items() if name.startswith(prefix)}
 
 
 class TestSchemasAreRechecked:
@@ -67,12 +74,12 @@ class TestSchemasAreRechecked:
     def test_drop_then_create_with_another_schema_never_serves_the_stale_shape(self):
         db = make_db(("a", "b"))
         query = "SELECT a FROM t WHERE b = {}"
-        assert sql_to_expr(query.format(1), db) == compile_query(parse_query(query.format(1)), db)
+        assert bind_params(sql_to_expr(query.format(1), db)) == compile_query(parse_query(query.format(1)), db)
         db.drop_table("t")
         with pytest.raises(UnknownTableError, match="no such table: 't'"):
             sql_to_expr(query.format(2), db)
         db.create_table("t", ("b", "c", "a"))
-        fresh = sql_to_expr(query.format(3), db)
+        fresh = bind_params(sql_to_expr(query.format(3), db))
         assert fresh == compile_query(parse_query(query.format(3)), db)
         assert fresh.tables() == {"t"} and any(
             isinstance(node, TableRef) and node.table_schema == Schema(["b", "c", "a"]) for node in fresh.walk()
@@ -180,13 +187,13 @@ class TestShapes:
         with obs.observed() as stack:
             for value in (1, 2, 3):
                 text = f"SELECT a -{value} AS d FROM t"
-                assert sql_to_expr(text, db) == compile_query(parse_query(text), db)
+                assert bind_params(sql_to_expr(text, db)) == compile_query(parse_query(text), db)
         assert outcomes(stack.metrics.snapshot()) == {"uncacheable": 3}
         # … while a negative literal in operand position is an ordinary slot.
         with obs.observed() as stack:
             for value in (-1, 5, -7):
                 text = f"SELECT a FROM t WHERE b = {value}"
-                assert sql_to_expr(text, db) == compile_query(parse_query(text), db)
+                assert bind_params(sql_to_expr(text, db)) == compile_query(parse_query(text), db)
         assert outcomes(stack.metrics.snapshot()) == {"miss": 1, "hit": 2}
 
     def test_a_condition_deeper_than_the_bound_is_left_to_the_uncached_path(self):
@@ -196,7 +203,7 @@ class TestShapes:
         with obs.observed() as stack:
             for value in (1, 2):
                 text = "SELECT a FROM t WHERE " + "NOT " * prepared.MAX_NESTING + f"a = {value}"
-                assert sql_to_expr(text, db) == compile_query(parse_query(text), db)
+                assert bind_params(sql_to_expr(text, db)) == compile_query(parse_query(text), db)
         assert outcomes(stack.metrics.snapshot()) == {"uncacheable": 2}
         # … while a long chain of AND / OR terms parses ⌈log2 n⌉ deep and
         # is prepared like any other condition.
@@ -204,7 +211,7 @@ class TestShapes:
             with obs.observed() as stack:
                 for value in (1, 2):
                     text = "SELECT a FROM t WHERE " + joiner.join([f"a = {value}"] * 600)
-                    assert sql_to_expr(text, db) == compile_query(parse_query(text), db)
+                    assert bind_params(sql_to_expr(text, db)) == compile_query(parse_query(text), db)
             assert outcomes(stack.metrics.snapshot()) == {"miss": 1, "hit": 1}
 
     def test_a_lift_that_disagrees_with_the_lexer_is_uncacheable_not_wrong(self, monkeypatch):
@@ -216,7 +223,7 @@ class TestShapes:
         with obs.observed() as stack:
             for value in (-5, -6):
                 text = f"SELECT a FROM t WHERE b = {value}"
-                assert sql_to_expr(text, db) == compile_query(parse_query(text), db)
+                assert bind_params(sql_to_expr(text, db)) == compile_query(parse_query(text), db)
         assert outcomes(stack.metrics.snapshot()) == {"uncacheable": 2}
 
     def test_a_huge_ragged_script_is_not_kept_at_all(self):
@@ -243,6 +250,46 @@ class TestShapes:
             sql_to_expr("SELECT a AS c999 FROM t", db)
             sql_to_expr("SELECT a AS c0 FROM t", db)
         assert outcomes(stack.metrics.snapshot()) == {"hit": 1, "miss": 1}
+
+
+class TestUncacheableReasons:
+    """Every statement the cache does not serve says why, and still answers."""
+
+    def reasons(self, *texts: str, db: Database | None = None) -> dict[str, float]:
+        db = db or make_db()
+        with obs.observed() as stack:
+            for text in texts:
+                try:
+                    sql_to_expr(text, db)
+                except ReproError:
+                    pass
+        return uncacheable(stack.metrics.snapshot())
+
+    def test_placeholder(self):
+        assert self.reasons("SELECT a FROM t WHERE b = '\x00'") == {"placeholder": 1}
+
+    def test_too_long(self):
+        text = "SELECT a FROM t WHERE " + " AND ".join(["a = b"] * 2000)
+        assert self.reasons(text) == {"too_long": 1}
+
+    def test_folded_literal(self):
+        # Remembered: the second text of the shape is refused without a parse.
+        assert self.reasons("SELECT a -1 AS d FROM t", "SELECT a -2 AS d FROM t") == {"folded_literal": 2}
+
+    def test_not_compiled(self):
+        assert self.reasons("SELECT a FROM t WHERE a = ", "SELECT z FROM t WHERE a = 1") == {"not_compiled": 2}
+
+    def test_schema_changed(self):
+        db = make_db()
+        sql_to_expr("SELECT b FROM t WHERE a = 1", db)
+        db.drop_table("t")
+        db.create_table("t", ("a",))
+        with pytest.raises(SchemaError):
+            sql_to_expr("SELECT b FROM t WHERE a = 2", db)
+        with obs.observed() as stack:
+            with pytest.raises(SchemaError):
+                sql_to_expr("SELECT b FROM t WHERE a = 3", db)
+        assert uncacheable(stack.metrics.snapshot()) == {"schema_changed": 1}
 
 
 class TestParseCountGuard:
@@ -323,7 +370,7 @@ class TestThreads:
                 n = (offset * 5 + step) % 40
                 if step % 50 == 0:
                     prepared.SHAPES.clear()  # misses race with hits
-                expr = sql_to_expr(query.format(n, n + 1), db)
+                expr = bind_params(sql_to_expr(query.format(n, n + 1), db))
                 if expr != expected_exprs[n]:
                     failures.append(f"query {n}: {expr}")
                 rows = [(n + k, f"w{offset}") for k in range(1 + step % 4)]
