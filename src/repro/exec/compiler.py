@@ -45,7 +45,7 @@ result is reused exactly as long as none of its inputs changed.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Callable, Mapping
 from typing import Any
 
 from repro import obs
@@ -68,8 +68,19 @@ from repro.algebra.expr import (
 )
 from repro.algebra.predicates import And, Attr, Comparison, Const, Param, Predicate, is_param_name, param_names
 from repro.errors import ReproError
+from repro.exec.kernels import row_getter, row_mapper
 
 __all__ = ["Compiler", "PNode", "SourceAccess"]
+
+
+def _adopt(counts: dict[Row, int]) -> Bag:
+    """The bag of ``counts`` an operator just built, adopted as it is.
+
+    Its rows are tuples of one width and its counts positive sums by
+    construction, so ``Bag(counts=…)``'s validating copy would only
+    repeat the pass.
+    """
+    return Bag._from_clean(counts, len(next(iter(counts))) if counts else None)
 
 
 # ----------------------------------------------------------------------
@@ -96,9 +107,17 @@ class SourceAccess:
     table: its input is
     then the buckets of the call's bound keys in the index on the key
     column (a delta-sized table is read whole and filtered instead).
+
+    ``apply`` is the whole chain compiled to one callable — base row to
+    output row, or ``None`` when a filter drops it — built once, when
+    the chain is fused (:func:`_fuse`): no per-row dispatch on step
+    kind, and a projection-only chain is a
+    :func:`~repro.exec.kernels.row_getter` itself.  A chain of renames
+    only has no steps at all (:attr:`identity`): its rows are the
+    table's.
     """
 
-    __slots__ = ("table", "out_map", "steps", "const_eq", "restrict", "params")
+    __slots__ = ("table", "out_map", "steps", "const_eq", "restrict", "params", "apply")
 
     def __init__(
         self, table: str, out_map: tuple[int | None, ...], restrict: KeyRestrict | None = None
@@ -109,6 +128,12 @@ class SourceAccess:
         self.const_eq: dict[int, Any] = {}
         self.restrict = restrict
         self.params: tuple[str, ...] = ()
+        self.apply: Callable[[Row], Row | None] = _same
+
+    @property
+    def identity(self) -> bool:
+        """Whether the chain passes every base row through unchanged."""
+        return not self.steps
 
     def base_positions(self, out_positions: tuple[int, ...]) -> tuple[int, ...] | None:
         """Map output positions to base columns (``None`` if any is computed)."""
@@ -117,17 +142,43 @@ class SourceAccess:
             return None
         return mapped  # type: ignore[return-value]
 
-    def apply(self, row: Row) -> Row | None:
-        """Run the fused chain on one base row (``None`` = filtered out)."""
-        for kind, payload in self.steps:
-            if kind == "filter":
-                if not payload(row):
-                    return None
-            elif kind == "project":
-                row = tuple(row[position] for position in payload)
-            else:  # "map"
-                row = tuple(function(row) for function in payload)
-        return row
+
+def _same(row: Row) -> Row:
+    return row
+
+
+def _fuse(steps: list[tuple[str, Any]]) -> Callable[[Row], Row | None]:
+    """A chain's steps as one callable, built back to front.
+
+    Adjacent projections compose, and a projection after a map keeps
+    only the map terms it selects, so what is left alternates filters
+    with single row kernels.  A filter feeds the rest of the chain only
+    the rows it keeps; a chain that ends in a projection returns that
+    projection's getter call.
+    """
+    stages: list[tuple[str, Any]] = []
+    for kind, payload in steps:
+        if kind == "project" and stages and stages[-1][0] != "filter":
+            previous, inner = stages.pop()
+            kind, payload = previous, tuple(inner[position] for position in payload)
+        stages.append((kind, payload))
+    fused: Callable[[Row], Row | None] | None = None
+    for kind, payload in reversed(stages):
+        fused = _stage(kind, payload, fused)
+    return fused or _same
+
+
+def _stage(kind: str, payload: Any, then: Callable[[Row], Row | None] | None) -> Callable[[Row], Row | None]:
+    """One fused step feeding ``then`` (the rest of the chain; ``None`` = the end)."""
+    if kind == "filter":
+        keep = payload
+        if then is None:
+            return lambda row: row if keep(row) else None
+        return lambda row: then(row) if keep(row) else None
+    step = row_getter(payload) if kind == "project" else row_mapper(payload)
+    if then is None:
+        return step
+    return lambda row: then(step(row))
 
 
 def _const_equality(conjunct: Predicate) -> tuple[str, Any] | None:
@@ -158,13 +209,21 @@ def _with_params(access: SourceAccess, *nodes) -> None:
 
 def source_access(expr: Expr) -> SourceAccess | None:
     """Build a :class:`SourceAccess` for ``expr`` when it is a fusable chain."""
+    access = _chain(expr)
+    if access is not None:
+        access.apply = _fuse(access.steps)
+    return access
+
+
+def _chain(expr: Expr) -> SourceAccess | None:
+    """The steps of a fusable chain, innermost first (not yet fused)."""
     if isinstance(expr, TableRef):
         return SourceAccess(expr.name, tuple(range(expr.table_schema.arity)))
     if isinstance(expr, KeyRestrict):
         table = expr.child
         return SourceAccess(table.name, tuple(range(table.table_schema.arity)), expr)
     if isinstance(expr, Select):
-        access = source_access(expr.child)
+        access = _chain(expr.child)
         if access is None:
             return None
         child_schema = expr.child.schema()
@@ -178,18 +237,18 @@ def source_access(expr: Expr) -> SourceAccess | None:
         access.steps.append(("filter", expr.predicate.bind(child_schema)))
         return access
     if isinstance(expr, Project):
-        access = source_access(expr.child)
+        access = _chain(expr.child)
         if access is None:
             return None
-        positions = expr.positions()
-        access.out_map = tuple(access.out_map[position] for position in positions)
-        access.steps.append(("project", positions))
-        return access
+        return _project(access, expr.positions())
     if isinstance(expr, MapProject):
-        access = source_access(expr.child)
+        access = _chain(expr.child)
         if access is None:
             return None
         child_schema = expr.child.schema()
+        if all(isinstance(term, Attr) for term in expr.terms):
+            # Column references only: a projection (a rename, often).
+            return _project(access, tuple(child_schema.index_of(term.name) for term in expr.terms))
         out_map: list[int | None] = []
         for term in expr.terms:
             if isinstance(term, Attr):
@@ -201,6 +260,15 @@ def source_access(expr: Expr) -> SourceAccess | None:
         access.steps.append(("map", tuple(term.bind(child_schema) for term in expr.terms)))
         return access
     return None
+
+
+def _project(access: SourceAccess, positions: tuple[int, ...]) -> SourceAccess:
+    """``access`` followed by a projection; one that keeps every column in
+    order (a rename) is no step at all."""
+    if positions != tuple(range(len(access.out_map))):
+        access.steps.append(("project", positions))
+    access.out_map = tuple(access.out_map[position] for position in positions)
+    return access
 
 
 # ----------------------------------------------------------------------
@@ -376,8 +444,8 @@ class PPipeline(PNode):
         value = ctx.state.get(self.access.table)
         return value is not None and not value
 
-    def restricted(self, ctx) -> Iterator[tuple[Row, int]]:
-        """The chain's ``(image, count)`` pairs over ``σ_{key ∈ K}(R)``.
+    def restricted(self, ctx) -> dict[Row, int]:
+        """The chain's image counts over ``σ_{key ∈ K}(R)``.
 
         One lookup per bound key in ``R``'s maintained key index — the
         cost is the keys and their buckets, whatever the table's size; a
@@ -390,15 +458,16 @@ class PPipeline(PNode):
         keys = ctx.keys_of(leaf.domain)
         base = ctx.table(access.table)
         apply = access.apply
+        counts: dict[Row, int] = {}
         if leaf.delta:
             for row, count in base.items():
                 if row[position] in keys:
                     image = apply(row)
                     if image is not None:
-                        yield image, count
+                        counts[image] = counts.get(image, 0) + count
             if ctx.counter is not None:
                 ctx.counter.record("scan", base.distinct_count())
-            return
+            return counts
         index = ctx.indexes.get(access.table, (position,), base, counter=ctx.counter)
         gathered = 0
         for key in keys:
@@ -407,27 +476,28 @@ class PPipeline(PNode):
             for row, count in bucket.items():
                 image = apply(row)
                 if image is not None:
-                    yield image, count
+                    counts[image] = counts.get(image, 0) + count
         if ctx.counter is not None:
             ctx.counter.record_probes("index_probe", len(keys))
             ctx.counter.record("partition_restrict", gathered)
+        return counts
 
     def _compute(self, ctx) -> Bag:
-        counts: dict[Row, int] = {}
-        if self.access.restrict is not None:
-            for image, count in self.restricted(ctx):
-                counts[image] = counts.get(image, 0) + count
-            return Bag(counts=counts)
-        base = ctx.table(self.access.table)
-        apply = self.access.apply
-        for row, count in base.items():
-            image = apply(row)
-            if image is None:
-                continue
-            counts[image] = counts.get(image, 0) + count
+        access = self.access
+        if access.restrict is not None:
+            return _adopt(self.restricted(ctx))
+        base = ctx.table(access.table)
         if ctx.counter is not None:
             ctx.counter.record("scan", base.distinct_count())
-        return Bag(counts=counts)
+        if access.identity:
+            return base
+        apply = access.apply
+        counts: dict[Row, int] = {}
+        for row, count in base.items():
+            image = apply(row)
+            if image is not None:
+                counts[image] = counts.get(image, 0) + count
+        return _adopt(counts)
 
 
 class PIndexSelect(PPipeline):
@@ -474,7 +544,7 @@ class PIndexSelect(PPipeline):
         if ctx.counter is not None:
             ctx.counter.record_probes("index_probe", 1)
             ctx.counter.record("index_select", len(bucket))
-        return Bag(counts=counts)
+        return _adopt(counts)
 
 
 class PFilter(PNode):
@@ -498,13 +568,23 @@ class PFilter(PNode):
         return result
 
 
+def _images(bag: Bag, kernel: Callable[[Row], Row]) -> Bag:
+    """``kernel`` applied to every row of ``bag``, copies of merged images summed."""
+    counts: dict[Row, int] = {}
+    for row, count in bag.items():
+        image = kernel(row)
+        counts[image] = counts.get(image, 0) + count
+    return _adopt(counts)
+
+
 class PProject(PNode):
-    __slots__ = ("child", "positions")
+    __slots__ = ("child", "positions", "getter")
 
     def __init__(self, child: PNode, positions: tuple[int, ...]) -> None:
         super().__init__(frozenset(child.tables))
         self.child = child
         self.positions = positions
+        self.getter = row_getter(positions)
 
     def children(self):
         return (self.child,)
@@ -513,19 +593,19 @@ class PProject(PNode):
         return self.child.runtime_empty(ctx)
 
     def _compute(self, ctx) -> Bag:
-        result = self.child.execute(ctx).project(self.positions)
+        result = _images(self.child.execute(ctx), self.getter)
         if ctx.counter is not None:
             ctx.counter.record("project", len(result))
         return result
 
 
 class PMap(PNode):
-    __slots__ = ("child", "functions")
+    __slots__ = ("child", "mapper")
 
     def __init__(self, child: PNode, functions: tuple[Callable[[Row], Any], ...]) -> None:
         super().__init__(frozenset(child.tables))
         self.child = child
-        self.functions = functions
+        self.mapper = row_mapper(functions)
 
     def children(self):
         return (self.child,)
@@ -534,11 +614,7 @@ class PMap(PNode):
         return self.child.runtime_empty(ctx)
 
     def _compute(self, ctx) -> Bag:
-        counts: dict[Row, int] = {}
-        for row, count in self.child.execute(ctx).items():
-            image = tuple(function(row) for function in self.functions)
-            counts[image] = counts.get(image, 0) + count
-        result = Bag(counts=counts)
+        result = _images(self.child.execute(ctx), self.mapper)
         if ctx.counter is not None:
             ctx.counter.record("map", len(result))
         return result
@@ -649,12 +725,14 @@ class _JoinSide:
     Product rule joins every delta with; ``minus`` is then ``D``'s node.
     A chain over a key-restricted ``R`` qualifies only when the join is
     on that key: the probed bucket is then the restriction, and
-    ``restrict_slot`` says which join key carries it.
+    ``restrict_slot`` says which join key carries it.  ``key_of`` reads
+    an operand row's join key — a probe key, or a hash-join bucket key.
     """
 
     __slots__ = (
         "node",
         "key_positions",
+        "key_of",
         "access",
         "minus",
         "base_key_positions",
@@ -672,6 +750,7 @@ class _JoinSide:
     ) -> None:
         self.node = node
         self.key_positions = key_positions
+        self.key_of = row_getter(key_positions)
         self.access = access
         self.minus = minus
         # Base columns behind the join keys; None = not index-servable.
@@ -714,13 +793,16 @@ def _bucket_rest(bucket: Mapping[Row, int], apply, minus: Bag) -> dict[Row, int]
     zero — exactly the rows of ``chain(R) ∸ D`` carrying the bucket's
     key, since the key columns pass through the chain unchanged.  ``D``
     is consulted by image only, so it need not be a subbag of
-    ``chain(R)`` and its rows under other keys are never touched.
+    ``chain(R)`` and its rows under other keys are never touched.  An
+    identity chain (``apply`` is ``None``) has the bucket as its images.
     """
-    images: dict[Row, int] = {}
-    for base_row, base_count in bucket.items():
-        image = apply(base_row)
-        if image is not None:
-            images[image] = images.get(image, 0) + base_count
+    images = bucket
+    if apply is not None:
+        images = summed = {}
+        for base_row, base_count in bucket.items():
+            image = apply(base_row)
+            if image is not None:
+                summed[image] = summed.get(image, 0) + base_count
     multiplicity = minus.multiplicity
     rest: dict[Row, int] = {}
     for image, count in images.items():
@@ -739,8 +821,8 @@ class PEquiJoin(PNode):
     index — its scan is skipped entirely — and the other side drives the
     probes; with two such operands the larger stored table is the one
     served.  Otherwise both operands are evaluated and hashed
-    classically.  Both strategies are generators of ``(joined_row,
-    count)`` that :meth:`_compute` sums into the result bag.
+    classically.  Both strategies sum the joined rows' copies into one
+    counts dict, which :meth:`_compute` adopts as the result bag.
     """
 
     __slots__ = ("left", "right", "residual")
@@ -780,11 +862,7 @@ class PEquiJoin(PNode):
 
     def _compute(self, ctx) -> Bag:
         indexed = self._index_side(ctx)
-        pairs = self.hash_join(ctx) if indexed is None else self.probe_join(ctx, indexed)
-        counts: dict[Row, int] = {}
-        for joined, count in pairs:
-            counts[joined] = counts.get(joined, 0) + count
-        result = Bag(counts=counts)
+        result = _adopt(self.hash_join(ctx) if indexed is None else self.probe_join(ctx, indexed))
         if indexed is None and ctx.counter is not None:
             ctx.counter.record("hash_join", len(result))
         return result
@@ -801,7 +879,7 @@ class PEquiJoin(PNode):
                     noted = span.attrs.setdefault("join_base_scans", {})
                     noted[reason] = noted.get(reason, 0) + 1
 
-    def probe_join(self, ctx, indexed: _JoinSide) -> Iterator[tuple[Row, int]]:
+    def probe_join(self, ctx, indexed: _JoinSide) -> dict[Row, int]:
         """``indexed`` answered from its table's hash index, probed by the other side.
 
         For a ``chain(R) ∸ D`` operand each bucket is corrected by ``D``
@@ -822,17 +900,20 @@ class PEquiJoin(PNode):
         patched = bool(minus)
         probe_bag = probe.node.execute(ctx)
         self._note_base_scan(probe, probe_bag.distinct_count(), base.distinct_count())
-        probe_positions = probe.key_positions
+        probe_key = probe.key_of
         probe_filter = probe.side_filter
         indexed_filter = indexed.side_filter
-        apply = indexed.access.apply
+        apply = None if indexed.access.identity else indexed.access.apply
+        # Patched buckets already hold chain images; identity buckets are them.
+        mapped = apply is not None and not patched
         lookup = index.lookup
         residual = self.residual
         left_is_probe = probe is self.left
         bound = bound_position = None
         if indexed.restrict_slot is not None:
             bound = ctx.keys_of(indexed.access.restrict.domain)
-            bound_position = probe_positions[indexed.restrict_slot]
+            bound_position = probe.key_positions[indexed.restrict_slot]
+        counts: dict[Row, int] = {}
         probes = 0
         examined = 0
         for probe_row, probe_count in probe_bag.items():
@@ -841,27 +922,29 @@ class PEquiJoin(PNode):
             if bound is not None and probe_row[bound_position] not in bound:
                 continue
             probes += 1
-            bucket = lookup(tuple(probe_row[position] for position in probe_positions))
+            bucket = lookup(probe_key(probe_row))
             if not bucket:
                 continue
             examined += len(bucket)
             if patched:
                 bucket = _bucket_rest(bucket, apply, minus)
-            for row, count in bucket.items():
-                image = row if patched else apply(row)
-                if image is None:
-                    continue
+            for image, count in bucket.items():
+                if mapped:
+                    image = apply(image)
+                    if image is None:
+                        continue
                 if indexed_filter is not None and not indexed_filter(image):
                     continue
                 joined = probe_row + image if left_is_probe else image + probe_row
                 if residual is not None and not residual(joined):
                     continue
-                yield joined, probe_count * count
+                counts[joined] = counts.get(joined, 0) + probe_count * count
         if ctx.counter is not None:
             ctx.counter.record_probes("index_probe", probes)
             ctx.counter.record("index_join_patched" if patched else "index_join", examined)
+        return counts
 
-    def hash_join(self, ctx) -> Iterator[tuple[Row, int]]:
+    def hash_join(self, ctx) -> dict[Row, int]:
         """Both operands evaluated; the smaller one hashed, the larger probing it.
 
         Cost charges are symmetric (inputs are charged at the child
@@ -877,25 +960,32 @@ class PEquiJoin(PNode):
         build_left = left_size < right_size
         build, probe = (self.left, self.right) if build_left else (self.right, self.left)
         build_bag, probe_bag = (left_bag, right_bag) if build_left else (right_bag, left_bag)
-        build_positions, build_filter = build.key_positions, build.side_filter
-        probe_positions, probe_filter = probe.key_positions, probe.side_filter
+        build_key, build_filter = build.key_of, build.side_filter
+        probe_key, probe_filter = probe.key_of, probe.side_filter
         buckets: dict[tuple, list[tuple[Row, int]]] = {}
         for row, count in build_bag.items():
             if build_filter is not None and not build_filter(row):
                 continue
-            buckets.setdefault(tuple(row[position] for position in build_positions), []).append((row, count))
+            key = build_key(row)
+            bucket = buckets.get(key)
+            if bucket is None:
+                buckets[key] = [(row, count)]
+            else:
+                bucket.append((row, count))
         residual = self.residual
+        counts: dict[Row, int] = {}
         for row, count in probe_bag.items():
             if probe_filter is not None and not probe_filter(row):
                 continue
-            bucket = buckets.get(tuple(row[position] for position in probe_positions))
-            if not bucket:
+            matches = buckets.get(probe_key(row))
+            if not matches:
                 continue
-            for other_row, other_count in bucket:
+            for other_row, other_count in matches:
                 joined = other_row + row if build_left else row + other_row
                 if residual is not None and not residual(joined):
                     continue
-                yield joined, count * other_count
+                counts[joined] = counts.get(joined, 0) + count * other_count
+        return counts
 
 
 # ----------------------------------------------------------------------

@@ -22,6 +22,7 @@ from collections.abc import Mapping
 from repro import obs
 from repro.algebra.bag import Bag, Row
 from repro.algebra.evaluation import CostCounter
+from repro.exec.kernels import row_getter
 
 __all__ = ["FROZEN_INDEXES", "FrozenIndexes", "HashIndex", "IndexManager"]
 
@@ -29,49 +30,68 @@ _EMPTY_BUCKET: dict[Row, int] = {}
 
 
 class HashIndex:
-    """A hash index over one table keyed by a tuple of column positions."""
+    """A hash index over one table keyed by a tuple of column positions.
 
-    __slots__ = ("positions", "_buckets")
+    ``key_of`` is the row kernel that reads a row's key (always a tuple,
+    see :func:`~repro.exec.kernels.row_getter`); it is compiled once, with
+    the index, and every build and drain reads its keys through it.
+    """
+
+    __slots__ = ("positions", "key_of", "_buckets")
 
     def __init__(self, positions: tuple[int, ...]) -> None:
         self.positions = positions
+        self.key_of = row_getter(positions)
         self._buckets: dict[tuple, dict[Row, int]] = {}
 
     @classmethod
     def build(cls, positions: tuple[int, ...], bag: Bag) -> HashIndex:
-        """One full pass over ``bag`` — the only non-incremental step."""
+        """One full pass over ``bag`` — the only non-incremental step.
+
+        A bag's rows are distinct, so each is stored with its count
+        outright: no get-and-add per row.
+        """
         index = cls(positions)
+        key_of = index.key_of
+        buckets = index._buckets
         for row, count in bag.items():
-            index._insert(row, count)
+            key = key_of(row)
+            bucket = buckets.get(key)
+            if bucket is None:
+                buckets[key] = {row: count}
+            else:
+                bucket[row] = count
         return index
 
-    def key_of(self, row: Row) -> tuple:
-        return tuple(row[position] for position in self.positions)
+    def apply_delta(self, delete: Mapping[Row, int] | Bag, insert: Mapping[Row, int] | Bag) -> None:
+        """Maintain the index through ``(R ∸ delete) ⊎ insert`` in O(|delta|).
 
-    def _insert(self, row: Row, count: int) -> None:
-        bucket = self._buckets.setdefault(self.key_of(row), {})
-        bucket[row] = bucket.get(row, 0) + count
-
-    def _delete(self, row: Row, count: int) -> None:
-        key = self.key_of(row)
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            return
-        remaining = bucket.get(row, 0) - count
-        if remaining > 0:
-            bucket[row] = remaining
-        else:
-            # Mirrors Bag.patch exactly: deletes floor at zero copies.
-            bucket.pop(row, None)
-            if not bucket:
-                del self._buckets[key]
-
-    def apply_delta(self, delete: Bag, insert: Bag) -> None:
-        """Maintain the index through ``(R ∸ delete) ⊎ insert`` in O(|delta|)."""
+        ``delete`` and ``insert`` are bags or ``row -> count`` dicts (the
+        drain's netted queue).  Deletes floor at zero copies, exactly as
+        ``Bag.patch`` does; a delete of a row the index does not hold is
+        a no-op.
+        """
+        key_of = self.key_of
+        buckets = self._buckets
         for row, count in delete.items():
-            self._delete(row, count)
+            key = key_of(row)
+            bucket = buckets.get(key)
+            if bucket is None:
+                continue
+            remaining = bucket.get(row, 0) - count
+            if remaining > 0:
+                bucket[row] = remaining
+            else:
+                bucket.pop(row, None)
+                if not bucket:
+                    del buckets[key]
         for row, count in insert.items():
-            self._insert(row, count)
+            key = key_of(row)
+            bucket = buckets.get(key)
+            if bucket is None:
+                buckets[key] = {row: count}
+            else:
+                bucket[row] = bucket.get(row, 0) + count
 
     def lookup(self, key: tuple) -> Mapping[Row, int]:
         """The bucket for ``key`` — rows with their multiplicities."""
@@ -218,12 +238,35 @@ class IndexManager:
         self._stale: set[str] = set()
         self._lock = threading.RLock()
 
+    @staticmethod
+    def _build(
+        table: str,
+        positions: tuple[int, ...],
+        bag: Bag,
+        reason: str,
+        counter: CostCounter | None,
+        *,
+        charge: bool = True,
+    ) -> HashIndex:
+        """A full build of one index, reason-coded when telemetry is on.
+
+        ``reason`` says why the pass over the table was paid:
+        ``first_use`` (no index on these columns yet), ``stale`` (a
+        wholesale assignment or an overflowing queue invalidated it) or
+        ``cheaper_than_drain`` (the netted queue outgrew the table).
+        """
+        if obs.telemetry_enabled():
+            obs.metric_inc(f'index_builds{{reason="{reason}"}}')
+        with obs.span("index_build", table=table, rows=bag.distinct_count(), reason=reason, counter=counter):
+            index = HashIndex.build(positions, bag)
+            if counter is not None and charge:
+                counter.record("index_build", len(bag))
+        return index
+
     def _rebuild_all(self, table: str, bag: Bag, counter: CostCounter | None) -> None:
         indexes = self._by_table.get(table, {})
         for positions in list(indexes):
-            indexes[positions] = HashIndex.build(positions, bag)
-            if counter is not None and bag:
-                counter.record("index_build", len(bag))
+            indexes[positions] = self._build(table, positions, bag, "stale", counter, charge=bool(bag))
         self._forget_queue(table)
         self._synced[table] = {positions: 0 for positions in indexes}
         self._stale.discard(table)
@@ -264,6 +307,8 @@ class IndexManager:
         and caught up lazily: deferred patch deltas are applied here,
         charged as ``index_maint`` — or as a wholesale ``index_build``
         when rebuilding from ``bag`` is cheaper than draining the queue.
+        With telemetry on, every build is an ``index_build`` span and an
+        ``index_builds{reason=…}`` count (:meth:`_build`).
         """
         with self._lock:
             if table in self._stale:
@@ -273,11 +318,9 @@ class IndexManager:
             queue = self._pending.get(table, [])
             index = indexes.get(positions)
             if index is None:
-                index = HashIndex.build(positions, bag)
+                index = self._build(table, positions, bag, "first_use", counter)
                 indexes[positions] = index
                 synced[positions] = len(queue)
-                if counter is not None:
-                    counter.record("index_build", len(bag))
             else:
                 start = synced.get(positions, 0)
                 tail = queue[start:]
@@ -300,15 +343,10 @@ class IndexManager:
                     net_rows = len(net_deletes) + len(net_inserts)
                     with obs.span("index_sync", table=table, delta_rows=net_rows, counter=counter):
                         if net_rows > bag.distinct_count():
-                            index = HashIndex.build(positions, bag)
+                            index = self._build(table, positions, bag, "cheaper_than_drain", counter)
                             indexes[positions] = index
-                            if counter is not None:
-                                counter.record("index_build", len(bag))
                         else:
-                            for row, count in net_deletes.items():
-                                index._delete(row, count)
-                            for row, count in net_inserts.items():
-                                index._insert(row, count)
+                            index.apply_delta(net_deletes, net_inserts)
                             if counter is not None and net_rows:
                                 counter.record("index_maint", net_rows)
                     synced[positions] = len(queue)

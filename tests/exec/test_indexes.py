@@ -7,6 +7,7 @@ what a full-scan selection over the table returns.
 
 import random
 
+from repro import obs
 from repro.algebra.bag import Bag
 from repro.algebra.evaluation import CostCounter
 from repro.exec.indexes import HashIndex, IndexManager
@@ -144,6 +145,60 @@ class TestIndexManager:
         manager.get("R", (0,), bag_of((1,)))
         manager.drop("R")
         assert manager.indexes_on("R") == ()
+
+
+class TestReasonCodedBuilds:
+    """Every full build a live probe pays says why, when telemetry is on:
+    one ``index_build`` span (``table``, ``rows``, ``reason``) and one
+    ``index_builds{reason=…}`` count per build."""
+
+    @staticmethod
+    def builds(stack) -> list[dict]:
+        return [span.attrs for span in stack.tracer.find("index_build")]
+
+    @staticmethod
+    def counted(stack, reason: str) -> int:
+        metric = stack.metrics.snapshot().get(f'index_builds{{reason="{reason}"}}')
+        return 0 if metric is None else metric["value"]
+
+    def test_first_use(self):
+        manager = IndexManager()
+        bag = bag_of((1, "a"), (2, "b"), (2, "b"))
+        with obs.observed() as stack:
+            manager.get("R", (0,), bag)
+            manager.get("R", (0,), bag)  # built already: no second span
+        assert self.builds(stack) == [{"table": "R", "rows": 2, "reason": "first_use"}]
+        assert self.counted(stack, "first_use") == 1
+
+    def test_stale(self):
+        manager = IndexManager()
+        manager.get("R", (0,), bag_of((1, "a")))
+        replaced = bag_of((5, "e"), (6, "f"), (7, "g"))
+        manager.on_replace("R", replaced)
+        with obs.observed() as stack:
+            manager.get("R", (0,), replaced)
+        assert self.builds(stack) == [{"table": "R", "rows": 3, "reason": "stale"}]
+        assert self.counted(stack, "stale") == 1
+
+    def test_cheaper_than_drain(self):
+        manager = IndexManager()
+        bag = bag_of((1, "a"))
+        manager.get("R", (0,), bag)
+        for value in ("b", "c", "d"):
+            manager.on_patch("R", Bag.empty(), bag_of((2, value)))
+        with obs.observed() as stack:
+            manager.get("R", (0,), bag)
+        assert self.builds(stack) == [{"table": "R", "rows": 1, "reason": "cheaper_than_drain"}]
+        assert self.counted(stack, "cheaper_than_drain") == 1
+        # The rebuild is what the drain turned into: it nests in index_sync.
+        (sync,) = stack.tracer.find("index_sync")
+        assert [child.name for child in sync.children] == ["index_build"]
+
+    def test_counted_only_when_telemetry_is_on(self):
+        manager = IndexManager()
+        with obs.observed(tracer=False, metrics=False, accounting=False, sanitizer=True) as stack:
+            manager.get("R", (0,), bag_of((1,)))
+        assert stack.metrics.snapshot() == {}
 
 
 class TestRandomizedPatchConsistency:
