@@ -27,7 +27,7 @@ immediately:
 ``.plan V``        show the view's incremental refresh queries
 ``.analyze V``     self-maintainability and refresh footprint
 ``.stats``         cost-counter and downtime summary
-``.governor``      engine fallback-ladder status (``.governor on`` enables)
+``.engine``        execution engine (on sqlite: fallback breaker, trips)
 ``.save FILE``     persist the warehouse (tables + views) to SQLite
 ``.open FILE``     load a warehouse saved with ``.save``
 ``.help``          this text
@@ -42,6 +42,7 @@ from collections.abc import Iterable
 
 from repro.bench.report import format_table
 from repro.errors import ReproError
+from repro.exec import SQLITE
 from repro.sqlfront.compiler import (
     compile_aggregate_view,
     compile_delete,
@@ -241,29 +242,13 @@ class WarehouseShell:
             lines.append(f"view {view}: downtime {seconds * 1000:.3f} ms")
         return "\n".join(lines)
 
-    def _cmd_governor(self, action: str = "") -> str:
-        """Engine-governor status: ladder, active tier, breaker states."""
+    def _cmd_engine(self) -> str:
+        """The execution engine; on sqlite, its fallback breaker."""
         db = self.manager.db
-        if action == "on":
-            governor = db.enable_governor()
-            return f"governor enabled (ladder: {' → '.join(governor.ladder)})"
-        if action:
-            return "usage: .governor [on]"
-        governor = db.governor
-        if governor is None:
-            return "(ungoverned — `.governor on` enables the fallback ladder)"
-        snapshot = governor.snapshot()
-        header = (
-            f"mode {snapshot['mode']}, active tier {snapshot['active_tier']} "
-            f"(ladder: {' → '.join(governor.ladder)})"
-        )
-        if not snapshot["breakers"]:
-            return header + "\n(no breakers — the interpreted floor never demotes)"
-        rows = [
-            {"tier": tier, "breaker": info["state"], "trips": info["trips"]}
-            for tier, info in snapshot["breakers"].items()
-        ]
-        return header + "\n" + format_table(rows)
+        if db.exec_mode != SQLITE:
+            return f"engine {db.exec_mode}"
+        executor = db.executor
+        return f"engine sqlite (breaker {executor.breaker}, trips {executor.trips})"
 
     def _cmd_plan(self, name: str) -> str:
         """Show the view's post-update incremental queries (▼/▲)."""

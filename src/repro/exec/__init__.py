@@ -24,7 +24,7 @@ One further tier builds on the compiled plans (see
 pushable ``Expr`` subtrees down into an incrementally-mirrored SQLite
 database as single SQL statements (joins and multiplicity arithmetic
 run in C), running the compiled plans over the rest when a node is not
-pushable.
+pushable, and over the whole expression while SQLite itself fails.
 
 The interpreted path remains available as a correctness oracle: pass
 ``exec_mode="interpreted"`` to :class:`~repro.storage.database.Database`
@@ -41,7 +41,9 @@ COMPILED = "compiled"
 INTERPRETED = "interpreted"
 SQLITE = "sqlite"
 
-#: Every execution mode, fastest rung of the governor's ladder first.
+#: Every execution mode.  ``sqlite`` falls back to ``compiled`` (per
+#: subtree it cannot push, per expression while its backend fails);
+#: ``interpreted`` is the oracle the other two are checked against.
 MODES = (SQLITE, COMPILED, INTERPRETED)
 
 #: Environment variable overriding the default execution mode.

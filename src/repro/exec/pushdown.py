@@ -44,12 +44,40 @@ the expression before anything is pushed, so the delta reaches SQLite as
 the ``VALUES`` rows a literal delta always was.  A parameter (a prepared
 query's literal) is a named SQL parameter: the statement text is one per
 query shape and the call's value is passed with each execution.
+
+The mirror is a live SQLite connection, and a live connection can refuse
+service (``database is locked``, ``disk I/O error``).  A backend error
+never reaches the caller: the mirror is derived state, and the compiled
+plans over the same executor answer every expression without it.
+
+1. Each push (mirror ``ensure`` + ``execute``) runs under the shared
+   :data:`~repro.storage.persistence.RETRY_POLICY`: transient errors are
+   retried with jittered backoff.
+2. When retries run out, or on a permanent ``sqlite3.Error``, the
+   executor **trips its breaker** (``engine_demotions``) and answers the
+   whole expression with the compiled plans (``Executor.evaluate``).
+3. While the breaker is open, nothing is pushed for :attr:`COOLDOWN_OPS`
+   evaluations — no retry storm against a backend that is down.
+4. Then the breaker is half-open and the next evaluation is a probe: the
+   compiled answer is computed first (it is what the caller gets), the
+   mirror is resynced, the expression is pushed again, and only a
+   :func:`~repro.storage.sqlite_backend.mirror_digest` match closes the
+   breaker (``engine_repromotions``; else ``pushdown_probe_failures``).
+
+``ReproError`` (an unknown table, a missing key binding) and
+:class:`~repro.robustness.faults.InjectedCrash` propagate untouched.
+Every evaluation the compiled plans answer in SQLite's place counts as
+``pushdown_fallbacks{reason=…}`` under telemetry: ``mirror_unsupported``,
+``too_deep``, ``backend_error`` or ``breaker_open``.
 """
 
 from __future__ import annotations
 
+import random
 import sqlite3
+from time import sleep
 
+from repro import obs
 from repro.algebra.bag import Bag, Row
 from repro.algebra.evaluation import CostCounter, bound_bag
 from repro.algebra.expr import (
@@ -81,19 +109,31 @@ from repro.algebra.predicates import (
 from repro.errors import ReproError, UnknownTableError
 from repro.exec.executor import ExecutionContext, Executor, binding_stamp
 from repro.robustness.faults import fault_point
+from repro.storage.persistence import RETRY_POLICY
 from repro.storage.sqlite_backend import (
     MirrorUnsupported,
     SQLiteMirror,
     compile_expr,
+    mirror_digest,
     sql_params,
     sqlite_supported_value,
 )
 
 __all__ = ["PushdownExecutor"]
 
+#: Breaker states: push, skip pushing, probe at the next evaluation.
+CLOSED = "closed"
+OPEN = "open"
+HALF_OPEN = "half-open"
+
 
 class _TooDeep(Exception):
     """SQLite's parser refused a pushed statement as nested too deeply."""
+
+
+def _count_fallback(reason: str) -> None:
+    if obs.telemetry_enabled():
+        obs.metric_inc(f'pushdown_fallbacks{{reason="{reason}"}}')
 
 
 def _term_consts_supported(term: Term) -> bool:
@@ -136,6 +176,12 @@ def _rebuild(expr: Expr, children: tuple[Expr, ...]) -> Expr:
 class PushdownExecutor(Executor):
     """Evaluate expressions by pushing pushable subtrees into SQLite."""
 
+    #: Evaluations an open breaker answers without pushing before it
+    #: probes.  Counted in operations, not wall time, so chaos tests are
+    #: deterministic and an idle warehouse never probes behind the
+    #: client's back.
+    COOLDOWN_OPS = 32
+
     def __init__(self, database) -> None:
         super().__init__(database)
         self._mirror = SQLiteMirror()
@@ -149,6 +195,17 @@ class PushdownExecutor(Executor):
         self._sql_cache: dict[Expr, tuple[str, tuple[str, ...], tuple[str, ...]]] = {}
         #: expr -> [stamp, bag]; stamp spans the expr's table versions.
         self._result_memo: dict[Expr, list] = {}
+        #: The push-down breaker (``closed`` / ``open`` / ``half-open``)
+        #: and how often a backend error tripped it; both change only
+        #: under the mirror's lock, since group leaders evaluate
+        #: concurrently.
+        self.breaker = CLOSED
+        self.trips = 0
+        self._cooldown = 0
+        # One jitter source for the executor's lifetime: a fresh
+        # OS-seeded Random per push would put an entropy syscall on the
+        # happy path of every query.
+        self._rng = random.Random()
 
     @property
     def mirror(self) -> SQLiteMirror:
@@ -172,23 +229,27 @@ class PushdownExecutor(Executor):
     def restricted_lookup(self, table: str, keys, *, counter: CostCounter | None = None) -> Bag | None:
         """Rows of ``table`` with partition key in ``keys``, from the mirror.
 
-        Returns ``None`` when the table is not mirrored clean or a key
-        cannot be matched inside SQLite — the caller (the partitioned
-        database's :meth:`restrict`) falls back to the in-memory index.
+        Returns ``None`` when the table is not mirrored clean, a key
+        cannot be matched inside SQLite, the breaker is not closed or
+        the backend fails — the caller (the partitioned database's
+        :meth:`restrict`) falls back to the in-memory index.
         """
         spec = self._partitions.get(table)
-        if spec is None:
+        if spec is None or self.breaker != CLOSED:
             return None
         keys = list(keys)
         with self._mirror.lock:
-            if not self._mirror.is_mirrored(table):
-                database = self._database
-                try:
+            try:
+                if not self._mirror.is_mirrored(table):
+                    database = self._database
                     self._mirror.ensure(table, database.schema_of(table), database.state[table])
-                except (MirrorUnsupported, UnknownTableError):
-                    return None
-            pids = {spec.partition_of(key) for key in keys}
-            rows = self._mirror.restricted_rows(table, pids, keys)
+                pids = {spec.partition_of(key) for key in keys}
+                rows = self._mirror.restricted_rows(table, pids, keys)
+            except (MirrorUnsupported, UnknownTableError):
+                return None
+            except sqlite3.Error:
+                _count_fallback("backend_error")
+                return None
         if rows is None:
             return None
         counts: dict[Row, int] = {}
@@ -226,17 +287,81 @@ class PushdownExecutor(Executor):
         return bag
 
     def _eval(self, expr: Expr, counter: CostCounter | None, binding) -> Bag:
+        gate = self.breaker
+        if gate != CLOSED:
+            with self._mirror.lock:
+                gate = self._gate()
+        if gate == OPEN:
+            _count_fallback("breaker_open")
+            return super().evaluate(expr, counter=counter, binding=binding)
+        if gate == HALF_OPEN:
+            return self._probe(expr, counter, binding)
+        try:
+            return self._push(expr, counter, binding)
+        except sqlite3.Error as exc:
+            with self._mirror.lock:
+                self.trips += 1
+                self._open()
+                obs.metric_inc("engine_demotions")
+            _count_fallback("backend_error")
+            with obs.span("engine_demotion", error=type(exc).__name__):
+                pass
+            return super().evaluate(expr, counter=counter, binding=binding)
+
+    def _push(self, expr: Expr, counter: CostCounter | None, binding) -> Bag:
         if binding is not None:
             expr = self._bind_leaves(expr, binding)
         if self._is_pushable(expr):
             try:
                 return self._sql_eval(expr, counter, binding)
             except MirrorUnsupported:
+                _count_fallback("mirror_unsupported")
                 return super().evaluate(expr, counter=counter, binding=binding)
             except _TooDeep:
-                pass
+                _count_fallback("too_deep")
         rewritten = self._push_maximal(expr, counter, binding)
         return super().evaluate(rewritten, counter=counter, binding=binding)
+
+    # ------------------------------------------------------------------
+    # The breaker (callers hold the mirror's lock)
+    # ------------------------------------------------------------------
+
+    def _gate(self) -> str:
+        """Gate one evaluation: the state it runs under (``closed`` =
+        push, ``open`` = skip, ``half-open`` = probe)."""
+        if self.breaker == OPEN:
+            self._cooldown -= 1
+            if self._cooldown <= 0:
+                self.breaker = HALF_OPEN
+        return self.breaker
+
+    def _open(self) -> None:
+        self.breaker = OPEN
+        self._cooldown = self.COOLDOWN_OPS
+
+    def _probe(self, expr: Expr, counter: CostCounter | None, binding) -> Bag:
+        """The half-open cross-check: answer compiled, heal, push, compare.
+
+        The compiled answer is computed first, so whatever the probe
+        does, the caller gets it.  Digests go through
+        :func:`~repro.storage.sqlite_backend.mirror_digest`, so SQLite's
+        bool→int round trip cannot fake a divergence.
+        """
+        reference = super().evaluate(expr, counter=counter, binding=binding)
+        try:
+            with obs.span("pushdown_probe"):
+                fault_point("flaky-pushdown-probe")
+                self._mirror.resync(self._database)
+                healed = mirror_digest(self._push(expr, counter, binding)) == mirror_digest(reference)
+        except sqlite3.Error:
+            healed = False
+        with self._mirror.lock:
+            if healed:
+                self.breaker = CLOSED
+            else:
+                self._open()
+        obs.metric_inc("engine_repromotions" if healed else "pushdown_probe_failures")
+        return reference
 
     def _bind_leaves(self, expr: Expr, binding) -> Expr:
         """``expr`` with each bound leaf replaced by a literal of the bag
@@ -301,7 +426,20 @@ class PushdownExecutor(Executor):
     # ------------------------------------------------------------------
 
     def _sql_eval(self, expr: Expr, counter: CostCounter | None, binding=None) -> Bag:
-        """Evaluate a pushable ``expr`` entirely inside SQLite."""
+        """Evaluate a pushable ``expr`` entirely inside SQLite, retrying
+        transient backend errors under the shared policy."""
+        rows = RETRY_POLICY.run(
+            lambda: self._sql_rows(expr, counter, binding), sleep=sleep, rng=self._rng
+        )
+        counts: dict[Row, int] = {}
+        for *values, mult in rows:
+            row = tuple(values)
+            counts[row] = counts.get(row, 0) + int(mult)
+        if counter is not None:
+            counter.record("pushdown", len(rows))
+        return Bag.from_counts(counts)
+
+    def _sql_rows(self, expr: Expr, counter: CostCounter | None, binding) -> list[tuple]:
         mirror = self._mirror
         database = self._database
         state = database.state
@@ -335,7 +473,7 @@ class PushdownExecutor(Executor):
             params = sql_params(binding, names)
             fault_point("flaky-pushdown-execute")
             try:
-                rows = mirror.execute(sql, params)
+                return mirror.execute(sql, params)
             except sqlite3.OperationalError as exc:
                 if "parser stack overflow" not in str(exc):
                     raise
@@ -344,13 +482,6 @@ class PushdownExecutor(Executor):
                 self._pushable_memo[expr] = False
                 self._sql_cache.pop(expr, None)
                 raise _TooDeep from exc
-        counts: dict[Row, int] = {}
-        for *values, mult in rows:
-            row = tuple(values)
-            counts[row] = counts.get(row, 0) + int(mult)
-        if counter is not None:
-            counter.record("pushdown", len(rows))
-        return Bag.from_counts(counts)
 
     def _push_maximal(self, expr: Expr, counter: CostCounter | None, binding=None) -> Expr:
         """Replace each maximal pushable subtree with its SQL result.
@@ -364,9 +495,10 @@ class PushdownExecutor(Executor):
             try:
                 return Literal(self._sql_eval(expr, counter, binding), expr.schema())
             except MirrorUnsupported:
+                _count_fallback("mirror_unsupported")
                 return expr
             except _TooDeep:
-                pass
+                _count_fallback("too_deep")
         children = expr.children()
         if not children:
             return expr

@@ -32,9 +32,7 @@ from typing import Any
 
 __all__ = [
     "CRASH_POINTS",
-    "CircuitBreaker",
     "DurableWarehouse",
-    "EngineGovernor",
     "FAULT_POINTS",
     "FaultInjector",
     "InjectedCrash",
@@ -51,9 +49,7 @@ __all__ = [
 
 _EXPORTS = {
     "CRASH_POINTS": ("repro.robustness.faults", "CRASH_POINTS"),
-    "CircuitBreaker": ("repro.robustness.governor", "CircuitBreaker"),
     "DurableWarehouse": ("repro.robustness.durable", "DurableWarehouse"),
-    "EngineGovernor": ("repro.robustness.governor", "EngineGovernor"),
     "FAULT_POINTS": ("repro.robustness.faults", "FAULT_POINTS"),
     "FaultInjector": ("repro.robustness.faults", "FaultInjector"),
     "InjectedCrash": ("repro.robustness.faults", "InjectedCrash"),
@@ -64,7 +60,7 @@ _EXPORTS = {
     "audit_manager": ("repro.robustness.recovery", "audit_manager"),
     "bag_digest": ("repro.robustness.journal", "bag_digest"),
     "fault_point": ("repro.robustness.faults", "fault_point"),
-    "heal_engine_state": ("repro.robustness.governor", "heal_engine_state"),
+    "heal_engine_state": ("repro.robustness.recovery", "heal_engine_state"),
     "recover": ("repro.robustness.recovery", "recover"),
 }
 

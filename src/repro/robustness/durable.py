@@ -93,8 +93,6 @@ class DurableWarehouse:
         path: str | Path,
         *,
         exec_mode: str | None = None,
-        governed: bool = False,
-        governor_opts: dict | None = None,
         _manager: ViewManager | None = None,
         _skip_baseline: bool = False,
     ) -> None:
@@ -107,8 +105,6 @@ class DurableWarehouse:
             _manager = ViewManager(exec_mode=exec_mode)
         self.manager = _manager
         self.db = self.manager.db
-        if governed:
-            self.db.enable_governor(**(governor_opts or {}))
         self.db.journaled = True
         self.db.durable_origin = self.path
         self._queue = track_deltas(self.db, self.path)
@@ -132,25 +128,22 @@ class DurableWarehouse:
         *,
         auto_recover: bool = True,
         exec_mode: str | None = None,
-        governed: bool = False,
-        governor_opts: dict | None = None,
     ) -> DurableWarehouse:
         """Resume a durable warehouse from its snapshot (+ journal).
 
         With ``auto_recover`` (the default) any interrupted operation is
         resolved first, exactly as ``python -m repro recover`` would.
-        ``exec_mode`` and ``governed`` re-establish the runtime engine
-        configuration — the snapshot file stores neither, so a caller
-        that ran a sqlite governed warehouse must say so again here
-        to resume (and roll forward) on the same engine.
+        ``exec_mode`` re-establishes the runtime engine — the snapshot
+        file stores none, so a caller that ran a sqlite warehouse must
+        say so again here to resume (and roll forward) on the same
+        engine.
         """
         path = Path(path)
-        engine = {"exec_mode": exec_mode, "governed": governed, "governor_opts": governor_opts}
         if auto_recover:
             from repro.robustness.recovery import recover
 
-            recover(path, **engine)
-        manager = load_warehouse(path, **engine)
+            recover(path, exec_mode=exec_mode)
+        manager = load_warehouse(path, exec_mode=exec_mode)
         return cls(path, _manager=manager, _skip_baseline=True)
 
     def close(self) -> None:

@@ -42,7 +42,7 @@ flaky-mirror-adopt      ``SQLiteMirror._adopt``, before the eager table create
 flaky-mirror-reload     ``SQLiteMirror._reload``, before the wholesale re-insert
 flaky-index-create      ``SQLiteMirror._create_index``, before the CREATE INDEX
 flaky-pushdown-execute  ``PushdownExecutor._sql_eval``, before the compiled SELECT
-flaky-governor-probe    engine governor, half-open probe, before the cross-check
+flaky-pushdown-probe    ``PushdownExecutor._probe``, before the cross-check
 ======================= =========================================================
 
 ``crash-*`` points simulate process death (:class:`InjectedCrash`);
@@ -103,7 +103,7 @@ FAULT_POINTS: frozenset[str] = frozenset(
         "flaky-mirror-reload",
         "flaky-index-create",
         "flaky-pushdown-execute",
-        "flaky-governor-probe",
+        "flaky-pushdown-probe",
     }
 )
 

@@ -94,15 +94,11 @@ class RetailCrashHarness:
         seed: int = 96,
         txns: int = 6,
         exec_mode: str | None = None,
-        governed: bool = False,
-        governor_opts: dict | None = None,
     ) -> None:
         self.path = Path(path)
         self.seed = seed
         self.txns = txns
         self.exec_mode = exec_mode
-        self.governed = governed
-        self.governor_opts = governor_opts
         self.config = RetailConfig(
             customers=24, items=10, initial_sales=60, txn_inserts=4, seed=seed
         )
@@ -183,22 +179,13 @@ class RetailCrashHarness:
     # Driving with crashes
     # ------------------------------------------------------------------
 
-    @property
-    def _engine(self) -> dict:
-        # The snapshot stores no engine choice, so the harness replays
-        # its configured exec_mode/governed flags on every recovery and
-        # reopen — a sqlite chaos run stays on sqlite, governed, across
-        # every simulated process death.
-        return {
-            "exec_mode": self.exec_mode,
-            "governed": self.governed,
-            "governor_opts": self.governor_opts,
-        }
-
     def _attach(self) -> DurableWarehouse:
+        # The snapshot stores no engine choice, so the harness passes its
+        # exec_mode to every recovery and reopen — a sqlite chaos run stays
+        # on sqlite across every simulated process death.
         if self.path.exists():
-            return DurableWarehouse.open(self.path, auto_recover=False, **self._engine)
-        return DurableWarehouse(self.path, **self._engine)
+            return DurableWarehouse.open(self.path, auto_recover=False, exec_mode=self.exec_mode)
+        return DurableWarehouse(self.path, exec_mode=self.exec_mode)
 
     def resume(self) -> Iterator[int]:
         """What a restarted process does after a *real* kill: recover,
@@ -211,7 +198,7 @@ class RetailCrashHarness:
         killed anywhere in here is resumed the same way.
         """
         if self.path.exists():
-            recover(self.path, **self._engine)
+            recover(self.path, exec_mode=self.exec_mode)
         warehouse = self._attach()
         try:
             for index, (kind, arg) in enumerate(self._ops()):
@@ -224,7 +211,7 @@ class RetailCrashHarness:
         """Recovery must survive crashes of its own (idempotence)."""
         while True:
             try:
-                result.recoveries.append(recover(self.path, **self._engine))
+                result.recoveries.append(recover(self.path, exec_mode=self.exec_mode))
                 return
             except InjectedCrash:
                 result.crashes += 1
@@ -245,8 +232,7 @@ class RetailCrashHarness:
         point catalog is actually reachable.  ``storm_seed`` arms a
         seeded transient-fault storm on every ``flaky-*`` seam for the
         whole run (independently of, and composable with, the crash
-        schedule); under a governed warehouse the storm must stay
-        invisible to the workload.
+        schedule); the storm must stay invisible to the workload.
         """
         for stale in (self.path, journal_path(self.path), self.path.with_name(self.path.name + ".saving")):
             if stale.exists():

@@ -23,7 +23,7 @@ restart every scenario's invariant — ``INV_IM``, ``INV_BL``,
    (DDL) are rolled back.  Post-op snapshot: the work is already
    durable; just commit the intent.
 3. **Heal.**  Validate the engine-derived state against the recovered
-   tables (:func:`repro.robustness.governor.heal_engine_state`): hash
+   tables (:func:`heal_engine_state`): hash
    indexes are drained and audited bucket-for-bucket, and a pushdown
    executor's SQLite mirror is digest-compared per table — anything a
    crash left corrupted is rebuilt or resynced before the warehouse
@@ -45,7 +45,6 @@ from repro import obs
 from repro.core.ops import MaintenanceAction
 from repro.core.transactions import UserTransaction
 from repro.errors import RecoveryError
-from repro.robustness.governor import heal_engine_state
 from repro.robustness.journal import (
     IntentJournal,
     OpIntent,
@@ -57,7 +56,7 @@ from repro.storage.persistence import staging_path, track_deltas
 from repro.warehouse.manager import ViewManager
 from repro.warehouse.persistence import load_warehouse, save_warehouse
 
-__all__ = ["ViewAudit", "RecoveryReport", "audit_manager", "recover", "main"]
+__all__ = ["ViewAudit", "RecoveryReport", "audit_manager", "heal_engine_state", "recover", "main"]
 
 #: Scenario tag → the Figure 1 invariant it maintains.
 INVARIANT_NAMES = {
@@ -134,6 +133,25 @@ def audit_manager(manager: ViewManager) -> list[ViewAudit]:
     return audits
 
 
+def heal_engine_state(db) -> dict[str, list[str]]:
+    """Validate and repair all engine-derived state against the tables.
+
+    Crash recovery's last step: hash indexes are drained and audited
+    bucket-for-bucket (:meth:`~repro.exec.indexes.IndexManager.verify`,
+    rebuilding any an interrupted maintenance step corrupted), and a
+    pushdown executor's SQLite mirror is digest-compared per table and
+    resynced where diverged.  Derived state that was never built (the
+    common case right after a fresh load) audits clean for free.
+    Returns ``{"indexes": [...], "mirror": [...]}`` naming what was
+    healed.
+    """
+    healed = {"indexes": db.indexes.verify(db.state), "mirror": []}
+    mirror = getattr(db._executor, "mirror", None)
+    if mirror is not None:
+        healed["mirror"] = mirror.resync(db)
+    return healed
+
+
 def _journaled_action(manager: ViewManager, intent: OpIntent) -> MaintenanceAction | None:
     """The action ``intent`` recorded, or ``None`` when it only rolls back.
 
@@ -155,20 +173,13 @@ def _journaled_action(manager: ViewManager, intent: OpIntent) -> MaintenanceActi
     return replace(action, options={"txn": txn})
 
 
-def recover(
-    path: str | Path,
-    *,
-    exec_mode: str | None = None,
-    governed: bool = False,
-    governor_opts: dict | None = None,
-) -> RecoveryReport:
+def recover(path: str | Path, *, exec_mode: str | None = None) -> RecoveryReport:
     """Resolve any interrupted operation at ``path`` and audit invariants.
 
-    The snapshot stores no engine choice: ``exec_mode``, ``governed`` and
-    ``governor_opts`` are the warehouse's own (what
+    The snapshot stores no engine choice: ``exec_mode`` is the
+    warehouse's own (what
     :meth:`~repro.robustness.durable.DurableWarehouse.open` is given), so
-    the roll-forward runs on the engine and under the governor the
-    warehouse resumes on.
+    the roll-forward runs on the engine the warehouse resumes on.
 
     Idempotent: running it again (or crashing *during* recovery and
     running it once more) converges to the same green state.
@@ -188,9 +199,7 @@ def recover(
         queue = None
         try:
             pending = journal.pending()
-            manager = load_warehouse(
-                path, exec_mode=exec_mode, governed=governed, governor_opts=governor_opts
-            )
+            manager = load_warehouse(path, exec_mode=exec_mode)
             # A queue that has not seen a full write makes the roll-forward
             # checkpoint below a rewrite with ``reason="recovery"``: the
             # file leaves recovery consolidated, whatever was appended to it.

@@ -26,10 +26,10 @@ so the exclusive lock every refresh-family operation takes on ``MV``
 * **Fails closed.**  A view whose scenario cannot run what the policy
   schedules is refused at :meth:`ViewServer.define_view`; a queued action
   that fails deterministically is dropped and raised once.
-* **Durability and degradation compose.**  Pass ``durable_path`` to run
-  every mutation through the :class:`~repro.robustness.DurableWarehouse`
-  write-ahead journal, and ``governed=True`` to keep the engine
-  governor's degradation ladder under the whole stack.
+* **Durability composes.**  Pass ``durable_path`` to run every mutation
+  through the :class:`~repro.robustness.DurableWarehouse` write-ahead
+  journal; on ``exec_mode="sqlite"`` the engine absorbs its own backend
+  errors underneath (see :mod:`repro.exec.pushdown`).
 * **Crash containment.**  A maintenance action that dies mid-epoch
   (:class:`~repro.robustness.faults.InjectedCrash`) leaves the database
   rolled back by the storage layer's all-or-nothing install and the
@@ -67,8 +67,6 @@ class ServeConfig:
     policy: MaintenancePolicy | None = None
     #: Execution engine for a fresh database (None = session default).
     exec_mode: str | None = None
-    #: Route evaluations through the engine governor's ladder.
-    governed: bool = False
     #: When set, all mutations run through the write-ahead journal of a
     #: :class:`~repro.robustness.DurableWarehouse` at this path.
     durable_path: str | None = None
@@ -86,17 +84,11 @@ class ViewServer:
             if self.config.durable_path is not None:
                 from repro.robustness.durable import DurableWarehouse
 
-                manager = DurableWarehouse(
-                    self.config.durable_path,
-                    exec_mode=self.config.exec_mode,
-                    governed=self.config.governed,
-                )
+                manager = DurableWarehouse(self.config.durable_path, exec_mode=self.config.exec_mode)
             else:
                 from repro.warehouse.manager import ViewManager
 
-                manager = ViewManager(
-                    exec_mode=self.config.exec_mode, governed=self.config.governed
-                )
+                manager = ViewManager(exec_mode=self.config.exec_mode)
         self.manager = manager
         # DurableWarehouse wraps a ViewManager on .manager; plain managers
         # are their own inner manager.  Ledger/counter live on the inner.

@@ -53,7 +53,8 @@ class Database:
       clock value bumped on every write to a table;
     * ``exec_mode="sqlite"`` pushes pushable plan subtrees down into an
       incrementally-mirrored SQLite database, falling back to the
-      compiled plans per subtree;
+      compiled plans per subtree, and for whole expressions while the
+      SQLite backend fails;
     * ``exec_mode="interpreted"`` walks the AST on every call and serves
       as the correctness oracle.
 
@@ -80,10 +81,6 @@ class Database:
         self._clock = 0
         self._indexes = IndexManager()
         self._executor: Executor | None = None
-        #: Engine governor (set by :meth:`enable_governor`): when live,
-        #: every engine-backed evaluation routes through its
-        #: degradation ladder instead of hitting the executor directly.
-        self._governor = None
         #: Write listeners: objects with ``on_patch(name, delete, insert,
         #: before, after)``, ``on_replace(name, bag)``, ``on_drop(name)``.
         self._listeners: list = []
@@ -116,28 +113,6 @@ class Database:
             else:
                 self._executor = Executor(self)
         return self._executor
-
-    def enable_governor(self, **kwargs):
-        """Route evaluations through an engine-degradation ladder.
-
-        Idempotent: the first call builds the
-        :class:`~repro.robustness.governor.EngineGovernor` (keyword
-        arguments are forwarded to it); later calls return the live one.
-        Both :meth:`evaluate` and transaction right-hand sides inside
-        :meth:`apply` then absorb transient backend errors by retrying
-        and, on persistent failure, fall to a lower execution tier
-        instead of surfacing the error.
-        """
-        if self._governor is None:
-            from repro.robustness.governor import EngineGovernor
-
-            self._governor = EngineGovernor(self, **kwargs)
-        return self._governor
-
-    @property
-    def governor(self):
-        """The live engine governor, or ``None`` when ungoverned."""
-        return self._governor
 
     def add_write_listener(self, listener) -> None:
         """Register an engine-side mirror for per-write delta forwarding.
@@ -277,8 +252,6 @@ class Database:
         sanitizer = obs.active_sanitizer()
         if sanitizer is not None and sanitizer.tracking():
             sanitizer.on_read(expr.tables())
-        if self._governor is not None:
-            return self._governor.evaluate(expr, counter=counter, binding=binding)
         if self._exec_mode == INTERPRETED:
             return evaluate(expr, self._tables, counter=counter, binding=binding)
         return self.executor.evaluate(expr, counter=counter, binding=binding)
@@ -370,7 +343,6 @@ class Database:
         binding=None,
     ) -> None:
         interpreted = self._exec_mode == INTERPRETED
-        governor = self._governor
         memo: dict[Expr, Bag] = {}
         # The op stack only changes at span boundaries outside this call,
         # so whether accesses are judged is constant for the whole
@@ -387,8 +359,6 @@ class Database:
             # warning on :func:`repro.algebra.evaluation.evaluate`).
             if sanitizer is not None:
                 sanitizer.on_read(expr.tables())
-            if governor is not None:
-                return governor.evaluate(expr, counter=counter, memo=memo, binding=binding)
             if interpreted:
                 return evaluate(expr, self._tables, counter=counter, memo=memo, binding=binding)
             return self.executor.evaluate(expr, counter=counter, binding=binding)

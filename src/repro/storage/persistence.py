@@ -159,7 +159,7 @@ class RetryPolicy:
 
 
 #: The shared default policy: snapshot writes, journal connections, and
-#: the engine governor's per-tier evaluation retries all run under it.
+#: the sqlite tier's push-down reads all run under it.
 RETRY_POLICY = RetryPolicy()
 
 

@@ -903,8 +903,7 @@ class SQLiteMirror:
         for reload and are not re-hashed; tables ``db`` has dropped
         count as divergent).  An empty result means every scan the
         pushdown engine could run would read exactly the canonical
-        state — the re-promotion criterion of the engine governor's
-        half-open probe.
+        state.
         """
         diverged = []
         for name in self.mirrored_tables():

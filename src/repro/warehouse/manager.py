@@ -95,20 +95,12 @@ class ViewManager:
         db: Database | None = None,
         *,
         exec_mode: str | None = None,
-        governed: bool = False,
-        governor_opts: dict | None = None,
     ) -> None:
         """``exec_mode`` picks the query engine for a fresh database —
-        ``"compiled"`` (default) or the ``"interpreted"`` oracle; see
-        :mod:`repro.exec`.  Ignored when an existing ``db`` is passed.
-        ``governed`` routes every evaluation through the engine
-        governor's degradation ladder
-        (:meth:`~repro.storage.database.Database.enable_governor`,
-        which receives ``governor_opts``); this *does* apply to a
-        passed-in ``db``."""
+        ``"compiled"`` (default), ``"sqlite"`` or the ``"interpreted"``
+        oracle; see :mod:`repro.exec`.  Ignored when an existing ``db``
+        is passed."""
         self.db = db if db is not None else Database(exec_mode=exec_mode)
-        if governed:
-            self.db.enable_governor(**(governor_opts or {}))
         self.counter = CostCounter()
         self.ledger = LockLedger()
         self._scenarios: dict[str, Scenario] = {}

@@ -91,26 +91,16 @@ def save_warehouse(manager: ViewManager, path: str | Path) -> None:
     )
 
 
-def load_warehouse(
-    path: str | Path,
-    *,
-    exec_mode: str | None = None,
-    governed: bool = False,
-    governor_opts: dict | None = None,
-) -> ViewManager:
+def load_warehouse(path: str | Path, *, exec_mode: str | None = None) -> ViewManager:
     """Load a warehouse saved with :func:`save_warehouse`.
 
     Views are reattached to their existing materialized/auxiliary tables
     (nothing is recomputed); pending logs and differentials survive, so
     a subsequent refresh applies everything recorded before the save.
     ``exec_mode`` picks the reloaded database's engine (snapshots store
-    no engine choice) and ``governed`` arms the engine-degradation
-    ladder on it (``governor_opts`` are forwarded to
-    :meth:`~repro.storage.database.Database.enable_governor`).
+    no engine choice).
     """
     db = load_database(path, exec_mode=exec_mode)
-    if governed:
-        db.enable_governor(**(governor_opts or {}))
     manager = ViewManager(db)
     if not db.has_table(VIEWDEFS_TABLE):
         return manager

@@ -72,23 +72,23 @@ def test_every_fault_point_is_reachable(tmp_path):
     """The catalog is honest: some driver visits every injection point.
 
     The default-engine workload covers the classic journal/checkpoint
-    points; the governed sqlite engine adds the mirror and pushdown
-    seams.  Three points need targeted drivers: the epoch delta cache
-    only fills under a *group* refresh, the probe seam only fires while
-    a breaker is half-open, and the partition-apply seam only exists
-    on a `PartitionedDatabase` — each is exercised below.
+    points; the sqlite engine adds the mirror and pushdown seams.  Three
+    points need targeted drivers: the epoch delta cache only fills under
+    a *group* refresh, the probe seam only fires while the sqlite
+    tier's breaker is half-open, and the partition-apply seam only
+    exists on a `PartitionedDatabase` — each is exercised below.
     """
     harness = RetailCrashHarness(tmp_path / "wh1.db")
     harness.run(trace=True)
     visited = set(INJECTOR.hits)
     INJECTOR.reset()
-    sqlite_harness = RetailCrashHarness(tmp_path / "wh2.db", exec_mode="sqlite", governed=True)
+    sqlite_harness = RetailCrashHarness(tmp_path / "wh2.db", exec_mode="sqlite")
     sqlite_harness.run(trace=True)
     visited |= set(INJECTOR.hits)
     INJECTOR.reset()
     targeted = {
         "crash-mid-delta-cache",
-        "flaky-governor-probe",
+        "flaky-pushdown-probe",
         "crash-mid-partition-apply",
     }
     assert FAULT_POINTS - targeted <= visited
@@ -118,20 +118,23 @@ def test_delta_cache_point_is_reachable():
     assert visits >= 1
 
 
-def test_governor_probe_point_is_reachable():
+def test_pushdown_probe_point_is_reachable(monkeypatch):
+    from repro.exec import pushdown
     from repro.storage.database import Database
 
+    monkeypatch.setattr(pushdown, "sleep", lambda delay: None)
+    monkeypatch.setattr(pushdown.PushdownExecutor, "COOLDOWN_OPS", 1)
     db = Database(exec_mode="sqlite")
-    db.enable_governor(cooldown_ops=1, sleep=lambda delay: None)
     db.create_table("t", ("a",), rows=[(1,)])
     ref = db.ref("t")
     db.evaluate(ref)
     INJECTOR.trace()
     INJECTOR.arm_transient("flaky-pushdown-execute", times=5)
     db.load("t", [(2,)])
-    db.evaluate(ref)  # demotes: retry budget exhausted
+    db.evaluate(ref)  # trips: retry budget exhausted
+    db.load("t", [(3,)])
     db.evaluate(ref)  # cooldown of 1 expires; half-open probe fires
-    visits = INJECTOR.hits.get("flaky-governor-probe", 0)
+    visits = INJECTOR.hits.get("flaky-pushdown-probe", 0)
     INJECTOR.reset()
     assert visits >= 1
 

@@ -144,7 +144,7 @@ class TestCatalog:
             "flaky-mirror-reload",
             "flaky-index-create",
             "flaky-pushdown-execute",
-            "flaky-governor-probe",
+            "flaky-pushdown-probe",
         }
 
     def test_storm_and_crash_points_partition_the_catalog(self):

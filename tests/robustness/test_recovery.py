@@ -4,13 +4,15 @@ import pytest
 
 from repro.core.ops import ACTIONS
 from repro.errors import RecoveryError
-from repro.exec import COMPILED, ENV_VAR, SQLITE
+from repro.exec import COMPILED, ENV_VAR, SQLITE, Executor
+from repro.exec.pushdown import PushdownExecutor
 from repro.robustness.durable import DurableWarehouse
 from repro.robustness.faults import INJECTOR, InjectedCrash
 from repro.robustness.journal import IntentJournal, bag_digest, journal_path
 from repro.robustness.recovery import main as recover_main
 from repro.robustness.recovery import recover
 from repro.storage.persistence import staging_path
+from repro.warehouse.manager import ViewManager
 
 
 @pytest.fixture(autouse=True)
@@ -262,26 +264,33 @@ def test_open_auto_recovers(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "engine",
-    [
-        {"exec_mode": COMPILED},
-        {"exec_mode": SQLITE, "governed": True, "governor_opts": {"sleep": lambda delay: None}},
-    ],
-    ids=["compiled", "governed-sqlite"],
+    "engine, process_default",
+    [(COMPILED, SQLITE), (SQLITE, COMPILED)],
+    ids=["compiled", "sqlite"],
 )
-def test_roll_forward_runs_on_the_engine_the_warehouse_is_opened_with(tmp_path, monkeypatch, engine):
+def test_roll_forward_runs_on_the_engine_the_warehouse_is_opened_with(
+    tmp_path, monkeypatch, engine, process_default
+):
     path = tmp_path / "wh.db"
     warehouse = build(path)
     crash_during(warehouse, "crash-after-journal", lambda w: w.refresh("V"))
-    # The process default is an ungoverned sqlite tier whose every pushed
-    # statement fails: only the caller's engine can roll the refresh forward.
-    monkeypatch.setenv(ENV_VAR, SQLITE)
-    INJECTOR.arm_storm(seed=1, probability=1.0, points=frozenset({"flaky-pushdown-execute"}))
-    with DurableWarehouse.open(path, **engine) as reopened:
-        INJECTOR.reset()
+    expected = oracle_view(tmp_path)
+    # The process default names the other engine: a roll-forward that
+    # ignored the caller's exec_mode would run there.
+    monkeypatch.setenv(ENV_VAR, process_default)
+    rolled_forward_on = []
+    run = ViewManager.run
+
+    def spy(manager, action):
+        rolled_forward_on.append(type(manager.db.executor))
+        return run(manager, action)
+
+    monkeypatch.setattr(ViewManager, "run", spy)
+    with DurableWarehouse.open(path, exec_mode=engine) as reopened:
         assert reopened.journal.pending() is None
         reopened.check_invariants()
-        assert reopened.query("V") == oracle_view(tmp_path)
+        assert reopened.query("V") == expected
+    assert rolled_forward_on == [PushdownExecutor if engine == SQLITE else Executor]
 
 
 def test_recover_missing_snapshot_raises(tmp_path):

@@ -229,29 +229,6 @@ class TestComposition:
         with DurableWarehouse.open(path) as reopened:
             assert table_digests(reopened.db) == before
 
-    def test_governed_mode_serves_identically(self):
-        from repro.workloads.retail import (
-            CUSTOMER_ATTRS,
-            SALES_ATTRS,
-            VIEW_SQL,
-            RetailConfig,
-            RetailWorkload,
-        )
-
-        def _arm(governed: bool) -> str:
-            workload = RetailWorkload(
-                RetailConfig(customers=8, initial_sales=20, txn_inserts=3, seed=7)
-            )
-            server = ViewServer(ServeConfig(k=2, m=3, governed=governed))
-            server.create_table("customer", CUSTOMER_ATTRS, rows=workload.customer_rows())
-            server.create_table("sales", SALES_ATTRS, rows=workload.initial_sales_rows())
-            server.define_view("V", VIEW_SQL, scenario="combined")
-            for _ in range(6):
-                server.tick([workload.next_transaction(server.db)])
-            return bag_digest(server.read("V"))
-
-        assert _arm(True) == _arm(False)
-
     def test_async_read_matches_sync(self):
         server, workload = build_server()
         server.tick([workload.next_transaction(server.db)])

@@ -4,8 +4,8 @@ torn loads, and post-crash digest cross-checks.
 The SQLite mirror is *derived* state with a self-description of its own
 health: ``_dirty`` marks tables needing a reload, ``_unsupported``
 marks tables SQLite cannot represent, and the new self-healing surface
-(``table_digest`` / ``divergent_tables`` / ``resync``) lets the
-governor and the recovery runner prove — or restore — agreement with
+(``table_digest`` / ``divergent_tables`` / ``resync``) lets the sqlite
+tier's probe and the recovery runner prove — or restore — agreement with
 the canonical :class:`~repro.storage.database.Database`.
 """
 

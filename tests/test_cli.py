@@ -94,6 +94,24 @@ class TestDotCommands:
         assert "tuple ops" in output
         assert "view V" in output
 
+    def test_engine(self, monkeypatch):
+        from repro.exec import ENV_VAR, pushdown
+        from repro.robustness.faults import INJECTOR
+
+        monkeypatch.setenv(ENV_VAR, "compiled")
+        assert WarehouseShell().handle_line(".engine") == "engine compiled"
+        monkeypatch.setenv(ENV_VAR, "sqlite")
+        monkeypatch.setattr(pushdown, "sleep", lambda delay: None)
+        sh = WarehouseShell()
+        sh.handle_line("CREATE TABLE t (a, b);")
+        assert sh.handle_line(".engine") == "engine sqlite (breaker closed, trips 0)"
+        INJECTOR.arm_transient("flaky-pushdown-execute", times=5)
+        try:
+            assert sh.handle_line("INSERT INTO t VALUES (1, 'x');") == "ok"
+        finally:
+            INJECTOR.reset()
+        assert sh.handle_line(".engine") == "engine sqlite (breaker open, trips 1)"
+
     def test_unknown_command(self, shell):
         assert "unknown command" in shell.handle_line(".bogus")
 

@@ -1,6 +1,6 @@
-"""The engine governor, the lockset sanitizer and telemetry are free bookkeeping.
+"""The lockset sanitizer and telemetry are free bookkeeping.
 
-Each of the three may watch maintenance but never change it.  The table
+Each of the two may watch maintenance but never change it.  The table
 below runs three maintenance workloads — a retail propagate/refresh
 stream (Figure 3's Combined scenario), one group epoch over eight
 shared-log views, and a base-log refresh over hash-partitioned tables —
@@ -11,7 +11,7 @@ and once with it on.  On every row:
   and every view's digest equal the toggle-off run's;
 * every view equals its query recomputed by the interpreted evaluator
   over the final state ("MV after refresh ≡ Q");
-* the governor trips no breaker, the sanitizer reports no finding,
+* the sqlite tier trips no breaker, the sanitizer reports no finding,
   partition pruning never falls back to a whole-table plan, and each
   partitioned epoch touches at most ``min(parts, affected keys)``
   partitions.
@@ -32,7 +32,7 @@ import pytest
 from repro import obs
 from repro.algebra.evaluation import CostCounter, evaluate
 from repro.core.scenarios import BaseLogScenario
-from repro.exec import INTERPRETED, MODES
+from repro.exec import INTERPRETED, MODES, SQLITE
 from repro.robustness.faults import INJECTOR
 from repro.robustness.journal import bag_digest
 from repro.sqlfront import sql_to_view
@@ -40,7 +40,7 @@ from repro.storage.partition import PartitionedDatabase
 from repro.warehouse.manager import ViewManager
 from repro.workloads.retail import VIEW_SQL, RetailConfig, RetailWorkload
 
-TOGGLES = ("governor", "sanitizer", "telemetry")
+TOGGLES = ("sanitizer", "telemetry")
 
 #: A second query for the group, so its eight views hold two structures.
 HIGH_CUSTOMERS_SQL = "SELECT custId, name FROM customer WHERE score = 'High'"
@@ -66,16 +66,13 @@ def oracle(db, scenario) -> str:
 
 
 def breaker_trips(db) -> int:
-    governor = db.governor
-    if governor is None:
-        return 0
-    return sum(breaker["trips"] for breaker in governor.snapshot()["breakers"].values())
+    return db.executor.trips if db.exec_mode == SQLITE else 0
 
 
-def retail_stream(mode: str, governed: bool) -> dict:
+def retail_stream(mode: str) -> dict:
     config = RetailConfig(customers=16, items=8, initial_sales=48, txn_inserts=4, seed=96)
     workload = RetailWorkload(config)
-    manager = ViewManager(exec_mode=mode, governed=governed)
+    manager = ViewManager(exec_mode=mode)
     workload.setup_database(manager.db)
     manager.define_view("V", VIEW_SQL, scenario="combined")
     for index, txn in enumerate(workload.transactions(manager.db, 6)):
@@ -88,10 +85,10 @@ def retail_stream(mode: str, governed: bool) -> dict:
     return managed_result(manager)
 
 
-def group_epoch(mode: str, governed: bool) -> dict:
+def group_epoch(mode: str) -> dict:
     config = RetailConfig(customers=30, initial_sales=120, txn_inserts=6, delete_fraction=0.4, seed=18)
     workload = RetailWorkload(config)
-    manager = ViewManager(exec_mode=mode, governed=governed)
+    manager = ViewManager(exec_mode=mode)
     workload.setup_database(manager.db)
     for index in range(8):
         query = (VIEW_SQL, HIGH_CUSTOMERS_SQL)[index % 2]
@@ -112,7 +109,7 @@ def managed_result(manager: ViewManager) -> dict:
     }
 
 
-def partitioned_refresh(mode: str, governed: bool) -> dict:
+def partitioned_refresh(mode: str) -> dict:
     config = RetailConfig(
         customers=200,
         items=50,
@@ -124,8 +121,6 @@ def partitioned_refresh(mode: str, governed: bool) -> dict:
     )
     workload = RetailWorkload(config)
     db = PartitionedDatabase(exec_mode=mode)
-    if governed:
-        db.enable_governor()
     workload.setup_database(db)
     for table in ("customer", "sales"):
         db.declare_partitioning(table, "custId", parts=PARTS, domain="custId")
@@ -171,7 +166,7 @@ def run(workload: str, mode: str, toggle: str | None = None) -> Run:
         accounting=toggle == "telemetry",
         sanitizer=toggle == "sanitizer",
     ) as stack:
-        result = WORKLOADS[workload](mode, toggle == "governor")
+        result = WORKLOADS[workload](mode)
     return Run(findings=len(stack.sanitizer.findings) if toggle == "sanitizer" else 0, **result)
 
 
