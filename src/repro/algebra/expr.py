@@ -92,15 +92,21 @@ class Expr:
         raise NotImplementedError
 
     def tables(self) -> frozenset[str]:
-        """Names of all tables referenced anywhere in the expression."""
-        names: set[str] = set()
-        stack: list[Expr] = [self]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, TableRef):
-                names.add(node.name)
-            stack.extend(node.children())
-        return frozenset(names)
+        """Names of all tables referenced anywhere in the expression
+        (computed once, kept beside the fields: never part of equality or
+        hashing)."""
+        known = self.__dict__.get("_tables")
+        if known is None:
+            names: set[str] = set()
+            stack: list[Expr] = [self]
+            while stack:
+                node = stack.pop()
+                if isinstance(node, TableRef):
+                    names.add(node.name)
+                stack.extend(node.children())
+            known = frozenset(names)
+            object.__setattr__(self, "_tables", known)
+        return known
 
     def size(self) -> int:
         """Number of AST nodes (shared subtrees counted once per edge)."""
@@ -575,7 +581,8 @@ def open_params(expr: Expr) -> tuple[str, ...]:
 
 
 def bind_params(expr: Expr, values: Mapping[str, Any] | None = None) -> Expr:
-    """``expr`` with every parameter bound back to a constant.
+    """``expr`` with every parameter bound back to a constant, and every
+    bound leaf ``values`` holds a bag for back to a literal.
 
     A :class:`Parameterized` subtree supplies its own values; the rest
     come from ``values``.  A parameter neither supplies raises
@@ -584,6 +591,9 @@ def bind_params(expr: Expr, values: Mapping[str, Any] | None = None) -> Expr:
     """
     if isinstance(expr, Parameterized):
         return expr.resolved()
+    if isinstance(expr, Bound):
+        bag = None if values is None else values.get(expr.name)
+        return expr if bag is None else Literal(bag, expr.bound_schema)
     if isinstance(expr, Select):
         child = bind_params(expr.child, values)
         predicate = _resolve(expr.predicate, values)

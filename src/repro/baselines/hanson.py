@@ -134,7 +134,7 @@ class HansonDifferentialFiles:
             # D := D ⊎ (∇R ∸ A);  A := (A ∸ ∇R) ⊎ ΔR
             patches[_susp_delete_name(name)] = (empty, Monus(nabla, susp_insert))
             patches[_susp_insert_name(name)] = (nabla, delta)
-        self.db.apply(patches=patches, counter=self.counter)
+        self.db.apply(patches=patches, counter=self.counter, binding=txn.binding)
 
     # ------------------------------------------------------------------
     # Refresh: the pre-update algorithm is sound here

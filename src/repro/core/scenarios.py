@@ -275,7 +275,7 @@ class Scenario(ABC):
     def make_safe(self, txn: UserTransaction) -> MaintenancePlan:
         """``makesafe[T]``: the plan combining T with auxiliary updates."""
         txn = txn.weakly_minimal()
-        plan = MaintenancePlan(patches=txn.patches())
+        plan = MaintenancePlan(patches=txn.patches(), binding=txn.binding)
         self._extend(plan, txn)
         return plan
 
@@ -457,6 +457,13 @@ class LoggedScenario(Scenario):
             plan.add_patch(table, delete, insert)
 
     def _log_deltas(self) -> tuple[Expr, Expr]:
+        return self._log_pair
+
+    @cached_property
+    def _log_pair(self) -> tuple[Expr, Expr]:
+        """Figure 2's post-update pair over the log: a function of the view
+        and its log only, so differentiated once and the same expressions
+        (plans, memos, cached table sets) every refresh."""
         return post_update_delta(self.log, self.view.query)
 
     def _compute_step(self, *, locked: bool, skip_idle: bool = False) -> OpStep:

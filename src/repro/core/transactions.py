@@ -17,6 +17,12 @@ methods :meth:`UserTransaction.insert` / :meth:`UserTransaction.delete`
 accept plain row iterables and wrap them in literals.  Arbitrary
 expressions are accepted too (the paper's generality), via
 :meth:`UserTransaction.delete_query` / :meth:`UserTransaction.insert_query`.
+A prepared SQL script (:mod:`repro.sqlfront.prepared`) adds one
+template per statement, its literals and ``VALUES`` rows left open, and
+their values as the transaction's :attr:`UserTransaction.binding`: every
+expression built from the transaction's deltas — the weakly minimal
+form, ``makesafe``'s log extensions and incremental queries — is
+evaluated under it, so one compiled plan serves every script of a shape.
 
 *Weak minimality* (Section 4.1) requires :math:`\\nabla R \\subseteq R`.
 :meth:`UserTransaction.weakly_minimal` rewrites the delete expressions as
@@ -27,7 +33,8 @@ expressions are accepted too (the paper's generality), via
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
+from typing import Any
 
 from repro.algebra.bag import Bag, Row
 from repro.algebra.expr import Expr, Literal, Monus, UnionAll, min_expr
@@ -44,6 +51,7 @@ class UserTransaction:
         self._db = db
         self._deletes: dict[str, Expr] = {}
         self._inserts: dict[str, Expr] = {}
+        self._binding: dict[str, Any] = {}
 
     # ------------------------------------------------------------------
     # Builders
@@ -77,9 +85,24 @@ class UserTransaction:
         self._deletes[name] = expr if current is None else UnionAll(current, expr)
         return self
 
+    def bind(self, values: Mapping[str, Any]) -> UserTransaction:
+        """Supply what the expressions' open leaves read (``?i`` → a
+        parameter's value, a bound leaf's name → its bag); each name once."""
+        clash = self._binding.keys() & values.keys()
+        if clash:
+            raise TransactionError(f"{sorted(clash)} already bound in this transaction")
+        self._binding.update(values)
+        return self
+
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+
+    @property
+    def binding(self) -> dict[str, Any] | None:
+        """What its expressions read from their open leaves (``None``: they
+        have none); every evaluation of them is given it as ``binding=``."""
+        return self._binding or None
 
     @property
     def tables(self) -> frozenset[str]:
@@ -111,6 +134,7 @@ class UserTransaction:
         """An equivalent transaction whose deletes satisfy :math:`\\nabla R \\subseteq R`."""
         normalized = UserTransaction(self._db)
         normalized._inserts = dict(self._inserts)
+        normalized._binding = dict(self._binding)
         for name, expr in self._deletes.items():
             normalized._deletes[name] = min_expr(expr, self._db.ref(name))
         return normalized
@@ -138,7 +162,7 @@ class UserTransaction:
 
     def apply(self) -> None:
         """Execute this transaction directly (no view maintenance)."""
-        self._db.apply(patches=self.patches(), restrict_to_external=True)
+        self._db.apply(patches=self.patches(), restrict_to_external=True, binding=self.binding)
 
     def __repr__(self) -> str:
         parts = []

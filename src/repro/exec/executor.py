@@ -122,9 +122,12 @@ class ExecutionContext:
 class Executor:
     """Compiles expressions for one database and runs the physical plans."""
 
-    #: Cached-node ceiling; exceeding it clears the cache wholesale.  Plans
-    #: are tiny, but per-transaction ``Literal`` expressions are distinct
-    #: every time, so an unbounded cache would grow with workload length.
+    #: Cached-node ceiling; a table past it is cleared wholesale, every
+    #: primed maintenance plan with it (``plan_table_clears``).  A prepared
+    #: statement binds its literals, so a workload's table stops growing
+    #: once it has seen its shapes; what still adds nodes per call is a
+    #: bare ``Literal`` — a transaction built from literal rows, a pushed
+    #: subtree's result — and a client sending ever new statement shapes.
     MAX_NODES = 16384
 
     def __init__(self, database) -> None:
@@ -155,8 +158,7 @@ class Executor:
         """
         node = self._nodes.get(expr)
         if node is None:
-            if len(self._nodes) > self.MAX_NODES:
-                self._nodes.clear()
+            _make_room(self._nodes)
             node = Compiler(self._nodes).compile(expr)
         return frozenset(node.tables)
 
@@ -242,6 +244,14 @@ def execute(plan: PNode, ctx: ExecutionContext, binding: Mapping | None) -> Bag:
         PARAMS.reset(token)
 
 
+def _make_room(nodes: dict[Expr, PNode]) -> None:
+    """Clear a node table past :attr:`Executor.MAX_NODES` (a counted event)."""
+    if len(nodes) > Executor.MAX_NODES:
+        nodes.clear()
+        if obs.telemetry_enabled():
+            obs.metric_inc("plan_table_clears")
+
+
 def plan_for(nodes: dict[Expr, PNode], expr: Expr, counter: CostCounter | None) -> PNode:
     """The physical plan for ``expr`` out of the node table ``nodes``.
 
@@ -252,19 +262,18 @@ def plan_for(nodes: dict[Expr, PNode], expr: Expr, counter: CostCounter | None) 
     database — its :class:`Executor`, or the snapshot registry pinning
     it — and never shared across two.
 
-    A bare literal (a script's ``INSERT`` rows, an epoch-supplied delta)
-    has nothing to lower: new, it is not a miss and never reaches the
-    compiler.  Its node still lives in the table, because the same
-    script's log-extension plan holds the same literal as an operand and
-    the two must share one memo (one ``literal`` charge).
+    A bare literal (a transaction's literal rows) has nothing to lower:
+    new, it is not a miss and never reaches the compiler.  Its node
+    still lives in the table, because the same transaction's
+    log-extension plan holds the same literal as an operand and the two
+    must share one memo (one ``literal`` charge).
     """
     node = nodes.get(expr)
     if node is not None:
         if counter is not None:
             counter.plan_hits += 1
         return node
-    if len(nodes) > Executor.MAX_NODES:
-        nodes.clear()
+    _make_room(nodes)
     if isinstance(expr, Literal):
         node = nodes[expr] = PLiteral(expr.bag)
         return node

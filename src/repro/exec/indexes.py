@@ -423,6 +423,8 @@ class IndexManager:
             queued = self._queued_rows.get(table, 0) + delete.distinct_count() + insert.distinct_count()
             if size is not None and queued > 2 * size:
                 self._mark_stale(table)
+                if obs.telemetry_enabled():
+                    obs.metric_inc("index_queue_drops")
                 return
             self._pending.setdefault(table, []).append((delete, insert))
             self._queued_rows[table] = queued

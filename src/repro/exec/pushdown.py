@@ -39,11 +39,13 @@ A key-restricted leaf (partition pruning) is pushable: its SQL text is
 fixed at compile time and reads the call's key binding from a table the
 mirror loads just before the statement runs, so the pruned refresh pair
 compiles once; the binding joins the version stamps in the result memo.
-A bound leaf is bound like a literal: the call's bag takes its place in
-the expression before anything is pushed, so the delta reaches SQLite as
-the ``VALUES`` rows a literal delta always was.  A parameter (a prepared
-query's literal) is a named SQL parameter: the statement text is one per
-query shape and the call's value is passed with each execution.
+A bound leaf (a prepared script's rows, a shared log's tags, an epoch's
+delta) is pushable the same way: its SQL reads a temporary table the
+mirror loads with the call's bag just before the statement runs
+(``SQLiteMirror.bind_bags``), so the statement text is one per
+expression shape, never one per bag.  A parameter (a prepared
+statement's literal) is a named SQL parameter: the statement text is
+one per shape and the call's value is passed with each execution.
 
 The mirror is a live SQLite connection, and a live connection can refuse
 service (``database is locked``, ``disk I/O error``).  A backend error
@@ -190,9 +192,10 @@ class PushdownExecutor(Executor):
         self._partitions: dict[str, object] = {}
         #: expr -> structural pushability verdict (content-independent).
         self._pushable_memo: dict[Expr, bool] = {}
-        #: expr -> (compiled SQL text, the key domains and the parameters
-        #: it reads off the call's binding); table names/arities are stable.
-        self._sql_cache: dict[Expr, tuple[str, tuple[str, ...], tuple[str, ...]]] = {}
+        #: expr -> (compiled SQL text, the key domains, the parameters and
+        #: the bound leaves it reads off the call's binding); table
+        #: names/arities are stable.
+        self._sql_cache: dict[Expr, tuple[str, tuple[str, ...], tuple[str, ...], tuple[Bound, ...]]] = {}
         #: expr -> [stamp, bag]; stamp spans the expr's table versions.
         self._result_memo: dict[Expr, list] = {}
         #: The push-down breaker (``closed`` / ``open`` / ``half-open``)
@@ -309,8 +312,6 @@ class PushdownExecutor(Executor):
             return super().evaluate(expr, counter=counter, binding=binding)
 
     def _push(self, expr: Expr, counter: CostCounter | None, binding) -> Bag:
-        if binding is not None:
-            expr = self._bind_leaves(expr, binding)
         if self._is_pushable(expr):
             try:
                 return self._sql_eval(expr, counter, binding)
@@ -363,30 +364,6 @@ class PushdownExecutor(Executor):
         obs.metric_inc("engine_repromotions" if healed else "pushdown_probe_failures")
         return reference
 
-    def _bind_leaves(self, expr: Expr, binding) -> Expr:
-        """``expr`` with each bound leaf replaced by a literal of the bag
-        ``binding`` supplies for it (``expr`` itself when it has none).
-
-        What a leaf bound empty makes trivial is folded away on the way
-        up: the other tiers skip it at run time, SQLite would run it.
-        """
-        if isinstance(expr, Bound):
-            return Literal(bound_bag(expr, binding), expr.bound_schema)
-        children = expr.children()
-        if not children or isinstance(expr, KeyRestrict):
-            return expr
-        rewritten = tuple(self._bind_leaves(child, binding) for child in children)
-        if all(new is old for new, old in zip(rewritten, children)):
-            return expr
-        empty = [isinstance(child, Literal) and not child.bag for child in rewritten]
-        if isinstance(expr, UnionAll) and any(empty):
-            return rewritten[empty[0]]  # φ ⊎ E = E ⊎ φ = E
-        if isinstance(expr, Monus) and any(empty):
-            return rewritten[0]  # φ ∸ E = φ, E ∸ φ = E
-        if any(empty):  # σ, Π, map, ε, ×: empty in, empty out
-            return Literal(Bag.empty(), expr.schema())
-        return _rebuild(expr, rewritten)
-
     # ------------------------------------------------------------------
     # Pushability analysis
     # ------------------------------------------------------------------
@@ -401,7 +378,7 @@ class PushdownExecutor(Executor):
         return cached
 
     def _compute_pushable(self, expr: Expr) -> bool:
-        if isinstance(expr, (TableRef, KeyRestrict)):
+        if isinstance(expr, (TableRef, KeyRestrict, Bound)):
             return expr.schema().arity > 0
         if isinstance(expr, Literal):
             return expr.literal_schema.arity > 0 and all(
@@ -461,15 +438,19 @@ class PushdownExecutor(Executor):
                 domains = tuple(
                     sorted({node.domain for node in expr.walk() if isinstance(node, KeyRestrict)})
                 )
-                compiled = compile_expr(expr, scan=mirror.scan_sql, net=True), domains, open_params(expr)
+                leaves = tuple({node: None for node in expr.walk() if isinstance(node, Bound)})
+                sql = compile_expr(expr, scan=mirror.scan_sql, net=True)
+                compiled = sql, domains, open_params(expr), leaves
                 self._sql_cache[expr] = compiled
             elif counter is not None:
                 counter.plan_hits += 1
-            sql, domains, names = compiled
+            sql, domains, names, leaves = compiled
             if domains:
                 if binding is None:
                     raise ReproError("a key-restricted leaf was evaluated without a key binding")
                 mirror.bind_keys({domain: binding.get(domain, ()) for domain in domains})
+            if leaves:
+                mirror.bind_bags({leaf: bound_bag(leaf, binding) for leaf in leaves})
             params = sql_params(binding, names)
             fault_point("flaky-pushdown-execute")
             try:

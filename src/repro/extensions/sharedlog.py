@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from repro.algebra.bag import Bag, Row
 from repro.algebra.evaluation import CostCounter
-from repro.algebra.expr import Expr, Literal, Product, UnionAll
+from repro.algebra.expr import Bound, Expr, Literal, Product, UnionAll
 from repro.algebra.schema import Schema
 from repro.core.differential import differentiate
 from repro.core.ops import MaintenanceOp, OpStep
@@ -55,6 +55,7 @@ __all__ = ["SharedLog", "SharedLogScenario", "SharedLogView"]
 
 DELETE_OP = "D"
 INSERT_OP = "I"
+_TAG_SCHEMA = Schema(("__seq", "__op"))
 
 
 def shared_log_name(table: str) -> str:
@@ -69,6 +70,7 @@ class SharedLog:
         self._db = db
         self._tables: set[str] = set()
         self._seq = 0
+        self._tag_leaves: dict[str, tuple[Literal, Bound, Bound]] = {}
 
     @property
     def tables(self) -> tuple[str, ...]:
@@ -108,29 +110,47 @@ class SharedLog:
     # Recording — O(changes), independent of the number of views
     # ------------------------------------------------------------------
 
-    def extend_patches(self, txn: UserTransaction) -> dict[str, tuple[Expr, Expr]]:
+    def extend_patches(self, txn: UserTransaction) -> MaintenancePlan:
         """Append the transaction's deltas, tagged with a fresh sequence
         number — one insert-only patch per touched tracked table, so the
-        recording cost is O(changes), independent of the view count."""
+        recording cost is O(changes), independent of the view count.  The
+        tags are bound, not built in: the plan binds them for this
+        sequence number beside the transaction's own values."""
         self._seq += 1
-        return self.tagged_patches(txn, self._seq)
+        deleted, inserted = Bag.singleton((self._seq, DELETE_OP)), Bag.singleton((self._seq, INSERT_OP))
+        tags: dict[str, Bag] = {}
+        for table in sorted(txn.tables & self._tables):
+            _empty, delete_tag, insert_tag = self._tags(table)
+            tags[delete_tag.name], tags[insert_tag.name] = deleted, inserted
+        return MaintenancePlan(patches=self.tagged_patches(txn), binding=tags)
 
-    def tagged_patches(self, txn: UserTransaction, seq: int) -> dict[str, tuple[Expr, Expr]]:
-        """The log-extension patches for ``txn`` under sequence number ``seq``."""
-        tag_schema = Schema(("__seq", "__op"))
+    def _tags(self, table: str) -> tuple[Literal, Bound, Bound]:
+        """``(φ, delete tag, insert tag)`` of ``table``'s log, built once."""
+        tags = self._tag_leaves.get(table)
+        if tags is None:
+            log_schema = Schema(("__seq", "__op", *self._db.schema_of(table).attributes))
+            name = shared_log_name(table)
+            tags = self._tag_leaves[table] = (
+                Literal(Bag.empty(), log_schema),
+                Bound(f"{name}.{DELETE_OP}", _TAG_SCHEMA),
+                Bound(f"{name}.{INSERT_OP}", _TAG_SCHEMA),
+            )
+        return tags
+
+    def tagged_patches(self, txn: UserTransaction) -> dict[str, tuple[Expr, Expr]]:
+        """The log-extension patches for ``txn``: each delta under its bound
+        ``(seq, op)`` tag, so one shape of transaction is one plan."""
         patches: dict[str, tuple[Expr, Expr]] = {}
         for table in sorted(txn.tables & self._tables):
-            log_schema = Schema(("__seq", "__op", *self._db.schema_of(table).attributes))
-            pieces: Expr = Literal(Bag.empty(), log_schema)
+            empty, delete_tag, insert_tag = self._tags(table)
+            pieces: Expr = empty
             delete = txn.delete_expr(table)
             insert = txn.insert_expr(table)
             if not (isinstance(delete, Literal) and not delete.bag):
-                tag = Literal(Bag.singleton((seq, DELETE_OP)), tag_schema)
-                pieces = UnionAll(pieces, Product(tag, delete))
+                pieces = UnionAll(pieces, Product(delete_tag, delete))
             if not (isinstance(insert, Literal) and not insert.bag):
-                tag = Literal(Bag.singleton((seq, INSERT_OP)), tag_schema)
-                pieces = UnionAll(pieces, Product(tag, insert))
-            patches[shared_log_name(table)] = (Literal(Bag.empty(), log_schema), pieces)
+                pieces = UnionAll(pieces, Product(insert_tag, insert))
+            patches[shared_log_name(table)] = (empty, pieces)
         return patches
 
     # ------------------------------------------------------------------
@@ -383,9 +403,8 @@ class SharedLogScenario:
     def execute(self, txn: UserTransaction) -> None:
         """Run the transaction with a single shared-log extension."""
         txn = txn.weakly_minimal()
-        patches = txn.patches()
-        patches.update(self.shared_log.extend_patches(txn))
-        self.db.apply(patches=patches, counter=self.counter)
+        plan = MaintenancePlan(patches=txn.patches(), binding=txn.binding)
+        plan.merge(self.shared_log.extend_patches(txn)).execute(self.db, counter=self.counter)
 
     # ------------------------------------------------------------------
     # Refresh
@@ -664,7 +683,7 @@ class SharedLogView(Scenario):
 
     def _extend(self, plan: MaintenancePlan, txn: UserTransaction) -> None:
         """What the *group* appends once per transaction (effect inference)."""
-        for table, (delete, insert) in self.group.shared_log.tagged_patches(txn, 0).items():
+        for table, (delete, insert) in self.group.shared_log.tagged_patches(txn).items():
             plan.add_patch(table, delete, insert)
 
     def invariant_holds(self) -> bool:

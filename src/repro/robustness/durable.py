@@ -257,8 +257,8 @@ class DurableWarehouse:
         deltas: dict[str, dict[str, list[list[Any]]]] = {}
         literal = UserTransaction(self.db)
         for name in sorted(txn.tables):
-            delete = self.db.evaluate(txn.delete_expr(name))
-            insert = self.db.evaluate(txn.insert_expr(name))
+            delete = self.db.evaluate(txn.delete_expr(name), binding=txn.binding)
+            insert = self.db.evaluate(txn.insert_expr(name), binding=txn.binding)
             deltas[name] = {"delete": serialize_bag(delete), "insert": serialize_bag(insert)}
             if delete:
                 literal.delete(name, delete)

@@ -226,7 +226,7 @@ def recover(path: str | Path, *, exec_mode: str | None = None) -> RecoveryReport
             healed = heal_engine_state(manager.db)
             audits = audit_manager(manager)
             recovery_span.set(action=action, pending=pending.describe() if pending else "")
-            obs.metric_inc("recoveries")
+            obs.metric_inc(f'recoveries{{action="{action}"}}')
             return RecoveryReport(path, pending, action, audits, healed)
         finally:
             if queue is not None:

@@ -20,11 +20,13 @@ from repro.algebra.expr import (
     Expr,
     MapProject,
     Monus,
+    Parameterized,
     Product,
     Project,
     Select,
     TableRef,
     UnionAll,
+    bind_params,
     except_expr,
     min_expr,
     rename,
@@ -326,10 +328,13 @@ def sql_to_expr(source: str, catalog: Catalog) -> Expr:
     A query whose shape (the text minus its literals) was seen before is
     bound from its prepared form — see :mod:`repro.sqlfront.prepared`.
     """
-    steps = prepare(source, catalog, Parser.only_query, _emit_query)
-    if steps is None:
+    prepared = prepare(source, catalog, Parser.only_query, _emit_query)
+    if prepared is None:
         return compile_query(parse_query(source), catalog)
-    return steps[0][2]
+    steps, binding = prepared
+    template = steps[0][2]
+    # A query's parameters are its literals, in order.
+    return Parameterized(template, tuple(binding.values())) if binding else template
 
 
 # ----------------------------------------------------------------------
@@ -449,15 +454,22 @@ def script_to_transaction(source: str, catalog: Catalog, txn: UserTransaction) -
 
     A script whose shape (the text minus its literals, any ``VALUES``
     row count) was seen before is bound from its prepared form — see
-    :mod:`repro.sqlfront.prepared`.
+    :mod:`repro.sqlfront.prepared`: its statements are the shape's
+    templates and its literals the transaction's ``binding``.
     """
-    steps = prepare(source, catalog, Parser.script, _emit_script)
-    if steps is None:
+    prepared = prepare(source, catalog, Parser.script, _emit_script)
+    if prepared is None:
         _emit_script(parse_script(source), catalog, txn)
-    else:
-        for method, table, payload in steps:
-            getattr(txn, method)(table, payload)
-    return txn
+        return txn
+    steps, binding = prepared
+    if txn.binding is not None:
+        # The transaction holds another script's values under these
+        # names already: this one's go into its expressions.
+        steps = [(method, table, bind_params(template, binding)) for method, table, template in steps]
+        binding = {}
+    for method, table, template in steps:
+        getattr(txn, method)(table, template)
+    return txn.bind(binding)
 
 
 def sql_to_view(source: str, catalog: Catalog, *, name: str | None = None) -> ViewDefinition:

@@ -6,14 +6,18 @@ text with one regex pass (:data:`~repro.sqlfront.lexer.LITERAL`, the
 lexer's own two rules); what is left — the *skeleton*, with the first
 ``VALUES`` list cut down to one row so that any row count is one shape —
 keys a cache of :class:`Shape`\\ s.  A shape is the statement already
-tokenized, parsed and compiled, with its literals left open.  A query's
-shape keeps one template expression whose literals are
-:class:`~repro.algebra.predicates.Param` leaves: binding it returns that
-same template with the converted literals beside it
-(:class:`~repro.algebra.expr.Parameterized`), so every read of the shape
-runs one compiled plan.  A script's shape slices the ``VALUES`` rows out
-of the literal list column by column and rebuilds only the expression
-nodes above a constant.
+tokenized, parsed and compiled, with its literals left open: one
+template per step, built once, with a
+:class:`~repro.algebra.predicates.Param` ``?i`` for the ``i``-th literal
+of the text that built it and a :class:`~repro.algebra.expr.Bound`
+``$values<n>`` for step ``n``'s ``VALUES`` rows.  Binding another text
+of the shape builds no expression, only a binding: each ``?i`` read off
+its literal list (from the back past a ``VALUES`` run of another row
+count), each run's rows sliced column by column into a bag.  A query's
+template comes back with its values
+(:class:`~repro.algebra.expr.Parameterized`); a script's templates go
+onto the transaction, whose binding travels through ``makesafe`` and the
+log extensions to ``Database.apply``.
 
 What keeps a hit equal to the uncached path:
 
@@ -54,7 +58,8 @@ from itertools import repeat
 from typing import Any
 
 from repro import obs
-from repro.algebra.expr import Parameterized, TableRef
+from repro.algebra.bag import Bag
+from repro.algebra.expr import Bound, TableRef
 from repro.algebra.predicates import Const, Param
 from repro.errors import ReproError
 from repro.sqlfront.lexer import LITERAL, literal_value, tokenize
@@ -213,72 +218,61 @@ class _Rows:
         )
 
 
-def _binder(
-    node: Any, layout: _Layout, depth: int = 0, leaf: Callable[[Any], Any] = Const
-) -> Callable[[list], Any] | None:
-    """``values -> node`` with its slots filled (each by ``leaf(value)``),
-    or ``None`` when it holds none.
+def _template(node: Any, layout: _Layout, params: dict[int, int], depth: int = 0) -> Any:
+    """``node`` with each slot its :class:`Param` (noting in ``params``
+    where a text of the shape holds that literal); ``node`` if it has none.
 
-    Building and binding recurse once per level of the tree, so a tree
-    deeper than the parser lets a text nest (a ``NOT`` chain at the
-    parser's bound, under the statement's own nodes) is not kept: the
+    Recursing once per level, a tree deeper than the parser lets a text
+    nest (a ``NOT`` chain at the parser's bound) is not kept: the
     uncached path handles it as it always did.
     """
     if depth > MAX_NESTING:
         raise _Uncacheable
     if type(node) is Const:
         if not isinstance(node.value, Slot):
-            return None
-        index = layout.at(node.value.index)
-        return lambda values: leaf(values[index])
+            return node
+        index = node.value.index
+        params[index] = layout.at(index)
+        return Param(index)
     if isinstance(node, tuple):
-        make: Callable[..., Any] = lambda *items: items
-        items = node
+        items, make = node, lambda *items: items
     elif is_dataclass(node):
-        make = type(node)
-        items = tuple(getattr(node, field.name) for field in fields(node))
+        items, make = tuple(getattr(node, field.name) for field in fields(node)), type(node)
     else:
-        return None
-    binders = [_binder(item, layout, depth + 1, leaf) for item in items]
-    if not any(binders):
-        return None
-    parts = list(zip(binders, items))
-    return lambda values: make(*[bind(values) if bind else item for bind, item in parts])
-
-
-def _query(payload: Any, layout: _Layout) -> Callable[[list], Any]:
-    """A query step: one template — its slots filled once, by parameters —
-    paired per call with its literal values."""
-    bind = _binder(payload, layout, leaf=lambda param: param)
-    if bind is None:
-        return lambda values: payload
-    template = bind([Param(index) for index in range(layout.total)])
-    return lambda values: Parameterized(template, tuple(values))
+        return node
+    rebuilt = [_template(item, layout, params, depth + 1) for item in items]
+    if all(new is old for new, old in zip(rebuilt, items)):
+        return node
+    return make(*rebuilt)
 
 
 class Shape:
     """One statement shape, compiled, with its literals left open."""
 
-    __slots__ = ("refs", "steps", "least", "width")
+    __slots__ = ("refs", "steps", "params", "rows", "least", "width")
 
     def __init__(self, recording: _Recording, layout: _Layout) -> None:
         self.refs = tuple(recording.refs.items())
-        self.steps = []
-        for method, table, payload in recording.steps:
+        self.steps: list[Step] = []
+        self.rows: list[tuple[str, _Rows]] = []  # (bound leaf name, its rows)
+        params: dict[int, int] = {}
+        for number, (method, table, payload) in enumerate(recording.steps):
             if method == "insert":
-                fill = _Rows(payload, layout)
-            elif method == "query":
-                fill = _query(payload, layout)
+                leaf = Bound(f"$values{number}", recording.refs[table].table_schema)
+                self.rows.append((leaf.name, _Rows(payload, layout)))
+                method, payload = "insert_query", leaf
             else:
-                fill = _binder(payload, layout)
-            self.steps.append((method, table, fill or (lambda values, payload=payload: payload)))
+                payload = _template(payload, layout, params)
+            self.steps.append((method, table, payload))
         if len(layout.claimed) != layout.total:
             raise _Uncacheable  # a literal the compiler folded away or transformed
+        # (name, place in a text's literals), in order: a query's are its literals.
+        self.params = tuple((f"?{index}", position) for index, position in sorted(params.items()))
         self.least = layout.least
         self.width = layout.width
 
-    def bind(self, literals: list[str], catalog: Any) -> list[Step] | None:
-        """The compiled steps with ``literals`` filled in.
+    def bind(self, literals: list[str], catalog: Any) -> tuple[list[Step], dict[str, Any]] | None:
+        """The compiled steps and the binding ``literals`` give them.
 
         ``None`` when the catalog's schemas are not the ones this shape
         was compiled against (or a literal does not convert): the shape
@@ -294,7 +288,10 @@ class Shape:
             values = [literal_value(text) for text in literals]
         except (ReproError, ValueError):
             return None
-        return [(method, table, fill(values)) for method, table, fill in self.steps]
+        binding: dict[str, Any] = {name: values[position] for name, position in self.params}
+        for name, rows in self.rows:
+            binding[name] = Bag(rows(values))
+        return self.steps, binding
 
 
 class ShapeCache:
@@ -356,8 +353,11 @@ def _count(outcome: str, reason: str | None = None) -> None:
             obs.metric_inc(f'sql_statements{{outcome="{outcome}",reason="{reason}"}}')
 
 
-def prepare(source: str, catalog: Any, parse: Callable, emit: Callable) -> list[Step] | None:
-    """The compiled steps of ``source``, from its cached shape where there is one.
+def prepare(
+    source: str, catalog: Any, parse: Callable, emit: Callable
+) -> tuple[list[Step], dict[str, Any]] | None:
+    """The compiled steps of ``source`` and the binding of its literals,
+    from its cached shape where there is one.
 
     ``parse(parser)`` gives the parse tree (it also keeps the entry
     points' shapes apart) and ``emit(tree, catalog, sink)`` compiles it,
@@ -383,10 +383,10 @@ def prepare(source: str, catalog: Any, parse: Callable, emit: Callable) -> list[
         _count("uncacheable", known)
         return None
     if known is not _UNSEEN:
-        steps = known.bind(literals, catalog)
-        if steps is not None:
+        bound = known.bind(literals, catalog)
+        if bound is not None:
             _count("hit")
-            return steps
+            return bound
     # First sight of the shape, or its tables changed: build it from this text.
     try:
         shape = _build(source, skeleton, catalog, parse, emit)
@@ -397,9 +397,9 @@ def prepare(source: str, catalog: Any, parse: Callable, emit: Callable) -> list[
     if isinstance(shape, str):
         _count("uncacheable", shape)
         return None
-    steps = shape.bind(literals, catalog)
-    if steps is None:
+    bound = shape.bind(literals, catalog)
+    if bound is None:
         _count("uncacheable", "not_compiled")
     else:
         _count("miss")
-    return steps
+    return bound

@@ -456,7 +456,7 @@ def _rewrite(tables: list[StoredTable], path: Path, reason: str, queue: DeltaQue
             queue.close()
         _fold_wal(path)
         os.replace(staged, path)
-    obs.metric_inc("checkpoint_rewrites")
+    obs.metric_inc(f'checkpoint_rewrites{{reason="{reason}"}}')
     return rows
 
 

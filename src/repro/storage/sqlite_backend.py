@@ -60,6 +60,7 @@ from repro import obs
 from repro.algebra.bag import Bag, Row
 from repro.robustness.faults import fault_point
 from repro.algebra.expr import (
+    Bound,
     DupElim,
     Expr,
     KeyRestrict,
@@ -227,6 +228,12 @@ def _mangle(name: str) -> str:
     return '"' + name.replace('"', '""') + '"'
 
 
+def _bound_table(leaf: Bound) -> str:
+    """The temporary table a bound leaf's bag is loaded into (its arity
+    in the name: one leaf name may stand for bags of two widths)."""
+    return _mangle(f"__bound__{leaf.name}__{leaf.bound_schema.arity}")
+
+
 def compile_expr(
     expr: Expr, *, scan: Callable[[str, int], str] | None = None, net: bool = False
 ) -> str:
@@ -280,6 +287,12 @@ def _compile(expr: Expr, scan: Callable[[str, int], str] | None) -> tuple[str, b
             return scan(expr.name, arity), True
         cols = ", ".join(_cols(arity))
         return f"SELECT {cols}, mult FROM {_mangle(expr.name)}", True
+
+    if isinstance(expr, Bound):
+        # The call's bag, loaded just before the statement runs
+        # (:meth:`SQLiteMirror.bind_bags`): one text for every bag.
+        arity = expr.bound_schema.arity
+        return f"SELECT {', '.join(_cols(arity))}, mult FROM {_bound_table(expr)}", True
 
     if isinstance(expr, KeyRestrict):
         table, distinct = _compile(expr.child, scan)
@@ -831,6 +844,25 @@ class SQLiteMirror:
             raise MirrorUnsupported("a bound key does not compare inside SQLite")
         self._conn.execute(f"DELETE FROM {_KEYS_TABLE}")
         self._conn.executemany(f"INSERT OR IGNORE INTO {_KEYS_TABLE} VALUES (?, ?)", rows)
+
+    def bind_bags(self, bags: Mapping[Bound, Bag]) -> None:
+        """Load one call's bags for the bound leaves of the query about to
+        run, one temporary table per leaf (hold :attr:`lock` across bind +
+        execute).
+
+        Raises :class:`MirrorUnsupported` for a value SQLite cannot hold.
+        """
+        for leaf, bag in bags.items():
+            if not all(sqlite_supported_value(value) for row, _count in bag.items() for value in row):
+                raise MirrorUnsupported(f"the bag bound to {leaf.name!r} holds a value SQLite cannot hold")
+            table = _bound_table(leaf)
+            arity = leaf.bound_schema.arity
+            self._conn.execute(f"CREATE TEMP TABLE IF NOT EXISTS {table} ({', '.join(_cols(arity))}, mult)")
+            self._conn.execute(f"DELETE FROM {table}")
+            self._conn.executemany(
+                f"INSERT INTO {table} VALUES ({', '.join(['?'] * (arity + 1))})",
+                [(*row, count) for row, count in bag.items()],
+            )
 
     def request_index(self, name: str, positions: tuple[int, ...]) -> None:
         """Index the mirrored key columns, now or at materialization."""

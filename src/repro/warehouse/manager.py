@@ -384,14 +384,13 @@ class ViewManager:
         """
         with obs.span("txn", tables=",".join(sorted(txn.tables)), views=len(self._scenarios), counter=self.counter):
             minimal = txn.weakly_minimal()
-            plan = MaintenancePlan(patches=minimal.patches())
+            plan = MaintenancePlan(patches=minimal.patches(), binding=minimal.binding)
             for scenario in self._scenarios.values():
                 plan = plan.merge(scenario.make_safe(txn))
             # One shared-log extension per *group*, not per view — this is
             # what keeps per-transaction cost independent of the view count.
             for group in self._shared_log_groups():
-                for table, (delete, insert) in group.shared_log.extend_patches(minimal).items():
-                    plan.add_patch(table, delete, insert)
+                plan = plan.merge(group.shared_log.extend_patches(minimal))
             fault_point("crash-mid-execute")
             plan.execute(self.db, counter=self.counter)
             for scenario in self._scenarios.values():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.algebra.bag import Bag
 from repro.algebra.evaluation import CostCounter
 from repro.algebra.expr import Literal
@@ -87,6 +88,17 @@ class TestPlanCache:
         db.evaluate(rows, counter=counter)
         assert (counter.plan_misses, counter.plan_hits) == (1, 1)
         assert counter.by_operator["literal"] == 2
+
+
+    def test_a_full_table_is_cleared_wholesale_and_counted(self, monkeypatch):
+        db = Database(exec_mode=COMPILED)
+        db.create_table("R", ["a", "b"], rows=[(1, 10), (2, 20)])
+        monkeypatch.setattr(Executor, "MAX_NODES", 1)
+        with obs.observed() as stack:
+            for columns in (["a"], ["b"], ["b", "a"]):  # three shapes: the third overflows
+                db.evaluate(db.ref("R").project(columns))
+        assert stack.metrics.snapshot()["plan_table_clears"]["value"] >= 1
+        assert db.executor.cached_plans <= 2
 
 
 class TestVersionStampedMemo:

@@ -201,6 +201,19 @@ class TestReasonCodedBuilds:
         assert stack.metrics.snapshot() == {}
 
 
+    def test_an_overflowing_queue_is_dropped_and_counted(self):
+        manager = IndexManager()
+        manager.get("R", (0,), bag_of((1, "a")))
+        with obs.observed() as stack:
+            manager.on_patch("R", Bag.empty(), bag_of((2, "b"), (3, "c")), size=3)
+            assert "index_queue_drops" not in stack.metrics.snapshot()
+            # Four queued rows against a one-row table: dropped, marked stale.
+            manager.on_patch("R", bag_of((2, "b"), (3, "c")), Bag.empty(), size=1)
+            assert stack.metrics.snapshot()["index_queue_drops"]["value"] == 1
+            manager.get("R", (0,), bag_of((1, "a")))
+        assert self.builds(stack) == [{"table": "R", "rows": 1, "reason": "stale"}]
+
+
 class TestRandomizedPatchConsistency:
     """Randomized patch sequences keep index lookups == full-scan selects."""
 

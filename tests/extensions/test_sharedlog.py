@@ -3,6 +3,7 @@
 import pytest
 
 from repro.algebra.bag import Bag
+from repro.core.plan import MaintenancePlan
 from repro.core.transactions import UserTransaction
 from repro.core.views import ViewDefinition
 from repro.errors import PolicyError, SchemaError
@@ -16,6 +17,11 @@ def make_db():
     db.create_table("R", ["a"], rows=[(1,), (2,), (2,)])
     db.create_table("S", ["b"], rows=[(5,)])
     return db
+
+
+def record(db, log, txn) -> None:
+    """Apply weakly minimal ``txn`` with its one shared-log extension."""
+    MaintenancePlan(patches=txn.patches()).merge(log.extend_patches(txn)).execute(db)
 
 
 class TestSharedLog:
@@ -39,9 +45,7 @@ class TestSharedLog:
         log.track("R")
         txn = UserTransaction(db).insert("R", [(9,)]).delete("R", [(1,)])
         txn = txn.weakly_minimal()
-        patches = txn.patches()
-        patches.update(log.extend_patches(txn))
-        db.apply(patches=patches)
+        record(db, log, txn)
         entries = db[shared_log_name("R")]
         assert (1, "I", 9) in entries
         assert (1, "D", 1) in entries
@@ -52,9 +56,7 @@ class TestSharedLog:
         log.track("R")
         for value in (7, 8):
             txn = UserTransaction(db).insert("R", [(value,)]).weakly_minimal()
-            patches = txn.patches()
-            patches.update(log.extend_patches(txn))
-            db.apply(patches=patches)
+            record(db, log, txn)
         assert log.current_seq == 2
         seqs = {row[0] for row in db[shared_log_name("R")].support}
         assert seqs == {1, 2}
@@ -68,9 +70,7 @@ class TestSharedLog:
             UserTransaction(db).delete("R", [(9,)]),
         ):
             txn = txn.weakly_minimal()
-            patches = txn.patches()
-            patches.update(log.extend_patches(txn))
-            db.apply(patches=patches)
+            record(db, log, txn)
         net_delete, net_insert = log.net_deltas_since("R", 0)
         assert net_delete == Bag.empty()
         assert net_insert == Bag.empty()
@@ -81,9 +81,7 @@ class TestSharedLog:
         log.track("R")
         for value in (7, 8):
             txn = UserTransaction(db).insert("R", [(value,)]).weakly_minimal()
-            patches = txn.patches()
-            patches.update(log.extend_patches(txn))
-            db.apply(patches=patches)
+            record(db, log, txn)
         __, net_insert = log.net_deltas_since("R", 1)
         assert net_insert == Bag([(8,)])
 
@@ -99,9 +97,7 @@ class TestSharedLog:
         log.track("R")
         for value in (7, 8):
             txn = UserTransaction(db).insert("R", [(value,)]).weakly_minimal()
-            patches = txn.patches()
-            patches.update(log.extend_patches(txn))
-            db.apply(patches=patches)
+            record(db, log, txn)
         removed = log.prune(1)
         assert removed == 1
         assert {row[0] for row in db[shared_log_name("R")].support} == {2}
@@ -119,7 +115,7 @@ class TestSharedLog:
         log.track("R")
         log.track("S")  # never written: stays empty
         txn = UserTransaction(db).insert("R", [(7,)]).weakly_minimal()
-        db.apply(patches={**txn.patches(), **log.extend_patches(txn)})
+        record(db, log, txn)
         names = [shared_log_name("R"), shared_log_name("S")]
         builds = CostCounter()
         for name in names:

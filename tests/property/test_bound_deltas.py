@@ -29,6 +29,7 @@ from tests.property.gen import _seeds
 
 from repro.algebra.evaluation import evaluate
 from repro.core.differential import differentiate
+from repro.core.plan import MaintenancePlan
 from repro.core.substitution import FactoredSubstitution
 from repro.exec import MODES as ENGINES
 from repro.extensions.sharedlog import SharedLog
@@ -53,7 +54,7 @@ def database(gen: RandomExpressionGenerator, mode: str) -> Database:
 def record(db: Database, log: SharedLog, txn) -> None:
     """Run ``txn`` with its one shared-log extension."""
     txn = txn.weakly_minimal()
-    db.apply(patches={**txn.patches(), **log.extend_patches(txn)})
+    MaintenancePlan(patches=txn.patches()).merge(log.extend_patches(txn)).execute(db)
 
 
 @pytest.mark.parametrize("mode", ENGINES)

@@ -104,7 +104,11 @@ def uncached_script(text: str, db: Database):
 
 
 def cached_script(text: str, db: Database):
-    return script_to_transaction(text, db, UserTransaction(db)).patches()
+    """The prepared path's patches, its binding written back into them."""
+    txn = script_to_transaction(text, db, UserTransaction(db))
+    return {
+        table: tuple(bind_params(expr, txn.binding) for expr in pair) for table, pair in txn.patches().items()
+    }
 
 
 def check_family(texts: list[str]) -> dict[str, int]:

@@ -197,7 +197,7 @@ def test_a_small_transaction_hashes_and_writes_rows_in_proportion_to_its_delta(t
             metrics["digest_rows_hashed"]["value"],
             metrics["checkpoint_rows_appended"]["value"],
         )
-        assert "checkpoint_rewrites" not in metrics
+        assert not [name for name in metrics if name.startswith("checkpoint_rewrites")]
         warehouse.close()
     # 25 rows into ``sales`` and 25 into the view's insert log (the
     # hashing is the fold of the previous, equally sized transaction):
@@ -246,7 +246,7 @@ def test_a_stream_of_checkpoints_opens_the_snapshot_once_per_rewrite(tmp_path, m
         reasons = [span.attrs["reason"] for span in stack.tracer.find("checkpoint_rewrite")]
     assert reasons == ["ratio", "ratio"]
     opens = connects.count(str(path))
-    assert opens == metrics["snapshot_connections_opened"] == 1 + metrics["checkpoint_rewrites"] == 3
+    assert opens == metrics["snapshot_connections_opened"] == 1 + metrics['checkpoint_rewrites{reason="ratio"}'] == 3
     # Everything else that connected staged a rewrite.
     assert set(connects) == {str(path), str(staging_path(path))} and len(connects) == opens + 2
     assert metrics["journal_fsyncs"] == 2 * ops

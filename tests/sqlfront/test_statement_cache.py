@@ -44,7 +44,14 @@ def make_db(columns=("a", "b")) -> Database:
 def inserted(db: Database, script: str, table: str = "t"):
     """The rows ``script`` inserts into ``table``, as a sorted list."""
     txn = script_to_transaction(script, db, UserTransaction(db))
-    return sorted(db.evaluate(txn.insert_expr(table)))
+    return sorted(db.evaluate(txn.insert_expr(table), binding=txn.binding))
+
+
+def resolved(txn: UserTransaction) -> dict:
+    """``txn``'s patches with its binding written back into them."""
+    return {
+        table: tuple(bind_params(expr, txn.binding) for expr in pair) for table, pair in txn.patches().items()
+    }
 
 
 def outcomes(metrics: dict) -> dict[str, float]:
@@ -162,7 +169,7 @@ class TestShapes:
         script = "DELETE FROM t WHERE a = {}; INSERT INTO t (b, a) VALUES {}; UPDATE t SET b = {} WHERE a = {}"
 
         def run(text):
-            return script_to_transaction(text, db, UserTransaction(db)).patches()
+            return resolved(script_to_transaction(text, db, UserTransaction(db)))
 
         def oracle(text):
             txn = UserTransaction(db)
@@ -232,7 +239,7 @@ class TestShapes:
         values = ", ".join(f"({a}, {'NULL' if b is None else b})" for a, b in rows)
         assert len(values) > prepared.MAX_SKELETON
         txn = script_to_transaction(f"INSERT INTO t VALUES {values}", db, UserTransaction(db))
-        assert db.evaluate(txn.insert_expr("t")) == Bag(rows)
+        assert db.evaluate(txn.insert_expr("t"), binding=txn.binding) == Bag(rows)
         assert len(prepared.SHAPES) == 0
         # The same rows reading alike are one short shape, whatever their count.
         uniform = ", ".join(f"({a}, {a})" for a, _ in rows)
@@ -376,10 +383,10 @@ class TestThreads:
                 rows = [(n + k, f"w{offset}") for k in range(1 + step % 4)]
                 values = ", ".join(f"({a}, '{b}')" for a, b in rows)
                 txn = script_to_transaction(script.format(values, n), db, UserTransaction(db))
-                got = sorted(db.evaluate(txn.insert_expr("t")))
+                got = sorted(db.evaluate(txn.insert_expr("t"), binding=txn.binding))
                 if got != sorted(rows):
                     failures.append(f"insert {n}: {got}")
-                deleted = txn.delete_expr("t")
+                deleted = bind_params(txn.delete_expr("t"), txn.binding)
                 if f"t.a = {n}" not in str(deleted):
                     failures.append(f"delete {n}: {deleted}")
 

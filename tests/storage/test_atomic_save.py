@@ -231,7 +231,7 @@ class TestDifferentialSave:
             assert reasons_of(lambda: save_database(database, path))[0] == []
         self.patch(database, "R", [], [(6, 100)])
         reasons, metrics = reasons_of(lambda: save_database(database, path))
-        assert reasons == ["ratio"] and metrics["checkpoint_rewrites"]["value"] == 1
+        assert reasons == ["ratio"] and metrics['checkpoint_rewrites{reason="ratio"}']["value"] == 1
         assert (queue.rows_written, queue.rows_appended) == (13, 0)
         assert load_database(path).snapshot() == database.snapshot()
 
