@@ -86,7 +86,7 @@ class Bag:
         Internal: the caller guarantees tuple rows of uniform ``arity``
         with strictly positive multiplicities, and must not mutate the
         dict afterwards.  This is what keeps ``patch`` and the
-        partition layer's slice materialization single-pass.
+        key-restricted reads single-pass.
         """
         bag = cls.__new__(cls)
         bag._counts = counts

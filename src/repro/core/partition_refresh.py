@@ -34,7 +34,7 @@ same ops, same runner, same lock and crash points:
 * :meth:`refresh_log` — ``refresh_BL``'s apply step: evaluate the pair
   under this epoch's keys, then install the MV patch and the log clears
   in one :meth:`~repro.storage.partition.PartitionedDatabase.apply_parts`
-  epoch (delta-proportional, partition-at-a-time, crash-atomic);
+  epoch (one atomic commit, partitions touched counted);
 * :meth:`execute_plan` — an apply step that stays a generic plan
   (``propagate_C``'s fold, ``refresh_C``'s log tail), run under the keys;
 * :meth:`apply_differentials` — ``refresh_DT``/``partial_refresh_C``'s
@@ -196,10 +196,10 @@ class PartitionedMaintenance:
         return {**self.epoch_keys(), **(supplied or {})}
 
     def refresh_log(self, scenario, delete: Expr, insert: Expr, binding=None) -> None:
-        """``refresh_BL``'s apply, partition-at-a-time: evaluate the pair
+        """``refresh_BL``'s apply, key-pruned: evaluate the pair
         under this epoch's keys, then install the MV patch and the log
         clears in one ``apply_parts`` epoch — the effect of
-        ``_log_refresh_plan`` on the affected partitions' slices only."""
+        ``_log_refresh_plan``, with the touched partitions counted."""
         counter = scenario.counter
         pair = self.evaluate_pair(delete, insert, counter, self.epoch_binding(binding))
         self.db.apply_parts(
@@ -307,12 +307,12 @@ class PartitionedMaintenance:
         return tasks
 
     def apply_differentials(self, scenario, *_pair: Expr, binding=None) -> None:
-        """The ``refresh_DT`` apply, partition-at-a-time.
+        """The ``refresh_DT`` apply through ``apply_parts``.
 
         Installs the pending ∇MV/ΔMV patch and the differential clears
         in one ``apply_parts`` epoch — same effect as
-        ``DiffTableScenario._apply_dt_plan``, but mutating only the
-        affected partitions' slices instead of copying the MV dict.
+        ``DiffTableScenario._apply_dt_plan``, with the touched
+        partitions counted.
         """
         view = self.view
         empty = Bag.empty()

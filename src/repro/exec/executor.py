@@ -211,17 +211,6 @@ class Executor:
                         self._build_index(ctx, side.access.table, side.base_key_positions)
         return node
 
-    # -- partition layouts ---------------------------------------------
-
-    def declare_partition(self, table: str, spec) -> None:
-        """Note ``table``'s partition layout (nothing to keep here: the
-        in-memory plans restrict through the maintained key index)."""
-
-    def restricted_lookup(self, table: str, keys, *, counter: CostCounter | None = None) -> Bag | None:
-        """Rows of ``table`` with partition key in ``keys``, or ``None``
-        when this engine has no faster answer than the caller's index."""
-        return None
-
     def _build_index(self, ctx: ExecutionContext, table: str, positions: tuple[int, ...]) -> None:
         base = ctx.state.get(table)
         if base is not None:

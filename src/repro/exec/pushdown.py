@@ -188,8 +188,6 @@ class PushdownExecutor(Executor):
         super().__init__(database)
         self._mirror = SQLiteMirror()
         database.add_write_listener(self._mirror)
-        #: table -> PartitionSpec mirrored down via :meth:`declare_partition`.
-        self._partitions: dict[str, object] = {}
         #: expr -> structural pushability verdict (content-independent).
         self._pushable_memo: dict[Expr, bool] = {}
         #: expr -> (compiled SQL text, the key domains, the parameters and
@@ -214,56 +212,6 @@ class PushdownExecutor(Executor):
     def mirror(self) -> SQLiteMirror:
         """The SQLite shadow database (exposed for tests/diagnostics)."""
         return self._mirror
-
-    # ------------------------------------------------------------------
-    # Partition pruning support
-    # ------------------------------------------------------------------
-
-    def declare_partition(self, table: str, spec) -> None:
-        """Thread a partition layout down into the mirror.
-
-        The mirrored table gains a ``__part`` routing column and a
-        ``(__part, key)`` index; :meth:`restricted_lookup` then serves
-        affected-key restrictions as indexed C scans.
-        """
-        self._partitions[table] = spec
-        self._mirror.declare_partition(table, spec)
-
-    def restricted_lookup(self, table: str, keys, *, counter: CostCounter | None = None) -> Bag | None:
-        """Rows of ``table`` with partition key in ``keys``, from the mirror.
-
-        Returns ``None`` when the table is not mirrored clean, a key
-        cannot be matched inside SQLite, the breaker is not closed or
-        the backend fails — the caller (the partitioned database's
-        :meth:`restrict`) falls back to the in-memory index.
-        """
-        spec = self._partitions.get(table)
-        if spec is None or self.breaker != CLOSED:
-            return None
-        keys = list(keys)
-        with self._mirror.lock:
-            try:
-                if not self._mirror.is_mirrored(table):
-                    database = self._database
-                    self._mirror.ensure(table, database.schema_of(table), database.state[table])
-                pids = {spec.partition_of(key) for key in keys}
-                rows = self._mirror.restricted_rows(table, pids, keys)
-            except (MirrorUnsupported, UnknownTableError):
-                return None
-            except sqlite3.Error:
-                _count_fallback("backend_error")
-                return None
-        if rows is None:
-            return None
-        counts: dict[Row, int] = {}
-        for *values, mult in rows:
-            row = tuple(values)
-            counts[row] = counts.get(row, 0) + int(mult)
-        if counter is not None:
-            counter.record_probes("index_probe", len(keys))
-            counter.record("partition_restrict", len(counts))
-            counter.record("pushdown", len(rows))
-        return Bag.from_counts(counts)
 
     # ------------------------------------------------------------------
     # Entry point

@@ -402,7 +402,7 @@ class Database:
     def _install(
         self,
         new_values: dict[str, Bag],
-        patch_deltas: dict[str, tuple[Bag, Bag]],
+        patch_deltas: Mapping[str, tuple[Bag, Bag]],
         *,
         counter: CostCounter | None = None,
     ) -> None:

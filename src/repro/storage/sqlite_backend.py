@@ -548,11 +548,6 @@ class SQLiteMirror:
         self._dirty: set[str] = set()
         self._unsupported: set[str] = set()
         self._index_requests: dict[str, set[tuple[int, ...]]] = {}
-        #: table -> PartitionSpec; partitioned tables carry a routed
-        #: ``__part`` column (computed Python-side: the stable key hash
-        #: is not expressible in SQL) plus a ``(__part, key)`` index, so
-        #: affected-key restrictions run as indexed C scans.
-        self._partitions: dict[str, Any] = {}
         self._conn.execute(
             f"CREATE TABLE {_KEYS_TABLE} (domain TEXT, key, PRIMARY KEY (domain, key)) WITHOUT ROWID"
         )
@@ -644,13 +639,6 @@ class SQLiteMirror:
         fault_point("flaky-mirror-adopt")
         self._create_table(name, Schema(tuple(f"c{index}" for index in range(len(sample[0])))))
 
-    def _part_of(self, name: str, row: Row) -> tuple:
-        """``(partition_id,)`` suffix for a stored row, or ``()``."""
-        spec = self._partitions.get(name)
-        if spec is None:
-            return ()
-        return (spec.partition_of(row[spec.position]),)
-
     def _apply_net(self, name: str, arity: int, net: dict[Row, int]) -> None:
         """Fold per-row count deltas into the canonical stored table."""
         fault_point("flaky-mirror-upsert")
@@ -660,14 +648,13 @@ class SQLiteMirror:
             manual = [(row, delta) for row, delta in net.items() if None in row]
         else:
             plain, manual = [], list(net.items())
-        extra = 1 if name in self._partitions else 0
-        placeholders = ", ".join(["?"] * (arity + 1 + extra))
+        placeholders = ", ".join(["?"] * (arity + 1))
         if plain:
             conflict = ", ".join(_cols(arity))
             self._conn.executemany(
                 f"INSERT INTO {mangled} VALUES ({placeholders}) "
                 f"ON CONFLICT({conflict}) DO UPDATE SET mult = mult + excluded.mult",
-                [(*row, delta, *self._part_of(name, row)) for row, delta in plain],
+                [(*row, delta) for row, delta in plain],
             )
         match = " AND ".join(f"c{index} IS ?" for index in range(arity)) or "1 = 1"
         for row, delta in manual:
@@ -677,7 +664,7 @@ class SQLiteMirror:
             if cursor.rowcount == 0 and delta > 0:
                 self._conn.execute(
                     f"INSERT INTO {mangled} VALUES ({placeholders})",
-                    (*row, delta, *self._part_of(name, row)),
+                    (*row, delta),
                 )
         drops = [row for row, delta in net.items() if delta < 0]
         if drops:
@@ -700,7 +687,6 @@ class SQLiteMirror:
     def on_drop(self, name: str) -> None:
         with self.lock:
             self._unsupported.discard(name)
-            self._partitions.pop(name, None)
             if name in self._schemas:
                 self._forget(name)
 
@@ -733,10 +719,7 @@ class SQLiteMirror:
                 self._reload(name, schema.arity, bag)
 
     def _create_table(self, name: str, schema: Schema) -> None:
-        parts = ["__part INTEGER"] if name in self._partitions else []
-        columns = ", ".join(
-            [*(f"c{index}" for index in range(schema.arity)), "mult INTEGER NOT NULL", *parts]
-        )
+        columns = ", ".join([*(f"c{index}" for index in range(schema.arity)), "mult INTEGER NOT NULL"])
         self._conn.execute(f"CREATE TABLE {_mangle(name)} ({columns})")
         if schema.arity:
             # The UPSERT target: canonical tables have exactly one
@@ -745,12 +728,6 @@ class SQLiteMirror:
             self._conn.execute(
                 f"CREATE UNIQUE INDEX {_mangle('__mirror_pk__' + name)} "
                 f"ON {_mangle(name)} ({cols})"
-            )
-        if parts:
-            spec = self._partitions[name]
-            self._conn.execute(
-                f"CREATE INDEX {_mangle('__mirror_part__' + name)} "
-                f"ON {_mangle(name)} (__part, c{spec.position})"
             )
         self._schemas[name] = schema
         for positions in self._index_requests.get(name, ()):
@@ -764,11 +741,10 @@ class SQLiteMirror:
                 self._forget(name)
                 self._unsupported.add(name)
                 raise MirrorUnsupported(f"table {name!r} holds values SQLite cannot mirror")
-            rows.append((*row, count, *self._part_of(name, row)))
+            rows.append((*row, count))
         mangled = _mangle(name)
-        extra = 1 if name in self._partitions else 0
         self._conn.execute(f"DELETE FROM {mangled}")
-        placeholders = ", ".join(["?"] * (arity + 1 + extra))
+        placeholders = ", ".join(["?"] * (arity + 1))
         self._conn.executemany(f"INSERT INTO {mangled} VALUES ({placeholders})", rows)
         self._dirty.discard(name)
 
@@ -783,54 +759,6 @@ class SQLiteMirror:
         """
         cols = ", ".join(_cols(arity))
         return f"SELECT {cols}, mult FROM {_mangle(name)}"
-
-    def declare_partition(self, name: str, spec) -> None:
-        """Adopt a partition layout for ``name``.
-
-        A table mirrored before its declaration is rebuilt (dropped and
-        lazily reloaded) so the stored rows gain the ``__part`` routing
-        column and its ``(__part, key)`` index.  Re-declaring the same
-        layout is a no-op, matching
-        :meth:`~repro.storage.partition.PartitionedDatabase.declare_partitioning`.
-        """
-        with self.lock:
-            existing = self._partitions.get(name)
-            if existing is not None and existing.co_partitioned(spec):
-                return
-            self._partitions[name] = spec
-            if name in self._schemas:
-                schema = self._schemas[name]
-                self._forget(name)
-                self._create_table(name, schema)
-                self._dirty.add(name)
-
-    def restricted_rows(self, name: str, pids: Iterable[int], keys: Iterable) -> list[tuple] | None:
-        """Rows of ``name`` whose key is in ``keys``, via the ``__part`` index.
-
-        Returns ``None`` when the table is not currently mirrored clean
-        (the caller falls back to the in-memory index), and raises
-        nothing: this is a read-only pruning accelerator.
-        """
-        with self.lock:
-            spec = self._partitions.get(name)
-            if spec is None or name not in self._schemas or name in self._dirty:
-                return None
-            keys = list(keys)
-            if any(key is None or not sqlite_supported_value(key) for key in keys):
-                # NULL never matches IN; exotic keys never mirrored.
-                return None
-            pids = sorted(set(pids))
-            if not keys or not pids:
-                return []
-            arity = self._schemas[name].arity
-            cols = ", ".join(_cols(arity))
-            part_marks = ", ".join(["?"] * len(pids))
-            key_marks = ", ".join(["?"] * len(keys))
-            sql = (
-                f"SELECT {cols}, mult FROM {_mangle(name)} "
-                f"WHERE __part IN ({part_marks}) AND c{spec.position} IN ({key_marks})"
-            )
-            return self._conn.execute(sql, (*pids, *keys)).fetchall()
 
     def bind_keys(self, keys: Mapping[str, Iterable]) -> None:
         """Load one call's key binding for the key-restricted leaves of

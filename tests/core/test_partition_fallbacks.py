@@ -229,7 +229,7 @@ class TestApplyPartsCrash:
         before_sizes = db.partition_sizes("S")
 
         # The patch spans several partitions, so the fault point (between
-        # per-partition installs) fires with some slices already staged.
+        # partition groups) fires with part of the epoch already routed.
         delete = Bag([(0, "i0")])
         insert = Bag([(1, "xx"), (2, "yy"), (3, "zz")])
         INJECTOR.arm("crash-mid-partition-apply", hit=1)

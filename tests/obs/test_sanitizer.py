@@ -7,8 +7,12 @@ from repro.core.transactions import UserTransaction
 from repro.obs.sanitizer import NULL_SANITIZER, LocksetSanitizer, NullSanitizer
 from repro.sqlfront import sql_to_view
 from repro.storage.database import Database
+from repro.storage.partition import PartitionedDatabase
 
 VIEW_SQL = "CREATE VIEW V (a, c) AS SELECT r.a, s.c FROM R r, S s WHERE r.b = s.b"
+#: The same join with the partition key in its output, so a partitioned
+#: layout refreshes it through the pruned path.
+KEYED_VIEW_SQL = "CREATE VIEW V (a, b, c) AS SELECT r.a, r.b, s.c FROM R r, S s WHERE r.b = s.b"
 MV = "__mv__V"
 
 
@@ -18,6 +22,18 @@ def make_scenario(exec_mode="compiled"):
     db.create_table("S", ["b", "c"], rows=[(1, 10), (2, 20)])
     scenario = BaseLogScenario(db, sql_to_view(VIEW_SQL, db))
     scenario.install()
+    return scenario
+
+
+def make_partitioned_scenario():
+    db = PartitionedDatabase(exec_mode="compiled")
+    db.create_table("R", ["a", "b"], rows=[(1, 1), (2, 2)])
+    db.create_table("S", ["b", "c"], rows=[(1, 10), (2, 20)])
+    db.declare_partitioning("R", "b", parts=4, domain="b")
+    db.declare_partitioning("S", "b", parts=4, domain="b")
+    scenario = BaseLogScenario(db, sql_to_view(KEYED_VIEW_SQL, db))
+    scenario.install()
+    assert scenario.partition_probe == "accepted"
     return scenario
 
 
@@ -139,13 +155,14 @@ class TestIntegration:
         assert stack.sanitizer.findings == []
 
     def test_dropped_lock_is_caught_at_runtime(self):
-        scenario = make_scenario()
-        with apply_mutation("dropped_lock"):
-            with obs.observed(sanitizer=True) as stack:
-                scenario.execute(UserTransaction(scenario.db).insert("R", [(5, 1)]))
-                scenario.refresh()
-        codes = {f.code for f in stack.sanitizer.findings}
-        assert codes == {"RVM601", "RVM602"}
+        for build in (make_scenario, make_partitioned_scenario):
+            scenario = build()
+            with apply_mutation("dropped_lock"):
+                with obs.observed(sanitizer=True) as stack:
+                    scenario.execute(UserTransaction(scenario.db).insert("R", [(5, 1)]))
+                    scenario.refresh()
+            codes = {f.code for f in stack.sanitizer.findings}
+            assert codes == {"RVM601", "RVM602"}, build.__name__
 
     def test_sanitizer_observed_alone(self):
         with obs.observed(tracer=False, metrics=False, accounting=False, sanitizer=True) as stack:

@@ -107,8 +107,8 @@ def test_folded_digests_equal_from_scratch_digests(r, s, ops):
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3)), max_size=8).map(Bag), st.data())
 def test_folding_through_the_partitioned_fast_path(initial, data):
-    # ``apply_parts`` hands listeners a window over the delta's rows,
-    # not the pre-patch bag: the fold must only need ``multiplicity``.
+    # ``apply_parts`` commits through ``Database._install``: the fold
+    # sees its patches exactly as it sees ``Database.apply``'s.
     db = PartitionedDatabase()
     db.create_table("R", SCHEMA, rows=initial)
     db.declare_partitioning("R", "a", parts=3)

@@ -313,7 +313,7 @@ class TestConsistentCut:
         assert torn == []
 
     def test_cut_of_a_partitioned_database_holds_the_rows_its_stamps_describe(self):
-        """``apply_parts`` patches slices and leaves the flat bag stale until read."""
+        """A pin after ``apply_parts`` holds the rows its version stamps describe."""
         db = PartitionedDatabase()
         db.create_table("t", ("a", "b"), rows=[(i, i) for i in range(10)])
         db.declare_partitioning("t", "a", parts=4)
@@ -322,6 +322,44 @@ class TestConsistentCut:
         assert handle.version_of("t") == db.version_of("t")
         assert (100, 100) in handle.table("t")  # was: the pre-patch bag under the post-patch stamp
         assert handle.evaluate(sql_to_expr("SELECT b FROM t WHERE a = 100", db)) == Bag([(100,)])
+
+    def test_cut_during_a_partitioned_epoch_is_wholly_before_or_after_it(self):
+        """``apply_parts`` commits the MV patch and the log clear under the
+        commit mutex: a cut taken mid-commit waits for the whole epoch."""
+        db = PartitionedDatabase()
+        db.create_table("mv", ("a", "b"), rows=[(i, i) for i in range(10)])
+        db.create_table("log", ("a", "b"), rows=[(100, 100)])
+        db.declare_partitioning("mv", "a", parts=4)
+        cuts: list = []
+        threads: list[threading.Thread] = []
+
+        class CutDuringPatch:
+            def on_patch(self, name, delete, insert, before, after):
+                thread = threading.Thread(target=lambda: cuts.append(db.consistent_cut()))
+                threads.append(thread)
+                thread.start()
+                thread.join(timeout=0.5)
+
+            def on_replace(self, name, bag):
+                pass
+
+            def on_drop(self, name):
+                pass
+
+        db.add_write_listener(CutDuringPatch())
+        pre = {name: db.version_of(name) for name in ("mv", "log")}
+        db.apply_parts({"mv": (Bag(), Bag([(100, 100)]))}, clears={"log": Bag.empty()})
+        post = {name: db.version_of(name) for name in ("mv", "log")}
+        for thread in threads:
+            thread.join(timeout=5.0)
+        assert len(cuts) == 1
+        tables, versions, _clock, _schemas = cuts[0]
+        seen = {name: versions[name] for name in ("mv", "log")}
+        assert seen in (pre, post)
+        if seen == pre:
+            assert (100, 100) not in tables["mv"] and len(tables["log"]) == 1
+        else:
+            assert (100, 100) in tables["mv"] and not tables["log"]
 
     def test_cut_matches_live_state_when_quiescent(self):
         db = _db()
