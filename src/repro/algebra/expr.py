@@ -205,9 +205,7 @@ class KeyRestrict(Expr):
     the key set ``K``, which is not part of the expression: the caller
     binds it per evaluation (``evaluate(..., binding={domain: K})``), so one
     expression — and one compiled plan — serves every maintenance epoch.
-    ``delta`` marks a table that is delta-sized by construction (a
-    maintenance log): an engine reads it whole and filters, where a base
-    table is reached through its key index and never scanned.
+    An engine reaches the table through its key index and never scans it.
     Emitted by the partition-pruning pass (:mod:`repro.analysis.partitioning`)
     only; not part of the paper's grammar, and never differentiated.
     """
@@ -215,7 +213,6 @@ class KeyRestrict(Expr):
     child: TableRef
     position: int
     domain: str
-    delta: bool = False
 
     def schema(self) -> Schema:
         return self.child.table_schema

@@ -29,20 +29,6 @@ property engine (:mod:`repro.analysis.properties`):
 * any occurrence the rewrite cannot restrict leaves the plan on the
   whole-table **fallback** path — reported, never guessed at.
 
-The same pass computes **chunk safety**: whether evaluating the delta
-per affected-key chunk (logs filtered to the chunk) and summing the
-per-chunk results reproduces the whole delta, which is what lets the
-group scheduler refresh independent partitions of one view in
-parallel — the log leaves of a chunk-safe plan are key-restricted too,
-so binding a chunk's keys *is* evaluating that chunk, and binding every
-affected key the whole epoch.  The criterion is a degree computation:
-log leaves are linear (degree 1), base tables constant (degree 0);
-linear combines additively through ⊎, bilinear products of two delta
-terms are safe only under a selection equating their partition keys,
-and the non-linear operators (∸, ε) are chunk-local only while a
-key-carrying column survives to witness that both operands chunk
-identically.
-
 Diagnostics:
 
 * **RVM701** — a maintenance plan for a view over partitioned tables
@@ -63,7 +49,6 @@ from repro.algebra.expr import (
     DupElim,
     Expr,
     KeyRestrict,
-    Literal,
     MapProject,
     Monus,
     Product,
@@ -84,31 +69,6 @@ __all__ = [
     "partition_lint",
 ]
 
-# Chunk-safety lattice.  Per affected-key chunk ``c`` the logs are
-# filtered to ``c``; each subexpression's per-chunk value falls in one
-# of these classes:
-#
-# * EMPTY    — phi, identical in every chunk (bottom; combines freely);
-# * CONST    — no log references: identical and correct in every chunk;
-# * ANCHORED — supported only on rows whose key is in ``c``, and equal
-#              there to the whole computation (per-chunk values sum,
-#              ⊎ over chunks, to the whole — this is what makes a root
-#              chunk-safe);
-# * STABLE   — correct on rows whose key (at a ``keyed`` position) is
-#              in ``c``, garbage elsewhere: e.g. PAST(S) = S ∸ ▲S|c.
-#              Usable only under a selection equating its key with an
-#              anchored operand's key, which filters the garbage;
-# * PENDING  — a product of two delta-dependent terms, awaiting the
-#              key-equating selection that discharges it to ANCHORED;
-# * UNSAFE   — poison: per-chunk evaluation provably may not sum.
-_EMPTY = 0
-_CONST = 1
-_STABLE = 2
-_ANCHORED = 3
-_PENDING = 4
-_UNSAFE = 5
-
-
 @dataclass
 class _Info:
     """Per-node analysis state threaded through the rewrite."""
@@ -118,9 +78,6 @@ class _Info:
     bounded: dict[int, str] = field(default_factory=dict)
     #: position -> domain whose partition key the column carries verbatim.
     keyed: dict[int, str] = field(default_factory=dict)
-    degree: int = _CONST
-    #: for _BILINEAR: arity of the product's left operand.
-    boundary: int = 0
 
 
 @dataclass(frozen=True)
@@ -132,8 +89,6 @@ class RewriteResult:
     prunes: int
     #: partitioned tables still referenced whole (fallback scans).
     fallbacks: tuple[str, ...]
-    #: True when per-chunk evaluation sums to the whole delta.
-    chunk_safe: bool
 
     @property
     def prunable(self) -> bool:
@@ -147,28 +102,19 @@ class PartitionPlan:
     prunable: bool
     fallbacks: tuple[str, ...]
     domains: tuple[str, ...]
-    chunkable: bool
     #: pairs of same-domain tables whose layouts drifted apart.
     mismatched: tuple[tuple[str, str], ...]
     #: the pruned deltas, in the order given — what every epoch
-    #: evaluates under its key binding (log leaves key-restricted as
-    #: well when ``chunkable``).
+    #: evaluates under its key binding.
     deltas: tuple[Expr, ...] = ()
     #: key-restricted base-table references across ``deltas``.
     prunes: int = 0
 
 
 class _Rewriter:
-    def __init__(
-        self,
-        specs: Mapping[str, object],
-        log_map: Mapping[str, str],
-        *,
-        restrict_logs: bool = False,
-    ) -> None:
+    def __init__(self, specs: Mapping[str, object], log_map: Mapping[str, str]) -> None:
         self.specs = specs
         self.log_map = log_map
-        self.restrict_logs = restrict_logs
         self.prunes = 0
 
     # -- entry ----------------------------------------------------------
@@ -180,13 +126,10 @@ class _Rewriter:
 
     def _rewrite(self, expr: Expr, ambient: tuple[frozenset[int], ...]) -> _Info:
         """Rewrite ``expr``; ``ambient`` holds equality classes (in this
-        node's coordinates) contributed by enclosing selections — used to
-        discharge bilinear delta products."""
+        node's coordinates) contributed by enclosing selections, so a
+        bound spreads through an inner selection's equalities too."""
         if isinstance(expr, TableRef):
             return self._rewrite_leaf(expr)
-        if isinstance(expr, Literal):
-            degree = _EMPTY if not expr.bag else _CONST
-            return _Info(expr, degree=degree)
         if isinstance(expr, Select):
             return self._rewrite_select(expr, ambient)
         if isinstance(expr, Project):
@@ -195,20 +138,14 @@ class _Rewriter:
             return self._rewrite_map(expr, ambient)
         if isinstance(expr, DupElim):
             info = self._rewrite(expr.child, ambient)
-            degree = info.degree
-            if degree == _ANCHORED and not info.keyed:
-                # Chunks could split the duplicates of one projected row.
-                degree = _UNSAFE
-            elif degree == _PENDING:
-                degree = _UNSAFE
-            return _Info(DupElim(info.expr), info.bounded, info.keyed, degree)
+            return _Info(DupElim(info.expr), info.bounded, info.keyed)
         if isinstance(expr, UnionAll):
             return self._rewrite_union(expr, ambient)
         if isinstance(expr, Monus):
             return self._rewrite_monus(expr, ambient)
         if isinstance(expr, Product):
             return self._rewrite_product(expr, ambient)
-        return _Info(expr, degree=_UNSAFE)
+        return _Info(expr)
 
     # -- leaves ---------------------------------------------------------
 
@@ -217,17 +154,12 @@ class _Rewriter:
         if base is not None:
             spec = self.specs.get(base)
             if spec is None:
-                # A delta over an unpartitioned base: cannot be chunked
-                # (it would be replicated into every chunk).
-                return _Info(ref, degree=_UNSAFE)
-            node: Expr = ref
-            if self.restrict_logs:
-                node = KeyRestrict(ref, spec.position, spec.domain, delta=True)
+                return _Info(ref)
             marks = {spec.position: spec.domain}
-            return _Info(node, dict(marks), dict(marks), _ANCHORED)
+            return _Info(ref, marks, dict(marks))
         spec = self.specs.get(ref.name)
         if spec is not None:
-            return _Info(ref, {}, {spec.position: spec.domain}, _CONST)
+            return _Info(ref, {}, {spec.position: spec.domain})
         return _Info(ref)
 
     # -- selections -----------------------------------------------------
@@ -252,10 +184,7 @@ class _Rewriter:
         child = info.expr
         for position, domain in bounded.items():
             child = self._push(child, position, domain)
-        degree = info.degree
-        if degree == _PENDING:
-            degree = _ANCHORED if _discharges(merged, info) else _UNSAFE
-        return _Info(Select(node.predicate, child), bounded, keyed, degree)
+        return _Info(Select(node.predicate, child), bounded, keyed)
 
     # -- structure-preserving nodes -------------------------------------
 
@@ -275,8 +204,7 @@ class _Rewriter:
             for out, src in enumerate(positions)
             if src in info.keyed
         }
-        degree = _through_projection(info.degree, keyed)
-        return _Info(Project(node.attrs, info.expr, node.names), bounded, keyed, degree)
+        return _Info(Project(node.attrs, info.expr, node.names), bounded, keyed)
 
     def _rewrite_map(self, node: MapProject, ambient: tuple[frozenset[int], ...]) -> _Info:
         child_schema = node.child.schema()
@@ -303,8 +231,7 @@ class _Rewriter:
             for out, src in out_to_child.items()
             if src in info.keyed
         }
-        degree = _through_projection(info.degree, keyed)
-        return _Info(MapProject(node.terms, info.expr, node.names), bounded, keyed, degree)
+        return _Info(MapProject(node.terms, info.expr, node.names), bounded, keyed)
 
     # -- binary nodes ---------------------------------------------------
 
@@ -312,62 +239,14 @@ class _Rewriter:
         left = self._rewrite(node.left, ambient)
         right = self._rewrite(node.right, ambient)
         bounded = _positional_meet(left.bounded, right.bounded)
-        ld, rd = left.degree, right.degree
-        if ld == _EMPTY:
-            degree, keyed = rd, dict(right.keyed)
-        elif rd == _EMPTY:
-            degree, keyed = ld, dict(left.keyed)
-        elif ld in (_PENDING, _UNSAFE) or rd in (_PENDING, _UNSAFE):
-            degree, keyed = _UNSAFE, {}
-        elif ld == rd and ld in (_CONST, _ANCHORED):
-            degree, keyed = ld, _positional_meet(left.keyed, right.keyed)
-        else:
-            # A mix of CONST/STABLE/ANCHORED: correct on chunk keys,
-            # garbage elsewhere — the witness is the non-constant sides'
-            # shared key column.
-            if ld == _CONST:
-                keyed = dict(right.keyed)
-            elif rd == _CONST:
-                keyed = dict(left.keyed)
-            else:
-                keyed = _positional_meet(left.keyed, right.keyed)
-            degree = _STABLE if keyed else _UNSAFE
-        return _Info(UnionAll(left.expr, right.expr), bounded, keyed, degree)
+        keyed = _positional_meet(left.keyed, right.keyed)
+        return _Info(UnionAll(left.expr, right.expr), bounded, keyed)
 
     def _rewrite_monus(self, node: Monus, ambient: tuple[frozenset[int], ...]) -> _Info:
         left = self._rewrite(node.left, ambient)
         right = self._rewrite(node.right, ambient)
-        keyed = dict(left.keyed)
-        ld, rd = left.degree, right.degree
-        shared = _positional_meet(left.keyed, right.keyed)
-        if ld == _EMPTY:
-            degree = _EMPTY
-        elif rd == _EMPTY:
-            degree = ld
-        elif ld in (_PENDING, _UNSAFE) or rd in (_PENDING, _UNSAFE):
-            degree = _UNSAFE
-        elif ld == _CONST:
-            if rd == _CONST:
-                degree = _CONST
-            else:
-                # S ∸ ▲S|c: correct exactly on rows whose key is in the
-                # chunk (monus matches whole rows, and the chunk filter
-                # is by that key column).
-                degree = _STABLE if shared else _UNSAFE
-                keyed = shared
-        elif ld == _ANCHORED:
-            if rd == _CONST:
-                degree = _ANCHORED
-            else:
-                degree = _ANCHORED if shared else _UNSAFE
-        else:  # ld == _STABLE
-            if rd == _CONST:
-                degree = _STABLE
-            else:
-                degree = _STABLE if shared else _UNSAFE
-                keyed = shared
         # Result rows are a subbag of the left operand's rows.
-        return _Info(Monus(left.expr, right.expr), dict(left.bounded), keyed, degree)
+        return _Info(Monus(left.expr, right.expr), dict(left.bounded), dict(left.keyed))
 
     def _rewrite_product(self, node: Product, ambient: tuple[frozenset[int], ...]) -> _Info:
         left_arity = node.left.schema().arity
@@ -386,33 +265,7 @@ class _Rewriter:
             bounded[position + left_arity] = domain
         for position, domain in right.keyed.items():
             keyed[position + left_arity] = domain
-        boundary = 0
-        ld, rd = left.degree, right.degree
-        if ld == _EMPTY or rd == _EMPTY:
-            degree = _EMPTY
-        elif ld in (_PENDING, _UNSAFE) or rd in (_PENDING, _UNSAFE):
-            degree = _UNSAFE
-        elif ld == _CONST and rd == _CONST:
-            degree = _CONST
-        elif {ld, rd} == {_CONST, _ANCHORED}:
-            degree = _ANCHORED
-        elif {ld, rd} == {_CONST, _STABLE}:
-            degree = _STABLE
-        elif _ANCHORED in (ld, rd):
-            # delta x delta (or delta x past-state): sound only under a
-            # selection equating the two sides' partition keys, which
-            # confines the pairing to one chunk and filters the stable
-            # side's out-of-chunk garbage.  Check the ambient equalities
-            # here; otherwise leave PENDING for an enclosing Select.
-            degree = _PENDING
-            boundary = left_arity
-            info = _Info(Product(left.expr, right.expr), bounded, keyed, degree, boundary)
-            if _discharges(ambient, info):
-                degree = _ANCHORED
-                boundary = 0
-        else:  # STABLE x STABLE: no single-column witness survives
-            degree = _UNSAFE
-        return _Info(Product(left.expr, right.expr), bounded, keyed, degree, boundary)
+        return _Info(Product(left.expr, right.expr), bounded, keyed)
 
     # -- restriction push-down ------------------------------------------
 
@@ -523,32 +376,6 @@ def _merge_classes(
     return tuple(frozenset(group) for group in merged)
 
 
-def _discharges(classes: tuple[frozenset[int], ...], info: _Info) -> bool:
-    """Whether an equality class equates a left-side and right-side
-    partition-key column (same domain) across a bilinear product."""
-    boundary = info.boundary
-    for group in classes:
-        lefts = {info.keyed[p] for p in group if p < boundary and p in info.keyed}
-        rights = {info.keyed[p] for p in group if p >= boundary and p in info.keyed}
-        if lefts & rights:
-            return True
-    return False
-
-
-def _through_projection(degree: int, keyed: dict[int, str]) -> int:
-    """Degree after a (map-)projection remapped ``keyed``.
-
-    ANCHORED survives losing its key column (projection is linear and
-    chunks partition the input rows); STABLE does not — its correctness
-    region is defined by that column.
-    """
-    if degree == _PENDING:
-        return _UNSAFE
-    if degree == _STABLE and not keyed:
-        return _UNSAFE
-    return degree
-
-
 def _positional_meet(left: dict[int, str], right: dict[int, str]) -> dict[int, str]:
     return {
         position: domain
@@ -579,28 +406,19 @@ def prune_expr(
     expr: Expr,
     specs: Mapping[str, object],
     log_map: Mapping[str, str],
-    *,
-    restrict_logs: bool = False,
 ) -> RewriteResult:
     """Rewrite one delta expression with partition pruning.
 
     ``specs`` maps base-table names to their partition specs; ``log_map``
     maps maintenance-log table names to the base table they record.  The
     result reads each prunable base table through a key-restricted leaf
-    whose key set the evaluating epoch binds per partition domain.  With
-    ``restrict_logs`` the log leaves are restricted the same way, so a
-    binding narrower than the whole epoch's keys evaluates one key chunk
-    (sound only when the result reports ``chunk_safe``).
+    whose key set the evaluating epoch binds per partition domain; the
+    log leaves are delta-sized already and stay whole.
     """
-    rewriter = _Rewriter(specs, log_map, restrict_logs=restrict_logs)
+    rewriter = _Rewriter(specs, log_map)
     info = rewriter.rewrite(expr)
     fallbacks = tuple(sorted(_whole_tables(info.expr) & set(specs)))
-    return RewriteResult(
-        info.expr,
-        rewriter.prunes,
-        fallbacks,
-        info.degree in (_ANCHORED, _EMPTY),
-    )
+    return RewriteResult(info.expr, rewriter.prunes, fallbacks)
 
 
 def key_positions(expr: Expr, specs: Mapping[str, object]) -> dict[int, str]:
@@ -621,14 +439,11 @@ def analyze_deltas(
     the pruned plan itself.
 
     Reports whether every partitioned reference prunes, which domains
-    are involved, whether per-chunk refresh is sound, and any layout
-    drift among same-domain tables; ``deltas`` are the rewritten
-    expressions every later epoch evaluates under its key binding.
+    are involved, and any layout drift among same-domain tables;
+    ``deltas`` are the rewritten expressions every later epoch evaluates
+    under its key binding.
     """
-    deltas = tuple(deltas)
-    # Chunk-safe is the common verdict: rewrite for it first (the log
-    # leaves change neither the verdict nor the fallbacks).
-    results = [prune_expr(delta, specs, log_map, restrict_logs=True) for delta in deltas]
+    results = [prune_expr(delta, specs, log_map) for delta in deltas]
     fallbacks = {name for result in results for name in result.fallbacks}
     domains = tuple(sorted({spec.domain for spec in specs.values()}))
     mismatched: list[tuple[str, str]] = []
@@ -645,15 +460,10 @@ def analyze_deltas(
     # vacuously, when the deltas never reference a partitioned table
     # whole (single-table views: the deltas are log-only and already
     # delta-proportional, so partition-at-a-time apply is sound).
-    prunable = not fallbacks
-    chunkable = prunable and len(domains) == 1 and all(result.chunk_safe for result in results)
-    if not chunkable:
-        results = [prune_expr(delta, specs, log_map) for delta in deltas]
     return PartitionPlan(
-        prunable,
+        not fallbacks,
         tuple(sorted(fallbacks)),
         domains,
-        chunkable,
         tuple(mismatched),
         tuple(result.expr for result in results),
         sum(result.prunes for result in results),

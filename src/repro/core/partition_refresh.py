@@ -76,12 +76,10 @@ class PartitionedMaintenance:
         self.log = log
         self.specs = dict(specs)
         #: The pruned post-update deltas, fixed at install: what every
-        #: epoch (and every chunk of one) evaluates under its own keys.
+        #: epoch evaluates under its own keys.
         self.delete_expr, self.insert_expr = plan.deltas
         #: Key-restricted base-table references in the pair.
         self.prunes = plan.prunes
-        #: Whether the pair may be evaluated one key chunk at a time.
-        self.chunkable = plan.chunkable
         self.mv_position = mv_position
         self.domain = domain
         self._log_tables = [
@@ -165,17 +163,6 @@ class PartitionedMaintenance:
         keys = db.affected_keys((table, db[name]) for table, name in self._log_tables)
         return {domain: frozenset(found) for domain, found in keys.items()}
 
-    def evaluate_pair(self, delete: Expr, insert: Expr, counter, binding) -> tuple[Bag, Bag]:
-        """A ``(delete, insert)`` pair evaluated under ``binding``."""
-        evaluate = self.db.evaluate
-        return (
-            evaluate(delete, counter=counter, binding=binding),
-            evaluate(insert, counter=counter, binding=binding),
-        )
-
-    def log_clears(self) -> dict[str, Bag]:
-        return {name: Bag.empty() for name in self.log.table_names()}
-
     # ------------------------------------------------------------------
     # Scenario fast paths
     # ------------------------------------------------------------------
@@ -201,10 +188,15 @@ class PartitionedMaintenance:
         clears in one ``apply_parts`` epoch — the effect of
         ``_log_refresh_plan``, with the touched partitions counted."""
         counter = scenario.counter
-        pair = self.evaluate_pair(delete, insert, counter, self.epoch_binding(binding))
+        binding = self.epoch_binding(binding)
+        evaluate = self.db.evaluate
+        pair = (
+            evaluate(delete, counter=counter, binding=binding),
+            evaluate(insert, counter=counter, binding=binding),
+        )
         self.db.apply_parts(
             {self.view.mv_table: pair},
-            clears=self.log_clears(),
+            clears={name: Bag.empty() for name in self.log.table_names()},
             counter=counter,
         )
 
@@ -214,97 +206,6 @@ class PartitionedMaintenance:
         build(delete, insert).execute(
             self.db, counter=scenario.counter, binding=self.epoch_binding(binding)
         )
-
-    def chunked_group_tasks(self, scenario, *, order: int, hot_threshold: int = 64) -> list | None:
-        """Per-partition-chunk :class:`~repro.exec.group.GroupTask`\\ s.
-
-        Returns ``None`` when per-chunk evaluation is not provably sound
-        (the static plan is not chunk-safe) — the caller falls back to
-        the whole-log group task.  Otherwise: one read-only compute task
-        per affected partition chunk (hot partitions sub-split by
-        :func:`~repro.exec.group.split_hot_partitions`), declared under
-        partition-granular resources so independent chunks of one view
-        evaluate in parallel — each is the install-time pair bound to
-        the chunk's keys — plus a finalize task whose apply merges the
-        per-chunk deltas — they are disjoint by key, so they ⊎-sum to
-        the whole-log deltas — and runs the scenario's normal group
-        apply once.
-        """
-        from repro.exec.group import GroupTask, partition_resource, split_hot_partitions
-
-        if not self.chunkable:
-            return None
-        keys = sorted(self.epoch_keys().get(self.domain, ()), key=repr)
-        spec = next(s for s in self.specs.values() if s.domain == self.domain)
-        by_pid: dict[int, list] = {}
-        for key in keys:
-            by_pid.setdefault(spec.partition_of(key), []).append(key)
-        chunks = split_hot_partitions(by_pid, hot_threshold) or [("p-none", ())]
-        view = self.view
-        log_tables = frozenset(self.log.table_names())
-        results: dict[str, tuple[Bag, Bag]] = {}
-
-        def make_compute(chunk_keys: tuple):
-            binding = {self.domain: frozenset(chunk_keys)}
-
-            def compute(counter):
-                counter.record_prune(self.prunes)
-                return self.evaluate_pair(self.delete_expr, self.insert_expr, counter, binding)
-
-            return compute
-
-        tasks = []
-        all_pids: set[int] = set()
-        for label, chunk_keys in chunks:
-            pids = {spec.partition_of(key) for key in chunk_keys}
-            all_pids |= pids
-            tasks.append(
-                GroupTask(
-                    name=f"{view.name}[{label}]",
-                    order=order,
-                    key=lambda: None,
-                    compute=make_compute(chunk_keys),
-                    apply=lambda deltas, label=label: results.__setitem__(label, deltas),
-                    reads=log_tables
-                    | {partition_resource(t, pid) for t in self.specs for pid in pids},
-                    writes=frozenset(),
-                )
-            )
-
-        def finalize_apply(_deltas) -> None:
-            merged: list[dict] = [{}, {}]
-            for label, __ in chunks:
-                for side, bag in enumerate(results[label]):
-                    counts = merged[side]
-                    for row, count in bag.items():
-                        counts[row] = counts.get(row, 0) + count
-            scenario.run("refresh", (Bag.from_counts(merged[0]), Bag.from_counts(merged[1])))
-
-        # Differentials already pending from an earlier propagate (a C
-        # view) land on partitions this epoch's log never mentioned —
-        # widen the declared write set to cover them.
-        state = self.db.state
-        for name in (
-            getattr(view, "dt_delete_table", None),
-            getattr(view, "dt_insert_table", None),
-        ):
-            if name is not None and name in state:
-                for row in state[name].support:
-                    all_pids.add(spec.partition_of(row[self.mv_position]))
-
-        tasks.append(
-            GroupTask(
-                name=f"{view.name}[finalize]",
-                order=order,
-                key=lambda: None,
-                compute=lambda counter: (Bag.empty(), Bag.empty()),
-                apply=finalize_apply,
-                reads=frozenset(),
-                writes=frozenset(scenario._group_writes() - {view.mv_table})
-                | {partition_resource(view.mv_table, pid) for pid in all_pids},
-            )
-        )
-        return tasks
 
     def apply_differentials(self, scenario, *_pair: Expr, binding=None) -> None:
         """The ``refresh_DT`` apply through ``apply_parts``.

@@ -496,10 +496,7 @@ class LoggedScenario(Scenario):
     def epoch_tasks(self, *, order: int, compact: bool) -> list:
         if compact:
             self.compact_log()
-        # Partitioned database + chunk-safe plan: the view's epoch splits
-        # into per-partition compute tasks that batch at partition
-        # granularity; otherwise one whole-log task.
-        return self.partitioned_group_tasks(order=order) or [self.group_refresh_task(order=order)]
+        return [self.group_refresh_task(order=order)]
 
     def group_refresh_task(self, *, order: int):
         """This view's contribution to a group-refresh epoch.
@@ -560,19 +557,6 @@ class LoggedScenario(Scenario):
         # declaration is detectable (RVM604).
         inferred = op_effects(self, self.ops["refresh"])
         return view_delete, view_insert, fingerprints, inferred
-
-    def partitioned_group_tasks(self, *, order: int, hot_threshold: int = 64):
-        """Partition-chunked group tasks, or ``None`` when ineligible.
-
-        On a partitioned database with a chunk-safe plan this replaces
-        the single whole-log task with one read-only compute task per
-        affected partition chunk (declared under partition-granular
-        resources, so independent chunks evaluate in parallel) plus one
-        finalize task running the normal group apply.
-        """
-        if self._pmaint is None:
-            return None
-        return self._pmaint.chunked_group_tasks(self, order=order, hot_threshold=hot_threshold)
 
     def _group_writes(self) -> frozenset[str]:
         """The write set a group task *declares* (checked against inference)."""

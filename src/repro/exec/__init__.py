@@ -51,17 +51,10 @@ ENV_VAR = "REPRO_EXEC"
 
 #: Spelling variants accepted by :func:`resolve_exec_mode`.
 _ALIASES = {
-    "interp": INTERPRETED,
-    "interpret": INTERPRETED,
-    "oracle": INTERPRETED,
     # The batch tier this name selected is gone (it never beat the
     # compiled plans it shared).  The spelling stays because
-    # bench/pipeline/run.py's engine grid and saved REPRO_EXEC settings
-    # still pass it.
+    # bench/pipeline/run.py's engine grid still passes it.
     "vectorized": COMPILED,
-    "pushdown": SQLITE,
-    "sqlite-pushdown": SQLITE,
-    "sql": SQLITE,
 }
 
 __all__ = [
@@ -86,7 +79,6 @@ def resolve_exec_mode(mode: str | None) -> str:
     if mode is None or mode == "":
         return COMPILED
     normalized = mode.strip().lower()
-    # Accept the obvious abbreviations so REPRO_EXEC=interp works.
     normalized = _ALIASES.get(normalized, normalized)
     if normalized not in MODES:
         raise ReproError(f"unknown execution mode {mode!r}; pick one of {MODES}")

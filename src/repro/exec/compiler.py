@@ -104,9 +104,8 @@ class SourceAccess:
     ``params`` names the parameters the chain's filters and maps read.
     ``restrict`` is the :class:`~repro.algebra.expr.KeyRestrict` leaf
     when the chain reads ``σ_{key ∈ K(domain)}(table)`` rather than the
-    table: its input is
-    then the buckets of the call's bound keys in the index on the key
-    column (a delta-sized table is read whole and filtered instead).
+    table: its input is then the buckets of the call's bound keys in the
+    index on the key column.
 
     ``apply`` is the whole chain compiled to one callable — base row to
     output row, or ``None`` when a filter drops it — built once, when
@@ -427,8 +426,8 @@ class PPipeline(PNode):
 
     Charges one ``scan`` tuple-op per base row read — intermediate
     selection/projection materializations are pipelined away.  Over a
-    key-restricted access the pass runs over the bound keys' rows only
-    (:meth:`restricted`): a base table is not scanned.
+    key-restricted access the pass runs over the bound keys' index
+    buckets only: the table is not scanned.
     """
 
     __slots__ = ("access",)
@@ -444,59 +443,33 @@ class PPipeline(PNode):
         value = ctx.state.get(self.access.table)
         return value is not None and not value
 
-    def restricted(self, ctx) -> dict[Row, int]:
-        """The chain's image counts over ``σ_{key ∈ K}(R)``.
-
-        One lookup per bound key in ``R``'s maintained key index — the
-        cost is the keys and their buckets, whatever the table's size; a
-        delta-sized ``R`` (a log) is one filtered pass, charged like the
-        unrestricted scan it narrows.
-        """
+    def _compute(self, ctx) -> Bag:
         access = self.access
-        leaf = access.restrict
-        position = leaf.position
-        keys = ctx.keys_of(leaf.domain)
         base = ctx.table(access.table)
+        counter = ctx.counter
+        leaf = access.restrict
+        if leaf is None:
+            if counter is not None:
+                counter.record("scan", base.distinct_count())
+            if access.identity:
+                return base
+            buckets = [base]
+        else:
+            # One lookup per bound key in R's maintained key index: the
+            # cost is the keys and their buckets, whatever R's size.
+            keys = ctx.keys_of(leaf.domain)
+            index = ctx.indexes.get(access.table, (leaf.position,), base, counter=counter)
+            buckets = [index.lookup((key,)) for key in keys]
+            if counter is not None:
+                counter.record_probes("index_probe", len(keys))
+                counter.record("partition_restrict", sum(len(bucket) for bucket in buckets))
         apply = access.apply
         counts: dict[Row, int] = {}
-        if leaf.delta:
-            for row, count in base.items():
-                if row[position] in keys:
-                    image = apply(row)
-                    if image is not None:
-                        counts[image] = counts.get(image, 0) + count
-            if ctx.counter is not None:
-                ctx.counter.record("scan", base.distinct_count())
-            return counts
-        index = ctx.indexes.get(access.table, (position,), base, counter=ctx.counter)
-        gathered = 0
-        for key in keys:
-            bucket = index.lookup((key,))
-            gathered += len(bucket)
+        for bucket in buckets:
             for row, count in bucket.items():
                 image = apply(row)
                 if image is not None:
                     counts[image] = counts.get(image, 0) + count
-        if ctx.counter is not None:
-            ctx.counter.record_probes("index_probe", len(keys))
-            ctx.counter.record("partition_restrict", gathered)
-        return counts
-
-    def _compute(self, ctx) -> Bag:
-        access = self.access
-        if access.restrict is not None:
-            return _adopt(self.restricted(ctx))
-        base = ctx.table(access.table)
-        if ctx.counter is not None:
-            ctx.counter.record("scan", base.distinct_count())
-        if access.identity:
-            return base
-        apply = access.apply
-        counts: dict[Row, int] = {}
-        for row, count in base.items():
-            image = apply(row)
-            if image is not None:
-                counts[image] = counts.get(image, 0) + count
         return _adopt(counts)
 
 

@@ -202,7 +202,7 @@ class Executor:
                 self._build_index(ctx, table, positions or current.key_positions)
             elif isinstance(current, PPipeline):
                 leaf = current.access.restrict
-                if leaf is not None and not leaf.delta:
+                if leaf is not None:
                     self._build_index(ctx, current.access.table, (leaf.position,))
             elif isinstance(current, PEquiJoin):
                 # Bare chains and ``chain(R) ∸ D`` operands alike.

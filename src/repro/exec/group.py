@@ -51,8 +51,6 @@ __all__ = [
     "subplan_fingerprint",
     "view_fingerprints",
     "evaluate_delta_pair",
-    "partition_resource",
-    "split_hot_partitions",
     "EpochDeltaCache",
     "GroupTask",
     "GroupScheduler",
@@ -218,69 +216,8 @@ class GroupTask:
     inferred_writes: frozenset[str] | None = None
 
 
-def partition_resource(table: str, pid: object) -> str:
-    """A partition-granular resource name for conflict batching.
-
-    ``table#p<pid>`` conflicts with the same partition and with the
-    whole-table resource ``table``, but not with the table's *other*
-    partitions — which is what lets independent partitions of one view
-    refresh in the same batch.
-    """
-    return f"{table}#p{pid}"
-
-
-def _resource_base(resource: str) -> str:
-    return resource.split("#p", 1)[0]
-
-
-def _overlaps(a: frozenset[str], b: frozenset[str]) -> bool:
-    """Resource-set overlap under the partition-granularity hierarchy."""
-    if a & b:
-        return True
-    for resource in a:
-        base = _resource_base(resource)
-        if base != resource and base in b:
-            return True
-    for resource in b:
-        base = _resource_base(resource)
-        if base != resource and base in a:
-            return True
-    return False
-
-
 def _conflicts(a: GroupTask, b: GroupTask) -> bool:
-    return _overlaps(a.writes, b.writes | b.reads) or _overlaps(b.writes, a.reads)
-
-
-def split_hot_partitions(
-    by_partition: Mapping[object, Sequence], hot_threshold: int
-) -> list[tuple[str, tuple]]:
-    """Skew-aware chunking of per-partition affected keys.
-
-    Each partition becomes one chunk ``("p<pid>", keys)``; a *hot*
-    partition holding more than ``hot_threshold`` keys is sub-split into
-    near-equal chunks ``("p<pid>.<i>", keys)`` so one skewed key range
-    cannot serialize an epoch behind a single oversized task.  Chunk
-    labels and key order are deterministic.
-    """
-    if hot_threshold < 1:
-        raise ValueError(f"hot_threshold must be >= 1, got {hot_threshold}")
-    chunks: list[tuple[str, tuple]] = []
-    for pid in sorted(by_partition, key=repr):
-        keys = tuple(by_partition[pid])
-        if not keys:
-            continue
-        if len(keys) <= hot_threshold:
-            chunks.append((f"p{pid}", keys))
-            continue
-        pieces = -(-len(keys) // hot_threshold)
-        size = -(-len(keys) // pieces)
-        obs.metric_inc("hot_partition_splits")
-        for index in range(pieces):
-            piece = keys[index * size : (index + 1) * size]
-            if piece:
-                chunks.append((f"p{pid}.{index}", piece))
-    return chunks
+    return bool(a.writes & (b.writes | b.reads) or b.writes & a.reads)
 
 
 class GroupScheduler:

@@ -182,14 +182,16 @@ class LocksetSanitizer:
         self._access(tables, "write")
 
     def _access(self, tables, kind: str) -> None:
+        # Most accesses touch no MV table (logs, bases, differentials):
+        # answer those before fetching the thread state.
+        mv_tables = [t for t in tables if is_mv_table(t)]
+        if not mv_tables:
+            return
         state = self._state()
         if not state.ops:
             return
         op, view = state.ops[-1]
         if op not in TRACKED_OPS:
-            return
-        mv_tables = [t for t in tables if is_mv_table(t)]
-        if not mv_tables:
             return
         held = frozenset(state.held)
         code = "RVM601" if kind == "read" else "RVM602"

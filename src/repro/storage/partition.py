@@ -11,10 +11,8 @@ a second copy of the table.  The spec buys two things:
   key-restricted leaves (:mod:`repro.analysis.partitioning`) are bound
   to at each epoch, so a refresh reads only the key-index buckets of the
   keys that appear in the pending delta;
-* **partition-granular accounting and scheduling** — :meth:`apply_parts`
-  reports which partitions an epoch touched, and the group scheduler
-  declares per-partition resources so independent chunks of one view
-  evaluate in parallel.
+* **partition-granular accounting** — :meth:`apply_parts` reports which
+  partitions an epoch touched.
 
 Two partitioning schemes are supported:
 

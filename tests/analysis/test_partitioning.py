@@ -40,12 +40,11 @@ def deltas_for(db, sql):
 
 
 class TestAnalyzeDeltas:
-    def test_equijoin_is_prunable_and_chunkable(self):
+    def test_equijoin_is_prunable(self):
         db = make_db()
         _, _, specs, log_map, deltas = deltas_for(db, JOIN_SQL)
         plan = analyze_deltas(deltas, specs, log_map)
         assert plan.prunable
-        assert plan.chunkable
         assert plan.fallbacks == ()
         assert plan.domains == ("k",)
 
@@ -55,24 +54,47 @@ class TestAnalyzeDeltas:
         plan = analyze_deltas(deltas, specs, log_map)
         assert not plan.prunable
         assert plan.fallbacks  # at least one table referenced whole
-        assert not plan.chunkable
 
     def test_single_table_view_is_vacuously_prunable(self):
         # The deltas are log-only (delta-proportional already): nothing
         # to restrict, nothing falling back — partition-at-a-time apply
-        # and per-chunk refresh are both sound.
+        # is sound.
         db = make_db()
         _, _, specs, log_map, deltas = deltas_for(db, SINGLE_SQL)
         specs = {"S": specs["S"]}
         plan = analyze_deltas(deltas, specs, log_map)
         assert plan.prunable
-        assert plan.chunkable
 
     def test_layout_drift_reported(self):
         db = make_db(c_parts=4, s_parts=8)
         _, _, specs, log_map, deltas = deltas_for(db, JOIN_SQL)
         plan = analyze_deltas(deltas, specs, log_map)
         assert ("C", "S") in plan.mismatched
+
+    #: view -> (prunable, prunes, fallbacks) of its pruned pair.
+    PRUNES = {
+        JOIN_SQL: (True, 4, ()),
+        SINGLE_SQL: (True, 0, ()),
+        CROSS_SQL: (False, 0, ("C", "S")),
+        "SELECT c.name, s.v FROM C c, S s WHERE c.k = s.k AND s.v != 'x'": (True, 4, ()),
+        "SELECT a.k, b.v FROM S a, S b WHERE a.k = b.k": (True, 4, ()),
+        "SELECT DISTINCT c.k FROM C c, S s WHERE c.k = s.k": (False, 8, ("C", "S")),
+    }
+
+    @pytest.mark.parametrize("sql", sorted(PRUNES))
+    def test_log_leaves_stay_whole_and_prunes_are_unchanged(self, sql):
+        # Only base tables are restricted: a log is delta-sized already,
+        # so the pruned pair reads it whole.  Which base references prune
+        # does not depend on that.
+        db = make_db()
+        _, _, specs, log_map, deltas = deltas_for(db, sql)
+        plan = analyze_deltas(deltas, specs, log_map)
+        restricted = {
+            node.child.name for delta in plan.deltas for node in delta.walk() if isinstance(node, KeyRestrict)
+        }
+        assert not restricted & set(log_map)
+        assert restricted <= set(specs)
+        assert (plan.prunable, plan.prunes, plan.fallbacks) == self.PRUNES[sql]
 
 
 class TestPruneExpr:
@@ -93,30 +115,13 @@ class TestPruneExpr:
         with pytest.raises(ReproError, match="key binding"):
             db.evaluate(result.expr)
 
-    def test_chunk_mode_filters_log_leaves(self):
-        db = make_db()
-        _, log, specs, log_map, (delete, insert) = deltas_for(db, JOIN_SQL)
-        # Record changes touching keys 1 and 2, then evaluate the chunk
-        # for key 1 only: the pruned expr must see only key-1 log rows.
-        db.set_table(log.insert_ref("S").name, Bag([(1, "a"), (2, "b")]))
-        result = prune_expr(insert, specs, log_map, restrict_logs=True)
-        assert result.chunk_safe
-        chunk = db.evaluate(result.expr, binding={"k": frozenset([1])})
-        assert chunk and all(row[0] == 1 for row in chunk.support)
-        # The chunks are disjoint by key and sum to the whole epoch.
-        other = db.evaluate(result.expr, binding={"k": frozenset([2])})
-        whole = db.evaluate(result.expr, binding={"k": frozenset([1, 2])})
-        assert chunk.union_all(other) == whole == db.evaluate(insert)
-
     def test_analyze_deltas_returns_the_plan_every_epoch_runs(self):
         db = make_db()
         _, _, specs, log_map, deltas = deltas_for(db, JOIN_SQL)
         plan = analyze_deltas(deltas, specs, log_map)
         assert len(plan.deltas) == 2 and plan.prunes == 4
-        # Chunk-safe: the log leaves are restricted too, marked delta-sized.
         leaves = [node for delta in plan.deltas for node in delta.walk() if isinstance(node, KeyRestrict)]
-        assert {leaf.delta for leaf in leaves if leaf.child.name in log_map} == {True}
-        assert {leaf.delta for leaf in leaves if leaf.child.name in specs} == {False}
+        assert {leaf.child.name for leaf in leaves} == {"C", "S"}
 
 
 class TestKeyPositions:

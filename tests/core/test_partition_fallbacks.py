@@ -11,14 +11,11 @@ stay all-or-nothing under a ``crash-mid-partition-apply``.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from repro import obs
 from repro.algebra.bag import Bag
 from repro.analysis.diagnostics import AnalysisWarning
-from repro.analysis.partitioning import prune_expr
 from repro.core.partition_refresh import PROBE_OUTCOMES
 from repro.core.scenarios import BaseLogScenario, CombinedScenario
 from repro.core.transactions import UserTransaction
@@ -196,27 +193,6 @@ class TestRuntimeFallbacks:
         scenario.refresh()
         assert scenario.ledger.sections == []
         assert scenario.staleness_entries() == 0
-
-    def test_chunked_tasks_refuse_unchunkable_plans(self, monkeypatch):
-        """Chunk safety is an install-time verdict like prunability: a plan
-        the analysis does not call chunk-safe keeps its log leaves whole
-        and never splits into chunk tasks."""
-        import repro.core.partition_refresh as partition_refresh
-
-        analyze = partition_refresh.analyze_deltas
-
-        def unchunkable(deltas, specs, log_map):
-            plan = analyze(deltas, specs, log_map)
-            whole_logs = tuple(prune_expr(delta, specs, log_map).expr for delta in deltas)
-            return replace(plan, chunkable=False, deltas=whole_logs)
-
-        monkeypatch.setattr(partition_refresh, "analyze_deltas", unchunkable)
-        db, scenario = self._partitioned_scenario()
-        assert scenario._pmaint.chunked_group_tasks(scenario, order=0) is None
-        assert scenario.partitioned_group_tasks(order=0) is None
-        # The whole-epoch refresh is unaffected.
-        _stream(db, scenario)
-        assert bag_digest(scenario.read_view()) == _oracle_digest()
 
 
 class TestApplyPartsCrash:

@@ -275,7 +275,7 @@ def maintain_two_phase(manager):
     manager.partial_refresh("V")
 
 
-def maintain_chunked(manager):
+def maintain_group(manager):
     manager.refresh_group(parallel=True, max_workers=2)
 
 
@@ -283,7 +283,7 @@ def maintain_chunked(manager):
 MAINTENANCE = {
     "refresh": ("base_log", maintain_whole),
     "propagate+partial_refresh": ("combined", maintain_two_phase),
-    "chunked-group": ("base_log", maintain_chunked),
+    "group": ("base_log", maintain_group),
 }
 
 
@@ -321,7 +321,7 @@ class TestBindingSoundness:
         flat = build_manager(scenario, engine=engine, partitioned=False)
         oracle = build_manager(scenario, engine="interpreted", partitioned=False)
         pmaint = subject.scenario("V")._pmaint
-        assert pmaint is not None and pmaint.chunkable
+        assert pmaint is not None
         pruned = (pmaint.delete_expr, pmaint.insert_expr)
         assert any(isinstance(node, KeyRestrict) for node in pruned[0].walk())
         for number, ops in enumerate(BINDING_EPOCHS):

@@ -27,11 +27,9 @@ def delta(rows, schema):
 class TestModeResolution:
     def test_aliases(self):
         assert resolve_exec_mode(None) == COMPILED
-        assert resolve_exec_mode("interp") == INTERPRETED
-        assert resolve_exec_mode("ORACLE") == INTERPRETED
         assert resolve_exec_mode("Compiled") == COMPILED
-        assert resolve_exec_mode("pushdown") == SQLITE
-        assert resolve_exec_mode("SQL") == SQLITE
+        assert resolve_exec_mode(" Interpreted ") == INTERPRETED
+        assert resolve_exec_mode("SQLITE") == SQLITE
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ReproError):

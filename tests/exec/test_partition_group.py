@@ -1,16 +1,9 @@
-"""Partition-granular group scheduling: resources, hot splits, chunk tasks."""
+"""Group refresh on a partitioned database: one task per view, oracle-equal."""
 
 import warnings
 
-import pytest
-
-from repro.exec.group import (
-    GroupScheduler,
-    GroupTask,
-    _conflicts,
-    partition_resource,
-    split_hot_partitions,
-)
+from repro import obs
+from repro.exec.group import GroupScheduler
 from repro.storage.database import Database
 from repro.storage.partition import PartitionedDatabase
 from repro.warehouse import ViewManager
@@ -18,76 +11,6 @@ from repro.workloads.retail import VIEW_SQL, RetailConfig, RetailWorkload
 
 CFG = RetailConfig(customers=80, initial_sales=800, promotion_fraction=0.15, seed=33)
 TOP_SQL = "SELECT custId, itemNo FROM sales WHERE quantity != 0"
-
-
-def task(name, *, reads=(), writes=(), order=0):
-    return GroupTask(
-        name=name,
-        order=order,
-        key=lambda: None,
-        compute=lambda counter: (None, None),
-        apply=lambda deltas: None,
-        reads=frozenset(reads),
-        writes=frozenset(writes),
-    )
-
-
-class TestPartitionResources:
-    def test_same_partition_conflicts(self):
-        a = task("a", writes=[partition_resource("MV", 3)])
-        b = task("b", reads=[partition_resource("MV", 3)])
-        assert _conflicts(a, b)
-
-    def test_different_partitions_do_not_conflict(self):
-        a = task("a", writes=[partition_resource("MV", 3)])
-        b = task("b", reads=[partition_resource("MV", 4)])
-        assert not _conflicts(a, b)
-
-    def test_whole_table_conflicts_with_any_partition(self):
-        whole = task("whole", writes=["MV"])
-        part = task("part", reads=[partition_resource("MV", 7)])
-        assert _conflicts(whole, part)
-        assert _conflicts(part, whole)
-
-    def test_partitions_of_different_tables_do_not_conflict(self):
-        a = task("a", writes=[partition_resource("MV", 1)])
-        b = task("b", reads=[partition_resource("Other", 1)])
-        assert not _conflicts(a, b)
-
-    def test_scheduler_co_batches_independent_partitions(self):
-        a = task("a", writes=[partition_resource("MV", 0)], order=0)
-        b = task("b", writes=[partition_resource("MV", 1)], order=1)
-        c = task("c", writes=[partition_resource("MV", 0)], order=2)
-        batches = GroupScheduler().batches([a, b, c])
-        names = [[t.name for t in batch] for batch in batches]
-        assert names == [["a", "b"], ["c"]]
-
-
-class TestSplitHotPartitions:
-    def test_cold_partitions_stay_whole(self):
-        chunks = split_hot_partitions({0: [1, 2], 3: [4]}, 4)
-        assert chunks == [("p0", (1, 2)), ("p3", (4,))]
-
-    def test_hot_partition_sub_splits_evenly(self):
-        chunks = split_hot_partitions({5: list(range(10))}, 4)
-        labels = [label for label, _ in chunks]
-        assert labels == ["p5.0", "p5.1", "p5.2"]
-        pieces = [keys for _, keys in chunks]
-        assert sorted(key for piece in pieces for key in piece) == list(range(10))
-        assert max(len(piece) for piece in pieces) <= 4
-
-    def test_order_is_deterministic(self):
-        by_pid = {2: [9, 1], 0: [5], 1: [7, 3, 8]}
-        assert split_hot_partitions(by_pid, 64) == split_hot_partitions(
-            {k: list(v) for k, v in reversed(list(by_pid.items()))}, 64
-        )
-
-    def test_threshold_must_be_positive(self):
-        with pytest.raises(ValueError):
-            split_hot_partitions({0: [1]}, 0)
-
-    def test_empty_input(self):
-        assert split_hot_partitions({}, 8) == []
 
 
 def build_manager(partitioned, mode="compiled"):
@@ -105,25 +28,7 @@ def build_manager(partitioned, mode="compiled"):
     return manager, workload
 
 
-class TestChunkedGroupTasks:
-    def test_chunk_tasks_declare_partition_resources(self):
-        manager, workload = build_manager(True)
-        for txn in workload.transactions(manager.db, 4):
-            manager.execute(txn)
-        tasks = manager.scenario("VJoin").partitioned_group_tasks(order=0)
-        assert tasks is not None
-        *chunks, finalize = tasks
-        assert chunks, "expected at least one chunk task"
-        for chunk in chunks:
-            assert not chunk.writes
-            assert any("#p" in resource for resource in chunk.reads)
-        assert finalize.name == "VJoin[finalize]"
-        assert any("#p" in resource for resource in finalize.writes)
-
-    def test_unpartitioned_scenario_returns_none(self):
-        manager, workload = build_manager(False)
-        assert manager.scenario("VJoin").partitioned_group_tasks(order=0) is None
-
+class TestGroupRefresh:
     def test_group_refresh_matches_sequential_oracle(self):
         oracle, oracle_w = build_manager(False, "interpreted")
         subject, subject_w = build_manager(True)
@@ -140,24 +45,30 @@ class TestChunkedGroupTasks:
             assert not subject.is_stale(name)
         subject.check_invariants()
 
-    def test_hot_threshold_splits_mid_stream(self):
-        """A hot key burst past the threshold sub-splits its partition."""
+    def test_one_task_per_view_and_the_schedule_is_reused(self, monkeypatch):
+        """A partitioned view adds exactly one task to an epoch, so an
+        epoch over new data but the same views reuses the schedule."""
         manager, workload = build_manager(True)
-        # Concentrate a burst on few keys, then ask for chunk tasks with
-        # a threshold of 1: every multi-key partition must sub-split.
-        txn = manager.transaction()
-        txn.insert("sales", [(1, 1, 2, 9.99), (9, 1, 1, 5.0), (17, 2, 1, 3.5)])
-        txn.run()
-        tasks = manager.scenario("VJoin").partitioned_group_tasks(
-            order=0, hot_threshold=1
-        )
-        assert tasks is not None
-        labels = [t.name for t in tasks[:-1]]
-        spec = manager.db.partition_spec("sales")
-        pids = {spec.partition_of(k) for k in (1, 9, 17)}
-        if len(pids) < 3:  # at least two keys share a partition: must split
-            assert any("." in label.rsplit("[", 1)[1] for label in labels)
-        # Chunked refresh still lands on the right answer.
-        manager.refresh_group(parallel=True)
-        assert not manager.is_stale("VJoin")
+        for name in ("VJoin", "VTop"):
+            assert manager.scenario(name).partition_probe == "accepted", name
+        scheduled = []
+        run = GroupScheduler.run
+
+        def spy(scheduler, tasks, *args, **kwargs):
+            scheduled.append(sorted(task.name for task in tasks))
+            return run(scheduler, tasks, *args, **kwargs)
+
+        monkeypatch.setattr(GroupScheduler, "run", spy)
+        with obs.observed() as stack:
+            for _ in range(2):
+                for txn in workload.transactions(manager.db, 5):
+                    manager.execute(txn)
+                manager.refresh_group(parallel=True, max_workers=2)
+        assert scheduled == [["VJoin", "VTop"]] * 2
+        epochs = [span.attrs["schedule"] for span in stack.tracer.find("group_epoch")]
+        assert epochs == ["rebuilt", "reused"]
+        metrics = stack.metrics.snapshot()
+        assert metrics['group_schedule{outcome="reused"}']["value"] == 1
+        for name in ("VJoin", "VTop"):
+            assert not manager.is_stale(name)
         manager.check_invariants()
