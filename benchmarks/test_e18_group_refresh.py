@@ -3,7 +3,7 @@
 Section 7 leaves open how refresh work should scale when many views are
 maintained together.  The group-refresh subsystem answers with three
 layers — net-effect log compaction, an epoch-scoped delta cache keyed by
-subplan fingerprints, and a dependency-aware scheduler — and this
+subplan fingerprints, and a one-phase parallel scheduler — and this
 experiment measures the payoff on the retail workload:
 
 * refresh tuple-ops for one group epoch should be (nearly) independent

@@ -25,9 +25,7 @@ The :mod:`repro.analysis.lint` driver ties them together behind
 from repro.analysis.concurrency_check import (
     check_journal_coverage,
     check_scenario,
-    check_schedule,
     check_stack,
-    check_tasks,
     demo_stack_report,
 )
 from repro.analysis.diagnostics import (
@@ -60,9 +58,7 @@ __all__ = [
     "read_footprint",
     "check_journal_coverage",
     "check_scenario",
-    "check_schedule",
     "check_stack",
-    "check_tasks",
     "demo_stack_report",
     "CODES",
     "AnalysisReport",

@@ -5,7 +5,7 @@ it never states as a checkable rule: reader-visible ``MV`` state may
 only be read or written by a refresh-family operation while that view's
 exclusive lock is held; ``propagate`` stays lock-free precisely because
 it touches only maintenance-private log and differential tables.  This
-module checks that discipline — and three adjacent safety properties —
+module checks that discipline — and an adjacent safety property —
 against the *inferred* effects of :mod:`repro.analysis.effects`, not
 against what the code claims about itself:
 
@@ -13,23 +13,12 @@ against what the code claims about itself:
   lock section (a reader could observe a half-applied state).
 * **RVM602** — a write to an ``MV`` table is not covered by an
   exclusive lock.
-* **RVM603** — a group schedule orders conflicting refreshes against
-  registration order, or co-batches them: the lock sections of the two
-  views would interleave (a lock-order cycle in the two-phase reading
-  of the batch sequence).
-* **RVM604** — a scheduler task *declares* a narrower read/write set
-  than its inferred footprint: conflict batching would under-serialize.
-  Coverage is asymmetric on purpose — a declared **write** covers
-  inferred reads of the same table, because :func:`~repro.exec.group._conflicts`
-  serializes writer-vs-anything; only a table in *neither* declared set
-  is invisible to the scheduler.
 * **RVM605** — a maintenance operation writes a table the journal's
   intent payload does not digest, so crash recovery could neither
   verify nor roll that table back.
 
 All checks consume the same objects the runtime uses (scenario
-protocols built from real delta expressions, live
-:class:`~repro.exec.group.GroupTask` instances, the journal's actual
+protocols built from real delta expressions, the journal's actual
 payload-coverage seam), so a seeded fault in the runtime shows up here
 without any parallel model to keep in sync.
 """
@@ -45,8 +34,6 @@ from repro.analysis.statebug import check_log_polarity
 
 __all__ = [
     "check_scenario",
-    "check_tasks",
-    "check_schedule",
     "check_journal_coverage",
     "check_stack",
     "demo_stack_report",
@@ -122,145 +109,6 @@ def check_scenario(scenario) -> AnalysisReport:
 
 
 # ----------------------------------------------------------------------
-# RVM604: declared vs. inferred group-task footprints
-# ----------------------------------------------------------------------
-
-
-def check_tasks(tasks: Iterable) -> AnalysisReport:
-    """Check each group task's declared read/write sets against inference."""
-    report = AnalysisReport()
-    for task in tasks:
-        declared_writes = task.writes
-        declared_cover = task.reads | task.writes
-        if task.inferred_writes is not None:
-            missing = sorted(task.inferred_writes - declared_writes)
-            if missing:
-                report.add(
-                    "RVM604",
-                    Severity.ERROR,
-                    f"group task {task.name!r} writes {missing} per its "
-                    "inferred footprint but does not declare them; conflict "
-                    "batching would let another task read or write these "
-                    "tables concurrently",
-                    path=task.name,
-                )
-        if task.inferred_reads is not None:
-            missing = sorted(task.inferred_reads - declared_cover)
-            if missing:
-                report.add(
-                    "RVM604",
-                    Severity.ERROR,
-                    f"group task {task.name!r} reads {missing} per its "
-                    "inferred footprint but declares them in neither its read "
-                    "nor its write set; a same-batch writer would not be "
-                    "serialized against it",
-                    path=task.name,
-                )
-    return report
-
-
-# ----------------------------------------------------------------------
-# RVM603: schedule/lock-order consistency
-# ----------------------------------------------------------------------
-
-
-def _find_cycle(edges: dict[str, set[str]]) -> list[str] | None:
-    """First cycle in a digraph, as a node path ``[a, b, ..., a]``."""
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {node: WHITE for node in edges}
-    path: list[str] = []
-
-    def visit(node: str) -> list[str] | None:
-        color[node] = GREY
-        path.append(node)
-        for succ in sorted(edges.get(node, ())):
-            if color.get(succ, WHITE) == GREY:
-                return path[path.index(succ):] + [succ]
-            if color.get(succ, WHITE) == WHITE:
-                found = visit(succ)
-                if found:
-                    return found
-        path.pop()
-        color[node] = BLACK
-        return None
-
-    for node in sorted(edges):
-        if color[node] == WHITE:
-            found = visit(node)
-            if found:
-                return found
-    return None
-
-
-def check_schedule(tasks: Sequence, *, batches: Sequence[Sequence] | None = None) -> AnalysisReport:
-    """Check a group schedule for conflicting co-batched or mis-ordered tasks.
-
-    The batch sequence is a two-phase schedule: every task's lock
-    section must come after those of all earlier conflicting tasks.
-    Two violations are possible — a batch containing a conflicting pair
-    (their apply sections interleave inside one barrier), and a batch
-    order that contradicts registration order for a conflicting pair
-    (a lock-order cycle between the schedule edge and the registration
-    edge).  Sequential applies make registration order the serialization
-    oracle, so both are schedule-construction bugs, not data races.
-    """
-    from repro.exec.group import GroupScheduler, _conflicts
-
-    report = AnalysisReport()
-    tasks = list(tasks)
-    if batches is None:
-        batches = GroupScheduler().batches(tasks)
-    batch_of: dict[str, int] = {}
-    for index, batch in enumerate(batches):
-        for task in batch:
-            batch_of[task.name] = index
-
-    for index, batch in enumerate(batches):
-        ordered = list(batch)
-        for i, left in enumerate(ordered):
-            for right in ordered[i + 1:]:
-                if _conflicts(left, right):
-                    shared = sorted(
-                        (left.writes & (right.writes | right.reads))
-                        | (right.writes & left.reads)
-                    )
-                    report.add(
-                        "RVM603",
-                        Severity.ERROR,
-                        f"tasks {left.name!r} and {right.name!r} conflict on "
-                        f"{shared} but share batch {index}; their lock "
-                        "sections would interleave within one barrier",
-                        path=f"batch[{index}]",
-                    )
-
-    edges: dict[str, set[str]] = {task.name: set() for task in tasks}
-    for i, left in enumerate(tasks):
-        for right in tasks[i + 1:]:
-            if not _conflicts(left, right):
-                continue
-            first, second = (left, right) if left.order <= right.order else (right, left)
-            edges[first.name].add(second.name)
-            left_batch = batch_of.get(left.name)
-            right_batch = batch_of.get(right.name)
-            if left_batch is None or right_batch is None or left_batch == right_batch:
-                continue
-            if left_batch < right_batch:
-                edges[left.name].add(right.name)
-            else:
-                edges[right.name].add(left.name)
-    cycle = _find_cycle(edges)
-    if cycle:
-        report.add(
-            "RVM603",
-            Severity.ERROR,
-            "schedule orders conflicting refreshes against registration "
-            f"order, closing a lock-order cycle: {' -> '.join(cycle)}",
-            path="schedule",
-        )
-    return report
-
-
-# ----------------------------------------------------------------------
 # RVM605: journal intent payload coverage
 # ----------------------------------------------------------------------
 
@@ -298,21 +146,11 @@ def check_journal_coverage(
 # ----------------------------------------------------------------------
 
 
-def check_stack(
-    scenarios: Sequence = (),
-    *,
-    tasks: Sequence = (),
-    db=None,
-    journal: bool = True,
-) -> AnalysisReport:
-    """Run every concurrency check over a set of scenarios and group tasks."""
+def check_stack(scenarios: Sequence = (), *, db=None, journal: bool = True) -> AnalysisReport:
+    """Run every concurrency check over a set of scenarios."""
     report = AnalysisReport()
     for scenario in scenarios:
         report.extend(check_scenario(scenario))
-    if tasks:
-        tasks = list(tasks)
-        report.extend(check_tasks(tasks))
-        report.extend(check_schedule(tasks))
     if journal and db is not None and scenarios:
         ops = [op for scenario in scenarios for op in scenario.maintenance_protocol()]
         report.extend(check_journal_coverage(db, ops))
@@ -322,9 +160,9 @@ def check_stack(
 def demo_stack_report(*, exec_mode: str = "compiled") -> AnalysisReport:
     """Lint a canonical in-memory maintenance stack (used by ``repro lint``).
 
-    Installs all four Figure 3 scenarios plus a two-view group over a
-    small join schema and runs the full concurrency suite — with no
-    seeded mutation this reports zero RVM6xx findings.
+    Installs all four Figure 3 scenarios over a small join schema and
+    runs the full concurrency suite — with no seeded mutation this
+    reports zero RVM6xx findings.
     """
     from repro.core.scenarios import (
         BaseLogScenario,
@@ -353,8 +191,4 @@ def demo_stack_report(*, exec_mode: str = "compiled") -> AnalysisReport:
     ]
     for scenario in scenarios:
         scenario.install()
-    tasks = [
-        scenario.group_refresh_task(order=order)
-        for order, scenario in enumerate(s for s in scenarios if hasattr(s, "group_refresh_task"))
-    ]
-    return check_stack(scenarios, tasks=tasks, db=db)
+    return check_stack(scenarios, db=db)

@@ -48,7 +48,8 @@ class Severity(enum.IntEnum):
         return self.name.lower()
 
 
-#: Registry of every diagnostic code the analyzer can emit.
+#: Registry of every diagnostic code the analyzer can emit.  RVM603 and
+#: RVM604 (group-schedule checks) are retired and must not be reused.
 CODES: dict[str, str] = {
     "RVM001": "SQL statement does not parse",
     "RVM002": "statement kind not allowed here",
@@ -71,8 +72,6 @@ CODES: dict[str, str] = {
     "RVM501": "view overlaps a refresh group but is registered outside it",
     "RVM601": "table read during refresh outside any lock section",
     "RVM602": "write effect not covered by exclusive lock",
-    "RVM603": "potential lock-order cycle across group batches",
-    "RVM604": "scheduler task declares narrower read/write set than its inferred footprint",
     "RVM605": "journal intent payload omits a written table",
     "RVM701": "partition-key drift: maintenance plan falls back to whole-table scans",
     "RVM702": "same-domain tables have drifted partition layouts (not co-partitioned)",

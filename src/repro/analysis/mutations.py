@@ -1,7 +1,7 @@
 """Seeded concurrency mutations: the analyzer's regression harness.
 
 A static analyzer is only as credible as the bugs it provably catches.
-This module seeds six concrete faults into the maintenance stack — each
+This module seeds four concrete faults into the maintenance stack — each
 one a realistic way the Section 5.3 lock discipline or its supporting
 machinery can rot — and runs the concurrency suite
 (:mod:`repro.analysis.concurrency_check` + the dynamic lockset
@@ -12,8 +12,6 @@ mutation                     caught by
 ============================ ==========================================
 ``dropped_lock``             RVM601 + RVM602 (static) and the lockset
                              sanitizer (dynamic)
-``swapped_batch_order``      RVM603 (static schedule check)
-``narrowed_write_set``       RVM604 (declared vs. inferred footprints)
 ``stale_polarity``           RVM301 + companion RVM601 (static)
 ``omitted_journal_table``    RVM605 (static coverage + dynamic
                              version-stamp diff)
@@ -22,9 +20,9 @@ mutation                     caught by
 
 Each mutation is a context manager that monkeypatches exactly the seam
 the real code runs through (``Scenario._refresh_lock``,
-``GroupScheduler.batches``, ``Log.substitution``,
-``intent_payload_tables``, …) — so a caught mutation demonstrates the
-checks see the *executed* protocol, not a parallel model.  The clean
+``Log.substitution``, ``intent_payload_tables``, …) — so a caught
+mutation demonstrates the checks see the *executed* protocol, not a
+parallel model.  The clean
 stack (:func:`run_clean`) must produce zero findings; the CI lint gate
 and :mod:`tests.analysis.test_mutations` pin both directions.
 """
@@ -62,36 +60,6 @@ def _dropped_lock() -> Iterator[None]:
     finally:
         Scenario._refresh_lock = orig_lock
         Scenario._refresh_lock_resources = orig_resources
-
-
-@contextmanager
-def _swapped_batch_order() -> Iterator[None]:
-    """The scheduler emits its conflict-ordered batches reversed."""
-    from repro.exec.group import GroupScheduler
-
-    orig = GroupScheduler.batches
-
-    def reversed_batches(self, tasks):
-        return list(reversed(orig(self, tasks)))
-
-    GroupScheduler.batches = reversed_batches
-    try:
-        yield
-    finally:
-        GroupScheduler.batches = orig
-
-
-@contextmanager
-def _narrowed_write_set() -> Iterator[None]:
-    """A group task declares its log writes but forgets the MV table."""
-    from repro.core.scenarios import BaseLogScenario
-
-    orig = BaseLogScenario._group_writes
-    BaseLogScenario._group_writes = lambda self: frozenset(self.log.table_names())
-    try:
-        yield
-    finally:
-        BaseLogScenario._group_writes = orig
 
 
 @contextmanager
@@ -140,8 +108,6 @@ def _overlapping_view() -> Iterator[None]:
 
 MUTATIONS: dict[str, Callable[[], contextlib.AbstractContextManager]] = {
     "dropped_lock": _dropped_lock,
-    "swapped_batch_order": _swapped_batch_order,
-    "narrowed_write_set": _narrowed_write_set,
     "stale_polarity": _stale_polarity,
     "omitted_journal_table": _omitted_journal_table,
     "overlapping_view": _overlapping_view,
@@ -206,50 +172,6 @@ def _run_stale_polarity(exec_mode: str) -> AnalysisReport:
     return check_scenario(_demo_scenario(exec_mode))
 
 
-def _conflict_tasks():
-    """A dependent refresh pair: downstream reads what upstream writes.
-
-    Models a stacked materialization (a view maintained over another
-    view's MV table) — the case conflict batching exists for.
-    """
-    from repro.algebra.bag import Bag
-    from repro.exec.group import GroupTask
-
-    empty = (Bag.empty(), Bag.empty())
-    upstream = GroupTask(
-        name="upstream",
-        order=0,
-        key=lambda: None,
-        compute=lambda counter: empty,
-        apply=lambda deltas: None,
-        reads=frozenset({"R"}),
-        writes=frozenset({"__mv__upstream"}),
-    )
-    downstream = GroupTask(
-        name="downstream",
-        order=1,
-        key=lambda: None,
-        compute=lambda counter: empty,
-        apply=lambda deltas: None,
-        reads=frozenset({"__mv__upstream"}),
-        writes=frozenset({"__mv__downstream"}),
-    )
-    return [upstream, downstream]
-
-
-def _run_swapped_batch_order(exec_mode: str) -> AnalysisReport:
-    from repro.analysis.concurrency_check import check_schedule
-
-    return check_schedule(_conflict_tasks())
-
-
-def _run_narrowed_write_set(exec_mode: str) -> AnalysisReport:
-    from repro.analysis.concurrency_check import check_tasks
-
-    scenario = _demo_scenario(exec_mode)
-    return check_tasks([scenario.group_refresh_task(order=0)])
-
-
 def _run_omitted_journal_table(exec_mode: str) -> AnalysisReport:
     import tempfile
     from pathlib import Path
@@ -294,8 +216,6 @@ def _run_overlapping_view(exec_mode: str) -> AnalysisReport:
 
 _RUNNERS: dict[str, Callable[[str], AnalysisReport]] = {
     "dropped_lock": _run_dropped_lock,
-    "swapped_batch_order": _run_swapped_batch_order,
-    "narrowed_write_set": _run_narrowed_write_set,
     "stale_polarity": _run_stale_polarity,
     "omitted_journal_table": _run_omitted_journal_table,
     "overlapping_view": _run_overlapping_view,

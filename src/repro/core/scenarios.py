@@ -142,6 +142,7 @@ class Scenario(ABC):
         """Create and initialize ``MV`` and the scenario's auxiliary tables."""
         if self._installed:
             return
+        self.view.require_external_inputs(self.db)
         self._lint_on_install()
         # Compile the view query and pre-build the indexes its plan can
         # use, so every later delta evaluation probes instead of scans
@@ -508,12 +509,12 @@ class LoggedScenario(Scenario):
         BL view and a C view with the same query included — share one
         evaluation per epoch.  The *apply* half is this scenario's own
         ``refresh`` op with the computed pair supplied.  What no epoch
-        changes (the pair, its fingerprints, the inferred footprint) is
-        built with the first task and kept (:meth:`_group_parts`).
+        changes (the pair and its fingerprints) is built with the first
+        task and kept (:meth:`_group_parts`).
         """
         from repro.exec.group import GroupTask, evaluate_delta_pair
 
-        view_delete, view_insert, fingerprints, inferred = self._group_parts
+        view_delete, view_insert, fingerprints = self._group_parts
         base = tuple(sorted(self.view.base_tables()))
 
         def key():
@@ -526,23 +527,17 @@ class LoggedScenario(Scenario):
             key=key,
             compute=lambda counter: evaluate_delta_pair(self.db, view_delete, view_insert, counter),
             apply=partial(self.run, "refresh"),
-            reads=frozenset(base) | frozenset(self.log.table_names()),
-            writes=self._group_writes(),
-            inferred_reads=inferred.reads,
-            inferred_writes=inferred.writes,
         )
 
     @cached_property
     def _group_parts(self):
-        """``(▼, ▲, their fingerprints, the refresh op's inferred effects)``.
+        """``(▼, ▲, their fingerprints)``.
 
-        A function of the view definition and the installed op table
-        only.  Priming here — on the scheduling thread, before any
-        epoch computes — is what lets pool workers only ever *execute*
-        (install primes the same pair; a reloaded scenario was never
-        installed in this process).
+        A function of the view definition only.  Priming here — on the
+        scheduling thread, before any epoch computes — is what lets pool
+        workers only ever *execute* (install primes the same pair; a
+        reloaded scenario was never installed in this process).
         """
-        from repro.analysis.effects import op_effects
         from repro.exec.group import subplan_fingerprint
 
         view_delete, view_insert = self._log_deltas()
@@ -552,15 +547,7 @@ class LoggedScenario(Scenario):
             subplan_fingerprint(view_delete, rename),
             subplan_fingerprint(view_insert, rename),
         )
-        # Independently inferred footprint, read off the refresh op —
-        # *not* the declared reads/writes of the task, so a drifted
-        # declaration is detectable (RVM604).
-        inferred = op_effects(self, self.ops["refresh"])
-        return view_delete, view_insert, fingerprints, inferred
-
-    def _group_writes(self) -> frozenset[str]:
-        """The write set a group task *declares* (checked against inference)."""
-        return frozenset((self.view.mv_table, *self.log.table_names()))
+        return view_delete, view_insert, fingerprints
 
     def log_watermark(self) -> int:
         return self.log.recorded_changes()
@@ -764,9 +751,6 @@ class CombinedScenario(LoggedScenario, DiffTableScenario):
         except KeyError:
             raise ValueError(f"unknown refresh order: {order!r}") from None
         self.run(op)
-
-    def _group_writes(self) -> frozenset[str]:
-        return super()._group_writes() | {self.view.dt_delete_table, self.view.dt_insert_table}
 
     def invariant_holds(self) -> bool:
         holds = invariants.combined_invariant(self.db, self.view, self.log)

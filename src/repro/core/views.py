@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from repro.algebra.expr import Expr, bind_params
 from repro.algebra.schema import Schema
 from repro.core import naming
+from repro.errors import SchemaError
 
 __all__ = ["ViewDefinition"]
 
@@ -56,3 +57,18 @@ class ViewDefinition:
     def base_tables(self) -> frozenset[str]:
         """Names of the base tables the view reads."""
         return self.query.tables()
+
+    def require_external_inputs(self, db) -> None:
+        """Raise :class:`SchemaError` if the query reads an internal table.
+
+        User transactions change only external tables, and ``makesafe``
+        logs only those (Section 3.1): a view over an ``MV``, log or
+        differential table would never see that input change, and its
+        invariant could not hold.  Checked before anything is installed.
+        """
+        internal = sorted(t for t in self.base_tables() if db.has_table(t) and db.is_internal(t))
+        if internal:
+            raise SchemaError(
+                f"view {self.name!r} reads internal table(s) {internal}; "
+                "a view may read only external base tables"
+            )

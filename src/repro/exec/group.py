@@ -14,16 +14,15 @@ to date in one epoch:
   once; every further view is a ``delta_cache_hits`` counter bump and a
   delta-proportional patch.
 
-* **Dependency-aware scheduler** (:class:`GroupScheduler`).  Views are
-  batched so that no view's inputs are written by another view in the
-  same batch (per their declared read/write sets — the same resources
-  the :class:`~repro.storage.locks.LockLedger` serializes).  Within a
-  batch the cache-leader deltas may be evaluated concurrently on a
-  thread pool (evaluation is read-only against immutable bags); patch
-  application always runs sequentially in registration order, so the
-  result state is bag-equal to refreshing every view one at a time —
-  sequential execution remains the deterministic oracle, and parallelism
-  only changes wall-clock time, never results.
+* **Scheduler** (:class:`GroupScheduler`).  A view reads only external
+  base tables (checked at definition), and no apply writes one, so no
+  task's apply changes anything another task's compute reads: an epoch
+  is one phase.  The cache-leader deltas may be evaluated concurrently
+  on a thread pool (evaluation is read-only against immutable bags);
+  patch application always runs sequentially in registration order, so
+  the result state is bag-equal to refreshing every view one at a time
+  — sequential execution remains the deterministic oracle, and
+  parallelism only changes wall-clock time, never results.
 
 Fingerprints are computed over the canonical JSON serialization of an
 expression (:mod:`repro.algebra.serialize`) with per-view table names
@@ -192,14 +191,13 @@ class EpochDeltaCache:
 class GroupTask:
     """One view's refresh, split into a shareable compute and an apply.
 
-    ``key`` is evaluated lazily (at batch start, after any conflicting
-    earlier batch has applied) and returns either a delta-cache key or
-    ``None`` for an uncacheable task.  ``compute`` evaluates the view's
-    ``(delete, insert)`` delta bags reading the current state only;
-    ``apply`` installs them (and any per-view bookkeeping) under the
-    view's lock.  ``reads``/``writes`` drive conflict batching.  Plans a
-    ``compute`` runs are compiled by whoever builds the task (at install
-    or on first use), so parallel computes never race the compiler.
+    ``key`` returns either a delta-cache key or ``None`` for an
+    uncacheable task.  ``compute`` evaluates the view's ``(delete,
+    insert)`` delta bags reading the current state only; ``apply``
+    installs them (and any per-view bookkeeping) under the view's lock.
+    Plans a ``compute`` runs are compiled by whoever builds the task (at
+    install or on first use), so parallel computes never race the
+    compiler.
     """
 
     name: str
@@ -207,21 +205,10 @@ class GroupTask:
     key: Callable[[], object | None]
     compute: Callable[[CostCounter | None], tuple[Bag, Bag]]
     apply: Callable[[tuple[Bag, Bag]], None]
-    reads: frozenset[str] = frozenset()
-    writes: frozenset[str] = frozenset()
-    #: Independently inferred footprint (compiled delta plans + apply-plan
-    #: structure), consumed by the concurrency analyzer's RVM604 check of
-    #: declared vs. inferred sets.  ``None`` = no inference available.
-    inferred_reads: frozenset[str] | None = None
-    inferred_writes: frozenset[str] | None = None
-
-
-def _conflicts(a: GroupTask, b: GroupTask) -> bool:
-    return bool(a.writes & (b.writes | b.reads) or b.writes & a.reads)
 
 
 class GroupScheduler:
-    """Runs a group of refresh tasks: batch, compute leaders, apply in order."""
+    """Runs a group of refresh tasks: compute leaders, apply in order."""
 
     def __init__(
         self,
@@ -234,48 +221,15 @@ class GroupScheduler:
         self.parallel = parallel
         self.max_workers = max_workers
 
-    # -- batching ------------------------------------------------------
-
-    def batches(self, tasks: Sequence[GroupTask]) -> list[list[GroupTask]]:
-        """Greedy conflict-free batching that preserves registration order.
-
-        Each task lands one batch after the last earlier task it
-        conflicts with, so dependent refreshes stay ordered while
-        independent ones (the normal case — views write disjoint MV and
-        auxiliary tables) share a single batch.
-        """
-        batches: list[list[GroupTask]] = []
-        for task in sorted(tasks, key=lambda t: t.order):
-            slot = 0
-            for index, batch in enumerate(batches):
-                if any(_conflicts(task, other) for other in batch):
-                    slot = index + 1
-            while len(batches) <= slot:
-                batches.append([])
-            batches[slot].append(task)
-        return batches
-
-    # -- execution -----------------------------------------------------
-
-    def run(
-        self,
-        tasks: Sequence[GroupTask],
-        cache: EpochDeltaCache,
-        batches: Sequence[Sequence[GroupTask]] | None = None,
-    ) -> None:
-        """Run ``tasks`` batch by batch (``batches``: a layout of exactly
-        these tasks the caller already holds; default :meth:`batches`)."""
-        for index, batch in enumerate(self.batches(tasks) if batches is None else batches):
-            with obs.span("batch", index=index, tasks=len(batch), counter=self.counter):
-                self._run_batch(batch, cache)
-
-    def _run_batch(self, batch: list[GroupTask], cache: EpochDeltaCache) -> None:
-        # Keys are computed now — earlier batches have fully applied, so
-        # every input a key digests is at its final pre-batch value.
-        keys = {task.name: task.key() for task in batch}
+    def run(self, tasks: Sequence[GroupTask], cache: EpochDeltaCache) -> None:
+        """Compute every key, then the leaders' deltas, then apply all in order."""
+        tasks = sorted(tasks, key=lambda t: t.order)
+        # No apply writes what a compute or key reads, so every key is
+        # final before the first apply.
+        keys = {task.name: task.key() for task in tasks}
         leaders: list[GroupTask] = []
         claimed: set[object] = set()
-        for task in batch:
+        for task in tasks:
             key = keys[task.name]
             if key is None or (key not in cache and key not in claimed):
                 leaders.append(task)
@@ -287,13 +241,11 @@ class GroupScheduler:
             counters = [CostCounter() for _ in leaders]
             workers = self.max_workers or min(len(leaders), max(2, (os.cpu_count() or 4) - 1))
             # Thread-local span stacks don't cross into pool workers:
-            # hand each worker the batch span as an explicit parent.
-            batch_span = obs.current().tracer.active()
+            # hand each worker the caller's span as an explicit parent.
+            parent = obs.current().tracer.active()
 
             def traced_compute(task: GroupTask, counter: CostCounter) -> tuple[Bag, Bag]:
-                with obs.span(
-                    "delta_compute", view=task.name, parent=batch_span, counter=counter
-                ):
+                with obs.span("delta_compute", view=task.name, parent=parent, counter=counter):
                     return task.compute(counter)
 
             with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -319,7 +271,7 @@ class GroupScheduler:
         # Applies are strictly sequential in registration order — this is
         # what makes the scheduler's output bag-equal to the sequential
         # oracle regardless of how the compute phase was parallelized.
-        for task in batch:
+        for task in tasks:
             if task.name in results:
                 deltas = results[task.name]
             else:

@@ -338,6 +338,7 @@ class SharedLogScenario:
         """Register and materialize a view; its cursor starts at 'now'."""
         if view.name in self._views:
             raise SchemaError(f"view {view.name!r} already registered")
+        view.require_external_inputs(self.db)
         for table in sorted(view.base_tables()):
             self.shared_log.track(table)
         initial = self.db.evaluate(view.query, counter=self.counter)
@@ -533,12 +534,6 @@ class SharedLogScenario:
             key=key,
             compute=lambda counter: evaluate_delta_pair(self.db, delete, insert, counter, binding),
             apply=apply,
-            reads=frozenset(base + log_tables),
-            writes=frozenset((view.mv_table,)),
-            # The MV patch is a read-modify-write of the MV table; its
-            # read side is covered by the declared write above (RVM604).
-            inferred_reads=frozenset(base + log_tables) | {view.mv_table},
-            inferred_writes=frozenset((view.mv_table,)),
         )
 
     # ------------------------------------------------------------------

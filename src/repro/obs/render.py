@@ -4,10 +4,9 @@ Renders a trace file (or a live :class:`~repro.obs.tracer.Tracer`) as an
 indented span tree with durations, absorbed tuple-ops, and the
 structured attributes that matter for reading a maintenance epoch::
 
-    group_epoch tasks=16 ........................ 12.41ms  9120 ops
-    ├─ batch index=0 views=16 ................... 11.87ms  9120 ops
-    │  ├─ delta_compute view=V0 .................  2.03ms  570 ops
-    │  ├─ refresh view=V0 scenario=BL ...........  0.31ms  38 ops
+    group_epoch views=16 ........................ 12.41ms  9120 ops
+    ├─ delta_compute view=V0 ....................  2.03ms  570 ops
+    ├─ refresh view=V0 scenario=BL ..............  0.31ms  38 ops
     ...
 """
 

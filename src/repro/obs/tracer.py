@@ -6,7 +6,7 @@ names one maintenance operation (the taxonomy is fixed — see
 scenario tag, log watermark, tuple-ops absorbed from a
 :class:`~repro.algebra.evaluation.CostCounter`), and nests under the
 span that was open when it started, so one ``group_epoch`` span contains
-its batches, which contain each view's delta evaluation and refresh.
+each view's delta evaluation and refresh.
 
 The default tracer installed by :mod:`repro.obs` is a
 :class:`NullTracer` whose :meth:`~NullTracer.span` returns a shared

@@ -48,7 +48,7 @@ from repro.algebra.expr import Expr
 from repro.core.ops import MaintenanceAction
 from repro.core.transactions import UserTransaction
 from repro.core.views import ViewDefinition
-from repro.errors import RecoveryError
+from repro.errors import RecoveryError, ReproError
 from repro.robustness.faults import fault_point
 from repro.robustness.journal import (
     IntentJournal,
@@ -192,7 +192,15 @@ class DurableWarehouse:
             sanitizer = obs.active_sanitizer()
             if sanitizer is not None:
                 stamps = {name: self.db.version_of(name) for name in self.db.table_names()}
-            action()
+            before = (self.db.clock, self.db.table_names())
+            try:
+                action()
+            except ReproError:
+                if (self.db.clock, self.db.table_names()) == before:
+                    # Rejected before it wrote anything: there is nothing
+                    # for recovery to resolve, so the intent is closed.
+                    self.journal.abort_op(op_id)
+                raise
             if sanitizer is not None:
                 # Dynamic RVM605: every *pre-existing* table the action
                 # wrote (version-stamp diff) must be digested in the

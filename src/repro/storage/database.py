@@ -136,6 +136,11 @@ class Database:
         for listener in self._listeners:
             listener.on_drop(name)
 
+    @property
+    def clock(self) -> int:
+        """The write clock: the latest version stamp handed to any table."""
+        return self._clock
+
     def version_of(self, name: str) -> int:
         """The table's current version stamp (bumped on every write)."""
         return self._versions.get(name, -1)

@@ -107,9 +107,6 @@ class ViewManager:
         self._drivers: dict[str, MaintenanceDriver] = {}
         #: Default shared-log group for views defined with scenario="shared_log".
         self._shared_default: SharedLogScenario | None = None
-        #: The last group epoch's ``(footprint, batch layout, RVM603/604
-        #: diagnostics)`` — see :meth:`_group_schedule`.
-        self._schedule: tuple | None = None
 
     def exec_stats(self) -> dict[str, int]:
         """Plan-cache, index, and delta-cache counters of the engine so far."""
@@ -280,53 +277,6 @@ class ViewManager:
         for diagnostic in report.warnings:
             warnings.warn(diagnostic.format(), AnalysisWarning, stacklevel=3)
 
-    def _group_schedule(self, tasks: list, scheduler: GroupScheduler) -> tuple[list[list], str]:
-        """The epoch's batches, RVM603/RVM604-checked; and ``"reused"`` or ``"rebuilt"``.
-
-        Each task's *declared* read/write sets must cover the footprint
-        the effect system infers from its scenario's maintenance
-        protocol (RVM604 — an under-declared task can be co-batched with
-        a conflicting one), and the batch schedule — the one that runs —
-        must respect registration order for every conflicting pair
-        (RVM603).  Warn-by-default like :meth:`_lint_group_overlap` — the
-        epoch still runs, because the scheduler's own batching is
-        conservative, but the warning means the declared metadata can no
-        longer be trusted to prove that.
-
-        Layout and verdict are pure functions of the tasks' footprint —
-        every task's name, order and declared and inferred sets — so the
-        last epoch's are kept under exactly that: an unchanged group
-        batches and lints once, and any view added, dropped or
-        re-partitioned changes the footprint and is checked afresh.
-        """
-        footprint = tuple(
-            (task.name, task.order, task.reads, task.writes, task.inferred_reads, task.inferred_writes)
-            for task in tasks
-        )
-        if self._schedule is not None and self._schedule[0] == footprint:
-            outcome = "reused"
-            _, layout, diagnostics = self._schedule
-            batches = [[tasks[position] for position in batch] for batch in layout]
-        else:
-            from repro.analysis.concurrency_check import check_schedule, check_tasks
-
-            outcome = "rebuilt"
-            batches = scheduler.batches(tasks)
-            report = check_tasks(tasks)
-            report.extend(check_schedule(tasks, batches=batches))
-            diagnostics = list(report)
-            position = {id(task): index for index, task in enumerate(tasks)}
-            layout = [[position[id(task)] for task in batch] for batch in batches]
-            self._schedule = (footprint, layout, diagnostics)
-        if diagnostics:
-            import warnings
-
-            from repro.analysis.diagnostics import AnalysisWarning
-
-            for diagnostic in diagnostics:
-                warnings.warn(diagnostic.format(), AnalysisWarning, stacklevel=4)
-        return batches, outcome
-
     def scenario(self, name: str) -> Scenario:
         """The scenario object maintaining view ``name``."""
         try:
@@ -440,7 +390,7 @@ class ViewManager:
         2. views whose refresh deltas fingerprint equal over equal log
            contents share one evaluation through an epoch-scoped delta
            cache (``delta_cache_hits`` on :attr:`counter`);
-        3. independent views are batched by their read/write sets and may
+        3. every view reads only base tables, so the cache leaders may
            evaluate concurrently (``parallel=True``); patches always
            apply sequentially in registration order, so the final state
            is bag-equal to refreshing each view in turn.
@@ -490,12 +440,9 @@ class ViewManager:
             tasks.extend(group.epoch_tasks(group_members, compact=compact))
             pairs_built += group.last_epoch["pairs_built"]
             bound_rows += group.last_epoch["bound_rows"]
+        epoch_span.set(pairs_built=pairs_built, bound_rows=bound_rows)
         scheduler = GroupScheduler(counter=self.counter, parallel=parallel, max_workers=max_workers)
-        batches, outcome = self._group_schedule(tasks, scheduler)
-        epoch_span.set(schedule=outcome, pairs_built=pairs_built, bound_rows=bound_rows)
-        if obs.telemetry_enabled():
-            obs.metric_inc(f'group_schedule{{outcome="{outcome}"}}')
-        scheduler.run(tasks, EpochDeltaCache(self.counter), batches)
+        scheduler.run(tasks, EpochDeltaCache(self.counter))
         for group, _ in shared.values():
             # Consumed entries drop now on plain databases; journaled
             # ones defer to the committed watermark (crash recovery may

@@ -1,21 +1,17 @@
-"""Static concurrency checks (RVM601-RVM605) and the demo-stack lint."""
+"""Static concurrency checks (RVM601, RVM602, RVM605) and the demo-stack lint."""
 
 import pytest
 
-from repro.algebra.bag import Bag
 from repro.analysis.concurrency_check import (
     check_journal_coverage,
     check_protocol,
     check_scenario,
-    check_schedule,
     check_stack,
-    check_tasks,
     demo_stack_report,
 )
 from repro.analysis.effects import EffectSet, OpEffects, Step
 from repro.core.naming import mv_name
 from repro.core.scenarios import BaseLogScenario
-from repro.exec.group import GroupTask
 from repro.sqlfront import sql_to_view
 from repro.storage.database import Database
 
@@ -29,21 +25,6 @@ def make_scenario(exec_mode="compiled"):
     scenario = BaseLogScenario(db, sql_to_view(VIEW_SQL, db))
     scenario.install()
     return scenario
-
-
-def make_task(name, order, reads=(), writes=(), inferred_reads=None, inferred_writes=None):
-    empty = (Bag.empty(), Bag.empty())
-    return GroupTask(
-        name=name,
-        order=order,
-        key=lambda: None,
-        compute=lambda counter: empty,
-        apply=lambda deltas: None,
-        reads=frozenset(reads),
-        writes=frozenset(writes),
-        inferred_reads=None if inferred_reads is None else frozenset(inferred_reads),
-        inferred_writes=None if inferred_writes is None else frozenset(inferred_writes),
-    )
 
 
 class TestLockCoverage:
@@ -106,62 +87,6 @@ class TestLockCoverage:
         assert len(check_protocol([op])) == 0
 
 
-class TestTaskFootprints:
-    def test_covering_declaration_is_clean(self):
-        task = make_task(
-            "V", 0, reads={"R"}, writes={"__mv__V"},
-            inferred_reads={"R", "__mv__V"}, inferred_writes={"__mv__V"},
-        )
-        assert len(check_tasks([task])) == 0
-
-    def test_undeclared_write_fires_rvm604(self):
-        task = make_task("V", 0, reads={"R"}, writes=set(), inferred_writes={"__mv__V"})
-        codes = [d.code for d in check_tasks([task])]
-        assert codes == ["RVM604"]
-
-    def test_undeclared_read_fires_rvm604(self):
-        task = make_task("V", 0, reads={"R"}, writes={"__mv__V"}, inferred_reads={"R", "log_V"})
-        codes = [d.code for d in check_tasks([task])]
-        assert codes == ["RVM604"]
-
-    def test_declared_write_covers_inferred_read(self):
-        # writer-vs-anything conflicts serialize, so a declared write is
-        # enough to cover an inferred read of the same table.
-        task = make_task("V", 0, reads=set(), writes={"__mv__V"}, inferred_reads={"__mv__V"})
-        assert len(check_tasks([task])) == 0
-
-    def test_no_inference_no_finding(self):
-        assert len(check_tasks([make_task("V", 0, writes={"__mv__V"})])) == 0
-
-
-class TestSchedule:
-    def _dependent_pair(self):
-        upstream = make_task("up", 0, reads={"R"}, writes={"__mv__up"})
-        downstream = make_task("down", 1, reads={"__mv__up"}, writes={"__mv__down"})
-        return [upstream, downstream]
-
-    def test_conflict_respecting_schedule_is_clean(self):
-        assert len(check_schedule(self._dependent_pair())) == 0
-
-    def test_cobatched_conflict_fires_rvm603(self):
-        tasks = self._dependent_pair()
-        report = check_schedule(tasks, batches=[tasks])
-        codes = [d.code for d in report]
-        assert "RVM603" in codes
-
-    def test_reversed_batches_fire_rvm603(self):
-        tasks = self._dependent_pair()
-        report = check_schedule(tasks, batches=[[tasks[1]], [tasks[0]]])
-        codes = [d.code for d in report]
-        assert codes == ["RVM603"]
-        assert "cycle" in report.diagnostics[0].message
-
-    def test_independent_tasks_any_order(self):
-        a = make_task("a", 0, reads={"R"}, writes={"__mv__a"})
-        b = make_task("b", 1, reads={"S"}, writes={"__mv__b"})
-        assert len(check_schedule([a, b], batches=[[b], [a]])) == 0
-
-
 class TestJournalCoverage:
     def test_live_payload_seam_covers_everything(self):
         scenario = make_scenario()
@@ -186,8 +111,11 @@ class TestStack:
         report = demo_stack_report(exec_mode=exec_mode)
         assert len(report) == 0, report.format()
 
-    def test_check_stack_aggregates_scenario_and_tasks(self):
+    def test_check_stack_aggregates_scenario_and_journal(self, monkeypatch):
+        import repro.robustness.durable as durable
+
         scenario = make_scenario()
-        task = scenario.group_refresh_task(order=0)
-        report = check_stack([scenario], tasks=[task], db=scenario.db)
-        assert len(report) == 0, report.format()
+        assert len(check_stack([scenario], db=scenario.db)) == 0
+        payload = frozenset(scenario.db.table_names()) - {scenario.view.mv_table}
+        monkeypatch.setattr(durable, "intent_payload_tables", lambda db: payload)
+        assert {d.code for d in check_stack([scenario], db=scenario.db)} == {"RVM605"}

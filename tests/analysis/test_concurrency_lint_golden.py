@@ -2,7 +2,7 @@
 
 The golden file records, per example, the exit status and every finding
 as ``[section, code, path]``: the clean stack lints zero findings, and
-each of the six seeded ``examples/mutations/`` fixtures is flagged —
+each of the four seeded ``examples/mutations/`` fixtures is flagged —
 statically *and* dynamically — with exactly the RVM codes, at exactly
 the seams, it was flagged with before the maintenance operations became
 values.  A refactor that moves a lock seam or drops a derived effect

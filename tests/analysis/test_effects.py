@@ -149,15 +149,6 @@ class TestScenarioProtocols:
         ops = {op.op for op in scenario.maintenance_protocol()}
         assert ops == {"makesafe", "propagate", "partial_refresh", "refresh"}
 
-    def test_group_task_carries_inferred_footprint(self):
-        scenario = install(BaseLogScenario)
-        task = scenario.group_refresh_task(order=0)
-        assert task.inferred_reads is not None
-        assert task.inferred_writes is not None
-        # Sound declaration: inference never exceeds what is declared.
-        assert task.inferred_writes <= task.writes
-        assert task.inferred_reads <= task.reads | task.writes
-
     def test_footprint_consistent_across_engines(self):
         protocols = {}
         for engine in ("interpreted", "compiled"):

@@ -180,7 +180,7 @@ class TestCli:
     def test_concurrency_flag_on_mutation_fixture(self, capsys):
         import json
 
-        fixture = os.path.join(EXAMPLES, "mutations", "narrowed_write_set_demo.py")
+        fixture = os.path.join(EXAMPLES, "mutations", "dropped_lock_demo.py")
         status = main(["--json", "--concurrency", fixture])
         payload = json.loads(capsys.readouterr().out)
         assert status == 2
@@ -189,7 +189,7 @@ class TestCli:
             for section in payload["sections"]
             for diag in section["diagnostics"]
         }
-        assert "RVM604" in codes
+        assert "RVM601" in codes
 
     def test_diagnostics_identical_across_engines(self):
         # Lints are static: the selected engine must change nothing.

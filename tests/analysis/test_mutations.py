@@ -12,8 +12,6 @@ FIXTURES = os.path.join(REPO_ROOT, "examples", "mutations")
 #: What each seeded fault must be caught by (subset of the report's codes).
 EXPECTED_CODES = {
     "dropped_lock": {"RVM601", "RVM602"},
-    "swapped_batch_order": {"RVM603"},
-    "narrowed_write_set": {"RVM604"},
     "stale_polarity": {"RVM301", "RVM601"},
     "omitted_journal_table": {"RVM605"},
     "overlapping_view": {"RVM501"},

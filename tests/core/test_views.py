@@ -1,5 +1,7 @@
 """Unit tests for view definitions and internal-table naming."""
 
+import pytest
+
 from repro.algebra.schema import Schema
 from repro.core import naming
 from repro.core.views import ViewDefinition
@@ -52,3 +54,57 @@ class TestNaming:
         ]
         assert all(name.startswith("__") for name in names)
         assert len(set(names)) == len(names)
+
+
+class TestExternalInputsOnly:
+    """A view reads only external tables: one over an MV, log or
+    differential table would never see that input change (transactions
+    touch only external tables), so it is refused at definition."""
+
+    @staticmethod
+    def make_manager(scenario):
+        import warnings
+
+        from repro.warehouse import ViewManager
+
+        manager = ViewManager()
+        manager.create_table("R", ("a", "b"), rows=[(1, 2), (2, 3)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            manager.define_view("V1", "SELECT a, b FROM R", scenario=scenario)
+            # A combined view, so differential tables exist too.
+            manager.define_view("C", "SELECT a FROM R WHERE b != 3", scenario="combined")
+        return manager
+
+    @pytest.mark.parametrize("scenario", ["base_log", "combined", "shared_log"])
+    def test_view_over_an_internal_table_is_rejected(self, scenario):
+        from repro.errors import SchemaError
+
+        manager = self.make_manager(scenario)
+        internal = manager.db.internal_tables()
+        assert {naming.mv_name("V1"), naming.dt_delete_name("C")} <= set(internal)
+        assert any(name.startswith("__log_") for name in internal)
+        catalog = manager.db.table_names()
+        for table in internal:
+            with pytest.raises(SchemaError, match="internal"):
+                manager.define_view("V2", f"SELECT a FROM {table}", scenario=scenario)
+            assert manager.db.table_names() == catalog, table
+            assert manager.views() == ("V1", "C")
+        manager.execute_sql("INSERT INTO R VALUES (5, 6)")
+        manager.refresh_group()
+        manager.check_invariants()
+
+    def test_shared_log_add_view_rejects_an_internal_table(self):
+        from repro.errors import SchemaError
+        from repro.extensions.sharedlog import SharedLogScenario
+
+        db = Database()
+        db.create_table("R", ["a"], rows=[(1,)])
+        group = SharedLogScenario(db)
+        group.add_view(ViewDefinition("V1", db.ref("R")))
+        catalog = db.table_names()
+        for table in db.internal_tables():
+            with pytest.raises(SchemaError, match="internal"):
+                group.add_view(ViewDefinition("V2", db.ref(table)))
+            assert db.table_names() == catalog
+        assert group.views() == ("V1",)

@@ -1,8 +1,7 @@
 """Unit and property tests for the group-refresh machinery.
 
 Covers the three layers of :mod:`repro.exec.group` — subplan
-fingerprints, the epoch-scoped delta cache, and the dependency-aware
-scheduler — plus the acceptance property: a parallel group refresh is
+fingerprints, the epoch-scoped delta cache, and the scheduler — plus the acceptance property: a parallel group refresh is
 bag-equal to the sequential per-view oracle over a randomized grid of
 states, queries, and transactions.
 """
@@ -89,7 +88,7 @@ class TestEpochDeltaCache:
         assert counter.delta_cache_hits == 2
 
 
-def make_task(name, order, *, key=None, reads=(), writes=(), log=None, result=None):
+def make_task(name, order, *, key=None, log=None, result=None):
     result = result if result is not None else (Bag.empty(), Bag.empty())
 
     def compute(counter):
@@ -107,36 +106,17 @@ def make_task(name, order, *, key=None, reads=(), writes=(), log=None, result=No
         key=(lambda: key),
         compute=compute,
         apply=apply,
-        reads=frozenset(reads),
-        writes=frozenset(writes),
     )
 
 
 class TestGroupScheduler:
-    def test_independent_tasks_share_one_batch(self):
-        tasks = [
-            make_task("a", 0, reads={"R"}, writes={"mv_a"}),
-            make_task("b", 1, reads={"R"}, writes={"mv_b"}),
-        ]
-        batches = GroupScheduler().batches(tasks)
-        assert [[t.name for t in batch] for batch in batches] == [["a", "b"]]
-
-    def test_conflicting_tasks_are_ordered_into_later_batches(self):
-        tasks = [
-            make_task("a", 0, reads={"R"}, writes={"mv_a"}),
-            make_task("b", 1, reads={"mv_a"}, writes={"mv_b"}),
-            make_task("c", 2, reads={"R"}, writes={"mv_c"}),
-        ]
-        batches = GroupScheduler().batches(tasks)
-        assert [[t.name for t in batch] for batch in batches] == [["a", "c"], ["b"]]
-
     def test_shared_key_computes_once_and_applies_in_order(self):
         trace = []
         deltas = (Bag([(1,)]), Bag.empty())
         tasks = [
-            make_task("a", 0, key="shared", log=trace, result=deltas, writes={"mv_a"}),
-            make_task("b", 1, key="shared", log=trace, result=deltas, writes={"mv_b"}),
-            make_task("c", 2, key="other", log=trace, result=deltas, writes={"mv_c"}),
+            make_task("a", 0, key="shared", log=trace, result=deltas),
+            make_task("b", 1, key="shared", log=trace, result=deltas),
+            make_task("c", 2, key="other", log=trace, result=deltas),
         ]
         counter = CostCounter()
         cache = EpochDeltaCache(counter)
@@ -247,10 +227,9 @@ STEADY_VIEWS = (
 
 
 def test_steady_epoch_builds_nothing(monkeypatch):
-    """After the first epoch an unchanged group compiles, differentiates,
-    fingerprints, lints and batches nothing — and a membership change is
-    exactly one re-lint and one re-batch on the next epoch."""
-    import repro.analysis.concurrency_check as concurrency_check
+    """After the first epoch an unchanged group compiles, differentiates
+    and fingerprints nothing — and a new member's pair is built where it
+    is defined, not by an epoch."""
     import repro.core.differential as differential
     import repro.exec.group as group
     import repro.extensions.sharedlog as sharedlog
@@ -264,7 +243,7 @@ def test_steady_epoch_builds_nothing(monkeypatch):
     for index in range(8):
         manager.define_view(f"V{index}", STEADY_VIEWS[index % 3], scenario="shared_log")
 
-    calls = dict.fromkeys(("compile", "differentiate", "fingerprint", "check_tasks", "batches"), 0)
+    calls = dict.fromkeys(("compile", "differentiate", "fingerprint"), 0)
 
     def spy(owner, name, label):
         original = getattr(owner, name)
@@ -289,15 +268,13 @@ def test_steady_epoch_builds_nothing(monkeypatch):
             assert not manager.is_stale(name), name
 
     script(0)
-    epoch()  # the first epoch: pairs exist since define_view, the schedule is built here
+    epoch()  # the first epoch: pairs exist since define_view
 
     spy(Compiler, "compile", "compile")
     for module in (differential, sharedlog):
         spy(module, "differentiate", "differentiate")
     for module in (group, sharedlog):
         spy(module, "subplan_fingerprint", "fingerprint")
-    spy(concurrency_check, "check_tasks", "check_tasks")
-    spy(GroupScheduler, "batches", "batches")
 
     for step in range(1, 11):
         script(step)  # scripts compile their own plans: counted from here on
@@ -309,26 +286,18 @@ def test_steady_epoch_builds_nothing(monkeypatch):
     assert {k: v for k, v in calls.items() if k != "compile"} == {
         "differentiate": 0,
         "fingerprint": 0,
-        "check_tasks": 0,
-        "batches": 0,
     }
 
     # A new member: its pair is built where it is defined (its query is
-    # already a member's, so nothing is differentiated), and the next
-    # epoch — only that one — lints and batches again.
+    # already a member's, so nothing is differentiated), and no epoch
+    # after a membership change builds one.
     manager.define_view("V8", STEADY_VIEWS[0], scenario="shared_log")
     assert calls["differentiate"] == 0
-    script(11)
-    epoch()
-    script(12)
-    epoch()
-    assert (calls["check_tasks"], calls["batches"]) == (1, 1)
     manager.drop_view("V3")
-    script(13)
-    epoch()
-    script(14)
-    epoch()
-    assert (calls["check_tasks"], calls["batches"]) == (2, 2)
+    for step in range(11, 15):
+        script(step)
+        epoch()
+    assert calls["differentiate"] == 0
     # A member with a new query differentiates once, at define_view.
     manager.define_view("V9", "SELECT custId, itemNo FROM sales WHERE quantity = 2", scenario="shared_log")
     assert calls["differentiate"] == 1

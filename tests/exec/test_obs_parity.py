@@ -145,12 +145,8 @@ def test_group_epoch_span_says_what_the_epoch_built(mode):
     observed, stack = group_lifecycle(mode, enabled=True)
     assert observed.snapshot() == baseline.snapshot()
     epochs = [span.attrs for span in stack.tracer.find("group_epoch")]
-    assert [attrs["schedule"] for attrs in epochs] == ["rebuilt", "reused", "rebuilt"]
     # The three equal queries share one pair; a pair is built where its
     # view is defined and reported by the next epoch.
     assert [attrs["pairs_built"] for attrs in epochs] == [1, 0, 1]
     # One insert and one delete recorded per epoch, one slice of R.
     assert [attrs["bound_rows"] for attrs in epochs] == [2, 2, 2]
-    metrics = stack.metrics.snapshot()
-    assert metrics['group_schedule{outcome="rebuilt"}']["value"] == 2
-    assert metrics['group_schedule{outcome="reused"}']["value"] == 1

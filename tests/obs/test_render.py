@@ -12,10 +12,10 @@ from repro.obs.tracer import Tracer
 def sample_trace() -> dict:
     tracer = Tracer()
     with tracer.span("group_epoch", views=3):
-        with tracer.span("batch", index=0, tasks=3):
-            with tracer.span("delta_compute", view="V0"):
-                pass
-            with tracer.span("refresh", view="V0", scenario="BL"):
+        with tracer.span("delta_compute", view="V0"):
+            pass
+        with tracer.span("refresh", view="V0", scenario="BL"):
+            with tracer.span("apply", patches=2):
                 pass
     return tracer.to_dict()
 
@@ -26,7 +26,7 @@ def test_render_trace_draws_the_nested_tree():
     assert lines[0].startswith("group_epoch views=3")
     assert "├─ delta_compute view=V0" in text
     assert "└─ refresh scenario=BL view=V0" in text
-    # Nesting depth is visible: batch children carry the │/space gutter.
+    # Nesting depth is visible: a refresh's children carry the │/space gutter.
     assert any(line.startswith("│  ") or line.startswith("   ") for line in lines)
     assert "ms" in lines[0]
 
@@ -54,8 +54,8 @@ def test_cli_trace_demo_renders_a_group_epoch(capsys):
     out = capsys.readouterr().out
     # The acceptance shape: a group-refresh epoch as a nested span tree.
     assert "group_epoch" in out
-    assert "batch" in out
-    assert "delta_compute" in out
+    assert "├─ delta_compute" in out
+    assert "refresh" in out
     assert "txn" in out
 
 

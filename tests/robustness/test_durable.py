@@ -3,7 +3,7 @@
 import pytest
 
 from repro.algebra.bag import Bag
-from repro.errors import RecoveryError
+from repro.errors import RecoveryError, SchemaError
 from repro.robustness.durable import DurableWarehouse
 from repro.robustness.faults import INJECTOR
 from repro.robustness.journal import IntentJournal, journal_path
@@ -117,6 +117,26 @@ class TestJournaledOps:
         assert warehouse.views() == ()
         assert warehouse.journal.records()[-1].kind == "ddl"
         warehouse.close()
+
+
+class TestRejectedOps:
+    @pytest.mark.parametrize(
+        "definition", ["SELECT nosuch FROM sales", "SELECT custId FROM __mv__V"]
+    )
+    def test_rejected_define_view_does_not_wedge_the_warehouse(self, tmp_path, definition):
+        path = tmp_path / "wh.db"
+        warehouse = make_warehouse(path)
+        with pytest.raises(SchemaError):
+            warehouse.define_view("W", definition)
+        assert warehouse.journal.pending() is None
+        assert warehouse.journal.records()[-1].status == "aborted"
+        warehouse.execute_sql("INSERT INTO sales VALUES (4, 40);")
+        assert warehouse.journal.records()[-1].status == "committed"
+        warehouse.close()
+        with DurableWarehouse.open(path) as reopened:
+            assert reopened.views() == ("V",)
+            assert (4, 40) in reopened.sql("SELECT custId, qty FROM sales")
+            reopened.check_invariants()
 
 
 class TestWatermarks:
