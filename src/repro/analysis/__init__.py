@@ -22,12 +22,7 @@ The :mod:`repro.analysis.lint` driver ties them together behind
 ``python -m repro lint``.
 """
 
-from repro.analysis.concurrency_check import (
-    check_journal_coverage,
-    check_scenario,
-    check_stack,
-    demo_stack_report,
-)
+from repro.analysis.concurrency_check import check_scenario, check_stack, demo_stack_report
 from repro.analysis.diagnostics import (
     CODES,
     AnalysisReport,
@@ -56,7 +51,6 @@ __all__ = [
     "Step",
     "plan_effects",
     "read_footprint",
-    "check_journal_coverage",
     "check_scenario",
     "check_stack",
     "demo_stack_report",

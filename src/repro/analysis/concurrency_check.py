@@ -5,22 +5,18 @@ it never states as a checkable rule: reader-visible ``MV`` state may
 only be read or written by a refresh-family operation while that view's
 exclusive lock is held; ``propagate`` stays lock-free precisely because
 it touches only maintenance-private log and differential tables.  This
-module checks that discipline — and an adjacent safety property —
-against the *inferred* effects of :mod:`repro.analysis.effects`, not
-against what the code claims about itself:
+module checks that discipline against the *inferred* effects of
+:mod:`repro.analysis.effects`, not against what the code claims about
+itself:
 
 * **RVM601** — a refresh-family step reads an ``MV`` table outside any
   lock section (a reader could observe a half-applied state).
 * **RVM602** — a write to an ``MV`` table is not covered by an
   exclusive lock.
-* **RVM605** — a maintenance operation writes a table the journal's
-  intent payload does not digest, so crash recovery could neither
-  verify nor roll that table back.
 
-All checks consume the same objects the runtime uses (scenario
-protocols built from real delta expressions, the journal's actual
-payload-coverage seam), so a seeded fault in the runtime shows up here
-without any parallel model to keep in sync.
+Both checks consume the same objects the runtime uses (scenario
+protocols built from real delta expressions), so a seeded fault in the
+runtime shows up here without any parallel model to keep in sync.
 """
 
 from __future__ import annotations
@@ -34,7 +30,6 @@ from repro.analysis.statebug import check_log_polarity
 
 __all__ = [
     "check_scenario",
-    "check_journal_coverage",
     "check_stack",
     "demo_stack_report",
 ]
@@ -109,51 +104,15 @@ def check_scenario(scenario) -> AnalysisReport:
 
 
 # ----------------------------------------------------------------------
-# RVM605: journal intent payload coverage
-# ----------------------------------------------------------------------
-
-
-def check_journal_coverage(
-    db, ops: Iterable[OpEffects], *, payload_tables: frozenset[str] | None = None
-) -> AnalysisReport:
-    """Check that every op's written tables are digested by the journal.
-
-    ``payload_tables`` defaults to the live payload seam
-    (:func:`repro.robustness.durable.intent_payload_tables`), so the
-    static picture tracks exactly what recovery will see.
-    """
-    report = AnalysisReport()
-    if payload_tables is None:
-        from repro.robustness.durable import intent_payload_tables
-
-        payload_tables = intent_payload_tables(db)
-    for op in ops:
-        missing = sorted(op.writes - payload_tables)
-        if missing:
-            report.add(
-                "RVM605",
-                Severity.ERROR,
-                f"{op.describe()} writes {missing} but the journal intent "
-                "payload does not digest them; crash recovery could neither "
-                "verify nor roll those tables back",
-                path=f"{op.view}.{op.op}",
-            )
-    return report
-
-
-# ----------------------------------------------------------------------
 # Whole-stack entry points
 # ----------------------------------------------------------------------
 
 
-def check_stack(scenarios: Sequence = (), *, db=None, journal: bool = True) -> AnalysisReport:
+def check_stack(scenarios: Sequence = ()) -> AnalysisReport:
     """Run every concurrency check over a set of scenarios."""
     report = AnalysisReport()
     for scenario in scenarios:
         report.extend(check_scenario(scenario))
-    if journal and db is not None and scenarios:
-        ops = [op for scenario in scenarios for op in scenario.maintenance_protocol()]
-        report.extend(check_journal_coverage(db, ops))
     return report
 
 
@@ -191,4 +150,4 @@ def demo_stack_report(*, exec_mode: str = "compiled") -> AnalysisReport:
     ]
     for scenario in scenarios:
         scenario.install()
-    return check_stack(scenarios, db=db)
+    return check_stack(scenarios)

@@ -1,7 +1,7 @@
 """Seeded concurrency mutations: the analyzer's regression harness.
 
 A static analyzer is only as credible as the bugs it provably catches.
-This module seeds four concrete faults into the maintenance stack — each
+This module seeds three concrete faults into the maintenance stack — each
 one a realistic way the Section 5.3 lock discipline or its supporting
 machinery can rot — and runs the concurrency suite
 (:mod:`repro.analysis.concurrency_check` + the dynamic lockset
@@ -13,18 +13,15 @@ mutation                     caught by
 ``dropped_lock``             RVM601 + RVM602 (static) and the lockset
                              sanitizer (dynamic)
 ``stale_polarity``           RVM301 + companion RVM601 (static)
-``omitted_journal_table``    RVM605 (static coverage + dynamic
-                             version-stamp diff)
 ``overlapping_view``         RVM501 (group-membership lint)
 ============================ ==========================================
 
 Each mutation is a context manager that monkeypatches exactly the seam
 the real code runs through (``Scenario._refresh_lock``,
-``Log.substitution``, ``intent_payload_tables``, …) — so a caught
-mutation demonstrates the checks see the *executed* protocol, not a
-parallel model.  The clean
-stack (:func:`run_clean`) must produce zero findings; the CI lint gate
-and :mod:`tests.analysis.test_mutations` pin both directions.
+``Log.substitution``) — so a caught mutation demonstrates the checks
+see the *executed* protocol, not a parallel model.  The clean stack
+(:func:`run_clean`) must produce zero findings; the CI lint gate and
+:mod:`tests.analysis.test_mutations` pin both directions.
 """
 
 from __future__ import annotations
@@ -85,22 +82,6 @@ def _stale_polarity() -> Iterator[None]:
 
 
 @contextmanager
-def _omitted_journal_table() -> Iterator[None]:
-    """Journal intents stop digesting the reader-visible MV tables."""
-    import repro.robustness.durable as durable
-    from repro.core.naming import is_mv_table
-
-    orig = durable.intent_payload_tables
-    durable.intent_payload_tables = lambda db: frozenset(
-        name for name in db.table_names() if not is_mv_table(name)
-    )
-    try:
-        yield
-    finally:
-        durable.intent_payload_tables = orig
-
-
-@contextmanager
 def _overlapping_view() -> Iterator[None]:
     """No patch: the runner registers an overlapping non-group view."""
     yield
@@ -109,7 +90,6 @@ def _overlapping_view() -> Iterator[None]:
 MUTATIONS: dict[str, Callable[[], contextlib.AbstractContextManager]] = {
     "dropped_lock": _dropped_lock,
     "stale_polarity": _stale_polarity,
-    "omitted_journal_table": _omitted_journal_table,
     "overlapping_view": _overlapping_view,
 }
 
@@ -172,30 +152,6 @@ def _run_stale_polarity(exec_mode: str) -> AnalysisReport:
     return check_scenario(_demo_scenario(exec_mode))
 
 
-def _run_omitted_journal_table(exec_mode: str) -> AnalysisReport:
-    import tempfile
-    from pathlib import Path
-
-    from repro import obs
-    from repro.analysis.concurrency_check import check_journal_coverage
-    from repro.robustness.durable import DurableWarehouse
-
-    scenario = _demo_scenario(exec_mode)
-    report = check_journal_coverage(scenario.db, scenario.maintenance_protocol())
-    with obs.observed(sanitizer=True) as stack:
-        with tempfile.TemporaryDirectory() as tmp:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                warehouse = DurableWarehouse(Path(tmp) / "wh.json", exec_mode=exec_mode)
-                warehouse.create_table("R", ["a", "b"], rows=[(1, 1)])
-                warehouse.create_table("S", ["b", "c"], rows=[(1, 10)])
-                warehouse.define_view("V", _DEMO_SQL.format(name="V"), scenario="base_log")
-                warehouse.transaction().insert("R", [(2, 1)]).run()
-                warehouse.refresh("V")
-                warehouse.close()
-    return report.extend(stack.sanitizer.report())
-
-
 def _run_overlapping_view(exec_mode: str) -> AnalysisReport:
     from repro.warehouse.manager import ViewManager
 
@@ -217,7 +173,6 @@ def _run_overlapping_view(exec_mode: str) -> AnalysisReport:
 _RUNNERS: dict[str, Callable[[str], AnalysisReport]] = {
     "dropped_lock": _run_dropped_lock,
     "stale_polarity": _run_stale_polarity,
-    "omitted_journal_table": _run_omitted_journal_table,
     "overlapping_view": _run_overlapping_view,
 }
 

@@ -12,9 +12,7 @@ the sanitizer records a finding with the same ``RVM6xx`` codes the
 static pass uses:
 
 * empty lockset at a **read** → RVM601;
-* empty lockset at a **write** → RVM602;
-* a journaled action whose version-stamp diff shows a written table the
-  intent payload never digested → RVM605.
+* empty lockset at a **write** → RVM602.
 
 Scope: accesses are tracked only while a refresh-family span
 (``refresh`` / ``partial_refresh``) is open on the current thread —
@@ -91,9 +89,6 @@ class NullSanitizer:
         pass
 
     def on_write(self, tables) -> None:
-        pass
-
-    def check_journal_payload(self, kind: str, written, covered) -> None:
         pass
 
 
@@ -210,23 +205,6 @@ class LocksetSanitizer:
                         f"{op!r} with candidate lockset empty (held: "
                         f"{sorted(held) or 'none'})",
                     )
-
-    # -- journal coverage (driven by DurableWarehouse) -----------------
-
-    def check_journal_payload(self, kind: str, written, covered) -> None:
-        """Diff actually-written tables against the intent's digest set."""
-        missing = sorted(set(written) - set(covered))
-        with self._mutex:
-            for table in missing:
-                self._emit(
-                    "RVM605",
-                    table,
-                    kind,
-                    "",
-                    f"journaled {kind!r} wrote table {table!r} but the intent "
-                    "payload carries no digest for it; recovery could neither "
-                    "verify nor roll it back",
-                )
 
     # -- reporting ------------------------------------------------------
 

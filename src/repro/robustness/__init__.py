@@ -9,15 +9,16 @@ package makes them hold *across process deaths* too:
   arms crashes and transient errors at them;
 * :mod:`repro.robustness.journal` — the write-ahead intent journal: an
   fsync'd SQLite file recording every maintenance operation (kind, view,
-  log watermark, delta payloads, table digests) *before* any state
-  mutates, with client-token deduplication for exactly-once replay;
+  log watermark, delta payloads) *before* any state mutates, with
+  client-token deduplication for exactly-once replay;
 * :mod:`repro.robustness.durable` — :class:`DurableWarehouse`, the
   journaled, checkpoint-on-every-op wrapper around
   :class:`~repro.warehouse.ViewManager`;
 * :mod:`repro.robustness.recovery` — the invariant auditor and the
   recovery runner behind ``python -m repro recover <file>``: classify
-  the interrupted operation from the journal, roll it forward or back,
-  and prove the scenario invariants green;
+  the interrupted operation by the op id the snapshot's checkpoint was
+  stamped with, roll it forward or back, and prove the scenario
+  invariants green;
 * :mod:`repro.robustness.harness` — the randomized crash-schedule
   driver that kills a retail workload at every reachable point and
   checks recovery against an uninterrupted oracle run.

@@ -6,12 +6,13 @@ the write-ahead protocol::
 
     intent journaled (fsync)  →  op runs in memory  →
     atomic checkpoint (the op's deltas appended in one SQLite
-    transaction, or temp file + os.replace)  →  intent committed
+    transaction, or temp file + os.replace; either way stamped with
+    the intent's op id)  →  intent committed
 
-Both per-operation durability costs track the *delta*, not the base: a
+The per-operation durability cost tracks the *delta*, not the base: a
 :class:`~repro.storage.persistence.DeltaQueue` registered on the
-database queues every installed patch, the intent's table digests are
-folded from it, and the checkpoint appends it to the snapshot file.
+database queues every installed patch, and the checkpoint appends it to
+the snapshot file.
 Each of the two files has one owner holding one open connection for the
 warehouse's life (the journal its own, the queue the snapshot's), both
 in ``journal_mode=WAL`` with ``synchronous=FULL``; :meth:`DurableWarehouse.close`
@@ -21,15 +22,16 @@ A crash at *any* instant leaves the disk in one of exactly three
 states, all of which :func:`repro.robustness.recovery.recover` resolves:
 
 * no pending intent — nothing was in flight; the snapshot is consistent;
-* pending intent + pre-op snapshot — the operation never reached disk;
+* pending intent + pre-op snapshot (stamped with an earlier op id) —
+  the operation never reached disk;
   recovery **rolls it forward** from the journal payload (user
   transactions carry their fully evaluated delta bags; maintenance
   operations re-run from the snapshot's surviving logs/differentials —
   the paper's refresh/propagate idempotence), or **rolls it back** when
   the intent is not replayable (DDL);
-* pending intent + post-op snapshot — the checkpoint landed but the
-  commit mark didn't; recovery verifies the invariants and marks the
-  intent committed.
+* pending intent + post-op snapshot (stamped with the intent's op id)
+  — the checkpoint landed but the commit mark didn't; recovery verifies
+  the invariants and marks the intent committed.
 
 User transactions accept an optional idempotency ``token``; a token the
 journal has already committed is skipped, so a client retrying after a
@@ -50,31 +52,12 @@ from repro.core.transactions import UserTransaction
 from repro.core.views import ViewDefinition
 from repro.errors import RecoveryError, ReproError
 from repro.robustness.faults import fault_point
-from repro.robustness.journal import (
-    IntentJournal,
-    journal_path,
-    serialize_bag,
-    table_digests,
-)
+from repro.robustness.journal import IntentJournal, journal_path, serialize_bag
 from repro.storage.persistence import track_deltas
 from repro.warehouse.manager import ManagedTransaction, ViewManager
 from repro.warehouse.persistence import load_warehouse, save_warehouse
 
-__all__ = ["DurableWarehouse", "DurableTransaction", "intent_payload_tables"]
-
-
-def intent_payload_tables(db) -> frozenset[str]:
-    """The tables whose digests every journal intent payload carries.
-
-    This is the *coverage seam* of the write-ahead protocol: recovery
-    can only verify or roll back tables digested in an intent's
-    ``pre_digests``, so the concurrency analyzer's RVM605 check holds
-    every maintenance operation's inferred write set against exactly
-    this set — and the dynamic sanitizer diffs version stamps around
-    each journaled action against the same set.  Narrowing it (the
-    seeded ``omitted_journal_table`` mutation) is caught by both.
-    """
-    return frozenset(db.table_names())
+__all__ = ["DurableWarehouse", "DurableTransaction"]
 
 
 #: Manager reads a durable warehouse forwards as they are.
@@ -119,7 +102,7 @@ class DurableWarehouse:
         if not _skip_baseline and not self.path.exists():
             # Establish a baseline snapshot so recovery always has a
             # well-defined pre-state, even for a crash in the first op.
-            self._checkpoint()
+            self.checkpoint()
 
     @classmethod
     def open(
@@ -167,12 +150,9 @@ class DurableWarehouse:
     # The write-ahead protocol
     # ------------------------------------------------------------------
 
-    def _checkpoint(self) -> None:
-        save_warehouse(self.manager, self.path)
-
     def checkpoint(self) -> None:
-        """Force a snapshot of the current state (not itself journaled)."""
-        self._checkpoint()
+        """Force a snapshot of the current state (not itself journaled: stamped 0)."""
+        save_warehouse(self.manager, self.path)
 
     def _run_journaled(
         self,
@@ -184,14 +164,9 @@ class DurableWarehouse:
         payload: dict[str, Any] | None = None,
     ) -> None:
         fault_point("crash-before-journal")
-        full_payload = dict(payload or {})
-        full_payload["pre_digests"] = table_digests(self.db, intent_payload_tables(self.db))
         with obs.span("journal_op", kind=kind, view=view or "", counter=self.manager.counter):
-            op_id = self.journal.begin(kind, view=view, token=token, payload=full_payload)
+            op_id = self.journal.begin(kind, view=view, token=token, payload=payload)
             fault_point("crash-after-journal")
-            sanitizer = obs.active_sanitizer()
-            if sanitizer is not None:
-                stamps = {name: self.db.version_of(name) for name in self.db.table_names()}
             before = (self.db.clock, self.db.table_names())
             try:
                 action()
@@ -201,19 +176,8 @@ class DurableWarehouse:
                     # for recovery to resolve, so the intent is closed.
                     self.journal.abort_op(op_id)
                 raise
-            if sanitizer is not None:
-                # Dynamic RVM605: every *pre-existing* table the action
-                # wrote (version-stamp diff) must be digested in the
-                # intent.  Tables the action itself created have no
-                # pre-state for recovery to verify or restore.
-                written = {
-                    name
-                    for name in self.db.table_names()
-                    if name in stamps and self.db.version_of(name) != stamps[name]
-                }
-                sanitizer.check_journal_payload(kind, written, frozenset(full_payload["pre_digests"]))
             with obs.span("checkpoint", path=str(self.path)):
-                self._checkpoint()
+                save_warehouse(self.manager, self.path, op_id=op_id)
             fault_point("crash-after-checkpoint")
             with obs.span("journal_commit", op_id=op_id):
                 self.journal.commit_op(op_id)

@@ -4,9 +4,10 @@ Crash safety for a deferred-maintenance warehouse rests on two pieces:
 an **atomic checkpoint** (``save_database`` either appends the
 operation's deltas to the snapshot file in one SQLite transaction or
 stages a full rewrite and ``os.replace``\\ s it, so the snapshot on disk
-is always entirely pre-op or entirely post-op) and this **intent
-journal**, an fsync'd SQLite file sitting next to the snapshot that
-records what operation was *about* to run before any state mutates.
+is always entirely pre-op or entirely post-op, and stamped with the id
+of the intent it completes) and this **intent journal**, an fsync'd
+SQLite file sitting next to the snapshot that records what operation
+was *about* to run before any state mutates.
 
 Each journal record carries:
 
@@ -17,12 +18,14 @@ Each journal record carries:
   transactions (exactly-once replay: a committed token is never
   re-applied);
 * ``status`` — ``intent`` → ``committed`` / ``aborted``;
-* ``payload`` — JSON: the **pre-operation digests** of every table (the
-  recovery oracle uses them to classify the on-disk snapshot as pre- or
-  post-op), the log **watermark** (recorded log tuples at intent time),
-  and — for user transactions — the fully evaluated per-table
-  ``(delete, insert)`` **delta bags**, which make the operation
-  replayable from the journal alone.
+* ``payload`` — JSON: the log **watermark** (recorded log tuples at
+  intent time), a maintenance action's options, and — for user
+  transactions — the fully evaluated per-table ``(delete, insert)``
+  **delta bags**, which make the operation replayable from the journal
+  alone.
+
+Recovery needs no digest to tell whether an intent's checkpoint landed:
+the checkpoint stamps the snapshot with the intent's ``op_id``.
 
 Durability: the journal holds one connection for its whole life, in
 ``journal_mode=WAL`` with ``PRAGMA synchronous=FULL``, so every
@@ -46,13 +49,7 @@ from repro import obs
 from repro.algebra.bag import Bag, Row
 from repro.errors import RecoveryError
 from repro.storage.database import Database
-from repro.storage.persistence import (
-    RETRY_POLICY,
-    DeltaQueue,
-    delta_queue,
-    fold_and_close,
-    with_retry,
-)
+from repro.storage.persistence import RETRY_POLICY, fold_and_close, with_retry
 
 __all__ = [
     "IntentJournal",
@@ -114,11 +111,19 @@ def _canonical(row: Row) -> Row:
     )
 
 
-def _weighted_hash_sum(items: Iterable[tuple[Row, int]]) -> int:
-    """``Σ multiplicity · H(row)`` over ``(row, multiplicity)`` pairs (unreduced)."""
+def bag_digest(bag: Bag) -> str:
+    """A content digest of a bag — equal bags digest equal.
+
+    The digest is an *additive multiset hash*: ``Σ multiplicity ·
+    H(row) mod 2**128`` over a keyed, process-stable row hash.  It does
+    not depend on the order rows are visited in (no sort).  Two given
+    different bags collide with probability ``2**-128``; an adversary
+    choosing rows can do better (the sum is linear), which a checksum
+    against crashes does not need to resist.
+    """
     total = rows = 0
     fresh = _ROW_HASHER.copy
-    for row, count in items:
+    for row, count in bag.items():
         if not _INT_EQUAL_TYPES.isdisjoint(map(type, row)):
             row = _canonical(row)
         hasher = fresh()
@@ -126,58 +131,13 @@ def _weighted_hash_sum(items: Iterable[tuple[Row, int]]) -> int:
         total += count * int.from_bytes(hasher.digest(), "big")
         rows += 1
     obs.metric_inc("digest_rows_hashed", rows)
-    return total
-
-
-def bag_digest(bag: Bag) -> str:
-    """A content digest of a bag — equal bags digest equal.
-
-    The digest is an *additive multiset hash*: ``Σ multiplicity ·
-    H(row) mod 2**128`` over a keyed, process-stable row hash.  It does
-    not depend on the order rows are visited in (no sort), and the
-    digest of ``(T ∸ ∇) ⊎ △`` follows from the digest of ``T`` and the
-    clamped deltas alone — :func:`table_digests` maintains table digests
-    that way.  Two given different bags collide with probability
-    ``2**-128``; an adversary choosing rows can do better (the sum is
-    linear), which a checksum against crashes does not need to resist.
-    """
-    return format(_weighted_hash_sum(bag.items()) & _DIGEST_MASK, "032x")
-
-
-def _tracked_digest(db: Database, queue: DeltaQueue, name: str) -> int:
-    """``name``'s digest, folded from the cached one when the stamps line up."""
-    stamp = db.version_of(name)
-    patches = queue.undigested.pop(name, ())
-    entry = queue.digests.get(name)
-    if entry is not None:
-        at, value = entry
-        for patch in patches:
-            value += _weighted_hash_sum(patch.insert.items()) - _weighted_hash_sum(patch.removed())
-            at = patch.stamp
-    if entry is None or at != stamp:
-        value = _weighted_hash_sum(db[name].items())
-    value &= _DIGEST_MASK
-    queue.digests[name] = (stamp, value)
-    return value
+    return format(total & _DIGEST_MASK, "032x")
 
 
 def table_digests(db: Database, tables: Iterable[str] | None = None) -> dict[str, str]:
-    """Digest of every (or each named) table in ``db``.
-
-    On a database with a :class:`~repro.storage.persistence.DeltaQueue`
-    a table's digest is *maintained*: the patches queued since it was
-    last asked for are folded into the cached value, at a cost of the
-    delta's rows.  A cached value is only advanced along an unbroken run
-    of patches that ends at the table's current version stamp; after a
-    wholesale replacement, a drop, or any stamp mismatch the table is
-    digested from scratch — which is also what happens, for every
-    table, on a database without a queue.
-    """
+    """:func:`bag_digest` of every (or each named) table in ``db``."""
     names = db.table_names() if tables is None else tuple(tables)
-    queue = delta_queue(db)
-    if queue is None:
-        return {name: bag_digest(db[name]) for name in names}
-    return {name: format(_tracked_digest(db, queue, name), "032x") for name in names}
+    return {name: bag_digest(db[name]) for name in names}
 
 
 def serialize_bag(bag: Bag) -> list[list[Any]]:
@@ -210,10 +170,6 @@ class OpIntent:
     token: str | None
     status: str
     payload: dict[str, Any]
-
-    @property
-    def pre_digests(self) -> dict[str, str]:
-        return dict(self.payload.get("pre_digests", {}))
 
     @property
     def watermark(self) -> int | None:

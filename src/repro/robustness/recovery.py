@@ -5,13 +5,15 @@ restart every scenario's invariant — ``INV_IM``, ``INV_BL``,
 ``INV_DT``, ``INV_C`` — must hold *exactly* over the reloaded snapshot.
 :func:`recover` makes that true:
 
-1. **Classify.**  Load the journal; if an intent is pending, compare the
-   snapshot's table digests with the intent's recorded pre-operation
-   digests.  Because checkpoints are atomic (one SQLite transaction
-   appending the operation's deltas, or temp file + ``os.replace``),
-   the snapshot is either exactly the pre-op state or exactly the
-   completed post-op state — a torn intermediate is impossible by
-   construction.
+1. **Classify.**  Load the journal; if an intent is pending, read the
+   op id the snapshot was stamped with
+   (:func:`~repro.storage.persistence.checkpoint_op`).  Checkpoints are
+   atomic (one SQLite transaction appending the operation's deltas, or
+   temp file + ``os.replace``) and the stamp commits with them, so the
+   snapshot is the completed post-op state exactly when its stamp is
+   the pending intent's id, and otherwise exactly the pre-op state — a
+   torn intermediate is impossible by construction.  A snapshot with no
+   stamp at all cannot answer, and recovery refuses to guess.
 2. **Resolve.**  Pre-op snapshot: rebuild the journaled
    :class:`~repro.core.ops.MaintenanceAction` from the intent and hand
    it to the same :meth:`~repro.warehouse.manager.ViewManager.run` seam
@@ -19,9 +21,10 @@ restart every scenario's invariant — ``INV_IM``, ``INV_BL``,
    bags; the refresh family simply re-runs against the surviving logs
    and differential tables — Figure 3's operations are deterministic
    functions of that state, which is what makes roll-forward sound),
-   checkpoint, and commit the intent.  Intents that name no action
-   (DDL) are rolled back.  Post-op snapshot: the work is already
-   durable; just commit the intent.
+   checkpoint (stamped with the intent's id, so a crash during recovery
+   resolves exactly on the next run), and commit the intent.  Intents
+   that name no action (DDL) are rolled back.  Post-op snapshot: the
+   work is already durable; just commit the intent.
 3. **Heal.**  Validate the engine-derived state against the recovered
    tables (:func:`heal_engine_state`): hash
    indexes are drained and audited bucket-for-bucket, and a pushdown
@@ -50,9 +53,8 @@ from repro.robustness.journal import (
     OpIntent,
     deserialize_bag,
     journal_path,
-    table_digests,
 )
-from repro.storage.persistence import staging_path, track_deltas
+from repro.storage.persistence import checkpoint_op, staging_path, track_deltas
 from repro.warehouse.manager import ViewManager
 from repro.warehouse.persistence import load_warehouse, save_warehouse
 
@@ -182,23 +184,33 @@ def recover(path: str | Path, *, exec_mode: str | None = None) -> RecoveryReport
     the roll-forward runs on the engine the warehouse resumes on.
 
     Idempotent: running it again (or crashing *during* recovery and
-    running it once more) converges to the same green state.
+    running it once more) converges to the same green state.  Raises
+    :class:`RecoveryError`, having changed nothing, when an intent is
+    pending over a snapshot that carries no checkpoint stamp.
     """
     path = Path(path)
     if not path.exists():
         raise RecoveryError(f"no snapshot at {path}; nothing to recover")
     with obs.span("recovery", path=str(path)) as recovery_span:
-        # A crash between staging and os.replace can leave a stray temp
-        # file (and, killed mid-write, its rollback journal); neither is
-        # part of the durable state.
-        staged = staging_path(path)
-        for stray in (staged, staged.with_name(staged.name + "-journal")):
-            if stray.exists():
-                stray.unlink()
         journal = IntentJournal(journal_path(path))
         queue = None
         try:
             pending = journal.pending()
+            if pending is not None:
+                stamp = checkpoint_op(path)
+                if stamp is None:
+                    raise RecoveryError(
+                        f"snapshot {path} carries no checkpoint stamp, so it cannot say whether "
+                        f"{pending.describe()} landed; refusing to guess (a wrong guess would "
+                        "replay an applied operation or drop a lost one)"
+                    )
+            # A crash between staging and os.replace can leave a stray temp
+            # file (and, killed mid-write, its rollback journal); neither is
+            # part of the durable state.
+            staged = staging_path(path)
+            for stray in (staged, staged.with_name(staged.name + "-journal")):
+                if stray.exists():
+                    stray.unlink()
             manager = load_warehouse(path, exec_mode=exec_mode)
             # A queue that has not seen a full write makes the roll-forward
             # checkpoint below a rewrite with ``reason="recovery"``: the
@@ -206,13 +218,11 @@ def recover(path: str | Path, *, exec_mode: str | None = None) -> RecoveryReport
             queue = track_deltas(manager.db, path)
             action = "none"
             if pending is not None:
-                recorded = pending.pre_digests
-                snapshot_is_pre_op = table_digests(manager.db) == recorded
-                if snapshot_is_pre_op:
+                if stamp != pending.op_id:
                     journaled = _journaled_action(manager, pending)
                     if journaled is not None:
                         manager.run(journaled)
-                        save_warehouse(manager, path)
+                        save_warehouse(manager, path, op_id=pending.op_id)
                         journal.commit_op(pending.op_id)
                         action = "rolled_forward"
                     else:

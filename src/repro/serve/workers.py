@@ -15,17 +15,25 @@ rolled the in-flight operation back, the action returns to the queue for
 a retry (refresh-family operations are idempotent), and the published
 snapshot — plus every pinned one — is untouched.  An action that fails
 deterministically (:class:`~repro.errors.ReproError`) was already
-dropped by the server; the worker records the error and keeps draining.
+dropped by the server; the worker keeps the last :data:`FAILURES_KEPT`
+errors and keeps draining.  Both outcomes are counted
+(``worker_crashes``, ``worker_failures``).
 """
 
 from __future__ import annotations
 
 import threading
+from collections import deque
 
+from repro import obs
 from repro.errors import ReproError
 from repro.robustness.faults import InjectedCrash
 
-__all__ = ["MaintenanceWorker", "WorkerPool"]
+__all__ = ["MaintenanceWorker", "WorkerPool", "FAILURES_KEPT"]
+
+#: How many of its most recent failures a worker keeps for inspection;
+#: the ``worker_failures`` metric counts all of them.
+FAILURES_KEPT = 64
 
 
 class MaintenanceWorker(threading.Thread):
@@ -39,8 +47,8 @@ class MaintenanceWorker(threading.Thread):
         self._stopping = threading.Event()
         #: The InjectedCrash that killed this worker, if any.
         self.crashed: InjectedCrash | None = None
-        #: Deterministic failures of dropped actions, in the order seen.
-        self.failures: list[ReproError] = []
+        #: The latest deterministic failures of dropped actions, oldest first.
+        self.failures: deque[ReproError] = deque(maxlen=FAILURES_KEPT)
         self.actions_run = 0
 
     def run(self) -> None:
@@ -51,9 +59,11 @@ class MaintenanceWorker(threading.Thread):
                 self.actions_run += len(self._server.drain_maintenance())
             except InjectedCrash as crash:
                 self.crashed = crash
+                obs.metric_inc("worker_crashes")
                 return
             except ReproError as error:
                 self.failures.append(error)
+                obs.metric_inc("worker_failures")
                 self._wake.set()  # the rest of the queue is still due
 
     def kick(self) -> None:

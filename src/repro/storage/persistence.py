@@ -28,10 +28,16 @@ stages the file in a temporary sibling in a **single SQLite
 transaction** and installs it with :func:`os.replace`; an append is one
 ``synchronous=FULL`` SQLite transaction on the file itself, which
 SQLite's write-ahead log (``<file>-wal``) makes all-or-nothing across a
-crash.  The queue owns the **one** connection appends go through: it is
-opened on the first append, kept open between checkpoints, and closed —
-the log folded back into the file — by :meth:`DeltaQueue.close` and
-around every rewrite.  Transient ``OperationalError: database is
+crash.  Either transaction also stamps the file header with the id of
+the journaled operation the checkpoint completes (``op_id``, 0 for
+none): ``PRAGMA user_version``, under an ``application_id`` that marks
+the file as stamped.  Recovery reads it back with :func:`checkpoint_op`
+to tell a pre-op snapshot from a post-op one.
+
+The queue owns the **one** connection appends go through: it is opened
+on the first append, kept open between checkpoints, and closed — the
+log folded back into the file — by :meth:`DeltaQueue.close` and around
+every rewrite.  Transient ``OperationalError: database is
 locked`` failures are absorbed by :func:`with_retry` (exponential
 backoff).
 
@@ -76,6 +82,7 @@ __all__ = [
     "StoredTable",
     "track_deltas",
     "delta_queue",
+    "checkpoint_op",
     "with_retry",
     "staging_path",
     "wal_path",
@@ -86,6 +93,9 @@ __all__ = [
 ]
 
 _CATALOG = "__catalog__"
+#: ``PRAGMA application_id`` of a file whose ``user_version`` is a
+#: checkpoint stamp ("RVMC"); a file written without one reads 0.
+_STAMPED = 0x52564D43
 _TRUE_TAG = "\x00bool:1"
 _FALSE_TAG = "\x00bool:0"
 
@@ -235,8 +245,6 @@ class StoredTable(NamedTuple):
 class Patch(NamedTuple):
     """One installed ``R := (R ∸ delete) ⊎ insert``, as a write listener saw it."""
 
-    #: The table's version stamp once the patch was installed.
-    stamp: int
     delete: Bag
     insert: Bag
     #: The pre-patch value; only ``multiplicity`` of delta rows is read
@@ -253,37 +261,28 @@ class Patch(NamedTuple):
 
 
 class DeltaQueue:
-    """Write listener that keeps the patches two consumers have yet to see.
+    """Write listener that keeps the patches the next checkpoint has yet to see.
 
     ``Database.apply`` hands every installed patch to its write
     listeners; this one only *queues* it — no hashing, no I/O, O(1) —
-    so nothing is added to a lock section.  The consumers run later,
-    outside ``apply``:
-
-    * :func:`repro.robustness.journal.table_digests` folds
-      :attr:`undigested` into the per-table digests it caches in
-      :attr:`digests`;
-    * :func:`save_database` appends :attr:`unsaved` (and rewrites the
-      tables in :attr:`replaced`) to the snapshot file at :attr:`path`.
+    so nothing is added to a lock section.  :func:`save_database`
+    consumes it later, outside ``apply``: it appends :attr:`unsaved`
+    (and rewrites the tables in :attr:`replaced`) to the snapshot file
+    at :attr:`path`.
 
     A wholesale replacement — ``set_table``, an assignment, ``restore``,
     the rollback of a failed ``apply`` — or a drop discards the table's
-    queued patches: the digest is then recomputed from the table, and
-    the checkpoint writes the table whole.
+    queued patches: the checkpoint writes the table whole.
 
     The queue also owns the snapshot file's one long-lived connection
     (:meth:`connection`): whoever called :func:`track_deltas` calls
     :meth:`close` when it is done with the file.
     """
 
-    def __init__(self, db: Database, path: Path) -> None:
-        self._db = db
+    def __init__(self, path: Path) -> None:
         #: The snapshot file the ``unsaved`` side is relative to.
         self.path = path
         self._conn: sqlite3.Connection | None = None
-        self.undigested: dict[str, list[Patch]] = {}
-        #: ``table -> (version stamp, additive digest)`` as of the last fold.
-        self.digests: dict[str, tuple[int, int]] = {}
         self.unsaved: dict[str, list[Patch]] = {}
         self.replaced: set[str] = set()
         #: What the file holds: its catalog (``None`` until this queue has
@@ -295,20 +294,12 @@ class DeltaQueue:
         self.rows_appended = 0
 
     def on_patch(self, name: str, delete: Bag, insert: Bag, before: Any, after: Any) -> None:
-        patch = Patch(self._db.version_of(name), delete, insert, before)
-        self.undigested.setdefault(name, []).append(patch)
         if name not in self.replaced:
-            self.unsaved.setdefault(name, []).append(patch)
+            self.unsaved.setdefault(name, []).append(Patch(delete, insert, before))
 
     def on_replace(self, name: str, bag: Bag) -> None:
-        self.undigested.pop(name, None)
         self.unsaved.pop(name, None)
         self.replaced.add(name)
-        # A rollback restores the old stamp along with the old value, so
-        # a digest taken at that stamp is still the table's digest.
-        entry = self.digests.get(name)
-        if entry is not None and entry[0] != self._db.version_of(name):
-            del self.digests[name]
 
     def on_drop(self, name: str) -> None:
         self.on_replace(name, Bag())
@@ -350,7 +341,7 @@ class DeltaQueue:
 
 def track_deltas(db: Database, path: str | Path) -> DeltaQueue:
     """Start queueing ``db``'s writes against the snapshot file at ``path``."""
-    queue = DeltaQueue(db, Path(path))
+    queue = DeltaQueue(Path(path))
     db.add_write_listener(queue)
     return queue
 
@@ -377,8 +368,8 @@ def _insert_rows(conn: sqlite3.Connection, name: str, arity: int, rows: Iterable
     return cursor.rowcount
 
 
-def _write_snapshot(tables: list[StoredTable], target: Path) -> int:
-    """Write ``tables`` into ``target`` as one SQLite transaction; rows written."""
+def _write_snapshot(tables: list[StoredTable], target: Path, op_id: int) -> int:
+    """Write ``tables`` into ``target`` stamped ``op_id``, as one SQLite transaction; rows written."""
     fault_point("flaky-save")
     if target.exists():
         target.unlink()
@@ -390,6 +381,8 @@ def _write_snapshot(tables: list[StoredTable], target: Path) -> int:
         # DDL, and the whole snapshot must be one all-or-nothing unit.
         conn.isolation_level = None
         conn.execute("BEGIN")
+        conn.execute(f"PRAGMA application_id = {_STAMPED}")
+        conn.execute(f"PRAGMA user_version = {int(op_id)}")
         conn.execute(f"CREATE TABLE {_CATALOG} (name TEXT PRIMARY KEY, attrs TEXT, internal INTEGER)")
         rows = 0
         for name, attrs, internal, bag in tables:
@@ -441,7 +434,9 @@ def _fold_wal(path: Path) -> None:
         )
 
 
-def _rewrite(tables: list[StoredTable], path: Path, reason: str, queue: DeltaQueue | None = None) -> int:
+def _rewrite(
+    tables: list[StoredTable], path: Path, op_id: int, reason: str, queue: DeltaQueue | None = None
+) -> int:
     """Replace the file at ``path`` with a full write of ``tables``.
 
     The staged file stays in rollback-journal mode, so it is a single
@@ -450,7 +445,7 @@ def _rewrite(tables: list[StoredTable], path: Path, reason: str, queue: DeltaQue
     """
     staged = staging_path(path)
     with obs.span("checkpoint_rewrite", reason=reason, path=str(path)):
-        rows = with_retry(lambda: _write_snapshot(tables, staged))
+        rows = with_retry(lambda: _write_snapshot(tables, staged, op_id))
         fault_point("crash-mid-checkpoint")
         if queue is not None:
             queue.close()
@@ -464,12 +459,14 @@ def _append_snapshot(
     queue: DeltaQueue,
     replaced: Iterable[StoredTable],
     catalog: Mapping[str, tuple[tuple[str, ...], bool]],
+    op_id: int,
 ) -> int:
-    """Append ``queue.unsaved`` and swap in ``replaced`` as one transaction; rows written."""
+    """Append ``queue.unsaved``, swap in ``replaced`` and stamp ``op_id``, as one transaction; rows written."""
     fault_point("flaky-save")
     conn = queue.connection()
     try:
         conn.execute("BEGIN IMMEDIATE")
+        conn.execute(f"PRAGMA user_version = {int(op_id)}")
         rows = 0
         for name, attrs, _internal, bag in replaced:
             conn.execute(f"DELETE FROM {_mangle(name)}")
@@ -491,14 +488,19 @@ def _append_snapshot(
         raise
 
 
-def save_database(db: Database, path: str | Path, *, extra: Iterable[StoredTable] = ()) -> None:
+def save_database(
+    db: Database, path: str | Path, *, extra: Iterable[StoredTable] = (), op_id: int = 0
+) -> None:
     """Atomically bring the snapshot at ``path`` to ``db``'s current state.
 
     ``extra`` tables are stored alongside ``db``'s own (the warehouse's
     view catalog travels this way, without ever entering the live
-    database).  Readers — and a recovering process — see either the
-    complete old snapshot or the complete new one, even if this process
-    dies mid-save.
+    database).  ``op_id`` is the stamp the same transaction writes into
+    the file header (:func:`checkpoint_op` reads it back): the journaled
+    operation this checkpoint completes, 0 for none.  Readers — and a
+    recovering process — see either the complete old snapshot or the
+    complete new one, stamp included, even if this process dies
+    mid-save.
 
     Without a :class:`DeltaQueue` for ``path`` the whole file is staged
     in a sibling temp file and installed with ``os.replace``
@@ -524,7 +526,7 @@ def save_database(db: Database, path: str | Path, *, extra: Iterable[StoredTable
 
     queue = delta_queue(db)
     if queue is None or queue.path != path:
-        _rewrite([stored(name) for name in catalog], path, "untracked")
+        _rewrite([stored(name) for name in catalog], path, op_id, "untracked")
         return
     replaced = [
         stored(name)
@@ -545,11 +547,11 @@ def save_database(db: Database, path: str | Path, *, extra: Iterable[StoredTable
     else:
         reason = None
     if reason is None:
-        rows = with_retry(lambda: _append_snapshot(queue, replaced, catalog))
+        rows = with_retry(lambda: _append_snapshot(queue, replaced, catalog, op_id))
         queue.rows_appended += rows
         obs.metric_inc("checkpoint_rows_appended", rows)
     else:
-        queue.rows_written = _rewrite([stored(name) for name in catalog], path, reason, queue)
+        queue.rows_written = _rewrite([stored(name) for name in catalog], path, op_id, reason, queue)
         queue.rows_appended = 0
     queue.saved_catalog = catalog
     queue.saved_extras = {name: table.bag for name, table in extras.items()}
@@ -560,6 +562,25 @@ def save_database(db: Database, path: str | Path, *, extra: Iterable[StoredTable
 # ----------------------------------------------------------------------
 # Reading
 # ----------------------------------------------------------------------
+
+
+def checkpoint_op(path: str | Path) -> int | None:
+    """The op id the snapshot at ``path`` was last saved with.
+
+    ``None`` for a file that carries no stamp (one written before saves
+    stamped their file): it cannot say which operation it completes.
+    """
+
+    def read() -> int | None:
+        conn = sqlite3.connect(path)
+        try:
+            (application_id,) = conn.execute("PRAGMA application_id").fetchone()
+            (op_id,) = conn.execute("PRAGMA user_version").fetchone()
+        finally:
+            conn.close()
+        return op_id if application_id == _STAMPED else None
+
+    return with_retry(read)
 
 
 def load_database(path: str | Path, *, exec_mode: str | None = None) -> Database:

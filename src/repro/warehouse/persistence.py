@@ -75,19 +75,24 @@ def _describe(scenario) -> dict:
     return description
 
 
-def save_warehouse(manager: ViewManager, path: str | Path) -> None:
+def save_warehouse(manager: ViewManager, path: str | Path, *, op_id: int = 0) -> None:
     """Persist the database and every registered view's definition.
 
     The view catalog is handed to :func:`save_database` as an extra
     table: it is written into the file without ever entering the live
     database (whose write listeners would otherwise see it come and go).
+    ``op_id`` — the journaled operation this save completes, 0 for none
+    — is stamped into the file in the same transaction.
     """
     viewdefs = Bag(
         (description["name"], json.dumps(description, sort_keys=True))
         for description in (_describe(manager.scenario(name)) for name in manager.views())
     )
     save_database(
-        manager.db, path, extra=[StoredTable(VIEWDEFS_TABLE, ("name", "definition"), True, viewdefs)]
+        manager.db,
+        path,
+        extra=[StoredTable(VIEWDEFS_TABLE, ("name", "definition"), True, viewdefs)],
+        op_id=op_id,
     )
 
 

@@ -1,14 +1,14 @@
-"""Static concurrency checks (RVM601, RVM602, RVM605) and the demo-stack lint."""
+"""Static concurrency checks (RVM601, RVM602) and the demo-stack lint."""
 
 import pytest
 
 from repro.analysis.concurrency_check import (
-    check_journal_coverage,
     check_protocol,
     check_scenario,
     check_stack,
     demo_stack_report,
 )
+from repro.analysis.mutations import apply_mutation
 from repro.analysis.effects import EffectSet, OpEffects, Step
 from repro.core.naming import mv_name
 from repro.core.scenarios import BaseLogScenario
@@ -87,35 +87,14 @@ class TestLockCoverage:
         assert len(check_protocol([op])) == 0
 
 
-class TestJournalCoverage:
-    def test_live_payload_seam_covers_everything(self):
-        scenario = make_scenario()
-        report = check_journal_coverage(scenario.db, scenario.maintenance_protocol())
-        assert len(report) == 0
-
-    def test_missing_digest_fires_rvm605(self):
-        scenario = make_scenario()
-        mv = scenario.view.mv_table
-        payload = frozenset(scenario.db.table_names()) - {mv}
-        report = check_journal_coverage(
-            scenario.db, scenario.maintenance_protocol(), payload_tables=payload
-        )
-        codes = {d.code for d in report}
-        assert codes == {"RVM605"}
-        assert any(mv in d.message for d in report)
-
-
 class TestStack:
     @pytest.mark.parametrize("exec_mode", ["compiled", "interpreted"])
     def test_demo_stack_is_clean(self, exec_mode):
         report = demo_stack_report(exec_mode=exec_mode)
         assert len(report) == 0, report.format()
 
-    def test_check_stack_aggregates_scenario_and_journal(self, monkeypatch):
-        import repro.robustness.durable as durable
-
+    def test_check_stack_aggregates_scenario_checks(self):
         scenario = make_scenario()
-        assert len(check_stack([scenario], db=scenario.db)) == 0
-        payload = frozenset(scenario.db.table_names()) - {scenario.view.mv_table}
-        monkeypatch.setattr(durable, "intent_payload_tables", lambda db: payload)
-        assert {d.code for d in check_stack([scenario], db=scenario.db)} == {"RVM605"}
+        assert len(check_stack([scenario])) == 0
+        with apply_mutation("dropped_lock"):
+            assert {d.code for d in check_stack([scenario])} == {"RVM601", "RVM602"}

@@ -13,7 +13,6 @@ FIXTURES = os.path.join(REPO_ROOT, "examples", "mutations")
 EXPECTED_CODES = {
     "dropped_lock": {"RVM601", "RVM602"},
     "stale_polarity": {"RVM301", "RVM601"},
-    "omitted_journal_table": {"RVM605"},
     "overlapping_view": {"RVM501"},
 }
 

@@ -111,12 +111,6 @@ class TestLocksetAlgorithm:
         sanitizer.on_write([MV])  # back under refresh, no lock
         assert [f.code for f in sanitizer.findings] == ["RVM602"]
 
-    def test_journal_payload_diff(self):
-        sanitizer = LocksetSanitizer()
-        sanitizer.check_journal_payload("refresh", {MV, "R"}, frozenset({"R"}))
-        assert [f.code for f in sanitizer.findings] == ["RVM605"]
-        assert sanitizer.findings[0].table == MV
-
     def test_report_and_reset(self):
         sanitizer = LocksetSanitizer()
         sanitizer.op_enter("refresh", "V")
@@ -137,7 +131,6 @@ class TestNullSanitizer:
         null.lock_acquired(MV)
         null.on_read([MV])
         null.on_write([MV])
-        null.check_journal_payload("refresh", {MV}, frozenset())
         null.lock_released(MV)
         null.op_exit("refresh")
 

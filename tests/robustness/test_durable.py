@@ -150,17 +150,6 @@ class TestWatermarks:
         warehouse.close()
 
 
-class TestDigestsInPayload:
-    def test_pre_digests_cover_internal_tables(self, tmp_path):
-        warehouse = make_warehouse(tmp_path / "wh.db")
-        warehouse.transaction().insert("sales", [(8, 8)]).run()
-        record = warehouse.journal.records()[-1]
-        # The combined scenario keeps MV + log + differentials; recovery
-        # classifies the snapshot by comparing *all* of them.
-        assert set(record.pre_digests) == set(warehouse.db.table_names())
-        warehouse.close()
-
-
 def test_query_returns_bag(tmp_path):
     warehouse = make_warehouse(tmp_path / "wh.db")
     assert isinstance(warehouse.query("V"), Bag)

@@ -20,6 +20,7 @@ from repro import obs
 from repro.errors import PolicyError
 from repro.robustness.faults import INJECTOR, InjectedCrash
 from repro.serve import ServeConfig, ViewServer
+from repro.serve.workers import FAILURES_KEPT
 
 from tests.serve.conftest import build_server
 
@@ -94,3 +95,47 @@ def test_worker_survives_a_poisoned_action():
         server.stop_workers()
     assert server.actions_failed == 1
     assert server.pending_maintenance() == 0
+
+
+def wait_for(condition, timeout_s=5.0) -> bool:
+    deadline = time.monotonic() + timeout_s
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.002)
+    return condition()
+
+
+def test_worker_keeps_a_bounded_tail_of_failures_and_counts_every_one():
+    server, workload = build_server(k=1, m=2)
+    poisoned = FAILURES_KEPT + 10
+    with obs.observed() as stack:
+        pool = server.start_workers(1)
+        try:
+            for _ in range(poisoned):
+                server._due.append((server.now, "V", "defragment"))
+            server.tick([workload.next_transaction(server.db)])
+            counted = lambda: stack.metrics.snapshot().get("worker_failures", {}).get("value", 0)
+            assert wait_for(lambda: counted() == poisoned), counted()
+            assert server.wait_idle(timeout_s=5.0)
+        finally:
+            server.stop_workers()
+        metrics = stack.metrics.snapshot()
+    worker = pool.workers[0]
+    assert len(worker.failures) == FAILURES_KEPT
+    assert all(isinstance(error, PolicyError) for error in worker.failures)
+    assert metrics["worker_failures"]["value"] == poisoned == server.actions_failed
+    assert "worker_crashes" not in metrics and pool.alive() == 0
+
+
+def test_a_worker_killed_by_a_crash_is_counted():
+    server, workload = build_server(k=1, m=2)
+    with obs.observed() as stack:
+        INJECTOR.arm("crash-mid-propagate", hit=1)
+        pool = server.start_workers(1)
+        try:
+            server.tick([workload.next_transaction(server.db)])
+            assert wait_for(lambda: pool.crashes())
+        finally:
+            server.stop_workers()
+        metrics = stack.metrics.snapshot()
+    assert metrics["worker_crashes"]["value"] == len(pool.crashes()) == 1
+    assert server.pending_maintenance() == 1  # the crashed action is back in the queue
