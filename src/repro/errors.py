@@ -100,15 +100,16 @@ class RecoveryError(ReproError):
 class SnapshotError(ReproError):
     """A snapshot file is in a state no checkpoint leaves it in.
 
-    Raised by :func:`repro.storage.persistence.load_database`, which
-    fails closed instead of building a database from such a file.
+    Raised by :func:`repro.storage.persistence.load_database` (and so
+    by ``recover``), which fails closed instead of building a database
+    from such a file, and by a save, which will not write into one.
     ``code`` says what is wrong — ``"negative-multiplicity"`` (a row's
     ``mult`` entries sum below zero), ``"uncatalogued-table"`` (a data
     table that ``__catalog__`` does not list) or ``"missing-table"`` (a
-    catalog row without its data table) — and ``table`` names the table.
-    A full write raises ``"live-wal"`` (``table`` is ``None``) instead
-    of renaming a new file over one whose write-ahead log another
-    connection still holds frames in.
+    catalog row without its data table), and ``table`` names the table;
+    or, with ``table`` ``None``, ``"no-catalog"`` (an empty file, or an
+    SQLite file without ``__catalog__``: no checkpoint ever committed to
+    it) or ``"not-a-database"`` (a file SQLite cannot read at all).
     """
 
     def __init__(self, code: str, table: str | None, message: str) -> None:

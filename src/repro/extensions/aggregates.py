@@ -193,22 +193,16 @@ class AggregateScenario(Scenario):
             rows.append(key + tuple(cells))
         return Bag(rows)
 
-    def _current_groups(self) -> dict[Row, list]:
-        """Decode the stored aggregate table back into group state."""
-        groups: dict[Row, list] = {}
-        key_width = len(self.view.group_by)
-        count_index = next(
-            index for index, spec in enumerate(self.view.aggregates) if spec.function == "count"
-        )
-        for row in self.db[self.view.agg_table].support:
-            key = row[:key_width]
-            cells = row[key_width:]
-            state = [cells[count_index]] + [0] * len(self.view.aggregates)
-            for index, spec in enumerate(self.view.aggregates):
-                if spec.function == "sum":
-                    state[1 + index] = cells[index]
-            groups[key] = state
-        return groups
+    def _state_of(self, row: Row) -> list:
+        """Decode one stored aggregate row back into its group's state."""
+        cells = row[len(self.view.group_by) :]
+        state = [0] * (1 + len(self.view.aggregates))
+        for index, spec in enumerate(self.view.aggregates):
+            if spec.function == "count":
+                state[0] = cells[index]
+            else:
+                state[1 + index] = cells[index]
+        return state
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -257,7 +251,9 @@ class AggregateScenario(Scenario):
         """Apply the base deltas to both the base view and the aggregates.
 
         The delta bags are captured before the base partial refresh
-        clears them; the aggregate adjustment is O(|deltas|).
+        clears them.  Only the groups they touch change: their stored
+        rows are found through a hash index on the group key and patched
+        to the adjusted ones, so the aggregate adjustment is O(|deltas|).
         """
         base_view = self.view.base
         deleted = self.db[base_view.dt_delete_table]
@@ -266,22 +262,30 @@ class AggregateScenario(Scenario):
             self.base.partial_refresh()
             if not deleted and not inserted:
                 return
-            groups = self._current_groups()
-            for bag, sign in ((deleted, -1), (inserted, +1)):
-                for row, multiplicity in bag.items():
-                    key = self._group_key(row)
-                    state = groups.setdefault(key, [0] + [0] * len(self.view.aggregates))
-                    state[0] += sign * multiplicity
-                    for index, position in enumerate(self._agg_positions):
-                        if position is not None:
-                            state[1 + index] += sign * row[position] * multiplicity
+            changes = self._aggregate_bag(inserted)
+            for key, lost in self._aggregate_bag(deleted).items():
+                kept = changes.get(key, [0] * len(lost))
+                changes[key] = [have - gone for have, gone in zip(kept, lost)]
             if self.counter is not None:
                 self.counter.record("agg_patch", len(deleted) + len(inserted))
-            for key in [key for key, state in groups.items() if state[0] == 0]:
-                del groups[key]
-            if any(state[0] < 0 for state in groups.values()):
-                raise InvariantViolation("aggregate count went negative — base deltas not weakly minimal")
-            self.db.set_table(self.view.agg_table, self._state_to_rows(groups))
+            table = self.view.agg_table
+            index = self.db.indexes.get(table, tuple(range(len(self.view.group_by))), self.db[table])
+            old: dict[Row, int] = {}
+            new: dict[Row, list] = {}
+            for key, change in changes.items():
+                if not any(change):
+                    continue
+                state = change
+                for row, count in index.lookup(key).items():
+                    old[row] = count
+                    state = [have + delta for have, delta in zip(self._state_of(row), change)]
+                if state[0] < 0:
+                    raise InvariantViolation("aggregate count went negative — base deltas not weakly minimal")
+                if state[0]:
+                    new[key] = state
+            schema = self.db.schema_of(table)
+            delete = Literal(Bag.from_counts(old), schema)
+            self.db.apply(patches={table: (delete, Literal(self._state_to_rows(new), schema))})
 
     def refresh(self) -> None:
         self.propagate()

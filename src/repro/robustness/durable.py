@@ -5,14 +5,14 @@ bound to a snapshot file and makes every state-changing operation follow
 the write-ahead protocol::
 
     intent journaled (fsync)  →  op runs in memory  →
-    atomic checkpoint (the op's deltas appended in one SQLite
-    transaction, or temp file + os.replace; either way stamped with
-    the intent's op id)  →  intent committed
+    atomic checkpoint (one SQLite transaction on the snapshot file,
+    stamped with the intent's op id)  →  intent committed
 
 The per-operation durability cost tracks the *delta*, not the base: a
 :class:`~repro.storage.persistence.DeltaQueue` registered on the
 database queues every installed patch, and the checkpoint appends it to
-the snapshot file.
+the snapshot file — DDL, the first checkpoint after a reopen and the
+occasional in-place compaction included.
 Each of the two files has one owner holding one open connection for the
 warehouse's life (the journal its own, the queue the snapshot's), both
 in ``journal_mode=WAL`` with ``synchronous=FULL``; :meth:`DurableWarehouse.close`
@@ -53,7 +53,7 @@ from repro.core.views import ViewDefinition
 from repro.errors import RecoveryError, ReproError
 from repro.robustness.faults import fault_point
 from repro.robustness.journal import IntentJournal, journal_path, serialize_bag
-from repro.storage.persistence import track_deltas
+from repro.storage.persistence import holds_snapshot, track_deltas
 from repro.warehouse.manager import ManagedTransaction, ViewManager
 from repro.warehouse.persistence import load_warehouse, save_warehouse
 
@@ -81,7 +81,7 @@ class DurableWarehouse:
     ) -> None:
         self.path = Path(path)
         if _manager is None:
-            if self.path.exists():
+            if holds_snapshot(self.path):
                 raise RecoveryError(
                     f"snapshot {self.path} already exists; use DurableWarehouse.open() to resume it"
                 )
@@ -99,9 +99,10 @@ class DurableWarehouse:
                 f"journal has a pending intent ({pending.describe()}); "
                 f"run `python -m repro recover {self.path}` (or recovery.recover) first"
             )
-        if not _skip_baseline and not self.path.exists():
+        if not _skip_baseline and not holds_snapshot(self.path):
             # Establish a baseline snapshot so recovery always has a
-            # well-defined pre-state, even for a crash in the first op.
+            # well-defined pre-state, even for a crash in the first op
+            # (or start afresh a file whose baseline died before COMMIT).
             self.checkpoint()
 
     @classmethod

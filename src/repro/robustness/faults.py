@@ -30,8 +30,7 @@ crash-mid-apply         ``Database.apply`` commit phase, between table installs
 crash-mid-execute       ``ViewManager.execute``, after planning, before applying
 crash-mid-refresh       inside a refresh critical section, before the plan runs
 crash-mid-propagate     ``propagate_C``, before the propagation plan runs
-crash-mid-checkpoint    ``save_database``: in the append transaction before ``COMMIT``,
-                        or temp file written, before ``os.replace``
+crash-mid-checkpoint    ``save_database``: inside the checkpoint transaction, before ``COMMIT``
 crash-after-checkpoint  durable op, checkpoint durable, before the journal commit
 crash-after-commit      durable op, journal committed, before returning
 crash-mid-delta-cache   ``EpochDeltaCache.store``, before the entry installs

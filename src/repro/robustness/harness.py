@@ -23,11 +23,10 @@ invariant green; :meth:`RetailCrashHarness.run` asserts neither and
 returns both so tests can.
 
 An :class:`InjectedCrash` abandons Python objects; it never leaves the
-files as a dead process does (a ``-wal`` with frames in it, a half
-written staging file).  :meth:`RetailCrashHarness.resume` is the other
-half of that test: the body of a child process that a parent kills
-with ``SIGKILL`` at arbitrary instants and restarts
-(``tests/robustness/test_real_kill.py``).
+files as a dead process does (a ``-wal`` with frames in it).
+:meth:`RetailCrashHarness.resume` is the other half of that test: the
+body of a child process that a parent kills with ``SIGKILL`` at
+arbitrary instants and restarts (``tests/robustness/test_real_kill.py``).
 """
 
 from __future__ import annotations
@@ -43,6 +42,7 @@ from repro.robustness.durable import DurableWarehouse
 from repro.robustness.faults import CRASH_POINTS, INJECTOR, InjectedCrash
 from repro.robustness.journal import journal_path
 from repro.robustness.recovery import RecoveryReport, recover
+from repro.storage.persistence import holds_snapshot
 from repro.workloads.retail import VIEW_SQL, RetailConfig, RetailWorkload
 
 __all__ = ["CrashEvent", "HarnessResult", "RetailCrashHarness", "random_schedule"]
@@ -183,7 +183,7 @@ class RetailCrashHarness:
         # The snapshot stores no engine choice, so the harness passes its
         # exec_mode to every recovery and reopen — a sqlite chaos run stays
         # on sqlite across every simulated process death.
-        if self.path.exists():
+        if holds_snapshot(self.path):
             return DurableWarehouse.open(self.path, auto_recover=False, exec_mode=self.exec_mode)
         return DurableWarehouse(self.path, exec_mode=self.exec_mode)
 
@@ -197,7 +197,7 @@ class RetailCrashHarness:
         step whatever prefix the files already hold — and a process
         killed anywhere in here is resumed the same way.
         """
-        if self.path.exists():
+        if holds_snapshot(self.path):
             recover(self.path, exec_mode=self.exec_mode)
         warehouse = self._attach()
         try:
@@ -234,7 +234,7 @@ class RetailCrashHarness:
         whole run (independently of, and composable with, the crash
         schedule); the storm must stay invisible to the workload.
         """
-        for stale in (self.path, journal_path(self.path), self.path.with_name(self.path.name + ".saving")):
+        for stale in (self.path, journal_path(self.path)):
             if stale.exists():
                 stale.unlink()
         INJECTOR.reset()
@@ -256,7 +256,7 @@ class RetailCrashHarness:
                     warehouse = self._attach()
                 except InjectedCrash:
                     result.crashes += 1
-                    if self.path.exists():
+                    if holds_snapshot(self.path):
                         self._recover_until_done(result)
                     continue
             kind, arg = ops[index]

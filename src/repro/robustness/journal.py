@@ -1,11 +1,10 @@
 """The write-ahead intent journal.
 
 Crash safety for a deferred-maintenance warehouse rests on two pieces:
-an **atomic checkpoint** (``save_database`` either appends the
-operation's deltas to the snapshot file in one SQLite transaction or
-stages a full rewrite and ``os.replace``\\ s it, so the snapshot on disk
-is always entirely pre-op or entirely post-op, and stamped with the id
-of the intent it completes) and this **intent journal**, an fsync'd
+an **atomic checkpoint** (``save_database`` writes the operation's
+deltas to the snapshot file in one SQLite transaction, so the snapshot
+on disk is always entirely pre-op or entirely post-op, and stamped with
+the id of the intent it completes) and this **intent journal**, an fsync'd
 SQLite file sitting next to the snapshot that records what operation
 was *about* to run before any state mutates.
 

@@ -7,13 +7,13 @@ restart every scenario's invariant — ``INV_IM``, ``INV_BL``,
 
 1. **Classify.**  Load the journal; if an intent is pending, read the
    op id the snapshot was stamped with
-   (:func:`~repro.storage.persistence.checkpoint_op`).  Checkpoints are
-   atomic (one SQLite transaction appending the operation's deltas, or
-   temp file + ``os.replace``) and the stamp commits with them, so the
-   snapshot is the completed post-op state exactly when its stamp is
-   the pending intent's id, and otherwise exactly the pre-op state — a
-   torn intermediate is impossible by construction.  A snapshot with no
-   stamp at all cannot answer, and recovery refuses to guess.
+   (:func:`~repro.storage.persistence.checkpoint_op`).  A checkpoint is
+   one SQLite transaction on the snapshot file and the stamp commits
+   with it, so the snapshot is the completed post-op state exactly when
+   its stamp is the pending intent's id, and otherwise exactly the
+   pre-op state — a torn intermediate is impossible by construction.
+   A snapshot with no stamp at all cannot answer, and recovery refuses
+   to guess.
 2. **Resolve.**  Pre-op snapshot: rebuild the journaled
    :class:`~repro.core.ops.MaintenanceAction` from the intent and hand
    it to the same :meth:`~repro.warehouse.manager.ViewManager.run` seam
@@ -54,7 +54,7 @@ from repro.robustness.journal import (
     deserialize_bag,
     journal_path,
 )
-from repro.storage.persistence import checkpoint_op, staging_path, track_deltas
+from repro.storage.persistence import checkpoint_op, track_deltas
 from repro.warehouse.manager import ViewManager
 from repro.warehouse.persistence import load_warehouse, save_warehouse
 
@@ -204,17 +204,9 @@ def recover(path: str | Path, *, exec_mode: str | None = None) -> RecoveryReport
                         f"{pending.describe()} landed; refusing to guess (a wrong guess would "
                         "replay an applied operation or drop a lost one)"
                     )
-            # A crash between staging and os.replace can leave a stray temp
-            # file (and, killed mid-write, its rollback journal); neither is
-            # part of the durable state.
-            staged = staging_path(path)
-            for stray in (staged, staged.with_name(staged.name + "-journal")):
-                if stray.exists():
-                    stray.unlink()
             manager = load_warehouse(path, exec_mode=exec_mode)
-            # A queue that has not seen a full write makes the roll-forward
-            # checkpoint below a rewrite with ``reason="recovery"``: the
-            # file leaves recovery consolidated, whatever was appended to it.
+            # The roll-forward checkpoint below appends what the replay
+            # queued, like any other checkpoint.
             queue = track_deltas(manager.db, path)
             action = "none"
             if pending is not None:

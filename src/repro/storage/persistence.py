@@ -7,39 +7,37 @@ multiplicity-encoded contents) into a single SQLite file and restores it
 bit-for-bit, so maintenance can resume after a restart.
 
 The file is a **differential** one, in the paper's sense of the
-``∇MV``/``△MV`` tables: a data table holds the rows of the last full
-write with positive ``mult`` plus, for every patch checkpointed since,
+``∇MV``/``△MV`` tables: a data table holds the rows it was last written
+whole with, positive ``mult``, plus, for every patch checkpointed since,
 its (clamped) delete rows with *negative* ``mult`` and its insert rows
 with positive ``mult``.  A table's contents are the per-row sums, so a
 saved file is read with::
 
     SELECT c0, …, SUM(mult) FROM "t" GROUP BY c0, … HAVING SUM(mult) > 0
 
-A :class:`Database` that carries a :class:`DeltaQueue` for the file
-(:func:`track_deltas`; :class:`~repro.robustness.DurableWarehouse`
-registers one) is saved by *appending* what the queue holds — a cost
-that tracks the delta, not the base.  Everything else, and a tracked
-save whenever the catalog changed or the rows appended since the last
-full write would exceed the rows written then, rewrites the whole file.
+Every save is **one transaction** on the file, as the paper brings
+``MV`` up to date by applying its deltas in one short transaction rather
+than by recomputing it and swapping it in: :func:`save_database` creates
+and drops tables to match the catalog, writes created and replaced
+tables whole (``DELETE`` + insert), and appends the patches a
+:class:`DeltaQueue` queued for the rest (:func:`track_deltas`;
+:class:`~repro.robustness.DurableWarehouse` registers one), so a save
+pays for the delta, not the base.  Once the rows appended would exceed
+the rows last written whole, the same transaction compacts every table
+in place.  The transaction is ``synchronous=FULL`` on the file's
+write-ahead log, so the snapshot on disk is always exactly the old
+state or exactly the new one, and it stamps the header with the id of
+the journaled operation it completes (``op_id``, 0 for none: ``PRAGMA
+user_version`` under a marking ``application_id``), which recovery
+reads back with :func:`checkpoint_op` to tell a pre-op snapshot from a
+post-op one (see :mod:`repro.robustness`).
 
-Crash safety (see :mod:`repro.robustness`): either way the snapshot on
-disk is always exactly the old state or exactly the new one.  A rewrite
-stages the file in a temporary sibling in a **single SQLite
-transaction** and installs it with :func:`os.replace`; an append is one
-``synchronous=FULL`` SQLite transaction on the file itself, which
-SQLite's write-ahead log (``<file>-wal``) makes all-or-nothing across a
-crash.  Either transaction also stamps the file header with the id of
-the journaled operation the checkpoint completes (``op_id``, 0 for
-none): ``PRAGMA user_version``, under an ``application_id`` that marks
-the file as stamped.  Recovery reads it back with :func:`checkpoint_op`
-to tell a pre-op snapshot from a post-op one.
-
-The queue owns the **one** connection appends go through: it is opened
-on the first append, kept open between checkpoints, and closed — the
-log folded back into the file — by :meth:`DeltaQueue.close` and around
-every rewrite.  Transient ``OperationalError: database is
-locked`` failures are absorbed by :func:`with_retry` (exponential
-backoff).
+The queue owns the file's **one** connection: opened on the first save
+(which reads the file's catalog and row count), kept open between
+checkpoints, and closed — the log folded back into the file — by
+:meth:`DeltaQueue.close`; a save without a queue opens and closes its
+own.  Transient ``database is locked`` failures are absorbed by
+:func:`with_retry` (exponential backoff).
 
 File layout:
 
@@ -58,11 +56,11 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 import random
 import sqlite3
 import time
 from collections.abc import Iterable, Iterator, Mapping
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, TypeVar
@@ -83,9 +81,8 @@ __all__ = [
     "track_deltas",
     "delta_queue",
     "checkpoint_op",
+    "holds_snapshot",
     "with_retry",
-    "staging_path",
-    "wal_path",
     "fold_and_close",
     "RetryPolicy",
     "RETRY_POLICY",
@@ -200,12 +197,6 @@ def with_retry(
     return policy.run(action, sleep=sleep)
 
 
-def staging_path(path: str | Path) -> Path:
-    """The temporary file a snapshot is staged in before ``os.replace``."""
-    path = Path(path)
-    return path.with_name(path.name + ".saving")
-
-
 def _mangle(name: str) -> str:
     return '"' + name.replace('"', '""') + '"'
 
@@ -285,9 +276,9 @@ class DeltaQueue:
         self._conn: sqlite3.Connection | None = None
         self.unsaved: dict[str, list[Patch]] = {}
         self.replaced: set[str] = set()
-        #: What the file holds: its catalog (``None`` until this queue has
-        #: seen a full write: a new file, or one just reopened), the extra
-        #: tables last written, and the row counts behind the rewrite rule.
+        #: What the file holds: its catalog (``None`` until the first
+        #: connection reads it off the file), the extra tables last
+        #: written, and the row counts behind the compaction rule.
         self.saved_catalog: dict[str, tuple[tuple[str, ...], bool]] | None = None
         self.saved_extras: dict[str, Bag] = {}
         self.rows_written = 0
@@ -307,6 +298,10 @@ class DeltaQueue:
     def connection(self) -> sqlite3.Connection:
         """The open WAL connection to :attr:`path`, opened on first use.
 
+        The first one also reads the file's catalog (empty for a file
+        with no tables) and its row count, which counts as written
+        whole: the first checkpoint after a reopen appends.
+
         Explicit transaction control (``isolation_level=None``): the
         sqlite3 module's implicit transactions differ across Python
         versions.  ``check_same_thread=False`` because the checkpoint
@@ -317,8 +312,15 @@ class DeltaQueue:
         if self._conn is None:
             conn = sqlite3.connect(self.path, isolation_level=None, check_same_thread=False)
             try:
-                conn.execute("PRAGMA journal_mode=WAL")
-                conn.execute("PRAGMA synchronous=FULL")
+                with _fail_closed(self.path):
+                    if self.saved_catalog is None:
+                        catalog = _read_catalog(conn, self.path) or {}
+                        self.rows_written = sum(
+                            conn.execute(f"SELECT COUNT(*) FROM {_mangle(name)}").fetchone()[0] for name in catalog
+                        )
+                        self.saved_catalog = catalog
+                    conn.execute("PRAGMA journal_mode=WAL")
+                    conn.execute("PRAGMA synchronous=FULL")
             except BaseException:
                 conn.close()
                 raise
@@ -329,10 +331,9 @@ class DeltaQueue:
     def close(self) -> None:
         """Fold the write-ahead log into the file and close the connection.
 
-        Afterwards the snapshot is one self-contained file — safe to
-        copy, and safe to ``os.replace``.  Idempotent.  A failed append
-        closes mid-transaction: closing rolls the transaction back, as
-        the death of the process would.
+        Afterwards the snapshot is one self-contained file, safe to copy.
+        Idempotent.  A failed checkpoint closes mid-transaction: closing
+        rolls the transaction back, as the death of the process would.
         """
         conn, self._conn = self._conn, None
         if conn is not None:
@@ -368,42 +369,6 @@ def _insert_rows(conn: sqlite3.Connection, name: str, arity: int, rows: Iterable
     return cursor.rowcount
 
 
-def _write_snapshot(tables: list[StoredTable], target: Path, op_id: int) -> int:
-    """Write ``tables`` into ``target`` stamped ``op_id``, as one SQLite transaction; rows written."""
-    fault_point("flaky-save")
-    if target.exists():
-        target.unlink()
-    conn = sqlite3.connect(target)
-    try:
-        conn.execute("PRAGMA synchronous=FULL")
-        # Explicit transaction control: the sqlite3 module's implicit
-        # transaction handling differs across Python versions around
-        # DDL, and the whole snapshot must be one all-or-nothing unit.
-        conn.isolation_level = None
-        conn.execute("BEGIN")
-        conn.execute(f"PRAGMA application_id = {_STAMPED}")
-        conn.execute(f"PRAGMA user_version = {int(op_id)}")
-        conn.execute(f"CREATE TABLE {_CATALOG} (name TEXT PRIMARY KEY, attrs TEXT, internal INTEGER)")
-        rows = 0
-        for name, attrs, internal, bag in tables:
-            conn.execute(
-                f"INSERT INTO {_CATALOG} VALUES (?, ?, ?)", (name, json.dumps(list(attrs)), int(internal))
-            )
-            columns = "".join(f"c{index}, " for index in range(len(attrs)))
-            conn.execute(f"CREATE TABLE {_mangle(name)} ({columns}mult INTEGER)")
-            rows += _insert_rows(conn, name, len(attrs), bag.items())
-        conn.execute("COMMIT")
-        return rows
-    finally:
-        conn.close()
-
-
-def wal_path(path: str | Path) -> Path:
-    """The write-ahead log SQLite keeps next to a file it has open in WAL mode."""
-    path = Path(path)
-    return path.with_name(path.name + "-wal")
-
-
 def fold_and_close(conn: sqlite3.Connection) -> None:
     """Fold ``conn``'s write-ahead log into its file, then close it.
 
@@ -416,82 +381,87 @@ def fold_and_close(conn: sqlite3.Connection) -> None:
         conn.close()
 
 
-def _fold_wal(path: Path) -> None:
-    """Leave ``path`` with no frames in its write-ahead log, or raise.
+def _checkpoint(
+    queue: DeltaQueue, tables: dict[str, StoredTable], extras: Mapping[str, StoredTable], op_id: int
+) -> None:
+    """Bring the file at ``queue.path`` to ``tables``, stamped ``op_id``, in one transaction.
 
-    Renaming a new file over ``path`` while ``<path>-wal`` still holds
-    frames would replay the *old* file's pages into the new one on the
-    next open.  A killed process leaves such a log; so does a connection
-    that is still reading.
+    Tables the file lacks, or holds under another schema, are created;
+    tables it holds that ``tables`` lacks are dropped.  Created tables,
+    the queue's replaced ones and changed ``extras`` are written whole;
+    the others get the patches the queue holds appended — unless the
+    compaction rule fires, and every table is written whole in place.
+    The queue's bookkeeping moves only once the transaction committed.
     """
-    wal = wal_path(path)
-    if not wal.exists() or not wal.stat().st_size:
-        return
-    fold_and_close(sqlite3.connect(path))
-    if wal.exists() and wal.stat().st_size:
-        raise SnapshotError(
-            "live-wal", None, f"{wal} is held by another connection; refusing to replace {path}"
-        )
-
-
-def _rewrite(
-    tables: list[StoredTable], path: Path, op_id: int, reason: str, queue: DeltaQueue | None = None
-) -> int:
-    """Replace the file at ``path`` with a full write of ``tables``.
-
-    The staged file stays in rollback-journal mode, so it is a single
-    file when it is renamed — no ``-wal`` sibling to orphan; ``queue``'s
-    connection is closed first and reopens on the next append.
-    """
-    staged = staging_path(path)
-    with obs.span("checkpoint_rewrite", reason=reason, path=str(path)):
-        rows = with_retry(lambda: _write_snapshot(tables, staged, op_id))
-        fault_point("crash-mid-checkpoint")
-        if queue is not None:
-            queue.close()
-        _fold_wal(path)
-        os.replace(staged, path)
-    obs.metric_inc(f'checkpoint_rewrites{{reason="{reason}"}}')
-    return rows
-
-
-def _append_snapshot(
-    queue: DeltaQueue,
-    replaced: Iterable[StoredTable],
-    catalog: Mapping[str, tuple[tuple[str, ...], bool]],
-    op_id: int,
-) -> int:
-    """Append ``queue.unsaved``, swap in ``replaced`` and stamp ``op_id``, as one transaction; rows written."""
     fault_point("flaky-save")
     conn = queue.connection()
+    saved = queue.saved_catalog
+    schemas = {name: (table.attrs, table.internal) for name, table in tables.items()}
+    created = [name for name in tables if saved.get(name) != schemas[name]]
+    whole = set(created) | {name for name in queue.replaced if name in tables}
+    whole.update(name for name, table in extras.items() if queue.saved_extras.get(name) != table.bag)
+    appended = {name: queued for name, queued in queue.unsaved.items() if name not in whole}
+    pending = sum(tables[name].bag.distinct_count() for name in whole) + sum(
+        patch.delete.distinct_count() + patch.insert.distinct_count()
+        for queued in appended.values()
+        for patch in queued
+    )
+    compact = len(whole) < len(tables) and queue.rows_appended + pending > queue.rows_written
+    if compact:
+        whole, appended = set(tables), {}
     try:
         conn.execute("BEGIN IMMEDIATE")
+        conn.execute(f"PRAGMA application_id = {_STAMPED}")
         conn.execute(f"PRAGMA user_version = {int(op_id)}")
+        if not saved:
+            conn.execute(f"CREATE TABLE IF NOT EXISTS {_CATALOG} (name TEXT PRIMARY KEY, attrs TEXT, internal INTEGER)")
+        for name in saved:
+            if schemas.get(name) != saved[name]:
+                conn.execute(f"DROP TABLE {_mangle(name)}")
+                conn.execute(f"DELETE FROM {_CATALOG} WHERE name = ?", (name,))
+        for name in created:
+            attrs, internal = schemas[name]
+            conn.execute(f"INSERT INTO {_CATALOG} VALUES (?, ?, ?)", (name, json.dumps(list(attrs)), int(internal)))
+            columns = "".join(f"c{index}, " for index in range(len(attrs)))
+            conn.execute(f"CREATE TABLE {_mangle(name)} ({columns}mult INTEGER)")
         rows = 0
-        for name, attrs, _internal, bag in replaced:
-            conn.execute(f"DELETE FROM {_mangle(name)}")
-            rows += _insert_rows(conn, name, len(attrs), bag.items())
-        for name, queued in queue.unsaved.items():
+        with obs.span("checkpoint_rewrite", reason="ratio", path=str(queue.path)) if compact else nullcontext():
+            for name, attrs, _internal, bag in tables.values():
+                if name in whole:
+                    if name not in created:
+                        conn.execute(f"DELETE FROM {_mangle(name)}")
+                    rows += _insert_rows(conn, name, len(attrs), bag.items())
+        for name, queued in appended.items():
             for patch in queued:
                 signed = itertools.chain(
                     ((row, -count) for row, count in patch.removed()), patch.insert.items()
                 )
-                rows += _insert_rows(conn, name, len(catalog[name][0]), signed)
+                rows += _insert_rows(conn, name, len(schemas[name][0]), signed)
         fault_point("crash-mid-checkpoint")
         conn.execute("COMMIT")
-        return rows
     except BaseException:
         # Never keep a connection that may be inside ``BEGIN``: a crash or
         # an error above leaves the file exactly as it was, and the next
         # attempt starts on a fresh connection.
         queue.close()
         raise
+    if len(whole) == len(tables):
+        queue.rows_written, queue.rows_appended = rows, 0
+    else:
+        queue.rows_appended += rows
+        obs.metric_inc("checkpoint_rows_appended", rows)
+    if compact:
+        obs.metric_inc('checkpoint_rewrites{reason="ratio"}')
+    queue.saved_catalog = schemas
+    queue.saved_extras = {name: table.bag for name, table in extras.items()}
+    queue.unsaved.clear()
+    queue.replaced.clear()
 
 
 def save_database(
     db: Database, path: str | Path, *, extra: Iterable[StoredTable] = (), op_id: int = 0
 ) -> None:
-    """Atomically bring the snapshot at ``path`` to ``db``'s current state.
+    """Bring the snapshot at ``path`` to ``db``'s current state in one transaction.
 
     ``extra`` tables are stored alongside ``db``'s own (the warehouse's
     view catalog travels this way, without ever entering the live
@@ -502,66 +472,106 @@ def save_database(
     complete new one, stamp included, even if this process dies
     mid-save.
 
-    Without a :class:`DeltaQueue` for ``path`` the whole file is staged
-    in a sibling temp file and installed with ``os.replace``
-    (``untracked``).  With one, only what the queue holds is appended,
-    in place and through the queue's open connection, unless the
-    catalog changed or the file is new (``ddl``),
-    the rows appended since the last full write would exceed the rows
-    written then (``ratio``), or this queue has not seen a full write of
-    the file it resumed yet (``recovery``); the ``checkpoint_rewrite``
-    span carries that reason.
+    With a :class:`DeltaQueue` for ``path`` the save runs on the queue's
+    connection and writes what the queue holds.  Without one it opens a
+    connection of its own, writes every table whole (dropping the tables
+    the file has and ``db`` lacks), and folds and closes it again.  When
+    the rows appended since the file was last written whole would exceed
+    the rows written then, the transaction compacts every table in place
+    (a ``checkpoint_rewrite`` span, ``reason="ratio"``).
     """
     path = Path(path)
-    extras = {table.name: table for table in extra}
-    catalog = {
-        name: (tuple(db.schema_of(name).attributes), db.is_internal(name))
+    tables = {
+        name: StoredTable(name, tuple(db.schema_of(name).attributes), db.is_internal(name), db[name])
         for name in db.table_names()
-        if name not in extras
     }
-    catalog.update((name, (table.attrs, table.internal)) for name, table in extras.items())
-
-    def stored(name: str) -> StoredTable:
-        return extras[name] if name in extras else StoredTable(name, *catalog[name], db[name])
-
+    extras = {table.name: table for table in extra}
+    tables.update(extras)
     queue = delta_queue(db)
-    if queue is None or queue.path != path:
-        _rewrite([stored(name) for name in catalog], path, op_id, "untracked")
+    if queue is not None and queue.path == path:
+        with_retry(lambda: _checkpoint(queue, tables, extras, op_id))
         return
-    replaced = [
-        stored(name)
-        for name in catalog
-        if name in queue.replaced or (name in extras and queue.saved_extras.get(name) != extras[name].bag)
-    ]
-    pending = sum(table.bag.distinct_count() for table in replaced) + sum(
-        patch.delete.distinct_count() + patch.insert.distinct_count()
-        for queued in queue.unsaved.values()
-        for patch in queued
-    )
-    if queue.saved_catalog is None:
-        reason = "recovery" if path.exists() else "ddl"
-    elif queue.saved_catalog != catalog:
-        reason = "ddl"
-    elif queue.rows_appended + pending > queue.rows_written:
-        reason = "ratio"
-    else:
-        reason = None
-    if reason is None:
-        rows = with_retry(lambda: _append_snapshot(queue, replaced, catalog, op_id))
-        queue.rows_appended += rows
-        obs.metric_inc("checkpoint_rows_appended", rows)
-    else:
-        queue.rows_written = _rewrite([stored(name) for name in catalog], path, op_id, reason, queue)
-        queue.rows_appended = 0
-    queue.saved_catalog = catalog
-    queue.saved_extras = {name: table.bag for name, table in extras.items()}
-    queue.unsaved.clear()
-    queue.replaced.clear()
+    queue = DeltaQueue(path)
+    queue.replaced.update(tables)
+    try:
+        with_retry(lambda: _checkpoint(queue, tables, extras, op_id))
+    finally:
+        queue.close()
 
 
 # ----------------------------------------------------------------------
 # Reading
 # ----------------------------------------------------------------------
+
+
+@contextmanager
+def _fail_closed(path: Path) -> Iterator[None]:
+    """Turn SQLite's refusal to read ``path`` at all into ``SnapshotError`` ``not-a-database``."""
+    try:
+        yield
+    except sqlite3.DatabaseError as exc:
+        if type(exc) is not sqlite3.DatabaseError:  # locked, busy, a bad statement: not the file
+            raise
+        raise SnapshotError("not-a-database", None, f"{path}: {exc}") from exc
+
+
+def _read_catalog(conn: sqlite3.Connection, path: Path) -> dict[str, tuple[tuple[str, ...], bool]] | None:
+    """The catalog of the snapshot ``conn`` is open on; ``None`` for a file with no tables.
+
+    A file with no tables is what SQLite makes of a new path, and what a
+    first checkpoint that died before ``COMMIT`` leaves behind.  Any
+    other file fails closed (:class:`SnapshotError`) unless a checkpoint
+    could have written it: tables but no ``__catalog__``
+    (``no-catalog``), a data table the catalog does not list
+    (``uncatalogued-table``), or a catalog row without its data table
+    (``missing-table``).
+    """
+    present = {
+        name
+        for (name,) in conn.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table' AND name NOT LIKE 'sqlite_%'"
+        )
+    }
+    if not present:
+        return None
+    if _CATALOG not in present:
+        raise SnapshotError("no-catalog", None, f"{path} has tables but no {_CATALOG}")
+    catalog = {
+        name: (tuple(json.loads(attrs)), bool(internal))
+        for name, attrs, internal in conn.execute(f"SELECT name, attrs, internal FROM {_CATALOG} ORDER BY name")
+    }
+    for name in sorted(present - {_CATALOG} - catalog.keys()):
+        raise SnapshotError("uncatalogued-table", name, f"not listed in {_CATALOG}")
+    for name in catalog:
+        if name not in present:
+            raise SnapshotError("missing-table", name, f"listed in {_CATALOG} but not in the file")
+    return catalog
+
+
+def _read(path: Path, read: Callable[[sqlite3.Connection], _T]) -> _T:
+    """``read`` on a connection of its own to ``path``, retried and failing closed."""
+
+    def attempt() -> _T:
+        conn = sqlite3.connect(path)
+        try:
+            with _fail_closed(path):
+                return read(conn)
+        finally:
+            conn.close()
+
+    return with_retry(attempt)
+
+
+def holds_snapshot(path: str | Path) -> bool:
+    """Whether a checkpoint has ever committed to the file at ``path``.
+
+    False for no file, and for an SQLite file with no tables — a new
+    one, or one whose first checkpoint died before ``COMMIT``: a save
+    starts either afresh.  Raises :class:`SnapshotError` for a file no
+    checkpoint could have written.
+    """
+    path = Path(path)
+    return path.exists() and _read(path, lambda conn: _read_catalog(conn, path) is not None)
 
 
 def checkpoint_op(path: str | Path) -> int | None:
@@ -571,16 +581,12 @@ def checkpoint_op(path: str | Path) -> int | None:
     stamped their file): it cannot say which operation it completes.
     """
 
-    def read() -> int | None:
-        conn = sqlite3.connect(path)
-        try:
-            (application_id,) = conn.execute("PRAGMA application_id").fetchone()
-            (op_id,) = conn.execute("PRAGMA user_version").fetchone()
-        finally:
-            conn.close()
+    def read(conn: sqlite3.Connection) -> int | None:
+        (application_id,) = conn.execute("PRAGMA application_id").fetchone()
+        (op_id,) = conn.execute("PRAGMA user_version").fetchone()
         return op_id if application_id == _STAMPED else None
 
-    return with_retry(read)
+    return _read(Path(path), read)
 
 
 def load_database(path: str | Path, *, exec_mode: str | None = None) -> Database:
@@ -588,9 +594,10 @@ def load_database(path: str | Path, *, exec_mode: str | None = None) -> Database
 
     A table's contents are the per-row sums of ``mult``; rows that net
     to zero are gone.  The loader fails closed (:class:`SnapshotError`)
-    on a file no checkpoint could have written: a negative net
-    multiplicity, a data table the catalog does not list, or a catalog
-    row without its data table.
+    on a file no checkpoint could have written: one SQLite cannot read
+    (``not-a-database``), one without a catalog — an empty file among
+    them (``no-catalog``) — a negative net multiplicity, a data table
+    the catalog does not list, or a catalog row without its data table.
 
     ``exec_mode`` selects the execution engine of the reconstructed
     database (the snapshot file stores no engine choice — it is a
@@ -600,41 +607,26 @@ def load_database(path: str | Path, *, exec_mode: str | None = None) -> Database
     if not path.exists():
         raise ReproError(f"no database file at {path}")
 
-    def read() -> Database:
-        conn = sqlite3.connect(path)
-        try:
-            db = Database(exec_mode=exec_mode)
-            catalog = conn.execute(
-                f"SELECT name, attrs, internal FROM {_CATALOG} ORDER BY name"
-            ).fetchall()
-            present = {
-                name
-                for (name,) in conn.execute(
-                    "SELECT name FROM sqlite_master WHERE type = 'table' AND name NOT LIKE 'sqlite_%'"
-                )
-            }
-            for name in sorted(present - {_CATALOG} - {name for name, _, _ in catalog}):
-                raise SnapshotError("uncatalogued-table", name, f"not listed in {_CATALOG}")
-            for name, attrs_json, internal in catalog:
-                if name not in present:
-                    raise SnapshotError("missing-table", name, f"listed in {_CATALOG} but not in the file")
-                schema = Schema(json.loads(attrs_json))
-                counts: dict[Row, int] = {}
-                for *values, mult in conn.execute(f"SELECT * FROM {_mangle(name)}"):
-                    row = tuple(_decode(value) for value in values)
-                    counts[row] = counts.get(row, 0) + int(mult)
-                for row, count in counts.items():
-                    if count < 0:
-                        raise SnapshotError(
-                            "negative-multiplicity", name, f"row {row!r} nets to multiplicity {count}"
-                        )
-                db.create_table(name, schema, internal=bool(internal))
-                db.set_table(name, Bag.from_counts(counts))
-            return db
-        finally:
-            conn.close()
+    def read(conn: sqlite3.Connection) -> Database:
+        catalog = _read_catalog(conn, path)
+        if catalog is None:
+            raise SnapshotError("no-catalog", None, f"{path} holds no tables: no checkpoint committed to it")
+        db = Database(exec_mode=exec_mode)
+        for name, (attrs, internal) in catalog.items():
+            counts: dict[Row, int] = {}
+            for *values, mult in conn.execute(f"SELECT * FROM {_mangle(name)}"):
+                row = tuple(_decode(value) for value in values)
+                counts[row] = counts.get(row, 0) + int(mult)
+            for row, count in counts.items():
+                if count < 0:
+                    raise SnapshotError(
+                        "negative-multiplicity", name, f"row {row!r} nets to multiplicity {count}"
+                    )
+            db.create_table(name, Schema(attrs), internal=internal)
+            db.set_table(name, Bag.from_counts(counts))
+        return db
 
-    db = with_retry(read)
+    db = _read(path, read)
     # Stamp the provenance so install-time lint (RVM401) can warn when
     # views are defined on persistent state without journaling.
     db.durable_origin = path

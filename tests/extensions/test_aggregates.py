@@ -165,6 +165,30 @@ class TestMaintenance:
         assert large <= small * 2
 
 
+@pytest.mark.parametrize("groups", [50, 500])
+def test_a_durable_refresh_writes_only_the_changed_groups(tmp_path, groups):
+    """The aggregate table is patched, not replaced: a 1-row insert and
+    a refresh checkpoint the same few rows at 50 and at 500 groups."""
+    from repro import obs
+    from repro.robustness.durable import DurableWarehouse
+
+    warehouse = DurableWarehouse(tmp_path / "wh.db")
+    warehouse.create_table("t", ("g", "x"))
+    warehouse.load("t", [(group, group) for group in range(groups)])
+    warehouse.define_view("A", "SELECT g, COUNT(*), SUM(x) FROM t GROUP BY g")
+    with obs.observed() as stack:
+        warehouse.transaction().insert("t", [(7, 3)]).run()
+        warehouse.refresh("A")
+        metrics = stack.metrics.snapshot()
+    assert not [name for name in metrics if name.startswith("checkpoint_rewrites")]
+    # The base row, its log and differential rows, the group's old and new row.
+    assert metrics["checkpoint_rows_appended"]["value"] <= 8
+    scenario = warehouse.scenario("A")
+    assert scenario.read_view() == scenario.expected()
+    assert (7, 2, 10) in scenario.read_view()
+    warehouse.close()
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_randomized_stream_matches_recomputation(seed):
     """Random insert/delete streams: incremental aggregates stay exact."""

@@ -14,9 +14,8 @@ from repro import obs
 from repro.robustness import durable
 from repro.robustness.durable import DurableWarehouse
 from repro.robustness.faults import INJECTOR, InjectedCrash
-from repro.robustness.journal import bag_digest, table_digests
+from repro.robustness.journal import bag_digest, journal_path, table_digests
 from repro.robustness.recovery import recover
-from repro.storage.persistence import staging_path
 from repro.warehouse.persistence import load_warehouse
 
 VIEW_SQL = "SELECT custId, qty FROM sales WHERE qty != 1"
@@ -99,7 +98,6 @@ def test_crash_inside_the_append_transaction_leaves_the_pre_op_state(tmp_path):
         warehouse, "crash-mid-checkpoint",
         lambda w: w.transaction(token="t").insert("sales", batch(500)).delete("sales", [(3, 3)]).run(),
     )
-    assert not staging_path(path).exists()  # it died in the append path
     assert file_digests(path) == pre_op
 
     report = recover(path)
@@ -118,12 +116,10 @@ def test_crash_between_stage_and_replace_leaves_the_pre_op_state(tmp_path):
     warehouse.transaction().insert("sales", batch(0)).run()
     pre_op = table_digests(warehouse.db)
     crash_during(warehouse, "crash-mid-checkpoint", lambda w: w.create_table("items", ("itemNo",)))
-    assert staging_path(path).exists()  # DDL takes the rewrite path
-    assert file_digests(path) == pre_op
+    assert file_digests(path) == pre_op  # the CREATE TABLE died with its transaction
 
     report = recover(path)
     assert report.action == "rolled_back" and report.green, report.format()
-    assert not staging_path(path).exists()
     assert file_digests(path) == pre_op
 
 
@@ -181,7 +177,9 @@ def test_a_small_transaction_hashes_and_writes_rows_in_proportion_to_its_delta(t
     assert hashed == 0 and 25 <= appended <= 4 * 25
 
 
-def test_first_checkpoint_after_reopen_is_a_rewrite_for_recovery(tmp_path):
+def test_first_checkpoint_after_reopen_appends(tmp_path):
+    """The reopened queue reads the file's catalog and row count on its
+    first connection: nothing is rewritten for having restarted."""
     path = tmp_path / "wh.db"
     warehouse = build(path)
     warehouse.transaction().insert("sales", batch(0)).run()
@@ -189,19 +187,23 @@ def test_first_checkpoint_after_reopen_is_a_rewrite_for_recovery(tmp_path):
     reopened = DurableWarehouse.open(path)
     with obs.observed() as stack:
         reopened.transaction().insert("sales", batch(100)).run()
-        reopened.transaction().insert("sales", batch(200)).run()
-        reasons = [span.attrs["reason"] for span in stack.tracer.find("checkpoint_rewrite")]
-    assert reasons == ["recovery"]  # then appends again
+        metrics = {name: entry.get("value") for name, entry in stack.metrics.snapshot().items()}
+        assert not stack.tracer.find("checkpoint_rewrite")
+    # 25 rows into ``sales``, 25 into the view's insert log, the view catalog.
+    assert 25 <= metrics["checkpoint_rows_appended"] <= 4 * 25
+    assert metrics["snapshot_connections_opened"] == 1
     assert table_digests(reopened.db) == file_digests(path)
     reopened.close()
 
 
-def test_a_stream_of_checkpoints_opens_the_snapshot_once_per_rewrite(tmp_path, monkeypatch):
-    """The count guard of the kept connection: 200 scripts, 20 refreshes,
-    two ``ratio`` rewrites — three ``sqlite3.connect``\\ s on the snapshot
-    path, not one per checkpoint; rows and fsyncs as they always were."""
+def test_a_stream_of_checkpoints_opens_the_snapshot_once_through_ddl_and_compaction(
+    tmp_path, monkeypatch
+):
+    """The count guard of the kept connection: the baseline, three DDL
+    checkpoints, 200 scripts, 20 refreshes and two ``ratio`` compactions —
+    one ``sqlite3.connect`` on the snapshot path, not one per checkpoint
+    or per rewrite, and two fsyncs per journaled operation."""
     path = tmp_path / "wh.db"
-    warehouse = build(path, base_rows=2000)  # ends on define_view: a rewrite, connection closed
     connects = []
     real_connect = sqlite3.connect
     monkeypatch.setattr(
@@ -209,6 +211,7 @@ def test_a_stream_of_checkpoints_opens_the_snapshot_once_per_rewrite(tmp_path, m
     )
     ops = 0
     with obs.observed() as stack:
+        warehouse = build(path, base_rows=2000)
         for step in range(200):
             rows = ", ".join(f"({10_000 + 25 * step + i}, {2 + i % 5})" for i in range(25))
             warehouse.execute_sql(f"INSERT INTO sales VALUES {rows}; DELETE FROM sales WHERE custId = {step};")
@@ -218,12 +221,12 @@ def test_a_stream_of_checkpoints_opens_the_snapshot_once_per_rewrite(tmp_path, m
                 ops += 1
         metrics = {name: entry.get("value") for name, entry in stack.metrics.snapshot().items()}
         reasons = [span.attrs["reason"] for span in stack.tracer.find("checkpoint_rewrite")]
-    assert reasons == ["ratio", "ratio"]
-    opens = connects.count(str(path))
-    assert opens == metrics["snapshot_connections_opened"] == 1 + metrics['checkpoint_rewrites{reason="ratio"}'] == 3
-    # Everything else that connected staged a rewrite.
-    assert set(connects) == {str(path), str(staging_path(path))} and len(connects) == opens + 2
-    assert metrics["journal_fsyncs"] == 2 * ops
-    assert metrics["checkpoint_rows_appended"] == 15_054  # as before the connection was kept
+    # The 2 000-row load into an empty file, then three in the stream.
+    assert reasons == ["ratio"] * 4 and metrics['checkpoint_rewrites{reason="ratio"}'] == 4
+    assert not [name for name in metrics if name.startswith("checkpoint_rewrites") and "ratio" not in name]
+    assert connects.count(str(path)) == metrics["snapshot_connections_opened"] == 1
+    # One connection per durable file (the sqlite tier's mirror is ``:memory:``).
+    assert sorted(c for c in connects if c.startswith(str(tmp_path))) == sorted([str(path), str(journal_path(path))])
+    assert metrics["journal_fsyncs"] == 2 * (ops + 3)  # + create_table, load, define_view
     assert table_digests(warehouse.db) == file_digests(path)
     warehouse.close()

@@ -5,8 +5,9 @@ import pytest
 from repro.algebra.bag import Bag
 from repro.errors import RecoveryError, SchemaError
 from repro.robustness.durable import DurableWarehouse
-from repro.robustness.faults import INJECTOR
+from repro.robustness.faults import INJECTOR, InjectedCrash
 from repro.robustness.journal import IntentJournal, journal_path
+from repro.storage.persistence import holds_snapshot
 
 
 @pytest.fixture(autouse=True)
@@ -38,6 +39,19 @@ class TestConstruction:
         DurableWarehouse(path).close()
         with pytest.raises(RecoveryError, match="use DurableWarehouse.open"):
             DurableWarehouse(path)
+
+    def test_a_baseline_that_died_before_commit_is_started_afresh(self, tmp_path):
+        path = tmp_path / "wh.db"
+        INJECTOR.arm("crash-mid-checkpoint")
+        with pytest.raises(InjectedCrash):
+            DurableWarehouse(path)
+        INJECTOR.reset()
+        # The baseline's transaction created the file and rolled back.
+        assert path.exists() and not holds_snapshot(path)
+        with make_warehouse(path) as warehouse:
+            expected = warehouse.query("V")
+        with DurableWarehouse.open(path) as reopened:
+            assert reopened.query("V") == expected
 
     def test_refuses_pending_intent(self, tmp_path):
         path = tmp_path / "wh.db"

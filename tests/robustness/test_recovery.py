@@ -11,7 +11,6 @@ from repro.robustness.faults import INJECTOR, InjectedCrash
 from repro.robustness.journal import IntentJournal, bag_digest, journal_path
 from repro.robustness.recovery import main as recover_main
 from repro.robustness.recovery import recover
-from repro.storage.persistence import staging_path
 from repro.warehouse.manager import ViewManager
 
 
@@ -55,7 +54,7 @@ REFRESH_CASES = {
     "crash-after-journal": "rolled_forward",  # intent only; snapshot pre-op
     "crash-mid-refresh": "rolled_forward",    # died inside the critical section
     "crash-mid-apply": "rolled_forward",      # died mid Database.apply commit
-    "crash-mid-checkpoint": "rolled_forward", # temp written, os.replace lost
+    "crash-mid-checkpoint": "rolled_forward", # checkpoint died before COMMIT
     "crash-after-checkpoint": "already_applied",  # snapshot post-op, mark lost
     "crash-after-commit": "none",             # fully durable before the death
 }
@@ -220,18 +219,6 @@ def test_crash_during_recovery_then_recover_again(tmp_path):
     report = recover(path)
     assert report.action == "rolled_forward"
     assert report.green, report.format()
-
-
-def test_stray_staging_file_is_discarded(tmp_path):
-    path = tmp_path / "wh.db"
-    build(path).close()
-    staged = staging_path(path)
-    staged.write_bytes(b"torn half-written snapshot")
-    staged.with_name(staged.name + "-journal").write_bytes(b"its rollback journal")
-    report = recover(path)
-    assert report.green
-    # Recovery closes what it opens: the two durable files, no sidecars.
-    assert sorted(entry.name for entry in tmp_path.iterdir()) == ["wh.db", "wh.db.journal"]
 
 
 def test_close_is_idempotent_and_leaves_two_self_contained_files(tmp_path):

@@ -11,13 +11,17 @@ from repro.errors import SnapshotError
 from repro.robustness.faults import INJECTOR, InjectedCrash
 from repro.storage.database import Database
 from repro.storage.persistence import (
+    holds_snapshot,
     load_database,
     save_database,
-    staging_path,
     track_deltas,
-    wal_path,
     with_retry,
 )
+
+
+def wal_path(path):
+    """The write-ahead log SQLite keeps next to a file open in WAL mode."""
+    return path.with_name(path.name + "-wal")
 
 
 @pytest.fixture(autouse=True)
@@ -81,9 +85,6 @@ class TestWithRetry:
 
 
 class TestAtomicSave:
-    def test_staging_path_is_a_sibling(self, tmp_path):
-        assert staging_path(tmp_path / "wh.db") == tmp_path / "wh.db.saving"
-
     def test_crash_before_replace_keeps_old_snapshot(self, db, tmp_path):
         path = tmp_path / "wh.db"
         save_database(db, path)
@@ -92,10 +93,10 @@ class TestAtomicSave:
         with pytest.raises(InjectedCrash):
             save_database(db, path)
         INJECTOR.reset()
-        # The visible file is still *exactly* the previous snapshot; the
-        # half-finished write only ever touched the staging file.
+        # The file is still *exactly* the previous snapshot: the
+        # half-finished transaction rolled back with the connection.
         assert load_database(path)["R"] == Bag([(1,), (2,)])
-        assert staging_path(path).exists()
+        assert sorted(entry.name for entry in tmp_path.iterdir()) == ["wh.db"]
 
     def test_interrupted_save_can_be_repeated(self, db, tmp_path):
         path = tmp_path / "wh.db"
@@ -103,9 +104,13 @@ class TestAtomicSave:
         with pytest.raises(InjectedCrash):
             save_database(db, path)
         INJECTOR.reset()
-        save_database(db, path)  # stale staging file is overwritten
+        # The first transaction on a new file died: SQLite made the file,
+        # no table reached it.
+        assert path.exists() and not holds_snapshot(path)
+        with pytest.raises(SnapshotError, match="no-catalog"):
+            load_database(path)
+        save_database(db, path)  # a file with no tables is started afresh
         assert load_database(path).snapshot() == db.snapshot()
-        assert not staging_path(path).exists()
 
     def test_transient_save_failures_are_retried(self, db, tmp_path):
         path = tmp_path / "wh.db"
@@ -113,6 +118,16 @@ class TestAtomicSave:
         save_database(db, path)  # two locked errors, then success
         assert not INJECTOR.armed()
         assert load_database(path).snapshot() == db.snapshot()
+
+    def test_a_save_without_a_queue_drops_the_tables_db_lacks(self, db, tmp_path):
+        path = tmp_path / "wh.db"
+        save_database(db, path)
+        other = Database()
+        other.create_table("R", ["a", "b"], rows=[(1, 1)])  # same name, another schema
+        other.create_table("T", ["a"], rows=[(3,)])
+        save_database(other, path)
+        assert load_database(path).snapshot() == other.snapshot()
+        assert sorted(entry.name for entry in tmp_path.iterdir()) == ["wh.db"]  # folded and closed
 
     def test_load_records_durable_origin(self, db, tmp_path):
         path = tmp_path / "wh.db"
@@ -155,7 +170,6 @@ class TestDifferentialSave:
         self.patch(database, "R", [(0, 0), (99, 9)], [(50, 5), (50, 5)])
         save_database(database, path)
         assert self.stored_rows(path, "R") == before + [(0, 0, -1), (50, 5, 2)]
-        assert not staging_path(path).exists()
         assert (queue.rows_written, queue.rows_appended) == (21, 2)
         assert load_database(path).snapshot() == database.snapshot()
 
@@ -178,7 +192,6 @@ class TestDifferentialSave:
         with pytest.raises(InjectedCrash):
             save_database(database, path)
         INJECTOR.reset()
-        assert not staging_path(path).exists()  # it was the append path that died
         assert load_database(path).snapshot() == pre_op
         save_database(database, path)  # the queue was not consumed: the retry lands
         assert load_database(path).snapshot() == database.snapshot()
@@ -186,13 +199,12 @@ class TestDifferentialSave:
     def test_crash_between_stage_and_replace_keeps_pre_op_file(self, tmp_path):
         database, path, _queue = self.tracked(tmp_path)
         pre_op = database.snapshot()
-        database.create_table("T", ["a"], rows=[(1,)])  # catalog change: rewrite path
+        database.create_table("T", ["a"], rows=[(1,)])  # catalog change: CREATE TABLE in the transaction
         self.patch(database, "R", [(0, 0)], [(50, 5)])
         INJECTOR.arm("crash-mid-checkpoint")
         with pytest.raises(InjectedCrash):
             save_database(database, path)
         INJECTOR.reset()
-        assert staging_path(path).exists()
         assert load_database(path).snapshot() == pre_op
         save_database(database, path)
         assert load_database(path).snapshot() == database.snapshot()
@@ -206,6 +218,9 @@ class TestDifferentialSave:
         assert load_database(path).snapshot() == database.snapshot()
 
     def test_rewrite_reasons(self, tmp_path):
+        """Only the compaction rule rewrites: an untracked save and DDL
+        are transactions like any other."""
+
         def reasons_of(action):
             with obs.observed() as stack:
                 action()
@@ -215,24 +230,26 @@ class TestDifferentialSave:
         database, path, queue = self.tracked(tmp_path, rows=4)
         untracked = Database()
         untracked.create_table("R", ["a"])
-        assert reasons_of(lambda: save_database(untracked, tmp_path / "plain.db"))[0] == ["untracked"]
+        assert reasons_of(lambda: save_database(untracked, tmp_path / "plain.db"))[0] == []
 
         self.patch(database, "R", [], [(50, 5)])
         reasons, metrics = reasons_of(lambda: save_database(database, path))
         assert reasons == [] and metrics["checkpoint_rows_appended"]["value"] == 1
 
-        database.create_table("T", ["a"])
-        assert reasons_of(lambda: save_database(database, path))[0] == ["ddl"]
-        assert queue.rows_appended == 0
+        database.create_table("T", ["a"], rows=[(7,)])
+        reasons, metrics = reasons_of(lambda: save_database(database, path))
+        assert reasons == [] and metrics["checkpoint_rows_appended"]["value"] == 1
+        assert (queue.rows_written, queue.rows_appended) == (5, 2)
 
-        # Six rows are in the file; the seventh appended row tips the 2x rule.
-        for value in range(6):
+        # Five rows were written whole, two appended since: the fourth
+        # appended row past them tips the 2x rule.
+        for value in range(3):
             self.patch(database, "R", [], [(value, 100)])
             assert reasons_of(lambda: save_database(database, path))[0] == []
-        self.patch(database, "R", [], [(6, 100)])
+        self.patch(database, "R", [], [(3, 100)])
         reasons, metrics = reasons_of(lambda: save_database(database, path))
         assert reasons == ["ratio"] and metrics['checkpoint_rewrites{reason="ratio"}']["value"] == 1
-        assert (queue.rows_written, queue.rows_appended) == (13, 0)
+        assert (queue.rows_written, queue.rows_appended) == (11, 0)
         assert load_database(path).snapshot() == database.snapshot()
 
 
@@ -277,46 +294,40 @@ class TestSnapshotConnection:
         queue.close()
         assert load_database(path).snapshot() == database.snapshot()
 
-    def test_rewrite_closes_the_connection_and_installs_a_rollback_mode_file(self, tmp_path):
-        database, path, queue = self.tracked(tmp_path)
+    def test_ddl_and_compaction_go_through_the_kept_connection(self, tmp_path):
+        database, path, queue = self.tracked(tmp_path, rows=2)
         self.append(database, path, 50)
         conn = queue.connection()
         database.create_table("T", ["a"])
-        save_database(database, path)  # ddl: stage + os.replace
-        # No -wal survives the rename (no frames of the old file to replay
-        # into the new one), and the staged file never had one: bytes 18-19
-        # of the header are 1 for rollback-journal mode, 2 for WAL.
-        assert not wal_path(path).exists() or not wal_path(path).stat().st_size
-        assert path.read_bytes()[18:20] == b"\x01\x01"
-        with pytest.raises(sqlite3.ProgrammingError):
-            conn.execute("SELECT 1")  # closed, not leaked
-        self.append(database, path, 51)
-        assert queue.connection() is not conn
+        database.drop_table("S")
+        save_database(database, path)  # CREATE TABLE / DROP TABLE in place
+        for value in range(51, 54):
+            self.append(database, path, value)  # three rows written whole: the third append compacts
+        assert (queue.rows_written, queue.rows_appended) == (6, 0)
+        assert queue.connection() is conn and not conn.in_transaction
+        # Still the one WAL file: bytes 18-19 of the header are 2 for WAL.
+        assert path.read_bytes()[18:20] == b"\x02\x02"
         assert load_database(path).snapshot() == database.snapshot()
         queue.close()
         assert self.files(tmp_path) == ["wh.db"]
 
-    def test_rewrite_refuses_to_replace_a_file_whose_wal_is_held(self, tmp_path, monkeypatch):
+    def test_a_save_beside_a_live_reader_lands_and_the_reader_keeps_its_snapshot(self, tmp_path):
         database, path, queue = self.tracked(tmp_path)
         self.append(database, path, 50)
-        before = database.snapshot()
         reader = sqlite3.connect(path)
-        reader.execute("BEGIN")
-        reader.execute("SELECT * FROM R").fetchone()  # pins the log's frames
-        # The checkpoint waits for readers for the connection's busy
-        # timeout; keep the test from waiting five seconds twice.
-        real_connect = sqlite3.connect
-        monkeypatch.setattr(sqlite3, "connect", lambda *args, **kw: real_connect(*args, **{**kw, "timeout": 0.05}))
         try:
-            database.create_table("T", ["a"])
-            with pytest.raises(SnapshotError, match="live-wal") as info:
-                save_database(database, path)
-            assert info.value.code == "live-wal" and info.value.table is None
-            assert wal_path(path).stat().st_size > 0
-            assert load_database(path).snapshot() == before
+            reader.execute("BEGIN")
+            rows = reader.execute('SELECT COUNT(*) FROM "R"').fetchone()
+            database.create_table("T", ["a"], rows=[(1,)])
+            self.patch(database, "R", [], [(value, 7) for value in range(100, 140)])  # compacts
+            save_database(database, path)
+            assert queue.rows_appended == 0
+            # The reader's transaction still reads the snapshot it began on.
+            assert reader.execute('SELECT COUNT(*) FROM "R"').fetchone() == rows
+            assert reader.execute("SELECT COUNT(*) FROM __catalog__ WHERE name = 'T'").fetchone() == (0,)
+            reader.execute("COMMIT")
         finally:
             reader.close()
-        save_database(database, path)  # nothing was consumed: the retry lands
         assert load_database(path).snapshot() == database.snapshot()
         queue.close()
 
@@ -337,7 +348,7 @@ class TestSnapshotConnection:
         kill_again()
         other = Database()
         other.create_table("Z", ["a"], rows=[(1,)])
-        save_database(other, killed)  # must not rename a file under the old log
+        save_database(other, killed)  # replays the log, then drops what it held
         assert not wal_path(killed).exists()
         assert load_database(killed).snapshot() == other.snapshot()
 

@@ -7,6 +7,7 @@ import pytest
 from repro.algebra.bag import Bag
 from repro.errors import ReproError, SnapshotError
 from repro.storage.database import Database
+from repro.robustness.recovery import recover
 from repro.storage.persistence import load_database, save_database
 
 
@@ -136,6 +137,40 @@ class TestFailClosedOnForgedFiles:
         with pytest.raises(SnapshotError, match="mixed") as info:
             load_database(path)
         assert (info.value.code, info.value.table) == ("missing-table", "mixed")
+
+
+class TestFailClosedOnNonSnapshotFiles:
+    """A file that holds no snapshot is refused with a code, not a raw ``sqlite3`` error."""
+
+    @staticmethod
+    def sqlite_without_catalog(path):
+        TestFailClosedOnForgedFiles.forge(path, "CREATE TABLE other (x)")
+
+    @pytest.mark.parametrize(
+        "make, code",
+        [
+            (lambda path: path.write_bytes(b""), "no-catalog"),
+            (sqlite_without_catalog, "no-catalog"),
+            (lambda path: path.write_bytes(b"not a database, just text\n" * 200), "not-a-database"),
+        ],
+        ids=["empty", "no-catalog", "not-sqlite"],
+    )
+    def test_load_and_recover_raise_a_coded_error(self, tmp_path, make, code):
+        path = tmp_path / "state.db"
+        make(path)
+        for reader in (load_database, recover):
+            with pytest.raises(SnapshotError, match=code) as info:
+                reader(path)
+            assert (info.value.code, info.value.table) == (code, None)
+
+    @pytest.mark.parametrize("make", [sqlite_without_catalog, lambda path: path.write_bytes(b"x" * 4096)])
+    def test_a_save_does_not_overwrite_a_file_it_did_not_write(self, db, tmp_path, make):
+        path = tmp_path / "state.db"
+        make(path)
+        before = path.read_bytes()
+        with pytest.raises(SnapshotError):
+            save_database(db, path)
+        assert path.read_bytes() == before
 
 
 class TestResumeMaintenance:
