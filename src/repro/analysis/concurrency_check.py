@@ -116,7 +116,7 @@ def check_stack(scenarios: Sequence = ()) -> AnalysisReport:
     return report
 
 
-def demo_stack_report(*, exec_mode: str = "compiled") -> AnalysisReport:
+def demo_stack_report() -> AnalysisReport:
     """Lint a canonical in-memory maintenance stack (used by ``repro lint``).
 
     Installs all four Figure 3 scenarios over a small join schema and
@@ -132,7 +132,7 @@ def demo_stack_report(*, exec_mode: str = "compiled") -> AnalysisReport:
     from repro.sqlfront import sql_to_view
     from repro.storage.database import Database
 
-    db = Database(exec_mode=exec_mode)
+    db = Database()
     db.create_table("R", ["a", "b"], rows=[(1, 1), (1, 2), (2, 2)])
     db.create_table("S", ["b", "c"], rows=[(1, 10), (2, 20), (2, 20)])
 

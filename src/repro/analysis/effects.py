@@ -13,9 +13,9 @@ module makes those effects explicit:
   ``propagate``, …) for one view, as a sequence of steps.
 
 Footprints are **inferred, not declared**: read sets come from the
-compiled plans of the very delta expressions the operation will
-evaluate (:meth:`repro.exec.executor.Executor.footprint`, falling back
-to ``Expr.tables()`` under the interpreted oracle), and write sets from
+plans of the very delta expressions the operation will evaluate (the
+engine's ``footprint``: the compiled plan's tables, ``Expr.tables()``
+under the interpreted oracle), and write sets from
 the structure of the :class:`~repro.core.plan.MaintenancePlan` the
 operation builds.  Protocols are *derived from* the executed operation,
 not rebuilt beside it: ``Scenario.maintenance_protocol()`` maps each
@@ -129,22 +129,16 @@ class OpEffects:
 
 
 def read_footprint(db, *exprs: Expr) -> frozenset[str]:
-    """The tables the compiled plans of ``exprs`` read.
+    """The tables evaluating ``exprs`` on ``db``'s engine reads.
 
-    Uses the executor's plan footprint when the database runs a
-    compiled-family engine (the plan may read *fewer* tables than the
-    source expression mentions, e.g. after provably-empty subtree
-    folding); falls back to the syntactic ``Expr.tables()`` under the
-    interpreted oracle or when no database is at hand.
+    A compiled plan may read *fewer* tables than the source expression
+    mentions (e.g. after provably-empty subtree folding); the
+    interpreted oracle reads the syntactic ``Expr.tables()``, which is
+    also the answer when no database is at hand.
     """
     tables: set[str] = set()
     for expr in exprs:
-        footprint = None
-        if db is not None and getattr(db, "exec_mode", "interpreted") != "interpreted":
-            plan_footprint = getattr(db.executor, "footprint", None)
-            if plan_footprint is not None:
-                footprint = plan_footprint(expr)
-        tables |= footprint if footprint is not None else expr.tables()
+        tables |= expr.tables() if db is None else db.executor.footprint(expr)
     return frozenset(tables)
 
 

@@ -132,21 +132,16 @@ def _schema_error_diagnostic(report: AnalysisReport, exc: SchemaError, *, path: 
     report.add(code, Severity.ERROR, message, path=path, position=exc.position)
 
 
-def lint_sql(source: str, db: Database | None = None, *, engine: str | None = None) -> AnalysisReport:
+def lint_sql(source: str, db: Database | None = None) -> AnalysisReport:
     """Lint a SQL statement or script.
 
     ``CREATE TABLE`` statements extend a scratch catalog (seeded from
     ``db`` when given) so later statements resolve against them; every
     query, view, and DML statement is compiled and schema-checked.
     Diagnostics carry source positions wherever the front end provides
-    them.
-
-    ``engine`` selects the scratch catalog's execution mode (compiled /
-    interpreted / sqlite).  All diagnostics are *static* —
-    schema checks and derived properties over the algebra tree — so the
-    engine must never change what fires; the flag exists so CI can
-    assert exactly that (and so linting never instantiates an engine
-    the caller isn't running).
+    them.  All diagnostics are *static* — schema checks and derived
+    properties over the algebra tree — so the catalog's engine never
+    changes what fires.
     """
     from repro.sqlfront.compiler import (
         compile_delete,
@@ -158,7 +153,7 @@ def lint_sql(source: str, db: Database | None = None, *, engine: str | None = No
     from repro.core.transactions import UserTransaction
 
     report = AnalysisReport()
-    catalog = db.clone() if db is not None else Database(exec_mode=engine)
+    catalog = db.clone() if db is not None else Database()
     try:
         statements = parse_script(source)
     except ParseError as exc:
@@ -239,7 +234,7 @@ def _state_bug_fixture_report() -> AnalysisReport:
     return report
 
 
-def lint_example(path: str, *, engine: str | None = None) -> AnalysisReport:
+def lint_example(path: str) -> AnalysisReport:
     """Lint one ``examples/*.py`` file.
 
     The file declares the SQL it runs via module-level ``LINT_SCHEMA``
@@ -260,7 +255,7 @@ def lint_example(path: str, *, engine: str | None = None) -> AnalysisReport:
     queries = getattr(module, "LINT_QUERIES", {})
     for name, sql in queries.items():
         script = f"{schema_sql};\n{sql}" if schema_sql else sql
-        sub_report = lint_sql(script, engine=engine)
+        sub_report = lint_sql(script)
         for diagnostic in sub_report:
             report.add(
                 diagnostic.code,
@@ -314,11 +309,11 @@ def experiment_queries() -> dict[str, tuple[str, str]]:
     }
 
 
-def lint_experiments(*, engine: str | None = None) -> AnalysisReport:
+def lint_experiments() -> AnalysisReport:
     """Lint every named experiment query; all must come back clean."""
     report = AnalysisReport()
     for name, (schema_sql, query_sql) in experiment_queries().items():
-        sub_report = lint_sql(f"{schema_sql};\n{query_sql}", engine=engine)
+        sub_report = lint_sql(f"{schema_sql};\n{query_sql}")
         for diagnostic in sub_report:
             report.add(
                 diagnostic.code,
@@ -335,7 +330,7 @@ def lint_experiments(*, engine: str | None = None) -> AnalysisReport:
 # ----------------------------------------------------------------------
 
 
-def lint_concurrency(path: str | None = None, *, engine: str | None = None) -> AnalysisReport:
+def lint_concurrency(path: str | None = None) -> AnalysisReport:
     """Run the RVM6xx concurrency suite.
 
     With no ``path``, lints the *clean* canonical stack: the static
@@ -353,15 +348,13 @@ def lint_concurrency(path: str | None = None, *, engine: str | None = None) -> A
     from repro.analysis.concurrency_check import demo_stack_report
     from repro.analysis.mutations import run_clean, run_mutation
 
-    exec_mode = engine if engine is not None else "compiled"
     if path is None:
-        report = demo_stack_report(exec_mode=exec_mode)
-        return report.extend(run_clean(exec_mode=exec_mode))
+        return demo_stack_report().extend(run_clean())
     module = _load_module(path)
     mutation = getattr(module, "CONCURRENCY_MUTATION", None)
     if mutation is not None:
-        return run_mutation(mutation, exec_mode=exec_mode)
-    return demo_stack_report(exec_mode=exec_mode)
+        return run_mutation(mutation)
+    return demo_stack_report()
 
 
 # ----------------------------------------------------------------------
@@ -381,9 +374,6 @@ Options:
   --concurrency    run the RVM6xx concurrency/effect suite; alone it lints
                    the clean demo stack (must be empty), on a .py target it
                    honours the file's CONCURRENCY_MUTATION declaration
-  --engine MODE    execution mode for the scratch catalog (compiled /
-                   interpreted / sqlite); diagnostics are
-                   static and must not depend on it
   --json           emit machine-readable JSON instead of text
   --strict         exit 1 on warnings (errors always exit 2)
   --verbose        show info-level notes too
@@ -396,51 +386,30 @@ def main(argv: list[str]) -> int:
     """``python -m repro lint`` entry point.  Returns the exit status."""
     import json as json_module
 
-    from repro.exec import resolve_exec_mode
-
     strict = "--strict" in argv
     verbose = "--verbose" in argv
     experiments = "--experiments" in argv
     concurrency = "--concurrency" in argv
     as_json = "--json" in argv
-    engine: str | None = None
-    positional: list[str] = []
-    arguments = iter(argv)
-    for arg in arguments:
-        if arg == "--engine":
-            engine = next(arguments, None)
-            if engine is None:
-                print("--engine requires a mode argument")
-                return 2
-        elif arg.startswith("--engine="):
-            engine = arg.split("=", 1)[1]
-        elif not arg.startswith("--"):
-            positional.append(arg)
-    if engine is not None:
-        try:
-            engine = resolve_exec_mode(engine)
-        except ReproError as exc:
-            print(str(exc))
-            return 2
-    targets = positional
+    targets = [arg for arg in argv if not arg.startswith("--")]
     if not targets and not experiments and not concurrency:
         print(_USAGE)
         return 2
     sections: list[tuple[str, AnalysisReport]] = []
     if experiments:
-        sections.append(("experiments", lint_experiments(engine=engine)))
+        sections.append(("experiments", lint_experiments()))
     if concurrency and not targets:
-        sections.append(("concurrency", lint_concurrency(engine=engine)))
+        sections.append(("concurrency", lint_concurrency()))
     for target in targets:
         if target.endswith(".py"):
-            sections.append((target, lint_example(target, engine=engine)))
+            sections.append((target, lint_example(target)))
             if concurrency:
-                sections.append((f"{target}:concurrency", lint_concurrency(target, engine=engine)))
+                sections.append((f"{target}:concurrency", lint_concurrency(target)))
         elif target.endswith(".sql"):
             with open(target) as handle:
-                sections.append((target, lint_sql(handle.read(), engine=engine)))
+                sections.append((target, lint_sql(handle.read())))
         else:
-            sections.append(("<sql>", lint_sql(target, engine=engine)))
+            sections.append(("<sql>", lint_sql(target)))
     has_errors = any(report.errors for _, report in sections)
     has_warnings = any(report.warnings for _, report in sections)
     status = 2 if has_errors else (1 if strict and has_warnings else 0)

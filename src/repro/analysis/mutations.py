@@ -110,12 +110,12 @@ def apply_mutation(name: str) -> contextlib.AbstractContextManager:
 # ----------------------------------------------------------------------
 
 
-def _demo_scenario(exec_mode: str):
+def _demo_scenario():
     from repro.core.scenarios import BaseLogScenario
     from repro.sqlfront import sql_to_view
     from repro.storage.database import Database
 
-    db = Database(exec_mode=exec_mode)
+    db = Database()
     db.create_table("R", ["a", "b"], rows=[(1, 1), (1, 2), (2, 2)])
     db.create_table("S", ["b", "c"], rows=[(1, 10), (2, 20)])
     view = sql_to_view(_DEMO_SQL.format(name="V"), db)
@@ -137,25 +137,25 @@ def _sanitized_cycle(scenario) -> AnalysisReport:
     return stack.sanitizer.report()
 
 
-def _run_dropped_lock(exec_mode: str) -> AnalysisReport:
+def _run_dropped_lock() -> AnalysisReport:
     from repro.analysis.concurrency_check import check_scenario
 
-    scenario = _demo_scenario(exec_mode)
+    scenario = _demo_scenario()
     report = check_scenario(scenario)
     report.extend(_sanitized_cycle(scenario))
     return report
 
 
-def _run_stale_polarity(exec_mode: str) -> AnalysisReport:
+def _run_stale_polarity() -> AnalysisReport:
     from repro.analysis.concurrency_check import check_scenario
 
-    return check_scenario(_demo_scenario(exec_mode))
+    return check_scenario(_demo_scenario())
 
 
-def _run_overlapping_view(exec_mode: str) -> AnalysisReport:
+def _run_overlapping_view() -> AnalysisReport:
     from repro.warehouse.manager import ViewManager
 
-    manager = ViewManager(exec_mode=exec_mode)
+    manager = ViewManager()
     manager.create_table("R", ["a", "b"], rows=[(1, 1)])
     manager.create_table("S", ["b", "c"], rows=[(1, 10)])
     report = AnalysisReport()
@@ -170,14 +170,14 @@ def _run_overlapping_view(exec_mode: str) -> AnalysisReport:
     return report
 
 
-_RUNNERS: dict[str, Callable[[str], AnalysisReport]] = {
+_RUNNERS: dict[str, Callable[[], AnalysisReport]] = {
     "dropped_lock": _run_dropped_lock,
     "stale_polarity": _run_stale_polarity,
     "overlapping_view": _run_overlapping_view,
 }
 
 
-def run_mutation(name: str, *, exec_mode: str = "compiled") -> AnalysisReport:
+def run_mutation(name: str) -> AnalysisReport:
     """Seed one mutation and run its static + dynamic probes.
 
     Returns the combined report; a healthy analyzer returns a non-empty
@@ -190,10 +190,10 @@ def run_mutation(name: str, *, exec_mode: str = "compiled") -> AnalysisReport:
             f"unknown concurrency mutation {name!r}; pick one of {sorted(MUTATIONS)}"
         )
     with apply_mutation(name):
-        return runner(exec_mode)
+        return runner()
 
 
-def run_clean(*, exec_mode: str = "compiled") -> AnalysisReport:
+def run_clean() -> AnalysisReport:
     """Run every mutation's probes with *no* mutation seeded.
 
     The union of all probe paths over the healthy stack — the
@@ -206,5 +206,5 @@ def run_clean(*, exec_mode: str = "compiled") -> AnalysisReport:
             # healthy counterpart is two disjoint registrations, which
             # every other runner's stack already covers.
             continue
-        report.extend(runner(exec_mode))
+        report.extend(runner())
     return report

@@ -42,7 +42,6 @@ from collections.abc import Iterable
 
 from repro.bench.report import format_table
 from repro.errors import ReproError
-from repro.exec import SQLITE
 from repro.sqlfront.compiler import (
     compile_aggregate_view,
     compile_delete,
@@ -244,11 +243,7 @@ class WarehouseShell:
 
     def _cmd_engine(self) -> str:
         """The execution engine; on sqlite, its fallback breaker."""
-        db = self.manager.db
-        if db.exec_mode != SQLITE:
-            return f"engine {db.exec_mode}"
-        executor = db.executor
-        return f"engine sqlite (breaker {executor.breaker}, trips {executor.trips})"
+        return f"engine {self.manager.db.executor.describe()}"
 
     def _cmd_plan(self, name: str) -> str:
         """Show the view's post-update incremental queries (▼/▲)."""

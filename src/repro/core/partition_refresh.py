@@ -106,7 +106,7 @@ class PartitionedMaintenance:
         db = scenario.db
         if any(not hasattr(db, name) for name in _FAST_APPLY_API):
             return None, "no_api"
-        if db.exec_mode == "interpreted":
+        if db.executor.reference:
             # The interpreted oracle stays on unpartitioned semantics:
             # it is the digest baseline the partitioned engines must
             # reproduce bit-identically.

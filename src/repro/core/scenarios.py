@@ -512,7 +512,7 @@ class LoggedScenario(Scenario):
         changes (the pair and its fingerprints) is built with the first
         task and kept (:meth:`_group_parts`).
         """
-        from repro.exec.group import GroupTask, evaluate_delta_pair
+        from repro.exec.group import GroupTask
 
         view_delete, view_insert, fingerprints = self._group_parts
         base = tuple(sorted(self.view.base_tables()))
@@ -525,7 +525,7 @@ class LoggedScenario(Scenario):
             name=self.view.name,
             order=order,
             key=key,
-            compute=lambda counter: evaluate_delta_pair(self.db, view_delete, view_insert, counter),
+            compute=lambda counter: tuple(map(self.db.batch(counter=counter), (view_delete, view_insert))),
             apply=partial(self.run, "refresh"),
         )
 

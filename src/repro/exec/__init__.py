@@ -26,25 +26,36 @@ database as single SQL statements (joins and multiplicity arithmetic
 run in C), running the compiled plans over the rest when a node is not
 pushable, and over the whole expression while SQLite itself fails.
 
-The interpreted path remains available as a correctness oracle: pass
-``exec_mode="interpreted"`` to :class:`~repro.storage.database.Database`
-(or set the ``REPRO_EXEC`` environment variable) to bypass compilation.
+The interpreted oracle stays available.  A :class:`~repro.storage.database.Database`
+turns ``exec_mode`` (or ``REPRO_EXEC``) into one engine through :data:`ENGINES`;
+callers ask that engine, never the name (docs/executor.md, "Engine protocol").
 """
 
 from __future__ import annotations
 
+import importlib
 import os
+from collections.abc import Callable
 
+from repro.algebra.bag import Bag
+from repro.algebra.evaluation import CostCounter, evaluate
+from repro.algebra.expr import Expr
 from repro.errors import ReproError
 
 COMPILED = "compiled"
 INTERPRETED = "interpreted"
 SQLITE = "sqlite"
 
-#: Every execution mode.  ``sqlite`` falls back to ``compiled`` (per
-#: subtree it cannot push, per expression while its backend fails);
-#: ``interpreted`` is the oracle the other two are checked against.
-MODES = (SQLITE, COMPILED, INTERPRETED)
+#: Each mode's engine class, imported on first use (the sqlite tier imports
+#: the storage layer, which imports this package); ``interpreted`` is the oracle.
+ENGINES = {
+    SQLITE: "repro.exec.pushdown:PushdownExecutor",
+    COMPILED: "repro.exec.executor:Executor",
+    INTERPRETED: "repro.exec:Interpreter",
+}
+
+#: Every execution mode.
+MODES = tuple(ENGINES)
 
 #: Environment variable overriding the default execution mode.
 ENV_VAR = "REPRO_EXEC"
@@ -61,10 +72,13 @@ __all__ = [
     "COMPILED",
     "INTERPRETED",
     "SQLITE",
+    "ENGINES",
     "MODES",
     "ENV_VAR",
     "default_exec_mode",
     "resolve_exec_mode",
+    "engine_class",
+    "Interpreter",
     "Executor",
 ]
 
@@ -80,9 +94,47 @@ def resolve_exec_mode(mode: str | None) -> str:
         return COMPILED
     normalized = mode.strip().lower()
     normalized = _ALIASES.get(normalized, normalized)
-    if normalized not in MODES:
+    if normalized not in ENGINES:
         raise ReproError(f"unknown execution mode {mode!r}; pick one of {MODES}")
     return normalized
+
+
+def engine_class(mode: str) -> type:
+    """The engine class :data:`ENGINES` names for ``mode`` (any accepted spelling)."""
+    module, _, name = ENGINES[resolve_exec_mode(mode)].partition(":")
+    return getattr(importlib.import_module(module), name)
+
+
+class Interpreter:
+    """The oracle as an engine: each call walks the AST (:func:`evaluate`),
+    so there is nothing to compile, prime or heal."""
+
+    reference = True
+
+    def __init__(self, database) -> None:
+        self._database = database
+
+    def describe(self) -> str:
+        return INTERPRETED
+
+    def evaluate(self, expr: Expr, *, counter: CostCounter | None = None, binding=None) -> Bag:
+        return evaluate(expr, self._database.state, counter=counter, binding=binding)
+
+    def batch(self, *, counter: CostCounter | None = None, binding=None) -> Callable[[Expr], Bag]:
+        """One memo across the calls; it must not outlive the state it was
+        made for (see the warning on :func:`evaluate`)."""
+        memo: dict[Expr, Bag] = {}
+        state = self._database.state
+        return lambda expr: evaluate(expr, state, counter=counter, memo=memo, binding=binding)
+
+    def prime(self, expr: Expr, *, counter: CostCounter | None = None) -> None:
+        pass
+
+    def footprint(self, expr: Expr) -> frozenset[str]:
+        return expr.tables()
+
+    def heal(self) -> list[str]:
+        return []
 
 
 from repro.exec.executor import Executor  # noqa: E402  (re-export)

@@ -20,7 +20,7 @@ the interpreted evaluator's per-call memo is not (see the warning on
 
 from __future__ import annotations
 
-from collections.abc import Collection, Mapping
+from collections.abc import Callable, Collection, Mapping
 
 from repro import obs
 from repro.algebra.bag import Bag
@@ -130,11 +130,16 @@ class Executor:
     #: subtree's result — and a client sending ever new statement shapes.
     MAX_NODES = 16384
 
+    reference = False
+
     def __init__(self, database) -> None:
         self._database = database
         self._nodes: dict[Expr, PNode] = {}
 
     # -- introspection -------------------------------------------------
+
+    def describe(self) -> str:
+        return "compiled"
 
     @property
     def cached_plans(self) -> int:
@@ -175,6 +180,13 @@ class Executor:
         expr, binding = split_parameters(expr, binding)
         ctx = self._context(counter, binding)
         return execute(ctx.admit(plan_for(self._nodes, expr, counter)), ctx, binding)
+
+    def batch(self, *, counter: CostCounter | None = None, binding=None) -> Callable[[Expr], Bag]:
+        """:meth:`evaluate`: the version-stamped memo already shares work across calls."""
+        return lambda expr: self.evaluate(expr, counter=counter, binding=binding)
+
+    def heal(self) -> list[str]:
+        return []
 
     def prime(self, expr: Expr, *, counter: CostCounter | None = None) -> PNode:
         """Compile ``expr`` now and pre-build the indexes its plan can use.

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 from repro import obs
 from repro.algebra.bag import Bag
-from repro.algebra.evaluation import CostCounter, evaluate
+from repro.algebra.evaluation import CostCounter
 from repro.algebra.expr import Expr
 from repro.algebra.serialize import expr_to_dict
 from repro.robustness.faults import fault_point
@@ -49,7 +49,6 @@ from repro.robustness.faults import fault_point
 __all__ = [
     "subplan_fingerprint",
     "view_fingerprints",
-    "evaluate_delta_pair",
     "EpochDeltaCache",
     "GroupTask",
     "GroupScheduler",
@@ -123,33 +122,6 @@ def view_fingerprints(expr: Expr, rename: Mapping[str, str] | None = None) -> fr
 
     walk(root)
     return frozenset(found)
-
-
-def evaluate_delta_pair(
-    db, delete_expr: Expr, insert_expr: Expr, counter: CostCounter | None = None, binding=None
-) -> tuple[Bag, Bag]:
-    """Evaluate a view's ``(delete, insert)`` delta pair, sharing subresults.
-
-    In interpreted mode the two expressions share one memo dict — the
-    same sharing a single refresh plan gets when it evaluates all
-    right-hand sides simultaneously.  In compiled mode the executor's
-    cross-call result memo (stamped with table versions and ``binding``)
-    provides the sharing.  ``binding`` supplies the pair's bound leaves,
-    as in :meth:`Database.evaluate`.
-    """
-    from repro.exec import INTERPRETED
-
-    if db.exec_mode == INTERPRETED:
-        memo: dict[Expr, Bag] = {}
-        state = db.state
-        return (
-            evaluate(delete_expr, state, counter=counter, memo=memo, binding=binding),
-            evaluate(insert_expr, state, counter=counter, memo=memo, binding=binding),
-        )
-    return (
-        db.evaluate(delete_expr, counter=counter, binding=binding),
-        db.evaluate(insert_expr, counter=counter, binding=binding),
-    )
 
 
 class EpochDeltaCache:

@@ -77,6 +77,7 @@ from __future__ import annotations
 
 import random
 import sqlite3
+import threading
 from time import sleep
 
 from repro import obs
@@ -186,8 +187,8 @@ class PushdownExecutor(Executor):
 
     def __init__(self, database) -> None:
         super().__init__(database)
-        self._mirror = SQLiteMirror()
-        database.add_write_listener(self._mirror)
+        self._mirror: SQLiteMirror | None = None  # built by :attr:`mirror`
+        self._attaching = threading.Lock()
         #: expr -> structural pushability verdict (content-independent).
         self._pushable_memo: dict[Expr, bool] = {}
         #: expr -> (compiled SQL text, the key domains, the parameters and
@@ -210,8 +211,19 @@ class PushdownExecutor(Executor):
 
     @property
     def mirror(self) -> SQLiteMirror:
-        """The SQLite shadow database (exposed for tests/diagnostics)."""
+        """The SQLite shadow database, attached as a write listener on first use."""
+        with self._attaching:
+            if self._mirror is None:
+                self._mirror = SQLiteMirror()
+                self._database.add_write_listener(self._mirror)
         return self._mirror
+
+    def describe(self) -> str:
+        return f"sqlite (breaker {self.breaker}, trips {self.trips})"
+
+    def heal(self) -> list[str]:
+        """Resync the mirror's divergent and dirty tables (none if never built)."""
+        return [] if self._mirror is None else self._mirror.resync(self._database)
 
     # ------------------------------------------------------------------
     # Entry point
@@ -240,7 +252,7 @@ class PushdownExecutor(Executor):
     def _eval(self, expr: Expr, counter: CostCounter | None, binding) -> Bag:
         gate = self.breaker
         if gate != CLOSED:
-            with self._mirror.lock:
+            with self.mirror.lock:
                 gate = self._gate()
         if gate == OPEN:
             _count_fallback("breaker_open")
@@ -250,7 +262,7 @@ class PushdownExecutor(Executor):
         try:
             return self._push(expr, counter, binding)
         except sqlite3.Error as exc:
-            with self._mirror.lock:
+            with self.mirror.lock:
                 self.trips += 1
                 self._open()
                 obs.metric_inc("engine_demotions")
@@ -300,11 +312,11 @@ class PushdownExecutor(Executor):
         try:
             with obs.span("pushdown_probe"):
                 fault_point("flaky-pushdown-probe")
-                self._mirror.resync(self._database)
+                self.mirror.resync(self._database)
                 healed = mirror_digest(self._push(expr, counter, binding)) == mirror_digest(reference)
         except sqlite3.Error:
             healed = False
-        with self._mirror.lock:
+        with self.mirror.lock:
             if healed:
                 self.breaker = CLOSED
             else:
@@ -365,7 +377,7 @@ class PushdownExecutor(Executor):
         return Bag.from_counts(counts)
 
     def _sql_rows(self, expr: Expr, counter: CostCounter | None, binding) -> list[tuple]:
-        mirror = self._mirror
+        mirror = self.mirror
         database = self._database
         state = database.state
         with mirror.lock:
@@ -445,4 +457,4 @@ class PushdownExecutor(Executor):
         # additionally indexes the same key columns so pushed-down
         # equi-joins use them inside SQLite.
         super()._build_index(ctx, table, positions)
-        self._mirror.request_index(table, positions)
+        self.mirror.request_index(table, positions)

@@ -44,7 +44,6 @@ from repro.exec.group import (
     EpochDeltaCache,
     GroupScheduler,
     GroupTask,
-    evaluate_delta_pair,
     subplan_fingerprint,
 )
 from repro.robustness.faults import fault_point
@@ -532,7 +531,7 @@ class SharedLogScenario:
             name=name,
             order=order,
             key=key,
-            compute=lambda counter: evaluate_delta_pair(self.db, delete, insert, counter, binding),
+            compute=lambda counter: tuple(map(self.db.batch(counter=counter, binding=binding), (delete, insert))),
             apply=apply,
         )
 

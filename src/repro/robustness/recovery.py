@@ -147,11 +147,7 @@ def heal_engine_state(db) -> dict[str, list[str]]:
     Returns ``{"indexes": [...], "mirror": [...]}`` naming what was
     healed.
     """
-    healed = {"indexes": db.indexes.verify(db.state), "mirror": []}
-    mirror = getattr(db._executor, "mirror", None)
-    if mirror is not None:
-        healed["mirror"] = mirror.resync(db)
-    return healed
+    return {"indexes": db.indexes.verify(db.state), "mirror": db.heal_engine()}
 
 
 def _journaled_action(manager: ViewManager, intent: OpIntent) -> MaintenanceAction | None:

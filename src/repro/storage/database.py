@@ -21,21 +21,15 @@ assignment sets executed this way.
 from __future__ import annotations
 
 import threading
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 
 from repro import obs
 from repro.algebra.bag import Bag, Row
-from repro.algebra.evaluation import CostCounter, evaluate
+from repro.algebra.evaluation import CostCounter
 from repro.algebra.expr import Expr, TableRef
 from repro.algebra.schema import Schema
 from repro.errors import SchemaError, TransactionError, UnknownTableError
-from repro.exec import (
-    INTERPRETED,
-    SQLITE,
-    Executor,
-    default_exec_mode,
-    resolve_exec_mode,
-)
+from repro.exec import default_exec_mode, engine_class, resolve_exec_mode
 from repro.exec.indexes import IndexManager
 from repro.robustness.faults import fault_point
 
@@ -45,7 +39,8 @@ __all__ = ["Database"]
 class Database:
     """A mutable collection of named bag tables with schemas.
 
-    Queries run through one of three engines (see :mod:`repro.exec`):
+    Queries run through one engine, :attr:`executor`, built from
+    ``exec_mode`` through :data:`repro.exec.ENGINES`:
 
     * ``exec_mode="compiled"`` (the default) lowers expressions once
       into cached physical plans whose subexpression results are reused
@@ -80,7 +75,7 @@ class Database:
         self._versions: dict[str, int] = {}
         self._clock = 0
         self._indexes = IndexManager()
-        self._executor: Executor | None = None
+        self._executor = None
         #: Write listeners: objects with ``on_patch(name, delete, insert,
         #: before, after)``, ``on_replace(name, bag)``, ``on_drop(name)``.
         self._listeners: list = []
@@ -104,15 +99,15 @@ class Database:
         return self._indexes
 
     @property
-    def executor(self) -> Executor:
+    def executor(self):
+        """The engine every evaluation, prime and footprint goes through."""
         if self._executor is None:
-            if self._exec_mode == SQLITE:
-                from repro.exec.pushdown import PushdownExecutor
-
-                self._executor = PushdownExecutor(self)
-            else:
-                self._executor = Executor(self)
+            self._executor = engine_class(self._exec_mode)(self)
         return self._executor
+
+    def heal_engine(self) -> list[str]:
+        """Resync the engine's derived state; an unbuilt engine stays unbuilt."""
+        return [] if self._executor is None else self._executor.heal()
 
     def add_write_listener(self, listener) -> None:
         """Register an engine-side mirror for per-write delta forwarding.
@@ -154,10 +149,8 @@ class Database:
 
         Scenarios call this at install time while log tables are still
         empty, so index builds are free and all later maintenance is
-        incremental.  A no-op in interpreted mode.
+        incremental.  The interpreted engine has nothing to prime.
         """
-        if self._exec_mode == INTERPRETED:
-            return
         for expr in exprs:
             self.executor.prime(expr, counter=counter)
 
@@ -257,9 +250,21 @@ class Database:
         sanitizer = obs.active_sanitizer()
         if sanitizer is not None and sanitizer.tracking():
             sanitizer.on_read(expr.tables())
-        if self._exec_mode == INTERPRETED:
-            return evaluate(expr, self._tables, counter=counter, binding=binding)
         return self.executor.evaluate(expr, counter=counter, binding=binding)
+
+    def batch(self, *, counter: CostCounter | None = None, binding=None) -> Callable[[Expr], Bag]:
+        """:meth:`evaluate` for several expressions over one unchanged state (a
+        view's delta pair), sharing subresults even on the interpreted engine."""
+        run = self.executor.batch(counter=counter, binding=binding)
+        sanitizer = obs.active_sanitizer()
+        if sanitizer is None or not sanitizer.tracking():
+            return run
+
+        def tracked(expr: Expr) -> Bag:
+            sanitizer.on_read(expr.tables())
+            return run(expr)
+
+        return tracked
 
     def total_rows(self) -> int:
         """Total tuple count across all tables (with multiplicity)."""
@@ -347,26 +352,18 @@ class Database:
         restrict_to_external: bool = False,
         binding=None,
     ) -> None:
-        interpreted = self._exec_mode == INTERPRETED
-        memo: dict[Expr, Bag] = {}
         # The op stack only changes at span boundaries outside this call,
         # so whether accesses are judged is constant for the whole
         # transaction — hoist the check out of the per-expression loops.
         sanitizer = obs.active_sanitizer()
         if sanitizer is not None and not sanitizer.tracking():
             sanitizer = None
+        batch = self.executor.batch(counter=counter, binding=binding)
 
         def run(expr: Expr) -> Bag:
-            # Engine-backed modes: the executor's version-stamped memo
-            # shares work both within this transaction and with earlier
-            # evaluations of the (unchanged) pre-state.  Interpreted: a
-            # fresh memo scoped to this transaction's pre-state (see the
-            # warning on :func:`repro.algebra.evaluation.evaluate`).
             if sanitizer is not None:
                 sanitizer.on_read(expr.tables())
-            if interpreted:
-                return evaluate(expr, self._tables, counter=counter, memo=memo, binding=binding)
-            return self.executor.evaluate(expr, counter=counter, binding=binding)
+            return batch(expr)
 
         new_values: dict[str, Bag] = {}
         patch_deltas: dict[str, tuple[Bag, Bag]] = {}

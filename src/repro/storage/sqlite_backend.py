@@ -505,7 +505,8 @@ class SQLiteMirror:
     """An incrementally-maintained SQLite shadow of one database.
 
     The pushdown executor registers the mirror as a write listener on
-    its :class:`~repro.storage.database.Database`.  Tables materialize
+    its :class:`~repro.storage.database.Database` at its first
+    evaluation or prime.  Tables materialize
     lazily at the first pushdown scan and are then kept *canonical*
     (one physical row per distinct logical row, ``mult > 0``) through
     every write: each ``Bag.patch``-driven write folds its clamped

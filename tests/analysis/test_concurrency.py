@@ -12,6 +12,7 @@ from repro.analysis.mutations import apply_mutation
 from repro.analysis.effects import EffectSet, OpEffects, Step
 from repro.core.naming import mv_name
 from repro.core.scenarios import BaseLogScenario
+from repro.exec import ENV_VAR
 from repro.sqlfront import sql_to_view
 from repro.storage.database import Database
 
@@ -89,8 +90,9 @@ class TestLockCoverage:
 
 class TestStack:
     @pytest.mark.parametrize("exec_mode", ["compiled", "interpreted"])
-    def test_demo_stack_is_clean(self, exec_mode):
-        report = demo_stack_report(exec_mode=exec_mode)
+    def test_demo_stack_is_clean(self, exec_mode, monkeypatch):
+        monkeypatch.setenv(ENV_VAR, exec_mode)
+        report = demo_stack_report()
         assert len(report) == 0, report.format()
 
     def test_check_stack_aggregates_scenario_checks(self):

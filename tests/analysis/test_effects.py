@@ -1,5 +1,7 @@
 """Effect-set inference: footprints, plan effects, scenario protocols."""
 
+import sqlite3
+
 import pytest
 
 from repro.analysis.effects import (
@@ -91,6 +93,17 @@ class TestReadFootprint:
         db = make_db()
         view = sql_to_view(VIEW_SQL.format(name="V"), db)
         assert read_footprint(None, view.query) == view.query.tables()
+
+    def test_sqlite_footprint_builds_no_mirror(self, monkeypatch):
+        # Asking what a plan reads attaches no write listener and opens
+        # no SQLite connection: the mirror is built by evaluation only.
+        connects = []
+        real_connect = sqlite3.connect
+        monkeypatch.setattr(sqlite3, "connect", lambda *a, **k: connects.append(a) or real_connect(*a, **k))
+        db = Database(exec_mode="sqlite")
+        db.create_table("R", ["a"], rows=[(1,)])
+        assert read_footprint(db, db.ref("R")) == {"R"}
+        assert (db._listeners, connects) == ([], [])
 
 
 class TestPlanEffects:

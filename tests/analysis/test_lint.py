@@ -134,20 +134,6 @@ class TestCli:
         assert main(["--experiments"]) == 0
         assert "clean" in capsys.readouterr().out
 
-    def test_engine_flag_accepted(self, capsys):
-        status = main(["--engine", "sqlite", "CREATE TABLE r (a); SELECT a FROM r"])
-        assert status == 0
-        assert "clean" in capsys.readouterr().out
-
-    def test_engine_flag_equals_form(self, capsys):
-        status = main(["--engine=compiled", "--experiments"])
-        assert status == 0
-        capsys.readouterr()
-
-    def test_unknown_engine_exits_two(self, capsys):
-        assert main(["--engine", "turbo", "SELECT 1"]) == 2
-        assert "unknown execution mode" in capsys.readouterr().out
-
     def test_json_output_clean(self, capsys):
         import json
 
@@ -192,9 +178,9 @@ class TestCli:
         assert "RVM601" in codes
 
     def test_diagnostics_identical_across_engines(self):
-        # Lints are static: the selected engine must change nothing.
+        # Lints are static: the catalog's engine must change nothing.
         source = "CREATE TABLE r (a, b);\nSELECT a FROM r WHERE c = 1"
-        reports = {engine: lint_sql(source, engine=engine) for engine in MODES}
+        reports = {engine: lint_sql(source, Database(exec_mode=engine)) for engine in MODES}
         rendered = {
             engine: [d.format() for d in report]
             for engine, report in reports.items()

@@ -1,5 +1,7 @@
 """Unit tests for the warehouse shell."""
 
+import sqlite3
+
 import pytest
 
 from repro.cli import WarehouseShell
@@ -111,6 +113,19 @@ class TestDotCommands:
         finally:
             INJECTOR.reset()
         assert sh.handle_line(".engine") == "engine sqlite (breaker open, trips 1)"
+
+    def test_engine_builds_no_mirror(self, monkeypatch):
+        # Naming the engine attaches no write listener and opens no
+        # SQLite connection: the mirror is built by evaluation only.
+        from repro.exec import ENV_VAR
+
+        connects = []
+        real_connect = sqlite3.connect
+        monkeypatch.setattr(sqlite3, "connect", lambda *a, **k: connects.append(a) or real_connect(*a, **k))
+        monkeypatch.setenv(ENV_VAR, "sqlite")
+        sh = WarehouseShell()
+        assert sh._cmd_engine() == "engine sqlite (breaker closed, trips 0)"
+        assert (sh.manager.db._listeners, connects) == ([], [])
 
     def test_unknown_command(self, shell):
         assert "unknown command" in shell.handle_line(".bogus")
