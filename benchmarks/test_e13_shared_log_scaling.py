@@ -13,8 +13,8 @@ measure per-transaction tuple-ops under both designs.
 from benchmarks.common import ExperimentResult, write_report
 from repro.core.scenarios import BaseLogScenario
 from repro.core.views import ViewDefinition
-from repro.extensions.sharedlog import SharedLogScenario
 from repro.storage.database import Database
+from repro.warehouse.manager import ViewManager
 from repro.workloads.retail import RetailConfig, RetailWorkload
 
 VIEW_COUNTS = (1, 2, 4, 8, 16)
@@ -56,13 +56,13 @@ def per_view_logs_cost(views: int) -> int:
 
 def shared_log_cost(views: int) -> int:
     db, workload = setup_db()
-    scenario = SharedLogScenario(db)
+    manager = ViewManager(db)
     for index in range(views):
-        scenario.add_view(view_for(db, index))
-    before = scenario.counter.tuples_out
+        manager.define_view(f"V{index}", view_for(db, index), scenario="shared_log")
+    before = manager.counter.tuples_out
     for txn in workload.transactions(db, TXNS):
-        scenario.execute(txn)
-    return (scenario.counter.tuples_out - before) // TXNS
+        manager.execute(txn)
+    return (manager.counter.tuples_out - before) // TXNS
 
 
 def run_experiment():

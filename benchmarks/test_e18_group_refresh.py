@@ -36,8 +36,7 @@ def run_e18(mode: str, views: int, *, parallel: bool = True) -> dict[str, object
     baseline.refresh_all()
     per_view = {"ops": baseline.counter.tuples_out - marker}
 
-    shared = subject.shared_group()
-    log_rows_before = shared.log_size()
+    log_rows_before = subject.shared_log.log_size()
     marker = subject.counter.tuples_out
     hits_marker = subject.counter.delta_cache_hits
     subject.refresh_group(parallel=parallel)
@@ -45,7 +44,7 @@ def run_e18(mode: str, views: int, *, parallel: bool = True) -> dict[str, object
         "ops": subject.counter.tuples_out - marker,
         "delta_cache_hits": subject.counter.delta_cache_hits - hits_marker,
         "log_rows_before": log_rows_before,
-        "log_rows_after": shared.log_size(),
+        "log_rows_after": subject.shared_log.log_size(),
     }
 
     for name in baseline.views():

@@ -17,10 +17,10 @@ from repro.extensions import (
     AggregateSpec,
     AggregateView,
     BlockingSimulation,
-    SharedLogScenario,
     scoped_query,
 )
 from repro.storage.database import Database
+from repro.warehouse import ViewManager
 
 # Manifest for `python -m repro lint examples/extensions_tour.py`.  The
 # tour builds its views programmatically; the equivalent SQL is linted.
@@ -34,14 +34,13 @@ LINT_QUERIES = {
 def shared_log_demo() -> None:
     print("1. shared sequenced log: cost per transaction vs number of views")
     for view_count in (1, 4, 16):
-        db = Database()
-        db.create_table("orders", ["id", "region"], rows=[(1, "east"), (2, "west")])
-        scenario = SharedLogScenario(db)
+        manager = ViewManager()
+        manager.create_table("orders", ["id", "region"], rows=[(1, "east"), (2, "west")])
         for index in range(view_count):
-            scenario.add_view(ViewDefinition(f"V{index}", db.ref("orders")))
-        before = scenario.counter.tuples_out
-        scenario.execute(UserTransaction(db).insert("orders", [(3, "east")]))
-        cost = scenario.counter.tuples_out - before
+            manager.define_view(f"V{index}", manager.db.ref("orders"), scenario="shared_log")
+        before = manager.counter.tuples_out
+        manager.transaction().insert("orders", [(3, "east")]).run()
+        cost = manager.counter.tuples_out - before
         print(f"   {view_count:>2} views -> {cost} tuple-ops per transaction")
     print("   (a per-view log would scale linearly with the view count)\n")
 

@@ -70,7 +70,7 @@ CODES: dict[str, str] = {
     "RVM301": "state bug: log substitution has pre-update polarity",
     "RVM302": "state bug: refresh pair disagrees with PAST-state oracle",
     "RVM401": "scenario installed on persistent database without journaling",
-    "RVM501": "view overlaps a refresh group but is registered outside it",
+    "RVM501": "view shares subplans with a shared-log view but is maintained outside the shared log",
     "RVM601": "table read during refresh outside any lock section",
     "RVM602": "write effect not covered by exclusive lock",
     "RVM701": "partition-key drift: maintenance plan falls back to whole-table scans",

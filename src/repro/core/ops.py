@@ -82,6 +82,11 @@ class MaintenanceOp:
         return any(step.locked for step in self.steps)
 
     @cached_property
+    def held(self) -> int:
+        """Steps up to the last locked one: the lock is released after them."""
+        return max((index + 1 for index, step in enumerate(self.steps) if step.locked), default=0)
+
+    @cached_property
     def fault(self) -> str:
         """The crash point hit just before the op's first write."""
         return "crash-mid-refresh" if self.locked else f"crash-mid-{self.kind}"

@@ -73,8 +73,6 @@ class Scenario(ABC):
     tag: str = "?"
     #: Effect-step label of this scenario's ``makesafe`` extension.
     makesafe_step: str = "makesafe"
-    #: The shared-log group the view belongs to (shared-log views only).
-    group = None
 
     def __init__(
         self,
@@ -201,12 +199,14 @@ class Scenario(ABC):
         A compute step yields the symbolic ``(delete, insert)`` pair; the
         apply steps' plans evaluate it inside their one simultaneous
         transaction.  The view's exclusive lock is taken before the first
-        apply step of an op with locked steps and held to the end (a
-        leading compute step only *builds* expressions); the crash point
-        fires right after.  ``deltas`` is the group path: the epoch's
-        delta cache supplies the evaluated pair, compute steps are
-        skipped, and the apply steps run over the view's bound pair with
-        the bags bound to it — the same plans every epoch.
+        apply step of an op with locked steps and held through its last
+        locked step (a leading compute step only *builds* expressions; a
+        trailing unlocked step, the shared log's prune, runs after the
+        release); the crash point fires right after it is taken.
+        ``deltas`` is the group path: the epoch's delta cache supplies the
+        evaluated pair, compute steps are skipped, and the apply steps run
+        over the view's bound pair with the bags bound to it — the same
+        plans every epoch.
         """
         op = kind if isinstance(kind, MaintenanceOp) else self.op(kind)
         if not op.steps:
@@ -223,31 +223,36 @@ class Scenario(ABC):
             attrs["log_watermark"] = self.log_watermark() if telemetry else 0
         else:
             attrs["delta_rows"] = self._pending_dt_rows() if telemetry else 0
-        steps = op.steps
+        steps, start = op.steps, 0
         with obs.span(op.kind, view=self.view.name, scenario=self.tag, counter=self.counter, **attrs):
             if steps[0].deltas is not None:
                 # A leading compute step only builds expressions: outside the lock.
                 if deltas is None:
                     pair = (steps[0].via or steps[0].deltas)()
-                steps = steps[1:]
+                start = 1
             if pair is not None:  # None: nothing recorded — nothing to apply, no lock
                 lock = self._refresh_lock(f"{op.kind}_{self.tag}") if op.locked else nullcontext()
                 with lock:
                     fault_point(op.fault)
-                    for step in steps:
-                        if step.deltas is not None:
-                            if deltas is None:
-                                pair = (step.via or step.deltas)()
-                        elif step.via is not None:
-                            step.via(*pair, binding=binding)
-                        else:
-                            self._execute(step.plan(*pair), pair, binding)
+                    pair = self._run_steps(steps[start : op.held], pair, deltas, binding)
+                self._run_steps(steps[max(start, op.held) :], pair, deltas, binding)
         if op.locked:
             # After a partial refresh the still-unpropagated log stays
             # behind: the view is a bounded k ticks out of date.
             self._note_fresh()
         elif telemetry:
             obs.metric_inc("propagations")
+
+    def _run_steps(self, steps: tuple[OpStep, ...], pair: tuple, deltas, binding) -> tuple:
+        for step in steps:
+            if step.deltas is not None:
+                if deltas is None:
+                    pair = (step.via or step.deltas)()
+            elif step.via is not None:
+                step.via(*pair, binding=binding)
+            else:
+                self._execute(step.plan(*pair), pair, binding)
+        return pair
 
     def _execute(self, plan: MaintenancePlan, pair: tuple, binding) -> None:
         counter = self.counter

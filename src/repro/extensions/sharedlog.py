@@ -17,15 +17,20 @@ views.  This module answers with a **shared sequenced log**:
   the standard post-update deltas of Section 4;
 * entries at or below the minimum cursor are pruned.
 
-:class:`SharedLogScenario` packages this as a drop-in scenario: the
-``INV_BL`` invariant holds for every registered view with respect to its
-cursor's slice of the log.
+:class:`SharedLog` is the one shared object (a
+:class:`~repro.warehouse.manager.ViewManager` owns one): the log tables,
+the sequence number, every view's cursor and pair, the journal prune
+floor.  :class:`SharedLogScenario` is one view over it, an ordinary
+:class:`~repro.core.scenarios.Scenario` (tag ``SL``) whose ``refresh``
+runs through :meth:`~repro.core.scenarios.Scenario.run`: ``INV_BL``
+holds for every view with respect to its cursor's slice of the log.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterable
+from functools import partial
 from typing import NamedTuple
 
 from repro.algebra.bag import Bag, Row
@@ -36,21 +41,14 @@ from repro.core.differential import differentiate
 from repro.core.ops import MaintenanceOp, OpStep
 from repro.core.plan import MaintenancePlan
 from repro.core.scenarios import Scenario
-from repro.core.substitution import FactoredSubstitution, bound_pair, pair_binding
+from repro.core.substitution import FactoredSubstitution, pair_binding
 from repro.core.transactions import UserTransaction
 from repro.core.views import ViewDefinition
-from repro.errors import PolicyError, SchemaError
-from repro.exec.group import (
-    EpochDeltaCache,
-    GroupScheduler,
-    GroupTask,
-    subplan_fingerprint,
-)
-from repro.robustness.faults import fault_point
+from repro.errors import SchemaError
+from repro.exec.group import GroupTask, subplan_fingerprint
 from repro.storage.database import Database
-from repro.storage.locks import LockLedger
 
-__all__ = ["SharedLog", "SharedLogScenario", "SharedLogView"]
+__all__ = ["SharedLog", "SharedLogScenario"]
 
 DELETE_OP = "D"
 INSERT_OP = "I"
@@ -62,6 +60,21 @@ def shared_log_name(table: str) -> str:
     return f"__shared_log__{table}"
 
 
+class _ViewPair(NamedTuple):
+    """What refreshing a view needs that is a function of its definition alone."""
+
+    #: Figure 2's ``(▼, ▲)`` over bound per-table deltas: any slice of the
+    #: log is refreshed by binding it to this one pair.
+    delete: Expr
+    insert: Expr
+    #: The query's :func:`~repro.exec.group.subplan_fingerprint`.
+    fingerprint: str
+    #: The query's base tables, sorted.
+    base: tuple[str, ...]
+    #: The query itself: views with equal queries share one pair.
+    query: Expr
+
+
 class SharedLog:
     """One sequenced change log per tracked base table, shared by all views."""
 
@@ -70,6 +83,24 @@ class SharedLog:
         self._tables: set[str] = set()
         self._seq = 0
         self._tag_leaves: dict[str, tuple[Literal, Bound, Bound]] = {}
+        #: View name -> the sequence number through which it has refreshed.
+        self.cursors: dict[str, int] = {}
+        #: View name -> its pair, built (and primed) once, when it joins.
+        self._pairs: dict[str, _ViewPair] = {}
+        #: What the next :meth:`epoch_report` reports: pairs built since
+        #: the last one, rows of each ``(cursor, table)`` slice an epoch bound.
+        self._pairs_built = 0
+        self._bound: dict[tuple[int, str], int] = {}
+        #: Table -> (its log's version, cursor -> net fold): a fold is
+        #: reused until the log table changes.
+        self._folds: dict[str, tuple[int, dict[int, tuple[Bag, Bag]]]] = {}
+        #: (cursors, log versions) of the last compaction.
+        self._compacted: tuple | None = None
+        #: Highest sequence number durably committed by the journal; when
+        #: the database is journaled, pruning never passes this floor so
+        #: crash recovery can always replay from its snapshot's cursors.
+        self._prune_floor: int | None = None
+        self._pruned_through = 0
 
     @property
     def tables(self) -> tuple[str, ...]:
@@ -90,20 +121,42 @@ class SharedLog:
             return
         name = shared_log_name(table)
         if self._db.has_table(name):
-            # Reattach to a persisted log table (warehouse reload path).
-            self._tables.add(table)
-            return
-        schema = self._db.schema_of(table)
-        log_schema = Schema(("__seq", "__op", *schema.attributes))
-        self._db.create_table(name, log_schema, internal=True)
+            # Reattach to a persisted log table (warehouse reload path):
+            # the counter resumes past every entry it holds.
+            self._seq = max([self._seq, *(row[0] for row in self._db[name].support)])
+        else:
+            self._db.create_table(name, self._tags(table)[0].schema(), internal=True)
         self._tables.add(table)
 
-    def restore_seq(self, seq: int) -> None:
-        """Fast-forward the sequence counter (warehouse reload path)."""
-        self._seq = max(self._seq, seq)
+    def register(self, view: ViewDefinition, cursor: int, counter: CostCounter) -> _ViewPair:
+        """Enter ``view`` at ``cursor`` with its ``(▼, ▲)`` pair over bound deltas.
 
-    def _log_ref(self, table: str):
-        return self._db.ref(shared_log_name(table))
+        Views with equal queries share one pair.  A new one is primed
+        here, on the installing thread, so a group epoch's pool workers
+        only ever execute plans that exist.
+        """
+        for table in sorted(view.base_tables()):
+            self.track(table)
+        pair = next((pair for pair in self._pairs.values() if pair.query == view.query), None)
+        if pair is None:
+            base = tuple(sorted(view.base_tables()))
+            eta = FactoredSubstitution.bound({table: self._db.schema_of(table) for table in base})
+            # Weakly minimal by replay (Lemma 4), so the simplified duality
+            # applies: ▼(L,Q) = Add(L̂,Q), ▲(L,Q) = Del(L̂,Q).
+            del_hat, add_hat = differentiate(eta, view.query)
+            self._db.prime(add_hat, del_hat, counter=counter)
+            pair = _ViewPair(add_hat, del_hat, subplan_fingerprint(view.query), base, view.query)
+            self._pairs_built += 1
+        self._pairs[view.name] = pair
+        self.cursors[view.name] = cursor
+        self._seq = max(self._seq, cursor)
+        return pair
+
+    def unregister(self, name: str) -> None:
+        """Forget a view's cursor and pair; prune what only it still needed."""
+        self._pairs.pop(name, None)
+        self.cursors.pop(name, None)
+        self.prune_consumed()
 
     # ------------------------------------------------------------------
     # Recording — O(changes), independent of the number of views
@@ -165,16 +218,19 @@ class SharedLog:
         """
         if table not in self._tables:
             raise SchemaError(f"table {table!r} is not tracked by the shared log")
+        log = self._db[shared_log_name(table)]
+        return self._fold(self._entries((row, count) for row, count in log.items() if row[0] > cursor))
+
+    @staticmethod
+    def _entries(rows: Iterable[tuple[Row, int]]) -> dict[int, tuple[dict[Row, int], dict[Row, int]]]:
+        """Log rows as ``seq -> (deleted counts, inserted counts)``."""
         entries: dict[int, tuple[dict[Row, int], dict[Row, int]]] = {}
-        for row, count in self._db[shared_log_name(table)].items():
-            seq, op, *values = row
-            if seq <= cursor:
-                continue
+        for (seq, op, *values), count in rows:
             deletes, inserts = entries.setdefault(seq, ({}, {}))
             side = deletes if op == DELETE_OP else inserts
             key = tuple(values)
             side[key] = side.get(key, 0) + count
-        return self._fold(entries)
+        return entries
 
     @staticmethod
     def _fold(entries: dict[int, tuple[dict[Row, int], dict[Row, int]]]) -> tuple[Bag, Bag]:
@@ -191,33 +247,51 @@ class SharedLog:
             )
         return net_delete, net_insert
 
-    def binding_since(
-        self,
-        cursor: int,
-        tables: Iterable[str],
-        folds: dict[tuple[int, str], tuple[Bag, Bag]] | None = None,
-    ) -> dict[str, Bag]:
+    def _fold_since(self, table: str, cursor: int) -> tuple[Bag, Bag]:
+        """:meth:`net_deltas_since`, kept until ``table``'s log next changes."""
+        version = self._db.version_of(shared_log_name(table))
+        memo = self._folds.get(table)
+        if memo is None or memo[0] != version:
+            memo = self._folds[table] = (version, {})
+        net = memo[1].get(cursor)
+        if net is None:
+            net = memo[1][cursor] = self.net_deltas_since(table, cursor)
+        return net
+
+    def binding_since(self, cursor: int, tables: Iterable[str], *, epoch: bool = False) -> dict[str, Bag]:
         """The log substitution L̂'s deltas for the slice past ``cursor``, as
         the binding of :meth:`FactoredSubstitution.bound`'s leaves.
 
-        ``folds`` keeps each ``(cursor, table)`` replay for callers binding
-        several overlapping slices of one unchanged log (a group epoch).
+        Each ``(cursor, table)`` fold is reused until that log table
+        changes, so views binding one slice of an unchanged log (a group
+        epoch) share one replay.  ``epoch``: count the slice toward the
+        next :meth:`epoch_report`.
         """
-        folds = {} if folds is None else folds
         deltas: dict[str, tuple[Bag, Bag]] = {}
         for table in tables:
-            net = folds.get((cursor, table))
-            if net is None:
-                net = folds[cursor, table] = self.net_deltas_since(table, cursor)
+            net = self._fold_since(table, cursor)
+            if epoch:
+                self._bound[cursor, table] = len(net[0]) + len(net[1])
             # Past queries undo changes: D = recorded inserts, A = deletes.
             deltas[table] = (net[1], net[0])
         return pair_binding(deltas)
+
+    def epoch_report(self) -> dict[str, int]:
+        """``pairs_built`` since the last report and ``bound_rows`` of the
+        slices bound since (each ``(cursor, table)`` once); resets both."""
+        report = {"pairs_built": self._pairs_built, "bound_rows": sum(self._bound.values())}
+        self._pairs_built = 0
+        self._bound.clear()
+        return report
 
     # ------------------------------------------------------------------
     # Net-effect compaction
     # ------------------------------------------------------------------
 
-    def compact(self, cursors: Iterable[int]) -> int:
+    def _versions(self) -> tuple[int, ...]:
+        return tuple(self._db.version_of(shared_log_name(table)) for table in self._tables)
+
+    def compact(self) -> int:
         """Fold log entries into net deltas between cursor boundaries.
 
         Entries are grouped into segments ``(b_{i-1}, b_i]`` delimited by
@@ -228,11 +302,15 @@ class SharedLog:
         *any* registered cursor sees exactly the same net ``(▼R, ▲R)``
         afterwards — churn (delete/insert pairs that cancel) simply
         disappears, so both the log footprint and every later
-        ``PAST(L, Q)`` replay scale with the **net** change.
+        ``PAST(L, Q)`` replay scale with the **net** change.  A log
+        already compacted at the same cursors and versions is left alone,
+        so an epoch whose every view asks compacts once.
 
         Returns the number of rows removed across all log tables.
         """
-        boundaries = sorted(set(cursors))
+        if self._compacted == (tuple(self.cursors.values()), self._versions()):
+            return 0
+        boundaries = sorted(set(self.cursors.values()))
         removed = 0
         for table in self._tables:
             name = shared_log_name(table)
@@ -240,14 +318,8 @@ class SharedLog:
             if not current:
                 continue
             segments: dict[int, dict[int, tuple[dict[Row, int], dict[Row, int]]]] = {}
-            for row, count in current.items():
-                seq, op, *values = row
-                segment = bisect_left(boundaries, seq)
-                entries = segments.setdefault(segment, {})
-                deletes, inserts = entries.setdefault(seq, ({}, {}))
-                side = deletes if op == DELETE_OP else inserts
-                key = tuple(values)
-                side[key] = side.get(key, 0) + count
+            for seq, entry in self._entries(current.items()).items():
+                segments.setdefault(bisect_left(boundaries, seq), {})[seq] = entry
             counts: dict[Row, int] = {}
             for entries in segments.values():
                 tag = max(entries)
@@ -260,6 +332,7 @@ class SharedLog:
             if len(compacted) < len(current):
                 removed += len(current) - len(compacted)
                 self._db.set_table(name, compacted)
+        self._compacted = (tuple(self.cursors.values()), self._versions())
         return removed
 
     # ------------------------------------------------------------------
@@ -280,286 +353,30 @@ class SharedLog:
                 self._db.set_table(name, kept)
         return removed
 
-
-class _ViewPair(NamedTuple):
-    """What refreshing a view needs that is a function of its definition alone."""
-
-    #: Figure 2's ``(▼, ▲)`` over bound per-table deltas: any slice of the
-    #: log is refreshed by binding it to this one pair.
-    delete: Expr
-    insert: Expr
-    #: The query's :func:`~repro.exec.group.subplan_fingerprint`.
-    fingerprint: str
-    #: The query's base tables, sorted.
-    base: tuple[str, ...]
-
-
-class SharedLogScenario:
-    """Deferred maintenance of *many* views over one shared log.
-
-    Register views with :meth:`add_view`; run transactions with
-    :meth:`execute` (per-transaction cost does not grow with the number
-    of views); refresh views individually with :meth:`refresh`.
-    """
-
-    tag = "SL"
-
-    def __init__(
-        self,
-        db: Database,
-        *,
-        counter: CostCounter | None = None,
-        ledger: LockLedger | None = None,
-    ) -> None:
-        self.db = db
-        self.shared_log = SharedLog(db)
-        self.counter = counter if counter is not None else CostCounter()
-        self.ledger = ledger if ledger is not None else LockLedger()
-        self._views: dict[str, ViewDefinition] = {}
-        self._cursors: dict[str, int] = {}
-        #: Built (and primed) once per view, when it joins; an epoch only
-        #: binds its log slice.
-        self._pairs: dict[str, _ViewPair] = {}
-        self._pairs_built = 0
-        #: What the last :meth:`epoch_tasks` did beyond evaluating deltas:
-        #: pairs built since the epoch before, rows of log slice bound.
-        self.last_epoch = {"pairs_built": 0, "bound_rows": 0}
-        #: Highest sequence number durably committed by the journal; when
-        #: the database is journaled, pruning never passes this floor so
-        #: crash recovery can always replay from its snapshot's cursors.
-        self._prune_floor: int | None = None
-
-    # ------------------------------------------------------------------
-    # Views
-    # ------------------------------------------------------------------
-
-    def add_view(self, view: ViewDefinition) -> None:
-        """Register and materialize a view; its cursor starts at 'now'."""
-        if view.name in self._views:
-            raise SchemaError(f"view {view.name!r} already registered")
-        view.require_external_inputs(self.db)
-        for table in sorted(view.base_tables()):
-            self.shared_log.track(table)
-        initial = self.db.evaluate(view.query, counter=self.counter)
-        self.db.create_table(view.mv_table, view.schema, rows=initial, internal=True)
-        self._register(view, self.shared_log.current_seq)
-
-    def attach_view(self, view: ViewDefinition, cursor: int) -> None:
-        """Re-register a persisted view without rematerializing it."""
-        if view.name in self._views:
-            raise SchemaError(f"view {view.name!r} already registered")
-        for table in sorted(view.base_tables()):
-            self.shared_log.track(table)
-        self._register(view, cursor)
-
-    def _register(self, view: ViewDefinition, cursor: int) -> None:
-        """Enter ``view`` at ``cursor`` with its ``(▼, ▲)`` pair over bound deltas.
-
-        Views with equal queries share one pair.  A new one is primed
-        here, on the installing thread, so a group epoch's pool workers
-        only ever execute plans that exist.
-        """
-        pair = next(
-            (self._pairs[name] for name, other in self._views.items() if other.query == view.query),
-            None,
-        )
-        if pair is None:
-            base = tuple(sorted(view.base_tables()))
-            eta = FactoredSubstitution.bound({table: self.db.schema_of(table) for table in base})
-            # Weakly minimal by replay (Lemma 4), so the simplified duality
-            # applies: ▼(L,Q) = Add(L̂,Q), ▲(L,Q) = Del(L̂,Q).
-            del_hat, add_hat = differentiate(eta, view.query)
-            self.db.prime(add_hat, del_hat, counter=self.counter)
-            pair = _ViewPair(add_hat, del_hat, subplan_fingerprint(view.query), base)
-            self._pairs_built += 1
-        self._pairs[view.name] = pair
-        self._views[view.name] = view
-        self._cursors[view.name] = cursor
-
-    def remove_view(self, name: str) -> None:
-        """Unregister a view and drop its materialization."""
-        try:
-            view = self._views.pop(name)
-        except KeyError:
-            raise PolicyError(f"view {name!r} is not registered") from None
-        self._cursors.pop(name, None)
-        self._pairs.pop(name, None)
-        self.db.drop_table(view.mv_table)
-        self._maybe_prune()
-
-    def views(self) -> tuple[str, ...]:
-        return tuple(self._views)
-
-    def cursor(self, name: str) -> int:
-        return self._cursors[name]
-
-    def view_definition(self, name: str) -> ViewDefinition:
-        return self._views[name]
-
-    # ------------------------------------------------------------------
-    # Transactions
-    # ------------------------------------------------------------------
-
-    def execute(self, txn: UserTransaction) -> None:
-        """Run the transaction with a single shared-log extension."""
-        txn = txn.weakly_minimal()
-        plan = MaintenancePlan(patches=txn.patches(), binding=txn.binding)
-        plan.merge(self.shared_log.extend_patches(txn)).execute(self.db, counter=self.counter)
-
-    # ------------------------------------------------------------------
-    # Refresh
-    # ------------------------------------------------------------------
-
-    def _view(self, name: str) -> ViewDefinition:
-        try:
-            return self._views[name]
-        except KeyError:
-            raise PolicyError(f"view {name!r} is not registered") from None
-
-    def view_deltas(self, name: str) -> tuple[Expr, Expr]:
-        """The ``(delete, insert)`` MV patch of any slice of the log: the
-        slice is what :meth:`slice_binding` binds when the pair is evaluated."""
-        self._view(name)
-        return self._pairs[name][:2]
-
-    def slice_binding(self, name: str) -> dict[str, Bag]:
-        """The log slice past the view's cursor, bound to its pair's leaves."""
-        self._view(name)
-        return self.shared_log.binding_since(self._cursors[name], self._pairs[name].base)
-
-    def mv_patch_plan(self, name: str, delete: Expr, insert: Expr) -> MaintenancePlan:
-        """``refresh_SL``'s assignments: the MV patch (the log is shared, never cleared)."""
-        return MaintenancePlan(patches={self._views[name].mv_table: (delete, insert)})
-
-    def _install(self, name: str, delete: Expr, insert: Expr, binding, epoch: int, counter) -> None:
-        """Patch one view's MV under its lock and move its cursor to ``epoch``."""
-        mv_table = self._views[name].mv_table
-        with self.ledger.exclusive(mv_table, label="refresh_SL", counter=self.counter):
-            fault_point("crash-mid-refresh")
-            self.mv_patch_plan(name, delete, insert).execute(self.db, counter=counter, binding=binding)
-        self._cursors[name] = epoch
-
-    def refresh(self, name: str) -> None:
-        """Bring one view up to date and advance its cursor."""
-        delete, insert = self.view_deltas(name)
-        epoch = self.shared_log.current_seq
-        self._install(name, delete, insert, self.slice_binding(name), epoch, self.counter)
-        self._maybe_prune()
-
-    def refresh_all(self) -> None:
-        for name in self._views:
-            self.refresh(name)
-
-    # ------------------------------------------------------------------
-    # Group refresh (compaction + delta sharing + scheduling)
-    # ------------------------------------------------------------------
-
-    def compact(self) -> int:
-        """Net-effect compaction of the shared log at the view cursors."""
-        return self.shared_log.compact(self._cursors.values())
-
-    def refresh_group(
-        self,
-        names: Iterable[str] | None = None,
-        *,
-        parallel: bool = False,
-        max_workers: int | None = None,
-        compact: bool = True,
-    ) -> None:
-        """Bring a group of views up to date in one epoch.
-
-        Compacts the shared log first (so replay cost is proportional to
-        the net change), then schedules one :class:`GroupTask` per view:
-        views whose queries fingerprint equal over the same cursor slice
-        share a single delta evaluation through the epoch's delta cache,
-        and independent views may evaluate concurrently when
-        ``parallel=True``.  Patch application is always sequential in
-        registration order, so the result is bag-equal to calling
-        :meth:`refresh` on each view in turn.
-        """
-        members = list(names) if names is not None else list(self._views)
-        for name in members:
-            self._view(name)
-        tasks = self.epoch_tasks(list(enumerate(members)), compact=compact)
-        scheduler = GroupScheduler(counter=self.counter, parallel=parallel, max_workers=max_workers)
-        scheduler.run(tasks, EpochDeltaCache(self.counter))
-        self._maybe_prune()
-
-    def epoch_tasks(self, members: Iterable[tuple[int, str]], *, compact: bool) -> list[GroupTask]:
-        """Build one refresh task per ``(order, view name)`` for this epoch.
-
-        All tasks share the epoch's target sequence number, and views
-        reading a base table from the same cursor share one replay of its
-        log: the slices are folded here, once each — nothing an epoch's
-        applies write (MV tables) is read by a fold.
-        """
-        if compact:
-            self.compact()
-        epoch = self.shared_log.current_seq
-        folds: dict[tuple[int, str], tuple[Bag, Bag]] = {}
-        tasks = [self._group_task(order, name, epoch, folds) for order, name in members]
-        bound_rows = sum(len(bag) for fold in folds.values() for bag in fold)
-        self.last_epoch = {"pairs_built": self._pairs_built, "bound_rows": bound_rows}
-        self._pairs_built = 0
-        return tasks
-
-    def _group_task(
-        self,
-        order: int,
-        name: str,
-        epoch: int,
-        folds: dict[tuple[int, str], tuple[Bag, Bag]],
-    ) -> GroupTask:
-        view = self._views[name]
-        cursor = self._cursors[name]
-        delete, insert, fingerprint, base = self._pairs[name]
-        log_tables = tuple(shared_log_name(table) for table in base)
-        binding = self.shared_log.binding_since(cursor, base, folds)
-
-        def key() -> object:
-            stamps = tuple((table, self.db.version_of(table)) for table in base + log_tables)
-            return ("SL", fingerprint, cursor, stamps)
-
-        def apply(bags: tuple[Bag, Bag]) -> None:
-            # The bags were already evaluated (and counted) in compute();
-            # binding them to the patch is free, so no counter here —
-            # keeps cost parity with refresh().
-            supplied = pair_binding({view.mv_table: bags})
-            self._install(name, *bound_pair(view.mv_table, view.schema), supplied, epoch, None)
-
-        return GroupTask(
-            name=name,
-            order=order,
-            key=key,
-            compute=lambda counter: tuple(map(self.db.batch(counter=counter, binding=binding), (delete, insert))),
-            apply=apply,
-        )
-
-    # ------------------------------------------------------------------
-    # Pruning policy
-    # ------------------------------------------------------------------
-
-    def _maybe_prune(self) -> int:
-        """Prune consumed entries, deferring past the journal floor.
+    def prune_consumed(self) -> int:
+        """Prune what every cursor has passed, deferring past the journal floor.
 
         On a journaled database, entries above the last durably committed
         watermark are retained even when every cursor has passed them:
         crash recovery replays the pending operation from the *previous*
         checkpoint, whose cursors may still need that slice of the log.
         :meth:`commit_watermark` advances the floor once a checkpoint
-        commits.
+        commits.  Entries are only ever appended past every cursor, so a
+        threshold no higher than the last one finds nothing to drop.
         """
-        threshold = min(self._cursors.values(), default=self.shared_log.current_seq)
-        if getattr(self.db, "journaled", False):
+        threshold = min(self.cursors.values(), default=self._seq)
+        if getattr(self._db, "journaled", False):
             threshold = min(threshold, self._prune_floor or 0)
-        return self.shared_log.prune(threshold)
+        if threshold <= self._pruned_through:
+            return 0
+        self._pruned_through = threshold
+        return self.prune(threshold)
 
     def prune_footprint(self) -> MaintenancePlan:
-        """What :meth:`_maybe_prune` may rewrite, as a plan (effect inference only)."""
+        """What :meth:`prune_consumed` may rewrite, as a plan (effect inference only)."""
         plan = MaintenancePlan()
-        for table in self.shared_log.tables:
-            log = self.db.ref(shared_log_name(table))
-            plan.add_patch(log.name, log, Literal(Bag.empty(), log.schema()))
+        for table in self.tables:
+            plan.add_patch(shared_log_name(table), self._db.ref(shared_log_name(table)), self._tags(table)[0])
         return plan
 
     def commit_watermark(self) -> int:
@@ -570,115 +387,124 @@ class SharedLogScenario:
         cursors, so any replay starts at or above them and entries at or
         below the minimum cursor can never be needed again.
         """
-        self._prune_floor = min(self._cursors.values(), default=self.shared_log.current_seq)
-        return self._maybe_prune()
+        self._prune_floor = min(self.cursors.values(), default=self._seq)
+        return self.prune_consumed()
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
 
-    def read_view(self, name: str) -> Bag:
-        return self.db[self._views[name].mv_table]
-
-    def is_consistent(self, name: str) -> bool:
-        view = self._views[name]
-        return self.db.evaluate(view.query) == self.db[view.mv_table]
-
-    def invariant_holds(self, name: str) -> bool:
-        """``INV_BL`` relative to the view's cursor slice of the shared log."""
-        view = self._views[name]
-        schemas = {table: self.db.schema_of(table) for table in self._pairs[name].base}
-        past_query = FactoredSubstitution.bound(schemas).apply(view.query)
-        past = self.db.evaluate(past_query, binding=self.slice_binding(name))
-        return past == self.db[view.mv_table]
-
-    def check_invariants(self) -> None:
-        from repro.core.invariants import require
-
-        for name in self._views:
-            require(self.invariant_holds(name), f"shared-log invariant broken for view {name!r}")
+    def rows_since(self, cursor: int, tables: Iterable[str]) -> int:
+        """Log rows of ``tables`` recorded past ``cursor``."""
+        logs = (self._db[shared_log_name(table)] for table in tables)
+        return sum(count for log in logs for row, count in log.items() if row[0] > cursor)
 
     def log_size(self) -> int:
         """Total rows currently held across all shared log tables."""
-        return sum(len(self.db[shared_log_name(table)]) for table in self.shared_log.tables)
+        return sum(len(self._db[shared_log_name(table)]) for table in self.tables)
 
 
-class SharedLogView(Scenario):
-    """One view of a shared-log group, wearing the Scenario interface.
+class SharedLogScenario(Scenario):
+    """Deferred maintenance over the shared log: ``INV_BL`` relative to
+    the view's cursor slice.
 
-    Lets :class:`~repro.warehouse.manager.ViewManager` host shared-log
-    views next to the per-view scenarios: install/refresh/invariant calls
-    delegate to the owning :class:`SharedLogScenario`.  ``make_safe``
-    contributes *nothing* per view — the manager appends the group's
-    single log extension once per transaction, which is the whole point
-    of the shared log (per-transaction cost independent of view count).
+    ``makesafe`` contributes *nothing* per view — the manager appends the
+    log's single extension once per transaction, which is the whole
+    point of the shared log (per-transaction cost independent of view
+    count).  ``refresh_SL`` binds the slice past the cursor to the
+    view's one pair, patches ``MV`` under the lock, moves the cursor to
+    the head and prunes what every cursor has passed.
     """
 
     tag = "SL"
+    makesafe_step = "shared_log_extend"
 
-    def __init__(
-        self,
-        db: Database,
-        view: ViewDefinition,
-        *,
-        group: SharedLogScenario,
-        counter: CostCounter | None = None,
-        ledger: LockLedger | None = None,
-        strict: bool = False,
-    ) -> None:
-        super().__init__(db, view, counter=counter, ledger=ledger, strict=strict)
-        self.group = group
+    def __init__(self, db: Database, view: ViewDefinition, *, shared_log: SharedLog, **options) -> None:
+        self.shared_log = shared_log
+        super().__init__(db, view, **options)
 
-    def install(self) -> None:
-        if self._installed:
-            return
-        self._lint_on_install()
-        self.db.prime(self.view.query, counter=self.counter)
-        self.group.add_view(self.view)
-        self._installed = True
+    def _install_auxiliary(self) -> None:
+        self.attach(self.shared_log.current_seq)
 
     def attach(self, cursor: int) -> None:
-        """Reattach a persisted view at its saved cursor (reload path)."""
-        if self._installed:
-            return
-        self.group.attach_view(self.view, cursor)
-        self._installed = True
+        """Join the shared log at ``cursor`` (a reloaded view: its saved one)."""
+        self._pair = self.shared_log.register(self.view, cursor, self.counter)
 
-    def uninstall(self) -> None:
-        if not self._installed:
-            return
-        self.group.remove_view(self.view.name)
-        self._installed = False
+    def _uninstall_auxiliary(self) -> None:
+        self.shared_log.unregister(self.view.name)
+
+    @property
+    def cursor(self) -> int:
+        return self.shared_log.cursors[self.view.name]
 
     def _declare_ops(self) -> dict[str, MaintenanceOp]:
-        """The static picture of what the group does for this view.
-
-        ``makesafe``'s log extension and ``refresh_SL`` are built from
-        the group's own constructors; :meth:`refresh` hands execution to
-        the group, which also moves the view's cursor.
-        """
-        name = self.view.name
-        return {
-            "makesafe": self._op("makesafe", OpStep("shared_log_extend", plan=self._makesafe_extension)),
-            "refresh": self._op(
-                "refresh",
-                OpStep("delta_compute", deltas=lambda: self.group.view_deltas(name)),
-                OpStep("apply", locked=True, plan=lambda *pair: self.group.mv_patch_plan(name, *pair)),
-                OpStep("log_prune", plan=lambda *pair: self.group.prune_footprint()),
+        ops = super()._declare_ops()
+        log = self.shared_log
+        ops["refresh"] = self._op(
+            "refresh",
+            OpStep("delta_compute", deltas=lambda: self._pair[:2]),
+            OpStep("apply", locked=True, plan=self._mv_patch_plan, via=self._apply_slice),
+            OpStep(
+                "log_prune",
+                plan=lambda *_pair: log.prune_footprint(),
+                via=lambda *_pair, binding: log.prune_consumed(),
             ),
-        }
+        )
+        return ops
+
+    def _mv_patch_plan(self, delete: Expr, insert: Expr) -> MaintenancePlan:
+        """``refresh_SL``'s assignments: the MV patch (the log is shared, never cleared)."""
+        return MaintenancePlan(patches={self.view.mv_table: (delete, insert)})
+
+    def _apply_slice(self, delete: Expr, insert: Expr, *, binding) -> None:
+        """Patch ``MV`` with the pair bound to the slice past the cursor —
+        in a group epoch, to the bags the epoch computed from it (counted
+        there) — and move the cursor to the head."""
+        counter = None
+        if binding is None:
+            binding, counter = self.shared_log.binding_since(self.cursor, self._pair.base), self.counter
+        self._mv_patch_plan(delete, insert).execute(self.db, counter=counter, binding=binding)
+        self.shared_log.cursors[self.view.name] = self.shared_log.current_seq
 
     def make_safe(self, txn: UserTransaction) -> MaintenancePlan:
-        """Per-view contribution is empty — the log extension is per *group*."""
+        """Per-view contribution is empty — the log extension is per transaction."""
         return MaintenancePlan()
 
-    def refresh(self) -> None:
-        self.group.refresh(self.view.name)
-
     def _extend(self, plan: MaintenancePlan, txn: UserTransaction) -> None:
-        """What the *group* appends once per transaction (effect inference)."""
-        for table, (delete, insert) in self.group.shared_log.tagged_patches(txn).items():
+        """What the manager appends once per transaction (effect inference)."""
+        for table, (delete, insert) in self.shared_log.tagged_patches(txn).items():
             plan.add_patch(table, delete, insert)
 
+    def epoch_tasks(self, *, order: int, compact: bool) -> list[GroupTask]:
+        """This view's one task: the pair evaluated over its cursor slice
+        (folded once per ``(cursor, table)`` for the whole epoch), applied
+        by this view's own ``refresh`` op."""
+        if compact:
+            self.shared_log.compact()
+        delete, insert, fingerprint, base, _query = self._pair
+        cursor = self.cursor
+        binding = self.shared_log.binding_since(cursor, base, epoch=True)
+
+        def key() -> object:
+            tables = (*base, *map(shared_log_name, base))
+            return ("SL", fingerprint, cursor, tuple((table, self.db.version_of(table)) for table in tables))
+
+        return [
+            GroupTask(
+                name=self.view.name,
+                order=order,
+                key=key,
+                compute=lambda counter: tuple(map(self.db.batch(counter=counter, binding=binding), (delete, insert))),
+                apply=partial(self.run, "refresh"),
+            )
+        ]
+
+    def log_watermark(self) -> int:
+        return self.shared_log.rows_since(self.cursor, self._pair.base)
+
     def invariant_holds(self) -> bool:
-        return self.group.invariant_holds(self.view.name)
+        """``INV_BL`` relative to the view's cursor slice of the shared log."""
+        base = self._pair.base
+        eta = FactoredSubstitution.bound({table: self.db.schema_of(table) for table in base})
+        past = self.db.evaluate(eta.apply(self.view.query), binding=self.shared_log.binding_since(self.cursor, base))
+        return past == self.db[self.view.mv_table]

@@ -186,7 +186,7 @@ class DurableWarehouse:
             # The checkpoint just committed contains the current shared-log
             # cursors; any future replay starts from it, so entries every
             # cursor has passed become prunable exactly now.
-            self.manager.commit_log_watermarks()
+            self.manager.shared_log.commit_watermark()
 
     # ------------------------------------------------------------------
     # Catalog (journaled as non-replayable intents: rolled back on crash)
@@ -265,7 +265,7 @@ class DurableWarehouse:
         hands it to the same :meth:`ViewManager.run`.
         """
         payload = action.journal_payload()
-        payload["watermark"] = self.manager.log_watermark(action.targets(self.views()))
+        payload["watermark"] = sum(self.manager.scenario(name).log_watermark() for name in action.targets(self.views()))
         self._run_journaled(
             action.kind, lambda: self.manager.run(action), view=action.view, payload=payload
         )
@@ -290,7 +290,7 @@ class DurableWarehouse:
         the group (including between two views' patches) is rolled
         forward by re-running the group refresh from the pre-op snapshot,
         whose logs and cursors recovery never prunes past (see
-        :meth:`~repro.warehouse.manager.ViewManager.commit_log_watermarks`).
+        :meth:`~repro.extensions.sharedlog.SharedLog.commit_watermark`).
         """
         options = {
             "names": list(names) if names is not None else list(self.views()),

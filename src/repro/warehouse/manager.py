@@ -36,7 +36,7 @@ from repro.core.scenarios import (
 )
 from repro.core.transactions import UserTransaction
 from repro.extensions.aggregates import AggregateScenario
-from repro.extensions.sharedlog import SharedLogScenario, SharedLogView
+from repro.extensions.sharedlog import SharedLog, SharedLogScenario
 from repro.core.views import ViewDefinition
 from repro.errors import PolicyError, SchemaError, UnknownTableError
 from repro.exec.group import EpochDeltaCache, GroupScheduler, view_fingerprints
@@ -53,6 +53,7 @@ SCENARIOS: dict[str, type[Scenario]] = {
     "base_log": BaseLogScenario,
     "diff_table": DiffTableScenario,
     "combined": CombinedScenario,
+    "shared_log": SharedLogScenario,
 }
 
 
@@ -105,8 +106,10 @@ class ViewManager:
         self.ledger = LockLedger()
         self._scenarios: dict[str, Scenario] = {}
         self._drivers: dict[str, MaintenanceDriver] = {}
-        #: Default shared-log group for views defined with scenario="shared_log".
-        self._shared_default: SharedLogScenario | None = None
+        #: The one sequenced log every ``scenario="shared_log"`` view reads
+        #: through its cursor (per-transaction logging cost independent of
+        #: the view count).
+        self.shared_log = SharedLog(self.db)
 
     def exec_stats(self) -> dict[str, int]:
         """Plan-cache, index, and delta-cache counters of the engine so far."""
@@ -180,35 +183,9 @@ class ViewManager:
                 self._scenarios[name] = instance
                 return instance
             view = sql_to_view(definition, self.db, name=name)
-        if scenario == "shared_log":
-            if strong_minimality or policy is not None:
-                raise PolicyError(
-                    "shared_log views support neither strong_minimality nor policies"
-                )
-            instance = SharedLogView(
-                self.db,
-                view,
-                group=self.shared_group(),
-                counter=self.counter,
-                ledger=self.ledger,
-                strict=strict,
-            )
-            instance.install()
-            self._scenarios[name] = instance
-            return instance
-        self._lint_group_overlap(view, strict=strict)
-        try:
-            scenario_cls = SCENARIOS[scenario]
-        except KeyError:
-            raise PolicyError(
-                f"unknown scenario {scenario!r}; pick one of {sorted([*SCENARIOS, 'shared_log'])}"
-            ) from None
-        kwargs = {"counter": self.counter, "ledger": self.ledger, "strict": strict}
-        if scenario_cls in (DiffTableScenario, CombinedScenario):
-            kwargs["strong_minimality"] = strong_minimality
-        elif strong_minimality:
-            raise PolicyError(f"strong_minimality is not applicable to the {scenario!r} scenario")
-        instance = scenario_cls(self.db, view, **kwargs)
+        if scenario != "shared_log":
+            self._lint_group_overlap(view, strict=strict)
+        instance = self._new_scenario(scenario, view, strong_minimality=strong_minimality, strict=strict)
         # Built first: a policy the scenario cannot serve fails closed
         # here, before anything is installed or registered.
         driver = MaintenanceDriver(instance, policy) if policy is not None else None
@@ -218,56 +195,48 @@ class ViewManager:
             self._drivers[name] = driver
         return instance
 
-    def shared_group(self) -> SharedLogScenario:
-        """The manager's shared-log refresh group (created on first use).
-
-        All views defined with ``scenario="shared_log"`` join this group:
-        they share one sequenced log per base table (per-transaction
-        logging cost independent of the view count) and refresh together
-        through :meth:`refresh_group`.
-        """
-        if self._shared_default is None:
-            self._shared_default = SharedLogScenario(
-                self.db, counter=self.counter, ledger=self.ledger
-            )
-        return self._shared_default
-
-    def _shared_log_groups(self, names: Iterable[str] | None = None) -> list[SharedLogScenario]:
-        """The distinct shared-log groups of ``names`` (default: every view)."""
-        scenarios = self._scenarios.values() if names is None else map(self.scenario, names)
-        seen = {id(scenario.group): scenario.group for scenario in scenarios if scenario.group is not None}
-        return list(seen.values())
+    def _new_scenario(
+        self, scenario: str, view: ViewDefinition, *, strong_minimality: bool = False, strict: bool = False
+    ) -> Scenario:
+        """An uninstalled ``scenario`` for ``view`` on this manager's
+        database, counter, ledger and shared log."""
+        try:
+            scenario_cls = SCENARIOS[scenario]
+        except KeyError:
+            raise PolicyError(f"unknown scenario {scenario!r}; pick one of {sorted(SCENARIOS)}") from None
+        kwargs = {"counter": self.counter, "ledger": self.ledger, "strict": strict}
+        if scenario_cls in (DiffTableScenario, CombinedScenario):
+            kwargs["strong_minimality"] = strong_minimality
+        elif strong_minimality:
+            raise PolicyError(f"strong_minimality is not applicable to the {scenario!r} scenario")
+        if scenario_cls is SharedLogScenario:
+            kwargs["shared_log"] = self.shared_log
+        return scenario_cls(self.db, view, **kwargs)
 
     def _lint_group_overlap(self, view: ViewDefinition, *, strict: bool) -> None:
-        """RVM501: a non-group view sharing subplans with a refresh group.
+        """RVM501: a view outside the shared log sharing subplans with one in it.
 
         When the new view's query has a subplan fingerprint in common
-        with a view already registered in a shared-log group, group
-        refresh could have served both from one delta evaluation — but a
-        view registered outside the group never benefits.  Warn (or
-        raise, under ``strict=True``) so the redundancy is a choice, not
-        an accident.
+        with a ``shared_log`` view's, group refresh could have served
+        both from one delta evaluation — but a view registered outside
+        the shared log never benefits.  Warn (or raise, under
+        ``strict=True``) so the redundancy is a choice, not an accident.
         """
         import warnings
 
         from repro.analysis.diagnostics import AnalysisReport, AnalysisWarning, Severity
 
-        overlapping: list[str] = []
-        fingerprints = None
-        for group in self._shared_log_groups():
-            for member in group.views():
-                if fingerprints is None:
-                    fingerprints = view_fingerprints(view.query)
-                if fingerprints & view_fingerprints(group.view_definition(member).query):
-                    overlapping.append(member)
+        members = [s.view for s in self._scenarios.values() if isinstance(s, SharedLogScenario)]
+        fingerprints = view_fingerprints(view.query) if members else frozenset()
+        overlapping = [member.name for member in members if fingerprints & view_fingerprints(member.query)]
         if not overlapping:
             return
         report = AnalysisReport()
         report.add(
             "RVM501",
             Severity.WARNING,
-            f"view {view.name!r} shares subplan fingerprints with refresh-group "
-            f"member(s) {sorted(overlapping)} but is registered outside the group; "
+            f"view {view.name!r} shares subplan fingerprints with shared-log "
+            f"view(s) {sorted(overlapping)} but is maintained outside the shared log; "
             "define it with scenario='shared_log' so group refresh can share its "
             "delta evaluation",
             path=view.name,
@@ -337,10 +306,10 @@ class ViewManager:
             plan = MaintenancePlan(patches=minimal.patches(), binding=minimal.binding)
             for scenario in self._scenarios.values():
                 plan = plan.merge(scenario.make_safe(txn))
-            # One shared-log extension per *group*, not per view — this is
-            # what keeps per-transaction cost independent of the view count.
-            for group in self._shared_log_groups():
-                plan = plan.merge(group.shared_log.extend_patches(minimal))
+            # One shared-log extension per transaction, not per view — this
+            # is what keeps per-transaction cost independent of the view count.
+            if self.shared_log.tables:
+                plan = plan.merge(self.shared_log.extend_patches(minimal))
             fault_point("crash-mid-execute")
             plan.execute(self.db, counter=self.counter)
             for scenario in self._scenarios.values():
@@ -406,68 +375,22 @@ class ViewManager:
             compact=compact,
             counter=self.counter,
         ) as epoch_span:
-            self._refresh_group(
-                members, epoch_span, parallel=parallel, max_workers=max_workers, compact=compact
-            )
+            tasks = []
+            fallback: list[str] = []
+            for order, name in enumerate(members):
+                own = self.scenario(name).epoch_tasks(order=order, compact=compact)
+                if own is None:
+                    fallback.append(name)
+                else:
+                    tasks.extend(own)
+            epoch_span.set(**self.shared_log.epoch_report())
+            scheduler = GroupScheduler(counter=self.counter, parallel=parallel, max_workers=max_workers)
+            scheduler.run(tasks, EpochDeltaCache(self.counter))
+            for name in fallback:
+                self.scenario(name).refresh()
         if obs.telemetry_enabled():
             obs.metric_inc("group_epochs")
             obs.current().metrics.absorb_counter(self.counter)
-
-    def _refresh_group(
-        self,
-        members: list[str],
-        epoch_span,
-        *,
-        parallel: bool,
-        max_workers: int | None,
-        compact: bool,
-    ) -> None:
-        tasks = []
-        fallback: list[str] = []
-        shared: dict[int, tuple[SharedLogScenario, list[tuple[int, str]]]] = {}
-        for order, name in enumerate(members):
-            scenario = self.scenario(name)
-            if scenario.group is not None:
-                shared.setdefault(id(scenario.group), (scenario.group, []))[1].append((order, name))
-                continue
-            own = scenario.epoch_tasks(order=order, compact=compact)
-            if own is None:
-                fallback.append(name)
-            else:
-                tasks.extend(own)
-        pairs_built = bound_rows = 0
-        for group, group_members in shared.values():
-            tasks.extend(group.epoch_tasks(group_members, compact=compact))
-            pairs_built += group.last_epoch["pairs_built"]
-            bound_rows += group.last_epoch["bound_rows"]
-        epoch_span.set(pairs_built=pairs_built, bound_rows=bound_rows)
-        scheduler = GroupScheduler(counter=self.counter, parallel=parallel, max_workers=max_workers)
-        scheduler.run(tasks, EpochDeltaCache(self.counter))
-        for group, _ in shared.values():
-            # Consumed entries drop now on plain databases; journaled
-            # ones defer to the committed watermark (crash recovery may
-            # still replay this very epoch from the previous checkpoint).
-            group._maybe_prune()
-        for name in fallback:
-            self.scenario(name).refresh()
-
-    def log_watermark(self, names: Iterable[str]) -> int:
-        """Recorded-but-unabsorbed log entries behind ``names`` (a shared
-        log counts once per group)."""
-        names = list(names)
-        total = sum(self.scenario(name).log_watermark() for name in names)
-        return total + sum(group.log_size() for group in self._shared_log_groups(names))
-
-    def commit_log_watermarks(self) -> None:
-        """Advance shared-log prune floors after a durable commit.
-
-        Called by :class:`~repro.robustness.DurableWarehouse` once a
-        journaled operation's checkpoint has committed: entries below
-        every cursor in that checkpoint can no longer be needed by crash
-        recovery and are pruned.
-        """
-        for group in self._shared_log_groups():
-            group.commit_watermark()
 
     def propagate(self, name: str) -> None:
         """Run ``propagate_C`` for a combined-scenario (or aggregate) view."""

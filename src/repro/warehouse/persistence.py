@@ -25,11 +25,10 @@ from pathlib import Path
 
 from repro.algebra.bag import Bag
 from repro.algebra.serialize import expr_from_dict, expr_to_dict
-from repro.core.scenarios import CombinedScenario, DiffTableScenario
 from repro.core.views import ViewDefinition
 from repro.errors import ReproError
 from repro.extensions.aggregates import AggregateScenario, AggregateSpec, AggregateView
-from repro.extensions.sharedlog import SharedLogView
+from repro.extensions.sharedlog import SharedLogScenario
 from repro.storage.persistence import StoredTable, load_database, save_database
 from repro.warehouse.manager import SCENARIOS, ViewManager
 
@@ -54,15 +53,6 @@ def _describe(scenario) -> dict:
                 for spec in view.aggregates
             ],
         }
-    if isinstance(scenario, SharedLogView):
-        view = scenario.view
-        return {
-            "type": "shared_log",
-            "name": view.name,
-            "query": expr_to_dict(view.query),
-            "cursor": scenario.group.cursor(view.name),
-            "seq": scenario.group.shared_log.current_seq,
-        }
     description = {
         "type": "plain",
         "name": scenario.view.name,
@@ -72,6 +62,8 @@ def _describe(scenario) -> dict:
     }
     if description["scenario"] is None:
         raise ReproError(f"cannot persist views of scenario type {type(scenario).__name__}")
+    if isinstance(scenario, SharedLogScenario):
+        description["cursor"] = scenario.cursor
     return description
 
 
@@ -131,22 +123,14 @@ def _attach(manager: ViewManager, description: dict) -> None:
         scenario = AggregateScenario(manager.db, view, counter=manager.counter, ledger=manager.ledger)
         scenario._installed = True
         scenario.base._installed = True
-    elif description["type"] == "shared_log":
-        view = ViewDefinition(name, expr_from_dict(description["query"]))
-        group = manager.shared_group()
-        group.shared_log.restore_seq(description["seq"])
-        scenario = SharedLogView(
-            manager.db, view, group=group, counter=manager.counter, ledger=manager.ledger
-        )
-        # Reattach to the persisted log tables and MV at the saved cursor.
-        scenario.attach(description["cursor"])
     else:
-        scenario_cls = SCENARIOS[description["scenario"]]
         view = ViewDefinition(name, expr_from_dict(description["query"]))
-        kwargs = {"counter": manager.counter, "ledger": manager.ledger}
-        if scenario_cls in (DiffTableScenario, CombinedScenario):
-            kwargs["strong_minimality"] = description["strong_minimality"]
-        scenario = scenario_cls(manager.db, view, **kwargs)
+        scenario = manager._new_scenario(
+            description["scenario"], view, strong_minimality=description["strong_minimality"]
+        )
+        if "cursor" in description:
+            # Rejoin the persisted shared log at the saved cursor.
+            scenario.attach(description["cursor"])
         scenario._installed = True
     _verify_attached(manager, scenario)
     manager._scenarios[name] = scenario

@@ -19,7 +19,7 @@ from repro.core.differential import post_update_delta
 from repro.core.logs import Log
 from repro.core.scenarios import BaseLogScenario, CombinedScenario
 from repro.core.views import ViewDefinition
-from repro.extensions.sharedlog import SharedLogScenario
+from repro.warehouse.manager import ViewManager
 from repro.workloads.randgen import RandomExpressionGenerator
 
 TRIALS = 12
@@ -118,52 +118,49 @@ class TestSharedLogCompaction:
     @pytest.mark.parametrize("seed", range(TRIALS))
     def test_net_deltas_bit_exact_for_every_cursor(self, seed):
         gen = RandomExpressionGenerator(seed, tables=3, max_rows=6)
-        db = gen.database()
-        group = SharedLogScenario(db)
+        manager = ViewManager(gen.database())
+        db, log = manager.db, manager.shared_log
         # Views registered at different times => staggered cursors.
         queries = [gen.query(db, depth=3) for _ in range(3)]
-        group.add_view(ViewDefinition("V0", queries[0]))
+        manager.define_view("V0", queries[0], scenario="shared_log")
         for round_index, query in enumerate(queries[1:], start=1):
             for _ in range(2):
-                group.execute(gen.transaction(db, allow_over_delete=True))
-            group.add_view(ViewDefinition(f"V{round_index}", query))
+                manager.execute(gen.transaction(db, allow_over_delete=True))
+            manager.define_view(f"V{round_index}", query, scenario="shared_log")
         for _ in range(2):
-            group.execute(gen.transaction(db, allow_over_delete=True))
+            manager.execute(gen.transaction(db, allow_over_delete=True))
 
-        cursors = {name: group.cursor(name) for name in group.views()}
-        tables = group.shared_log.tables
         before = {
-            (table, cursor): group.shared_log.net_deltas_since(table, cursor)
-            for table in tables
-            for cursor in set(cursors.values())
+            (table, cursor): log.net_deltas_since(table, cursor)
+            for table in log.tables
+            for cursor in set(log.cursors.values())
         }
-        size_before = group.log_size()
-        group.compact()
-        assert group.log_size() <= size_before
+        size_before = log.log_size()
+        log.compact()
+        assert log.log_size() <= size_before
         for (table, cursor), expected in before.items():
-            assert group.shared_log.net_deltas_since(table, cursor) == expected, (
+            assert log.net_deltas_since(table, cursor) == expected, (
                 table,
                 cursor,
             )
-        for name in group.views():
-            assert group.invariant_holds(name), name
+        for name in manager.views():
+            assert manager.scenario(name).invariant_holds(), name
 
     @pytest.mark.parametrize("seed", range(TRIALS))
     def test_group_refresh_after_compaction_matches_per_view_oracle(self, seed):
         def build():
             gen = RandomExpressionGenerator(seed, tables=3, max_rows=6)
-            db = gen.database()
-            group = SharedLogScenario(db)
+            manager = ViewManager(gen.database())
             for index in range(3):
-                group.add_view(ViewDefinition(f"V{index}", gen.query(db, depth=3)))
+                manager.define_view(f"V{index}", gen.query(manager.db, depth=3), scenario="shared_log")
             for _ in range(3):
-                group.execute(gen.transaction(db, allow_over_delete=True))
-            return group
+                manager.execute(gen.transaction(manager.db, allow_over_delete=True))
+            return manager
 
         oracle = build()
         subject = build()
         oracle.refresh_all()  # sequential, uncompacted oracle
         subject.refresh_group(parallel=True, compact=True)
         for name in oracle.views():
-            assert subject.read_view(name) == oracle.read_view(name), name
-            assert subject.is_consistent(name), name
+            assert subject.query(name) == oracle.query(name), name
+            assert not subject.is_stale(name), name

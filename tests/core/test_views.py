@@ -96,15 +96,16 @@ class TestExternalInputsOnly:
 
     def test_shared_log_add_view_rejects_an_internal_table(self):
         from repro.errors import SchemaError
-        from repro.extensions.sharedlog import SharedLogScenario
+        from repro.warehouse.manager import ViewManager
 
         db = Database()
         db.create_table("R", ["a"], rows=[(1,)])
-        group = SharedLogScenario(db)
-        group.add_view(ViewDefinition("V1", db.ref("R")))
+        manager = ViewManager(db)
+        manager.define_view("V1", db.ref("R"), scenario="shared_log")
         catalog = db.table_names()
         for table in db.internal_tables():
             with pytest.raises(SchemaError, match="internal"):
-                group.add_view(ViewDefinition("V2", db.ref(table)))
+                manager.define_view("V2", db.ref(table), scenario="shared_log")
             assert db.table_names() == catalog
-        assert group.views() == ("V1",)
+        assert manager.views() == ("V1",)
+        assert set(manager.shared_log.cursors) == {"V1"}

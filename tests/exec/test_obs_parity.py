@@ -150,3 +150,37 @@ def test_group_epoch_span_says_what_the_epoch_built(mode):
     assert [attrs["pairs_built"] for attrs in epochs] == [1, 0, 1]
     # One insert and one delete recorded per epoch, one slice of R.
     assert [attrs["bound_rows"] for attrs in epochs] == [2, 2, 2]
+
+
+def test_shared_log_view_reports_staleness_and_refresh_spans():
+    """A shared-log view is as stale as the log rows past its cursor — what
+    a base-log view over the same changes reports — and both its refresh
+    paths are ``refresh`` spans of scenario ``SL`` that count as refreshes."""
+    from repro.warehouse.manager import ViewManager
+
+    manager = ViewManager()
+    manager.create_table("R", ("a", "b"), rows=[(i % 3, i) for i in range(9)])
+    sql = "SELECT a, b FROM R WHERE b != 4"
+    with obs.observed() as stack:
+        for scenario in ("base_log", "shared_log"):
+            manager.define_view(scenario, sql, scenario=scenario)
+        manager.execute_sql("INSERT INTO R VALUES (1, 100); DELETE FROM R WHERE b = 0")
+        views = stack.accounting.snapshot()
+        assert {name: views[name]["staleness"]["pending_entries"] for name in views} == {
+            "base_log": 2,
+            "shared_log": 2,
+        }
+        assert manager.scenario("shared_log").log_watermark() == 2
+        manager.refresh("shared_log")
+        manager.execute_sql("INSERT INTO R VALUES (2, 200)")
+        manager.refresh_group(["shared_log"])
+        views = stack.accounting.snapshot()
+        metrics = stack.metrics.snapshot()
+    spans = [span.attrs for span in stack.tracer.find("refresh")]
+    assert [(attrs["view"], attrs["scenario"]) for attrs in spans] == [("shared_log", "SL")] * 2
+    assert spans[0]["log_watermark"] == 2
+    assert spans[1]["group"] is True and spans[1]["delta_rows"] == 1
+    assert views["shared_log"]["staleness"]["refreshes"] == 2
+    assert views["shared_log"]["staleness"]["pending_entries"] == 0
+    assert metrics["refreshes"]["value"] == 2
+    assert manager.scenario("shared_log").log_watermark() == 0

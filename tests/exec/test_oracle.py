@@ -20,11 +20,10 @@ from repro.core.scenarios import (
     DiffTableScenario,
     ImmediateScenario,
 )
-from repro.core.views import ViewDefinition
 from repro.exec import MODES
-from repro.extensions.sharedlog import SharedLogScenario
 from repro.sqlfront import sql_to_view
 from repro.storage.database import Database
+from repro.warehouse.manager import ViewManager
 from repro.workloads.retail import VIEW_SQL, RetailConfig, RetailWorkload
 
 ENGINES = tuple(mode for mode in MODES if mode != "interpreted")
@@ -113,14 +112,14 @@ def test_shared_log_scenario_identical():
     states = {}
     for mode in MODES:
         db, view, workload = fresh(mode)
-        scenario = SharedLogScenario(db)
-        scenario.add_view(ViewDefinition("V0", view.query))
-        scenario.add_view(ViewDefinition("V1", db.ref("sales")))
+        manager = ViewManager(db)
+        manager.define_view("V0", view.query, scenario="shared_log")
+        manager.define_view("V1", db.ref("sales"), scenario="shared_log")
         snaps = []
         for index, txn in enumerate(workload.transactions(db, 6), start=1):
-            scenario.execute(txn)
+            manager.execute(txn)
             if index % 2 == 0:
-                scenario.refresh_all()
+                manager.refresh_all()
             snaps.append(db.snapshot())
         states[mode] = snaps
     for mode in ENGINES:

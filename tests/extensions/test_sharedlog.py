@@ -5,10 +5,10 @@ import pytest
 from repro.algebra.bag import Bag
 from repro.core.plan import MaintenancePlan
 from repro.core.transactions import UserTransaction
-from repro.core.views import ViewDefinition
-from repro.errors import PolicyError, SchemaError
-from repro.extensions.sharedlog import SharedLog, SharedLogScenario, shared_log_name
+from repro.errors import SchemaError, UnknownTableError
+from repro.extensions.sharedlog import SharedLog, shared_log_name
 from repro.storage.database import Database
+from repro.warehouse.manager import ViewManager
 from repro.workloads.randgen import RandomExpressionGenerator
 
 
@@ -143,106 +143,98 @@ class TestSharedLog:
 
 class TestSharedLogScenario:
     def make(self, views=2):
-        db = make_db()
-        scenario = SharedLogScenario(db)
+        manager = ViewManager(make_db())
         for index in range(views):
-            scenario.add_view(ViewDefinition(f"V{index}", db.ref("R")))
-        return db, scenario
+            manager.define_view(f"V{index}", manager.db.ref("R"), scenario="shared_log")
+        return manager.db, manager
 
     def test_duplicate_view_rejected(self):
-        db, scenario = self.make(1)
+        db, manager = self.make(1)
         with pytest.raises(SchemaError):
-            scenario.add_view(ViewDefinition("V0", db.ref("S")))
+            manager.define_view("V0", db.ref("S"), scenario="shared_log")
 
     def test_refresh_unregistered_view(self):
-        __, scenario = self.make(1)
-        with pytest.raises(PolicyError):
-            scenario.refresh("nope")
+        __, manager = self.make(1)
+        with pytest.raises(UnknownTableError):
+            manager.refresh("nope")
 
     def test_invariants_hold_through_stream(self):
-        db, scenario = self.make(2)
+        db, manager = self.make(2)
         for txn in (
             UserTransaction(db).insert("R", [(9,), (9,)]),
             UserTransaction(db).delete("R", [(2,)]),
         ):
-            scenario.execute(txn)
-            scenario.check_invariants()
+            manager.execute(txn)
+            manager.check_invariants()
 
     def test_refresh_brings_view_current(self):
-        db, scenario = self.make(2)
-        scenario.execute(UserTransaction(db).insert("R", [(9,)]))
-        scenario.refresh("V0")
-        assert scenario.is_consistent("V0")
-        assert not scenario.is_consistent("V1")  # untouched view still stale
-        scenario.check_invariants()
+        db, manager = self.make(2)
+        manager.execute(UserTransaction(db).insert("R", [(9,)]))
+        manager.refresh("V0")
+        assert not manager.is_stale("V0")
+        assert manager.is_stale("V1")  # untouched view still stale
+        manager.check_invariants()
 
     def test_views_refresh_independently(self):
-        db, scenario = self.make(2)
-        scenario.execute(UserTransaction(db).insert("R", [(9,)]))
-        scenario.refresh("V0")
-        scenario.execute(UserTransaction(db).insert("R", [(10,)]))
-        scenario.refresh("V1")  # must catch up across both transactions
-        assert scenario.is_consistent("V1")
-        scenario.refresh("V0")
-        assert scenario.is_consistent("V0")
+        db, manager = self.make(2)
+        manager.execute(UserTransaction(db).insert("R", [(9,)]))
+        manager.refresh("V0")
+        manager.execute(UserTransaction(db).insert("R", [(10,)]))
+        manager.refresh("V1")  # must catch up across both transactions
+        assert not manager.is_stale("V1")
+        manager.refresh("V0")
+        assert not manager.is_stale("V0")
 
     def test_log_pruned_once_all_views_caught_up(self):
-        db, scenario = self.make(2)
-        scenario.execute(UserTransaction(db).insert("R", [(9,)]))
-        scenario.refresh("V0")
-        assert scenario.log_size() > 0  # V1 still needs the entry
-        scenario.refresh("V1")
-        assert scenario.log_size() == 0
+        db, manager = self.make(2)
+        manager.execute(UserTransaction(db).insert("R", [(9,)]))
+        manager.refresh("V0")
+        assert manager.shared_log.log_size() > 0  # V1 still needs the entry
+        manager.refresh("V1")
+        assert manager.shared_log.log_size() == 0
 
     def test_per_transaction_cost_independent_of_view_count(self):
         """The whole point of the extension: adding views must not add
         per-transaction log work (unlike per-view logs)."""
         costs = {}
         for views in (1, 8):
-            db = make_db()
-            scenario = SharedLogScenario(db)
-            for index in range(views):
-                scenario.add_view(ViewDefinition(f"V{index}", db.ref("R")))
-            before = scenario.counter.tuples_out
-            scenario.execute(UserTransaction(db).insert("R", [(9,)]))
-            costs[views] = scenario.counter.tuples_out - before
+            db, manager = self.make(views)
+            before = manager.counter.tuples_out
+            manager.execute(UserTransaction(db).insert("R", [(9,)]))
+            costs[views] = manager.counter.tuples_out - before
         assert costs[8] == costs[1]
 
     def test_join_view_over_two_tables(self):
-        db = make_db()
-        scenario = SharedLogScenario(db)
-        view = ViewDefinition("J", db.ref("R").product(db.ref("S")))
-        scenario.add_view(view)
-        scenario.execute(UserTransaction(db).insert("R", [(9,)]).delete("S", [(5,)]))
-        scenario.check_invariants()
-        scenario.refresh("J")
-        assert scenario.is_consistent("J")
+        manager = ViewManager(make_db())
+        db = manager.db
+        manager.define_view("J", db.ref("R").product(db.ref("S")), scenario="shared_log")
+        manager.execute(UserTransaction(db).insert("R", [(9,)]).delete("S", [(5,)]))
+        manager.check_invariants()
+        manager.refresh("J")
+        assert not manager.is_stale("J")
 
     def test_view_added_mid_stream_sees_only_later_changes(self):
-        db, scenario = self.make(1)
-        scenario.execute(UserTransaction(db).insert("R", [(9,)]))
-        late = ViewDefinition("late", db.ref("R"))
-        scenario.add_view(late)
-        assert scenario.is_consistent("late")
-        scenario.execute(UserTransaction(db).insert("R", [(10,)]))
-        scenario.refresh("late")
-        assert scenario.is_consistent("late")
+        db, manager = self.make(1)
+        manager.execute(UserTransaction(db).insert("R", [(9,)]))
+        manager.define_view("late", db.ref("R"), scenario="shared_log")
+        assert not manager.is_stale("late")
+        manager.execute(UserTransaction(db).insert("R", [(10,)]))
+        manager.refresh("late")
+        assert not manager.is_stale("late")
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_randomized_shared_log_equivalence(seed):
     """Shared-log refresh produces the same MV as direct recomputation."""
     generator = RandomExpressionGenerator(seed)
-    db = generator.database()
-    scenario = SharedLogScenario(db)
-    views = []
-    for index in range(2):
-        view = ViewDefinition(f"V{index}", generator.query(db, depth=3))
-        scenario.add_view(view)
-        views.append(view)
+    manager = ViewManager(generator.database())
+    db = manager.db
+    queries = {f"V{index}": generator.query(db, depth=3) for index in range(2)}
+    for name, query in queries.items():
+        manager.define_view(name, query, scenario="shared_log")
     for __ in range(3):
-        scenario.execute(generator.transaction(db, allow_over_delete=True))
-        scenario.check_invariants()
-    for view in views:
-        scenario.refresh(view.name)
-        assert scenario.read_view(view.name) == db.evaluate(view.query)
+        manager.execute(generator.transaction(db, allow_over_delete=True))
+        manager.check_invariants()
+    for name, query in queries.items():
+        manager.refresh(name)
+        assert manager.query(name) == db.evaluate(query)

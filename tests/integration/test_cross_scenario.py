@@ -18,7 +18,7 @@ from repro.core.scenarios import (
     ImmediateScenario,
 )
 from repro.core.views import ViewDefinition
-from repro.extensions.sharedlog import SharedLogScenario
+from repro.warehouse.manager import ViewManager
 from repro.workloads.randgen import RandomExpressionGenerator
 
 SCENARIO_CLASSES = [
@@ -47,11 +47,11 @@ def run_shared_log(seed):
     generator = RandomExpressionGenerator(seed)
     db = generator.database()
     view = ViewDefinition("V", generator.query(db, depth=3))
-    scenario = SharedLogScenario(db)
-    scenario.add_view(view)
+    manager = ViewManager(db)
+    manager.define_view("V", view, scenario="shared_log")
     for __ in range(5):
-        scenario.execute(generator.transaction(db, allow_over_delete=True))
-    scenario.refresh("V")
+        manager.execute(generator.transaction(db, allow_over_delete=True))
+    manager.refresh("V")
     return db[view.mv_table], db.snapshot()
 
 

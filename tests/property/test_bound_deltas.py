@@ -14,7 +14,7 @@ run-time skip now has to.
 The second half holds the group path to per-view sequential ``refresh``:
 views at *different* cursors, two of them with the same query (one plan
 node, two bindings, two pool threads), across several epochs; and a
-saved-and-reloaded warehouse (``attach_view``) refreshed as a group.
+saved-and-reloaded warehouse (``SharedLogScenario.attach``) refreshed as a group.
 
 Seeds: ``tests/property/gen.py``'s matrix (``REPRO_TEST_SEED`` overrides).
 """
@@ -144,8 +144,7 @@ def test_group_epoch_at_different_cursors_equals_sequential_refresh(seed, mode):
                 subject.refresh(name)
                 oracle.refresh(name)
             stream(gen, rng, subject, oracle)
-            group = subject.shared_group()
-            assert len({group.cursor(name) for name in subject.views()}) > 1
+            assert len(set(subject.shared_log.cursors.values())) > 1
             subject.refresh_group(parallel=True, max_workers=2)
             for name in oracle.views():
                 oracle.refresh(name)
@@ -166,7 +165,7 @@ def test_reloaded_group_refreshes_like_the_one_that_never_stopped(tmp_path, mode
     path = tmp_path / "warehouse.db"
     save_warehouse(subject, path)
     reloaded = load_warehouse(path, exec_mode=mode)
-    # Attached, not installed: pairs are built by ``attach_view``.
+    # Attached, not installed: pairs are built by ``SharedLogScenario.attach``.
     reloaded.refresh_group(parallel=True, max_workers=2)
     oracle.refresh_all()
     assert_same_views(reloaded, oracle, "after reload")

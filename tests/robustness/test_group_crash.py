@@ -126,8 +126,7 @@ def test_pruning_defers_to_committed_watermark(tmp_path):
     the prune floor only advances when a checkpoint commits."""
     path = tmp_path / "wh.db"
     wh = build(path)
-    group = wh.manager.shared_group()
-    assert group.log_size() > 0  # churn is logged, floor not yet advanced
+    assert wh.manager.shared_log.log_size() > 0  # churn is logged, floor not yet advanced
 
     INJECTOR.arm("crash-mid-refresh", hit=3)
     with pytest.raises(InjectedCrash):
@@ -140,10 +139,9 @@ def test_pruning_defers_to_committed_watermark(tmp_path):
     # journal replay still finds every entry it needs.
     with DurableWarehouse.open(path) as recovered:
         recovered.check_invariants()
-        regroup = recovered.manager.shared_group()
         # After recovery's own committed refresh_group every cursor is
         # at the head and the watermark has advanced: the log drains.
-        assert regroup.log_size() == 0
+        assert recovered.manager.shared_log.log_size() == 0
 
 
 def test_parallel_group_refresh_is_durable(tmp_path, oracle):

@@ -4,10 +4,10 @@ import warnings
 
 import pytest
 
-from repro.algebra.bag import Bag
 from repro.analysis.diagnostics import AnalysisError, AnalysisWarning
-from repro.errors import ReproError
-from repro.extensions.sharedlog import SharedLogView
+from repro.core.policies import Policy1, Policy2, PeriodicRefresh
+from repro.errors import PolicyError, ReproError
+from repro.extensions.sharedlog import SharedLogScenario
 from repro.warehouse import ViewManager
 from repro.warehouse.persistence import load_warehouse, save_warehouse
 
@@ -43,13 +43,55 @@ class TestSharedLogScenario:
         manager.define_view("V1", JOIN_SQL, scenario="shared_log")
         manager.define_view("V2", "SELECT a FROM R", scenario="shared_log")
         s1, s2 = manager.scenario("V1"), manager.scenario("V2")
-        assert isinstance(s1, SharedLogView)
-        assert s1.group is s2.group
-        assert set(s1.group.views()) == {"V1", "V2"}
+        assert isinstance(s1, SharedLogScenario)
+        assert s1.shared_log is s2.shared_log is manager.shared_log
+        assert set(manager.shared_log.cursors) == {"V1", "V2"}
 
     def test_strong_minimality_rejected(self, manager):
-        with pytest.raises(ReproError):
+        # The generic check every scenario without differentials gets.
+        with pytest.raises(PolicyError, match="strong_minimality is not applicable to the 'shared_log'"):
             manager.define_view("V", JOIN_SQL, scenario="shared_log", strong_minimality=True)
+        assert manager.views() == ()
+
+    def test_running_the_op_table_refreshes_and_moves_the_cursor(self):
+        def build():
+            vm = ViewManager()
+            vm.create_table("R", ["a"], rows=[(1,), (2,)])
+            vm.create_table("S", ["a", "b"], rows=[(2, "x"), (3, "y")])
+            vm.define_view("V", JOIN_SQL, scenario="shared_log")
+            vm.define_view("W", "SELECT a FROM R", scenario="shared_log")
+            churn(vm)
+            return vm
+
+        ran, refreshed = build(), build()
+        scenario = ran.scenario("V")
+        assert scenario.cursor < ran.shared_log.current_seq
+        scenario.run("refresh")
+        refreshed.refresh("V")
+        assert ran.counter.snapshot() == refreshed.counter.snapshot()
+        assert scenario.cursor == ran.shared_log.current_seq
+        assert ran.query("V") == refreshed.query("V") == ran.sql(JOIN_SQL)
+        for name in ("__mv__V", "__mv__W", *(f"__shared_log__{t}" for t in ran.shared_log.tables)):
+            assert ran.db[name] == refreshed.db[name], name
+        assert ran.is_stale("W")
+        ran.check_invariants()
+
+    def test_periodic_refresh_policy_is_driven_by_tick(self, manager):
+        manager.define_view("V", JOIN_SQL, scenario="shared_log", policy=PeriodicRefresh(m=2))
+        churn(manager)
+        manager.tick()
+        assert manager.is_stale("V")
+        manager.tick()
+        assert not manager.is_stale("V")
+        assert manager.query("V") == manager.sql(JOIN_SQL)
+        assert manager.driver("V").policy == PeriodicRefresh(m=2)
+
+    @pytest.mark.parametrize("policy", [Policy1(k=1, m=2), Policy2(k=1, m=2)], ids=["Policy1", "Policy2"])
+    def test_propagating_policies_fail_closed(self, manager, policy):
+        with pytest.raises(PolicyError, match="under SharedLogScenario does not offer"):
+            manager.define_view("V", JOIN_SQL, scenario="shared_log", policy=policy)
+        assert manager.views() == ()
+        assert not manager.db.has_table("__mv__V")
 
     def test_unknown_scenario_lists_shared_log(self, manager):
         with pytest.raises(ReproError, match="shared_log"):
@@ -60,8 +102,7 @@ class TestSharedLogScenario:
         manager.define_view("V2", "SELECT a FROM R", scenario="shared_log")
         manager.drop_view("V1")
         assert manager.views() == ("V2",)
-        group = manager.scenario("V2").group
-        assert set(group.views()) == {"V2"}
+        assert set(manager.shared_log.cursors) == {"V2"}
         churn(manager)
         manager.refresh("V2")
         assert manager.query("V2") == manager.sql("SELECT a FROM R")
@@ -133,17 +174,18 @@ class TestSharedLogPersistence:
         save_warehouse(manager, path)
 
         reloaded = load_warehouse(path)
-        group = reloaded.scenario("V1").group
-        assert set(group.views()) == {"V1", "V2"}
-        assert group.cursor("V1") > group.cursor("V2")
+        log = reloaded.shared_log
+        assert set(log.cursors) == {"V1", "V2"}
+        assert reloaded.scenario("V1").cursor > reloaded.scenario("V2").cursor
         assert not reloaded.is_stale("V1")
         assert reloaded.is_stale("V2")
         # The restored sequence keeps climbing past the saved head.
-        seq_before = group.shared_log.current_seq
+        seq_before = log.current_seq
+        assert seq_before == manager.shared_log.current_seq
         txn = reloaded.transaction()
         txn.insert("R", [(7,)])
         txn.run()
-        assert group.shared_log.current_seq > seq_before
+        assert log.current_seq > seq_before
         reloaded.refresh_group(parallel=True)
         assert reloaded.query("V1") == reloaded.sql(JOIN_SQL)
         assert reloaded.query("V2") == reloaded.sql("SELECT a FROM R")
