@@ -44,7 +44,7 @@ def measure(initial_sales: int, txns: int):
     incremental_ops = scenario.counter.tuples_out - before
 
     probe = CostCounter()
-    recompute_value = db.evaluate(scenario.view.base.query, counter=probe)
+    recompute_value = db.evaluate(scenario.view.query, counter=probe)
     recompute_ops = probe.tuples_out  # recomputation must rebuild the base join
 
     consistent = scenario.is_consistent()

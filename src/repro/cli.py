@@ -43,7 +43,6 @@ from collections.abc import Iterable
 from repro.bench.report import format_table
 from repro.errors import ReproError
 from repro.sqlfront.compiler import (
-    compile_aggregate_view,
     compile_delete,
     compile_insert,
     compile_query,
@@ -74,7 +73,7 @@ class _QueryCatalog:
 
     def ref(self, name: str):
         if name in self._manager.views():
-            return self._manager.db.ref(self._manager.scenario(name).view.mv_table)
+            return self._manager.db.ref(self._manager.scenario(name).read_table)
         return self._manager.db.ref(name)
 
 
@@ -132,17 +131,6 @@ class WarehouseShell:
             manager.create_table(statement.name, statement.columns)
             return f"table {statement.name} created"
         if isinstance(statement, CreateView):
-            core = statement.query
-            if hasattr(core, "is_aggregate") and core.is_aggregate():
-                aggregate = compile_aggregate_view(statement.name, core, manager.db)
-                from repro.extensions.aggregates import AggregateScenario
-
-                scenario = AggregateScenario(
-                    manager.db, aggregate, counter=manager.counter, ledger=manager.ledger
-                )
-                scenario.install()
-                manager._scenarios[statement.name] = scenario
-                return f"aggregate view {statement.name} materialized"
             view = compile_view(statement, manager.db)
             manager.define_view(view.name, view, scenario=self.default_scenario)
             return f"view {view.name} materialized ({self.default_scenario} scenario)"
@@ -251,10 +239,9 @@ class WarehouseShell:
         from repro.core.scenarios import BaseLogScenario, DiffTableScenario
 
         scenario = self.manager.scenario(name)
-        base = getattr(scenario, "base", scenario)  # aggregates wrap a base
-        if not isinstance(base, (BaseLogScenario, DiffTableScenario)) or not hasattr(base, "log"):
+        if not isinstance(scenario, (BaseLogScenario, DiffTableScenario)) or not hasattr(scenario, "log"):
             return f"view {name} has no log-based refresh plan (scenario {scenario.tag})"
-        view_delete, view_insert = post_update_delta(base.log, base.view.query)
+        view_delete, view_insert = post_update_delta(scenario.log, scenario.view.query)
         return (
             f"refresh plan for {name} (evaluated post-update, applied as a patch):\n"
             f"  delete ▼(L,Q) = {view_delete}\n"
@@ -269,9 +256,7 @@ class WarehouseShell:
             maintenance_footprint,
         )
 
-        scenario = self.manager.scenario(name)
-        base = getattr(scenario, "base", scenario)
-        view = base.view
+        view = self.manager.scenario(name).view
         footprint = sorted(maintenance_footprint(view, self.manager.db))
         lines = [
             f"view {name}:",

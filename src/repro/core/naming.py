@@ -20,6 +20,7 @@ __all__ = [
     "log_delete_name",
     "log_insert_name",
     "mv_name",
+    "agg_name",
     "dt_delete_name",
     "dt_insert_name",
     "view_of_mv",
@@ -42,6 +43,11 @@ def mv_name(view: str) -> str:
     return f"__mv__{view}"
 
 
+def agg_name(view: str) -> str:
+    """Name of an aggregate view's grouped table (derived from its ``MV``)."""
+    return f"__agg__{view}"
+
+
 def view_of_mv(table: str) -> str:
     """The owning view of an ``MV`` table name (identity for other names)."""
     prefix = "__mv__"
@@ -51,11 +57,12 @@ def view_of_mv(table: str) -> str:
 def is_mv_table(table: str) -> bool:
     """Whether a table name is a reader-visible materialized-view table.
 
-    ``MV`` tables are the only internal tables readers are served from,
-    so they are the resources the Section 5.3 lock discipline protects;
-    log and differential tables are maintenance-private.
+    ``MV`` tables and aggregate views' grouped tables are the only
+    internal tables readers are served from, so they are the resources
+    the Section 5.3 lock discipline protects; log and differential
+    tables are maintenance-private.
     """
-    return table.startswith("__mv__")
+    return table.startswith(("__mv__", "__agg__"))
 
 
 def dt_delete_name(view: str) -> str:

@@ -328,7 +328,7 @@ class Scenario(ABC):
         return None
 
     def _refresh_lock(self, label: str):
-        """The exclusive section guarding reader-visible ``MV`` state.
+        """The exclusive section guarding the view's reader-visible state.
 
         :meth:`run` takes this lock around every locked step;
         :meth:`_refresh_lock_resources` is the static declaration of the
@@ -339,12 +339,19 @@ class Scenario(ABC):
         return self.ledger.exclusive(self.view.mv_table, label=label, counter=self.counter)
 
     def _refresh_lock_resources(self) -> frozenset[str]:
-        """Resources :meth:`_refresh_lock` holds exclusively."""
-        return frozenset((self.view.mv_table,))
+        """Resources :meth:`_refresh_lock` holds exclusively: ``MV`` and
+        the table readers are served from."""
+        return frozenset((self.view.mv_table, self.read_table))
+
+    @property
+    def read_table(self) -> str:
+        """The table readers are served from (``MV`` unless a scenario
+        derives another reader-visible table from it)."""
+        return self.view.mv_table
 
     def read_view(self) -> Bag:
-        """The current contents of ``MV`` (what a reader sees)."""
-        return self.db[self.view.mv_table]
+        """The current contents of :attr:`read_table` (what a reader sees)."""
+        return self.db[self.read_table]
 
     # ------------------------------------------------------------------
     # Invariants
@@ -754,7 +761,7 @@ class CombinedScenario(LoggedScenario, DiffTableScenario):
         try:
             op = self._refresh_orders[order]
         except KeyError:
-            raise ValueError(f"unknown refresh order: {order!r}") from None
+            raise ValueError(f"unknown refresh order: {order!r} (offered: {sorted(self._refresh_orders)})") from None
         self.run(op)
 
     def invariant_holds(self) -> bool:

@@ -13,8 +13,9 @@
   reader/refresh blocking simulation quantifying how refresh critical
   sections delay concurrent view readers.
 * :mod:`repro.extensions.aggregates` — the aggregation the paper sets
-  aside as orthogonal (Example 1.1): COUNT/SUM views maintained
-  incrementally from the base query's differential tables.
+  aside as orthogonal (Example 1.1): a COUNT/SUM view is the combined
+  scenario of its base query plus one locked step patching the grouped
+  table from the differentials it applies.
 """
 
 from repro.extensions.aggregates import AggregateScenario, AggregateSpec, AggregateView

@@ -31,6 +31,8 @@ from __future__ import annotations
 from repro.algebra.bag import Bag
 from repro.algebra.expr import Literal, Select
 from repro.algebra.predicates import Predicate
+from repro.core.ops import MaintenanceOp, OpStep
+from repro.core.plan import MaintenancePlan
 from repro.core.scenarios import CombinedScenario, DiffTableScenario
 from repro.errors import PolicyError
 
@@ -42,6 +44,11 @@ def _require_differential(scenario) -> None:
         raise PolicyError(
             "scoped refresh needs differential tables (diff_table or combined scenario), "
             f"got {type(scenario).__name__}"
+        )
+    if scenario.read_table != scenario.view.mv_table:
+        raise PolicyError(
+            f"view {scenario.view.name!r} is read from {scenario.read_table!r}, which a scoped "
+            "refresh of MV would leave behind"
         )
 
 
@@ -63,17 +70,19 @@ def scoped_partial_refresh(scenario: DiffTableScenario, predicate: Predicate) ->
     scoped_delete = Select(predicate, dt_delete)
     scoped_insert = Select(predicate, dt_insert)
     empty = Literal(Bag.empty(), view.schema)
-    patches = {
-        # Apply the hot slice to the view, and remove exactly that slice
-        # from the differential tables — all delta-proportional patches.
-        view.mv_table: (scoped_delete, scoped_insert),
-        view.dt_delete_table: (scoped_delete, empty),
-        view.dt_insert_table: (scoped_insert, empty),
-    }
-    with scenario.ledger.exclusive(
-        view.mv_table, label="scoped_partial_refresh", counter=scenario.counter
-    ):
-        db.apply(patches=patches, counter=scenario.counter)
+    plan = MaintenancePlan(
+        patches={
+            # Apply the hot slice to the view, and remove exactly that slice
+            # from the differential tables — all delta-proportional patches.
+            view.mv_table: (scoped_delete, scoped_insert),
+            view.dt_delete_table: (scoped_delete, empty),
+            view.dt_insert_table: (scoped_insert, empty),
+        }
+    )
+    # A one-step locked op: the runner's span, lock, crash point and
+    # freshness bookkeeping (the rest of the differentials is residual).
+    step = OpStep("scoped_apply", locked=True, plan=lambda: plan)
+    scenario.run(MaintenanceOp("partial_refresh", view.name, (step,), (("scoped", True),)))
 
 
 def scoped_query(scenario: DiffTableScenario, predicate: Predicate) -> Bag:

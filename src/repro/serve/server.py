@@ -138,7 +138,7 @@ class ViewServer:
             except PolicyError:
                 self.manager.drop_view(name)
                 raise
-            self._mv_tables[name] = scenario.view.mv_table
+            self._mv_tables[name] = scenario.read_table
             self._clocks[name] = StalenessClock(self.now, self.now)
             self._publish()
 

@@ -13,6 +13,7 @@ front end produces is differentiable by Figure 2.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Protocol
 
 from repro.algebra.expr import (
@@ -300,13 +301,17 @@ def compile_aggregate_view(name: str, core: SelectCore, catalog: Catalog):
         specs.insert(0, AggregateSpec("count"))
     base_core = SelectCore(tuple(base_items), core.from_items, core.where, False)
     base_expr = _compile_core(base_core, catalog)
-    base_view = ViewDefinition(f"__base__{name}", base_expr)
+    base_view = ViewDefinition(name, base_expr)
     group_names = tuple(seen[column] for column in group_cols)
     return AggregateView(name, base_view, group_names, tuple(specs))
 
 
-def compile_view(statement: CreateView, catalog: Catalog) -> ViewDefinition:
-    """Compile a parsed ``CREATE VIEW`` into a :class:`ViewDefinition`."""
+def compile_view(statement: CreateView, catalog: Catalog):
+    """Compile a parsed ``CREATE VIEW`` into a :class:`ViewDefinition` —
+    or, for a GROUP BY / COUNT / SUM query, an
+    :class:`~repro.extensions.aggregates.AggregateView`."""
+    if isinstance(statement.query, SelectCore) and statement.query.is_aggregate():
+        return compile_aggregate_view(statement.name, statement.query, catalog)
     expr = compile_query(statement.query, catalog)
     if statement.columns is not None:
         if len(statement.columns) != expr.schema().arity:
@@ -472,20 +477,18 @@ def script_to_transaction(source: str, catalog: Catalog, txn: UserTransaction) -
     return txn.bind(binding)
 
 
-def sql_to_view(source: str, catalog: Catalog, *, name: str | None = None) -> ViewDefinition:
-    """Parse and compile a view definition.
+def sql_to_view(source: str, catalog: Catalog, *, name: str | None = None):
+    """Parse and compile a view definition (see :func:`compile_view`).
 
     Accepts either ``CREATE VIEW ... AS SELECT ...`` (name taken from
     the statement) or a bare query with an explicit ``name=``.
     """
     statement = parse_statement(source)
-    if isinstance(statement, CreateView):
-        view = compile_view(statement, catalog)
-        if name is not None and name != view.name:
-            view = ViewDefinition(name, view.query)
-        return view
     if isinstance(statement, (InsertStatement, DeleteStatement, UpdateStatement)):
         raise ParseError("a view definition must be a query, not a DML statement")
-    if name is None:
-        raise ParseError("a bare query needs an explicit view name")
-    return ViewDefinition(name, compile_query(statement, catalog))
+    if not isinstance(statement, CreateView):
+        if name is None:
+            raise ParseError("a bare query needs an explicit view name")
+        statement = CreateView(name, None, statement)
+    view = compile_view(statement, catalog)
+    return view if name in (None, view.name) else replace(view, name=name)

@@ -19,6 +19,7 @@
 from __future__ import annotations
 
 from collections.abc import Iterable
+from dataclasses import replace
 
 from repro import obs
 from repro.algebra.bag import Bag, Row
@@ -35,7 +36,7 @@ from repro.core.scenarios import (
     Scenario,
 )
 from repro.core.transactions import UserTransaction
-from repro.extensions.aggregates import AggregateScenario
+from repro.extensions.aggregates import AggregateScenario, AggregateView
 from repro.extensions.sharedlog import SharedLog, SharedLogScenario
 from repro.core.views import ViewDefinition
 from repro.errors import PolicyError, SchemaError, UnknownTableError
@@ -166,26 +167,15 @@ class ViewManager:
         """
         if name in self._scenarios:
             raise SchemaError(f"view {name!r} is already defined")
-        if isinstance(definition, ViewDefinition):
-            view = definition if definition.name == name else ViewDefinition(name, definition.query)
+        if isinstance(definition, (ViewDefinition, AggregateView)):
+            view = definition if definition.name == name else replace(definition, name=name)
         elif isinstance(definition, Expr):
             view = ViewDefinition(name, definition)
         else:
-            aggregate = self._maybe_aggregate(name, definition)
-            if aggregate is not None:
-                if scenario != "combined" or strong_minimality or policy is not None:
-                    raise PolicyError(
-                        "aggregate views are maintained under the combined scenario "
-                        "without extra options"
-                    )
-                instance = AggregateScenario(self.db, aggregate, counter=self.counter, ledger=self.ledger)
-                instance.install()
-                self._scenarios[name] = instance
-                return instance
             view = sql_to_view(definition, self.db, name=name)
-        if scenario != "shared_log":
-            self._lint_group_overlap(view, strict=strict)
         instance = self._new_scenario(scenario, view, strong_minimality=strong_minimality, strict=strict)
+        if scenario != "shared_log":
+            self._lint_group_overlap(instance.view, strict=strict)
         # Built first: a policy the scenario cannot serve fails closed
         # here, before anything is installed or registered.
         driver = MaintenanceDriver(instance, policy) if policy is not None else None
@@ -196,16 +186,26 @@ class ViewManager:
         return instance
 
     def _new_scenario(
-        self, scenario: str, view: ViewDefinition, *, strong_minimality: bool = False, strict: bool = False
+        self,
+        scenario: str,
+        view: ViewDefinition | AggregateView,
+        *,
+        strong_minimality: bool = False,
+        strict: bool = False,
     ) -> Scenario:
         """An uninstalled ``scenario`` for ``view`` on this manager's
-        database, counter, ledger and shared log."""
+        database, counter, ledger and shared log.  An aggregate view is
+        the combined scenario of its base query plus its grouped table."""
         try:
             scenario_cls = SCENARIOS[scenario]
         except KeyError:
             raise PolicyError(f"unknown scenario {scenario!r}; pick one of {sorted(SCENARIOS)}") from None
+        if isinstance(view, AggregateView):
+            if scenario_cls is not CombinedScenario:
+                raise PolicyError(f"aggregate views are maintained under the combined scenario, not {scenario!r}")
+            scenario_cls = AggregateScenario
         kwargs = {"counter": self.counter, "ledger": self.ledger, "strict": strict}
-        if scenario_cls in (DiffTableScenario, CombinedScenario):
+        if issubclass(scenario_cls, DiffTableScenario):
             kwargs["strong_minimality"] = strong_minimality
         elif strong_minimality:
             raise PolicyError(f"strong_minimality is not applicable to the {scenario!r} scenario")
@@ -272,23 +272,6 @@ class ViewManager:
     # ------------------------------------------------------------------
     # Transactions
     # ------------------------------------------------------------------
-
-    def _maybe_aggregate(self, name: str, source: str):
-        """Parse SQL and, when it is an aggregate query, compile it."""
-        from repro.sqlfront.compiler import compile_aggregate_view
-        from repro.sqlfront.parser import CreateView as CreateViewStmt
-        from repro.sqlfront.parser import SelectCore, parse_statement
-
-        statement = parse_statement(source)
-        if isinstance(statement, CreateViewStmt):
-            core = statement.query
-            if isinstance(core, SelectCore) and core.is_aggregate():
-                view_name = statement.name if name is None else name
-                return compile_aggregate_view(view_name, core, self.db)
-            return None
-        if isinstance(statement, SelectCore) and statement.is_aggregate():
-            return compile_aggregate_view(name, statement, self.db)
-        return None
 
     def transaction(self) -> ManagedTransaction:
         """Start building a user transaction."""
@@ -364,8 +347,8 @@ class ViewManager:
            apply sequentially in registration order, so the final state
            is bag-equal to refreshing each view in turn.
 
-        Views whose scenario has no group task (immediate, diff-table,
-        aggregate) fall back to their own ``refresh`` after the group.
+        Views whose scenario has no group task (immediate, diff-table)
+        fall back to their own ``refresh`` after the group.
         """
         members = list(names) if names is not None else list(self._scenarios)
         with obs.span(

@@ -21,6 +21,7 @@ and JSON-serialized defining query.  It exists only in the file:
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 from repro.algebra.bag import Bag
@@ -35,24 +36,12 @@ from repro.warehouse.manager import SCENARIOS, ViewManager
 __all__ = ["save_warehouse", "load_warehouse", "VIEWDEFS_TABLE"]
 
 VIEWDEFS_TABLE = "__viewdefs__"
-_TAG_TO_NAME = {cls.tag: name for name, cls in SCENARIOS.items()}
+#: Scenario tag -> the name ``ViewManager._new_scenario`` rebuilds it from.
+_TAG_TO_NAME = {**{cls.tag: name for name, cls in SCENARIOS.items()}, AggregateScenario.tag: "combined"}
 
 
 def _describe(scenario) -> dict:
     """A JSON-safe description of one view's maintenance setup."""
-    if isinstance(scenario, AggregateScenario):
-        view = scenario.view
-        return {
-            "type": "aggregate",
-            "name": view.name,
-            "base_query": expr_to_dict(view.base.query),
-            "base_name": view.base.name,
-            "group_by": list(view.group_by),
-            "aggregates": [
-                {"function": spec.function, "attribute": spec.attribute, "alias": spec.alias}
-                for spec in view.aggregates
-            ],
-        }
     description = {
         "type": "plain",
         "name": scenario.view.name,
@@ -62,6 +51,13 @@ def _describe(scenario) -> dict:
     }
     if description["scenario"] is None:
         raise ReproError(f"cannot persist views of scenario type {type(scenario).__name__}")
+    if isinstance(scenario, AggregateScenario):
+        aggregate = scenario.aggregate
+        description.update(
+            type="aggregate",
+            group_by=list(aggregate.group_by),
+            aggregates=[asdict(spec) for spec in aggregate.aggregates],
+        )
     if isinstance(scenario, SharedLogScenario):
         description["cursor"] = scenario.cursor
     return description
@@ -110,34 +106,26 @@ def load_warehouse(path: str | Path, *, exec_mode: str | None = None) -> ViewMan
 
 def _attach(manager: ViewManager, description: dict) -> None:
     name = description["name"]
+    # Before aggregates were combined views, an aggregate's description
+    # had no "query" and its base view another name: it reattaches to
+    # tables the file lacks, which _verify_attached refuses.
+    view = ViewDefinition(name, expr_from_dict(description.get("query") or description["base_query"]))
     if description["type"] == "aggregate":
-        view = AggregateView(
-            name,
-            ViewDefinition(description["base_name"], expr_from_dict(description["base_query"])),
-            tuple(description["group_by"]),
-            tuple(
-                AggregateSpec(spec["function"], spec["attribute"], spec["alias"])
-                for spec in description["aggregates"]
-            ),
-        )
-        scenario = AggregateScenario(manager.db, view, counter=manager.counter, ledger=manager.ledger)
-        scenario._installed = True
-        scenario.base._installed = True
-    else:
-        view = ViewDefinition(name, expr_from_dict(description["query"]))
-        scenario = manager._new_scenario(
-            description["scenario"], view, strong_minimality=description["strong_minimality"]
-        )
-        if "cursor" in description:
-            # Rejoin the persisted shared log at the saved cursor.
-            scenario.attach(description["cursor"])
-        scenario._installed = True
+        specs = tuple(AggregateSpec(**spec) for spec in description["aggregates"])
+        view = AggregateView(name, view, tuple(description["group_by"]), specs)
+    scenario = manager._new_scenario(
+        description.get("scenario", "combined"), view, strong_minimality=description.get("strong_minimality", False)
+    )
+    if "cursor" in description:
+        # Rejoin the persisted shared log at the saved cursor.
+        scenario.attach(description["cursor"])
+    scenario._installed = True
     _verify_attached(manager, scenario)
     manager._scenarios[name] = scenario
 
 
 def _verify_attached(manager: ViewManager, scenario) -> None:
     """The saved file must actually contain the view's internal tables."""
-    mv_table = scenario.view.mv_table
-    if not manager.db.has_table(mv_table):
-        raise ReproError(f"saved warehouse lacks materialized table {mv_table!r}")
+    for table in sorted({scenario.view.mv_table, scenario.read_table}):
+        if not manager.db.has_table(table):
+            raise ReproError(f"saved warehouse lacks materialized table {table!r}")

@@ -12,7 +12,7 @@ from repro.analysis.effects import (
     plan_effects,
     read_footprint,
 )
-from repro.core.naming import mv_name
+from repro.core.naming import agg_name, mv_name
 from repro.core.plan import MaintenancePlan
 from repro.core.scenarios import (
     BaseLogScenario,
@@ -169,3 +169,20 @@ class TestScenarioProtocols:
             refresh = next(op for op in scenario.maintenance_protocol() if op.op == "refresh")
             protocols[engine] = (refresh.writes, refresh.locks)
         assert protocols["interpreted"] == protocols["compiled"]
+
+    def test_aggregate_grouped_table_is_a_locked_mv_write(self):
+        # Readers are served from the grouped table, so the derived
+        # effects count it as MV state: the written-under-lock check of
+        # tests/core/test_ops_table.py covers it like any MV table.
+        from repro.warehouse import ViewManager
+
+        manager = ViewManager(make_db())
+        scenario = manager.define_view("A", "SELECT a, COUNT(*) FROM R GROUP BY a")
+        tables = {scenario.view.mv_table, agg_name("A")}
+        for op in scenario.maintenance_protocol():
+            if op.op in REFRESH_OPS:
+                patch = next(step for step in op.steps if step.name == "agg_patch")
+                assert patch.effects.mv_writes() == {agg_name("A")}
+                assert frozenset().union(*(step.effects.mv_writes() for step in op.steps)) == tables
+                for step in op.steps:
+                    assert step.locks == tables

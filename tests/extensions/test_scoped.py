@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.algebra.bag import Bag
 from repro.algebra.expr import Select
 from repro.algebra.predicates import Comparison, attr, const
@@ -10,6 +11,7 @@ from repro.core.transactions import UserTransaction
 from repro.core.views import ViewDefinition
 from repro.errors import PolicyError, SchemaError
 from repro.extensions.scoped import scoped_partial_refresh, scoped_query
+from repro.robustness.faults import INJECTOR, InjectedCrash
 from repro.storage.database import Database
 
 HOT = Comparison("<", attr("a"), const(10))  # the "hot" slice a < 10
@@ -76,6 +78,36 @@ class TestScopedPartialRefresh:
         fill_differentials(db, scenario)
         scoped_partial_refresh(scenario, HOT)
         assert scenario.ledger.section_count(scenario.view.mv_table) == 1
+
+    def test_runs_as_a_locked_op(self):
+        """One span, the refresh crash point, residual freshness."""
+        db, scenario = make(DiffTableScenario)
+        with obs.observed() as stack:
+            fill_differentials(db, scenario)
+            scoped_partial_refresh(scenario, HOT)
+            views = stack.accounting.snapshot()
+        (span,) = stack.tracer.find("partial_refresh")
+        assert (span.attrs["view"], span.attrs["scoped"], span.attrs["delta_rows"]) == ("V", True, 4)
+        assert views["V"]["staleness"]["refreshes"] == 1
+        assert views["V"]["staleness"]["pending_entries"] == 2  # the cold slice
+        INJECTOR.arm("crash-mid-refresh")
+        try:
+            fill_differentials(db, scenario)
+            before = db[scenario.view.mv_table]
+            with pytest.raises(InjectedCrash):
+                scoped_partial_refresh(scenario, HOT)
+        finally:
+            INJECTOR.reset()
+        assert db[scenario.view.mv_table] == before
+
+    def test_rejected_for_aggregate_views(self):
+        from repro.warehouse import ViewManager
+
+        manager = ViewManager()
+        manager.create_table("R", ["a"], rows=[(1,), (2,)])
+        scenario = manager.define_view("A", "SELECT a, COUNT(*) FROM R GROUP BY a")
+        with pytest.raises(PolicyError, match="__agg__A"):
+            scoped_partial_refresh(scenario, HOT)
 
     def test_rejected_for_scenarios_without_differentials(self):
         db, scenario = make(BaseLogScenario)

@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro import obs
 from repro.algebra.bag import Bag
+from repro.core.policies import PeriodicRefresh
+from repro.core.transactions import UserTransaction
 from repro.errors import ParseError, PolicyError, SchemaError
 from repro.sqlfront.compiler import sql_to_expr
 from repro.warehouse import ViewManager
@@ -61,7 +64,20 @@ class TestDefinition:
         with pytest.raises(PolicyError):
             manager.define_view("bad", AGG_SQL, scenario="immediate")
         with pytest.raises(PolicyError):
-            manager.define_view("bad2", AGG_SQL, strong_minimality=True)
+            manager.define_view("bad2", AGG_SQL, scenario="shared_log")
+        assert manager.views() == ()
+
+    def test_strong_minimality_accepted(self, manager):
+        scenario = manager.define_view("rev", AGG_SQL, strong_minimality=True)
+        manager.execute_sql("DELETE FROM orders WHERE amount = 5")
+        manager.propagate("rev")
+        manager.execute_sql("INSERT INTO orders VALUES ('e', 5)")
+        manager.propagate("rev")
+        # The delete and the reinsert cancel in the differentials.
+        assert scenario.staleness_entries() == 0
+        manager.partial_refresh("rev")
+        assert manager.query("rev") == Bag([("e", 2, 15), ("w", 1, 7)])
+        manager.check_invariants()
 
     def test_adhoc_aggregate_query_rejected(self, manager):
         with pytest.raises(ParseError):
@@ -113,6 +129,59 @@ class TestMaintenance:
         assert manager.downtime_seconds("rev") >= 0.0
 
 
+class TestOneView:
+    """An aggregate view is keyed by its own name everywhere."""
+
+    def test_a_transaction_leaves_the_view_stale(self, manager):
+        manager.define_view("rev", AGG_SQL)
+        with obs.observed():
+            manager.execute_sql("INSERT INTO orders VALUES ('e', 1)")
+            views = manager.obs_snapshot()["views"]
+        assert views["rev"]["staleness"]["pending_entries"] > 0
+
+    def test_a_refresh_is_one_lock_section(self, manager):
+        manager.define_view("rev", AGG_SQL)
+        with obs.observed():
+            manager.execute_sql("INSERT INTO orders VALUES ('e', 1)")
+            manager.refresh("rev")
+            views = manager.obs_snapshot()["views"]
+        assert set(views) == {"rev"}
+        assert views["rev"]["downtime"]["lock_sections"] == 1
+        assert views["rev"]["staleness"]["pending_entries"] == 0
+        assert len(manager.ledger.sections) == 1
+
+    def test_partial_first_is_not_offered(self, manager):
+        manager.define_view("rev", AGG_SQL)
+        with pytest.raises(ValueError, match="partial_first"):
+            manager.scenario("rev").refresh(order="partial_first")
+
+    def test_a_policy_keeps_the_view_equal_to_a_recompute(self, manager):
+        scenario = manager.define_view("rev", AGG_SQL, policy=PeriodicRefresh(m=2))
+        for tick in range(1, 7):
+            txn = UserTransaction(manager.db).insert("orders", [("e", tick), ("n", tick)])
+            if tick % 3 == 0:
+                txn.delete("orders", [("w", 7)])
+            manager.tick([txn])
+            assert manager.is_stale("rev") == bool(tick % 2)
+        assert manager.query("rev") == scenario.expected()
+        assert manager.driver("rev").stats.full_refreshes == 3
+
+    def test_served_under_policy_2(self, manager):
+        from repro.serve import ViewServer
+
+        server = ViewServer(manager=manager)  # default Policy2(k=2, m=7)
+        server.define_view("rev", AGG_SQL)
+        for tick in range(1, 8):  # writes at ticks 1-4; propagate at 6, partial refresh at 7
+            txn = UserTransaction(manager.db).insert("orders", [("e", tick), ("n", tick)])
+            server.tick([txn] if tick <= 4 else [])
+            if tick == 6:
+                assert server.read("rev") != manager.scenario("rev").expected()
+        with server.pin() as handle:
+            pinned = server.read_at(handle, "rev")
+        assert pinned == manager.scenario("rev").expected()
+        assert ("n", 4, 10) in pinned
+
+
 class TestShell:
     def test_cli_aggregate_view(self):
         from repro.cli import WarehouseShell
@@ -129,3 +198,18 @@ class TestShell:
         shell.handle_line(".refresh rev")
         result = shell.handle_line("SELECT region, total FROM rev;")
         assert "15" in result
+
+    def test_cli_aggregate_view_is_a_managed_combined_view(self):
+        from repro.cli import WarehouseShell
+
+        shell = WarehouseShell()
+        shell.handle_line("CREATE TABLE orders (region, amount);")
+        shell.handle_line("INSERT INTO orders VALUES ('e', 10), ('w', 7);")
+        shell.handle_line("CREATE VIEW rev AS SELECT region, SUM(amount) FROM orders GROUP BY region;")
+        assert shell.manager.scenario("rev").tag == "AGG"
+        plan = shell.handle_line(".plan rev")
+        assert plan.startswith("refresh plan for rev") and "▼" in plan and "▲" in plan
+        shell.handle_line(".scenario immediate")
+        out = shell.handle_line("CREATE VIEW other AS SELECT region, COUNT(*) FROM orders GROUP BY region;")
+        assert out.startswith("error:") and "combined" in out
+        assert shell.manager.views() == ("rev",)

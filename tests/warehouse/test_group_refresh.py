@@ -131,6 +131,20 @@ class TestGroupRefreshMixedScenarios:
         manager.refresh_group()
         assert manager.exec_stats()["delta_cache_hits"] >= 3
 
+    def test_aggregate_is_an_epoch_member(self, manager):
+        # An aggregate is the combined view of its base query: it shares
+        # that query's delta evaluation with a combined view of it.
+        manager.define_view("Agg", "SELECT a, COUNT(*) AS n FROM R GROUP BY a")
+        manager.define_view("Plain", "SELECT a FROM R")
+        manager.define_view("Shared", JOIN_SQL, scenario="shared_log")
+        churn(manager)
+        manager.refresh_group(parallel=True)
+        assert manager.exec_stats()["delta_cache_hits"] == 1
+        for name in ("Agg", "Plain", "Shared"):
+            assert not manager.is_stale(name), name
+        assert manager.query("Agg") == manager.scenario("Agg").expected()
+        manager.check_invariants()
+
     def test_subset_refresh_leaves_others_stale(self, manager):
         manager.define_view("A", JOIN_SQL, scenario="shared_log")
         manager.define_view("B", "SELECT a FROM R", scenario="shared_log")
@@ -201,15 +215,6 @@ class TestSharedLogPersistence:
 
 
 class TestGroupRefreshFallbacks:
-    def test_aggregate_views_fall_back_to_refresh(self, manager):
-        manager.define_view("Agg", "SELECT a, COUNT(*) AS n FROM R GROUP BY a")
-        manager.define_view("Shared", JOIN_SQL, scenario="shared_log")
-        churn(manager)
-        manager.refresh_group(parallel=True)
-        assert not manager.is_stale("Agg")
-        assert not manager.is_stale("Shared")
-        assert manager.scenario("Agg").is_consistent()
-
     def test_empty_group_is_a_no_op(self, manager):
         manager.refresh_group()  # no views registered
 

@@ -102,6 +102,28 @@ class TestRoundTrip:
         with pytest.raises(ReproError, match="lacks materialized table"):
             load_warehouse(path)
 
+    def test_aggregate_saved_over_a_wrapped_base_view_fails_closed(self):
+        """An aggregate saved while it wrapped a base view named
+        ``__base__<name>`` reattaches under its own name; its file holds
+        no ``__mv__<name>``, so the load refuses instead of guessing."""
+        from repro.algebra.serialize import expr_to_dict
+        from repro.warehouse.persistence import _attach
+
+        vm = ViewManager()
+        vm.create_table("t", ["a", "qty"], rows=[(1, 5)])
+        vm.db.create_table("__agg__agg", ["a", "count"], rows=[(1, 1)], internal=True)
+        legacy = {
+            "type": "aggregate",
+            "name": "agg",
+            "base_query": expr_to_dict(vm.db.ref("t")),
+            "base_name": "__base__agg",
+            "group_by": ["a"],
+            "aggregates": [{"function": "count", "attribute": None, "alias": None}],
+        }
+        with pytest.raises(ReproError, match="lacks materialized table '__mv__agg'"):
+            _attach(vm, legacy)
+        assert vm.views() == ()
+
 
 class TestSerializer:
     @pytest.mark.parametrize("seed", range(15))
@@ -147,3 +169,4 @@ class TestSerializer:
         lit = Literal(Bag([(1, True), (1, True), (None, "s")]), Schema(["a", "b"]))
         decoded = expr_from_dict(expr_to_dict(lit))
         assert decoded == lit
+
