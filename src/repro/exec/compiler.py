@@ -15,7 +15,9 @@ every call:
   selection can serve from a maintained **hash index** (O(|delta| +
   |output|) probes instead of O(|table|) scans) — and so can the
   ``chain(R) ∸ D`` operand Figure 2's Product rule joins every delta
-  with: the bucket's chain images, less ``D``'s copies of them;
+  with: the bucket's chain images, less ``D``'s copies of them.  An
+  ``attr = const`` conjunct on the served side joins the index key, so
+  a probe examines only rows that conjunct keeps;
 * ``E ∸ R`` against a stored table becomes a **monus-probe** node;
 * a key-restricted leaf ``σ_{key ∈ K}(R)`` (partition pruning; ``K`` is
   bound per call) fuses into its chain's :class:`SourceAccess`: joined
@@ -67,6 +69,7 @@ from repro.algebra.expr import (
     UnionAll,
 )
 from repro.algebra.predicates import And, Attr, Comparison, Const, Param, Predicate, is_param_name, param_names
+from repro.algebra.schema import Schema
 from repro.errors import ReproError
 from repro.exec.kernels import row_getter, row_mapper
 
@@ -508,16 +511,10 @@ class PIndexSelect(PPipeline):
                 return Bag.empty()
         index = ctx.indexes.get(access.table, positions, base, counter=ctx.counter)
         bucket = index.lookup(key)
-        apply = access.apply
-        counts: dict[Row, int] = {}
-        for row, count in bucket.items():
-            image = apply(row)
-            if image is not None:
-                counts[image] = counts.get(image, 0) + count
         if ctx.counter is not None:
             ctx.counter.record_probes("index_probe", 1)
             ctx.counter.record("index_select", len(bucket))
-        return _adopt(counts)
+        return _adopt(_summed_images(bucket, access.apply))
 
 
 class PFilter(PNode):
@@ -700,6 +697,13 @@ class _JoinSide:
     on that key: the probed bucket is then the restriction, and
     ``restrict_slot`` says which join key carries it.  ``key_of`` reads
     an operand row's join key — a probe key, or a hash-join bucket key.
+
+    ``pins`` maps each base column every row of the operand holds one
+    constant in to that constant (:func:`_pins`).  An unrestricted
+    index-servable side appends those that are not join columns to its
+    index key (``base_key_positions``) and their constants to every
+    probe key (``pinned``): a bucket then holds only rows the side's own
+    filters can keep.
     """
 
     __slots__ = (
@@ -709,6 +713,7 @@ class _JoinSide:
         "access",
         "minus",
         "base_key_positions",
+        "pinned",
         "side_filter",
         "restrict_slot",
     )
@@ -720,21 +725,30 @@ class _JoinSide:
         access: SourceAccess | None,
         minus: PNode | None,
         side_filter: Callable[[Row], bool] | None,
+        pins: Mapping[int, Any],
     ) -> None:
         self.node = node
         self.key_positions = key_positions
         self.key_of = row_getter(key_positions)
         self.access = access
         self.minus = minus
-        # Base columns behind the join keys; None = not index-servable.
+        # The index key: base columns behind the join keys, then the
+        # pinned ones; None = not index-servable.
         self.base_key_positions = access.base_positions(key_positions) if access is not None else None
+        self.pinned: tuple = ()
         self.side_filter = side_filter
         self.restrict_slot: int | None = None
-        if self.base_key_positions is not None and access.restrict is not None:
+        if self.base_key_positions is None:
+            return
+        if access.restrict is not None:
             if access.restrict.position in self.base_key_positions:
                 self.restrict_slot = self.base_key_positions.index(access.restrict.position)
             else:
                 self.base_key_positions = None
+            return
+        extra = tuple(sorted(column for column in pins if column not in self.base_key_positions))
+        self.base_key_positions += extra
+        self.pinned = tuple(pins[column] for column in extra)
 
     @property
     def indexable(self) -> bool:
@@ -758,31 +772,33 @@ class _JoinSide:
         return "non-chain-operand" if self.node.tables else None
 
 
-def _bucket_rest(bucket: Mapping[Row, int], apply, minus: Bag) -> dict[Row, int]:
-    """``chain(bucket) ∸ D`` for one index bucket.
+def _pins(access: SourceAccess, conjuncts: list[Predicate], schema: Schema) -> dict[int, Any]:
+    """Base columns the operand's rows all hold one constant in, with the constant.
 
-    The chain images are summed first (a projecting chain merges base
-    rows), then reduced by ``D``'s copies of each image and floored at
-    zero — exactly the rows of ``chain(R) ∸ D`` carrying the bucket's
-    key, since the key columns pass through the chain unchanged.  ``D``
-    is consulted by image only, so it need not be a subbag of
-    ``chain(R)`` and its rows under other keys are never touched.  An
-    identity chain (``apply`` is ``None``) has the bucket as its images.
+    A column qualifies when the chain's own filters pin it
+    (``access.const_eq``) or one of the join's conjuncts over this
+    operand alone is ``attr = const`` on a column the chain carries
+    unchanged.  A parameter (``attr = ?``) stays a filter: its value is
+    the call's, and an index key is fixed when the plan is compiled.
     """
-    images = bucket
-    if apply is not None:
-        images = summed = {}
-        for base_row, base_count in bucket.items():
-            image = apply(base_row)
-            if image is not None:
-                summed[image] = summed.get(image, 0) + base_count
-    multiplicity = minus.multiplicity
-    rest: dict[Row, int] = {}
-    for image, count in images.items():
-        count -= multiplicity(image)
-        if count > 0:
-            rest[image] = count
-    return rest
+    pins = {column: value for column, value in access.const_eq.items() if type(value) is not Param}
+    for conjunct in conjuncts:
+        pinned = _const_equality(conjunct)
+        if pinned is not None and type(pinned[1]) is not Param:
+            column = access.out_map[schema.index_of(pinned[0])]
+            if column is not None:
+                pins.setdefault(column, pinned[1])
+    return pins
+
+
+def _summed_images(bucket: Mapping[Row, int], apply) -> dict[Row, int]:
+    """A chain's images of one index bucket, copies of equal images summed."""
+    summed: dict[Row, int] = {}
+    for base_row, base_count in bucket.items():
+        image = apply(base_row)
+        if image is not None:
+            summed[image] = summed.get(image, 0) + base_count
+    return summed
 
 
 class PEquiJoin(PNode):
@@ -855,18 +871,20 @@ class PEquiJoin(PNode):
     def probe_join(self, ctx, indexed: _JoinSide) -> dict[Row, int]:
         """``indexed`` answered from its table's hash index, probed by the other side.
 
-        For a ``chain(R) ∸ D`` operand each bucket is corrected by ``D``
-        (:func:`_bucket_rest`); when ``D`` is empty at run time this is
-        the plain probe.  The index is brought current inside
+        A probe looks up its join key followed by the indexed side's
+        pinned constants.  For a ``chain(R) ∸ D`` operand every image of
+        a bucket is reduced by ``D``'s copies of it and floored at zero;
+        a chain with steps sums the bucket's images first (a projection
+        or a map merges base rows).  When ``D`` is empty at run time this
+        is the plain probe.  The index is brought current inside
         ``IndexManager.get``, under its lock, before the first lookup.
         Over a key-restricted ``R`` only probes carrying a bound key are
         looked up: the bucket of such a key is its slice of ``σ_K(R)``.
         """
         probe = self.right if indexed is self.left else self.left
-        base = ctx.table(indexed.access.table)
-        index = ctx.indexes.get(
-            indexed.access.table, indexed.base_key_positions, base, counter=ctx.counter
-        )
+        access = indexed.access
+        base = ctx.table(access.table)
+        index = ctx.indexes.get(access.table, indexed.base_key_positions, base, counter=ctx.counter)
         minus = None
         if indexed.minus is not None and not indexed.minus.runtime_empty(ctx):
             minus = indexed.minus.execute(ctx)
@@ -874,17 +892,21 @@ class PEquiJoin(PNode):
         probe_bag = probe.node.execute(ctx)
         self._note_base_scan(probe, probe_bag.distinct_count(), base.distinct_count())
         probe_key = probe.key_of
+        pinned = indexed.pinned
         probe_filter = probe.side_filter
         indexed_filter = indexed.side_filter
-        apply = None if indexed.access.identity else indexed.access.apply
-        # Patched buckets already hold chain images; identity buckets are them.
+        apply = None if access.identity else access.apply
+        # D is consulted image by image: an identity chain's images are
+        # the bucket's rows, any other chain's are summed per bucket first.
+        subtract = minus.multiplicity if patched else None
+        merged = patched and apply is not None
         mapped = apply is not None and not patched
         lookup = index.lookup
         residual = self.residual
         left_is_probe = probe is self.left
         bound = bound_position = None
         if indexed.restrict_slot is not None:
-            bound = ctx.keys_of(indexed.access.restrict.domain)
+            bound = ctx.keys_of(access.restrict.domain)
             bound_position = probe.key_positions[indexed.restrict_slot]
         counts: dict[Row, int] = {}
         probes = 0
@@ -895,16 +917,20 @@ class PEquiJoin(PNode):
             if bound is not None and probe_row[bound_position] not in bound:
                 continue
             probes += 1
-            bucket = lookup(probe_key(probe_row))
+            bucket = lookup(probe_key(probe_row) + pinned)
             if not bucket:
                 continue
             examined += len(bucket)
-            if patched:
-                bucket = _bucket_rest(bucket, apply, minus)
+            if merged:
+                bucket = _summed_images(bucket, apply)
             for image, count in bucket.items():
                 if mapped:
                     image = apply(image)
                     if image is None:
+                        continue
+                if subtract is not None:
+                    count -= subtract(image)
+                    if count <= 0:
                         continue
                 if indexed_filter is not None and not indexed_filter(image):
                     continue
@@ -966,9 +992,14 @@ class PEquiJoin(PNode):
 # ----------------------------------------------------------------------
 
 
-def _pad_row(arity: int):
-    pad = (None,) * arity
-    return pad
+def _bind_all(conjuncts: list[Predicate], schema: Schema) -> Callable[[Row], bool] | None:
+    """The conjunction of ``conjuncts`` bound against ``schema`` (``None`` if none)."""
+    if not conjuncts:
+        return None
+    predicate = conjuncts[0]
+    for extra in conjuncts[1:]:
+        predicate = And(predicate, extra)
+    return predicate.bind(schema)
 
 
 class Compiler:
@@ -1087,28 +1118,13 @@ class Compiler:
                 right_only.append(conjunct)
             else:
                 cross.append(conjunct)
+        left_side = self._join_side(product.left, tuple(position for position, __ in keys), left_only)
+        right_side = self._join_side(product.right, tuple(position for __, position in keys), right_only)
+        return PEquiJoin(left_side, right_side, _bind_all(cross, schema))
 
-        def bind_all(conjuncts: list[Predicate]) -> Callable[[Row], bool] | None:
-            if not conjuncts:
-                return None
-            predicate = conjuncts[0]
-            for extra in conjuncts[1:]:
-                predicate = And(predicate, extra)
-            return predicate.bind(schema)
-
-        left_filter = bind_all(left_only)
-        right_joint = bind_all(right_only)
-        right_filter = None
-        if right_joint is not None:
-            pad = _pad_row(left_arity)
-            right_filter = lambda row, _fn=right_joint, _pad=pad: _fn(_pad + row)  # noqa: E731
-        cross_check = bind_all(cross)
-
-        left_side = self._join_side(product.left, tuple(position for position, __ in keys), left_filter)
-        right_side = self._join_side(product.right, tuple(position for __, position in keys), right_filter)
-        return PEquiJoin(left_side, right_side, cross_check)
-
-    def _join_side(self, operand: Expr, key_positions: tuple[int, ...], side_filter) -> _JoinSide:
+    def _join_side(self, operand: Expr, key_positions: tuple[int, ...], conjuncts: list[Predicate]) -> _JoinSide:
+        """One join operand, with ``conjuncts`` (the join's conjuncts over
+        it alone) bound against its own schema as its side filter."""
         access = source_access(operand)
         minus = None
         if access is None and isinstance(operand, Monus):
@@ -1116,7 +1132,9 @@ class Compiler:
             access = source_access(operand.left)
             if access is not None:
                 minus = self.compile(operand.right)
-        return _JoinSide(self.compile(operand), key_positions, access, minus, side_filter)
+        schema = operand.schema()
+        pins = _pins(access, conjuncts, schema) if access is not None else {}
+        return _JoinSide(self.compile(operand), key_positions, access, minus, _bind_all(conjuncts, schema), pins)
 
     # -- projections ---------------------------------------------------
 

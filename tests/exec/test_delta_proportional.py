@@ -65,15 +65,17 @@ BACKLOG = (
 )
 
 
-def warehouse(sales: int, views: dict[str, str], scenario: str, *, parts: int = 0) -> ViewManager:
+def warehouse(
+    sales: int, views: dict[str, str], scenario: str, *, parts: int = 0, customers: int = CUSTOMERS
+) -> ViewManager:
     manager = ViewManager(PartitionedDatabase() if parts else None)
     manager.create_table("customer", ("custId", "name", "address", "score"))
     manager.create_table("sales", ("custId", "itemNo", "quantity", "salesPrice"))
     manager.load(
         "customer",
-        [(c, f"customer-{c}", f"{c} Main St", "High" if c < 20 else "Low") for c in range(CUSTOMERS)],
+        [(c, f"customer-{c}", f"{c} Main St", "High" if c < 20 else "Low") for c in range(customers)],
     )
-    others = [c for c in range(CUSTOMERS) if c != RESCORED]
+    others = [c for c in range(customers) if c != RESCORED]
     rows = [(RESCORED, item, 1 + item % 3, 5.0) for item in range(FAN_OUT)]
     rows += [(others[i % len(others)], i, i % 4, float(i)) for i in range(sales - FAN_OUT)]
     manager.load("sales", rows)
@@ -122,6 +124,30 @@ def test_base_log_refresh_with_a_rescore():
     # The re-scored customer's sales came out of the sales index, bucket
     # by bucket, corrected by this epoch's logged inserts.
     assert results[0][1]["index_join_patched"] >= FAN_OUT
+
+
+def test_a_backlog_probes_only_the_customers_its_filter_keeps():
+    """Example 1.1's ``c.score = 'High'`` joins ``customer``'s index key.
+
+    The 600 logged sales probe ``customer ∸ Del(customer)`` under
+    ``(custId, 'High')``: a probe for a Low customer misses in one
+    lookup, so the rows examined are the log rows whose customer is
+    High — plus the re-scored customer's sales, probed the other way.
+    """
+    customers, backlog = 1_500, 600
+    manager = warehouse(SIZES[0], {"V": JOIN_VIEW}, "base_log", customers=customers)
+    # customer's one index is the join's (custId, score); define_view built it.
+    assert [index.positions for index in manager.db.indexes.indexes_on("customer")] == [(0, 3)]
+    others = [c for c in range(customers) if c != RESCORED]
+    logged = [(others[(37 * i) % len(others)], 10_000 + i, 1 + i % 3, 1.0) for i in range(backlog)]
+    for start in range(0, backlog, 50):
+        manager.execute_sql("INSERT INTO sales VALUES " + ", ".join(map(str, logged[start : start + 50])))
+    manager.execute_sql(f"UPDATE customer SET score = 'Low' WHERE custId = {RESCORED}")
+    high = {row[0] for row, __ in manager.db["customer"].items() if row[3] == "High"}
+    __, ops = ops_of(manager, lambda: manager.refresh("V"))
+    assert ops["index_probe"] == backlog + 1
+    assert ops["index_join_patched"] == sum(1 for row in logged if row[0] in high) + FAN_OUT
+    manager.check_invariants()
 
 
 def test_partitioned_base_log_refresh_is_pruned_once_and_bound_per_epoch(monkeypatch):

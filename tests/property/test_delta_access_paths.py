@@ -11,6 +11,13 @@ not hold, residual predicates on either side and across, empty ``D``,
 and ``NULL`` keys (which must keep matching whatever the interpreted
 join matches today).  The interpreted evaluator is the oracle.
 
+A constant conjunct on the index-served side (``b = const``, in the
+join's predicate or in the chain's own filter) joins the index key:
+the probe looks up ``(k, const)``, so it must examine exactly the rows
+whose ``b`` is hash-equal to the constant — ``1``, ``1.0`` and ``TRUE``
+share a bucket, as they compare equal — while ``NULL`` in that column
+matches no constant, and ``b = ?`` stays a filter.
+
 The second half drives keyed ``DELETE`` / ``UPDATE`` / ``SELECT`` through
 the SQL front end — every one of them a fused chain carrying
 ``attr = const`` — on a plain and on a hash-partitioned database, and
@@ -27,9 +34,10 @@ from tests.property.gen import _seeds, cases
 
 from repro.algebra.bag import Bag
 from repro.algebra.evaluation import CostCounter, evaluate
-from repro.algebra.expr import Literal, Monus, Product, Select, rename
-from repro.algebra.predicates import And, Attr, Comparison, Const
+from repro.algebra.expr import Expr, Literal, MapProject, Monus, Product, Select, rename
+from repro.algebra.predicates import And, Arith, Attr, Comparison, Const, Param
 from repro.algebra.schema import Schema
+from repro.exec.compiler import Compiler, PEquiJoin
 from repro.robustness.journal import bag_digest
 from repro.storage.database import Database
 from repro.storage.partition import PartitionedDatabase
@@ -128,6 +136,168 @@ def test_rest_tracks_writes_to_every_operand(mode):
             db.apply(patches={table: (Literal(delete, schema), Literal(insert, schema))})
             for expr in orders:
                 assert db.evaluate(expr) == evaluate(expr, db.state), (case_id, table)
+
+
+# ----------------------------------------------------------------------
+# attr = const on the index-served side: part of the probed key
+# ----------------------------------------------------------------------
+
+#: What the pinned column ``b`` holds: the hash-equal ``1`` / ``1.0`` /
+#: ``TRUE``, other numbers, strings (one that looks like a number), NULL.
+PIN_VALUES = (0, 1, 1.0, True, False, 2, "1", "High", "Low", None)
+#: What a conjunct pins ``b`` to.
+PIN_CONSTANTS = (1, 1.0, True, 0, 2, "1", "High")
+#: A conjunct on the delta side only: it drops probes before any lookup.
+DELTA_FILTER = Comparison("!=", Attr("x"), Const(0))
+
+
+def _pinned_rows(gen, count: int, columns) -> Bag:
+    counts: dict[tuple, int] = {}
+    for _ in range(count):
+        row = tuple(gen.rng.choice(column) for column in columns)
+        counts[row] = counts.get(row, 0) + gen.rng.randint(1, 3)
+    return Bag.from_counts(counts)
+
+
+def _pinned_case(gen, pin):
+    """``σ_{k = a ∧ pin [∧ x ≠ 0]}(A × rest)`` in both operand orders, ``rest``
+    a chain over ``R(a, b, c)``, ``∸ D`` or not.
+
+    ``pin`` is the conjunct on ``b``.  The chain is ``R`` itself, a
+    filter pinning ``c`` to 1, a projection that merges rows differing
+    in ``c``, or a map computing ``c + 1`` (a column no pin reaches).
+    ``D`` is empty, random (rows under keys and values ``R`` lacks), or
+    an over-delete of the chain's own images.
+    """
+    rng = gen.rng
+    keys = (0, 1, 2, None)
+    base = _pinned_rows(gen, rng.randint(0, 14), (keys, PIN_VALUES, (0, 1, 2)))
+    probe = _pinned_rows(gen, rng.randint(1, 6), (keys, (0, 1, 2)))
+    db = Database(exec_mode="compiled")
+    db.create_table("R", ("a", "b", "c"), rows=base)
+    chain: Expr = db.ref("R")
+    shape = rng.choice(("identity", "filtered", "projecting", "mapped"))
+    if shape == "filtered":
+        chain = chain.where(Comparison("=", Attr("c"), Const(1)))
+    elif shape == "projecting":
+        chain = chain.project(["a", "b"])
+    elif shape == "mapped":
+        chain = MapProject((Attr("a"), Attr("b"), Arith("+", Attr("c"), Const(1))), chain, ("a", "b", "d"))
+    schema = chain.schema()
+    minus = None
+    kind = rng.choice(("none", "random", "over-delete"))
+    if kind == "random":
+        minus = _pinned_rows(gen, rng.randint(1, 6), (keys, PIN_VALUES, (0, 1, 2, 3))[: schema.arity])
+    elif kind == "over-delete":
+        # More copies of chain images than the chain holds: floored at zero.
+        images = evaluate(chain, db.state)
+        minus = Bag.from_counts({row: count + rng.randint(0, 2) for row, count in images.items() if rng.random() < 0.6})
+    rest = chain if minus is None else Monus(chain, Literal(minus, schema))
+    delta = Literal(probe, Schema(["k", "x"]))
+    predicate = And(Comparison("=", Attr("k"), Attr("a")), pin)
+    if rng.random() < 0.5:
+        predicate = And(predicate, DELTA_FILTER)
+    orders = (Select(predicate, Product(delta, rest)), Select(predicate, Product(rest, delta)))
+    return db, orders, shape
+
+
+def _rest_side(expr):
+    """The compiled join's ``rest`` operand (the only index-servable one)."""
+    join = Compiler({}).compile(expr)
+    assert isinstance(join, PEquiJoin)
+    rest = join.right if isinstance(expr.child.left, Literal) else join.left
+    assert rest.indexable
+    return rest
+
+
+def _expected_key(shape: str, constant) -> tuple[tuple[int, ...], tuple]:
+    """The served side's index key and pinned values: ``a``, then the pinned
+    ``b`` (when ``constant`` is not None) and ``c`` (the filtered chain)."""
+    pins = {} if constant is None else {1: constant}
+    if shape == "filtered":
+        pins[2] = 1
+    extra = tuple(sorted(pins))
+    return (0, *extra), tuple(pins[column] for column in extra)
+
+
+def _examined(db, expr, rest) -> int:
+    """Base rows a probe join must examine: per distinct probe row its filter
+    keeps, the distinct rows of ``R`` whose key columns equal the probe's
+    join key followed by the pinned values."""
+    probe = expr.child.left if isinstance(expr.child.left, Literal) else expr.child.right
+    filtered = expr.predicate.right == DELTA_FILTER
+    keys = [tuple(row[position] for position in rest.base_key_positions) for row, __ in db["R"].items()]
+    total = 0
+    for (k, x), __ in probe.bag.items():
+        if not filtered or x != 0:
+            total += keys.count((k, *rest.pinned))
+    return total
+
+
+@pytest.mark.parametrize("constant", PIN_CONSTANTS)
+def test_a_constant_conjunct_joins_the_probed_key(constant):
+    for case_id, gen in cases(count=30):
+        db, orders, shape = _pinned_case(gen, Comparison("=", Attr("b"), Const(constant)))
+        for expr in orders:
+            rest = _rest_side(expr)
+            assert (rest.base_key_positions, rest.pinned) == _expected_key(shape, constant), (case_id, shape)
+            counter = CostCounter()
+            assert db.evaluate(expr, counter=counter) == evaluate(expr, db.state), (case_id, shape, str(expr))
+            # Only the (k, constant) buckets were examined: rows whose b
+            # equals the constant (1, 1.0 and TRUE alike), never NULL.
+            ops = counter.by_operator
+            examined = ops.get("index_join", 0) + ops.get("index_join_patched", 0)
+            assert examined == _examined(db, expr, rest), (case_id, shape, ops)
+
+
+@pytest.mark.parametrize(
+    "pin, constant",
+    (
+        (Comparison("!=", Attr("b"), Const(1)), None),  # not an equality
+        (Comparison("=", Attr("b"), Const(None)), None),  # false for every row: pins nothing
+        (Comparison("=", Const("High"), Attr("b")), "High"),  # constant on the left
+    ),
+    ids=("inequality", "null", "reversed"),
+)
+def test_other_conjuncts_on_the_pinned_column(pin, constant):
+    # The filtered chain's own c = 1 pins c whatever the conjunct on b is.
+    for case_id, gen in cases(count=30):
+        db, orders, shape = _pinned_case(gen, pin)
+        for expr in orders:
+            rest = _rest_side(expr)
+            assert (rest.base_key_positions, rest.pinned) == _expected_key(shape, constant), (case_id, shape)
+            assert db.evaluate(expr) == evaluate(expr, db.state), (case_id, shape, str(expr))
+
+
+def _param_in_chain(rest: Expr) -> Expr:
+    """``rest`` with ``b = ?`` as the chain's own filter (under ``∸ D``)."""
+    pin = Comparison("=", Attr("b"), Param(0))
+    if isinstance(rest, Monus):
+        return Monus(Select(pin, rest.left), rest.right)
+    return Select(pin, rest)
+
+
+def test_a_parameter_stays_a_filter():
+    # b = ? is the call's value, and one plan serves every value: it is
+    # never part of the index key, in the join's predicate or the chain's.
+    for case_id, gen in cases(count=30):
+        db, orders, shape = _pinned_case(gen, Comparison("=", Attr("b"), Param(0)))
+        for expr in orders:
+            left, right = expr.child.left, expr.child.right
+            if isinstance(left, Literal):
+                right = _param_in_chain(right)
+            else:
+                left = _param_in_chain(left)
+            for query in (expr, Select(expr.predicate, Product(left, right))):
+                rest = _rest_side(query)
+                assert (rest.base_key_positions, rest.pinned) == _expected_key(shape, None), (case_id, shape)
+                for value in (1, True, "High", None):
+                    binding = {"?0": value}
+                    assert db.evaluate(query, binding=binding) == evaluate(query, db.state, binding=binding), (
+                        case_id,
+                        shape,
+                        value,
+                    )
 
 
 # ----------------------------------------------------------------------
