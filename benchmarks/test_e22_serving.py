@@ -272,12 +272,12 @@ def test_e22_serving(benchmark):
         reader_lock_ops=serving["synchronous"]["reader_observable"]["lock_ops"],
         p99_read_latency_s=serving["synchronous"]["latency_s"]["p99_s"],
     )
+    # How many reads the reader threads got in, and how many states they
+    # saw, depend on thread scheduling: asserted below, not reported.
     result.add(
         arm="concurrent",
-        threaded_reads=concurrent["latency_s"]["reads"],
         isolation_violations=concurrent["isolation_violations"],
         reader_lock_sections=concurrent["reader_lock_sections"],
-        distinct_states_observed=concurrent["distinct_states_observed"],
     )
     write_report(result)
 
@@ -309,3 +309,4 @@ def test_e22_serving(benchmark):
     assert concurrent["isolation_violations"] == 0
     assert concurrent["reader_lock_sections"] == 0
     assert concurrent["latency_s"]["reads"] > 0
+    assert concurrent["distinct_states_observed"] >= 1

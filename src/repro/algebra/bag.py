@@ -34,7 +34,7 @@ from repro.errors import SchemaError
 
 Row = tuple[Any, ...]
 
-__all__ = ["Bag", "Row"]
+__all__ = ["Bag", "Row", "compose_deltas"]
 
 
 def _normalize(counts: Mapping[Row, int]) -> dict[Row, int]:
@@ -347,3 +347,39 @@ class Bag:
 
 
 _EMPTY = Bag()
+
+
+def compose_deltas(pairs: Iterable[tuple[Any, Any]]) -> tuple[dict[Row, int], dict[Row, int]]:
+    """Net a run of ``(delete, insert)`` deltas into one ``(deletes, inserts)`` pair.
+
+    Each pair is a :class:`Bag` or a ``row -> count`` dict of positive
+    counts.  Folding a later pair ``(∇, Δ)`` into the net ``(▼, ▲)`` is
+    ``makesafe_BL``'s weakly-minimal recurrence (Lemma 4), taken
+    simultaneously: ``▼ := ▼ ⊎ (∇ ∸ ▲)`` and ``▲ := (▲ ∸ ∇) ⊎ Δ``.  Per
+    row, ``t = min(▲[r], ∇[r])`` cancels a delete against an earlier
+    insert; the rest of the delete joins ``▼``.  Applying the net with
+    ``Bag.patch`` equals applying the run in order (deletes that survive
+    cancellation target rows from before the run, where the floor at
+    zero copies matches), and the fold is associative, so a run may be
+    netted in segments.  It costs O(total delta rows): each row is
+    touched in place, no intermediate bag is built.  The result's counts
+    are strictly positive and its rows come from the inputs, so
+    :meth:`Bag._from_clean` may adopt either dict.
+    """
+    deletes: dict[Row, int] = {}
+    inserts: dict[Row, int] = {}
+    for delete, insert in pairs:
+        for row, count in delete.items():
+            queued = inserts.get(row, 0)
+            cancelled = count if count < queued else queued
+            if cancelled:
+                if cancelled == queued:
+                    del inserts[row]
+                else:
+                    inserts[row] = queued - cancelled
+            remaining = count - cancelled
+            if remaining:
+                deletes[row] = deletes.get(row, 0) + remaining
+        for row, count in insert.items():
+            inserts[row] = inserts.get(row, 0) + count
+    return deletes, inserts

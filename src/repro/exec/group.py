@@ -22,7 +22,9 @@ to date in one epoch:
   patch application always runs sequentially in registration order, so
   the result state is bag-equal to refreshing every view one at a time
   — sequential execution remains the deterministic oracle, and
-  parallelism only changes wall-clock time, never results.
+  parallelism only changes wall-clock time, never results.  The pool
+  stands: one per worker count, its threads started when it is first
+  needed and reused by every later epoch (:func:`_standing_pool`).
 
 Fingerprints are computed over the canonical JSON serialization of an
 expression (:mod:`repro.algebra.serialize`) with per-view table names
@@ -35,8 +37,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 from collections.abc import Callable, Mapping, Sequence
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 from repro import obs
@@ -159,6 +162,28 @@ class EpochDeltaCache:
         return deltas
 
 
+_POOLS: dict[int, ThreadPoolExecutor] = {}
+_POOLS_LOCK = threading.Lock()
+
+
+def _standing_pool(workers: int) -> ThreadPoolExecutor:
+    """The process's pool of ``workers`` threads, created on first use.
+
+    Every worker is started at creation — a lazily grown executor may
+    start one in a later epoch instead — so an epoch on an existing pool
+    starts no thread.  The threads idle between epochs and are joined at
+    interpreter exit.
+    """
+    with _POOLS_LOCK:
+        pool = _POOLS.get(workers)
+        if pool is None:
+            pool = _POOLS[workers] = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="group-epoch")
+            # Each warm-up job waits for all the others, so each holds its own thread.
+            barrier = threading.Barrier(workers)
+            wait([pool.submit(barrier.wait) for _ in range(workers)])
+        return pool
+
+
 @dataclass
 class GroupTask:
     """One view's refresh, split into a shareable compute and an apply.
@@ -211,7 +236,7 @@ class GroupScheduler:
         results: dict[str, tuple[Bag, Bag]] = {}
         if self.parallel and len(leaders) > 1:
             counters = [CostCounter() for _ in leaders]
-            workers = self.max_workers or min(len(leaders), max(2, (os.cpu_count() or 4) - 1))
+            pool = _standing_pool(self.max_workers or max(2, (os.cpu_count() or 4) - 1))
             # Thread-local span stacks don't cross into pool workers:
             # hand each worker the caller's span as an explicit parent.
             parent = obs.current().tracer.active()
@@ -220,13 +245,11 @@ class GroupScheduler:
                 with obs.span("delta_compute", view=task.name, parent=parent, counter=counter):
                     return task.compute(counter)
 
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(traced_compute, task, counter)
-                    for task, counter in zip(leaders, counters)
-                ]
-                for task, future in zip(leaders, futures):
-                    results[task.name] = future.result()
+            futures = [pool.submit(traced_compute, task, counter) for task, counter in zip(leaders, counters)]
+            # Every compute ends before any result (or failure) is used.
+            wait(futures)
+            for task, future in zip(leaders, futures):
+                results[task.name] = future.result()
             if self.counter is not None:
                 for counter in counters:
                     self.counter.absorb(counter)

@@ -20,7 +20,7 @@ import threading
 from collections.abc import Mapping
 
 from repro import obs
-from repro.algebra.bag import Bag, Row
+from repro.algebra.bag import Bag, Row, compose_deltas
 from repro.algebra.evaluation import CostCounter
 from repro.exec.kernels import row_getter
 
@@ -162,38 +162,6 @@ def _widest(keys) -> tuple[int, ...] | None:
     return max(keys, key=lambda key: (len(key), key), default=None)
 
 
-def _compose_tail(tail: list[tuple[Bag, Bag]]) -> tuple[dict[Row, int], dict[Row, int]]:
-    """Net a run of patch deltas into one ``(deletes, inserts)`` pair.
-
-    Composing an accumulated net ``(D, I)`` with a later patch
-    ``(d2, i2)`` per row: ``t = min(I[r], d2[r])`` cancels deletes
-    against earlier queued inserts, then ``D[r] += d2[r] - t`` and
-    ``I[r] = I[r] - t + i2[r]``.  Applying the net is equivalent to
-    applying the queue sequentially (including ``Bag.patch``'s floor at
-    zero copies: deletes surviving cancellation target pre-queue rows,
-    where the index's own floored delete matches the table's), but its
-    size is the *net churn* — an insert-then-delete round trip, or many
-    patches touching the same row, collapse before the index is touched.
-    """
-    deletes: dict[Row, int] = {}
-    inserts: dict[Row, int] = {}
-    for delete, insert in tail:
-        for row, count in delete.items():
-            queued = inserts.get(row, 0)
-            cancelled = count if count < queued else queued
-            if cancelled:
-                if cancelled == queued:
-                    del inserts[row]
-                else:
-                    inserts[row] = queued - cancelled
-            remaining = count - cancelled
-            if remaining:
-                deletes[row] = deletes.get(row, 0) + remaining
-        for row, count in insert.items():
-            inserts[row] = inserts.get(row, 0) + count
-    return deletes, inserts
-
-
 class IndexManager:
     """All hash indexes of one database, maintained through its writes.
 
@@ -202,7 +170,7 @@ class IndexManager:
     table's indexes stale (except assignment of the empty bag — log
     truncation — which clears buckets in place and keeps the index
     current).  The next time an executor actually probes the index, the
-    queued run is *netted* first (:func:`_compose_tail` — insert-then-
+    queued run is *netted* first (:func:`~repro.algebra.bag.compose_deltas` — insert-then-
     delete round trips and repeated touches of one row collapse), then
     either the net is applied or, when the net churn still exceeds the
     table's distinct size, the index is rebuilt wholesale — whichever
@@ -329,7 +297,7 @@ class IndexManager:
                     # decision is then based on net churn, not raw
                     # patch volume, and a tie prefers the drain (it
                     # keeps buckets warm for the next round).
-                    net_deletes, net_inserts = _compose_tail(tail)
+                    net_deletes, net_inserts = compose_deltas(tail)
                     if net_deletes:
                         # Deletes of rows this index never held — e.g.
                         # weak-minimality cancellations against a log

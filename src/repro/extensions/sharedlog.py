@@ -33,7 +33,7 @@ from collections.abc import Iterable
 from functools import partial
 from typing import NamedTuple
 
-from repro.algebra.bag import Bag, Row
+from repro.algebra.bag import Bag, Row, compose_deltas
 from repro.algebra.evaluation import CostCounter
 from repro.algebra.expr import Bound, Expr, Literal, Product, UnionAll
 from repro.algebra.schema import Schema
@@ -58,6 +58,13 @@ _TAG_SCHEMA = Schema(("__seq", "__op"))
 def shared_log_name(table: str) -> str:
     """Name of the shared sequenced log for base table ``table``."""
     return f"__shared_log__{table}"
+
+
+def _adopt(net: tuple[dict[Row, int], dict[Row, int]]) -> tuple[Bag, Bag]:
+    """A :func:`~repro.algebra.bag.compose_deltas` result as a bag pair,
+    adopted as is: its counts are positive by construction."""
+    delete, insert = (Bag._from_clean(counts, len(next(iter(counts))) if counts else None) for counts in net)
+    return delete, insert
 
 
 class _ViewPair(NamedTuple):
@@ -218,34 +225,28 @@ class SharedLog:
         """
         if table not in self._tables:
             raise SchemaError(f"table {table!r} is not tracked by the shared log")
-        log = self._db[shared_log_name(table)]
-        return self._fold(self._entries((row, count) for row, count in log.items() if row[0] > cursor))
+        return _adopt(self._net(self._entries(self._db[shared_log_name(table)], cursor)))
 
     @staticmethod
-    def _entries(rows: Iterable[tuple[Row, int]]) -> dict[int, tuple[dict[Row, int], dict[Row, int]]]:
-        """Log rows as ``seq -> (deleted counts, inserted counts)``."""
+    def _entries(log: Bag, cursor: int = 0) -> dict[int, tuple[dict[Row, int], dict[Row, int]]]:
+        """``log``'s rows past ``cursor`` as ``seq -> (deleted counts,
+        inserted counts)``; sequence numbers start at 1, so by default
+        every row.  A bag's rows are distinct, so no count is summed."""
         entries: dict[int, tuple[dict[Row, int], dict[Row, int]]] = {}
-        for (seq, op, *values), count in rows:
-            deletes, inserts = entries.setdefault(seq, ({}, {}))
-            side = deletes if op == DELETE_OP else inserts
-            key = tuple(values)
-            side[key] = side.get(key, 0) + count
+        for row, count in log.items():
+            seq = row[0]
+            if seq <= cursor:
+                continue
+            entry = entries.get(seq)
+            if entry is None:
+                entry = entries[seq] = ({}, {})
+            entry[0 if row[1] == DELETE_OP else 1][row[2:]] = count
         return entries
 
     @staticmethod
-    def _fold(entries: dict[int, tuple[dict[Row, int], dict[Row, int]]]) -> tuple[Bag, Bag]:
+    def _net(entries: dict[int, tuple[dict[Row, int], dict[Row, int]]]) -> tuple[dict[Row, int], dict[Row, int]]:
         """Fold per-transaction deltas (in sequence order) into one net pair."""
-        net_delete = Bag.empty()
-        net_insert = Bag.empty()
-        for seq in sorted(entries):
-            delete = Bag.from_counts(entries[seq][0])
-            insert = Bag.from_counts(entries[seq][1])
-            # ▼ := ▼ ⊎ (∇ ∸ ▲);  ▲ := (▲ ∸ ∇) ⊎ Δ   (simultaneously)
-            net_delete, net_insert = (
-                net_delete.union_all(delete.monus(net_insert)),
-                net_insert.monus(delete).union_all(insert),
-            )
-        return net_delete, net_insert
+        return compose_deltas(entries[seq] for seq in sorted(entries))
 
     def _fold_since(self, table: str, cursor: int) -> tuple[Bag, Bag]:
         """:meth:`net_deltas_since`, kept until ``table``'s log next changes."""
@@ -296,15 +297,20 @@ class SharedLog:
 
         Entries are grouped into segments ``(b_{i-1}, b_i]`` delimited by
         the registered view cursors, each segment is folded with the same
-        weakly-minimal recurrence as :meth:`net_deltas_since`, and the
-        net pair is re-tagged with the segment's highest existing
-        sequence number.  Because folding is associative, replay from
-        *any* registered cursor sees exactly the same net ``(▼R, ▲R)``
-        afterwards — churn (delete/insert pairs that cancel) simply
-        disappears, so both the log footprint and every later
-        ``PAST(L, Q)`` replay scale with the **net** change.  A log
-        already compacted at the same cursors and versions is left alone,
-        so an epoch whose every view asks compacts once.
+        weakly-minimal recurrence as :meth:`net_deltas_since`
+        (:func:`~repro.algebra.bag.compose_deltas`), and the net pair is
+        re-tagged with the segment's highest existing sequence number.
+        Because folding is associative, replay from *any* registered
+        cursor sees exactly the same net ``(▼R, ▲R)`` afterwards — churn
+        (delete/insert pairs that cancel) simply disappears, so both the
+        log footprint and every later ``PAST(L, Q)`` replay scale with
+        the **net** change.  The same associativity seeds the fold memo:
+        each cursor's fold is the composition of the segment nets above
+        it, stored under the log's version after compaction, so the
+        :meth:`binding_since` that follows in the same epoch re-reads
+        nothing.  A log already compacted at the same cursors and
+        versions is left alone, so an epoch whose every view asks
+        compacts once.
 
         Returns the number of rows removed across all log tables.
         """
@@ -315,23 +321,30 @@ class SharedLog:
         for table in self._tables:
             name = shared_log_name(table)
             current = self._db[name]
-            if not current:
-                continue
             segments: dict[int, dict[int, tuple[dict[Row, int], dict[Row, int]]]] = {}
-            for seq, entry in self._entries(current.items()).items():
+            for seq, entry in self._entries(current).items():
                 segments.setdefault(bisect_left(boundaries, seq), {})[seq] = entry
+            nets = {index: self._net(entries) for index, entries in segments.items()}
             counts: dict[Row, int] = {}
-            for entries in segments.values():
-                tag = max(entries)
-                net_delete, net_insert = self._fold(entries)
+            for index, (net_delete, net_insert) in nets.items():
+                tag = max(segments[index])
                 for values, count in net_delete.items():
                     counts[(tag, DELETE_OP, *values)] = count
                 for values, count in net_insert.items():
                     counts[(tag, INSERT_OP, *values)] = count
-            compacted = Bag.from_counts(counts)
+            compacted = Bag._from_clean(counts, current.arity)
             if len(compacted) < len(current):
                 removed += len(current) - len(compacted)
                 self._db.set_table(name, compacted)
+            # Segment i holds (b_{i-1}, b_i]: the fold past b_{i-1} is
+            # segments i, i+1, … composed in order.
+            folds: dict[int, tuple[Bag, Bag]] = {}
+            suffix: tuple[dict[Row, int], dict[Row, int]] = ({}, {})
+            for index in range(len(boundaries), 0, -1):
+                if index in nets:
+                    suffix = compose_deltas((nets[index], suffix))
+                folds[boundaries[index - 1]] = _adopt(suffix)
+            self._folds[table] = (self._db.version_of(name), folds)
         self._compacted = (tuple(self.cursors.values()), self._versions())
         return removed
 

@@ -339,13 +339,18 @@ class ViewManager:
 
         1. logs are compacted to net effects first (``compact=True``), so
            the delta evaluations scale with net change, not raw churn;
+           compacting the shared log also leaves each cursor's folded
+           slice in its memo, so the epoch's bindings re-read no log;
         2. views whose refresh deltas fingerprint equal over equal log
            contents share one evaluation through an epoch-scoped delta
            cache (``delta_cache_hits`` on :attr:`counter`);
         3. every view reads only base tables, so the cache leaders may
-           evaluate concurrently (``parallel=True``); patches always
-           apply sequentially in registration order, so the final state
-           is bag-equal to refreshing each view in turn.
+           evaluate concurrently (``parallel=True``) on the process's
+           standing pool of ``max_workers`` threads (default
+           ``max(2, cpu_count - 1)``), started by the first parallel
+           epoch and reused by every later one; patches always apply
+           sequentially in registration order, so the final state is
+           bag-equal to refreshing each view in turn.
 
         Views whose scenario has no group task (immediate, diff-table)
         fall back to their own ``refresh`` after the group.

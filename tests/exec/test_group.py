@@ -301,3 +301,65 @@ def test_steady_epoch_builds_nothing(monkeypatch):
     # A member with a new query differentiates once, at define_view.
     manager.define_view("V9", "SELECT custId, itemNo FROM sales WHERE quantity = 2", scenario="shared_log")
     assert calls["differentiate"] == 1
+
+
+# ----------------------------------------------------------------------
+# The standing pool: threads start once, results and spans unchanged
+# ----------------------------------------------------------------------
+
+
+def test_parallel_epochs_share_one_standing_pool(monkeypatch):
+    """Three parallel epochs on a fresh pool start their worker threads in
+    the first epoch only, leave every view bag-equal to a sequential twin,
+    and keep each ``delta_compute`` span under its ``group_epoch``."""
+    import threading
+
+    import repro.exec.group as group
+    from repro import obs
+    from repro.robustness.journal import table_digests
+
+    def steady_manager():
+        manager = ViewManager(exec_mode="compiled")
+        manager.create_table("customer", ("custId", "name", "score"))
+        manager.create_table("sales", ("custId", "itemNo", "quantity"))
+        manager.load("customer", [(i, f"n{i}", "High" if i % 2 else "Low") for i in range(20)])
+        manager.load("sales", [(i % 20, i, i % 3) for i in range(200)])
+        for index in range(6):
+            manager.define_view(f"V{index}", STEADY_VIEWS[index % 3], scenario="shared_log")
+        return manager
+
+    monkeypatch.setattr(group, "_POOLS", {})
+    started = []
+    original_start = threading.Thread.start
+
+    def counted_start(thread):
+        started.append(thread.name)
+        return original_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+
+    subject, twin = steady_manager(), steady_manager()
+    per_epoch = []
+    with obs.observed() as stack:
+        for step in range(3):
+            script = (
+                f"INSERT INTO sales (custId, itemNo, quantity) VALUES ({step}, {1000 + step}, 2); "
+                f"DELETE FROM sales WHERE custId = {step} AND itemNo = {step}"
+            )
+            subject.execute_sql(script)
+            twin.execute_sql(script)
+            before = len(started)
+            subject.refresh_group(parallel=True, max_workers=2)
+            per_epoch.append(len(started) - before)
+            twin.refresh_group(parallel=False)
+            views = [subject.scenario(name).read_table for name in subject.views()]
+            assert table_digests(subject.db, views) == table_digests(twin.db, views), step
+
+    assert per_epoch[0] == 2 and per_epoch[1:] == [0, 0], per_epoch
+    epochs = [span for span in stack.tracer.find("group_epoch") if span.attrs["parallel"]]
+    assert len(epochs) == 3
+    # Six views over three queries: three leaders per epoch, each
+    # computed under the epoch that asked for it, none a root of its own.
+    for epoch in epochs:
+        assert [child.name for child in epoch.children].count("delta_compute") == 3
+    assert not [root for root in stack.tracer.roots if root.name == "delta_compute"]
