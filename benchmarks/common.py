@@ -42,10 +42,11 @@ GROUP_TEMPLATES = (
 )
 
 
-def write_report(result: ExperimentResult) -> str:
-    """Persist the experiment's table and echo it to stdout."""
+def write_report(result: ExperimentResult, *more: ExperimentResult) -> str:
+    """Persist the experiment's table (and any ``more`` tables after it,
+    in the same file) and echo it to stdout."""
     REPORTS_DIR.mkdir(exist_ok=True)
-    text = result.report()
+    text = "\n\n".join(table.report() for table in (result, *more))
     (REPORTS_DIR / f"{result.experiment}.txt").write_text(text + "\n")
     print("\n" + text)
     return text

@@ -128,34 +128,38 @@ def _group_wall(sanitizer: bool) -> float:
         return time.perf_counter() - start
 
 
-def sanitizer_wall_ratio(run) -> float:
-    """Median sanitized/plain wall ratio over interleaved run pairs.
+def sanitizer_wall_cost(run) -> tuple[float, float]:
+    """Median sanitized/plain wall ratio over interleaved run pairs, and
+    the median wall the sanitizer added to one run, in microseconds.
 
     A smoke run lasts milliseconds, where scheduler jitter swamps any one
     measurement.  The two runs of a pair go back to back under the same
     machine conditions, so the pair's ratio is drift-free; which side
     runs first alternates, because the second run of a pair reads a few
     per cent slower whatever it is; the median then discards outlier
-    pairs in either direction.
+    pairs in either direction.  The added wall says what the ratio is a
+    ratio of: a few per cent of a millisecond run is tens of
+    microseconds.
     """
-    ratios = []
+    ratios, added = [], []
     for pair in range(SANITIZER_PAIRS):
         if pair % 2:
             sanitized, plain = run(True), run(False)
         else:
             plain, sanitized = run(False), run(True)
         ratios.append(sanitized / plain)
-    return statistics.median(ratios)
+        added.append(sanitized - plain)
+    return statistics.median(ratios), statistics.median(added) * 1e6
 
 
 def run_experiment():
     comparison = run_policy_comparison(k=2, m=7)
-    ratios = {"stream": sanitizer_wall_ratio(_stream_wall), "group": sanitizer_wall_ratio(_group_wall)}
-    return comparison, ratios
+    costs = {"stream": sanitizer_wall_cost(_stream_wall), "group": sanitizer_wall_cost(_group_wall)}
+    return comparison, costs
 
 
 def test_e19_obs_downtime(benchmark):
-    comparison, sanitizer_ratios = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+    comparison, sanitizer_costs = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
 
     result = ExperimentResult(
         "E19", "downtime vs staleness via obs clocks, Policy 1 vs 2 at (k=2, m=7)"
@@ -171,7 +175,17 @@ def test_e19_obs_downtime(benchmark):
             residual_entries=run["staleness"]["residual_entries_after_run"],
             ticks_behind_eod=run["staleness"]["ticks_behind_after_run"],
         )
-    write_report(result)
+    sanitizer = ExperimentResult(
+        "E19", f"lockset sanitizer wall cost, median of {SANITIZER_PAIRS} interleaved run pairs"
+    )
+    for workload, (ratio, added_us) in sanitizer_costs.items():
+        sanitizer.add(
+            arm=workload,
+            wall_ratio=round(ratio, 3),
+            added_us_per_run=round(added_us, 1),
+            budget=SANITIZER_WALL_BUDGET,
+        )
+    write_report(result, sanitizer)
 
     policy1, policy2 = comparison["policy1"], comparison["policy2"]
 
@@ -195,7 +209,7 @@ def test_e19_obs_downtime(benchmark):
             assert set(sample) == {"wall_s", "entries"}
 
     # The sanitizer's price in wall time, judged pair by pair.
-    for workload, ratio in sanitizer_ratios.items():
+    for workload, (ratio, _) in sanitizer_costs.items():
         assert ratio <= SANITIZER_WALL_BUDGET, (
             f"{workload}: sanitizer wall overhead {ratio:.3f}x exceeds {SANITIZER_WALL_BUDGET}x "
             f"(median of {SANITIZER_PAIRS} interleaved run pairs)"

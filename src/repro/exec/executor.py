@@ -176,7 +176,17 @@ class Executor:
         counter: CostCounter | None = None,
         binding: Mapping[str, Collection] | None = None,
     ) -> Bag:
-        """Evaluate ``expr`` against the database's current state."""
+        """Evaluate ``expr`` against the database's current state.
+
+        A bare :class:`~repro.algebra.expr.Bound` leaf — an apply step's
+        already computed bag — is answered straight from the binding,
+        with the checks and the ``literal`` charge of its plan node.
+        """
+        if type(expr) is Bound:
+            bag = bound_bag(expr, binding)
+            if counter is not None:
+                counter.record("literal", len(bag))
+            return bag
         expr, binding = split_parameters(expr, binding)
         ctx = self._context(counter, binding)
         return execute(ctx.admit(plan_for(self._nodes, expr, counter)), ctx, binding)

@@ -27,7 +27,7 @@ restart every scenario's invariant — ``INV_IM``, ``INV_BL``,
    work is already durable; just commit the intent.
 3. **Heal.**  Validate the engine-derived state against the recovered
    tables (:func:`heal_engine_state`): hash
-   indexes are drained and audited bucket-for-bucket, and a pushdown
+   indexes are audited bucket-for-bucket against a fresh build, and a pushdown
    executor's SQLite mirror is digest-compared per table — anything a
    crash left corrupted is rebuilt or resynced before the warehouse
    answers queries again.
@@ -138,8 +138,8 @@ def audit_manager(manager: ViewManager) -> list[ViewAudit]:
 def heal_engine_state(db) -> dict[str, list[str]]:
     """Validate and repair all engine-derived state against the tables.
 
-    Crash recovery's last step: hash indexes are drained and audited
-    bucket-for-bucket (:meth:`~repro.exec.indexes.IndexManager.verify`,
+    Crash recovery's last step: hash indexes are audited
+    bucket-for-bucket against a fresh build (:meth:`~repro.exec.indexes.IndexManager.verify`,
     rebuilding any an interrupted maintenance step corrupted), and a
     pushdown executor's SQLite mirror is digest-compared per table and
     resynced where diverged.  Derived state that was never built (the

@@ -17,7 +17,13 @@ table holds the two against each other, cell by cell:
   ``C``, so the old per-epoch pair had ``C``'s literally empty delta
   folded away statically, where the one pair finds it empty at run time
   and still records the two unions (3 delta rows each) whose other operand
-  that was.  Delta-sized; nothing reads a base table more.
+  that was.  Delta-sized; nothing reads a base table more.  The twelve
+  ``*/makesafe`` cells were re-recorded when index upkeep moved into the
+  write that changes an indexed table: a transaction's own patches of
+  ``S`` and of the logs now pay their ``index_maint`` (one record per
+  patched indexed table, its delta's distinct rows per index) where the
+  next probe used to.  No ``propagate``, ``partial_refresh`` or
+  ``refresh`` cell moved.
 """
 
 from __future__ import annotations

@@ -7,10 +7,15 @@ what a full-scan selection over the table returns.
 
 import random
 
+import pytest
+
 from repro import obs
 from repro.algebra.bag import Bag
 from repro.algebra.evaluation import CostCounter
+from repro.algebra.expr import Literal
 from repro.exec.indexes import HashIndex, IndexManager
+from repro.robustness.faults import INJECTOR, InjectedCrash
+from repro.storage.database import Database
 
 
 def bag_of(*rows):
@@ -66,34 +71,35 @@ class TestIndexManager:
         assert counter.by_operator["index_build"] == 3
         assert counter.by_operator.get("index_maint") is None
 
-    def test_on_patch_defers_until_next_probe(self):
+    def test_on_patch_maintains_every_index_at_write_time(self):
         manager = IndexManager()
         bag = bag_of((1, "a"), (2, "b"))
-        manager.get("R", (0,), bag)
-        manager.get("R", (1,), bag)
+        by_key = manager.get("R", (0,), bag)
+        by_val = manager.get("R", (1,), bag)
         counter = CostCounter()
-        patched = bag.patch(bag_of((1, "a")), bag_of((1, "z")))
         manager.on_patch("R", bag_of((1, "a")), bag_of((1, "z")), counter=counter)
-        # The write itself charges nothing — maintenance is deferred.
-        assert counter.tuples_out == 0
-        assert manager.pending_deltas("R") == 1
-        by_key = manager.get("R", (0,), patched, counter=counter)
+        # The write pays: one (delete, insert) pair of one row each, on
+        # both indexes — O(|delta|) per index, charged to the writer.
+        assert counter.by_operator == {"index_maint": 4}
         assert by_key.lookup((1,)) == {(1, "z"): 1}
-        # Draining one (delete, insert) pair costs O(|delta|) for one index.
-        assert counter.by_operator["index_maint"] == 2
-        by_val = manager.get("R", (1,), patched, counter=counter)
         assert by_val.lookup(("a",)) == {}
         assert by_val.lookup(("z",)) == {(1, "z"): 1}
-        assert counter.by_operator["index_maint"] == 4
-        # Both indexes drained: the queue is trimmed.
-        assert manager.pending_deltas("R") == 0
+        # A probe afterwards finds them current and pays nothing.
+        probe = CostCounter()
+        patched = bag.patch(bag_of((1, "a")), bag_of((1, "z")))
+        assert manager.get("R", (0,), patched, counter=probe) is by_key
+        assert probe.tuples_out == 0
 
     def test_on_patch_without_indexes_is_free(self):
         manager = IndexManager()
         counter = CostCounter()
         manager.on_patch("unindexed", bag_of((1,)), bag_of((2,)), counter=counter)
+        # A patch of an unindexed table records nothing: no charge, no
+        # registration, nothing for a later probe to catch up on.
         assert counter.tuples_out == 0
-        assert manager.pending_deltas("unindexed") == 0
+        assert counter.by_operator == {}
+        assert manager.indexes_on("unindexed") == ()
+        assert manager.covering("unindexed", (0,)) is None
 
     def test_churny_backlog_nets_to_nothing(self):
         manager = IndexManager()
@@ -105,34 +111,24 @@ class TestIndexManager:
             manager.on_patch("R", bag_of((2, "b")), Bag.empty())
         counter = CostCounter()
         index = manager.get("R", (0,), bag, counter=counter)
-        # The queued run is netted before the rebuild-vs-drain decision:
-        # 20 raw delta rows collapse to nothing, so the drain is free.
+        # Each pair was applied as it was written; the probe finds the
+        # index back where it started and pays nothing.
         assert "index_build" not in counter.by_operator
         assert "index_maint" not in counter.by_operator
         assert index.lookup((1,)) == {(1, "a"): 1}
         assert index.lookup((2,)) == {}
 
-    def test_big_net_backlog_rebuilds_instead_of_draining(self):
-        manager = IndexManager()
-        bag = bag_of((1, "a"))
-        manager.get("R", (0,), bag)
-        # Net churn (3 distinct surviving rows) exceeds the table's
-        # distinct size (1 row): rebuilding from the bag is cheaper.
-        for value in ("b", "c", "d"):
-            manager.on_patch("R", Bag.empty(), bag_of((2, value)))
-        counter = CostCounter()
-        index = manager.get("R", (0,), bag, counter=counter)
-        assert counter.by_operator["index_build"] == 1
-        assert "index_maint" not in counter.by_operator
-        assert index.lookup((1,)) == {(1, "a"): 1}
-        assert index.lookup((2,)) == {}
-
-    def test_on_replace_rebuilds_lazily(self):
+    def test_on_replace_rebuilds_from_the_new_bag(self):
         manager = IndexManager()
         index = manager.get("R", (0,), bag_of((1, "a")))
         replaced = bag_of((5, "e"), (5, "f"))
-        manager.on_replace("R", replaced)
-        rebuilt = manager.get("R", (0,), replaced)
+        counter = CostCounter()
+        manager.on_replace("R", replaced, counter=counter)
+        # The assignment pays the rebuild; the next probe pays nothing.
+        assert counter.by_operator == {"index_build": 2}
+        probe = CostCounter()
+        rebuilt = manager.get("R", (0,), replaced, counter=probe)
+        assert probe.tuples_out == 0
         assert rebuilt is not index
         assert rebuilt.lookup((5,)) == {(5, "e"): 1, (5, "f"): 1}
         # The cleared-log case: replacing with empty keeps the index alive.
@@ -148,7 +144,7 @@ class TestIndexManager:
 
 
 class TestReasonCodedBuilds:
-    """Every full build a live probe pays says why, when telemetry is on:
+    """Every full build of a live index says why, when telemetry is on:
     one ``index_build`` span (``table``, ``rows``, ``reason``) and one
     ``index_builds{reason=…}`` count per build."""
 
@@ -170,29 +166,16 @@ class TestReasonCodedBuilds:
         assert self.builds(stack) == [{"table": "R", "rows": 2, "reason": "first_use"}]
         assert self.counted(stack, "first_use") == 1
 
-    def test_stale(self):
+    def test_replace(self):
         manager = IndexManager()
         manager.get("R", (0,), bag_of((1, "a")))
         replaced = bag_of((5, "e"), (6, "f"), (7, "g"))
-        manager.on_replace("R", replaced)
         with obs.observed() as stack:
-            manager.get("R", (0,), replaced)
-        assert self.builds(stack) == [{"table": "R", "rows": 3, "reason": "stale"}]
-        assert self.counted(stack, "stale") == 1
-
-    def test_cheaper_than_drain(self):
-        manager = IndexManager()
-        bag = bag_of((1, "a"))
-        manager.get("R", (0,), bag)
-        for value in ("b", "c", "d"):
-            manager.on_patch("R", Bag.empty(), bag_of((2, value)))
-        with obs.observed() as stack:
-            manager.get("R", (0,), bag)
-        assert self.builds(stack) == [{"table": "R", "rows": 1, "reason": "cheaper_than_drain"}]
-        assert self.counted(stack, "cheaper_than_drain") == 1
-        # The rebuild is what the drain turned into: it nests in index_sync.
-        (sync,) = stack.tracer.find("index_sync")
-        assert [child.name for child in sync.children] == ["index_build"]
+            manager.on_replace("R", replaced)
+            manager.get("R", (0,), replaced)  # current already: no build
+            manager.on_replace("R", Bag.empty())  # truncation builds nothing
+        assert self.builds(stack) == [{"table": "R", "rows": 3, "reason": "replace"}]
+        assert self.counted(stack, "replace") == 1
 
     def test_counted_only_when_telemetry_is_on(self):
         manager = IndexManager()
@@ -200,18 +183,6 @@ class TestReasonCodedBuilds:
             manager.get("R", (0,), bag_of((1,)))
         assert stack.metrics.snapshot() == {}
 
-
-    def test_an_overflowing_queue_is_dropped_and_counted(self):
-        manager = IndexManager()
-        manager.get("R", (0,), bag_of((1, "a")))
-        with obs.observed() as stack:
-            manager.on_patch("R", Bag.empty(), bag_of((2, "b"), (3, "c")), size=3)
-            assert "index_queue_drops" not in stack.metrics.snapshot()
-            # Four queued rows against a one-row table: dropped, marked stale.
-            manager.on_patch("R", bag_of((2, "b"), (3, "c")), Bag.empty(), size=1)
-            assert stack.metrics.snapshot()["index_queue_drops"]["value"] == 1
-            manager.get("R", (0,), bag_of((1, "a")))
-        assert self.builds(stack) == [{"table": "R", "rows": 1, "reason": "stale"}]
 
 
 class TestRandomizedPatchConsistency:
@@ -232,8 +203,8 @@ class TestRandomizedPatchConsistency:
                 )
                 table = table.patch(delete, insert)
                 manager.on_patch("T", delete, insert)
-                # A probe drains the deferred deltas and must then agree
-                # with a full scan of the current table value.
+                # The write kept the index current: it must agree with a
+                # full scan of the current table value.
                 index = manager.get("T", (0,), table)
                 for key in range(6):
                     scanned = table.select(lambda row, key=key: row[0] == key)
@@ -244,9 +215,9 @@ class TestRandomizedPatchConsistency:
 
 
 class TestComposedDrain:
-    """The net-composition drain of a queued patch run: composing the
-    queue must be indistinguishable from applying it sequentially,
-    including ``Bag.patch`` flooring."""
+    """A run of patches leaves the same index whether it is probed after
+    every patch or only once at the end, ``Bag.patch`` flooring
+    included: upkeep happens in the write, never in the probe."""
 
     def test_composition_matches_sequential_floored_patches(self):
         rng = random.Random(42)
@@ -271,14 +242,12 @@ class TestComposedDrain:
                     ]
                 )
                 table = table.patch(delete, insert)
-                # Sequential oracle: drain after *every* patch (tail of
-                # length one, so composition is the identity).
+                # Probed after *every* patch ...
                 sequential.on_patch("R", delete, insert)
                 sequential.get("R", (0,), table)
-                # Composed: just enqueue; one drain at the end.
+                # ... or only once, at the end.
                 composed.on_patch("R", delete, insert)
             expected = sequential.get("R", (0,), table)
-            # Force the drain path (not a rebuild) to test composition.
             counter = CostCounter()
             actual = composed.get("R", (0,), table, counter=counter)
             for key in range(5):
@@ -300,66 +269,103 @@ class TestComposedDrain:
     def test_empty_replace_keeps_index_warm(self):
         manager = IndexManager()
         log = bag_of((1, "a"), (2, "b"), (3, "c"))
-        manager.get("L", (0,), log)
-        # Refresh truncates the log by assignment of the empty bag...
-        manager.on_replace("L", Bag.empty())
-        # ...then the next round of transactions appends to it.
+        index = manager.get("L", (0,), log)
+        # Refresh truncates the log by assignment of the empty bag: the
+        # index stays registered, empty, and costs nothing to clear.
+        truncate = CostCounter()
+        manager.on_replace("L", Bag.empty(), counter=truncate)
+        assert truncate.tuples_out == 0
+        (cleared,) = manager.indexes_on("L")
+        assert cleared.positions == index.positions
+        assert cleared.bucket_count() == 0 and len(cleared) == 0
+        # ...then the next round of transactions appends to it, each
+        # append paying its own O(|delta|) upkeep.
         appended = Bag.empty()
         counter = CostCounter()
         for row in [(4, "d"), (5, "e")]:
             delete, insert = Bag.empty(), bag_of(row)
             appended = appended.patch(delete, insert)
-            manager.on_patch("L", delete, insert)
-        index = manager.get("L", (0,), appended, counter=counter)
-        # The cleared index stayed warm and current: the probe pays an
-        # O(|net delta|) drain, never an O(|log|) rebuild.
-        assert "index_build" not in counter.by_operator
-        assert counter.by_operator["index_maint"] == 2
+            manager.on_patch("L", delete, insert, counter=counter)
+        assert counter.by_operator == {"index_maint": 2}
+        probe = CostCounter()
+        index = manager.get("L", (0,), appended, counter=probe)
+        assert probe.tuples_out == 0
         assert index.lookup((4,)) == {(4, "d"): 1}
         assert index.lookup((1,)) == {}
 
-    def test_unprobed_index_does_not_retain_the_write_history(self):
-        # A registered index that is never probed (its view was dropped,
-        # or its plan always picks the other side) used to queue every
-        # patch forever and pay for the whole history on its first probe.
-        from repro.algebra.expr import Literal
-        from repro.storage.database import Database
 
+class TestFailedInstall:
+    """A write that fails inside ``Database._install`` leaves every index
+    of its targets equal to a fresh build of the restored table."""
+
+    @staticmethod
+    def database():
         db = Database(exec_mode="compiled")
-        db.create_table("R", ("k", "v"), rows=[(k, 0) for k in range(50)])
-        schema = db.schema_of("R")
-        db.indexes.get("R", (0,), db["R"])  # primed, as define_view would
-        rng = random.Random(96)
-        high_water = 0
-        for step in range(5000):
-            victim = rng.choice(sorted(db["R"].support))
-            # Two copies go, two come: the table stays at 50 distinct rows.
-            delete = Literal(bag_of(victim, victim), schema)
-            insert = Literal(bag_of((victim[0], step), (victim[0], step)), schema)
-            db.apply(patches={"R": (delete, insert)})
-            high_water = max(high_water, db.indexes.pending_deltas("R"))
-        # Bounded by the table (two distinct rows a patch, twice its
-        # distinct rows at most), not by the 5 000-patch history.
-        assert db["R"].distinct_count() == 50
-        assert high_water <= 50
-        counter = CostCounter()
-        index = db.indexes.get("R", (0,), db["R"], counter=counter)
-        assert index._buckets == HashIndex.build((0,), db["R"])._buckets
-        # Catching up cost one rebuild of the table, not the history.
-        assert counter.tuples_out == len(db["R"])
-        assert db.indexes.pending_deltas("R") == 0
+        db.create_table("R", ("k", "v"), rows=[(k % 3, k) for k in range(9)])
+        db.create_table("S", ("k", "v"), rows=[(k, -k) for k in range(4)])
+        for name in ("R", "S"):
+            db.indexes.get(name, (0,), db[name])
+            db.indexes.get(name, (1,), db[name])
+        return db
+
+    @staticmethod
+    def patches(db):
+        return {
+            name: (
+                Literal(bag_of(next(iter(db[name].support))), db.schema_of(name)),
+                Literal(bag_of((7, 70), (8, 80)), db.schema_of(name)),
+            )
+            for name in ("R", "S")
+        }
+
+    @staticmethod
+    def assert_fresh(db, before):
+        assert db.snapshot() == before
+        for name in ("R", "S"):
+            for index in db.indexes.indexes_on(name):
+                assert index._buckets == HashIndex.build(index.positions, db[name])._buckets, name
+
+    def test_crash_after_one_table_is_patched(self):
+        db = self.database()
+        before = db.snapshot()
+        INJECTOR.reset()
+        INJECTOR.arm("crash-mid-apply", hit=2)
+        try:
+            with pytest.raises(InjectedCrash):
+                db.apply(patches=self.patches(db))
+        finally:
+            INJECTOR.reset()
+        self.assert_fresh(db, before)
+
+    def test_upkeep_failing_halfway_through_a_table(self, monkeypatch):
+        db = self.database()
+        before = db.snapshot()
+        patches = self.patches(db)
+        apply_delta = HashIndex.apply_delta
+        calls = []
+
+        def fails_on_second(index, delete, insert):
+            calls.append(index)
+            apply_delta(index, delete, insert)  # the first index is patched
+            if len(calls) == 2:
+                raise RuntimeError("index upkeep failed")
+
+        monkeypatch.setattr(HashIndex, "apply_delta", fails_on_second)
+        with pytest.raises(RuntimeError, match="index upkeep failed"):
+            db.apply(patches=patches)
+        monkeypatch.undo()
+        self.assert_fresh(db, before)
 
 
 class TestE7RefreshCounters:
-    """E7-shaped regression: with priming at install time, the composed
-    drain, and the warm empty-replace path, a refresh after a round of
-    log appends performs **zero** index rebuilds — upkeep is bounded by
-    the net log content (``index_maint``), never the table sizes."""
+    """E7-shaped regression: with priming at install time and the warm
+    empty-replace path, a refresh after a round of log appends performs
+    **zero** index rebuilds — its own upkeep is bounded by what it
+    writes (``index_maint``), never the table sizes."""
 
     def test_refresh_pays_no_index_build(self):
         from repro.core.scenarios import BaseLogScenario
         from repro.sqlfront import sql_to_view
-        from repro.storage.database import Database
         from repro.workloads.retail import VIEW_SQL, RetailConfig, RetailWorkload
 
         config = RetailConfig(customers=30, initial_sales=90, txn_inserts=5, seed=96)
@@ -387,7 +393,7 @@ class TestE7RefreshCounters:
             ops = refresh_counters()
             assert scenario.is_consistent()
             # Install-time priming built every index once; refreshes
-            # never rebuild, and the deferred sync they pay is bounded
-            # by what the transactions actually appended to the logs.
+            # never rebuild, and the upkeep they pay is bounded by what
+            # the transactions actually appended to the logs.
             assert "index_build" not in ops, f"round {round_index}: {ops}"
             assert ops.get("index_maint", 0) <= 2 * net_log_rows, f"round {round_index}: {ops}"

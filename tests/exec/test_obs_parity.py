@@ -10,8 +10,8 @@ use:
    anything.
 
 2. **Traces and metrics agree across engines** — modulo timing
-   (``TIMING_FIELDS``) and engine-internal spans (``plan_compile``,
-   ``index_sync``, ``index_build`` exist only under the compiled engine), the span
+   (``TIMING_FIELDS``) and engine-internal spans (``plan_compile`` and
+   ``index_build`` exist only under the compiled engine), the span
    forest and the deterministic metrics (transactions, refreshes,
    propagations, delta-row histogram) are structurally identical:
    both engines run the same maintenance algorithm.
@@ -28,7 +28,7 @@ from repro.workloads.retail import VIEW_SQL, RetailConfig, RetailWorkload
 MODES = ("interpreted", "compiled")
 
 #: Spans only one engine emits (compiled-engine cache/index internals).
-ENGINE_INTERNAL_SPANS = frozenset({"plan_compile", "index_sync", "index_build"})
+ENGINE_INTERNAL_SPANS = frozenset({"plan_compile", "index_build"})
 
 def lifecycle(mode: str, *, enabled: bool):
     """One deterministic maintenance lifetime; returns (counter, obs stack)."""

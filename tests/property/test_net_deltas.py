@@ -1,7 +1,7 @@
 """``compose_deltas`` is ``makesafe_BL``'s weakly-minimal fold, in linear time.
 
-One kernel nets a run of ``(delete, insert)`` deltas for both the index
-drain and the shared log.  It is held here to the recurrence it replaces,
+One kernel nets a run of ``(delete, insert)`` deltas for the shared log:
+its cursors' folds and its compaction.  It is held here to the recurrence it replaces,
 spelled with :class:`Bag` operations — ``▼ := ▼ ⊎ (∇ ∸ ▲)``,
 ``▲ := (▲ ∸ ∇) ⊎ Δ`` — over random runs that delete rows no earlier
 delta inserted; to associativity over any split of a run into segments,

@@ -1,7 +1,7 @@
 """The compiled engine's row kernels ≡ the per-row loops they replaced.
 
 Every key and projection the compiled engine reads goes through
-:func:`repro.exec.kernels.row_getter`; hash indexes are built and drained
+:func:`repro.exec.kernels.row_getter`; hash indexes are built and patched
 by one tight loop each (``HashIndex.build`` / ``apply_delta``); a fused
 ``σ``/``Π``/map chain runs as one precompiled callable.  Each is held here
 to the spelled-out reference it replaced:
@@ -10,8 +10,8 @@ to the spelled-out reference it replaced:
   repeated positions included — same values, same types, always a tuple;
 * ``HashIndex.build`` buckets equal a per-row get-and-add build's;
 * random patch sequences — over-deletes and deletes of absent rows
-  included — queued and drained through ``IndexManager.get`` at random
-  points equal a fresh reference build of the patched table;
+  included — applied through ``IndexManager.on_patch`` and probed at
+  random points equal a fresh reference build of the patched table;
 * a random chain over a stored table evaluated by the compiled engine
   equals the interpreted evaluator's answer.
 
@@ -19,7 +19,7 @@ Values cover ``None``, ``True``, ``1``, ``1.0``, negatives and strings.
 ``1``, ``1.0`` and ``True`` hash equal, so as keys they share one bucket,
 and as rows they are one row of a bag — as they always were.  A build
 also keeps the types of the keys and rows it stores: whichever spelling
-the table iterates first represents them.  (A drained index compares
+the table iterates first represents them.  (A patched index compares
 equal, not spelling for spelling: its buckets were opened by earlier
 rows, as they always were.)
 
@@ -145,7 +145,7 @@ def test_drained_patches_are_a_fresh_build(seed):
                 delete_counts[image] = delete_counts.get(image, 0) + count
             delete, insert = Bag.from_counts(delete_counts), bag(rng, 4)
             table = table.patch(delete, insert)
-            manager.on_patch("T", delete, insert, size=table.distinct_count())
+            manager.on_patch("T", delete, insert)
             if rng.random() < 0.4:
                 keys = rng.choice(keyed)
                 label = f"seed={seed} case={case} step={step} key={keys}"
