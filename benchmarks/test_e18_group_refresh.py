@@ -2,8 +2,8 @@
 
 Section 7 leaves open how refresh work should scale when many views are
 maintained together.  The group-refresh subsystem answers with three
-layers — net-effect log compaction, an epoch-scoped delta cache keyed by
-subplan fingerprints, and a one-phase parallel scheduler — and this
+layers — net-effect log compaction, one evaluation per distinct
+``(pair, cursor)`` in an epoch, and a one-phase parallel scheduler — and this
 experiment measures the payoff on the retail workload:
 
 * refresh tuple-ops for one group epoch should be (nearly) independent
@@ -12,7 +12,7 @@ experiment measures the payoff on the retail workload:
   registered views;
 * the per-view baseline (each view refreshed in turn, no sharing) scales
   linearly, so the reduction at 16 shared-structure views must be ≥ 2×,
-  with the delta cache doing the sharing (``delta_cache_hits > 0``);
+  with the shared evaluations doing it (``delta_cache_hits > 0``);
 * compaction empties the shared log down to the net change, and the
   group result stays bag-equal to the per-view oracle.
 

@@ -363,22 +363,6 @@ class Comparison(Predicate):
 
         return check
 
-    def bind_constants(self) -> bool:
-        """Evaluate a constant–constant comparison (both sides ``Const``).
-
-        Uses the same conventions as :meth:`bind`: comparisons involving
-        ``None`` or mixed incomparable types are false.
-        """
-        if not (isinstance(self.left, Const) and isinstance(self.right, Const)):
-            raise SchemaError("bind_constants requires constant operands on both sides")
-        lhs, rhs = self.left.value, self.right.value
-        if lhs is None or rhs is None:
-            return False
-        try:
-            return bool(_OPS[self.op](lhs, rhs))
-        except TypeError:
-            return False
-
     def attributes(self) -> frozenset[str]:
         return self.left.attributes() | self.right.attributes()
 

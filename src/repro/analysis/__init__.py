@@ -43,7 +43,7 @@ from repro.analysis.properties import (
 )
 from repro.analysis.effects import EffectSet, OpEffects, Step, plan_effects, read_footprint
 from repro.analysis.schema_check import check_expr
-from repro.analysis.statebug import audit_plan, audit_refresh_pair, check_log_polarity
+from repro.analysis.statebug import audit_refresh_pair, check_log_polarity
 
 __all__ = [
     "EffectSet",
@@ -69,7 +69,6 @@ __all__ = [
     "redundant_min_guard",
     "subsumed_by",
     "check_expr",
-    "audit_plan",
     "audit_refresh_pair",
     "check_log_polarity",
 ]

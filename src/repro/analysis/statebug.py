@@ -15,7 +15,7 @@ Two detectors:
 
 * :func:`check_log_polarity` — purely static: inspects which log tables
   a substitution's ``(D, A)`` components read (**RVM301**);
-* :func:`audit_refresh_pair` / :func:`audit_plan` — a randomized
+* :func:`audit_refresh_pair` — a randomized
   semantic oracle: replays the refresh on sampled weakly-minimal log
   states and compares against the PAST-state ground truth (**RVM302**).
 """
@@ -26,17 +26,15 @@ import random
 from collections.abc import Iterable
 
 from repro.algebra.bag import Bag
-from repro.algebra.expr import Expr, Monus, TableRef, UnionAll
+from repro.algebra.expr import Expr, TableRef
 from repro.analysis.diagnostics import AnalysisReport, Severity
 from repro.core.logs import Log
-from repro.core.plan import MaintenancePlan
 from repro.core.substitution import FactoredSubstitution
 from repro.storage.database import Database
 
 __all__ = [
     "check_log_polarity",
     "audit_refresh_pair",
-    "audit_plan",
 ]
 
 
@@ -184,44 +182,3 @@ def audit_refresh_pair(
             )
             break
     return report
-
-
-def _extract_patch(plan: MaintenancePlan, mv_table: str) -> tuple[Expr, Expr] | None:
-    """The ``(delete, insert)`` pair a plan applies to the view table.
-
-    Accepts both patch form and the assignment form
-    ``MV := (MV ∸ D) ⊎ A``.
-    """
-    if mv_table in plan.patches:
-        return plan.patches[mv_table]
-    assignment = plan.assignments.get(mv_table)
-    if (
-        isinstance(assignment, UnionAll)
-        and isinstance(assignment.left, Monus)
-        and isinstance(assignment.left.left, TableRef)
-        and assignment.left.left.name == mv_table
-    ):
-        return assignment.left.right, assignment.right
-    return None
-
-
-def audit_plan(
-    plan: MaintenancePlan,
-    log: Log,
-    query: Expr,
-    mv_table: str,
-    *,
-    samples: int = 12,
-    seed: int = 1996,
-) -> AnalysisReport:
-    """Audit a maintenance plan's view patch against the state oracle."""
-    report = AnalysisReport()
-    pair = _extract_patch(plan, mv_table)
-    if pair is None:
-        return report
-    view_delete, view_insert = pair
-    return report.extend(
-        audit_refresh_pair(
-            log, query, view_delete, view_insert, samples=samples, seed=seed
-        )
-    )

@@ -63,38 +63,6 @@ class Log:
             names.append(naming.log_insert_name(self._owner, name))
         return tuple(names)
 
-    def canonical_rename(self) -> dict[str, str]:
-        """Map this log's table names to owner-independent placeholders.
-
-        Used for subplan fingerprinting: two views with identical queries
-        produce structurally identical refresh deltas that differ only in
-        their private log-table names; under this rename they fingerprint
-        equal and can share one delta evaluation per group-refresh epoch.
-        """
-        rename: dict[str, str] = {}
-        for name in self._tables:
-            rename[naming.log_delete_name(self._owner, name)] = naming.log_delete_name("@", name)
-            rename[naming.log_insert_name(self._owner, name)] = naming.log_insert_name("@", name)
-        return rename
-
-    def content_digests(self) -> tuple[tuple[str, str, str], ...]:
-        """Per tracked table, digests of the current ``(▼R, ▲R)`` contents.
-
-        Part of the delta-cache key: two per-view logs with equal recorded
-        changes (the common case when same-shaped views refresh together)
-        digest equal, independent of their table names.
-        """
-        from repro.robustness.journal import bag_digest
-
-        return tuple(
-            (
-                name,
-                bag_digest(self._db[naming.log_delete_name(self._owner, name)]),
-                bag_digest(self._db[naming.log_insert_name(self._owner, name)]),
-            )
-            for name in self._tables
-        )
-
     # ------------------------------------------------------------------
     # Installation
     # ------------------------------------------------------------------

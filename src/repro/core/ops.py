@@ -120,14 +120,16 @@ class MaintenanceAction:
         journaled: a sequential re-run is bag-equal by design."""
         if "names" not in self.options:
             return {}
-        return {"views": list(self.options["names"]), "compact": self.options.get("compact", True)}
+        return {"views": list(self.options["names"])}
 
     @classmethod
     def from_journal(cls, kind: str, view: str | None, payload: Mapping[str, Any]):
-        """The action an intent recorded; ``None`` if it only rolls back."""
+        """The action an intent recorded; ``None`` if it only rolls back.
+        A ``compact`` flag an older journal stored is ignored: every group
+        epoch compacts."""
         if kind not in ACTIONS:
             return None
         options: dict[str, Any] = {}
         if "views" in payload:
-            options = {"names": payload["views"] or None, "compact": payload.get("compact", True)}
+            options = {"names": payload["views"] or None}
         return cls(kind, view, options)

@@ -203,7 +203,7 @@ class Scenario(ABC):
         locked step (a leading compute step only *builds* expressions; a
         trailing unlocked step, the shared log's prune, runs after the
         release); the crash point fires right after it is taken.
-        ``deltas`` is the group path: the epoch's delta cache supplies the
+        ``deltas`` is the group path: the epoch's scheduler supplies the
         evaluated pair, compute steps are skipped, and the apply steps run
         over the view's bound pair with the bags bound to it — the same
         plans every epoch.
@@ -319,8 +319,9 @@ class Scenario(ABC):
         """Bring ``MV`` up to date: afterwards :math:`Q \\equiv MV`."""
         self.run("refresh")
 
-    def epoch_tasks(self, *, order: int, compact: bool) -> list | None:
-        """This view's tasks in a group-refresh epoch.
+    def epoch_tasks(self):
+        """This view's :class:`~repro.exec.group.GroupTask` in a
+        group-refresh epoch.
 
         ``None`` (the default) means the scenario has no group form; the
         group falls back to its own :meth:`refresh` after the epoch.
@@ -506,60 +507,40 @@ class LoggedScenario(Scenario):
         """
         self.log.compact(counter=self.counter)
 
-    def epoch_tasks(self, *, order: int, compact: bool) -> list:
-        if compact:
-            self.compact_log()
-        return [self.group_refresh_task(order=order)]
-
-    def group_refresh_task(self, *, order: int):
-        """This view's contribution to a group-refresh epoch.
+    def epoch_tasks(self):
+        """This view's task in a group-refresh epoch, after compacting its log.
 
         The shareable *compute* half evaluates the post-update deltas of
-        Figure 2; the cache key renames the per-view log tables to
-        canonical placeholders and digests their contents, so
-        structurally identical views over identical recorded changes — a
-        BL view and a C view with the same query included — share one
-        evaluation per epoch.  The *apply* half is this scenario's own
-        ``refresh`` op with the computed pair supplied.  What no epoch
-        changes (the pair and its fingerprints) is built with the first
-        task and kept (:meth:`_group_parts`).
+        Figure 2; the key is the view's query and the bags of its log
+        tables, so equal queries over equal recorded changes — a BL view
+        and a C view with the same query included — share one evaluation
+        per epoch, whatever their log tables are called.  The *apply*
+        half is this scenario's own ``refresh`` op with the computed pair
+        supplied.
         """
         from repro.exec.group import GroupTask
 
-        view_delete, view_insert, fingerprints = self._group_parts
-        base = tuple(sorted(self.view.base_tables()))
-
-        def key():
-            stamps = tuple((table, self.db.version_of(table)) for table in base)
-            return ("log", *fingerprints, stamps, self.log.content_digests())
-
+        self.compact_log()
+        view_delete, view_insert = self._group_pair
         return GroupTask(
             name=self.view.name,
-            order=order,
-            key=key,
+            key=(self.view.query, *(self.db[name] for name in self.log.table_names())),
             compute=lambda counter: tuple(map(self.db.batch(counter=counter), (view_delete, view_insert))),
             apply=partial(self.run, "refresh"),
         )
 
     @cached_property
-    def _group_parts(self):
-        """``(▼, ▲, their fingerprints)``.
+    def _group_pair(self) -> tuple[Expr, Expr]:
+        """``(▼, ▲)``, a function of the view definition only.
 
-        A function of the view definition only.  Priming here — on the
-        scheduling thread, before any epoch computes — is what lets pool
-        workers only ever *execute* (install primes the same pair; a
-        reloaded scenario was never installed in this process).
+        Priming here — on the scheduling thread, before any epoch computes
+        — is what lets pool workers only ever *execute* (install primes the
+        same pair; a reloaded scenario was never installed in this
+        process).
         """
-        from repro.exec.group import subplan_fingerprint
-
         view_delete, view_insert = self._log_deltas()
         self.db.prime(view_delete, view_insert, counter=self.counter)
-        rename = self.log.canonical_rename()
-        fingerprints = (
-            subplan_fingerprint(view_delete, rename),
-            subplan_fingerprint(view_insert, rename),
-        )
-        return view_delete, view_insert, fingerprints
+        return view_delete, view_insert
 
     def log_watermark(self) -> int:
         return self.log.recorded_changes()

@@ -30,8 +30,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterable
+from dataclasses import dataclass
 from functools import partial
-from typing import NamedTuple
 
 from repro.algebra.bag import Bag, Row, compose_deltas
 from repro.algebra.evaluation import CostCounter
@@ -45,7 +45,7 @@ from repro.core.substitution import FactoredSubstitution, pair_binding
 from repro.core.transactions import UserTransaction
 from repro.core.views import ViewDefinition
 from repro.errors import SchemaError
-from repro.exec.group import GroupTask, subplan_fingerprint
+from repro.exec.group import GroupTask
 from repro.storage.database import Database
 
 __all__ = ["SharedLog", "SharedLogScenario"]
@@ -67,15 +67,16 @@ def _adopt(net: tuple[dict[Row, int], dict[Row, int]]) -> tuple[Bag, Bag]:
     return delete, insert
 
 
-class _ViewPair(NamedTuple):
-    """What refreshing a view needs that is a function of its definition alone."""
+@dataclass(eq=False)
+class _ViewPair:
+    """What refreshing a view needs that is a function of its definition
+    alone.  Views with equal queries share one, so pairs compare by
+    identity: in a group epoch, ``(pair, cursor)`` names one delta."""
 
     #: Figure 2's ``(▼, ▲)`` over bound per-table deltas: any slice of the
     #: log is refreshed by binding it to this one pair.
     delete: Expr
     insert: Expr
-    #: The query's :func:`~repro.exec.group.subplan_fingerprint`.
-    fingerprint: str
     #: The query's base tables, sorted.
     base: tuple[str, ...]
     #: The query itself: views with equal queries share one pair.
@@ -152,7 +153,7 @@ class SharedLog:
             # applies: ▼(L,Q) = Add(L̂,Q), ▲(L,Q) = Del(L̂,Q).
             del_hat, add_hat = differentiate(eta, view.query)
             self._db.prime(add_hat, del_hat, counter=counter)
-            pair = _ViewPair(add_hat, del_hat, subplan_fingerprint(view.query), base, view.query)
+            pair = _ViewPair(add_hat, del_hat, base, view.query)
             self._pairs_built += 1
         self._pairs[view.name] = pair
         self.cursors[view.name] = cursor
@@ -455,7 +456,7 @@ class SharedLogScenario(Scenario):
         log = self.shared_log
         ops["refresh"] = self._op(
             "refresh",
-            OpStep("delta_compute", deltas=lambda: self._pair[:2]),
+            OpStep("delta_compute", deltas=lambda: (self._pair.delete, self._pair.insert)),
             OpStep("apply", locked=True, plan=self._mv_patch_plan, via=self._apply_slice),
             OpStep(
                 "log_prune",
@@ -488,29 +489,20 @@ class SharedLogScenario(Scenario):
         for table, (delete, insert) in self.shared_log.tagged_patches(txn).items():
             plan.add_patch(table, delete, insert)
 
-    def epoch_tasks(self, *, order: int, compact: bool) -> list[GroupTask]:
-        """This view's one task: the pair evaluated over its cursor slice
-        (folded once per ``(cursor, table)`` for the whole epoch), applied
-        by this view's own ``refresh`` op."""
-        if compact:
-            self.shared_log.compact()
-        delete, insert, fingerprint, base, _query = self._pair
-        cursor = self.cursor
-        binding = self.shared_log.binding_since(cursor, base, epoch=True)
-
-        def key() -> object:
-            tables = (*base, *map(shared_log_name, base))
-            return ("SL", fingerprint, cursor, tuple((table, self.db.version_of(table)) for table in tables))
-
-        return [
-            GroupTask(
-                name=self.view.name,
-                order=order,
-                key=key,
-                compute=lambda counter: tuple(map(self.db.batch(counter=counter, binding=binding), (delete, insert))),
-                apply=partial(self.run, "refresh"),
-            )
-        ]
+    def epoch_tasks(self) -> GroupTask:
+        """This view's task: the pair evaluated over its cursor slice
+        (folded once per ``(cursor, table)`` for the whole epoch), shared
+        by every view with the same pair and cursor, applied by this
+        view's own ``refresh`` op."""
+        self.shared_log.compact()
+        pair, cursor = self._pair, self.cursor
+        binding = self.shared_log.binding_since(cursor, pair.base, epoch=True)
+        return GroupTask(
+            name=self.view.name,
+            key=(pair, cursor),
+            compute=lambda counter: tuple(map(self.db.batch(counter=counter, binding=binding), (pair.delete, pair.insert))),
+            apply=partial(self.run, "refresh"),
+        )
 
     def log_watermark(self) -> int:
         return self.shared_log.rows_since(self.cursor, self._pair.base)

@@ -282,7 +282,6 @@ class DurableWarehouse:
         *,
         parallel: bool = False,
         max_workers: int | None = None,
-        compact: bool = True,
     ) -> None:
         """Group refresh under the write-ahead protocol.
 
@@ -296,7 +295,6 @@ class DurableWarehouse:
             "names": list(names) if names is not None else list(self.views()),
             "parallel": parallel,
             "max_workers": max_workers,
-            "compact": compact,
         }
         self._journal(MaintenanceAction("refresh_group", options=options))
 

@@ -33,7 +33,7 @@ crash-mid-propagate     ``propagate_C``, before the propagation plan runs
 crash-mid-checkpoint    ``save_database``: inside the checkpoint transaction, before ``COMMIT``
 crash-after-checkpoint  durable op, checkpoint durable, before the journal commit
 crash-after-commit      durable op, journal committed, before returning
-crash-mid-delta-cache   ``EpochDeltaCache.store``, before the entry installs
+crash-mid-delta-cache   ``GroupScheduler.run``, before a shared delta installs
 crash-mid-partition-apply ``PartitionedDatabase.apply_parts``, between partitions
 flaky-save              ``save_database``, start of a (retried) write attempt
 flaky-mirror-upsert     ``SQLiteMirror._apply_net``, before the UPSERT batch

@@ -40,7 +40,7 @@ from repro.extensions.aggregates import AggregateScenario, AggregateView
 from repro.extensions.sharedlog import SharedLog, SharedLogScenario
 from repro.core.views import ViewDefinition
 from repro.errors import PolicyError, SchemaError, UnknownTableError
-from repro.exec.group import EpochDeltaCache, GroupScheduler, view_fingerprints
+from repro.exec.group import GroupScheduler, view_fingerprints
 from repro.robustness.faults import fault_point
 from repro.sqlfront.compiler import script_to_transaction, sql_to_expr, sql_to_view
 from repro.storage.database import Database
@@ -216,11 +216,12 @@ class ViewManager:
     def _lint_group_overlap(self, view: ViewDefinition, *, strict: bool) -> None:
         """RVM501: a view outside the shared log sharing subplans with one in it.
 
-        When the new view's query has a subplan fingerprint in common
-        with a ``shared_log`` view's, group refresh could have served
-        both from one delta evaluation — but a view registered outside
-        the shared log never benefits.  Warn (or raise, under
-        ``strict=True``) so the redundancy is a choice, not an accident.
+        When the new view's query has an operator subtree in common with
+        a ``shared_log`` view's (:func:`~repro.exec.group.view_fingerprints`),
+        group refresh could have served both from one delta evaluation —
+        but a view registered outside the shared log never benefits.
+        Warn (or raise, under ``strict=True``) so the redundancy is a
+        choice, not an accident.
         """
         import warnings
 
@@ -235,7 +236,7 @@ class ViewManager:
         report.add(
             "RVM501",
             Severity.WARNING,
-            f"view {view.name!r} shares subplan fingerprints with shared-log "
+            f"view {view.name!r} shares subplans with shared-log "
             f"view(s) {sorted(overlapping)} but is maintained outside the shared log; "
             "define it with scenario='shared_log' so group refresh can share its "
             "delta evaluation",
@@ -331,20 +332,19 @@ class ViewManager:
         *,
         parallel: bool = False,
         max_workers: int | None = None,
-        compact: bool = True,
     ) -> None:
         """Refresh many views as one epoch, sharing work across them.
 
         Three layers on top of per-view :meth:`refresh`:
 
-        1. logs are compacted to net effects first (``compact=True``), so
-           the delta evaluations scale with net change, not raw churn;
-           compacting the shared log also leaves each cursor's folded
-           slice in its memo, so the epoch's bindings re-read no log;
-        2. views whose refresh deltas fingerprint equal over equal log
-           contents share one evaluation through an epoch-scoped delta
-           cache (``delta_cache_hits`` on :attr:`counter`);
-        3. every view reads only base tables, so the cache leaders may
+        1. logs are compacted to net effects first, so the delta
+           evaluations scale with net change, not raw churn; compacting
+           the shared log also leaves each cursor's folded slice in its
+           memo, so the epoch's bindings re-read no log;
+        2. views whose evaluations read equal values — one shared-log
+           pair at one cursor, or one query over equal per-view logs —
+           share one evaluation (``delta_cache_hits`` on :attr:`counter`);
+        3. every view reads only base tables, so the leaders may
            evaluate concurrently (``parallel=True``) on the process's
            standing pool of ``max_workers`` threads (default
            ``max(2, cpu_count - 1)``), started by the first parallel
@@ -356,24 +356,17 @@ class ViewManager:
         fall back to their own ``refresh`` after the group.
         """
         members = list(names) if names is not None else list(self._scenarios)
-        with obs.span(
-            "group_epoch",
-            views=len(members),
-            parallel=parallel,
-            compact=compact,
-            counter=self.counter,
-        ) as epoch_span:
+        with obs.span("group_epoch", views=len(members), parallel=parallel, counter=self.counter) as epoch_span:
             tasks = []
             fallback: list[str] = []
-            for order, name in enumerate(members):
-                own = self.scenario(name).epoch_tasks(order=order, compact=compact)
-                if own is None:
+            for name in members:
+                task = self.scenario(name).epoch_tasks()
+                if task is None:
                     fallback.append(name)
                 else:
-                    tasks.extend(own)
+                    tasks.append(task)
             epoch_span.set(**self.shared_log.epoch_report())
-            scheduler = GroupScheduler(counter=self.counter, parallel=parallel, max_workers=max_workers)
-            scheduler.run(tasks, EpochDeltaCache(self.counter))
+            GroupScheduler(counter=self.counter, parallel=parallel, max_workers=max_workers).run(tasks)
             for name in fallback:
                 self.scenario(name).refresh()
         if obs.telemetry_enabled():

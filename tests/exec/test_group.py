@@ -1,9 +1,10 @@
 """Unit and property tests for the group-refresh machinery.
 
-Covers the three layers of :mod:`repro.exec.group` — subplan
-fingerprints, the epoch-scoped delta cache, and the scheduler — plus the acceptance property: a parallel group refresh is
-bag-equal to the sequential per-view oracle over a randomized grid of
-states, queries, and transactions.
+Covers :mod:`repro.exec.group` — the overlap fingerprints behind RVM501
+and the scheduler that shares one evaluation per distinct key — plus the
+acceptance property: a parallel group refresh is bag-equal to the
+sequential per-view oracle over a randomized grid of states, queries,
+and transactions.
 """
 
 import random
@@ -12,13 +13,7 @@ import pytest
 
 from repro.algebra.bag import Bag
 from repro.algebra.evaluation import CostCounter
-from repro.exec.group import (
-    EpochDeltaCache,
-    GroupScheduler,
-    GroupTask,
-    subplan_fingerprint,
-    view_fingerprints,
-)
+from repro.exec.group import GroupScheduler, GroupTask, view_fingerprints
 from repro.sqlfront.compiler import sql_to_view
 from repro.storage.database import Database
 from repro.warehouse.manager import ViewManager
@@ -36,31 +31,6 @@ JOIN_SQL = "SELECT R.a, S.c FROM R, S WHERE R.a = S.a"
 
 
 class TestFingerprints:
-    def test_equal_plans_fingerprint_equal(self):
-        db = make_db()
-        one = sql_to_view(JOIN_SQL, db, name="one")
-        two = sql_to_view(JOIN_SQL, db, name="two")
-        assert subplan_fingerprint(one.query) == subplan_fingerprint(two.query)
-
-    def test_different_plans_fingerprint_differ(self):
-        db = make_db()
-        one = sql_to_view(JOIN_SQL, db, name="one")
-        two = sql_to_view("SELECT a, b FROM R", db, name="two")
-        assert subplan_fingerprint(one.query) != subplan_fingerprint(two.query)
-
-    def test_rename_canonicalizes_private_table_names(self):
-        db = make_db()
-        db.create_table("log_A", ("a", "b"))
-        db.create_table("log_B", ("a", "b"))
-        from repro.algebra.expr import Project
-
-        left = Project((0,), db.ref("log_A"), ("a",))
-        right = Project((0,), db.ref("log_B"), ("a",))
-        assert subplan_fingerprint(left) != subplan_fingerprint(right)
-        assert subplan_fingerprint(left, {"log_A": "@"}) == subplan_fingerprint(
-            right, {"log_B": "@"}
-        )
-
     def test_view_fingerprints_detect_shared_join(self):
         db = make_db()
         join = sql_to_view(JOIN_SQL, db, name="join")
@@ -75,20 +45,19 @@ class TestFingerprints:
         scan = sql_to_view("SELECT a, b FROM R", db, name="scan")
         assert not (view_fingerprints(join.query) & view_fingerprints(scan.query))
 
+    def test_view_fingerprints_keep_a_selection_over_a_bare_table(self):
+        # A selection does work of its own even directly over a table:
+        # two projections of one filtered table overlap.
+        from repro.algebra.expr import Project, Select
+        from repro.algebra.predicates import Attr, Comparison, Const
 
-class TestEpochDeltaCache:
-    def test_hit_counts_toward_counter(self):
-        counter = CostCounter()
-        cache = EpochDeltaCache(counter)
-        deltas = (Bag([(1,)]), Bag([(2,)]))
-        cache.store("k", deltas)
-        assert "k" in cache
-        assert cache.hit("k") == deltas
-        assert cache.hit("k") == deltas
-        assert counter.delta_cache_hits == 2
+        db = make_db()
+        filtered = Select(Comparison("=", Attr("a"), Const(1)), db.ref("R"))
+        left, right = Project((0,), filtered, ("a",)), Project((1,), filtered, ("b",))
+        assert view_fingerprints(left) & view_fingerprints(right) == {filtered}
 
 
-def make_task(name, order, *, key=None, log=None, result=None):
+def make_task(name, *, key=None, log=None, result=None):
     result = result if result is not None else (Bag.empty(), Bag.empty())
 
     def compute(counter):
@@ -100,13 +69,7 @@ def make_task(name, order, *, key=None, log=None, result=None):
         if log is not None:
             log.append(("apply", name, deltas))
 
-    return GroupTask(
-        name=name,
-        order=order,
-        key=(lambda: key),
-        compute=compute,
-        apply=apply,
-    )
+    return GroupTask(name=name, key=key, compute=compute, apply=apply)
 
 
 class TestGroupScheduler:
@@ -114,43 +77,45 @@ class TestGroupScheduler:
         trace = []
         deltas = (Bag([(1,)]), Bag.empty())
         tasks = [
-            make_task("a", 0, key="shared", log=trace, result=deltas),
-            make_task("b", 1, key="shared", log=trace, result=deltas),
-            make_task("c", 2, key="other", log=trace, result=deltas),
+            make_task("a", key="shared", log=trace, result=deltas),
+            make_task("b", key="shared", log=trace, result=deltas),
+            make_task("c", key="other", log=trace, result=deltas),
         ]
         counter = CostCounter()
-        cache = EpochDeltaCache(counter)
-        GroupScheduler(counter=counter).run(tasks, cache)
+        GroupScheduler(counter=counter).run(tasks)
         computes = [entry[1] for entry in trace if entry[0] == "compute"]
         applies = [entry[1] for entry in trace if entry[0] == "apply"]
-        assert computes == ["a", "c"]  # "b" is served from the cache
+        assert computes == ["a", "c"]  # "b" is served the leader's deltas
         assert applies == ["a", "b", "c"]
         assert counter.delta_cache_hits == 1
-        # The cached follower received the leader's exact delta bags.
+        # The follower received the leader's exact delta bags.
         followed = next(entry for entry in trace if entry[:2] == ("apply", "b"))
-        assert followed[2] == deltas
+        assert followed[2] is deltas
+
+    def test_each_follower_counts_one_hit(self):
+        from repro import obs
+
+        tasks = [make_task(name, key="shared") for name in "abc"]
+        tasks.append(make_task("solo"))  # no key: never shared
+        counter = CostCounter()
+        with obs.observed() as stack:
+            GroupScheduler(counter=counter).run(tasks)
+        assert counter.delta_cache_hits == 2
+        assert stack.metrics.counter("delta_cache_hits_total").value == 2
 
     @pytest.mark.parametrize("parallel", [False, True])
     def test_parallel_counters_are_absorbed(self, parallel):
-        def counting_task(name, order):
+        def counting_task(name):
             def compute(counter):
                 if counter is not None:
                     counter.record("probe", 3)
                 return (Bag.empty(), Bag.empty())
 
-            return GroupTask(
-                name=name,
-                order=order,
-                key=lambda: None,
-                compute=compute,
-                apply=lambda deltas: None,
-            )
+            return GroupTask(name=name, key=None, compute=compute, apply=lambda deltas: None)
 
         counter = CostCounter()
-        tasks = [counting_task(f"t{i}", i) for i in range(4)]
-        GroupScheduler(counter=counter, parallel=parallel, max_workers=2).run(
-            tasks, EpochDeltaCache(counter)
-        )
+        tasks = [counting_task(f"t{i}") for i in range(4)]
+        GroupScheduler(counter=counter, parallel=parallel, max_workers=2).run(tasks)
         assert counter.by_operator["probe"] == 12
 
 
@@ -227,11 +192,10 @@ STEADY_VIEWS = (
 
 
 def test_steady_epoch_builds_nothing(monkeypatch):
-    """After the first epoch an unchanged group compiles, differentiates
-    and fingerprints nothing — and a new member's pair is built where it
+    """After the first epoch an unchanged group compiles and
+    differentiates nothing — and a new member's pair is built where it
     is defined, not by an epoch."""
     import repro.core.differential as differential
-    import repro.exec.group as group
     import repro.extensions.sharedlog as sharedlog
     from repro.exec.compiler import Compiler
 
@@ -243,7 +207,7 @@ def test_steady_epoch_builds_nothing(monkeypatch):
     for index in range(8):
         manager.define_view(f"V{index}", STEADY_VIEWS[index % 3], scenario="shared_log")
 
-    calls = dict.fromkeys(("compile", "differentiate", "fingerprint"), 0)
+    calls = dict.fromkeys(("compile", "differentiate"), 0)
 
     def spy(owner, name, label):
         original = getattr(owner, name)
@@ -273,8 +237,6 @@ def test_steady_epoch_builds_nothing(monkeypatch):
     spy(Compiler, "compile", "compile")
     for module in (differential, sharedlog):
         spy(module, "differentiate", "differentiate")
-    for module in (group, sharedlog):
-        spy(module, "subplan_fingerprint", "fingerprint")
 
     for step in range(1, 11):
         script(step)  # scripts compile their own plans: counted from here on
@@ -283,10 +245,7 @@ def test_steady_epoch_builds_nothing(monkeypatch):
         epoch()
         assert calls["compile"] == scripts_compiled, f"epoch {step} compiled a plan"
         assert manager.db.executor.cached_plans == plans, f"epoch {step} grew the plan table"
-    assert {k: v for k, v in calls.items() if k != "compile"} == {
-        "differentiate": 0,
-        "fingerprint": 0,
-    }
+    assert calls["differentiate"] == 0
 
     # A new member: its pair is built where it is defined (its query is
     # already a member's, so nothing is differentiated), and no epoch

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.ops import ACTIONS
+from repro.core.ops import ACTIONS, MaintenanceAction
 from repro.errors import RecoveryError
 from repro.exec import COMPILED, ENV_VAR, SQLITE, Executor
 from repro.exec.pushdown import PushdownExecutor
@@ -117,7 +117,7 @@ JOURNALED = {
     "partial_refresh": lambda w: w.partial_refresh("V"),
     "refresh": lambda w: w.refresh("V"),
     "refresh_all": lambda w: w.refresh_all(),
-    "refresh_group": lambda w: w.refresh_group(["V"], compact=False),
+    "refresh_group": lambda w: w.refresh_group(["V"]),
     "ddl": lambda w: w.create_table("items", ("itemNo", "price")),
 }
 
@@ -136,6 +136,14 @@ def all_digests(warehouse: DurableWarehouse) -> dict[str, str]:
 
 def test_every_replayable_kind_is_covered():
     assert set(JOURNALED) == set(ACTIONS) | {"ddl"}
+
+
+def test_a_group_intent_from_an_older_journal_drops_its_compact_flag():
+    """Every group epoch compacts: a ``compact`` field an older journal
+    stored is read past, and a new intent no longer writes one."""
+    action = MaintenanceAction.from_journal("refresh_group", None, {"views": ["V"], "compact": False})
+    assert action.options == {"names": ["V"]}
+    assert action.journal_payload() == {"views": ["V"]}
 
 
 @pytest.mark.parametrize("kind", sorted(JOURNALED))

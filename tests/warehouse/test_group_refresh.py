@@ -131,6 +131,24 @@ class TestGroupRefreshMixedScenarios:
         manager.refresh_group()
         assert manager.exec_stats()["delta_cache_hits"] >= 3
 
+    @pytest.mark.parametrize("refreshed_alone, hits", [(None, 1), ("BL", 0), ("C", 0)])
+    def test_equal_query_over_equal_logs_shares_one_evaluation(self, manager, refreshed_alone, hits):
+        # A base-log and a combined view of one query record the same
+        # changes under different log-table names: one evaluation serves
+        # both — until one is refreshed alone and their pending logs differ.
+        manager.define_view("BL", JOIN_SQL, scenario="base_log")
+        manager.define_view("C", JOIN_SQL, scenario="combined")
+        churn(manager)
+        if refreshed_alone is not None:
+            manager.refresh(refreshed_alone)
+            manager.transaction().insert("S", [(2, "w")]).run()
+        manager.refresh_group()
+        assert manager.exec_stats()["delta_cache_hits"] == hits
+        expected = manager.sql(JOIN_SQL)
+        assert manager.query("BL") == expected
+        assert manager.query("C") == expected
+        manager.check_invariants()
+
     def test_aggregate_is_an_epoch_member(self, manager):
         # An aggregate is the combined view of its base query: it shares
         # that query's delta evaluation with a combined view of it.
