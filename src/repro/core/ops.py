@@ -13,8 +13,9 @@ This module holds that statement as values:
   :func:`repro.analysis.effects.op_effects` reads their footprints off
   the same value.
 * a :class:`MaintenanceAction` is the caller's request one level up —
-  what the journal records, recovery rebuilds, and the policy driver,
-  the crash harness and the view server dispatch.
+  what the journal records, recovery rebuilds, and the crash harness
+  and the view server (the one runner of a policy over a warehouse)
+  dispatch.
 """
 
 from __future__ import annotations

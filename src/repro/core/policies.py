@@ -10,16 +10,19 @@ for a view.  The paper presents two for the ``INV_C`` scenario:
   precomputed differentials) and the view is at most ``k`` out of date.
 
 We add the obvious companions: periodic full refresh (for ``BL``/``DT``),
-refresh-on-query, and on-demand.  :class:`MaintenanceDriver` advances an
-integer simulated clock, feeds user transactions to the scenario,
-invokes the policy's actions at each tick, and records staleness and
-operation counts — the raw material for the downtime experiments.
+refresh-on-query, and on-demand.  :class:`MaintenanceDriver` is the
+single-scenario simulator: it advances an integer simulated clock,
+feeds user transactions to one scenario, invokes the policy's actions
+at each tick, and records staleness and operation counts — the raw
+material for the downtime experiments.  Over a warehouse, a policy has
+one runner, :class:`~repro.serve.server.ViewServer` (its
+``ServeConfig.policy``); the view manager schedules nothing.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 from repro.core.ops import OP_KINDS
@@ -272,47 +275,28 @@ class MaintenanceDriver:
         """Apply one user transaction (with maintenance extensions) now."""
         before = self._cost()
         self.scenario.execute(txn)
-        self.note_transactions(1, self._cost() - before)
-
-    def note_transactions(self, count: int, cost: int) -> None:
-        """Record ``count`` transactions executed this tick (by whomever)."""
-        self.stats.transactions += count
-        self.stats.transaction_cost += cost
-        if count and self.scenario.tag == "IM":
+        self.stats.transactions += 1
+        self.stats.transaction_cost += self._cost() - before
+        if self.scenario.tag == "IM":
             self.clock.mv_reflects = self.now
 
-    def _on_scenario(self, kind: str) -> None:
-        self.scenario.op(kind)  # PolicyError for a kind this scenario lacks
-        getattr(self.scenario, kind)()
-
-    def account(self, action: str, run: Callable[[str], None]) -> None:
-        """Run one policy action through ``run(kind)`` and account it (the
-        standalone driver runs it on its bare scenario, a
-        :class:`~repro.warehouse.manager.ViewManager` through its ``run``)."""
+    def _run_action(self, action: str) -> None:
+        """Run one policy action on the scenario and account it."""
+        self.scenario.op(action)  # PolicyError for a kind this scenario lacks
+        count_field, cost_field = _STAT_FIELDS[action]
         before = self._cost()
-        run(action)
-        try:
-            count_field, cost_field = _STAT_FIELDS[action]
-        except KeyError:
-            raise PolicyError(f"unknown maintenance action {action!r}") from None
+        getattr(self.scenario, action)()
         setattr(self.stats, count_field, getattr(self.stats, count_field) + 1)
         setattr(self.stats, cost_field, getattr(self.stats, cost_field) + self._cost() - before)
         self.clock.ran(action, self.now)
-
-    def _run_action(self, action: str) -> None:
-        self.account(action, self._on_scenario)
-
-    def run_due(self, run: Callable[[str], None]) -> None:
-        """Run the policy's actions due at the current tick through ``run``."""
-        for action in self.policy.actions_for(self.now, self.scenario):
-            self.account(action, run)
 
     def tick(self, txns: Sequence[UserTransaction] = ()) -> None:
         """Advance the clock one unit: apply ``txns``, then policy actions."""
         self.now += 1
         for txn in txns:
             self.submit(txn)
-        self.run_due(self._on_scenario)
+        for action in self.policy.actions_for(self.now, self.scenario):
+            self._run_action(action)
 
     def query(self):
         """Read the view as an application would, recording staleness."""

@@ -48,6 +48,7 @@ result is reused exactly as long as none of its inputs changed.
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping
+from contextvars import ContextVar
 from typing import Any
 
 from repro import obs
@@ -74,6 +75,24 @@ from repro.errors import ReproError
 from repro.exec.kernels import row_getter, row_mapper
 
 __all__ = ["Compiler", "PNode", "SourceAccess"]
+
+#: The bound leaves the current :meth:`~repro.exec.executor.Executor.batch`
+#: call has charged (``None`` outside a batch).
+CHARGED: ContextVar[set[str] | None] = ContextVar("charged_bound_leaves", default=None)
+
+
+def charge_bound(counter, leaf: Bound, bag: Bag) -> None:
+    """Charge ``leaf``'s bag as a ``literal``: once per batch, however many
+    of its evaluations read the leaf (bare or inside a plan), and on every
+    call outside one."""
+    if counter is None:
+        return
+    charged = CHARGED.get()
+    if charged is not None:
+        if leaf.name in charged:
+            return
+        charged.add(leaf.name)
+    counter.record("literal", len(bag))
 
 
 def _adopt(counts: dict[Row, int]) -> Bag:
@@ -381,7 +400,8 @@ class PBound(PNode):
     """The bag the call binds to a :class:`~repro.algebra.expr.Bound` leaf.
 
     Stands where a literal holding that bag would (same ``literal``
-    charge), but the plan above it is the same node every call.
+    charge, once per batch: :func:`charge_bound`), but the plan above it
+    is the same node every call.
     """
 
     check_empty = False
@@ -399,8 +419,7 @@ class PBound(PNode):
 
     def _compute(self, ctx) -> Bag:
         bag = ctx.bound(self.leaf)
-        if ctx.counter is not None:
-            ctx.counter.record("literal", len(bag))
+        charge_bound(ctx.counter, self.leaf, bag)
         return bag
 
 

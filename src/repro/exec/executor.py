@@ -28,7 +28,7 @@ from repro.algebra.evaluation import CostCounter, bound_bag
 from repro.algebra.expr import Bound, Expr, Literal, split_parameters
 from repro.algebra.predicates import PARAMS, param_value
 from repro.errors import ReproError, UnknownTableError
-from repro.exec.compiler import Compiler, PEquiJoin, PIndexSelect, PLiteral, PNode, PPipeline
+from repro.exec.compiler import CHARGED, Compiler, PEquiJoin, PIndexSelect, PLiteral, PNode, PPipeline, charge_bound
 
 __all__ = ["ExecutionContext", "Executor", "binding_stamp", "execute", "plan_for"]
 
@@ -184,16 +184,30 @@ class Executor:
         """
         if type(expr) is Bound:
             bag = bound_bag(expr, binding)
-            if counter is not None:
-                counter.record("literal", len(bag))
+            charge_bound(counter, expr, bag)
             return bag
         expr, binding = split_parameters(expr, binding)
         ctx = self._context(counter, binding)
         return execute(ctx.admit(plan_for(self._nodes, expr, counter)), ctx, binding)
 
     def batch(self, *, counter: CostCounter | None = None, binding=None) -> Callable[[Expr], Bag]:
-        """:meth:`evaluate`: the version-stamped memo already shares work across calls."""
-        return lambda expr: self.evaluate(expr, counter=counter, binding=binding)
+        """:meth:`evaluate` over one state and binding (one ``Database.apply``).
+
+        The version-stamped memo shares plan work across the calls, and
+        each bound bag is charged its ``literal`` once (a base patch and
+        a log extension both reading one ``$values``;
+        :data:`~repro.exec.compiler.CHARGED`).
+        """
+        charged: set[str] = set()
+
+        def run(expr: Expr) -> Bag:
+            token = CHARGED.set(charged)
+            try:
+                return self.evaluate(expr, counter=counter, binding=binding)
+            finally:
+                CHARGED.reset(token)
+
+        return run
 
     def heal(self) -> list[str]:
         return []

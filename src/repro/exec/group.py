@@ -39,35 +39,9 @@ from dataclasses import dataclass
 from repro import obs
 from repro.algebra.bag import Bag
 from repro.algebra.evaluation import CostCounter
-from repro.algebra.expr import Expr, Literal, MapProject, Select, TableRef
 from repro.robustness.faults import fault_point
 
-__all__ = [
-    "view_fingerprints",
-    "GroupTask",
-    "GroupScheduler",
-]
-
-
-def view_fingerprints(expr: Expr) -> frozenset[Expr]:
-    """The root and every operator subtree of ``expr``.
-
-    Two views "overlap" when these sets intersect — they share at least
-    one join/selection subplan (or the whole query), which is exactly
-    when a group refresh could serve one view's delta work to the other.
-    Trivial one-operator wrappers (e.g. the identity projection the SQL
-    front-end places over every table reference) are excluded: sharing a
-    bare table scan is not sharing a subplan.  A selection or a computed
-    projection is never trivial: its predicate or terms are work of its own.
-    """
-    return frozenset(
-        node
-        for node in expr.walk()
-        if node is expr
-        or isinstance(node, (Select, MapProject))
-        or any(not isinstance(child, (TableRef, Literal)) for child in node.children())
-    )
-
+__all__ = ["GroupTask", "GroupScheduler"]
 
 _POOLS: dict[int, ThreadPoolExecutor] = {}
 _POOLS_LOCK = threading.Lock()

@@ -199,7 +199,18 @@ class DurableWarehouse:
         rows = list(rows)
         self._run_journaled("ddl", lambda: self.manager.load(name, rows))
 
-    def define_view(self, name: str, definition: str | ViewDefinition | Expr, **options: Any) -> None:
+    def define_view(
+        self,
+        name: str,
+        definition: str | ViewDefinition | Expr,
+        *,
+        scenario: str = "combined",
+        strong_minimality: bool = False,
+        strict: bool = False,
+    ) -> None:
+        """:meth:`ViewManager.define_view`, journaled; its options are
+        spelled out so an unknown one raises before the intent is begun."""
+        options = {"scenario": scenario, "strong_minimality": strong_minimality, "strict": strict}
         self._run_journaled("ddl", lambda: self.manager.define_view(name, definition, **options), view=name)
 
     def drop_view(self, name: str) -> None:

@@ -27,7 +27,6 @@ from repro.algebra.evaluation import CostCounter
 from repro.algebra.expr import Expr
 from repro.core.ops import MaintenanceAction
 from repro.core.plan import MaintenancePlan
-from repro.core.policies import MaintenanceDriver, MaintenancePolicy
 from repro.core.scenarios import (
     BaseLogScenario,
     CombinedScenario,
@@ -40,7 +39,7 @@ from repro.extensions.aggregates import AggregateScenario, AggregateView
 from repro.extensions.sharedlog import SharedLog, SharedLogScenario
 from repro.core.views import ViewDefinition
 from repro.errors import PolicyError, SchemaError, UnknownTableError
-from repro.exec.group import GroupScheduler, view_fingerprints
+from repro.exec.group import GroupScheduler
 from repro.robustness.faults import fault_point
 from repro.sqlfront.compiler import script_to_transaction, sql_to_expr, sql_to_view
 from repro.storage.database import Database
@@ -106,7 +105,6 @@ class ViewManager:
         self.counter = CostCounter()
         self.ledger = LockLedger()
         self._scenarios: dict[str, Scenario] = {}
-        self._drivers: dict[str, MaintenanceDriver] = {}
         #: The one sequenced log every ``scenario="shared_log"`` view reads
         #: through its cursor (per-transaction logging cost independent of
         #: the view count).
@@ -150,16 +148,15 @@ class ViewManager:
         definition: str | ViewDefinition | Expr,
         *,
         scenario: str = "combined",
-        policy: MaintenancePolicy | None = None,
         strong_minimality: bool = False,
         strict: bool = False,
     ) -> Scenario:
         """Define and materialize a view under the given scenario.
 
         ``definition`` may be SQL text (a query, or ``CREATE VIEW``), a
-        :class:`ViewDefinition`, or a bag-algebra expression.  When a
-        ``policy`` is supplied, a :class:`MaintenanceDriver` is attached
-        and can be advanced with :meth:`tick`.
+        :class:`ViewDefinition`, or a bag-algebra expression.  The
+        manager schedules nothing: a policy runs in the serving layer
+        (:class:`~repro.serve.server.ViewServer`).
 
         The static analyzer (:mod:`repro.analysis`) runs at install
         time; findings warn by default, and raise
@@ -176,13 +173,8 @@ class ViewManager:
         instance = self._new_scenario(scenario, view, strong_minimality=strong_minimality, strict=strict)
         if scenario != "shared_log":
             self._lint_group_overlap(instance.view, strict=strict)
-        # Built first: a policy the scenario cannot serve fails closed
-        # here, before anything is installed or registered.
-        driver = MaintenanceDriver(instance, policy) if policy is not None else None
         instance.install()
         self._scenarios[name] = instance
-        if driver is not None:
-            self._drivers[name] = driver
         return instance
 
     def _new_scenario(
@@ -214,32 +206,33 @@ class ViewManager:
         return scenario_cls(self.db, view, **kwargs)
 
     def _lint_group_overlap(self, view: ViewDefinition, *, strict: bool) -> None:
-        """RVM501: a view outside the shared log sharing subplans with one in it.
+        """RVM501: a view outside the shared log with a shared-log view's query.
 
-        When the new view's query has an operator subtree in common with
-        a ``shared_log`` view's (:func:`~repro.exec.group.view_fingerprints`),
-        group refresh could have served both from one delta evaluation —
-        but a view registered outside the shared log never benefits.
-        Warn (or raise, under ``strict=True``) so the redundancy is a
-        choice, not an accident.
+        Views with equal queries share one shared-log pair
+        (:meth:`~repro.extensions.sharedlog.SharedLog.register`), so
+        group refresh evaluates their deltas once — but a view
+        registered outside the shared log never benefits.  Warn (or
+        raise, under ``strict=True``) so the redundancy is a choice,
+        not an accident.
         """
         import warnings
 
         from repro.analysis.diagnostics import AnalysisReport, AnalysisWarning, Severity
 
-        members = [s.view for s in self._scenarios.values() if isinstance(s, SharedLogScenario)]
-        fingerprints = view_fingerprints(view.query) if members else frozenset()
-        overlapping = [member.name for member in members if fingerprints & view_fingerprints(member.query)]
-        if not overlapping:
+        equal = [
+            member.view.name
+            for member in self._scenarios.values()
+            if isinstance(member, SharedLogScenario) and member.view.query == view.query
+        ]
+        if not equal:
             return
         report = AnalysisReport()
         report.add(
             "RVM501",
             Severity.WARNING,
-            f"view {view.name!r} shares subplans with shared-log "
-            f"view(s) {sorted(overlapping)} but is maintained outside the shared log; "
-            "define it with scenario='shared_log' so group refresh can share its "
-            "delta evaluation",
+            f"view {view.name!r} has the query of shared-log view(s) {sorted(equal)} "
+            "but is maintained outside the shared log; define it with "
+            "scenario='shared_log' so group refresh can share its delta evaluation",
             path=view.name,
         )
         if strict:
@@ -254,13 +247,6 @@ class ViewManager:
         except KeyError:
             raise UnknownTableError(f"no such view: {name!r}") from None
 
-    def driver(self, name: str) -> MaintenanceDriver:
-        """The maintenance driver for a view defined with a policy."""
-        try:
-            return self._drivers[name]
-        except KeyError:
-            raise PolicyError(f"view {name!r} has no maintenance policy attached") from None
-
     def views(self) -> tuple[str, ...]:
         return tuple(self._scenarios)
 
@@ -268,7 +254,6 @@ class ViewManager:
         """Stop maintaining a view and drop its internal tables."""
         self.scenario(name).uninstall()
         del self._scenarios[name]
-        self._drivers.pop(name, None)
 
     # ------------------------------------------------------------------
     # Transactions
@@ -308,8 +293,8 @@ class ViewManager:
 
     def run(self, action: MaintenanceAction):
         """Run one reified maintenance action — the seam for callers that
-        hold the request as a value (recovery, :meth:`tick`, the crash
-        harness, the view server); lands on the method of that kind."""
+        hold the request as a value (recovery, the crash harness, the
+        view server); lands on the method of that kind."""
         return action.run_on(self)
 
     def _offering(self, name: str, kind: str) -> Scenario:
@@ -380,23 +365,6 @@ class ViewManager:
     def partial_refresh(self, name: str) -> None:
         """Run ``partial_refresh_C`` for a combined-scenario (or aggregate) view."""
         self._offering(name, "partial_refresh").partial_refresh()
-
-    def tick(self, txns: Iterable[UserTransaction] = ()) -> None:
-        """Advance all attached maintenance drivers by one time unit.
-
-        Each transaction runs **once**, through :meth:`execute` (every
-        view, driven or not, sees it exactly once); then each driver runs
-        its policy's due actions through :meth:`run`.
-        """
-        txns = tuple(txns)
-        before = self.counter.tuples_out
-        for txn in txns:
-            self.execute(txn)
-        cost = self.counter.tuples_out - before
-        for name, driver in self._drivers.items():
-            driver.now += 1
-            driver.note_transactions(len(txns), cost)
-            driver.run_due(lambda kind, name=name: self.run(MaintenanceAction(kind, name)))
 
     # ------------------------------------------------------------------
     # Queries

@@ -1,10 +1,9 @@
 """Unit and property tests for the group-refresh machinery.
 
-Covers :mod:`repro.exec.group` — the overlap fingerprints behind RVM501
-and the scheduler that shares one evaluation per distinct key — plus the
-acceptance property: a parallel group refresh is bag-equal to the
-sequential per-view oracle over a randomized grid of states, queries,
-and transactions.
+Covers :mod:`repro.exec.group` — the scheduler that shares one
+evaluation per distinct key — plus the acceptance property: a parallel
+group refresh is bag-equal to the sequential per-view oracle over a
+randomized grid of states, queries, and transactions.
 """
 
 import random
@@ -13,48 +12,9 @@ import pytest
 
 from repro.algebra.bag import Bag
 from repro.algebra.evaluation import CostCounter
-from repro.exec.group import GroupScheduler, GroupTask, view_fingerprints
-from repro.sqlfront.compiler import sql_to_view
-from repro.storage.database import Database
+from repro.exec.group import GroupScheduler, GroupTask
 from repro.warehouse.manager import ViewManager
 from repro.workloads.randgen import RandomExpressionGenerator
-
-
-def make_db():
-    db = Database()
-    db.create_table("R", ("a", "b"), rows=[(1, "x"), (2, "y")])
-    db.create_table("S", ("a", "c"), rows=[(1, "p")])
-    return db
-
-
-JOIN_SQL = "SELECT R.a, S.c FROM R, S WHERE R.a = S.a"
-
-
-class TestFingerprints:
-    def test_view_fingerprints_detect_shared_join(self):
-        db = make_db()
-        join = sql_to_view(JOIN_SQL, db, name="join")
-        same = sql_to_view(JOIN_SQL, db, name="same")
-        assert view_fingerprints(join.query) & view_fingerprints(same.query)
-
-    def test_view_fingerprints_ignore_trivial_table_wrappers(self):
-        # Every SQL query wraps each table in an identity projection;
-        # sharing only that wrapper must NOT count as overlap.
-        db = make_db()
-        join = sql_to_view(JOIN_SQL, db, name="join")
-        scan = sql_to_view("SELECT a, b FROM R", db, name="scan")
-        assert not (view_fingerprints(join.query) & view_fingerprints(scan.query))
-
-    def test_view_fingerprints_keep_a_selection_over_a_bare_table(self):
-        # A selection does work of its own even directly over a table:
-        # two projections of one filtered table overlap.
-        from repro.algebra.expr import Project, Select
-        from repro.algebra.predicates import Attr, Comparison, Const
-
-        db = make_db()
-        filtered = Select(Comparison("=", Attr("a"), Const(1)), db.ref("R"))
-        left, right = Project((0,), filtered, ("a",)), Project((1,), filtered, ("b",))
-        assert view_fingerprints(left) & view_fingerprints(right) == {filtered}
 
 
 def make_task(name, *, key=None, log=None, result=None):

@@ -8,14 +8,16 @@ its ``VALUES`` rows one ``Bound`` leaf, bound per transaction on the
 adds no plan miss and never reaches the compiler — on every manager the
 pipeline benchmark runs (per-view logs, combined, shared log,
 partitioned) and on both engines that compile plans (compiled, sqlite,
-whose statement text is one per shape too).
+whose statement text is one per shape too).  The rows of a ``VALUES``
+step are charged once per transaction, however many of its patches read
+them.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.exec import COMPILED, SQLITE
+from repro.exec import COMPILED, INTERPRETED, SQLITE
 from repro.exec.compiler import Compiler
 from repro.sqlfront import prepared
 from repro.storage.partition import PartitionedDatabase
@@ -72,3 +74,19 @@ def test_a_warm_script_adds_no_plan_miss_and_compiles_nothing(kind, mode, monkey
     manager.refresh_all()
     for name in manager.views():
         assert not manager.is_stale(name), name
+
+
+@pytest.mark.parametrize("mode", (COMPILED, INTERPRETED))
+@pytest.mark.parametrize("scenario", ("base_log", "diff_table"))
+def test_a_values_step_charges_its_rows_once_per_transaction(scenario, mode):
+    """The base patch reads the script's ``$values`` leaf bare; the
+    base-log extension reads it bare too, the differential table's plans
+    inside their operators.  One ``Database.apply`` charges its three
+    rows once."""
+    manager = ViewManager(exec_mode=mode)
+    manager.create_table("R", ("a",))
+    manager.define_view("V", "SELECT a FROM R", scenario=scenario)
+    for first in (1, 4, 7):
+        before = manager.counter.by_operator.get("literal", 0)
+        manager.execute_sql(f"INSERT INTO R VALUES ({first}), ({first + 1}), ({first + 2})")
+        assert manager.counter.by_operator.get("literal", 0) - before == 3

@@ -2,7 +2,7 @@
 
 One simulated "business day" combines everything the library offers:
 plain, computed, EXCEPT and aggregate views over two domains, SQL DML
-(including UPDATE), policies on drivers, mid-day persistence, view
+(including UPDATE), a policy on the view server, mid-day persistence, view
 drops, scoped refresh — with invariants checked continuously and final
 contents validated against from-scratch recomputation and SQLite.
 """
@@ -12,6 +12,7 @@ import pytest
 from repro.algebra.predicates import Comparison, attr, const
 from repro.core.policies import Policy2
 from repro.extensions.scoped import scoped_query
+from repro.serve import ServeConfig, ViewServer
 from repro.storage.persistence import load_database, save_database
 from repro.storage.sqlite_backend import SQLiteBackend
 from repro.warehouse import ViewManager
@@ -121,18 +122,13 @@ def test_full_day(warehouse, tmp_path):
 
 def test_policy_driven_day(warehouse):
     manager, workload = warehouse
-    manager.define_view(
-        "high_value",
-        VIEWS["high_value"][0],
-        scenario="combined",
-        policy=Policy2(k=2, m=6),
-    )
+    server = ViewServer(ServeConfig(policy=Policy2(k=2, m=6)), manager=manager)
+    server.define_view("high_value", VIEWS["high_value"][0], scenario="combined")
+    ran = []
     for tick in range(1, 25):
-        txns = [workload.next_transaction(manager.db)]
-        manager.tick(txns)
+        ran += server.tick([workload.next_transaction(manager.db)])
         manager.check_invariants()
-    driver = manager.driver("high_value")
-    assert driver.stats.partial_refreshes == 4
-    assert driver.stats.propagates >= 12
+    assert ran.count(("high_value", "partial_refresh")) == 4
+    assert ran.count(("high_value", "propagate")) >= 12
     manager.refresh("high_value")
     assert not manager.is_stale("high_value")

@@ -7,6 +7,7 @@ from repro.algebra.bag import Bag
 from repro.core.policies import PeriodicRefresh
 from repro.core.transactions import UserTransaction
 from repro.errors import ParseError, PolicyError, SchemaError
+from repro.serve import ServeConfig, ViewServer
 from repro.sqlfront.compiler import sql_to_expr
 from repro.warehouse import ViewManager
 
@@ -156,19 +157,19 @@ class TestOneView:
             manager.scenario("rev").refresh(order="partial_first")
 
     def test_a_policy_keeps_the_view_equal_to_a_recompute(self, manager):
-        scenario = manager.define_view("rev", AGG_SQL, policy=PeriodicRefresh(m=2))
+        server = ViewServer(ServeConfig(policy=PeriodicRefresh(m=2)), manager=manager)
+        server.define_view("rev", AGG_SQL)
+        ran = []
         for tick in range(1, 7):
             txn = UserTransaction(manager.db).insert("orders", [("e", tick), ("n", tick)])
             if tick % 3 == 0:
                 txn.delete("orders", [("w", 7)])
-            manager.tick([txn])
+            ran += server.tick([txn])
             assert manager.is_stale("rev") == bool(tick % 2)
-        assert manager.query("rev") == scenario.expected()
-        assert manager.driver("rev").stats.full_refreshes == 3
+        assert manager.query("rev") == manager.scenario("rev").expected()
+        assert ran == [("rev", "refresh")] * 3
 
     def test_served_under_policy_2(self, manager):
-        from repro.serve import ViewServer
-
         server = ViewServer(manager=manager)  # default Policy2(k=2, m=7)
         server.define_view("rev", AGG_SQL)
         for tick in range(1, 8):  # writes at ticks 1-4; propagate at 6, partial refresh at 7

@@ -57,13 +57,3 @@ def test_transactions_after_drop_do_no_maintenance_work(manager):
     # Only the user patch itself: one inserted row plus its literal.
     assert manager.counter.tuples_out - before <= 3
 
-
-def test_drop_with_attached_driver(manager):
-    from repro.core.policies import Policy2
-
-    manager.define_view("V", "SELECT a FROM t", scenario="combined", policy=Policy2(k=1, m=2))
-    manager.drop_view("V")
-    from repro.errors import PolicyError
-
-    with pytest.raises(PolicyError):
-        manager.driver("V")

@@ -8,6 +8,7 @@ from repro.analysis.diagnostics import AnalysisError, AnalysisWarning
 from repro.core.policies import Policy1, Policy2, PeriodicRefresh
 from repro.errors import PolicyError, ReproError
 from repro.extensions.sharedlog import SharedLogScenario
+from repro.serve import ServeConfig, ViewServer
 from repro.warehouse import ViewManager
 from repro.warehouse.persistence import load_warehouse, save_warehouse
 
@@ -77,19 +78,20 @@ class TestSharedLogScenario:
         ran.check_invariants()
 
     def test_periodic_refresh_policy_is_driven_by_tick(self, manager):
-        manager.define_view("V", JOIN_SQL, scenario="shared_log", policy=PeriodicRefresh(m=2))
+        server = ViewServer(ServeConfig(policy=PeriodicRefresh(m=2)), manager=manager)
+        server.define_view("V", JOIN_SQL, scenario="shared_log")
         churn(manager)
-        manager.tick()
+        assert server.tick() == []
         assert manager.is_stale("V")
-        manager.tick()
+        assert server.tick() == [("V", "refresh")]
         assert not manager.is_stale("V")
         assert manager.query("V") == manager.sql(JOIN_SQL)
-        assert manager.driver("V").policy == PeriodicRefresh(m=2)
 
     @pytest.mark.parametrize("policy", [Policy1(k=1, m=2), Policy2(k=1, m=2)], ids=["Policy1", "Policy2"])
     def test_propagating_policies_fail_closed(self, manager, policy):
+        server = ViewServer(ServeConfig(policy=policy), manager=manager)
         with pytest.raises(PolicyError, match="under SharedLogScenario does not offer"):
-            manager.define_view("V", JOIN_SQL, scenario="shared_log", policy=policy)
+            server.define_view("V", JOIN_SQL, scenario="shared_log")
         assert manager.views() == ()
         assert not manager.db.has_table("__mv__V")
 
@@ -182,6 +184,18 @@ class TestLintGroupOverlap:
         manager.define_view("Grouped", JOIN_SQL, scenario="shared_log")
         with pytest.raises(AnalysisError, match="RVM501"):
             manager.define_view("Outside", JOIN_SQL, scenario="base_log", strict=True)
+
+    def test_a_shared_join_alone_is_silent(self, manager):
+        # H has G's join but not its query: SharedLog.register would give
+        # it a pair of its own, so a group epoch shares nothing with G.
+        manager.define_view("G", JOIN_SQL, scenario="shared_log")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", AnalysisWarning)
+            manager.define_view("H", JOIN_SQL + " AND S.b = 'x'", scenario="base_log")
+        churn(manager)
+        manager.refresh_group()
+        assert manager.exec_stats()["delta_cache_hits"] == 0
+        assert manager.query("H") == manager.sql(JOIN_SQL + " AND S.b = 'x'")
 
     def test_disjoint_view_is_silent(self, manager):
         manager.define_view("Grouped", JOIN_SQL, scenario="shared_log")

@@ -3,10 +3,12 @@
 import pytest
 
 from repro.algebra.bag import Bag
-from repro.core.policies import Policy2
+from repro.core.policies import PeriodicRefresh, Policy2
 from repro.core.scenarios import ImmediateScenario
 from repro.core.views import ViewDefinition
 from repro.errors import PolicyError, SchemaError, UnknownTableError
+from repro.robustness.durable import DurableWarehouse
+from repro.serve import ServeConfig, ViewServer
 from repro.warehouse import ViewManager
 
 
@@ -152,47 +154,41 @@ class TestMaintenanceOperations:
 
 
 class TestPolicies:
-    def test_driver_attached(self, manager):
-        manager.define_view("V", "SELECT a FROM R", scenario="combined", policy=Policy2(k=1, m=2))
-        driver = manager.driver("V")
-        manager.tick([])
-        manager.tick([])
-        assert driver.now == 2
-        assert driver.stats.partial_refreshes == 1
+    """A policy runs on the view server, over the manager it serves."""
+
+    @staticmethod
+    def serve(manager, policy=Policy2(k=1, m=2)):
+        return ViewServer(ServeConfig(policy=policy), manager=manager)
 
     def test_tick_applies_transactions(self, manager):
-        manager.define_view("V", "SELECT a FROM R", scenario="combined", policy=Policy2(k=1, m=2))
+        server = self.serve(manager)
+        server.define_view("V", "SELECT a FROM R", scenario="combined")
         txn = manager.transaction()
         txn.insert("R", [(42,)])
-        manager.tick([txn._txn])
-        manager.tick([])
+        server.tick([txn._txn])
+        server.tick([])
         assert (42,) in manager.query("V")
 
-    def test_driver_missing(self, manager):
-        manager.define_view("V", "SELECT a FROM R")
-        with pytest.raises(PolicyError):
-            manager.driver("V")
-
     def test_two_driven_views_see_each_transaction_once(self, manager):
-        """tick() used to hand the txns to every driver: (5,) landed twice."""
-        manager.define_view("V1", "SELECT a FROM R", scenario="combined", policy=Policy2(k=1, m=2))
-        manager.define_view("V2", "SELECT a FROM R WHERE a > 1", scenario="combined", policy=Policy2(k=1, m=2))
+        """A ticked transaction runs once for all views: (5,) lands once."""
+        server = self.serve(manager)
+        server.define_view("V1", "SELECT a FROM R", scenario="combined")
+        server.define_view("V2", "SELECT a FROM R WHERE a > 1", scenario="combined")
         txn = manager.transaction().insert("R", [(5,)])
-        manager.tick([txn._txn])
+        server.tick([txn._txn])
         assert manager.db["R"] == Bag([(1,), (2,), (5,)])
         manager.check_invariants()
-        manager.tick([])
+        server.tick([])
         assert manager.query("V1") == Bag([(1,), (2,), (5,)])
         assert manager.query("V2") == Bag([(2,), (5,)])
-        for name in ("V1", "V2"):
-            assert manager.driver(name).stats.transactions == 1
 
     def test_undriven_view_still_logs_ticked_transactions(self, manager):
-        """A view without a policy must see tick()'s transactions too."""
-        manager.define_view("driven", "SELECT a FROM R", scenario="combined", policy=Policy2(k=1, m=2))
+        """A view the server does not schedule must see tick()'s transactions too."""
+        server = self.serve(manager)
+        server.define_view("driven", "SELECT a FROM R", scenario="combined")
         manager.define_view("manual", "SELECT a FROM R", scenario="base_log")
         txn = manager.transaction().insert("R", [(7,)])
-        manager.tick([txn._txn])
+        server.tick([txn._txn])
         manager.check_invariants()
         assert manager.scenario("manual").log.recorded_changes() == 1
         manager.refresh("manual")
@@ -200,9 +196,21 @@ class TestPolicies:
 
     def test_unservable_policy_fails_before_install(self, manager):
         with pytest.raises(PolicyError):
-            manager.define_view("V", "SELECT a FROM R", scenario="base_log", policy=Policy2(k=1, m=2))
+            self.serve(manager).define_view("V", "SELECT a FROM R", scenario="base_log")
         assert "V" not in manager.views()
         assert not manager.db.has_table("__mv__V")
+
+    def test_a_policy_per_view_is_refused(self, tmp_path):
+        """One runner: a policy is the server's setting, never a view's —
+        the server and the durable warehouse refuse one and install nothing."""
+        with DurableWarehouse(tmp_path / "wh.db") as durable:
+            for target in (ViewServer(), durable):
+                target.create_table("R", ["a"], rows=[(1,)])
+                with pytest.raises(TypeError, match="policy"):
+                    target.define_view("V", "SELECT a FROM R", scenario="combined", policy=PeriodicRefresh(m=1))
+                assert target.views() == ()
+                assert not target.db.has_table("__mv__V")
+            assert durable.journal.pending() is None
 
 
 class TestAdHocSQL:
