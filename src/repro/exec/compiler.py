@@ -17,7 +17,9 @@ every call:
   ``chain(R) ∸ D`` operand Figure 2's Product rule joins every delta
   with: the bucket's chain images, less ``D``'s copies of them.  An
   ``attr = const`` conjunct on the served side joins the index key, so
-  a probe examines only rows that conjunct keeps;
+  a probe examines only rows that conjunct keeps; on the driving side it
+  is folded into the operand, which is then read as one bucket.  Of two
+  servable operands, the one with fewer rows after its pins drives;
 * ``E ∸ R`` against a stored table becomes a **monus-probe** node;
 * a key-restricted leaf ``σ_{key ∈ K}(R)`` (partition pruning; ``K`` is
   bound per call) fuses into its chain's :class:`SourceAccess`: joined
@@ -717,12 +719,14 @@ class _JoinSide:
     ``restrict_slot`` says which join key carries it.  ``key_of`` reads
     an operand row's join key — a probe key, or a hash-join bucket key.
 
-    ``pins`` maps each base column every row of the operand holds one
-    constant in to that constant (:func:`_pins`).  An unrestricted
+    ``pins`` maps each base column every row of an unrestricted operand
+    holds one constant in to that constant (:func:`_pins`).  An
     index-servable side appends those that are not join columns to its
     index key (``base_key_positions``) and their constants to every
     probe key (``pinned``): a bucket then holds only rows the side's own
-    filters can keep.
+    filters can keep.  The same pins size the operand when it could
+    drive the probes (:meth:`bucket_rows`), and ``node`` — the operand
+    with the join's pinning conjuncts folded in — reads it as one bucket.
     """
 
     __slots__ = (
@@ -731,6 +735,8 @@ class _JoinSide:
         "key_of",
         "access",
         "minus",
+        "pins",
+        "pin_positions",
         "base_key_positions",
         "pinned",
         "side_filter",
@@ -751,6 +757,8 @@ class _JoinSide:
         self.key_of = row_getter(key_positions)
         self.access = access
         self.minus = minus
+        self.pins = pins
+        self.pin_positions = tuple(sorted(pins))
         # The index key: base columns behind the join keys, then the
         # pinned ones; None = not index-servable.
         self.base_key_positions = access.base_positions(key_positions) if access is not None else None
@@ -773,6 +781,30 @@ class _JoinSide:
     def indexable(self) -> bool:
         return self.base_key_positions is not None
 
+    def table_rows(self, ctx) -> int:
+        """Distinct rows of the stored table this index-servable operand
+        reads (O(1); a ``∸ D`` is ignored, it only removes rows)."""
+        bag = ctx.state.get(self.access.table)
+        return bag.distinct_count() if bag is not None else 0
+
+    def bucket_rows(self, ctx) -> int | None:
+        """Distinct rows in the bucket of the operand's pinned constants,
+        read off an index that already covers them (``covering``: a
+        registered index live, a derived one at a pin); ``None`` when
+        nothing is pinned or no such index exists.  Nothing is built to
+        ask."""
+        if not self.pins:
+            return None
+        table = self.access.table
+        bag = ctx.state.get(table)
+        if bag is None:
+            return None
+        positions = ctx.indexes.covering(table, self.pin_positions, bag)
+        if not positions:
+            return None
+        index = ctx.indexes.get(table, positions, bag)
+        return len(index.lookup(tuple(self.pins[position] for position in positions)))
+
     def scan_reason(self) -> str | None:
         """Why this operand can only be joined by evaluating it in full.
 
@@ -791,8 +823,11 @@ class _JoinSide:
         return "non-chain-operand" if self.node.tables else None
 
 
-def _pins(access: SourceAccess, conjuncts: list[Predicate], schema: Schema) -> dict[int, Any]:
-    """Base columns the operand's rows all hold one constant in, with the constant.
+def _pins(
+    access: SourceAccess, conjuncts: list[Predicate], schema: Schema
+) -> tuple[dict[int, Any], list[Predicate]]:
+    """Base columns the operand's rows all hold one constant in, with the
+    constant; and the join's conjuncts that pin one.
 
     A column qualifies when the chain's own filters pin it
     (``access.const_eq``) or one of the join's conjuncts over this
@@ -801,13 +836,23 @@ def _pins(access: SourceAccess, conjuncts: list[Predicate], schema: Schema) -> d
     the call's, and an index key is fixed when the plan is compiled.
     """
     pins = {column: value for column, value in access.const_eq.items() if type(value) is not Param}
+    pinning: list[Predicate] = []
     for conjunct in conjuncts:
         pinned = _const_equality(conjunct)
         if pinned is not None and type(pinned[1]) is not Param:
             column = access.out_map[schema.index_of(pinned[0])]
             if column is not None:
                 pins.setdefault(column, pinned[1])
-    return pins
+                pinning.append(conjunct)
+    return pins, pinning
+
+
+def _note_span(attribute: str, key: str) -> None:
+    """Count ``key`` under ``attribute`` on the innermost open span, if any."""
+    span = obs.current().tracer.active()
+    if span is not None:
+        noted = span.attrs.setdefault(attribute, {})
+        noted[key] = noted.get(key, 0) + 1
 
 
 def _summed_images(bucket: Mapping[Row, int], apply) -> dict[Row, int]:
@@ -827,8 +872,9 @@ class PEquiJoin(PNode):
     the sizes it observes: if an operand is index-servable (see
     :class:`_JoinSide`), that side is served from a maintained hash
     index — its scan is skipped entirely — and the other side drives the
-    probes; with two such operands the larger stored table is the one
-    served.  Otherwise both operands are evaluated and hashed
+    probes; with two such operands the one with more rows after its own
+    pinned filters (:meth:`_index_side`) is served, and the other
+    drives.  Otherwise both operands are evaluated and hashed
     classically.  Both strategies sum the joined rows' copies into one
     counts dict, which :meth:`_compute` adopts as the result bag.
     """
@@ -852,28 +898,43 @@ class PEquiJoin(PNode):
     def runtime_empty(self, ctx) -> bool:
         return self.left.node.runtime_empty(ctx) or self.right.node.runtime_empty(ctx)
 
-    def _index_side(self, ctx) -> _JoinSide | None:
-        """The side to serve from an index (the larger stored table wins)."""
+    def _index_side(self, ctx) -> tuple[_JoinSide | None, str]:
+        """The side to serve from an index, and why (the other drives).
+
+        ``one_indexable``: only that operand can be served.  With two,
+        the one with more rows is served (the left one on a tie), each
+        counted by its pinned bucket where an index already holds one
+        (``pinned_bucket``) and by its whole table otherwise
+        (``larger_table``).  A bucket only ever lowers a count, so only
+        the side the whole tables would serve is sized by its bucket —
+        and the other one too if that flips the choice.
+        """
         left, right = self.left, self.right
         if not left.indexable:
-            return right if right.indexable else None
+            return (right, "one_indexable") if right.indexable else (None, "")
         if not right.indexable:
-            return left
-
-        def distinct_rows(side: _JoinSide) -> int:
-            # Probes and buckets are per distinct row, and distinct_count()
-            # is O(1) where len() walks every multiplicity.
-            table = ctx.state.get(side.access.table)
-            return table.distinct_count() if table is not None else 0
-
-        return left if distinct_rows(left) >= distinct_rows(right) else right
+            return left, "one_indexable"
+        rows = {left: left.table_rows(ctx), right: right.table_rows(ctx)}
+        reason = "larger_table"
+        for side in (left, right) if rows[left] >= rows[right] else (right, left):
+            bucket = side.bucket_rows(ctx)
+            if bucket is not None:
+                rows[side] = bucket
+                reason = "pinned_bucket"
+            if (rows[left] >= rows[right]) == (side is left):
+                break
+        return (left if rows[left] >= rows[right] else right), reason
 
     def _compute(self, ctx) -> Bag:
-        indexed = self._index_side(ctx)
-        result = _adopt(self.hash_join(ctx) if indexed is None else self.probe_join(ctx, indexed))
-        if indexed is None and ctx.counter is not None:
-            ctx.counter.record("hash_join", len(result))
-        return result
+        indexed, reason = self._index_side(ctx)
+        if indexed is None:
+            result = _adopt(self.hash_join(ctx))
+            if ctx.counter is not None:
+                ctx.counter.record("hash_join", len(result))
+            return result
+        if obs.telemetry_enabled():
+            _note_span("join_driving_sides", f"{'right' if indexed is self.left else 'left'}:{reason}")
+        return _adopt(self.probe_join(ctx, indexed))
 
     @staticmethod
     def _note_base_scan(scanned: _JoinSide, size: int, other_size: int) -> None:
@@ -882,10 +943,7 @@ class PEquiJoin(PNode):
             reason = scanned.scan_reason()
             if reason is not None:
                 obs.metric_inc(f'join_base_scans{{reason="{reason}"}}')
-                span = obs.current().tracer.active()
-                if span is not None:
-                    noted = span.attrs.setdefault("join_base_scans", {})
-                    noted[reason] = noted.get(reason, 0) + 1
+                _note_span("join_base_scans", reason)
 
     def probe_join(self, ctx, indexed: _JoinSide) -> dict[Row, int]:
         """``indexed`` answered from its table's hash index, probed by the other side.
@@ -1011,14 +1069,16 @@ class PEquiJoin(PNode):
 # ----------------------------------------------------------------------
 
 
-def _bind_all(conjuncts: list[Predicate], schema: Schema) -> Callable[[Row], bool] | None:
-    """The conjunction of ``conjuncts`` bound against ``schema`` (``None`` if none)."""
-    if not conjuncts:
-        return None
+def _conjunction(conjuncts: list[Predicate]) -> Predicate:
     predicate = conjuncts[0]
     for extra in conjuncts[1:]:
         predicate = And(predicate, extra)
-    return predicate.bind(schema)
+    return predicate
+
+
+def _bind_all(conjuncts: list[Predicate], schema: Schema) -> Callable[[Row], bool] | None:
+    """The conjunction of ``conjuncts`` bound against ``schema`` (``None`` if none)."""
+    return _conjunction(conjuncts).bind(schema) if conjuncts else None
 
 
 class Compiler:
@@ -1143,7 +1203,14 @@ class Compiler:
 
     def _join_side(self, operand: Expr, key_positions: tuple[int, ...], conjuncts: list[Predicate]) -> _JoinSide:
         """One join operand, with ``conjuncts`` (the join's conjuncts over
-        it alone) bound against its own schema as its side filter."""
+        it alone) bound against its own schema as its side filter.
+
+        The conjuncts that pin a column of an unrestricted chain are
+        folded into it, so that the operand, evaluated to drive probes or
+        a hash join, is one index bucket (:class:`PIndexSelect`); under
+        ``chain(R) ∸ D`` they go on ``chain(R)``, as σ distributes over
+        ∸.  The side filter keeps them all.
+        """
         access = source_access(operand)
         minus = None
         if access is None and isinstance(operand, Monus):
@@ -1152,8 +1219,17 @@ class Compiler:
             if access is not None:
                 minus = self.compile(operand.right)
         schema = operand.schema()
-        pins = _pins(access, conjuncts, schema) if access is not None else {}
-        return _JoinSide(self.compile(operand), key_positions, access, minus, _bind_all(conjuncts, schema), pins)
+        # A key-restricted chain reads its bound keys' buckets, never a
+        # pinned one: its pins neither key nor size nor read it.
+        unrestricted = access is not None and access.restrict is None
+        pins, pinning = _pins(access, conjuncts, schema) if unrestricted else ({}, [])
+        node = operand
+        if pinning:
+            if minus is None:
+                node = Select(_conjunction(pinning), operand)
+            else:
+                node = Monus(Select(_conjunction(pinning), operand.left), operand.right)
+        return _JoinSide(self.compile(node), key_positions, access, minus, _bind_all(conjuncts, schema), pins)
 
     # -- projections ---------------------------------------------------
 

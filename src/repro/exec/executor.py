@@ -241,7 +241,9 @@ class Executor:
                 if leaf is not None:
                     self._build_index(ctx, current.access.table, (leaf.position,))
             elif isinstance(current, PEquiJoin):
-                # Bare chains and ``chain(R) ∸ D`` operands alike.
+                # Bare chains and ``chain(R) ∸ D`` operands alike.  An
+                # operand's pinned-column index, which sizes it for the
+                # side choice, is its folded PIndexSelect's (a child).
                 for side in (current.left, current.right):
                     if side.indexable:
                         self._build_index(ctx, side.access.table, side.base_key_positions)

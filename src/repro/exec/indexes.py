@@ -220,8 +220,13 @@ class IndexManager:
         value; the registered indexes are kept current with it.)
         """
         with self._lock:
+            indexes = self._by_table.get(table, {})
+            if columns in indexes:
+                # No subset is wider: the common case (a join's pinned
+                # operand, a keyed statement) without the scan.
+                return columns
             wanted = set(columns)
-            return _widest(key for key in self._by_table.get(table, ()) if wanted.issuperset(key))
+            return _widest(key for key in indexes if wanted.issuperset(key))
 
     def get(
         self,

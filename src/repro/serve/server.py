@@ -127,17 +127,15 @@ class ViewServer:
         """Define a maintained view (scenario options as on the manager).
 
         Fails closed: a scenario whose op table lacks what the server's
-        policy schedules is dropped again and :class:`PolicyError`
-        raised — rather than queueing actions that can never run.
+        policy schedules raises :class:`PolicyError` before anything is
+        installed or journaled — rather than queueing actions that can
+        never run.
         """
         with self._write_mutex:
+            inner = getattr(self.manager, "manager", self.manager)
+            check_policy(self.policy, inner.scenario_for(name, definition, **options))
             self.manager.define_view(name, definition, **options)
             scenario = self.manager.scenario(name)
-            try:
-                check_policy(self.policy, scenario)
-            except PolicyError:
-                self.manager.drop_view(name)
-                raise
             self._mv_tables[name] = scenario.read_table
             self._clocks[name] = StalenessClock(self.now, self.now)
             self._publish()

@@ -164,18 +164,33 @@ class ViewManager:
         """
         if name in self._scenarios:
             raise SchemaError(f"view {name!r} is already defined")
+        instance = self.scenario_for(
+            name, definition, scenario=scenario, strong_minimality=strong_minimality, strict=strict
+        )
+        if scenario != "shared_log":
+            self._lint_group_overlap(instance.view, strict=strict)
+        instance.install()
+        self._scenarios[name] = instance
+        return instance
+
+    def scenario_for(
+        self,
+        name: str,
+        definition: str | ViewDefinition | Expr,
+        *,
+        scenario: str = "combined",
+        strong_minimality: bool = False,
+        strict: bool = False,
+    ) -> Scenario:
+        """The uninstalled scenario :meth:`define_view` would install for
+        these arguments: its op table is known, nothing is written."""
         if isinstance(definition, (ViewDefinition, AggregateView)):
             view = definition if definition.name == name else replace(definition, name=name)
         elif isinstance(definition, Expr):
             view = ViewDefinition(name, definition)
         else:
             view = sql_to_view(definition, self.db, name=name)
-        instance = self._new_scenario(scenario, view, strong_minimality=strong_minimality, strict=strict)
-        if scenario != "shared_log":
-            self._lint_group_overlap(instance.view, strict=strict)
-        instance.install()
-        self._scenarios[name] = instance
-        return instance
+        return self._new_scenario(scenario, view, strong_minimality=strong_minimality, strict=strict)
 
     def _new_scenario(
         self,

@@ -126,27 +126,65 @@ def test_base_log_refresh_with_a_rescore():
     assert results[0][1]["index_join_patched"] >= FAN_OUT
 
 
-def test_a_backlog_probes_only_the_customers_its_filter_keeps():
-    """Example 1.1's ``c.score = 'High'`` joins ``customer``'s index key.
-
-    The 600 logged sales probe ``customer ∸ Del(customer)`` under
-    ``(custId, 'High')``: a probe for a Low customer misses in one
-    lookup, so the rows examined are the log rows whose customer is
-    High — plus the re-scored customer's sales, probed the other way.
-    """
-    customers, backlog = 1_500, 600
-    manager = warehouse(SIZES[0], {"V": JOIN_VIEW}, "base_log", customers=customers)
-    # customer's one index is the join's (custId, score); define_view built it.
-    assert [index.positions for index in manager.db.indexes.indexes_on("customer")] == [(0, 3)]
+def logged_backlog(manager: ViewManager, customers: int, backlog: int) -> list[tuple]:
+    """``backlog`` sales inserted in scripts of 50, spread over every
+    customer but the re-scored one; returns the logged rows."""
     others = [c for c in range(customers) if c != RESCORED]
     logged = [(others[(37 * i) % len(others)], 10_000 + i, 1 + i % 3, 1.0) for i in range(backlog)]
     for start in range(0, backlog, 50):
         manager.execute_sql("INSERT INTO sales VALUES " + ", ".join(map(str, logged[start : start + 50])))
+    return logged
+
+
+def high_customers(manager: ViewManager) -> set[int]:
+    return {row[0] for row, __ in manager.db["customer"].items() if row[3] == "High"}
+
+
+def test_a_backlog_probes_only_the_customers_its_filter_keeps():
+    """Example 1.1's ``c.score = 'High'`` makes ``customer`` the smaller side.
+
+    Both operands of ``(customer ∸ ▲customer) × ▲sales`` can be served
+    from an index; the 19 High customers in ``customer``'s ``(score,)``
+    bucket are fewer than the 600 logged sales, so they drive: each
+    probes the log's ``custId`` index, and the rows examined are the
+    log rows whose customer is High.  The re-scored customer's old row
+    drives ``▼customer × (sales ∸ ▲sales)`` the same way.  The probes
+    are one per High customer, one for the re-scored customer, and one
+    bucket read for each pinned customer operand (``customer``,
+    ``▲customer``, ``▼customer``).  (While ``customer`` was served
+    instead, the 600 log rows each probed its ``(custId, score)``
+    index: ``backlog + 1`` probes.)
+    """
+    customers, backlog = 1_500, 600
+    manager = warehouse(SIZES[0], {"V": JOIN_VIEW}, "base_log", customers=customers)
+    # The join's (custId, score), and the (score,) bucket that sizes and
+    # reads the High customers; define_view built both.
+    assert [index.positions for index in manager.db.indexes.indexes_on("customer")] == [(0, 3), (3,)]
+    logged = logged_backlog(manager, customers, backlog)
     manager.execute_sql(f"UPDATE customer SET score = 'Low' WHERE custId = {RESCORED}")
-    high = {row[0] for row, __ in manager.db["customer"].items() if row[3] == "High"}
+    high = high_customers(manager)
     __, ops = ops_of(manager, lambda: manager.refresh("V"))
-    assert ops["index_probe"] == backlog + 1
-    assert ops["index_join_patched"] == sum(1 for row in logged if row[0] in high) + FAN_OUT
+    assert ops["index_probe"] == len(high) + 1 + 3
+    assert ops["index_join"] == sum(1 for row in logged if row[0] in high)
+    assert ops["index_join_patched"] == FAN_OUT
+    manager.check_invariants()
+
+
+@pytest.mark.parametrize("backlog", (600, 1_200))
+def test_a_no_rescore_backlog_probes_as_often_as_there_are_high_customers(backlog):
+    """Without a re-score only ``(customer ∸ ▲customer) × ▲sales`` has
+    rows, and ``▲customer`` is empty: each High customer probes the log
+    once, and the High bucket is the one ``define_view``'s evaluation of
+    the view read (the same node, ``customer`` unchanged since).  The
+    probes do not grow with the backlog; the rows examined do."""
+    customers = 1_500
+    manager = warehouse(SIZES[0], {"V": JOIN_VIEW}, "base_log", customers=customers)
+    logged = logged_backlog(manager, customers, backlog)
+    high = high_customers(manager)
+    __, ops = ops_of(manager, lambda: manager.refresh("V"))
+    assert ops["index_probe"] == len(high) == 20
+    assert ops["index_join"] == sum(1 for row in logged if row[0] in high)
+    assert "scan" not in ops
     manager.check_invariants()
 
 

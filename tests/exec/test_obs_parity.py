@@ -10,8 +10,10 @@ use:
    anything.
 
 2. **Traces and metrics agree across engines** — modulo timing
-   (``TIMING_FIELDS``) and engine-internal spans (``plan_compile`` and
-   ``index_build`` exist only under the compiled engine), the span
+   (``TIMING_FIELDS``) and engine-internal spans and attributes
+   (``plan_compile`` and ``index_build``, and the access-path notes
+   ``join_driving_sides`` / ``join_base_scans``, exist only under the
+   compiled engine), the span
    forest and the deterministic metrics (transactions, refreshes,
    propagations, delta-row histogram) are structurally identical:
    both engines run the same maintenance algorithm.
@@ -29,6 +31,8 @@ MODES = ("interpreted", "compiled")
 
 #: Spans only one engine emits (compiled-engine cache/index internals).
 ENGINE_INTERNAL_SPANS = frozenset({"plan_compile", "index_build"})
+#: Span attributes only the compiled engine notes (how it ran a join).
+ENGINE_INTERNAL_ATTRS = frozenset({"join_driving_sides", "join_base_scans"})
 
 def lifecycle(mode: str, *, enabled: bool):
     """One deterministic maintenance lifetime; returns (counter, obs stack)."""
@@ -61,7 +65,7 @@ def prune(structure: dict, drop: frozenset) -> dict:
     """A span-structure tree with engine-internal spans removed."""
     return {
         "name": structure["name"],
-        "attrs": structure["attrs"],
+        "attrs": {key: value for key, value in structure["attrs"].items() if key not in ENGINE_INTERNAL_ATTRS},
         "children": [
             prune(child, drop) for child in structure["children"] if child["name"] not in drop
         ],

@@ -18,6 +18,13 @@ whose ``b`` is hash-equal to the constant — ``1``, ``1.0`` and ``TRUE``
 share a bucket, as they compare equal — while ``NULL`` in that column
 matches no constant, and ``b = ?`` stays a filter.
 
+When both operands can be served from an index, the one with fewer rows
+after its own pinned filters drives, read as one bucket: the choice is
+checked against the rule itself and the answer against the oracle, live
+and at a pin, for a pinned ``chain(R)`` and ``chain(R) ∸ D`` in either
+operand order, an empty bucket and a ``NULL`` pin — and at a pin the
+choice derives no index.
+
 The second half drives keyed ``DELETE`` / ``UPDATE`` / ``SELECT`` through
 the SQL front end — every one of them a fused chain carrying
 ``attr = const`` — on a plain and on a hash-partitioned database, and
@@ -32,13 +39,16 @@ import random
 import pytest
 from tests.property.gen import _seeds, cases
 
+from repro import obs
 from repro.algebra.bag import Bag
 from repro.algebra.evaluation import CostCounter, evaluate
 from repro.algebra.expr import Expr, Literal, MapProject, Monus, Product, Select, rename
 from repro.algebra.predicates import And, Arith, Attr, Comparison, Const, Param
 from repro.algebra.schema import Schema
 from repro.exec.compiler import Compiler, PEquiJoin
+from repro.exec.indexes import FROZEN_INDEXES
 from repro.robustness.journal import bag_digest
+from repro.serve.snapshots import SnapshotRegistry
 from repro.storage.database import Database
 from repro.storage.partition import PartitionedDatabase
 from repro.warehouse.manager import ViewManager
@@ -298,6 +308,134 @@ def test_a_parameter_stays_a_filter():
                         shape,
                         value,
                     )
+
+
+# ----------------------------------------------------------------------
+# A pinned side drives when its bucket is the smaller side
+# ----------------------------------------------------------------------
+
+#: What the driving side pins ``b`` to: :data:`PIN_CONSTANTS`, a value no
+#: row holds (an empty bucket), and ``NULL`` (false for every row: no pin).
+DRIVING_PINS = (*PIN_CONSTANTS, "Absent", None)
+
+
+def _driving_case(gen):
+    """``σ_{a = k ∧ b = pin}(rest × S)`` in both operand orders, both
+    operands stored: ``rest`` is ``chain(R)`` or ``chain(R) ∸ D`` with a
+    ``D`` that is no subbag of ``chain(R)`` (over-deletes of its images
+    and rows it lacks).  Returns the database, the pin and the orders."""
+    rng = gen.rng
+    keys = (0, 1, 2, None)
+    db = Database(exec_mode="compiled")
+    db.create_table("R", ("a", "b", "c"), rows=_pinned_rows(gen, rng.randint(0, 14), (keys, PIN_VALUES, (0, 1, 2))))
+    db.create_table("S", ("k", "x"), rows=_pinned_rows(gen, rng.randint(1, 10), (keys, (0, 1, 2))))
+    chain: Expr = db.ref("R") if rng.random() < 0.5 else db.ref("R").project(["a", "b"])
+    rest = chain
+    if rng.random() < 0.6:
+        schema = chain.schema()
+        images = evaluate(chain, db.state)
+        counts = {row: count + rng.randint(0, 2) for row, count in images.items() if rng.random() < 0.5}
+        stray = _pinned_rows(gen, rng.randint(1, 4), (keys, PIN_VALUES, (0, 1, 2, 3))[: schema.arity])
+        for row, count in stray.items():
+            counts[row] = counts.get(row, 0) + count
+        rest = Monus(chain, Literal(Bag.from_counts(counts), schema))
+    pin = rng.choice(DRIVING_PINS)
+    predicate = And(Comparison("=", Attr("a"), Attr("k")), Comparison("=", Attr("b"), Const(pin)))
+    orders = (Select(predicate, Product(rest, db.ref("S"))), Select(predicate, Product(db.ref("S"), rest)))
+    return db, pin, orders
+
+
+def _noted_sides(run, expr, state) -> tuple[dict[str, int], dict]:
+    """``run(expr)`` under a span, held to the oracle over ``state``; the
+    ``join_driving_sides`` the join noted on the span, and the metrics."""
+    with obs.observed() as stack:
+        with obs.span("read"):
+            assert run(expr) == evaluate(expr, state), str(expr)
+    (span,) = stack.tracer.find("read")
+    return span.attrs.get("join_driving_sides", {}), stack.metrics.snapshot()
+
+
+def _expected_sides(db, pin, expr) -> tuple[dict[str, int], bool]:
+    """The ``join_driving_sides`` note of ``expr``, and whether ``rest``
+    drives from its pinned bucket.  The operand with more rows is served
+    (the left one on a tie) and the other drives.  ``S`` counts its whole
+    table; ``rest`` counts ``R``'s ``b = pin`` bucket when ``pin`` pins
+    and the whole tables would serve it — a bucket only lowers a count —
+    and all of ``R`` otherwise.  An empty ``R`` empties the join before a
+    side is chosen."""
+    if not db["R"]:
+        return {}, False
+    rest_is_left = expr.child.right == db.ref("S")
+    rest_rows, other_rows = db["R"].distinct_count(), db["S"].distinct_count()
+    reason = "larger_table"
+    if pin is not None and (rest_rows >= other_rows if rest_is_left else rest_rows > other_rows):
+        rest_rows, reason = sum(1 for row, __ in db["R"].items() if row[1] == pin), "pinned_bucket"
+    left_rows, right_rows = (rest_rows, other_rows) if rest_is_left else (other_rows, rest_rows)
+    side = "right" if left_rows >= right_rows else "left"
+    return {f"{side}:{reason}": 1}, reason == "pinned_bucket" and (side == "left") == rest_is_left
+
+
+def test_the_smaller_pinned_side_drives_live_and_at_a_pin():
+    pinned_drove = 0
+    for case_id, gen in cases(count=40):
+        db, pin, orders = _driving_case(gen)
+        for expr in orders:
+            # Live: prime builds the pinned-column index the choice reads.
+            db.prime(expr)
+            expected, from_bucket = _expected_sides(db, pin, expr)
+            assert _noted_sides(db.evaluate, expr, db.state)[0] == expected, (case_id, pin, str(expr))
+            pinned_drove += from_bucket
+        # At a pin the choice reads only indexes derived on the frozen bags:
+        # the whole of R until a keyed read has derived the bucket's index,
+        # the bucket after (a fresh registry: new plans, the same bags).
+        handle = SnapshotRegistry().pin(db)
+        for expr in orders:
+            _noted_sides(handle.evaluate, expr, db.state)
+        handle.release()
+        if pin is None or not db["R"]:
+            continue
+        handle = SnapshotRegistry().pin(db)
+        handle.evaluate(db.ref("R").where(Comparison("=", Attr("b"), Const(pin))))
+        assert FROZEN_INDEXES.covering("R", (1,), db["R"]) == (1,)
+        for expr in orders:
+            expected, __ = _expected_sides(db, pin, expr)
+            assert _noted_sides(handle.evaluate, expr, db.state)[0] == expected, (case_id, pin, str(expr))
+        handle.release()
+    # The pinned bucket drove in a good share of the cases, not in none.
+    assert pinned_drove >= 10 * len(_seeds()), pinned_drove
+
+
+def test_a_snapshot_join_builds_no_index_to_choose_its_side():
+    """At a pin the choice reads the indexes already derived on the frozen
+    bags and derives none: without the ``(score,)`` bucket's index the
+    whole ``customer`` table sizes it, with it the High bucket does."""
+    db = Database(exec_mode="compiled")
+    db.create_table("customer", ("custId", "score"), rows=[(c, "High" if c < 5 else "Low") for c in range(300)])
+    db.create_table("sales", ("custId", "qty"), rows=[(i % 300, i) for i in range(100)])
+    high = Comparison("=", Attr("c.score"), Const("High"))
+
+    def join(*extra):
+        predicate = And(Comparison("=", Attr("c.custId"), Attr("s.custId")), high)
+        for conjunct in extra:
+            predicate = And(predicate, conjunct)
+        customer = rename(db.ref("customer"), ("c.custId", "c.score"))
+        return Select(predicate, Product(customer, rename(db.ref("sales"), ("s.custId", "s.qty"))))
+
+    handle = SnapshotRegistry().pin(db)
+    # Derive what serves either side: customer(custId, score), sales(custId).
+    key = Comparison("=", Attr("custId"), Const(1))
+    handle.evaluate(db.ref("customer").where(And(key, Comparison("=", Attr("score"), Const("High")))))
+    handle.evaluate(db.ref("sales").where(key))
+    assert FROZEN_INDEXES.covering("customer", (1,), db["customer"]) is None
+    sides, metrics = _noted_sides(handle.evaluate, join(), db.state)
+    assert sides == {"right:larger_table": 1}  # 300 customers against 100 sales
+    assert "pinned_index_builds" not in metrics
+    # A keyed read derives the (score,) index; the next join's choice reads its bucket.
+    handle.evaluate(db.ref("customer").where(Comparison("=", Attr("score"), Const("High"))))
+    sides, metrics = _noted_sides(handle.evaluate, join(Comparison("!=", Attr("s.qty"), Const(-1))), db.state)
+    assert sides == {"left:pinned_bucket": 1}  # 5 High customers against 100 sales
+    assert "pinned_index_builds" not in metrics
+    handle.release()
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,7 @@ import pytest
 
 from repro import obs
 from repro.errors import PolicyError
+from repro.robustness.durable import DurableWarehouse
 from repro.robustness.faults import INJECTOR, InjectedCrash
 from repro.serve import ServeConfig, ViewServer
 from repro.serve.workers import FAILURES_KEPT
@@ -45,6 +46,26 @@ def test_default_policy_refuses_a_view_it_cannot_maintain(scenario):
     for _ in range(5):
         assert server.tick() == []
     assert server.pending_maintenance() == 0
+
+
+def test_a_durable_server_refuses_before_it_journals(tmp_path):
+    """The policy is checked against the scenario's op table before the
+    view is installed: a refused view leaves no DDL in the journal and no
+    ``MV`` in the database or its checkpoint."""
+    server = ViewServer(ServeConfig(durable_path=str(tmp_path / "wh.db")))
+    server.create_table("R", ["a"], rows=[(1,), (2,)])
+    journal = server.manager.journal
+    before = journal.records()
+    with pytest.raises(PolicyError, match="propagate"):
+        server.define_view("V", "SELECT a FROM R", scenario="base_log")
+    assert journal.records() == before
+    assert all(record.view != "V" for record in journal.records())
+    assert not server.db.has_table("__mv__V")
+    assert server.views() == () and server.manager.views() == ()
+    server.manager.close()
+    reopened = DurableWarehouse.open(tmp_path / "wh.db")
+    assert not reopened.db.has_table("__mv__V")
+    reopened.close()
 
 
 def test_deterministic_failure_is_dropped_counted_and_raised_once():
