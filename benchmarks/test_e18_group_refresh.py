@@ -3,7 +3,8 @@
 Section 7 leaves open how refresh work should scale when many views are
 maintained together.  The group-refresh subsystem answers with three
 layers — net-effect log compaction, one evaluation per distinct
-``(pair, cursor)`` in an epoch, and a one-phase parallel scheduler — and this
+``(pair, cursor)`` in an epoch, and a one-phase scheduler (leaders evaluate
+on the calling thread, then every view applies in order) — and this
 experiment measures the payoff on the retail workload:
 
 * refresh tuple-ops for one group epoch should be (nearly) independent
@@ -27,7 +28,7 @@ from repro.exec import INTERPRETED
 VIEW_COUNTS = (4, 8, 16)
 
 
-def run_e18(mode: str, views: int, *, parallel: bool = True) -> dict[str, object]:
+def run_e18(mode: str, views: int) -> dict[str, object]:
     """One sweep point: per-view oracle vs one group epoch at ``views``."""
     baseline = group_manager(mode, views)
     subject = group_manager(mode, views)
@@ -39,7 +40,7 @@ def run_e18(mode: str, views: int, *, parallel: bool = True) -> dict[str, object
     log_rows_before = subject.shared_log.log_size()
     marker = subject.counter.tuples_out
     hits_marker = subject.counter.delta_cache_hits
-    subject.refresh_group(parallel=parallel)
+    subject.refresh_group()
     group = {
         "ops": subject.counter.tuples_out - marker,
         "delta_cache_hits": subject.counter.delta_cache_hits - hits_marker,

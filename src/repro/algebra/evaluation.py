@@ -120,26 +120,6 @@ class CostCounter:
             "operators": dict(self.by_operator),
         }
 
-    def absorb(self, other: CostCounter) -> None:
-        """Fold another counter's totals into this one.
-
-        Used by the parallel group scheduler: each worker accounts into a
-        private counter, and the workers' totals are merged back in task
-        order so the aggregate is independent of thread interleaving.
-        """
-        self.tuples_out += other.tuples_out
-        self.evaluations += other.evaluations
-        for operator, produced in other.by_operator.items():
-            self.by_operator[operator] = self.by_operator.get(operator, 0) + produced
-        self.plan_hits += other.plan_hits
-        self.plan_misses += other.plan_misses
-        self.memo_hits += other.memo_hits
-        self.index_probes += other.index_probes
-        self.delta_cache_hits += other.delta_cache_hits
-        self.partitions_touched += other.partitions_touched
-        self.partition_prunes += other.partition_prunes
-        self.partition_fallbacks += other.partition_fallbacks
-
     def reset(self) -> None:
         self.tuples_out = 0
         self.evaluations = 0

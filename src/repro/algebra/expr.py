@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, replace
-from typing import Any, Union
+from typing import Any, ClassVar, Union
 
 from repro.algebra.bag import Bag
 from repro.algebra.predicates import (
@@ -70,7 +70,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Expr:
-    """Base class of all bag-algebra expressions."""
+    """Base class of all bag-algebra expressions.
+
+    Each node class hashes its fields once, in its own ``__hash__``, and
+    keeps the value beside them (``_hash``, like ``_tables``: never part
+    of equality), so a plan-table lookup of a built tree hashes one int.
+    """
+
+    _hash: ClassVar[int | None] = None
 
     def schema(self) -> Schema:
         """The result schema of this expression."""
@@ -163,6 +170,12 @@ class TableRef(Expr):
             )
         return replacement
 
+    def __hash__(self) -> int:
+        known = self._hash
+        if known is None:
+            known = self.__dict__["_hash"] = hash((self.name, self.table_schema))
+        return known
+
     def __str__(self) -> str:
         return self.name
 
@@ -192,6 +205,12 @@ class Literal(Expr):
 
     def substitute(self, mapping: Mapping[str, Expr]) -> Expr:
         return self
+
+    def __hash__(self) -> int:
+        known = self._hash
+        if known is None:
+            known = self.__dict__["_hash"] = hash((self.bag, self.literal_schema))
+        return known
 
     def __str__(self) -> str:
         return "phi" if not self.bag else repr(self.bag)
@@ -225,6 +244,12 @@ class KeyRestrict(Expr):
             raise SchemaError(f"cannot substitute under the key restriction of {self.child.name!r}")
         return self
 
+    def __hash__(self) -> int:
+        known = self._hash
+        if known is None:
+            known = self.__dict__["_hash"] = hash((self.child, self.position, self.domain))
+        return known
+
     def __str__(self) -> str:
         return f"sigma[#{self.position} in K({self.domain})]({self.child})"
 
@@ -255,6 +280,12 @@ class Bound(Expr):
 
     def substitute(self, mapping: Mapping[str, Expr]) -> Expr:
         return self
+
+    def __hash__(self) -> int:
+        known = self._hash
+        if known is None:
+            known = self.__dict__["_hash"] = hash((self.name, self.bound_schema))
+        return known
 
     def __str__(self) -> str:
         return f"bound({self.name})"
@@ -307,7 +338,10 @@ class Parameterized(Expr):
         return self.query == other.query and _typed(self.values) == _typed(other.values)
 
     def __hash__(self) -> int:
-        return hash((Parameterized, self.query, self.values))
+        known = self._hash
+        if known is None:
+            known = self.__dict__["_hash"] = hash((Parameterized, self.query, self.values))
+        return known
 
     def __str__(self) -> str:
         values = ", ".join(f"?{index}={value!r}" for index, value in enumerate(self.values))
@@ -338,6 +372,12 @@ class Select(Expr):
 
     def substitute(self, mapping: Mapping[str, Expr]) -> Expr:
         return Select(self.predicate, self.child.substitute(mapping))
+
+    def __hash__(self) -> int:
+        known = self._hash
+        if known is None:
+            known = self.__dict__["_hash"] = hash((self.predicate, self.child))
+        return known
 
     def __str__(self) -> str:
         return f"sigma[{self.predicate}]({self.child})"
@@ -396,6 +436,12 @@ class Project(Expr):
     def substitute(self, mapping: Mapping[str, Expr]) -> Expr:
         return Project(self.attrs, self.child.substitute(mapping), self.names)
 
+    def __hash__(self) -> int:
+        known = self._hash
+        if known is None:
+            known = self.__dict__["_hash"] = hash((self.attrs, self.child, self.names))
+        return known
+
     def __str__(self) -> str:
         cols = ", ".join(str(attr) for attr in self.attrs)
         return f"pi[{cols}]({self.child})"
@@ -445,6 +491,12 @@ class MapProject(Expr):
     def substitute(self, mapping: Mapping[str, Expr]) -> Expr:
         return MapProject(self.terms, self.child.substitute(mapping), self.names)
 
+    def __hash__(self) -> int:
+        known = self._hash
+        if known is None:
+            known = self.__dict__["_hash"] = hash((self.terms, self.child, self.names))
+        return known
+
     def __str__(self) -> str:
         cols = ", ".join(f"{term} AS {name}" for term, name in zip(self.terms, self.names))
         return f"map[{cols}]({self.child})"
@@ -464,6 +516,12 @@ class DupElim(Expr):
 
     def substitute(self, mapping: Mapping[str, Expr]) -> Expr:
         return DupElim(self.child.substitute(mapping))
+
+    def __hash__(self) -> int:
+        known = self._hash
+        if known is None:
+            known = self.__dict__["_hash"] = hash((self.child,))
+        return known
 
     def __str__(self) -> str:
         return f"eps({self.child})"
@@ -495,6 +553,12 @@ class UnionAll(Expr):
     def substitute(self, mapping: Mapping[str, Expr]) -> Expr:
         return UnionAll(self.left.substitute(mapping), self.right.substitute(mapping))
 
+    def __hash__(self) -> int:
+        known = self._hash
+        if known is None:
+            known = self.__dict__["_hash"] = hash((self.left, self.right))
+        return known
+
     def __str__(self) -> str:
         return f"({self.left} (+) {self.right})"
 
@@ -518,6 +582,12 @@ class Monus(Expr):
     def substitute(self, mapping: Mapping[str, Expr]) -> Expr:
         return Monus(self.left.substitute(mapping), self.right.substitute(mapping))
 
+    def __hash__(self) -> int:
+        known = self._hash
+        if known is None:
+            known = self.__dict__["_hash"] = hash((self.left, self.right))
+        return known
+
     def __str__(self) -> str:
         return f"({self.left} (-) {self.right})"
 
@@ -537,6 +607,12 @@ class Product(Expr):
 
     def substitute(self, mapping: Mapping[str, Expr]) -> Expr:
         return Product(self.left.substitute(mapping), self.right.substitute(mapping))
+
+    def __hash__(self) -> int:
+        known = self._hash
+        if known is None:
+            known = self.__dict__["_hash"] = hash((self.left, self.right))
+        return known
 
     def __str__(self) -> str:
         return f"({self.left} x {self.right})"

@@ -533,10 +533,9 @@ class LoggedScenario(Scenario):
     def _group_pair(self) -> tuple[Expr, Expr]:
         """``(▼, ▲)``, a function of the view definition only.
 
-        Priming here — on the scheduling thread, before any epoch computes
-        — is what lets pool workers only ever *execute* (install primes the
-        same pair; a reloaded scenario was never installed in this
-        process).
+        Primed here, before any epoch computes, so an epoch only ever
+        *executes* it (install primes the same pair; a reloaded scenario
+        was never installed in this process).
         """
         view_delete, view_insert = self._log_deltas()
         self.db.prime(view_delete, view_insert, counter=self.counter)

@@ -370,9 +370,9 @@ class PNode:
             return result
         # One store of the pair, read back with one load: nodes are
         # shared by concurrent callers at *different* stamps (readers
-        # pinned at different snapshot versions, the parallel group
-        # scheduler), and stamp and value kept in two attributes could
-        # be left holding one caller's stamp with another's value.
+        # pinned at different snapshot versions, serve workers), and
+        # stamp and value kept in two attributes could be left holding
+        # one caller's stamp with another's value.
         self._memo = (stamp, result)
         return result
 

@@ -1,4 +1,4 @@
-"""Group refresh: cross-view delta sharing and a parallel scheduler.
+"""Group refresh: cross-view delta sharing in one epoch.
 
 Section 7 of the paper asks how refresh work can be made independent of
 the number of installed views.  The shared sequenced log
@@ -18,22 +18,17 @@ to date in one epoch:
 * **Scheduler** (:class:`GroupScheduler`).  A view reads only external
   base tables (checked at definition), and no apply writes one, so no
   task's apply changes anything another task's compute reads: an epoch
-  is one phase.  The leaders' deltas may be evaluated concurrently
-  on a thread pool (evaluation is read-only against immutable bags);
-  patch application always runs sequentially in registration order, so
-  the result state is bag-equal to refreshing every view one at a time
-  — sequential execution remains the deterministic oracle, and
-  parallelism only changes wall-clock time, never results.  The pool
-  stands: one per worker count, its threads started when it is first
-  needed and reused by every later epoch (:func:`_standing_pool`).
+  is one phase.  The leaders' deltas are evaluated on the calling
+  thread, in leader order, then every patch applies in registration
+  order, so the result state is bag-equal to refreshing every view one
+  at a time.  The evaluations are pure Python under the GIL: a thread
+  pool ran them one after the other anyway and paid for the hand-offs
+  (``docs/scheduler.md``).
 """
 
 from __future__ import annotations
 
-import os
-import threading
 from collections.abc import Callable, Hashable, Sequence
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 from repro import obs
@@ -42,27 +37,6 @@ from repro.algebra.evaluation import CostCounter
 from repro.robustness.faults import fault_point
 
 __all__ = ["GroupTask", "GroupScheduler"]
-
-_POOLS: dict[int, ThreadPoolExecutor] = {}
-_POOLS_LOCK = threading.Lock()
-
-
-def _standing_pool(workers: int) -> ThreadPoolExecutor:
-    """The process's pool of ``workers`` threads, created on first use.
-
-    Every worker is started at creation — a lazily grown executor may
-    start one in a later epoch instead — so an epoch on an existing pool
-    starts no thread.  The threads idle between epochs and are joined at
-    interpreter exit.
-    """
-    with _POOLS_LOCK:
-        pool = _POOLS.get(workers)
-        if pool is None:
-            pool = _POOLS[workers] = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="group-epoch")
-            # Each warm-up job waits for all the others, so each holds its own thread.
-            barrier = threading.Barrier(workers)
-            wait([pool.submit(barrier.wait) for _ in range(workers)])
-        return pool
 
 
 @dataclass
@@ -74,8 +48,7 @@ class GroupTask:
     evaluates the view's ``(delete, insert)`` delta bags reading the
     current state only; ``apply`` installs them (and any per-view
     bookkeeping) under the view's lock.  Plans a ``compute`` runs are
-    compiled by whoever builds the task (at install or on first use), so
-    parallel computes never race the compiler.
+    compiled by whoever builds the task (at install or on first use).
     """
 
     name: str
@@ -87,16 +60,8 @@ class GroupTask:
 class GroupScheduler:
     """Runs a group of refresh tasks: compute leaders, apply in order."""
 
-    def __init__(
-        self,
-        *,
-        counter: CostCounter | None = None,
-        parallel: bool = False,
-        max_workers: int | None = None,
-    ) -> None:
+    def __init__(self, *, counter: CostCounter | None = None) -> None:
         self.counter = counter
-        self.parallel = parallel
-        self.max_workers = max_workers
 
     def run(self, tasks: Sequence[GroupTask]) -> None:
         """Compute each distinct key's deltas once, then apply every task in order.
@@ -114,29 +79,9 @@ class GroupScheduler:
                     claimed.add(task.key)
 
         results: dict[str, tuple[Bag, Bag]] = {}
-        if self.parallel and len(leaders) > 1:
-            counters = [CostCounter() for _ in leaders]
-            pool = _standing_pool(self.max_workers or max(2, (os.cpu_count() or 4) - 1))
-            # Thread-local span stacks don't cross into pool workers:
-            # hand each worker the caller's span as an explicit parent.
-            parent = obs.current().tracer.active()
-
-            def traced_compute(task: GroupTask, counter: CostCounter) -> tuple[Bag, Bag]:
-                with obs.span("delta_compute", view=task.name, parent=parent, counter=counter):
-                    return task.compute(counter)
-
-            futures = [pool.submit(traced_compute, task, counter) for task, counter in zip(leaders, counters)]
-            # Every compute ends before any result (or failure) is used.
-            wait(futures)
-            for task, future in zip(leaders, futures):
-                results[task.name] = future.result()
-            if self.counter is not None:
-                for counter in counters:
-                    self.counter.absorb(counter)
-        else:
-            for task in leaders:
-                with obs.span("delta_compute", view=task.name, counter=self.counter):
-                    results[task.name] = task.compute(self.counter)
+        for task in leaders:
+            with obs.span("delta_compute", view=task.name, counter=self.counter):
+                results[task.name] = task.compute(self.counter)
 
         shared: dict[Hashable, tuple[Bag, Bag]] = {}
         for task in leaders:
@@ -146,9 +91,8 @@ class GroupScheduler:
                 fault_point("crash-mid-delta-cache")
                 shared[task.key] = results[task.name]
 
-        # Applies are strictly sequential in registration order — this is
-        # what makes the scheduler's output bag-equal to the sequential
-        # oracle regardless of how the compute phase was parallelized.
+        # Applies run in registration order: the output is bag-equal to
+        # refreshing each view in turn.
         for task in tasks:
             deltas = results.get(task.name)
             if deltas is None:

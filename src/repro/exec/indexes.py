@@ -181,8 +181,8 @@ class IndexManager:
     exactly consistent with the table's current value — provided every
     mutation of the table was routed through :meth:`on_patch` /
     :meth:`on_replace`, which :class:`~repro.storage.database.Database`
-    guarantees.  Every entry point takes an internal lock, so parallel
-    group leaders may probe and build concurrently.  A write mutates
+    guarantees.  Every entry point takes an internal lock, so serve
+    workers and callers may probe and build concurrently.  A write mutates
     buckets in place, though, so a live probe must not run beside a
     writer of the same table: the probe would read buckets ahead of the
     ``bag`` it was handed.  Pinned readers use :class:`FrozenIndexes`,

@@ -199,8 +199,8 @@ class PushdownExecutor(Executor):
         self._result_memo: dict[Expr, list] = {}
         #: The push-down breaker (``closed`` / ``open`` / ``half-open``)
         #: and how often a backend error tripped it; both change only
-        #: under the mirror's lock, since group leaders evaluate
-        #: concurrently.
+        #: under the mirror's lock, since serve workers evaluate beside
+        #: their callers.
         self.breaker = CLOSED
         self.trips = 0
         self._cooldown = 0

@@ -140,8 +140,8 @@ class SharedLog:
         """Enter ``view`` at ``cursor`` with its ``(▼, ▲)`` pair over bound deltas.
 
         Views with equal queries share one pair.  A new one is primed
-        here, on the installing thread, so a group epoch's pool workers
-        only ever execute plans that exist.
+        here, at install, so a group epoch only ever executes plans that
+        exist.
         """
         for table in sorted(view.base_tables()):
             self.track(table)

@@ -222,7 +222,7 @@ class _SanitizedSpan:
             self._sanitizer.op_exit(self._name)
 
 
-def span(name: str, *, counter: Any = None, parent: Any = None, **attrs: Any):
+def span(name: str, *, counter: Any = None, **attrs: Any):
     """Open a span on the current tracer (the shared no-op when disabled).
 
     When the lockset sanitizer is enabled and the span names a
@@ -230,7 +230,7 @@ def span(name: str, *, counter: Any = None, parent: Any = None, **attrs: Any):
     ``partial_refresh`` / ``propagate``), the handle also scopes the
     sanitizer's per-thread operation stack.
     """
-    handle = _current.tracer.span(name, counter=counter, parent=parent, **attrs)
+    handle = _current.tracer.span(name, counter=counter, **attrs)
     sanitizer = _current.sanitizer
     if sanitizer.enabled and name in OP_SPANS:
         return _SanitizedSpan(handle, sanitizer, name, str(attrs.get("view", "")))

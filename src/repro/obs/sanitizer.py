@@ -18,9 +18,9 @@ Scope: accesses are tracked only while a refresh-family span
 (``refresh`` / ``partial_refresh``) is open on the current thread —
 ``makesafe`` runs inside the user transaction's atomicity and
 ``propagate`` is lock-free by design, so their ``MV``-free effects are
-not judged.  Lock state and the operation stack are thread-local (the
-group scheduler's pool workers compute deltas with no op open and no
-locks held, so they contribute no accesses); findings are shared and
+not judged.  Lock state and the operation stack are thread-local (a
+group epoch computes its leaders' deltas before any ``refresh`` span
+opens, so they contribute no accesses); findings are shared and
 deduplicated on ``(code, table, operation)``.
 
 Enable with ``obs.observed(sanitizer=True)`` — the default

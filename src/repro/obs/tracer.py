@@ -16,10 +16,8 @@ are never *computed* by the tracer; they are absorbed as deltas of the
 cost counter a call site already maintains, so tracing on or off can
 never change the experiments' deterministic cost signal.
 
-Spans parent through a thread-local stack.  Work handed to a thread
-pool (the parallel group scheduler) passes the enclosing handle
-explicitly via ``parent=`` since context does not flow into pool
-threads.
+Spans parent through a thread-local stack: a span nests under the span
+its own thread has open.
 """
 
 from __future__ import annotations
@@ -92,14 +90,13 @@ def _jsonable(value: Any) -> Any:
 class SpanHandle:
     """Context manager for one live span; also the attribute setter."""
 
-    __slots__ = ("_tracer", "_span", "_parent", "_counter", "_ops_before", "_explicit_parent")
+    __slots__ = ("_tracer", "_span", "_counter", "_ops_before")
 
-    def __init__(self, tracer: Tracer, span: Span, counter: Any = None, parent: SpanHandle | None = None) -> None:
+    def __init__(self, tracer: Tracer, span: Span, counter: Any = None) -> None:
         self._tracer = tracer
         self._span = span
         self._counter = counter
         self._ops_before = 0
-        self._explicit_parent = parent
 
     @property
     def span(self) -> Span:
@@ -119,21 +116,14 @@ class SpanHandle:
         if self._counter is not None:
             self._ops_before = self._counter.tuples_out
         self._span.start_s = self._tracer.clock() - self._tracer.epoch
-        if self._explicit_parent is not None:
-            # Accepts a SpanHandle or a raw Span (Tracer.active()).
-            parent = self._explicit_parent
-            target = parent._span if isinstance(parent, SpanHandle) else parent
-            target.children.append(self._span)
-        else:
-            self._tracer._push(self._span)
+        self._tracer._push(self._span)
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         self._span.duration_s = (self._tracer.clock() - self._tracer.epoch) - self._span.start_s
         if self._counter is not None:
             self._span.attrs["tuple_ops"] = self._counter.tuples_out - self._ops_before
-        if self._explicit_parent is None:
-            self._tracer._pop(self._span)
+        self._tracer._pop(self._span)
 
 
 class _NullHandle:
@@ -160,7 +150,7 @@ NULL_HANDLE = _NullHandle()
 
 
 class Tracer:
-    """Collects span trees; thread-safe for the parallel scheduler."""
+    """Collects span trees; thread-safe for snapshot readers and serve workers."""
 
     enabled = True
 
@@ -173,14 +163,13 @@ class Tracer:
 
     # -- recording -----------------------------------------------------
 
-    def span(self, name: str, *, counter: Any = None, parent: SpanHandle | None = None, **attrs: Any) -> SpanHandle:
+    def span(self, name: str, *, counter: Any = None, **attrs: Any) -> SpanHandle:
         """Open a span; use as ``with tracer.span("refresh", view=v):``.
 
         ``counter`` absorbs a cost counter's ``tuples_out`` delta into the
-        span's ``tuple_ops`` attribute.  ``parent`` overrides the
-        thread-local nesting (needed across thread-pool boundaries).
+        span's ``tuple_ops`` attribute.
         """
-        return SpanHandle(self, Span(name=name, attrs=dict(attrs)), counter=counter, parent=parent)
+        return SpanHandle(self, Span(name=name, attrs=dict(attrs)), counter=counter)
 
     def _stack(self) -> list[Span]:
         stack = getattr(self._local, "stack", None)
@@ -205,8 +194,7 @@ class Tracer:
             stack.pop()
 
     def active(self) -> Span | None:
-        """This thread's innermost open span (to hand pool workers as
-        an explicit ``parent=``)."""
+        """This thread's innermost open span."""
         stack = self._stack()
         return stack[-1] if stack else None
 
@@ -240,7 +228,7 @@ class NullTracer:
 
     roots: tuple = ()
 
-    def span(self, name: str, *, counter: Any = None, parent: Any = None, **attrs: Any) -> _NullHandle:
+    def span(self, name: str, *, counter: Any = None, **attrs: Any) -> _NullHandle:
         return NULL_HANDLE
 
     def active(self) -> None:

@@ -301,13 +301,11 @@ class DurableWarehouse:
         forward by re-running the group refresh from the pre-op snapshot,
         whose logs and cursors recovery never prunes past (see
         :meth:`~repro.extensions.sharedlog.SharedLog.commit_watermark`).
+        ``parallel`` and ``max_workers`` are accepted and ignored, as by
+        :meth:`ViewManager.refresh_group`.
         """
-        options = {
-            "names": list(names) if names is not None else list(self.views()),
-            "parallel": parallel,
-            "max_workers": max_workers,
-        }
-        self._journal(MaintenanceAction("refresh_group", options=options))
+        names = list(names) if names is not None else list(self.views())
+        self._journal(MaintenanceAction("refresh_group", options={"names": names}))
 
     def propagate(self, name: str) -> None:
         self._journal(MaintenanceAction("propagate", name))

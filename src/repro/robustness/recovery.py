@@ -153,9 +153,8 @@ def heal_engine_state(db) -> dict[str, list[str]]:
 def _journaled_action(manager: ViewManager, intent: OpIntent) -> MaintenanceAction | None:
     """The action ``intent`` recorded, or ``None`` when it only rolls back.
 
-    A group epoch comes back sequential: compaction and sequential
-    scheduling are functions of the snapshot's logs and cursors, and
-    parallel vs sequential execution is bag-equal by design.
+    A group epoch comes back as it ran: compaction and scheduling are
+    functions of the snapshot's logs and cursors.
     """
     action = MaintenanceAction.from_journal(intent.kind, intent.view, intent.payload)
     if action is None or "deltas" not in intent.payload:

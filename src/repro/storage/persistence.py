@@ -149,7 +149,6 @@ class RetryPolicy:
     ) -> _T:
         if self.attempts < 1:
             raise ValueError("attempts must be at least 1")
-        rng = rng if rng is not None else random.Random()
         start = clock()
         for attempt in range(self.attempts):
             try:
@@ -157,6 +156,9 @@ class RetryPolicy:
             except Exception as exc:
                 if not self.classifier(exc) or attempt == self.attempts - 1:
                     raise
+                if rng is None:
+                    # Seeding from os.urandom is dear; a first try rarely fails.
+                    rng = random.Random()
                 delay = self.delay_for(attempt, rng)
                 if self.deadline is not None and clock() - start + delay > self.deadline:
                     raise

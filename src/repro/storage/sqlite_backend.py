@@ -535,8 +535,8 @@ class SQLiteMirror:
     :meth:`ensure` and the executor falls back to the in-process
     kernels for subtrees that read them.
 
-    One connection is shared across threads (the group scheduler's
-    parallel leaders evaluate concurrently): hold :attr:`lock` around
+    One connection is shared across threads (serve workers evaluate
+    beside their callers): hold :attr:`lock` around
     every ``ensure`` + ``execute`` pair; the listener methods take it
     internally.
     """

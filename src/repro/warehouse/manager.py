@@ -344,19 +344,19 @@ class ViewManager:
         2. views whose evaluations read equal values — one shared-log
            pair at one cursor, or one query over equal per-view logs —
            share one evaluation (``delta_cache_hits`` on :attr:`counter`);
-        3. every view reads only base tables, so the leaders may
-           evaluate concurrently (``parallel=True``) on the process's
-           standing pool of ``max_workers`` threads (default
-           ``max(2, cpu_count - 1)``), started by the first parallel
-           epoch and reused by every later one; patches always apply
-           sequentially in registration order, so the final state is
-           bag-equal to refreshing each view in turn.
+        3. every view reads only base tables, so the leaders evaluate
+           first, on the calling thread, and the patches then apply in
+           registration order: the final state is bag-equal to
+           refreshing each view in turn.
 
         Views whose scenario has no group task (immediate, diff-table)
         fall back to their own ``refresh`` after the group.
+
+        ``parallel`` and ``max_workers`` are accepted and ignored: an
+        epoch evaluates on the calling thread whatever they say.
         """
         members = list(names) if names is not None else list(self._scenarios)
-        with obs.span("group_epoch", views=len(members), parallel=parallel, counter=self.counter) as epoch_span:
+        with obs.span("group_epoch", views=len(members), counter=self.counter) as epoch_span:
             tasks = []
             fallback: list[str] = []
             for name in members:
@@ -366,7 +366,7 @@ class ViewManager:
                 else:
                     tasks.append(task)
             epoch_span.set(**self.shared_log.epoch_report())
-            GroupScheduler(counter=self.counter, parallel=parallel, max_workers=max_workers).run(tasks)
+            GroupScheduler(counter=self.counter).run(tasks)
             for name in fallback:
                 self.scenario(name).refresh()
         if obs.telemetry_enabled():

@@ -111,6 +111,49 @@ class TestIntrospection:
     def test_hashable(self):
         assert len({Project(("a",), R), Project(("a",), R)}) == 1
 
+    def test_hash_is_the_hash_of_the_fields(self):
+        from dataclasses import fields
+
+        from repro.algebra.expr import Bound, KeyRestrict, MapProject, Parameterized
+        from repro.algebra.predicates import Param
+
+        picked = Select(Comparison("=", attr("a"), Param("?0")), R)
+        nodes = [
+            R,
+            singleton((1,), Schema(["x"])),
+            KeyRestrict(R, 0, "K"),
+            Bound("d", Schema(["x"])),
+            picked,
+            Project(("a",), R, ("z",)),
+            MapProject((attr("a"),), R, ("z",)),
+            DupElim(R),
+            UnionAll(R, R),
+            Monus(R, R),
+            Product(R, S),
+        ]
+        for node in nodes:
+            fresh = hash(tuple(getattr(node, f.name) for f in fields(node)))
+            assert hash(node) == fresh == hash(node), type(node).__name__
+        assert hash(Parameterized(picked, (1,))) == hash((Parameterized, picked, (1,)))
+
+    def test_a_second_plan_lookup_hashes_no_field(self, monkeypatch):
+        from repro.exec.executor import plan_for
+
+        right = table("T", ["d", "e"])
+        expr = join(R, right, Comparison("=", attr("a"), attr("d"))).project(["b", "e"]).dedup()
+        plans = {}
+        first = plan_for(plans, expr, None)
+        hashed = []
+        original = Schema.__hash__
+
+        def counted(schema):
+            hashed.append(schema)
+            return original(schema)
+
+        monkeypatch.setattr(Schema, "__hash__", counted)
+        assert plan_for(plans, expr, None) is first
+        assert hashed == []
+
 
 class TestSubstitution:
     def test_replaces_table_refs(self):

@@ -1,8 +1,8 @@
 """Unit and property tests for the group-refresh machinery.
 
 Covers :mod:`repro.exec.group` — the scheduler that shares one
-evaluation per distinct key — plus the acceptance property: a parallel
-group refresh is bag-equal to the sequential per-view oracle over a
+evaluation per distinct key — plus the acceptance property: a group
+refresh is bag-equal to the sequential per-view oracle over a
 randomized grid of states, queries, and transactions.
 """
 
@@ -65,6 +65,10 @@ class TestGroupScheduler:
 
     @pytest.mark.parametrize("parallel", [False, True])
     def test_parallel_counters_are_absorbed(self, parallel):
+        """Every leader counts into the scheduler's one shared counter, and a
+        group refresh asked for ``parallel`` (accepted and ignored) counts
+        the same work as a plain ``refresh_group()``."""
+
         def counting_task(name):
             def compute(counter):
                 if counter is not None:
@@ -75,8 +79,25 @@ class TestGroupScheduler:
 
         counter = CostCounter()
         tasks = [counting_task(f"t{i}") for i in range(4)]
-        GroupScheduler(counter=counter, parallel=parallel, max_workers=2).run(tasks)
+        GroupScheduler(counter=counter).run(tasks)
         assert counter.by_operator["probe"] == 12
+
+        gen, subject = build_manager(11, 4)
+        _, twin = build_manager(11, 4)
+        workload = []
+        for _ in range(3):
+            txn_deltas = {}
+            for table in subject.db.external_tables():
+                arity = subject.db.schema_of(table).arity
+                txn_deltas[table] = (gen.bag(arity, 3), gen.bag(arity, 3))
+            workload.append(txn_deltas)
+        run_workload(subject, workload)
+        run_workload(twin, workload)
+        subject.refresh_group(parallel=parallel, max_workers=2)
+        twin.refresh_group()
+        assert subject.counter.snapshot() == twin.counter.snapshot()
+        for name in twin.views():
+            assert subject.query(name) == twin.query(name), name
 
 
 SCENARIO_CYCLE = ("shared_log", "base_log", "combined", "shared_log")
@@ -107,14 +128,14 @@ def run_workload(manager, deltas_per_txn):
 
 
 class TestParallelEqualsSequentialOracle:
-    """Acceptance: group refresh (parallel, compacted) == per-view oracle."""
+    """Acceptance: group refresh (compacted, shared) == per-view oracle."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_randomized_grid(self, seed):
         rng = random.Random(seed)
         view_count = rng.randint(3, 6)
         # Two identically-seeded managers: the oracle refreshes each view
-        # sequentially; the subject runs one parallel group epoch.
+        # sequentially; the subject runs one group epoch.
         gen, oracle = build_manager(seed, view_count)
         _, subject = build_manager(seed, view_count)
 
@@ -223,17 +244,17 @@ def test_steady_epoch_builds_nothing(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# The standing pool: threads start once, results and spans unchanged
+# An epoch runs on the calling thread: no thread, same results and spans
 # ----------------------------------------------------------------------
 
 
-def test_parallel_epochs_share_one_standing_pool(monkeypatch):
-    """Three parallel epochs on a fresh pool start their worker threads in
-    the first epoch only, leave every view bag-equal to a sequential twin,
-    and keep each ``delta_compute`` span under its ``group_epoch``."""
+def test_a_group_epoch_starts_no_thread(monkeypatch):
+    """Three epochs asked for ``parallel=True, max_workers=2`` start no
+    thread, leave every view and the cost counter equal to a
+    ``refresh_group()`` twin's, and keep each ``delta_compute`` span
+    under its ``group_epoch``."""
     import threading
 
-    import repro.exec.group as group
     from repro import obs
     from repro.robustness.journal import table_digests
 
@@ -247,7 +268,6 @@ def test_parallel_epochs_share_one_standing_pool(monkeypatch):
             manager.define_view(f"V{index}", STEADY_VIEWS[index % 3], scenario="shared_log")
         return manager
 
-    monkeypatch.setattr(group, "_POOLS", {})
     started = []
     original_start = threading.Thread.start
 
@@ -258,7 +278,6 @@ def test_parallel_epochs_share_one_standing_pool(monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", counted_start)
 
     subject, twin = steady_manager(), steady_manager()
-    per_epoch = []
     with obs.observed() as stack:
         for step in range(3):
             script = (
@@ -267,18 +286,18 @@ def test_parallel_epochs_share_one_standing_pool(monkeypatch):
             )
             subject.execute_sql(script)
             twin.execute_sql(script)
-            before = len(started)
             subject.refresh_group(parallel=True, max_workers=2)
-            per_epoch.append(len(started) - before)
-            twin.refresh_group(parallel=False)
+            twin.refresh_group()
             views = [subject.scenario(name).read_table for name in subject.views()]
             assert table_digests(subject.db, views) == table_digests(twin.db, views), step
 
-    assert per_epoch[0] == 2 and per_epoch[1:] == [0, 0], per_epoch
-    epochs = [span for span in stack.tracer.find("group_epoch") if span.attrs["parallel"]]
-    assert len(epochs) == 3
+    assert started == []
+    assert subject.counter.snapshot() == twin.counter.snapshot()
+    epochs = stack.tracer.find("group_epoch")
+    assert len(epochs) == 6  # three each
     # Six views over three queries: three leaders per epoch, each
     # computed under the epoch that asked for it, none a root of its own.
     for epoch in epochs:
         assert [child.name for child in epoch.children].count("delta_compute") == 3
+    assert len(stack.tracer.find("delta_compute")) == 18
     assert not [root for root in stack.tracer.roots if root.name == "delta_compute"]

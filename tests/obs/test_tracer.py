@@ -1,7 +1,6 @@
-"""Tracer unit tests: nesting, counter absorption, threads, exports."""
+"""Tracer unit tests: nesting, counter absorption, exports."""
 
 import json
-import threading
 
 from repro import obs
 from repro.algebra.evaluation import CostCounter
@@ -30,26 +29,6 @@ def test_span_absorbs_cost_counter_delta():
         counter.record("select", 7)
         counter.record("project", 3)
     assert tracer.roots[0].attrs["tuple_ops"] == 10
-
-
-def test_explicit_parent_crosses_threads():
-    tracer = Tracer()
-    with tracer.span("epoch") as epoch:
-        worker_parent = tracer.active()
-
-        def work():
-            with tracer.span("delta_compute", view="V0", parent=worker_parent):
-                pass
-
-        thread = threading.Thread(target=work)
-        thread.start()
-        thread.join()
-        # A handle works as parent= too (not just a raw Span).
-        with tracer.span("refresh", parent=epoch):
-            pass
-    names = [child.name for child in tracer.roots[0].children]
-    assert names == ["delta_compute", "refresh"]
-    assert len(tracer.roots) == 1  # nothing leaked into a second root
 
 
 def test_in_flight_root_is_visible():

@@ -1,5 +1,6 @@
 """Atomic snapshot writes and the retry-with-backoff helper."""
 
+import random
 import sqlite3
 
 import pytest
@@ -11,6 +12,8 @@ from repro.errors import SnapshotError
 from repro.robustness.faults import INJECTOR, InjectedCrash
 from repro.storage.database import Database
 from repro.storage.persistence import (
+    RETRY_POLICY,
+    RetryPolicy,
     holds_snapshot,
     load_database,
     save_database,
@@ -82,6 +85,32 @@ class TestWithRetry:
     def test_other_exceptions_propagate(self):
         with pytest.raises(ValueError):
             with_retry(lambda: (_ for _ in ()).throw(ValueError("nope")), sleep=lambda _s: None)
+
+    def test_first_try_success_builds_no_rng(self, monkeypatch):
+        import repro.storage.persistence as persistence
+
+        def refuse(*args):
+            raise AssertionError("a first-try success seeded an rng")
+
+        monkeypatch.setattr(persistence.random, "Random", refuse)
+        assert RETRY_POLICY.run(lambda: "done") == "done"
+
+    def test_injected_rng_sets_the_jitter(self):
+        class Fixed(random.Random):
+            def random(self):
+                return 0.5
+
+        attempts, delays = [], []
+
+        def flaky():
+            attempts.append(1)
+            if len(attempts) < 3:
+                raise sqlite3.OperationalError("database is locked")
+            return "done"
+
+        policy = RetryPolicy(base_delay=0.01, jitter=0.25)
+        assert policy.run(flaky, sleep=delays.append, rng=Fixed()) == "done"
+        assert delays == [0.01 * 1.125, 0.02 * 1.125]
 
 
 class TestAtomicSave:
