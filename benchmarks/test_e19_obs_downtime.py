@@ -124,7 +124,7 @@ def _group_wall(sanitizer: bool) -> float:
     manager = group_manager(COMPILED, 8, smoke=True)
     with _sanitizer_only(sanitizer):
         start = time.perf_counter()
-        manager.refresh_group(parallel=False)
+        manager.refresh_group()
         return time.perf_counter() - start
 
 

@@ -355,7 +355,7 @@ def _eval(
     elif isinstance(expr, Bound):
         # The caller's bag stands where a literal would: same charge.
         result = bound_bag(expr, binding)
-        if counter is not None:
+        if counter is not None and not expr.counted:
             counter.record("literal", len(result))
     elif isinstance(expr, KeyRestrict):
         if binding is None:

@@ -266,11 +266,15 @@ class Bound(Expr):
     built and compiled once and serves every epoch, where a
     :class:`Literal` holding the epoch's bag makes a new expression
     each time.  Not a table reference, so substitution leaves it alone;
-    not part of the paper's grammar, and never differentiated.
+    not part of the paper's grammar, and never differentiated.  Reading
+    the bag is charged as the literal it stands for, unless ``counted``:
+    an op's delta bags were counted where its compute step evaluated
+    them, so the apply plans reading them charge nothing more.
     """
 
     name: str
     bound_schema: Schema
+    counted: bool = False
 
     def schema(self) -> Schema:
         return self.bound_schema
@@ -284,7 +288,7 @@ class Bound(Expr):
     def __hash__(self) -> int:
         known = self._hash
         if known is None:
-            known = self.__dict__["_hash"] = hash((self.name, self.bound_schema))
+            known = self.__dict__["_hash"] = hash((self.name, self.bound_schema, self.counted))
         return known
 
     def __str__(self) -> str:

@@ -160,18 +160,17 @@ def plan_effects(db, plan: MaintenancePlan) -> EffectSet:
 
 def op_effects(scenario, op) -> OpEffects:
     """The effects of one :class:`~repro.core.ops.MaintenanceOp`, step by step:
-    a compute step reads the footprint of the pair it builds, an apply
-    step has the effects of the plan built *from that pair* (symbolic: a
-    superset of any pruned or pre-evaluated run), a ``locked`` step holds
+    a compute step reads the footprint of the symbolic pair it evaluates,
+    an apply step has the effects of its plan over the view's bound pair
+    (the computed bags, which read no table), and a ``locked`` step holds
     what the lock seam (``_refresh_lock_resources``) says the lock covers."""
     held = scenario._refresh_lock_resources()
-    pair: tuple = ()
+    bound = scenario._bound_pair
     steps = []
     for step in op.steps:
         if step.deltas is not None:
-            pair = step.deltas()
-            effects = EffectSet(reads=read_footprint(scenario.db, *pair))
+            effects = EffectSet(reads=read_footprint(scenario.db, *step.deltas()))
         else:
-            effects = plan_effects(scenario.db, step.plan(*pair))
+            effects = plan_effects(scenario.db, step.plan(*bound))
         steps.append(Step(step.name, effects, locks=held if step.locked else frozenset()))
     return OpEffects(op=op.kind, view=op.view, scenario=scenario.tag, steps=tuple(steps))

@@ -6,9 +6,10 @@ assignments — plus one fact per line: "under the view lock" or not.
 This module holds that statement as values:
 
 * a :class:`MaintenanceOp` is **one row of Figure 3** for one view: an
-  ordered tuple of :class:`OpStep`\\ s, each either *computing* a
-  ``(delete, insert)`` delta pair or *applying* a plan built from it,
-  each marked ``locked`` or not.  Scenarios declare their ops once;
+  ordered tuple of :class:`OpStep`\\ s, each either *computing* the
+  view's ``(delete, insert)`` delta bags or *applying* a plan that
+  patches with them, each marked ``locked`` or not — and run where that
+  mark says, whoever asks for the op.  Scenarios declare their ops once;
   :meth:`repro.core.scenarios.Scenario.run` executes them and
   :func:`repro.analysis.effects.op_effects` reads their footprints off
   the same value.
@@ -51,14 +52,20 @@ ACTIONS: dict[str, str] = {
 
 @dataclass(frozen=True)
 class OpStep:
-    """One assignment group of an operation; ``deltas`` xor ``plan`` is set.
+    """One assignment group of an operation: a *compute* step (``deltas``
+    set) or an *apply* step (``plan`` set), run under the view lock
+    exactly when ``locked``.
 
-    A *compute* step's ``deltas()`` returns the symbolic ``(delete,
-    insert)`` pair; an *apply* step's ``plan(*pair)`` builds the plan
-    that installs it (``pair`` is empty before any compute step).
-    ``via`` replaces the default execution (``plan(*pair).execute``)
-    where the same assignments run another way: pruned and
-    partition-at-a-time on a partitioned database.
+    A compute step evaluates the view's ``(delete, insert)`` delta bags;
+    ``deltas()`` is the symbolic pair it evaluates (its read footprint).
+    An apply step patches with the bags of the op's compute step:
+    ``plan(delete, insert)`` is built over the view's bound pair
+    (:func:`~repro.core.substitution.bound_pair`), the same plan every
+    run, and executed with the bags bound to it.  ``via`` replaces a
+    step's default execution where the same assignments run another way:
+    a compute step's ``via()`` returns the bags, an apply step's
+    ``via(delete, insert)`` takes them (no arguments before a compute
+    step has run).
     """
 
     name: str
@@ -77,15 +84,32 @@ class MaintenanceOp:
     steps: tuple[OpStep, ...] = ()
     #: Span attributes naming this variant (``order``, ``partitioned``).
     attrs: tuple[tuple[str, Any], ...] = ()
+    #: When set and true, nothing is pending: the op runs no step and
+    #: takes no lock.
+    idle: Callable[[], bool] | None = None
 
     @cached_property
     def locked(self) -> bool:
         return any(step.locked for step in self.steps)
 
     @cached_property
-    def held(self) -> int:
-        """Steps up to the last locked one: the lock is released after them."""
-        return max((index + 1 for index, step in enumerate(self.steps) if step.locked), default=0)
+    def section(self) -> tuple[int, int]:
+        """``(start, stop)``: the steps run under the view lock, from the
+        first locked one through the last (empty, at the end, when none is)."""
+        locked = [index for index, step in enumerate(self.steps) if step.locked]
+        if not locked:
+            return len(self.steps), len(self.steps)
+        return locked[0], locked[-1] + 1
+
+    @cached_property
+    def first_write(self) -> int:
+        """The index of the first apply step: the op's crash point fires
+        just before it."""
+        return next((index for index, step in enumerate(self.steps) if step.deltas is None), len(self.steps))
+
+    @cached_property
+    def computes(self) -> bool:
+        return any(step.deltas is not None for step in self.steps)
 
     @cached_property
     def fault(self) -> str:

@@ -28,19 +28,18 @@ The scenario re-declares its operations (:mod:`repro.core.ops`) with
 this object supplying the steps that differ on a partitioned database —
 same ops, same runner, same lock and crash points:
 
-* :meth:`epoch_deltas` — the compute step: the install-time pair (what
-  an epoch adds is only :meth:`epoch_keys`, bound when the pair is
-  evaluated);
-* :meth:`refresh_log` — ``refresh_BL``'s apply step: evaluate the pair
-  under this epoch's keys, then install the MV patch and the log clears
-  in one :meth:`~repro.storage.partition.PartitionedDatabase.apply_parts`
-  epoch (one atomic commit, partitions touched counted);
-* :meth:`execute_plan` — an apply step that stays a generic plan
-  (``propagate_C``'s fold, ``refresh_C``'s log tail), run under the keys;
+* :meth:`epoch_deltas` — the compute step: the install-time pair,
+  evaluated under :meth:`epoch_keys` (all an epoch adds);
+* :meth:`refresh_log` — ``refresh_BL``'s apply step: install the MV
+  patch and the log clears in one
+  :meth:`~repro.storage.partition.PartitionedDatabase.apply_parts` epoch
+  (one atomic commit, partitions touched counted);
 * :meth:`apply_differentials` — ``refresh_DT``/``partial_refresh_C``'s
-  apply step through ``apply_parts`` (the fold into the differential
-  tables stays on the generic plan path: the differentials are
-  delta-sized already).
+  apply step through ``apply_parts``.
+
+Every other apply step (``propagate_C``'s fold, ``refresh_C``'s log
+tail) is the scenario's generic plan over the computed bags: once the
+compute step has run, nothing is left to prune.
 
 Every epoch records the plan's pruned references on the scenario's
 :class:`~repro.algebra.evaluation.CostCounter` (``partition_prunes``;
@@ -55,7 +54,6 @@ from collections.abc import Mapping
 
 from repro import obs
 from repro.algebra.bag import Bag
-from repro.algebra.expr import Expr
 from repro.analysis.partitioning import analyze_deltas, key_positions
 from repro.core.differential import post_update_delta
 
@@ -167,47 +165,25 @@ class PartitionedMaintenance:
     # Scenario fast paths
     # ------------------------------------------------------------------
 
-    def epoch_deltas(self, scenario) -> tuple[Expr, Expr]:
-        """The compute step: the install-time pruned pair.  Nothing is
-        rewritten per epoch; only the plan's prunes are accounted."""
+    def epoch_deltas(self, scenario) -> tuple[Bag, Bag]:
+        """The compute step: the install-time pruned pair, evaluated under
+        this epoch's keys.  Nothing is rewritten per epoch; the plan's
+        prunes are accounted."""
         scenario.counter.record_prune(self.prunes)
-        return self.delete_expr, self.insert_expr
+        run = self.db.batch(counter=scenario.counter, binding=self.epoch_keys())
+        return run(self.delete_expr), run(self.insert_expr)
 
-    def epoch_deltas_if_pending(self, scenario) -> tuple[Expr, Expr] | None:
-        """:meth:`epoch_deltas`, or ``None`` when the log recorded nothing."""
-        return None if self.log.is_empty() else self.epoch_deltas(scenario)
-
-    def epoch_binding(self, supplied: Mapping[str, Bag] | None) -> dict:
-        """What an apply step's pair is evaluated under: this epoch's keys,
-        and the bags of a pair the group epoch ``supplied`` already evaluated."""
-        return {**self.epoch_keys(), **(supplied or {})}
-
-    def refresh_log(self, scenario, delete: Expr, insert: Expr, binding=None) -> None:
-        """``refresh_BL``'s apply, key-pruned: evaluate the pair
-        under this epoch's keys, then install the MV patch and the log
-        clears in one ``apply_parts`` epoch — the effect of
+    def refresh_log(self, scenario, delete: Bag, insert: Bag) -> None:
+        """``refresh_BL``'s apply, key-pruned: install the MV patch and the
+        log clears in one ``apply_parts`` epoch — the effect of
         ``_log_refresh_plan``, with the touched partitions counted."""
-        counter = scenario.counter
-        binding = self.epoch_binding(binding)
-        evaluate = self.db.evaluate
-        pair = (
-            evaluate(delete, counter=counter, binding=binding),
-            evaluate(insert, counter=counter, binding=binding),
-        )
         self.db.apply_parts(
-            {self.view.mv_table: pair},
+            {self.view.mv_table: (delete, insert)},
             clears={name: Bag.empty() for name in self.log.table_names()},
-            counter=counter,
+            counter=scenario.counter,
         )
 
-    def execute_plan(self, scenario, build, delete: Expr, insert: Expr, binding=None) -> None:
-        """An apply step that stays the generic plan ``build(delete,
-        insert)``: the same transaction, its pair bound to this epoch's keys."""
-        build(delete, insert).execute(
-            self.db, counter=scenario.counter, binding=self.epoch_binding(binding)
-        )
-
-    def apply_differentials(self, scenario, *_pair: Expr, binding=None) -> None:
+    def apply_differentials(self, scenario, *_bags: Bag) -> None:
         """The ``refresh_DT`` apply through ``apply_parts``.
 
         Installs the pending ∇MV/ΔMV patch and the differential clears

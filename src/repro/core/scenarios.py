@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import warnings
 from abc import ABC, abstractmethod
-from contextlib import nullcontext
+from collections.abc import Callable
 from functools import cached_property, partial
 
 from repro import obs
@@ -169,10 +169,10 @@ class Scenario(ABC):
     # The operation table (Figure 3, one row per entry)
     # ------------------------------------------------------------------
 
-    def _op(self, kind: str, *steps: OpStep, **attrs) -> MaintenanceOp:
+    def _op(self, kind: str, *steps: OpStep, idle=None, **attrs) -> MaintenanceOp:
         if self._pmaint is not None:
             attrs = {"partitioned": True, **attrs}
-        return MaintenanceOp(kind, self.view.name, steps, tuple(attrs.items()))
+        return MaintenanceOp(kind, self.view.name, steps, tuple(attrs.items()), idle)
 
     def _declare_ops(self) -> dict[str, MaintenanceOp]:
         """This scenario's operations; subclasses add their refresh family.
@@ -193,49 +193,40 @@ class Scenario(ABC):
                 f"no {kind!r} operation (it offers {sorted(self.ops)})"
             ) from None
 
-    def run(self, kind: str | MaintenanceOp, deltas: tuple[Bag, Bag] | None = None) -> None:
+    def run(self, kind: str | MaintenanceOp, lend: Callable | None = None) -> None:
         """Execute one maintenance operation — the only place that does.
 
-        A compute step yields the symbolic ``(delete, insert)`` pair; the
-        apply steps' plans evaluate it inside their one simultaneous
-        transaction.  The view's exclusive lock is taken before the first
-        apply step of an op with locked steps and held through its last
-        locked step (a leading compute step only *builds* expressions; a
-        trailing unlocked step, the shared log's prune, runs after the
-        release); the crash point fires right after it is taken.
-        ``deltas`` is the group path: the epoch's scheduler supplies the
-        evaluated pair, compute steps are skipped, and the apply steps run
-        over the view's bound pair with the bags bound to it — the same
-        plans every epoch.
+        One rule, whoever asks: every step runs inside or outside the
+        view's exclusive lock as its ``locked`` flag says (the lock is
+        taken before the first locked step and released after the last);
+        a compute step evaluates the op's ``(delete, insert)`` delta
+        bags, and each later apply step patches with them, bound to the
+        view's bound pair — the same plans every run.  The crash point
+        fires just before the first apply step.  ``lend`` is a group
+        epoch's: handed the compute step's evaluation, it returns the
+        bags of the epoch's leader for this view's key (evaluating them
+        only when this view leads).
         """
         op = kind if isinstance(kind, MaintenanceOp) else self.op(kind)
         if not op.steps:
             return  # immediate maintenance: nothing is ever pending
         telemetry = obs.telemetry_enabled()
         attrs = dict(op.attrs)
-        pair: tuple = ()
-        binding = None
-        if deltas is not None:
-            pair = bound_pair(self.view.mv_table, self.view.schema)
-            binding = pair_binding({self.view.mv_table: deltas})
-            attrs.update(group=True, delta_rows=len(deltas[0]) + len(deltas[1]))
-        elif any(step.deltas is not None for step in op.steps):
+        if lend is not None:
+            attrs["group"] = True
+        if op.computes:
             attrs["log_watermark"] = self.log_watermark() if telemetry else 0
         else:
             attrs["delta_rows"] = self._pending_dt_rows() if telemetry else 0
-        steps, start = op.steps, 0
-        with obs.span(op.kind, view=self.view.name, scenario=self.tag, counter=self.counter, **attrs):
-            if steps[0].deltas is not None:
-                # A leading compute step only builds expressions: outside the lock.
-                if deltas is None:
-                    pair = (steps[0].via or steps[0].deltas)()
-                start = 1
-            if pair is not None:  # None: nothing recorded — nothing to apply, no lock
-                lock = self._refresh_lock(f"{op.kind}_{self.tag}") if op.locked else nullcontext()
-                with lock:
-                    fault_point(op.fault)
-                    pair = self._run_steps(steps[start : op.held], pair, deltas, binding)
-                self._run_steps(steps[max(start, op.held) :], pair, deltas, binding)
+        start, stop = op.section
+        with obs.span(op.kind, view=self.view.name, scenario=self.tag, counter=self.counter, **attrs) as span:
+            if op.idle is None or not op.idle():
+                run = partial(self._run_steps, op, lend=lend, span=span if telemetry else None)
+                bags = run(0, start, ())
+                if start < stop:
+                    with self._refresh_lock(f"{op.kind}_{self.tag}"):
+                        bags = run(start, stop, bags)
+                run(stop, len(op.steps), bags)
         if op.locked:
             # After a partial refresh the still-unpropagated log stays
             # behind: the view is a bounded k ticks out of date.
@@ -243,25 +234,40 @@ class Scenario(ABC):
         elif telemetry:
             obs.metric_inc("propagations")
 
-    def _run_steps(self, steps: tuple[OpStep, ...], pair: tuple, deltas, binding) -> tuple:
-        for step in steps:
+    def _run_steps(self, op: MaintenanceOp, start: int, stop: int, bags: tuple, *, lend, span) -> tuple:
+        """Steps ``start:stop`` of ``op``; returns the delta bags (``()``
+        before a compute step).  ``span``: the op's, under telemetry."""
+        for index in range(start, stop):
+            step = op.steps[index]
             if step.deltas is not None:
-                if deltas is None:
-                    pair = (step.via or step.deltas)()
-            elif step.via is not None:
-                step.via(*pair, binding=binding)
+                evaluate = partial(self._evaluate, step)
+                bags = evaluate() if lend is None else lend(evaluate)
+                if span is not None:
+                    span.set(delta_rows=len(bags[0]) + len(bags[1]))
+                continue
+            if index == op.first_write:
+                fault_point(op.fault)
+            if step.via is not None:
+                step.via(*bags)
             else:
-                self._execute(step.plan(*pair), pair, binding)
-        return pair
+                binding = pair_binding({self.view.mv_table: bags}) if bags else None
+                step.plan(*self._bound_pair).execute(self.db, counter=self.counter, binding=binding)
+        return bags
 
-    def _execute(self, plan: MaintenancePlan, pair: tuple, binding) -> None:
-        counter = self.counter
-        if binding is not None and plan.patches.get(self.view.mv_table) == pair:
-            # The bound bags were evaluated (and counted) by the epoch's
-            # compute; patching MV with them only re-emits them, which
-            # must not be counted a second time.
-            counter = None
-        plan.execute(self.db, counter=counter, binding=binding)
+    def _evaluate(self, step: OpStep) -> tuple[Bag, Bag]:
+        """A compute step's delta bags: ``step.via()``, or its pair batch-evaluated."""
+        with obs.span("delta_compute", view=self.view.name, counter=self.counter):
+            if step.via is not None:
+                return step.via()
+            run = self.db.batch(counter=self.counter)
+            delete, insert = step.deltas()
+            return run(delete), run(insert)
+
+    @cached_property
+    def _bound_pair(self) -> tuple[Expr, Expr]:
+        """The leaves every apply plan reads the computed bags through
+        (counted by the compute step, so read for free)."""
+        return bound_pair(self.view.mv_table, self.view.schema, counted=True)
 
     def maintenance_protocol(self) -> tuple:
         """This scenario's operations as inferred effect sets.
@@ -289,7 +295,7 @@ class Scenario(ABC):
     def _extend(self, plan: MaintenancePlan, txn: UserTransaction) -> None:
         """Add this scenario's auxiliary updates for weakly minimal ``txn``."""
 
-    def _makesafe_extension(self) -> MaintenancePlan:
+    def _makesafe_extension(self, *_pair: Expr) -> MaintenancePlan:
         """``makesafe``'s auxiliary half for effect inference: the runtime's
         own :meth:`_extend` over a stand-in transaction touching every
         base table (never executed — only its footprint is read)."""
@@ -480,15 +486,10 @@ class LoggedScenario(Scenario):
         (plans, memos, cached table sets) every refresh."""
         return post_update_delta(self.log, self.view.query)
 
-    def _compute_step(self, *, locked: bool, skip_idle: bool = False) -> OpStep:
-        """Compute the post-update deltas over the log (on a partitioned
-        database: the pair pruned at install).  ``skip_idle``: there, an
-        empty log ends the op before it takes the lock (only sound for an
-        op that just installs this pair)."""
-        via = None
-        if self._pmaint is not None:
-            pruned = self._pmaint.epoch_deltas_if_pending if skip_idle else self._pmaint.epoch_deltas
-            via = partial(pruned, self)
+    def _compute_step(self, *, locked: bool) -> OpStep:
+        """Evaluate the post-update deltas over the log (on a partitioned
+        database: the pair pruned at install, under the epoch's keys)."""
+        via = self._pmaint and partial(self._pmaint.epoch_deltas, self)
         return OpStep("delta_compute", locked, deltas=self._log_deltas, via=via)
 
     def _log_refresh_plan(self, delete: Expr, insert: Expr) -> MaintenancePlan:
@@ -510,36 +511,20 @@ class LoggedScenario(Scenario):
     def epoch_tasks(self):
         """This view's task in a group-refresh epoch, after compacting its log.
 
-        The shareable *compute* half evaluates the post-update deltas of
-        Figure 2; the key is the view's query and the bags of its log
-        tables, so equal queries over equal recorded changes — a BL view
-        and a C view with the same query included — share one evaluation
-        per epoch, whatever their log tables are called.  The *apply*
-        half is this scenario's own ``refresh`` op with the computed pair
-        supplied.
+        The task runs this scenario's own ``refresh`` op; the key is the
+        view's query and the bags of its log tables, so equal queries over
+        equal recorded changes — a BL view and a C view with the same
+        query included — share one evaluation of the post-update deltas
+        per epoch, whatever their log tables are called.
         """
         from repro.exec.group import GroupTask
 
         self.compact_log()
-        view_delete, view_insert = self._group_pair
         return GroupTask(
             name=self.view.name,
             key=(self.view.query, *(self.db[name] for name in self.log.table_names())),
-            compute=lambda counter: tuple(map(self.db.batch(counter=counter), (view_delete, view_insert))),
-            apply=partial(self.run, "refresh"),
+            run=partial(self.run, "refresh"),
         )
-
-    @cached_property
-    def _group_pair(self) -> tuple[Expr, Expr]:
-        """``(▼, ▲)``, a function of the view definition only.
-
-        Primed here, before any epoch computes, so an epoch only ever
-        *executes* it (install primes the same pair; a reloaded scenario
-        was never installed in this process).
-        """
-        view_delete, view_insert = self._log_deltas()
-        self.db.prime(view_delete, view_insert, counter=self.counter)
-        return view_delete, view_insert
 
     def log_watermark(self) -> int:
         return self.log.recorded_changes()
@@ -561,13 +546,16 @@ class BaseLogScenario(LoggedScenario):
         parts = self._pmaint
         ops["refresh"] = self._op(
             "refresh",
-            self._compute_step(locked=True, skip_idle=True),
+            self._compute_step(locked=True),
             OpStep(
                 "apply",
                 locked=True,
                 plan=self._log_refresh_plan,
                 via=parts and partial(parts.refresh_log, self),
             ),
+            # On a partitioned database an empty log ends the refresh
+            # before it takes the lock.
+            idle=parts and self.log.is_empty,
         )
         return ops
 
@@ -684,13 +672,7 @@ class CombinedScenario(LoggedScenario, DiffTableScenario):
     def _declare_ops(self) -> dict[str, MaintenanceOp]:
         ops = super()._declare_ops()
         del ops["refresh"]  # re-declared below, after the ops it composes
-        parts = self._pmaint
-        fold = partial(
-            OpStep,
-            "dt_fold",
-            plan=self._fold_plan,
-            via=parts and partial(parts.execute_plan, self, self._fold_plan),
-        )
+        fold = partial(OpStep, "dt_fold", plan=self._fold_plan)
         apply = self._apply_dt_step()
         # propagate_C holds no lock by design: it reads base/log tables
         # and writes only maintenance-private differentials — never MV.
@@ -704,12 +686,7 @@ class CombinedScenario(LoggedScenario, DiffTableScenario):
         # but the last k time units of the log, so the in-lock delta
         # computation covers a short log only.
         compute = self._compute_step(locked=True)
-        tail = OpStep(
-            "log_apply",
-            locked=True,
-            plan=self._log_refresh_plan,
-            via=parts and partial(parts.execute_plan, self, self._log_refresh_plan),
-        )
+        tail = OpStep("log_apply", locked=True, plan=self._log_refresh_plan)
         self._refresh_orders = {
             "propagate_first": self._op(
                 "refresh", compute, fold(locked=True), apply, order="propagate_first"

@@ -34,11 +34,12 @@ def _pair_names(name: str) -> tuple[str, str]:
     return f"{name}.delete", f"{name}.insert"
 
 
-def bound_pair(name: str, schema: Schema) -> tuple[Bound, Bound]:
+def bound_pair(name: str, schema: Schema, *, counted: bool = False) -> tuple[Bound, Bound]:
     """The ``(delete, insert)`` leaves standing for table ``name``'s delta
-    pair in an expression built once; :func:`pair_binding` supplies the bags."""
+    pair in an expression built once; :func:`pair_binding` supplies the bags
+    (``counted``: bags whose evaluation was charged already)."""
     delete, insert = _pair_names(name)
-    return Bound(delete, schema), Bound(insert, schema)
+    return Bound(delete, schema, counted), Bound(insert, schema, counted)
 
 
 def pair_binding(deltas: Mapping[str, tuple[Bag, Bag]]) -> dict[str, Bag]:

@@ -86,8 +86,8 @@ CHARGED: ContextVar[set[str] | None] = ContextVar("charged_bound_leaves", defaul
 def charge_bound(counter, leaf: Bound, bag: Bag) -> None:
     """Charge ``leaf``'s bag as a ``literal``: once per batch, however many
     of its evaluations read the leaf (bare or inside a plan), and on every
-    call outside one."""
-    if counter is None:
+    call outside one; never when the leaf's bag was ``counted`` already."""
+    if counter is None or leaf.counted:
         return
     charged = CHARGED.get()
     if charged is not None:

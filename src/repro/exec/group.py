@@ -15,14 +15,16 @@ to date in one epoch:
   distinct key is evaluated once, and every further view is a
   ``delta_cache_hits`` counter bump and a delta-proportional patch.
 
-* **Scheduler** (:class:`GroupScheduler`).  A view reads only external
-  base tables (checked at definition), and no apply writes one, so no
-  task's apply changes anything another task's compute reads: an epoch
-  is one phase.  The leaders' deltas are evaluated on the calling
-  thread, in leader order, then every patch applies in registration
-  order, so the result state is bag-equal to refreshing every view one
-  at a time.  The evaluations are pure Python under the GIL: a thread
-  pool ran them one after the other anyway and paid for the hand-offs
+* **Scheduler** (:class:`GroupScheduler`).  An epoch is one loop: each
+  task runs its view's own ``refresh`` op, in registration order, on
+  the calling thread — the op's compute step evaluated where its
+  ``locked`` flag says, as for a single refresh.  The scheduler only
+  *lends* bags: the first view of a key (its leader) evaluates them and
+  leaves them in the epoch's dict, and every later view of that key
+  reads them from it.  A view reads only external base tables (checked
+  at definition), and no refresh writes one, so a follower's bags equal
+  what its own evaluation would return, and the result state is
+  bag-equal to refreshing every view one at a time
   (``docs/scheduler.md``).
 """
 
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Hashable, Sequence
 from dataclasses import dataclass
+from functools import partial
 
 from repro import obs
 from repro.algebra.bag import Bag
@@ -38,66 +41,60 @@ from repro.robustness.faults import fault_point
 
 __all__ = ["GroupTask", "GroupScheduler"]
 
+#: A compute step's evaluation: the view's delta bags.
+Evaluate = Callable[[], "tuple[Bag, Bag]"]
+#: What a task's refresh asks for its bags: the scheduler's lender.
+Lend = Callable[[Evaluate], "tuple[Bag, Bag]"]
+
 
 @dataclass
 class GroupTask:
-    """One view's refresh, split into a shareable compute and an apply.
+    """One view's refresh in an epoch.
 
-    ``key`` is the value of everything ``compute`` reads that can differ
-    between views in one epoch (``None``: never shared).  ``compute``
-    evaluates the view's ``(delete, insert)`` delta bags reading the
-    current state only; ``apply`` installs them (and any per-view
-    bookkeeping) under the view's lock.  Plans a ``compute`` runs are
-    compiled by whoever builds the task (at install or on first use).
+    ``key`` is the value of everything the view's delta evaluation reads
+    that can differ between views in one epoch (``None``: never shared).
+    ``run(lend)`` runs the view's ``refresh`` op, its compute step asking
+    ``lend`` for the bags (:meth:`~repro.core.scenarios.Scenario.run`).
     """
 
     name: str
     key: Hashable | None
-    compute: Callable[[CostCounter | None], tuple[Bag, Bag]]
-    apply: Callable[[tuple[Bag, Bag]], None]
+    run: Callable[[Lend], None]
 
 
 class GroupScheduler:
-    """Runs a group of refresh tasks: compute leaders, apply in order."""
+    """Runs a group of refresh tasks in order, lending each key's bags."""
 
     def __init__(self, *, counter: CostCounter | None = None) -> None:
         self.counter = counter
 
     def run(self, tasks: Sequence[GroupTask]) -> None:
-        """Compute each distinct key's deltas once, then apply every task in order.
+        """Run every task in registration order; each distinct key is evaluated once.
 
-        The tasks' keys were built before this epoch's first apply, and no
-        apply writes what a compute reads, so the epoch's deltas live in
-        one dict for the length of the call.
+        The tasks' keys were built before this epoch's first refresh, and
+        no refresh writes what an evaluation reads, so the epoch's bags
+        live in one dict for the length of the call.  Keys are hashed and
+        compared here, before any view lock is taken: inside the loop a
+        view only looks its leader up by position.
         """
-        leaders: list[GroupTask] = []
-        claimed: set[Hashable] = set()
-        for task in tasks:
-            if task.key is None or task.key not in claimed:
-                leaders.append(task)
-                if task.key is not None:
-                    claimed.add(task.key)
+        first: dict[Hashable, int] = {}
+        leaders = [None if task.key is None else first.setdefault(task.key, index) for index, task in enumerate(tasks)]
+        lent: dict[int, tuple[Bag, Bag]] = {}
+        for task, leader in zip(tasks, leaders):
+            task.run(partial(self._lend, lent, leader))
 
-        results: dict[str, tuple[Bag, Bag]] = {}
-        for task in leaders:
-            with obs.span("delta_compute", view=task.name, counter=self.counter):
-                results[task.name] = task.compute(self.counter)
-
-        shared: dict[Hashable, tuple[Bag, Bag]] = {}
-        for task in leaders:
-            if task.key is not None:
-                # The install seam: a crash here loses only a shared
-                # entry — followers never read a torn pair.
-                fault_point("crash-mid-delta-cache")
-                shared[task.key] = results[task.name]
-
-        # Applies run in registration order: the output is bag-equal to
-        # refreshing each view in turn.
-        for task in tasks:
-            deltas = results.get(task.name)
-            if deltas is None:
-                deltas = shared[task.key]
-                if self.counter is not None:
-                    self.counter.delta_cache_hits += 1
-                obs.metric_inc("delta_cache_hits_total")
-            task.apply(deltas)
+    def _lend(self, lent: dict[int, tuple[Bag, Bag]], leader: int | None, evaluate: Evaluate) -> tuple[Bag, Bag]:
+        if leader is None:
+            return evaluate()
+        bags = lent.get(leader)
+        if bags is not None:
+            if self.counter is not None:
+                self.counter.delta_cache_hits += 1
+            obs.metric_inc("delta_cache_hits_total")
+            return bags
+        bags = evaluate()
+        # The install seam: a crash here loses only this entry — a
+        # follower never reads a torn pair.
+        fault_point("crash-mid-delta-cache")
+        lent[leader] = bags
+        return bags

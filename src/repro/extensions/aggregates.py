@@ -213,7 +213,7 @@ class AggregateScenario(CombinedScenario):
     # Maintenance
     # ------------------------------------------------------------------
 
-    def _agg_patch(self, *_pair, binding=None) -> None:
+    def _agg_patch(self, *_bags: Bag) -> None:
         """Patch the grouped table with the differentials about to be applied.
 
         Only the groups they touch change: their stored rows are found

@@ -81,7 +81,7 @@ def scoped_partial_refresh(scenario: DiffTableScenario, predicate: Predicate) ->
     )
     # A one-step locked op: the runner's span, lock, crash point and
     # freshness bookkeeping (the rest of the differentials is residual).
-    step = OpStep("scoped_apply", locked=True, plan=lambda: plan)
+    step = OpStep("scoped_apply", locked=True, plan=lambda *_pair: plan)
     scenario.run(MaintenanceOp("partial_refresh", view.name, (step,), (("scoped", True),)))
 
 

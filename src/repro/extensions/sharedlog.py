@@ -354,7 +354,12 @@ class SharedLog:
     # ------------------------------------------------------------------
 
     def prune(self, min_cursor: int) -> int:
-        """Drop entries no view still needs; returns rows removed."""
+        """Drop entries no view still needs; returns rows removed.
+
+        A fold past a cursor at or above ``min_cursor`` reads none of the
+        dropped rows, so a current fold memo stays current: the next view
+        of a group epoch binds its slice without re-reading the log.
+        """
         removed = 0
         for table in self._tables:
             name = shared_log_name(table)
@@ -364,7 +369,12 @@ class SharedLog:
             )
             if len(kept) < len(current):
                 removed += len(current) - len(kept)
+                memo = self._folds.get(table)
+                current_memo = memo is not None and memo[0] == self._db.version_of(name)
                 self._db.set_table(name, kept)
+                if current_memo:
+                    folds = {cursor: net for cursor, net in memo[1].items() if cursor >= min_cursor}
+                    self._folds[table] = (self._db.version_of(name), folds)
         return removed
 
     def prune_consumed(self) -> int:
@@ -425,9 +435,9 @@ class SharedLogScenario(Scenario):
     ``makesafe`` contributes *nothing* per view — the manager appends the
     log's single extension once per transaction, which is the whole
     point of the shared log (per-transaction cost independent of view
-    count).  ``refresh_SL`` binds the slice past the cursor to the
-    view's one pair, patches ``MV`` under the lock, moves the cursor to
-    the head and prunes what every cursor has passed.
+    count).  ``refresh_SL`` evaluates the view's one pair over the slice
+    past the cursor, patches ``MV`` with the bags under the lock, moves
+    the cursor to the head and prunes what every cursor has passed.
     """
 
     tag = "SL"
@@ -452,17 +462,16 @@ class SharedLogScenario(Scenario):
         return self.shared_log.cursors[self.view.name]
 
     def _declare_ops(self) -> dict[str, MaintenanceOp]:
+        """``refresh_SL``: evaluate the slice's deltas outside the lock (the
+        shared log is not in Figure 3, and the slice is this view's alone),
+        patch ``MV`` under it, then move the cursor and prune."""
         ops = super()._declare_ops()
         log = self.shared_log
         ops["refresh"] = self._op(
             "refresh",
-            OpStep("delta_compute", deltas=lambda: (self._pair.delete, self._pair.insert)),
-            OpStep("apply", locked=True, plan=self._mv_patch_plan, via=self._apply_slice),
-            OpStep(
-                "log_prune",
-                plan=lambda *_pair: log.prune_footprint(),
-                via=lambda *_pair, binding: log.prune_consumed(),
-            ),
+            OpStep("delta_compute", deltas=lambda: (self._pair.delete, self._pair.insert), via=self._slice_deltas),
+            OpStep("apply", locked=True, plan=self._mv_patch_plan),
+            OpStep("log_prune", plan=lambda *_pair: log.prune_footprint(), via=self._advance),
         )
         return ops
 
@@ -470,15 +479,17 @@ class SharedLogScenario(Scenario):
         """``refresh_SL``'s assignments: the MV patch (the log is shared, never cleared)."""
         return MaintenancePlan(patches={self.view.mv_table: (delete, insert)})
 
-    def _apply_slice(self, delete: Expr, insert: Expr, *, binding) -> None:
-        """Patch ``MV`` with the pair bound to the slice past the cursor —
-        in a group epoch, to the bags the epoch computed from it (counted
-        there) — and move the cursor to the head."""
-        counter = None
-        if binding is None:
-            binding, counter = self.shared_log.binding_since(self.cursor, self._pair.base), self.counter
-        self._mv_patch_plan(delete, insert).execute(self.db, counter=counter, binding=binding)
-        self.shared_log.cursors[self.view.name] = self.shared_log.current_seq
+    def _slice_deltas(self) -> tuple[Bag, Bag]:
+        """The pair evaluated over the slice past the cursor."""
+        pair = self._pair
+        run = self.db.batch(counter=self.counter, binding=self.shared_log.binding_since(self.cursor, pair.base))
+        return run(pair.delete), run(pair.insert)
+
+    def _advance(self, *_bags: Bag) -> None:
+        """Move the cursor to the head; prune what every cursor has passed."""
+        log = self.shared_log
+        log.cursors[self.view.name] = log.current_seq
+        log.prune_consumed()
 
     def make_safe(self, txn: UserTransaction) -> MaintenancePlan:
         """Per-view contribution is empty — the log extension is per transaction."""
@@ -490,19 +501,14 @@ class SharedLogScenario(Scenario):
             plan.add_patch(table, delete, insert)
 
     def epoch_tasks(self) -> GroupTask:
-        """This view's task: the pair evaluated over its cursor slice
-        (folded once per ``(cursor, table)`` for the whole epoch), shared
-        by every view with the same pair and cursor, applied by this
-        view's own ``refresh`` op."""
+        """This view's task: its own ``refresh`` op, shared by every view
+        with the same pair and cursor.  The slice is folded here, once per
+        ``(cursor, table)`` for the whole epoch (compaction leaves it in
+        the log's memo), and counted toward the epoch's report."""
         self.shared_log.compact()
         pair, cursor = self._pair, self.cursor
-        binding = self.shared_log.binding_since(cursor, pair.base, epoch=True)
-        return GroupTask(
-            name=self.view.name,
-            key=(pair, cursor),
-            compute=lambda counter: tuple(map(self.db.batch(counter=counter, binding=binding), (pair.delete, pair.insert))),
-            apply=partial(self.run, "refresh"),
-        )
+        self.shared_log.binding_since(cursor, pair.base, epoch=True)
+        return GroupTask(name=self.view.name, key=(pair, cursor), run=partial(self.run, "refresh"))
 
     def log_watermark(self) -> int:
         return self.shared_log.rows_since(self.cursor, self._pair.base)

@@ -19,8 +19,8 @@ Scope: accesses are tracked only while a refresh-family span
 ``makesafe`` runs inside the user transaction's atomicity and
 ``propagate`` is lock-free by design, so their ``MV``-free effects are
 not judged.  Lock state and the operation stack are thread-local (a
-group epoch computes its leaders' deltas before any ``refresh`` span
-opens, so they contribute no accesses); findings are shared and
+group epoch runs each view's own ``refresh`` op, so its accesses are
+judged exactly like a single refresh's); findings are shared and
 deduplicated on ``(code, table, operation)``.
 
 Enable with ``obs.observed(sanitizer=True)`` — the default

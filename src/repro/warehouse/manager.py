@@ -344,10 +344,11 @@ class ViewManager:
         2. views whose evaluations read equal values — one shared-log
            pair at one cursor, or one query over equal per-view logs —
            share one evaluation (``delta_cache_hits`` on :attr:`counter`);
-        3. every view reads only base tables, so the leaders evaluate
-           first, on the calling thread, and the patches then apply in
-           registration order: the final state is bag-equal to
-           refreshing each view in turn.
+        3. every view reads only base tables, so the epoch is one loop:
+           each view runs its own ``refresh`` op in registration order,
+           on the calling thread, computing where the op says (a BL or C
+           view under its lock), a follower with its leader's bags — the
+           final state is bag-equal to refreshing each view in turn.
 
         Views whose scenario has no group task (immediate, diff-table)
         fall back to their own ``refresh`` after the group.

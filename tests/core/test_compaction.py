@@ -160,7 +160,7 @@ class TestSharedLogCompaction:
         oracle = build()
         subject = build()
         oracle.refresh_all()  # sequential, uncompacted oracle
-        subject.refresh_group(parallel=True)
+        subject.refresh_group()
         for name in oracle.views():
             assert subject.query(name) == oracle.query(name), name
             assert not subject.is_stale(name), name

@@ -189,7 +189,7 @@ class TestRuntimeFallbacks:
 
     def test_refresh_handles_empty_epoch_without_locking(self):
         db, scenario = self._partitioned_scenario()
-        assert scenario._pmaint.epoch_deltas_if_pending(scenario) is None  # nothing pending
+        assert scenario.log.is_empty()  # nothing pending
         scenario.refresh()
         assert scenario.ledger.sections == []
         assert scenario.staleness_entries() == 0

@@ -276,7 +276,7 @@ def maintain_two_phase(manager):
 
 
 def maintain_group(manager):
-    manager.refresh_group(parallel=True, max_workers=2)
+    manager.refresh_group()
 
 
 #: mode -> (scenario, how one epoch is maintained)

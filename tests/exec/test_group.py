@@ -20,16 +20,17 @@ from repro.workloads.randgen import RandomExpressionGenerator
 def make_task(name, *, key=None, log=None, result=None):
     result = result if result is not None else (Bag.empty(), Bag.empty())
 
-    def compute(counter):
+    def evaluate():
         if log is not None:
             log.append(("compute", name))
         return result
 
-    def apply(deltas):
+    def run(lend):
+        deltas = lend(evaluate)
         if log is not None:
             log.append(("apply", name, deltas))
 
-    return GroupTask(name=name, key=key, compute=compute, apply=apply)
+    return GroupTask(name=name, key=key, run=run)
 
 
 class TestGroupScheduler:
@@ -63,24 +64,33 @@ class TestGroupScheduler:
         assert counter.delta_cache_hits == 2
         assert stack.metrics.counter("delta_cache_hits_total").value == 2
 
+    def test_the_scheduler_counts_only_hits(self):
+        """Evaluations count where each view's own refresh counts; the
+        scheduler's counter sees nothing but the followers' hits."""
+        counter = CostCounter()
+        tasks = [make_task("a", key="shared"), make_task("b", key="shared"), make_task("c")]
+        GroupScheduler(counter=counter).run(tasks)
+        assert counter.snapshot() == {**CostCounter().snapshot(), "delta_cache_hits": 1}
+
     @pytest.mark.parametrize("parallel", [False, True])
     def test_parallel_counters_are_absorbed(self, parallel):
-        """Every leader counts into the scheduler's one shared counter, and a
-        group refresh asked for ``parallel`` (accepted and ignored) counts
-        the same work as a plain ``refresh_group()``."""
+        """Every leader's evaluation counts into the one counter its epoch
+        shares, each follower adds only a hit, and a group refresh asked
+        for ``parallel`` (accepted and ignored) counts the same work as a
+        plain ``refresh_group()``."""
+        counter = CostCounter()
 
-        def counting_task(name):
-            def compute(counter):
-                if counter is not None:
-                    counter.record("probe", 3)
+        def counting_task(name, key):
+            def evaluate():
+                counter.record("probe", 3)
                 return (Bag.empty(), Bag.empty())
 
-            return GroupTask(name=name, key=None, compute=compute, apply=lambda deltas: None)
+            return GroupTask(name=name, key=key, run=lambda lend: lend(evaluate))
 
-        counter = CostCounter()
-        tasks = [counting_task(f"t{i}") for i in range(4)]
+        tasks = [counting_task(f"t{i}", key=i % 2) for i in range(4)]
         GroupScheduler(counter=counter).run(tasks)
-        assert counter.by_operator["probe"] == 12
+        assert counter.by_operator["probe"] == 6
+        assert counter.delta_cache_hits == 2
 
         gen, subject = build_manager(11, 4)
         _, twin = build_manager(11, 4)
@@ -98,6 +108,24 @@ class TestGroupScheduler:
         assert subject.counter.snapshot() == twin.counter.snapshot()
         for name in twin.views():
             assert subject.query(name) == twin.query(name), name
+
+    def test_a_view_leads_in_registration_order(self):
+        """One loop: a view's evaluation runs at its own turn, right before
+        its apply, and a later view of its key reads the bags it left."""
+        trace = []
+        tasks = [
+            make_task("a", key="x", log=trace),
+            make_task("b", key="y", log=trace),
+            make_task("c", key="x", log=trace),
+        ]
+        GroupScheduler().run(tasks)
+        assert [entry[:2] for entry in trace] == [
+            ("compute", "a"),
+            ("apply", "a"),
+            ("compute", "b"),
+            ("apply", "b"),
+            ("apply", "c"),
+        ]
 
 
 SCENARIO_CYCLE = ("shared_log", "base_log", "combined", "shared_log")
@@ -151,7 +179,7 @@ class TestParallelEqualsSequentialOracle:
         run_workload(subject, workload)
 
         oracle.refresh_all()
-        subject.refresh_group(parallel=True)
+        subject.refresh_group()
 
         for name in oracle.views():
             assert subject.query(name) == oracle.query(name), name
@@ -208,7 +236,7 @@ def test_steady_epoch_builds_nothing(monkeypatch):
             manager.execute_sql(f"UPDATE customer SET score = 'High' WHERE custId = {step % 20}")
 
     def epoch() -> None:
-        manager.refresh_group(parallel=True, max_workers=2)
+        manager.refresh_group()
         for name in manager.views():
             assert not manager.is_stale(name), name
 
@@ -250,9 +278,11 @@ def test_steady_epoch_builds_nothing(monkeypatch):
 
 def test_a_group_epoch_starts_no_thread(monkeypatch):
     """Three epochs asked for ``parallel=True, max_workers=2`` start no
-    thread, leave every view and the cost counter equal to a
-    ``refresh_group()`` twin's, and keep each ``delta_compute`` span
-    under its ``group_epoch``."""
+    thread and leave every view and the cost counter equal to a
+    ``refresh_group()`` twin's: the two arguments are accepted and
+    ignored.  Each leader's
+    ``delta_compute`` span sits under its own ``refresh`` span, inside
+    the epoch that asked for it."""
     import threading
 
     from repro import obs
@@ -298,6 +328,8 @@ def test_a_group_epoch_starts_no_thread(monkeypatch):
     # Six views over three queries: three leaders per epoch, each
     # computed under the epoch that asked for it, none a root of its own.
     for epoch in epochs:
-        assert [child.name for child in epoch.children].count("delta_compute") == 3
+        refreshes = [child for child in epoch.children if child.name == "refresh"]
+        assert len(refreshes) == 6
+        assert sum(len(refresh.find("delta_compute")) for refresh in refreshes) == 3
     assert len(stack.tracer.find("delta_compute")) == 18
     assert not [root for root in stack.tracer.roots if root.name == "delta_compute"]

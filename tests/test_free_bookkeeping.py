@@ -95,7 +95,7 @@ def group_epoch(mode: str) -> dict:
         manager.define_view(f"V{index}", query, scenario="shared_log")
     for txn in workload.transactions(manager.db, 8):
         manager.execute(txn)
-    manager.refresh_group(parallel=False)
+    manager.refresh_group()
     return managed_result(manager)
 
 

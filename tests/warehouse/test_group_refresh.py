@@ -119,7 +119,7 @@ class TestGroupRefreshMixedScenarios:
             for index, scenario in enumerate(self.SCENARIOS):
                 manager.define_view(f"V{index}", JOIN_SQL, scenario=scenario)
         churn(manager)
-        manager.refresh_group(parallel=True)
+        manager.refresh_group()
         expected = manager.sql(JOIN_SQL)
         for index in range(len(self.SCENARIOS)):
             assert manager.query(f"V{index}") == expected, f"V{index}"
@@ -158,7 +158,7 @@ class TestGroupRefreshMixedScenarios:
         manager.define_view("Plain", "SELECT a FROM R")
         manager.define_view("Shared", JOIN_SQL, scenario="shared_log")
         churn(manager)
-        manager.refresh_group(parallel=True)
+        manager.refresh_group()
         assert manager.exec_stats()["delta_cache_hits"] == 1
         for name in ("Agg", "Plain", "Shared"):
             assert not manager.is_stale(name), name
@@ -232,7 +232,7 @@ class TestSharedLogPersistence:
         txn.insert("R", [(7,)])
         txn.run()
         assert log.current_seq > seq_before
-        reloaded.refresh_group(parallel=True)
+        reloaded.refresh_group()
         assert reloaded.query("V1") == reloaded.sql(JOIN_SQL)
         assert reloaded.query("V2") == reloaded.sql("SELECT a FROM R")
         reloaded.check_invariants()
