@@ -44,14 +44,14 @@ from repro.algebra.predicates import (
 from repro.algebra.schema import Schema
 from repro.errors import ParameterError, ReproError
 
-__all__ = ["expr_to_dict", "expr_from_dict", "predicate_to_dict", "predicate_from_dict"]
+__all__ = ["decode_value", "encode_value", "expr_to_dict", "expr_from_dict", "predicate_to_dict", "predicate_from_dict"]
 
 _TRUE_TAG = "\x00bool:1"
 _FALSE_TAG = "\x00bool:0"
 
 
-def _encode_value(value: Any) -> Any:
-    """Scalars, with bools tagged so JSON round-trips don't confuse 1/True."""
+def encode_value(value: Any) -> Any:
+    """Scalars, with bools tagged so JSON and snapshot-file round-trips don't confuse 1/True."""
     if value is True:
         return _TRUE_TAG
     if value is False:
@@ -61,7 +61,7 @@ def _encode_value(value: Any) -> Any:
     raise ReproError(f"cannot serialize value of type {type(value).__name__}")
 
 
-def _decode_value(value: Any) -> Any:
+def decode_value(value: Any) -> Any:
     if value == _TRUE_TAG:
         return True
     if value == _FALSE_TAG:
@@ -78,7 +78,7 @@ def term_to_dict(term: Term) -> dict:
     if isinstance(term, Attr):
         return {"kind": "attr", "name": term.name}
     if isinstance(term, Const):
-        return {"kind": "const", "value": _encode_value(term.value)}
+        return {"kind": "const", "value": encode_value(term.value)}
     if isinstance(term, Param):
         raise ParameterError("stored-parameter", f"cannot serialize the open parameter {term}")
     if isinstance(term, Arith):
@@ -96,7 +96,7 @@ def term_from_dict(data: dict) -> Term:
     if kind == "attr":
         return Attr(data["name"])
     if kind == "const":
-        return Const(_decode_value(data["value"]))
+        return Const(decode_value(data["value"]))
     if kind == "arith":
         return Arith(data["op"], term_from_dict(data["left"]), term_from_dict(data["right"]))
     raise ReproError(f"unknown term kind {kind!r}")
@@ -159,7 +159,7 @@ def _expr_to_dict(expr: Expr) -> dict:
             "kind": "literal",
             "schema": list(expr.literal_schema.attributes),
             "rows": [
-                [[_encode_value(value) for value in row], count] for row, count in sorted(
+                [[encode_value(value) for value in row], count] for row, count in sorted(
                     expr.bag.items(), key=lambda item: repr(item)
                 )
             ],
@@ -202,7 +202,7 @@ def expr_from_dict(data: dict) -> Expr:
         return TableRef(data["name"], Schema(data["schema"]))
     if kind == "literal":
         counts = {
-            tuple(_decode_value(value) for value in row): count for row, count in data["rows"]
+            tuple(decode_value(value) for value in row): count for row, count in data["rows"]
         }
         return Literal(Bag.from_counts(counts), Schema(data["schema"]))
     if kind == "select":

@@ -23,9 +23,11 @@ so the exclusive lock every refresh-family operation takes on ``MV``
   from them, and samples per-read staleness into the metrics registry;
   under Policy 2 a view is at most ``k`` ticks stale at each partial
   refresh.
-* **Fails closed.**  A view whose scenario cannot run what the policy
-  schedules is refused at :meth:`ViewServer.define_view`; a queued action
-  that fails deterministically is dropped and raised once.
+* **Fails closed.**  A refresh-on-query policy is refused at
+  construction (a read never takes the write mutex, so it cannot
+  refresh); a view whose scenario cannot run what the policy schedules
+  is refused at :meth:`ViewServer.define_view`; a queued action that
+  fails deterministically is dropped and raised once.
 * **Durability composes.**  Pass ``durable_path`` to run every mutation
   through the :class:`~repro.robustness.DurableWarehouse` write-ahead
   journal; on ``exec_mode="sqlite"`` the engine absorbs its own backend
@@ -80,6 +82,13 @@ class ViewServer:
 
     def __init__(self, config: ServeConfig | None = None, *, manager=None) -> None:
         self.config = config if config is not None else ServeConfig()
+        self.policy = self.config.resolved_policy()
+        if self.policy.refresh_on_query():
+            raise PolicyError(
+                f"{type(self.policy).__name__} refreshes before each query, but a server read never "
+                "takes the write mutex: refresh on read with ViewServer.read_fresh, or simulate the "
+                "policy with MaintenanceDriver"
+            )
         if manager is None:
             if self.config.durable_path is not None:
                 from repro.robustness.durable import DurableWarehouse
@@ -96,7 +105,6 @@ class ViewServer:
         self.db = inner.db
         self.ledger = inner.ledger
         self.counter = inner.counter
-        self.policy = self.config.resolved_policy()
         self.registry = SnapshotRegistry()
         self._write_mutex = threading.RLock()
         self._due: deque[tuple[int, str, str]] = deque()

@@ -68,6 +68,7 @@ from typing import Any, Callable, NamedTuple, TypeVar
 from repro import obs
 from repro.algebra.bag import Bag, Row
 from repro.algebra.schema import Schema
+from repro.algebra.serialize import decode_value, encode_value
 from repro.errors import ReproError, SnapshotError
 from repro.robustness.faults import fault_point
 from repro.storage.database import Database
@@ -93,8 +94,6 @@ _CATALOG = "__catalog__"
 #: ``PRAGMA application_id`` of a file whose ``user_version`` is a
 #: checkpoint stamp ("RVMC"); a file written without one reads 0.
 _STAMPED = 0x52564D43
-_TRUE_TAG = "\x00bool:1"
-_FALSE_TAG = "\x00bool:0"
 
 _T = TypeVar("_T")
 
@@ -201,24 +200,6 @@ def with_retry(
 
 def _mangle(name: str) -> str:
     return '"' + name.replace('"', '""') + '"'
-
-
-def _encode(value: Any) -> Any:
-    if value is True:
-        return _TRUE_TAG
-    if value is False:
-        return _FALSE_TAG
-    if value is None or isinstance(value, (int, float, str)):
-        return value
-    raise ReproError(f"cannot persist value of type {type(value).__name__}")
-
-
-def _decode(value: Any) -> Any:
-    if value == _TRUE_TAG:
-        return True
-    if value == _FALSE_TAG:
-        return False
-    return value
 
 
 # ----------------------------------------------------------------------
@@ -366,7 +347,7 @@ def _insert_rows(conn: sqlite3.Connection, name: str, arity: int, rows: Iterable
     placeholders = ", ".join(["?"] * (arity + 1))
     cursor = conn.executemany(
         f"INSERT INTO {_mangle(name)} VALUES ({placeholders})",
-        ((*(_encode(value) for value in row), mult) for row, mult in rows),
+        ((*(encode_value(value) for value in row), mult) for row, mult in rows),
     )
     return cursor.rowcount
 
@@ -617,7 +598,7 @@ def load_database(path: str | Path, *, exec_mode: str | None = None) -> Database
         for name, (attrs, internal) in catalog.items():
             counts: dict[Row, int] = {}
             for *values, mult in conn.execute(f"SELECT * FROM {_mangle(name)}"):
-                row = tuple(_decode(value) for value in values)
+                row = tuple(decode_value(value) for value in values)
                 counts[row] = counts.get(row, 0) + int(mult)
             for row, count in counts.items():
                 if count < 0:

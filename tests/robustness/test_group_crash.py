@@ -144,7 +144,7 @@ def test_pruning_defers_to_committed_watermark(tmp_path):
         assert recovered.manager.shared_log.log_size() == 0
 
 
-def test_parallel_group_refresh_is_durable(tmp_path, oracle):
+def test_clean_group_refresh_is_durable(tmp_path, oracle):
     """A clean epoch checkpoints exactly the per-view refresh state."""
     path = tmp_path / "wh.db"
     with build(path) as wh:

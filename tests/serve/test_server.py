@@ -6,7 +6,7 @@ import asyncio
 
 import pytest
 
-from repro.core.policies import PeriodicRefresh, Policy1
+from repro.core.policies import OnQueryPolicy, PeriodicRefresh, Policy1
 from repro.errors import PolicyError, UnknownTableError
 from repro.robustness.journal import bag_digest
 from repro.serve import ServeConfig, ViewServer
@@ -100,6 +100,12 @@ class TestClocks:
         for _ in range(4):
             server.tick([workload.next_transaction(server.db)])
         assert server.staleness_ticks("V") == 0
+
+    def test_refresh_on_query_policy_is_refused(self):
+        # A read never takes the write mutex, so it cannot refresh; such a
+        # server would serve an ever staler view with nothing queued.
+        with pytest.raises(PolicyError, match="read_fresh.*MaintenanceDriver"):
+            ViewServer(ServeConfig(policy=OnQueryPolicy()))
 
     def test_unknown_action_rejected(self):
         server, _ = build_server()
