@@ -85,8 +85,10 @@ class Bag:
 
         Internal: the caller guarantees tuple rows of uniform ``arity``
         with strictly positive multiplicities, and must not mutate the
-        dict afterwards.  This is what keeps ``patch`` and the
-        key-restricted reads single-pass.
+        dict afterwards.  Every operator below builds its result from
+        validated bags and adopts it here, so it walks its rows once
+        (``Bag(counts=…)`` would walk them twice more, to normalise and
+        to check arity); so do ``patch`` and the key-restricted reads.
         """
         bag = cls.__new__(cls)
         bag._counts = counts
@@ -125,7 +127,7 @@ class Bag:
 
     def counts(self) -> dict[Row, int]:
         """A fresh ``row -> multiplicity`` dict (safe to mutate)."""
-        return dict(self._counts)
+        return self._counts.copy()
 
     @property
     def support(self) -> frozenset[Row]:
@@ -217,10 +219,10 @@ class Bag:
             return other
         if not other:
             return self
-        counts = dict(self._counts)
+        counts = self._counts.copy()
         for row, count in other._counts.items():
             counts[row] = counts.get(row, 0) + count
-        return Bag(counts=counts)
+        return Bag._from_clean(counts, self._arity)
 
     def monus(self, other: Bag) -> Bag:
         """Monus :math:`X \\dot{-} Y`: multiplicities subtract, floored at 0."""
@@ -232,11 +234,11 @@ class Bag:
             remaining = count - other._counts.get(row, 0)
             if remaining > 0:
                 counts[row] = remaining
-        return Bag(counts=counts)
+        return Bag._from_clean(counts, self._arity)
 
     def dedup(self) -> Bag:
         """Duplicate elimination :math:`\\epsilon(X)`: every multiplicity becomes 1."""
-        return Bag(counts={row: 1 for row in self._counts})
+        return Bag._from_clean(dict.fromkeys(self._counts, 1), self._arity)
 
     def product(self, other: Bag) -> Bag:
         """Cartesian product: concatenated tuples, multiplied multiplicities."""
@@ -246,11 +248,11 @@ class Bag:
         for left, lcount in self._counts.items():
             for right, rcount in other._counts.items():
                 counts[left + right] = counts.get(left + right, 0) + lcount * rcount
-        return Bag(counts=counts)
+        return Bag._from_clean(counts, self._arity + other._arity)
 
     def select(self, predicate: Callable[[Row], bool]) -> Bag:
         """Selection :math:`\\sigma_p(X)`: keep rows satisfying ``predicate``."""
-        return Bag(counts={row: count for row, count in self._counts.items() if predicate(row)})
+        return Bag._from_clean({row: count for row, count in self._counts.items() if predicate(row)}, self._arity)
 
     def project(self, positions: tuple[int, ...]) -> Bag:
         """Projection :math:`\\Pi_A(X)` onto the given 0-based positions.
@@ -266,22 +268,26 @@ class Bag:
         for row, count in self._counts.items():
             image = tuple(row[position] for position in positions)
             counts[image] = counts.get(image, 0) + count
-        return Bag(counts=counts)
+        return Bag._from_clean(counts, len(positions))
 
     def patch(self, delete: Bag, insert: Bag) -> Bag:
         """Apply a delta: :math:`(X \\dot{-} delete) \\uplus insert` in one pass.
 
         Semantically identical to ``monus`` followed by ``union_all``;
-        used by the storage layer to model indexed, delta-proportional
-        updates (the cost of a patch is the size of the delta, not the
-        size of the table).
+        used by the storage layer for every table write.  A patch costs
+        one C-level clone of the table's dict (``dict.copy``, which stays
+        a clone while at most a third of the dict's slots are deleted
+        entries, where ``dict(d)`` re-inserts every row once ``d`` has
+        any) plus O(|delete| + |insert|) Python work: the copy is what
+        keeps every earlier version — a snapshot pin, an index
+        :meth:`derived` from it — unchanged.
         """
         self._check_arity(delete, "patch")
         self._check_arity(insert, "patch")
         if not delete and not insert:
             # (X ∸ φ) ⊎ φ = X: no copy, and what is derived from X stays with it.
             return self
-        counts = dict(self._counts)
+        counts = self._counts.copy()
         for row, count in delete._counts.items():
             remaining = counts.get(row, 0) - count
             if remaining > 0:
@@ -310,7 +316,7 @@ class Bag:
             m = min(count, other._counts.get(row, 0))
             if m > 0:
                 counts[row] = m
-        return Bag(counts=counts)
+        return Bag._from_clean(counts, self._arity)
 
     def max_(self, other: Bag) -> Bag:
         """Maximal union: per-row maximum of multiplicities.
@@ -318,11 +324,11 @@ class Bag:
         Defined in the paper as :math:`X \\uplus (Y \\dot{-} X)`.
         """
         self._check_arity(other, "max_")
-        counts = dict(self._counts)
+        counts = self._counts.copy()
         for row, count in other._counts.items():
             if count > counts.get(row, 0):
                 counts[row] = count
-        return Bag(counts=counts)
+        return Bag._from_clean(counts, self._arity if self._arity is not None else other._arity)
 
     def except_(self, other: Bag) -> Bag:
         """SQL ``EXCEPT ALL``-style difference with *total* elimination.
@@ -332,7 +338,9 @@ class Bag:
         semantics the paper contrasts with monus.
         """
         self._check_arity(other, "except_")
-        return Bag(counts={row: count for row, count in self._counts.items() if row not in other._counts})
+        return Bag._from_clean(
+            {row: count for row, count in self._counts.items() if row not in other._counts}, self._arity
+        )
 
     # ------------------------------------------------------------------
     # Display

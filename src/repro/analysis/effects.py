@@ -165,12 +165,11 @@ def op_effects(scenario, op) -> OpEffects:
     (the computed bags, which read no table), and a ``locked`` step holds
     what the lock seam (``_refresh_lock_resources``) says the lock covers."""
     held = scenario._refresh_lock_resources()
-    bound = scenario._bound_pair
     steps = []
     for step in op.steps:
         if step.deltas is not None:
             effects = EffectSet(reads=read_footprint(scenario.db, *step.deltas()))
         else:
-            effects = plan_effects(scenario.db, step.plan(*bound))
+            effects = plan_effects(scenario.db, scenario.step_plan(step))
         steps.append(Step(step.name, effects, locks=held if step.locked else frozenset()))
     return OpEffects(op=op.kind, view=op.view, scenario=scenario.tag, steps=tuple(steps))

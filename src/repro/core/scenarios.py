@@ -36,6 +36,7 @@ experiments can compare overhead and downtime across scenarios.
 from __future__ import annotations
 
 import warnings
+import weakref
 from abc import ABC, abstractmethod
 from collections.abc import Callable
 from functools import cached_property, partial
@@ -96,6 +97,8 @@ class Scenario(ABC):
         self._pmaint = None
         #: The install-time probe's verdict (``PROBE_OUTCOMES``), once asked.
         self.partition_probe: str | None = None
+        #: Apply step -> its plan over the bound pair (:meth:`step_plan`).
+        self._plans: weakref.WeakKeyDictionary[OpStep, MaintenancePlan] = weakref.WeakKeyDictionary()
         #: Operation kind -> the one definition of that operation.
         self.ops: dict[str, MaintenanceOp] = self._declare_ops()
 
@@ -251,8 +254,20 @@ class Scenario(ABC):
                 step.via(*bags)
             else:
                 binding = pair_binding({self.view.mv_table: bags}) if bags else None
-                step.plan(*self._bound_pair).execute(self.db, counter=self.counter, binding=binding)
+                self.step_plan(step).execute(self.db, counter=self.counter, binding=binding)
         return bags
+
+    def step_plan(self, step: OpStep) -> MaintenancePlan:
+        """An apply step's plan over the view's bound pair, built once per
+        step: its inputs (the bound pair, the log's clear assignments, the
+        differential-table refs) are the same objects every run, and so the
+        plan is too; it is shared, so it is executed, never changed.  Keyed
+        weakly, so a one-off op's steps (``scoped_partial_refresh`` builds
+        one per call) leave with it."""
+        plan = self._plans.get(step)
+        if plan is None:
+            plan = self._plans[step] = step.plan(*self._bound_pair)
+        return plan
 
     def _evaluate(self, step: OpStep) -> tuple[Bag, Bag]:
         """A compute step's delta bags: ``step.via()``, or its pair batch-evaluated."""

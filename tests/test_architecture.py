@@ -405,6 +405,15 @@ GATES = (
         "an apply step's via takes the computed (delete, insert) bags, never a binding",
         "                step.via(*pair, binding=binding)",
     ),
+    Gate(
+        "bag-dict-copy",
+        r"dict\(self\._counts\)",
+        ("src/repro/algebra/bag.py",),
+        "a table write copies at clone speed",
+        "a bag copies its counts with dict(...) again, which re-inserts every row one by one once "
+        "the dict holds a deleted entry; copy with self._counts.copy(), which clones",
+        "        counts = dict(self._counts)",
+    ),
 )
 
 
