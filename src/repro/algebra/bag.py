@@ -56,7 +56,7 @@ class Bag:
     schema bugs surface at the operation that caused them.
     """
 
-    __slots__ = ("_counts", "_arity", "_hash", "_derived")
+    __slots__ = ("_counts", "_arity", "_hash", "_derived", "_origin")
 
     def __init__(self, items: Iterable[Row] = (), *, counts: Mapping[Row, int] | None = None) -> None:
         if counts is not None:
@@ -74,6 +74,7 @@ class Bag:
         self._arity: int | None = arities.pop() if arities else None
         self._hash: int | None = None
         self._derived: dict | None = None
+        self._origin: tuple[dict, Bag, Bag] | None = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -95,6 +96,7 @@ class Bag:
         bag._arity = arity if counts else None
         bag._hash = None
         bag._derived = None
+        bag._origin = None
         return bag
 
     @classmethod
@@ -158,7 +160,12 @@ class Bag:
     def __bool__(self) -> bool:
         return bool(self._counts)
 
-    def derived(self, key: Any, build: Callable[[Bag], Any]) -> Any:
+    def derived(
+        self,
+        key: Any,
+        build: Callable[[Bag], Any],
+        inherit: Callable[[Any, Bag, Bag], Any] | None = None,
+    ) -> Any:
         """``build(self)``, computed once and kept for the life of this bag.
 
         A bag never changes, so a structure derived from it (a hash
@@ -166,9 +173,20 @@ class Bag:
         and is freed with it: everything that shares the bag — the live
         database and every snapshot cut before the next write — finds
         the same structure, and there is nothing to invalidate or evict.
-        Takes no lock: two threads asking at once may both build (the
-        worst a lost race costs is one more build later), but neither
-        ever sees a partial structure — it is stored only once built.
+
+        A bag made by :meth:`patch` also knows what its parent had
+        derived when it was patched, and the delta between them.  When
+        the parent holds a structure ``prior`` under ``key`` and
+        ``inherit`` is given, the structure is ``inherit(prior, delete,
+        insert)`` instead of ``build(self)``: the caller carries
+        ``prior`` across the delta and must leave it unchanged (older
+        snapshots still read it).  The first inheritance drops the
+        record, and with it this bag's hold on the parent's structures.
+
+        Takes no lock: two threads asking at once may both build or
+        inherit (the worst a lost race costs is one more build later),
+        but neither ever sees a partial structure — it is stored only
+        once made.
         """
         cache = self._derived
         if cache is None:
@@ -176,12 +194,26 @@ class Bag:
         try:
             return cache[key]
         except KeyError:
-            return cache.setdefault(key, build(self))
+            pass
+        origin = self._origin
+        if origin is not None and inherit is not None:
+            parents, delete, insert = origin
+            prior = parents.get(key)
+            if prior is not None:
+                value = cache.setdefault(key, inherit(prior, delete, insert))
+                self._origin = None
+                return value
+        return cache.setdefault(key, build(self))
 
     def derived_keys(self) -> tuple:
-        """The keys of the structures :meth:`derived` from this bag so far."""
+        """The keys of the structures :meth:`derived` from this bag so far,
+        then those still inheritable from the version it was patched from."""
         cache = self._derived
-        return () if cache is None else tuple(cache)
+        keys = () if cache is None else tuple(cache)
+        origin = self._origin
+        if origin is not None:
+            keys += tuple(key for key in tuple(origin[0]) if key not in keys)
+        return keys
 
     # ------------------------------------------------------------------
     # Equality / ordering
@@ -281,6 +313,12 @@ class Bag:
         any) plus O(|delete| + |insert|) Python work: the copy is what
         keeps every earlier version — a snapshot pin, an index
         :meth:`derived` from it — unchanged.
+
+        When this bag has derived structures, the result records them
+        with the delta, in O(1) and without touching them, so that its
+        first reader may carry them across the delta rather than rebuild
+        them (:meth:`derived`).  A result patched again before anyone
+        derived from it records nothing: one pending record per version.
         """
         self._check_arity(delete, "patch")
         self._check_arity(insert, "patch")
@@ -299,7 +337,10 @@ class Bag:
         # Every row came from an already-validated bag and every count is
         # positive by construction, so re-normalizing would only re-copy.
         arity = self._arity if self._arity is not None else insert._arity
-        return Bag._from_clean(counts, arity)
+        patched = Bag._from_clean(counts, arity)
+        if self._derived:
+            patched._origin = (self._derived, delete, insert)
+        return patched
 
     # ------------------------------------------------------------------
     # Derived operations (Section 2.1)

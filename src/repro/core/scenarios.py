@@ -632,9 +632,15 @@ class DiffTableScenario(Scenario):
         plan.add_patch(self.view.dt_insert_table, common, self._empty_literal())
         return plan
 
+    @cached_property
+    def _normalize_step(self) -> OpStep:
+        """The normalization as an apply step, so that :meth:`post_execute`
+        and ``propagate_C`` share the one plan :meth:`step_plan` keeps."""
+        return OpStep("dt_normalize", plan=self._normalize_plan)
+
     def post_execute(self) -> None:
         if self.strong_minimality:
-            self._normalize_plan().execute(self.db, counter=self.counter)
+            self.step_plan(self._normalize_step).execute(self.db, counter=self.counter)
 
     def _extend(self, plan: MaintenancePlan, txn: UserTransaction) -> None:
         """``makesafe_DT[T]``: fold the pre-update deltas into ∇MV/ΔMV."""
@@ -691,7 +697,7 @@ class CombinedScenario(LoggedScenario, DiffTableScenario):
         apply = self._apply_dt_step()
         # propagate_C holds no lock by design: it reads base/log tables
         # and writes only maintenance-private differentials — never MV.
-        normalize = (OpStep("dt_normalize", plan=self._normalize_plan),) if self.strong_minimality else ()
+        normalize = (self._normalize_step,) if self.strong_minimality else ()
         ops["propagate"] = self._op("propagate", self._compute_step(locked=False), fold(), *normalize)
         ops["partial_refresh"] = self._op("partial_refresh", apply)
         # refresh_C, both compositions of Figure 3.  The *entire*

@@ -94,6 +94,25 @@ class HashIndex:
             else:
                 bucket[row] = bucket.get(row, 0) + count
 
+    def patched(self, delete: Mapping[Row, int] | Bag, insert: Mapping[Row, int] | Bag) -> HashIndex:
+        """A new index over ``(R ∸ delete) ⊎ insert``; this one is left as it is.
+
+        Copy-on-write, in O(#keys + |delta|): the bucket map is cloned at
+        C level, each bucket the delta touches is copied once, and
+        :meth:`apply_delta` patches the copy.  Every other bucket is
+        shared with this index, which an older snapshot may still probe;
+        neither index ever mutates a shared bucket.
+        """
+        index = HashIndex.__new__(HashIndex)
+        index.positions = self.positions
+        key_of = index.key_of = self.key_of
+        buckets = index._buckets = self._buckets.copy()
+        touched = {key_of(row) for part in (delete, insert) for row, _ in part.items()}
+        for key in touched & buckets.keys():
+            buckets[key] = buckets[key].copy()
+        index.apply_delta(delete, insert)
+        return index
+
     def lookup(self, key: tuple) -> Mapping[Row, int]:
         """The bucket for ``key`` — rows with their multiplicities."""
         return self._buckets.get(key, _EMPTY_BUCKET)
@@ -112,12 +131,17 @@ class FrozenIndexes:
     What :class:`IndexManager` is to a live database, behind the same
     two calls the physical operators make.  A snapshot's tables are
     immutable, so there is nothing to maintain and nothing to go stale:
-    an index is built at most once per bag (charged as ``index_build``)
-    and kept in the bag's own :meth:`~repro.algebra.bag.Bag.derived`
-    slot, where every snapshot that shares the bag finds it and where
-    it dies with the bag.  It holds no state of its own and never
-    touches a live :class:`IndexManager`, whose buckets the writer
-    mutates in place.
+    an index is made at most once per bag and kept in the bag's own
+    :meth:`~repro.algebra.bag.Bag.derived` slot, where every snapshot
+    that shares the bag finds it and where it dies with the bag.  A bag
+    that :meth:`~repro.algebra.bag.Bag.patch` made from a version that
+    had the index inherits it: the parent's index, patched copy-on-write
+    by the delta (:meth:`HashIndex.patched`, charged as ``index_maint``
+    for the delta's distinct rows, counted in ``pinned_index_inherits``).
+    Any other bag builds it in one pass (charged as ``index_build``,
+    counted in ``pinned_index_builds``).  It holds no state of its own
+    and never touches a live :class:`IndexManager`, whose buckets the
+    writer mutates in place.
     """
 
     __slots__ = ()
@@ -144,7 +168,9 @@ class FrozenIndexes:
         *,
         counter: CostCounter | None = None,
     ) -> HashIndex:
-        """The index on ``bag`` keyed by ``positions``."""
+        """The index on ``bag`` keyed by ``positions``: inherited from the
+        version ``bag`` was patched from when that one had it, built
+        otherwise."""
 
         def build(frozen: Bag) -> HashIndex:
             if counter is not None:
@@ -152,7 +178,13 @@ class FrozenIndexes:
             obs.metric_inc("pinned_index_builds")
             return HashIndex.build(positions, frozen)
 
-        return bag.derived((HashIndex, positions), build)
+        def inherit(prior: HashIndex, delete: Bag, insert: Bag) -> HashIndex:
+            if counter is not None:
+                counter.record("index_maint", delete.distinct_count() + insert.distinct_count())
+            obs.metric_inc("pinned_index_inherits")
+            return prior.patched(delete, insert)
+
+        return bag.derived((HashIndex, positions), build, inherit)
 
 
 FROZEN_INDEXES = FrozenIndexes()

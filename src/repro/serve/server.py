@@ -382,7 +382,8 @@ class ViewServer:
             "staleness_ticks": {name: self.staleness_ticks(name) for name in self._mv_tables},
             "snapshots": self.registry.stats(),
             # Counted only while telemetry is on (empty otherwise):
-            # pinned_reads{access="probe"|"scan"}, pinned_index_builds.
+            # pinned_reads{access="probe"|"scan"}, pinned_index_builds,
+            # pinned_index_inherits.
             "pinned": {
                 name: metric["value"]
                 for name, metric in obs.current().metrics.snapshot().items()

@@ -21,10 +21,12 @@ Handles evaluate ad-hoc expressions with the **shared lowering**
 (:mod:`repro.exec.compiler`) over their own frozen tables: the plan runs
 through an :class:`~repro.exec.executor.ExecutionContext` whose state is
 the cut, whose version stamps are the pinned ones and whose indexes come
-from :data:`~repro.exec.indexes.FROZEN_INDEXES` — built once per
+from :data:`~repro.exec.indexes.FROZEN_INDEXES` — made once per
 immutable bag and kept on the bag, so every snapshot sharing that
-version of a table probes the same index.  A keyed read costs a probe
-plus its bucket, an unkeyed one a single fused pass.  What a pinned read
+version of a table probes the same index; a version a refresh patched
+from an indexed one inherits that index, patched by the view delta
+rather than rebuilt.  A keyed read costs a probe plus its bucket, an
+unkeyed one a single fused pass.  What a pinned read
 stays isolated from is the live engine's *state*, not the lowering: the
 live executor's plan table and node memos (stamped with the live
 versions), the live :class:`~repro.exec.indexes.IndexManager` (its

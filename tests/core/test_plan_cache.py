@@ -77,19 +77,19 @@ def executed(monkeypatch) -> list:
     return plans
 
 
-def define(manager: ViewManager, scenario: str) -> None:
+def define(manager: ViewManager, scenario: str, **options) -> None:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        manager.define_view("V", JOIN_SQL, scenario=scenario)
+        manager.define_view("V", JOIN_SQL, scenario=scenario, **options)
 
 
-def build(scenario: str) -> ViewManager:
+def build(scenario: str, **options) -> ViewManager:
     db = Database()
     customers = [(i, f"n{i}", "High" if i % 2 else "Low") for i in range(10)]
     db.create_table("customer", ("custId", "name", "score"), rows=customers)
     db.create_table("sales", ("custId", "itemNo", "quantity"), rows=[(i % 10, i, 1 + i % 3) for i in range(40)])
     manager = ViewManager(db)
-    define(manager, scenario)
+    define(manager, scenario, **options)
     return manager
 
 
@@ -144,3 +144,19 @@ def test_a_one_off_step_leaves_with_its_op():
         scoped_partial_refresh(scenario, Comparison("<", attr("custId"), const(5)))
     gc.collect()
     assert len(scenario._plans) == held
+
+
+def test_strong_minimality_normalizes_every_transaction_with_one_plan(builds, executed):
+    """A strong-minimality DT view cancels ∇MV ∩ ΔMV after every
+    transaction (``post_execute``), always with the plan the first built."""
+    manager = build("diff_table", strong_minimality=True)
+    plans = []
+    for tick in range(2):
+        executed.clear()
+        manager.execute_sql(
+            f"INSERT INTO sales VALUES ({tick}, {900 + tick}, 2); DELETE FROM sales WHERE itemNo = {tick}"
+        )
+        plans.append(executed[-1])
+        assert builds["_normalize_plan"] == 1, f"transaction {tick}"
+    assert plans[0] is plans[1]
+    assert manager.scenario("V").invariant_holds()

@@ -191,17 +191,21 @@ class TestPinnedPlans:
             for handle in (first, second, first):
                 handle.evaluate(keyed)
             second.evaluate(unkeyed)
+            schema = db.schema_of("t")
+            db.apply(patches={"t": (Literal(Bag.empty(), schema), Literal(Bag([(3, 2000)]), schema))})
+            registry.pin(db).evaluate(keyed)  # patched from an indexed version: inherits
             db.load("t", [(3, 1000)])
-            registry.pin(db).evaluate(keyed)  # new version of t: one more build
+            registry.pin(db).evaluate(keyed)  # loaded wholesale: one more build
             counters = {
                 name: metric["value"]
                 for name, metric in stack.metrics.snapshot().items()
                 if name.startswith("pinned_")
             }
         assert counters == {
-            'pinned_reads{access="probe"}': 4,
+            'pinned_reads{access="probe"}': 5,
             'pinned_reads{access="scan"}': 1,
             "pinned_index_builds": 2,
+            "pinned_index_inherits": 1,
         }
 
     def test_a_wider_key_reuses_the_narrower_index_already_on_the_pinned_bag(self):
@@ -211,8 +215,15 @@ class TestPinnedPlans:
                 assert handle.evaluate(sql_to_expr("SELECT b FROM t WHERE a = 2", db)) == Bag([(2,), (0,), (1,)] * 4)
                 both = sql_to_expr("SELECT a, b FROM t WHERE a = 2 AND b = 1", db)
                 assert handle.evaluate(both) == evaluate(both, {"t": db["t"]}) == Bag([(2, 1)] * 4)
-            builds = stack.metrics.snapshot()["pinned_index_builds"]["value"]
-        assert builds == 1
+            # A version patched from that bag offers the narrower index to
+            # inherit: the wider read's first use inherits it, builds nothing.
+            schema = db.schema_of("t")
+            db.apply(patches={"t": (Literal(Bag([(2, 1)]), schema), Literal(Bag([(2, 1), (2, 2)]), schema))})
+            with SnapshotRegistry().pin(db) as handle:
+                assert handle.evaluate(both) == evaluate(both, {"t": db["t"]}) == Bag([(2, 1)] * 4)
+            metrics = stack.metrics.snapshot()
+        assert metrics["pinned_index_builds"]["value"] == 1
+        assert metrics["pinned_index_inherits"]["value"] == 1
 
 
 class TestSnapshotRegistry:
