@@ -46,8 +46,9 @@ from typing import Any
 
 from repro import obs
 from repro.algebra.bag import Bag, Row
-from repro.algebra.expr import Expr
+from repro.algebra.expr import Expr, Literal
 from repro.core.ops import MaintenanceAction
+from repro.core.substitution import bound_pair, pair_binding
 from repro.core.transactions import UserTransaction
 from repro.core.views import ViewDefinition
 from repro.errors import RecoveryError, ReproError
@@ -228,9 +229,10 @@ class DurableWarehouse:
 
         The transaction's delete/insert expressions are evaluated against
         the pre-state *once*, journaled as literal delta bags (making the
-        intent replayable from the journal alone), and applied as a
-        literal transaction — so a recovery replay is bit-identical to
-        the original application.
+        intent replayable from the journal alone), and applied through
+        bound leaves that read those bags — so a recovery replay is
+        bit-identical to the original application, and one set of plans
+        serves every transaction.
 
         Returns ``False`` without doing anything — one journal lookup,
         nothing evaluated — when ``token`` was already committed (a
@@ -239,19 +241,31 @@ class DurableWarehouse:
         if token is not None and self.journal.has_committed(token):
             return False
         deltas: dict[str, dict[str, list[list[Any]]]] = {}
-        literal = UserTransaction(self.db)
+        bags: dict[str, tuple[Bag, Bag]] = {}
+        applied = UserTransaction(self.db)
         for name in sorted(txn.tables):
-            delete = self.db.evaluate(txn.delete_expr(name), binding=txn.binding)
-            insert = self.db.evaluate(txn.insert_expr(name), binding=txn.binding)
+            delete = self._evaluate(txn.delete_expr(name), txn.binding)
+            insert = self._evaluate(txn.insert_expr(name), txn.binding)
             deltas[name] = {"delete": serialize_bag(delete), "insert": serialize_bag(insert)}
+            bags[name] = (delete, insert)
+            delete_leaf, insert_leaf = bound_pair(name, self.db.schema_of(name))
             if delete:
-                literal.delete(name, delete)
+                applied.delete_query(name, delete_leaf)
             if insert:
-                literal.insert(name, insert)
+                applied.insert_query(name, insert_leaf)
+        applied.bind(pair_binding(bags))
         self._run_journaled(
-            "txn", lambda: self.manager.execute(literal), token=token, payload={"deltas": deltas}
+            "txn", lambda: self.manager.execute(applied), token=token, payload={"deltas": deltas}
         )
         return True
+
+    def _evaluate(self, expr: Expr, binding) -> Bag:
+        """A delta's bag in the pre-state.  A literal's is its own bag, under
+        every engine: no plan is compiled for it, and the sqlite tier does
+        not read it back through SQLite in another order."""
+        if type(expr) is Literal:
+            return expr.bag
+        return self.db.evaluate(expr, binding=binding)
 
     def execute_sql(self, script: str, *, token: str | None = None) -> bool:
         from repro.sqlfront.compiler import script_to_transaction

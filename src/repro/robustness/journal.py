@@ -140,8 +140,9 @@ def table_digests(db: Database, tables: Iterable[str] | None = None) -> dict[str
 
 
 def serialize_bag(bag: Bag) -> list[list[Any]]:
-    """A JSON-safe encoding of a bag: ``[[*row, count], ...]``."""
-    return [[*row, count] for row, count in sorted(bag.items(), key=lambda item: repr(item[0]))]
+    """A JSON-safe encoding of a bag: ``[[*row, count], ...]``, in the
+    bag's own order (:func:`deserialize_bag` sums, so order is immaterial)."""
+    return [[*row, count] for row, count in bag.items()]
 
 
 def deserialize_bag(encoded: Iterable[Iterable[Any]]) -> Bag:

@@ -343,12 +343,25 @@ def delta_queue(db: Database) -> DeltaQueue | None:
 # ----------------------------------------------------------------------
 
 
+#: The value types SQLite stores as they are.  A bool is not among them:
+#: SQLite would store it as an integer, so it goes in tagged.
+_BINDABLE = frozenset({int, float, str, type(None)})
+
+
 def _insert_rows(conn: sqlite3.Connection, name: str, arity: int, rows: Iterable[tuple[Row, int]]) -> int:
+    """Insert the ``(row, mult)`` pairs into table ``name`` with one ``executemany``.
+
+    One type scan at C level checks the whole batch.  A batch of ints,
+    floats, strings and NULLs is bound as it is, with no Python call per
+    value.  Otherwise every value goes through :func:`encode_value`, which
+    tags bools and refuses what SQLite cannot store.  Both write the same
+    bytes.
+    """
     placeholders = ", ".join(["?"] * (arity + 1))
-    cursor = conn.executemany(
-        f"INSERT INTO {_mangle(name)} VALUES ({placeholders})",
-        ((*(encode_value(value) for value in row), mult) for row, mult in rows),
-    )
+    params = [row + (mult,) for row, mult in rows]
+    if not _BINDABLE.issuperset(map(type, itertools.chain.from_iterable(params))):
+        params = [tuple(map(encode_value, values)) for values in params]
+    cursor = conn.executemany(f"INSERT INTO {_mangle(name)} VALUES ({placeholders})", params)
     return cursor.rowcount
 
 
@@ -415,11 +428,13 @@ def _checkpoint(
                         conn.execute(f"DELETE FROM {_mangle(name)}")
                     rows += _insert_rows(conn, name, len(attrs), bag.items())
         for name, queued in appended.items():
-            for patch in queued:
-                signed = itertools.chain(
-                    ((row, -count) for row, count in patch.removed()), patch.insert.items()
-                )
-                rows += _insert_rows(conn, name, len(schemas[name][0]), signed)
+            # One batch per table: each patch's deletes, then its inserts,
+            # in the order the patches were installed.
+            signed = itertools.chain.from_iterable(
+                itertools.chain(((row, -count) for row, count in patch.removed()), patch.insert.items())
+                for patch in queued
+            )
+            rows += _insert_rows(conn, name, len(schemas[name][0]), signed)
         fault_point("crash-mid-checkpoint")
         conn.execute("COMMIT")
     except BaseException:

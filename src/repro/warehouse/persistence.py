@@ -16,6 +16,8 @@ The catalog is stored inside the same SQLite file as a normal internal
 table (``__viewdefs__``) holding each view's name, scenario, options,
 and JSON-serialized defining query.  It exists only in the file:
 :func:`load_warehouse` reads it and drops it from the loaded database.
+A save describes the views again only when the catalog changed: a view
+was defined or dropped, or a shared-log cursor moved.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict
 from pathlib import Path
+from weakref import WeakKeyDictionary
 
 from repro.algebra.bag import Bag
 from repro.algebra.serialize import expr_from_dict, expr_to_dict
@@ -38,6 +41,9 @@ __all__ = ["save_warehouse", "load_warehouse", "VIEWDEFS_TABLE"]
 VIEWDEFS_TABLE = "__viewdefs__"
 #: Scenario tag -> the name ``ViewManager._new_scenario`` rebuilds it from.
 _TAG_TO_NAME = {**{cls.tag: name for name, cls in SCENARIOS.items()}, AggregateScenario.tag: "combined"}
+#: Manager -> (its views' scenarios and shared-log cursors, the
+#: ``__viewdefs__`` bag described from them).
+_DESCRIBED: WeakKeyDictionary[ViewManager, tuple[list, Bag]] = WeakKeyDictionary()
 
 
 def _describe(scenario) -> dict:
@@ -72,16 +78,33 @@ def save_warehouse(manager: ViewManager, path: str | Path, *, op_id: int = 0) ->
     ``op_id`` — the journaled operation this save completes, 0 for none
     — is stamped into the file in the same transaction.
     """
-    viewdefs = Bag(
-        (description["name"], json.dumps(description, sort_keys=True))
-        for description in (_describe(manager.scenario(name)) for name in manager.views())
-    )
     save_database(
         manager.db,
         path,
-        extra=[StoredTable(VIEWDEFS_TABLE, ("name", "definition"), True, viewdefs)],
+        extra=[StoredTable(VIEWDEFS_TABLE, ("name", "definition"), True, _viewdefs(manager))],
         op_id=op_id,
     )
+
+
+def _viewdefs(manager: ViewManager) -> Bag:
+    """The ``__viewdefs__`` rows of ``manager``'s views.
+
+    The views are described again only when one was defined or dropped,
+    or when a shared-log cursor moved: the cursor is the one field of a
+    description that maintenance changes.  Otherwise the last bag is
+    handed back as it is, and the checkpoint leaves the catalog rows of
+    the file alone.
+    """
+    scenarios = [manager.scenario(name) for name in manager.views()]
+    key = [(scenario, getattr(scenario, "cursor", None)) for scenario in scenarios]
+    described = _DESCRIBED.get(manager)
+    if described is not None and described[0] == key:
+        return described[1]
+    viewdefs = Bag(
+        (description["name"], json.dumps(description, sort_keys=True)) for description in map(_describe, scenarios)
+    )
+    _DESCRIBED[manager] = (key, viewdefs)
+    return viewdefs
 
 
 def load_warehouse(path: str | Path, *, exec_mode: str | None = None) -> ViewManager:

@@ -25,6 +25,12 @@ Gated:
   compiled engine (CPython 3.11); rebuilding the index instead read
   4.73× and 10.5×.  Pinned reads run the same lowering under every
   engine, so the gate holds under all three.
+* a durable checkpoint — ``save_warehouse`` after a one-row transaction
+  of a ``DurableWarehouse`` — at both sizes (:data:`CHECKPOINT_BOUND`).
+  It appends the transaction's patches and hands back the view
+  catalog it described at DDL.  Measured 6,638 B at 3k and at 30k
+  (1.00×, CPython 3.11); describing every view again on every
+  checkpoint read 19,477 B and 19,445 B, most of it the catalog JSON.
 
 The reported operations are in :data:`REPORTED`, with their 30k ÷ 3k
 ratios as measured under the compiled engine (the interpreted engine's
@@ -35,11 +41,14 @@ from __future__ import annotations
 
 import gc
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+from repro.robustness.durable import DurableWarehouse
 from repro.serve import ServeConfig, ViewServer
 from repro.sqlfront.compiler import sql_to_expr
+from repro.warehouse.persistence import save_warehouse
 
 SIZES = (3_000, 30_000)
 CUSTOMERS = 600
@@ -53,6 +62,10 @@ KEYED_READ = "SELECT itemNo, quantity FROM {mv} WHERE custId = {key}"
 #: Peak bytes of the first keyed read of a refreshed version, at most
 #: this multiple of a keyed read of an unchanged version, at each size.
 FIRST_READ_BOUND = 2.5
+
+#: Peak bytes of a durable checkpoint at 30k sales, at most this
+#: multiple of the bytes at 3k.
+CHECKPOINT_BOUND = 1.25
 
 #: Operation -> (30k ÷ 3k bytes as last measured, why it scales).
 REPORTED = {
@@ -70,16 +83,21 @@ def _peak(operation) -> int:
     return tracemalloc.get_traced_memory()[1] - live
 
 
-def _measure(sales: int) -> dict[str, int]:
-    server = ViewServer(ServeConfig(k=2, m=7))
-    server.create_table("customer", ("custId", "name", "address", "score"))
-    server.create_table("sales", ("custId", "itemNo", "quantity", "salesPrice"))
-    server.load(
+def _populate(target, sales: int) -> None:
+    """Example 1.1's tables and view on a server or a durable warehouse."""
+    target.create_table("customer", ("custId", "name", "address", "score"))
+    target.create_table("sales", ("custId", "itemNo", "quantity", "salesPrice"))
+    target.load(
         "customer",
         [(c, f"n{c}", f"a{c}", "High" if c % HIGH_EVERY == 0 else "Low") for c in range(CUSTOMERS)],
     )
-    server.load("sales", [(i % CUSTOMERS, i, 1 + i % 4, 5.0) for i in range(sales)])
-    server.define_view("V", VIEW_SQL, scenario="combined")
+    target.load("sales", [(i % CUSTOMERS, i, 1 + i % 4, 5.0) for i in range(sales)])
+    target.define_view("V", VIEW_SQL, scenario="combined")
+
+
+def _measure(sales: int) -> dict[str, int]:
+    server = ViewServer(ServeConfig(k=2, m=7))
+    _populate(server, sales)
     mv = server.manager.scenario("V").view.mv_table
     high = range(0, CUSTOMERS, HIGH_EVERY)
 
@@ -103,9 +121,29 @@ def _measure(sales: int) -> dict[str, int]:
     return bytes_
 
 
+def _measure_checkpoint(sales: int, path: Path) -> int:
+    """Peak bytes of ``save_warehouse`` after a one-row transaction that the
+    durable warehouse's delta queue holds (run on its manager: the
+    checkpoint is the one measured)."""
+    with DurableWarehouse(path) as warehouse:
+        _populate(warehouse, sales)
+        # Warm: the script's plans are compiled, the catalog described.
+        warehouse.execute_sql(f"INSERT INTO sales VALUES (0, {10**6 - 1}, 2, 9.5)")
+        warehouse.manager.execute_sql(f"INSERT INTO sales VALUES ({HIGH_EVERY}, {10**6}, 2, 9.5)")
+        tracemalloc.start()
+        try:
+            return _peak(lambda: save_warehouse(warehouse.manager, path))
+        finally:
+            tracemalloc.stop()
+
+
 @pytest.fixture(scope="module")
-def measured() -> dict[int, dict[str, int]]:
-    return {sales: _measure(sales) for sales in SIZES}
+def measured(tmp_path_factory) -> dict[int, dict[str, int]]:
+    scratch = tmp_path_factory.mktemp("allocation")
+    return {
+        sales: {**_measure(sales), "checkpoint": _measure_checkpoint(sales, scratch / f"wh{sales}.db")}
+        for sales in SIZES
+    }
 
 
 @pytest.mark.parametrize("sales", SIZES)
@@ -115,6 +153,14 @@ def test_first_read_of_a_refreshed_version_allocates_like_a_steady_read(measured
     assert ratio <= FIRST_READ_BOUND, (
         f"{sales} sales: the first keyed read after a one-row refresh allocated {bytes_['first_read']} B, "
         f"{ratio:.2f}x a steady read's {bytes_['steady_read']} B"
+    )
+
+
+def test_a_durable_checkpoint_allocates_the_same_at_both_sizes(measured):
+    small, large = (measured[sales]["checkpoint"] for sales in SIZES)
+    assert large <= CHECKPOINT_BOUND * small, (
+        f"save_warehouse after a one-row transaction allocated {small} B at {SIZES[0]} sales "
+        f"and {large} B at {SIZES[1]} ({large / small:.2f}x)"
     )
 
 

@@ -47,6 +47,7 @@ CALLING_THREAD = "a group epoch evaluates on the calling thread"
 BY_VALUE = "a group epoch shares a delta by value"
 ONE_RUNNER = "a policy has one runner: the view server schedules maintenance"
 ONE_REFRESH_PATH = "one refresh path: a compute step evaluates where OpStep.locked says"
+DELTA_CHECKPOINT = "a durable checkpoint pays only for its delta"
 
 
 def _under(path: str, tops: tuple[str, ...]) -> bool:
@@ -413,6 +414,23 @@ GATES = (
         "a bag copies its counts with dict(...) again, which re-inserts every row one by one once "
         "the dict holds a deleted entry; copy with self._counts.copy(), which clones",
         "        counts = dict(self._counts)",
+    ),
+    Gate(
+        "viewdefs-every-checkpoint",
+        r"_describe\(manager\.scenario\(name\)\) for name in manager\.views\(\)",
+        ("src/repro/warehouse/persistence.py",),
+        DELTA_CHECKPOINT,
+        "a checkpoint describes every view again; describe the catalog when a view is defined or "
+        "dropped or a shared-log cursor moves, and hand back the last __viewdefs__ bag otherwise",
+        "        for description in (_describe(manager.scenario(name)) for name in manager.views())",
+    ),
+    Gate(
+        "journal-repr-sort",
+        r"key=lambda item: repr\(item\[0\]\)",
+        ("src/repro/robustness/journal.py",),
+        DELTA_CHECKPOINT,
+        "a journal payload sorts its rows by repr; deserialize_bag sums, so rows go in the bag's order",
+        "    return [[*row, count] for row, count in sorted(bag.items(), key=lambda item: repr(item[0]))]",
     ),
 )
 
